@@ -8,10 +8,11 @@ export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
-	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup
+	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup \
+	bench-e2e-smoke
 
-check: test bench-faults bench-smoke bench-index bench-dedup trace-verify \
-	profile-smoke testgen-smoke serve-smoke obs-live-smoke
+check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
+	trace-verify profile-smoke testgen-smoke serve-smoke obs-live-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -71,11 +72,17 @@ bench-parallel:
 bench-faults:
 	$(PYTHON) -m pytest benchmarks/bench_ext_faults.py -q --benchmark-disable
 
-# Cheap hashing-work regression gate: re-measures the Merkle hasher
-# against the full-rewalk baseline and enforces the >=5x hashed-bytes
-# threshold (writes benchmarks/results/BENCH_hashing.json).
+# Cheap hashing-work regression gate: re-counts the Merkle hasher's
+# bytes per event, which may not exceed the recorded figures, and
+# enforces the >=5x reduction against the frozen seed full-rewalk
+# baseline (writes benchmarks/results/BENCH_hashing.json).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_perf_hashing.py -q --benchmark-disable
+
+# End-to-end benchmark gate: every workload of benchmarks/e2e at smoke
+# scale, with its oracles (the timed runs are `benchmarks/e2e/run.py`).
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Segmented-index gate: mints a 100k-state corpus (REPRO_BENCH_INDEX_STATES
 # scales it), builds both index backends and enforces the >=5x on-disk

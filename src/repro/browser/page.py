@@ -33,7 +33,6 @@ from repro.dom import (
     HashStats,
     hash_tree,
     parse_document,
-    reference_state_hash,
     serialize,
 )
 from repro.errors import BrowserError, JavascriptError
@@ -70,7 +69,6 @@ class Page:
         clock: SimClock,
         cost_model: CostModel,
         javascript_enabled: bool = True,
-        incremental_hashing: bool = True,
         recorder=NULL_RECORDER,
     ) -> None:
         self.url = url
@@ -80,11 +78,6 @@ class Page:
         self.cost_model = cost_model
         self.javascript_enabled = javascript_enabled
         self.recorder = recorder
-        #: When True (default) state/region hashing reuses the Merkle
-        #: subtree caches and rollbacks clone a warm master tree; False
-        #: reproduces the seed full-rewalk + re-parse behaviour (the
-        #: baseline mode of the hashing benchmark).
-        self.incremental_hashing = incremental_hashing
         #: Hashing work accounting for this page (all passes, all kinds).
         self.hash_stats = HashStats()
         self.document_host = DocumentHost(self)
@@ -207,9 +200,7 @@ class Page:
 
     def content_hash(self) -> str:
         """Hash identifying the current DOM state (duplicate detection)."""
-        if self.incremental_hashing:
-            return hash_tree(self.document, stats=self.hash_stats).state
-        return reference_state_hash(self.document, stats=self.hash_stats)
+        return hash_tree(self.document, stats=self.hash_stats).state
 
     def hash_state(self) -> DomHashes:
         """One combined Merkle pass: state hash plus full region map.
@@ -238,21 +229,18 @@ class Page:
         """Roll the page back to ``snapshot`` (DOM and script variables).
 
         The virtual clock is always charged the full re-parse cost (the
-        simulated browser still parses); with incremental hashing the
-        *wall-clock* work is a clone of the snapshot's master tree,
-        which carries warm Merkle caches so the post-rollback base
-        hashes are cache reads instead of full re-hashes.
+        simulated browser still parses); the *wall-clock* work is a
+        clone of the snapshot's master tree, which carries warm Merkle
+        caches so the post-rollback base hashes are cache reads instead
+        of full re-hashes.
         """
-        if self.incremental_hashing:
-            master = snapshot.master
-            if master is None:
-                master = parse_document(snapshot.html, url=self.url)
-                # Warm the caches once; every later restore clones them.
-                hash_tree(master, stats=self.hash_stats)
-                snapshot.master = master
-            self.document = master.clone()
-        else:
-            self.document = parse_document(snapshot.html, url=self.url)
+        master = snapshot.master
+        if master is None:
+            master = parse_document(snapshot.html, url=self.url)
+            # Warm the caches once; every later restore clones them.
+            hash_tree(master, stats=self.hash_stats)
+            snapshot.master = master
+        self.document = master.clone()
         self.clock.advance(
             self.cost_model.html_parse_ms(len(snapshot.html)), PARSE_ACCOUNT
         )

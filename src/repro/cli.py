@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.crawler import CrawlerConfig
+from repro.dom.simhash import bands_for_threshold
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule
 from repro.net.server import SimulatedServer
 from repro.obs import (
@@ -616,6 +617,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _near_dup_bits(text: str) -> int:
+    """``--near-dup-threshold``: a Hamming distance the collapser accepts."""
+    try:
+        bits = int(text)
+        bands_for_threshold(bits)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ajax",
@@ -643,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--no-hotnode", action="store_true")
     crawl.add_argument("--max-states", type=int, default=10)
     crawl.add_argument(
-        "--near-dup-threshold", type=int, default=None, metavar="BITS",
+        "--near-dup-threshold", type=_near_dup_bits, default=None, metavar="BITS",
         help="collapse states within this simhash Hamming distance into "
              "one canonical state (default: off, exact identity only)",
     )

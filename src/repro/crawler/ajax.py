@@ -28,7 +28,7 @@ from repro.crawler.config import CrawlerConfig, DEFAULT_CONFIG
 from repro.crawler.dedup import CollapseOutcome, StateCollapser
 from repro.crawler.hotnode import HotNodeCache
 from repro.crawler.metrics import PageMetrics
-from repro.dom import DomHashes, changed_regions, reference_region_hashes
+from repro.dom import DomHashes, changed_regions
 from repro.dom.simhash import state_features
 from repro.errors import BrowserError, NetworkError
 from repro.model import ApplicationModel, EventAnnotation, State
@@ -69,8 +69,6 @@ class AjaxCrawler(Crawler):
             max_js_steps=config.max_js_steps,
             retry_policy=config.retry_policy(),
             recorder=recorder,
-            incremental_hashing=config.incremental_hashing,
-            trace_js_frames=config.trace_js_frames,
         )
         self._unique_counter = 0
         #: Per-origin granularity hints (None = no hint published).
@@ -98,22 +96,11 @@ class AjaxCrawler(Crawler):
         model = ApplicationModel(url)
         metrics = PageMetrics(url=url)
         collapser = self._make_collapser()
-        if self.config.incremental_hashing:
-            # One combined pass hashes the loaded DOM and warms the
-            # subtree caches, so _add_state and snapshot() below are
-            # cache reads instead of further full walks.
-            initial_hashes = page.hash_state()
-            self._trace_hash_pass(url, initial_hashes)
-            initial_hash = self._identity_hash(page, initial_hashes)
-            initial_regions: Optional[dict[str, str]] = initial_hashes.regions
-        else:
-            initial_hash = None
-            initial_regions = None
-        if collapser is not None:
-            initial_hash, _ = self._observe_collapse(
-                collapser, page, initial_hash, initial_regions
-            )
-        initial, _ = self._add_state(model, page, depth=0, content_hash=initial_hash)
+        # One combined pass hashes the loaded DOM and warms the subtree
+        # caches, so _add_state and snapshot() below are cache reads
+        # instead of further full walks.
+        initial_hash, _ = self._identify(page, self._hash_pass(url, page), collapser)
+        initial, _ = self._add_state(model, page, 0, initial_hash)
         if self.recorder.enabled:
             self.recorder.emit(
                 STATE_DISCOVERED,
@@ -136,16 +123,9 @@ class AjaxCrawler(Crawler):
             state = model.get_state(state_id)
             base_snapshot = snapshots[state_id]
             page.restore(base_snapshot)
-            if self.config.incremental_hashing:
-                # The restored clone carries the snapshot master's warm
-                # caches: this pass is close to a pure cache read.
-                base_pass = page.hash_state()
-                self._trace_hash_pass(url, base_pass, state_id=state_id)
-                base_regions = base_pass.regions
-            else:
-                base_regions = reference_region_hashes(
-                    page.document, stats=page.hash_stats
-                )
+            # The restored clone carries the snapshot master's warm
+            # caches: this pass is close to a pure cache read.
+            base_regions = self._hash_pass(url, page, state_id).regions
             for binding in self._enumerate_events(page):
                 if events_invoked >= self.config.max_event_invocations:
                     frontier.clear()
@@ -170,25 +150,7 @@ class AjaxCrawler(Crawler):
                 ) as event_span:
                     failed_before = self.stats.failed_requests
                     changed = self._dispatch(page, binding)
-                    if self.stats.failed_requests > failed_before:
-                        # The event's network call died even after retries:
-                        # quarantine it and roll back — a half-updated DOM
-                        # must not become a model state.
-                        quarantined.add(self._event_key(binding))
-                        metrics.events_quarantined += 1
-                        if self.recorder.enabled:
-                            self.recorder.emit(
-                                EVENT_FIRED,
-                                url=url,
-                                state_id=state_id,
-                                source=binding.locator.describe(),
-                                trigger=binding.event_type,
-                                changed=bool(changed),
-                                quarantined=True,
-                            )
-                        event_span.annotate(quarantined=True)
-                        page.restore(base_snapshot)
-                        continue
+                    request_died = self.stats.failed_requests > failed_before
                     if self.recorder.enabled:
                         self.recorder.emit(
                             EVENT_FIRED,
@@ -197,8 +159,17 @@ class AjaxCrawler(Crawler):
                             source=binding.locator.describe(),
                             trigger=binding.event_type,
                             changed=bool(changed),
-                            quarantined=False,
+                            quarantined=request_died,
                         )
+                    if request_died:
+                        # The event's network call died even after retries:
+                        # quarantine it and roll back — a half-updated DOM
+                        # must not become a model state.
+                        quarantined.add(self._event_key(binding))
+                        metrics.events_quarantined += 1
+                        event_span.annotate(quarantined=True)
+                        page.restore(base_snapshot)
+                        continue
                     self._record_event_outcome(state, binding, changed)
                     # Hash the DOM and compare against the model (§3.2): the
                     # expensive part of maintaining the application model.
@@ -206,33 +177,15 @@ class AjaxCrawler(Crawler):
                         self.browser.cost_model.state_diff_ms, account="model"
                     )
                     if changed:
-                        if self.config.incremental_hashing:
-                            # The one combined hash call per event: state
-                            # hash and region map from a single pass that
-                            # re-hashes only the subtrees the event dirtied.
-                            event_pass = page.hash_state()
-                            self._trace_hash_pass(url, event_pass, state_id=state_id)
-                            content_hash = self._identity_hash(page, event_pass)
-                            after_regions = event_pass.regions
-                        else:
-                            content_hash = None
-                            after_regions = reference_region_hashes(
-                                page.document, stats=page.hash_stats
-                            )
-                        collapse: Optional[CollapseOutcome] = None
-                        if collapser is not None:
-                            # Near-duplicate collapse: resolve against the
-                            # canonical twin's hash so volatile regions
-                            # never mint new model states.
-                            content_hash, collapse = self._observe_collapse(
-                                collapser, page, content_hash, after_regions
-                            )
+                        # The one combined hash call per event: state hash
+                        # and region map from a single pass that re-hashes
+                        # only the subtrees the event dirtied.
+                        event_pass = self._hash_pass(url, page, state_id)
+                        content_hash, collapse = self._identify(
+                            page, event_pass, collapser
+                        )
                         new_state, created = self._resolve_state(
-                            model,
-                            page,
-                            depth=state.depth + 1,
-                            max_states=max_states,
-                            content_hash=content_hash,
+                            model, page, state.depth + 1, max_states, content_hash
                         )
                         if new_state is None:
                             # State cap reached (section 4.3 "State explosion"):
@@ -279,7 +232,7 @@ class AjaxCrawler(Crawler):
                             ),
                             # ``modif*`` of Algorithm 3.1.1: the region ids
                             # whose subtree the event actually changed.
-                            modified=changed_regions(base_regions, after_regions),
+                            modified=changed_regions(base_regions, event_pass.regions),
                         )
                         if (
                             created
@@ -318,58 +271,53 @@ class AjaxCrawler(Crawler):
         """Identity of an event across states, for quarantining."""
         return (binding.locator.describe(), binding.event_type)
 
-    def _state_hash(self, page: Page) -> str:
-        if self.config.state_identity == "text":
-            from repro.dom import text_hash
-
-            return text_hash(page.document)
-        return page.content_hash()
-
-    def _identity_hash(self, page: Page, hashes: DomHashes) -> Optional[str]:
-        """The state-identity hash a combined pass already yields.
-
-        Returns ``None`` for the "text" identity mode, whose looser
-        hash is not derivable from the canonical DOM digest — callers
-        fall back to :meth:`_state_hash`.
-        """
-        if self.config.state_identity == "text":
-            return None
-        return hashes.state
-
     def _make_collapser(self) -> Optional[StateCollapser]:
         """One fresh collapser per page crawl (None = layer disabled)."""
         if self.config.near_dup_threshold is None:
             return None
-        if not self.config.deduplicate_states:
-            raise ValueError(
-                "near_dup_threshold requires hash-based deduplication "
-                "(deduplicate_states=True): collapse merges by content hash"
-            )
-        return StateCollapser(
-            self.config.near_dup_threshold, self.config.near_dup_bands
-        )
+        return StateCollapser(self.config.near_dup_threshold)
 
-    def _observe_collapse(
-        self,
-        collapser: StateCollapser,
-        page: Page,
-        content_hash: Optional[str],
-        regions: Optional[dict[str, str]],
-    ) -> tuple[str, CollapseOutcome]:
-        """Classify the current DOM against the collapser.
+    def _hash_pass(
+        self, url: str, page: Page, state_id: Optional[str] = None
+    ) -> DomHashes:
+        """One combined Merkle pass over the page's current DOM.
 
-        Returns the hash to resolve against the model: the observation's
-        own content hash for a new canonical (or exact re-observation),
-        the canonical twin's hash when this DOM merged into one.
+        The ``hash_full``/``hash_incremental`` trace event is gated on
+        ``config.trace_hashing`` (off by default) so traces recorded
+        before this event kind existed stay byte-identical.
         """
-        if content_hash is None:
-            content_hash = self._state_hash(page)
-        if regions is None:
-            regions = reference_region_hashes(page.document, stats=page.hash_stats)
-        outcome = collapser.observe(
-            content_hash, state_features(page.document), regions
-        )
-        return outcome.canonical_hash, outcome
+        hashes = page.hash_state()
+        if self.config.trace_hashing and self.recorder.enabled:
+            self.recorder.emit(
+                HASH_INCREMENTAL if hashes.incremental else HASH_FULL,
+                url=url,
+                state_id=state_id,
+                nodes_hashed=hashes.nodes_hashed,
+                nodes_skipped=hashes.nodes_skipped,
+                bytes_hashed=hashes.bytes_hashed,
+                regions=len(hashes.regions),
+            )
+        return hashes
+
+    def _identify(
+        self, page: Page, hashes: DomHashes, collapser: Optional[StateCollapser]
+    ) -> tuple[str, Optional[CollapseOutcome]]:
+        """The identity one observed DOM resolves against the model (§3.2).
+
+        That is the pass's own state hash; with near-duplicate collapse
+        on, the canonical twin's hash when this DOM merged into one, so
+        volatile regions never mint new model states; with duplicate
+        elimination off (ablation), a hash no other observation shares.
+        """
+        if collapser is not None:
+            outcome = collapser.observe(
+                hashes.state, state_features(page.document), hashes.regions
+            )
+            return outcome.canonical_hash, outcome
+        if not self.config.deduplicate_states:
+            self._unique_counter += 1
+            return f"{hashes.state}:{self._unique_counter}", None
+        return hashes.state, None
 
     def _finish_collapse(
         self,
@@ -393,39 +341,9 @@ class AjaxCrawler(Crawler):
                 if volatile:
                     state.annotations["volatile_regions"] = ",".join(volatile)
 
-    def _trace_hash_pass(
-        self, url: str, hashes: DomHashes, state_id: Optional[str] = None
-    ) -> None:
-        """Emit one ``hash_full``/``hash_incremental`` trace event.
-
-        Gated on ``config.trace_hashing`` (off by default) so traces
-        recorded before this event kind existed stay byte-identical.
-        """
-        if not (self.config.trace_hashing and self.recorder.enabled):
-            return
-        self.recorder.emit(
-            HASH_INCREMENTAL if hashes.incremental else HASH_FULL,
-            url=url,
-            state_id=state_id,
-            nodes_hashed=hashes.nodes_hashed,
-            nodes_skipped=hashes.nodes_skipped,
-            bytes_hashed=hashes.bytes_hashed,
-            regions=len(hashes.regions),
-        )
-
     def _add_state(
-        self,
-        model: ApplicationModel,
-        page: Page,
-        depth: int,
-        content_hash: Optional[str] = None,
+        self, model: ApplicationModel, page: Page, depth: int, content_hash: str
     ) -> tuple[State, bool]:
-        if content_hash is None:
-            content_hash = self._state_hash(page)
-        if not self.config.deduplicate_states:
-            # Ablation mode: force a unique identity per DOM observation.
-            self._unique_counter += 1
-            content_hash = f"{content_hash}:{self._unique_counter}"
         html = None
         if self.config.store_html:
             from repro.dom import serialize
@@ -439,28 +357,14 @@ class AjaxCrawler(Crawler):
         page: Page,
         depth: int,
         max_states: int,
-        content_hash: Optional[str] = None,
+        content_hash: str,
     ) -> tuple[Optional[State], bool]:
         """Resolve the page's current DOM against the model, respecting
         the per-page state cap: a genuinely new state beyond the cap is
-        not admitted and ``(None, False)`` is returned.
-
-        ``content_hash`` carries the digest a combined Merkle pass
-        already produced; when ``None`` (legacy mode, text identity)
-        the hash is computed here — and again in :meth:`_add_state`,
-        faithfully reproducing the seed's double full walk so baseline
-        benchmarks measure what the seed actually did.
-        """
-        resolved = content_hash if content_hash is not None else self._state_hash(page)
-        if (
-            self.config.deduplicate_states
-            and not model.contains_hash(resolved)
-            and model.num_states >= max_states
-        ):
+        not admitted and ``(None, False)`` is returned."""
+        if not model.contains_hash(content_hash) and model.num_states >= max_states:
             return None, False
-        if not self.config.deduplicate_states and model.num_states >= max_states:
-            return None, False
-        return self._add_state(model, page, depth, content_hash=content_hash)
+        return self._add_state(model, page, depth, content_hash)
 
     def _enumerate_events(self, page: Page) -> list[EventBinding]:
         """Hook for subclasses: which events to fire in the current state.
@@ -578,7 +482,7 @@ class AjaxCrawler(Crawler):
         metrics.cached_hits = int(stats.cached_hits - before["cached_hits"])
 
     def _fill_hash_metrics(self, metrics: PageMetrics, page: Page) -> None:
-        """Book the page's hashing work (both modes share HashStats)."""
+        """Book the page's hashing work."""
         hs = page.hash_stats
         metrics.hash_nodes_hashed = hs.nodes_hashed
         metrics.hash_nodes_skipped = hs.nodes_skipped

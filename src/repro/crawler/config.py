@@ -9,10 +9,11 @@ explosion and infinite event invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.browser.events import DEFAULT_EVENT_TYPES
+from repro.dom.simhash import bands_for_threshold
 from repro.net.faults import RetryPolicy
 
 
@@ -52,46 +53,34 @@ class CrawlerConfig:
     #: will publish a robots.txt-style file; ours is /ajax-robots.json
     #: with a ``max_states`` field).  The hint can only *lower* the cap.
     respect_granularity_hints: bool = True
-    #: State identity function (§3.2 / related work on near-duplicates):
-    #: "dom" hashes the canonical DOM serialization (exact identity);
-    #: "text" hashes whitespace-normalized visible text, so states that
-    #: differ only in markup (counters, styling attributes) collapse.
-    state_identity: str = "dom"
-    #: When True (default) the crawler performs one combined Merkle hash
-    #: pass per fired event (state hash + region map, re-hashing only
-    #: dirty subtrees) and rollbacks clone warm-cached master trees.
-    #: False reproduces the seed full-rewalk/re-parse behaviour — the
-    #: baseline mode of ``benchmarks/bench_perf_hashing.py``.  Both
-    #: modes produce byte-identical hashes, models and traces.
-    incremental_hashing: bool = True
     #: Emit ``hash_full``/``hash_incremental`` trace events per hash
     #: pass.  Off by default so the golden traces (recorded before this
     #: event kind existed) stay byte-identical; enable to observe the
     #: hashing work distribution of a traced crawl.
     trace_hashing: bool = False
-    #: Emit one ``js_fn`` span per script function call (requires a
-    #: recorder with spans on).  Off by default — frame spans are the
-    #: heaviest instrumentation and only profiling runs want them.
-    trace_js_frames: bool = False
     #: Near-duplicate collapse (ROADMAP item 3): maximum simhash Hamming
     #: distance at which a newly observed state merges into an existing
     #: canonical state instead of becoming its own node.  ``None`` (the
     #: default) disables the layer entirely — exact-hash identity only,
     #: keeping every golden trace and parity check byte-identical.
+    #: Collapse merges by content hash, so it requires
+    #: ``deduplicate_states=True``; 0 merges states whose features are
+    #: identical but whose markup differs.
     near_dup_threshold: Optional[int] = None
-    #: LSH band count for candidate lookup.  ``None`` picks the smallest
-    #: power-of-two band count guaranteeing recall 1 at the threshold
-    #: (``bands_for_threshold``); explicit values must be at least that.
-    near_dup_bands: Optional[int] = None
     #: Attempts per network request (1 = no retries, the legacy default,
-    #: which keeps the happy-path benchmarks byte-identical).
+    #: which keeps the happy-path benchmarks byte-identical).  Backoff
+    #: and jitter are :class:`~repro.net.faults.RetryPolicy`'s defaults.
     retry_max_attempts: int = 1
-    #: Backoff before the first retry (exponential afterwards).
-    retry_backoff_base_ms: float = 100.0
-    #: Backoff growth factor per additional retry.
-    retry_backoff_multiplier: float = 2.0
-    #: Deterministic jitter half-range as a fraction of the backoff.
-    retry_jitter: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.near_dup_threshold is None:
+            return
+        bands_for_threshold(self.near_dup_threshold)  # range check
+        if not self.deduplicate_states:
+            raise ValueError(
+                "near_dup_threshold requires hash-based deduplication "
+                "(deduplicate_states=True): collapse merges by content hash"
+            )
 
     @property
     def max_states(self) -> int:
@@ -102,12 +91,7 @@ class CrawlerConfig:
         """The gateway retry policy these knobs describe (None = legacy)."""
         if self.retry_max_attempts <= 1:
             return None
-        return RetryPolicy(
-            max_attempts=self.retry_max_attempts,
-            backoff_base_ms=self.retry_backoff_base_ms,
-            backoff_multiplier=self.retry_backoff_multiplier,
-            jitter=self.retry_jitter,
-        )
+        return RetryPolicy(max_attempts=self.retry_max_attempts)
 
 
 #: Convenience default used across tests/benchmarks.

@@ -26,7 +26,6 @@ from typing import Any, Optional
 
 from repro.errors import JsReferenceError, JsRuntimeError, JsSyntaxError, JsTypeError
 from repro.js import ast
-from repro.obs import NULL_RECORDER
 from repro.js.debugger import CallStack, Debugger, StackFrame
 from repro.js.environment import Environment
 from repro.js.parser import parse_expression, parse_program
@@ -81,17 +80,13 @@ class Interpreter:
     #: stack size exceeded") rather than a Python RecursionError.
     MAX_CALL_DEPTH = 32
 
-    def __init__(self, max_steps: int = 2_000_000, recorder=NULL_RECORDER) -> None:
+    def __init__(self, max_steps: int = 2_000_000) -> None:
         self.global_env = Environment()
         self.call_stack = CallStack()
         self.max_steps = max_steps
         self.steps = 0
         self._debugger: Optional[Debugger] = None
         self._current_line = 0
-        #: Trace bus for ``js_fn`` function-frame spans.  Only consulted
-        #: when its span layer is on; the default NULL_RECORDER keeps
-        #: `_invoke` on the historical fast path.
-        self.recorder = recorder
         self._install_builtins()
 
     # -- public API -------------------------------------------------------------
@@ -548,22 +543,6 @@ class Interpreter:
             intercept = self._debugger.on_enter(frame)
             if intercept is not None:
                 return intercept.value
-        if not native and self.recorder.spans:
-            # Function-frame spans feed the hot-node attribution
-            # flamegraphs; native host calls are envelope noise and
-            # stay span-free.
-            with self.recorder.span("js_fn", name=name, line=line):
-                return self._run_frame(function, args, this, frame, native)
-        return self._run_frame(function, args, this, frame, native)
-
-    def _run_frame(
-        self,
-        function: Any,
-        args: list[Any],
-        this: Any,
-        frame: StackFrame,
-        native: bool,
-    ) -> Any:
         if len(self.call_stack) >= self.MAX_CALL_DEPTH:
             raise JsRuntimeError("maximum call stack size exceeded")
         self.call_stack.push(frame)

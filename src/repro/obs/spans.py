@@ -89,8 +89,6 @@ class Span:
     def label(self) -> str:
         """Human-readable frame name for stacks and tables."""
         kind = self.kind
-        if kind == "js_fn" and "name" in self.fields:
-            return f"js_fn:{self.fields['name']}"
         if kind == "partition" and "partition" in self.fields:
             return f"partition:{self.fields['partition']}"
         if kind == "page" and "url" in self.fields:

@@ -46,14 +46,7 @@ class ResultAggregator:
                     f"{state_id}: {exc}"
                 ) from exc
         expected = model.get_state(state_id)
-        arrived = page.content_hash() == expected.content_hash
-        if not arrived:
-            # Models built with text-based state identity store text
-            # hashes instead of DOM hashes.
-            from repro.dom import text_hash
-
-            arrived = text_hash(page.document) == expected.content_hash
-        if not arrived:
+        if page.content_hash() != expected.content_hash:
             raise SearchError(
                 f"replay of {model.url} did not reach state {state_id} "
                 "(site changed since crawl?)"

@@ -9,8 +9,9 @@ ground truth, or against another crawler variant that must agree:
   multiset; nothing is quarantined, capped or failed.
 * ``hotnode_parity`` — hot-node vs basic: identical state hashes and
   edges, exact cache accounting, and *strictly fewer* network calls.
-* ``incremental_parity`` — Merkle incremental hashing vs the full
-  rehash baseline: byte-identical state hashes, identical models.
+* ``incremental_parity`` — the crawler's Merkle hashing vs the
+  reference full rewalk over each state's stored HTML: byte-identical
+  state hashes and identical ``modified`` regions on every transition.
 * ``parallel_parity`` — a single ``SimpleAjaxCrawler`` run vs an
   ``MPAjaxCrawler`` partitioned run: the merged report and models must
   equal the single-run ones.
@@ -51,11 +52,17 @@ from typing import Callable, Optional
 
 from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
+from repro.dom import (
+    changed_regions,
+    parse_document,
+    reference_region_hashes,
+    reference_state_hash,
+)
 from repro.model import ApplicationModel
 from repro.obs import STATE_COLLAPSED
 from repro.obs.recorder import Recorder
 from repro.parallel import MPAjaxCrawler, SimpleAjaxCrawler
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex
+from repro.search import InvertedFile, SearchEngine, SegmentedIndex, tokenize
 from repro.testgen.generator import generate_site
 from repro.testgen.noisy import (
     NEAR_DUP_THRESHOLD,
@@ -133,16 +140,14 @@ class ConformanceReport:
 
 
 def conformance_config(
-    spec: SiteSpec,
-    use_hot_node: bool = True,
-    incremental_hashing: bool = True,
+    spec: SiteSpec, use_hot_node: bool = True, store_html: bool = False
 ) -> CrawlerConfig:
     """The crawl limits a conformance crawl must run under: the state
     cap admits every genuine state, everything else stays at defaults."""
     return CrawlerConfig(
         max_additional_states=spec.max_additional_states_needed,
         use_hot_node=use_hot_node,
-        incremental_hashing=incremental_hashing,
+        store_html=store_html,
     )
 
 
@@ -152,9 +157,7 @@ def _cost_model() -> CostModel:
 
 
 def crawl_generated(
-    spec: SiteSpec,
-    use_hot_node: bool = True,
-    incremental_hashing: bool = True,
+    spec: SiteSpec, use_hot_node: bool = True, store_html: bool = False
 ):
     """Crawl every page of the generated site with a fresh crawler.
 
@@ -163,9 +166,7 @@ def crawl_generated(
     """
     crawler = AjaxCrawler(
         GeneratedSite(spec),
-        conformance_config(
-            spec, use_hot_node=use_hot_node, incremental_hashing=incremental_hashing
-        ),
+        conformance_config(spec, use_hot_node=use_hot_node, store_html=store_html),
         clock=SimClock(),
         cost_model=_cost_model(),
     )
@@ -204,10 +205,10 @@ def recover_graph(page: PageSpec, model: ApplicationModel) -> RecoveredGraph:
     mapping: dict[str, int] = {}
     problems: list[str] = []
     for state in model.states():
+        # Whole tokens, not substrings: ``…s1`` is a prefix of ``…s10``.
+        tokens = set(tokenize(state.text))
         hits = [
-            index
-            for index, marker in enumerate(page.markers)
-            if marker in state.text
+            index for index, marker in enumerate(page.markers) if marker in tokens
         ]
         if len(hits) != 1:
             problems.append(
@@ -354,36 +355,38 @@ def check_hotnode_parity(spec: SiteSpec) -> CheckResult:
 
 
 def check_incremental_parity(spec: SiteSpec) -> CheckResult:
-    """Merkle incremental hashing == full-rehash baseline, bit for bit."""
+    """Merkle hashing == reference full rewalk of the stored HTML, bit for bit."""
     result = CheckResult("incremental_parity")
-    _, incremental = crawl_generated(spec, incremental_hashing=True)
-    _, full = crawl_generated(spec, incremental_hashing=False)
-    inc_prints = _model_fingerprints(incremental.models)
-    full_prints = _model_fingerprints(full.models)
+    _, crawl = crawl_generated(spec, store_html=True)
+    for model in crawl.models:
+        regions: dict[str, dict[str, str]] = {}
+        for state in model.states():
+            document = parse_document(state.html, url=model.url)
+            result.expect(
+                state.content_hash == reference_state_hash(document),
+                f"{model.url}: state {state.state_id} hash diverged from the "
+                "reference rewalk of its stored HTML",
+            )
+            regions[state.state_id] = reference_region_hashes(document)
+        for transition in model.transitions():
+            expected = changed_regions(
+                regions[transition.from_state], regions[transition.to_state]
+            )
+            result.expect(
+                transition.modified == expected,
+                f"{model.url}: {transition.from_state}->{transition.to_state} "
+                f"modified {transition.modified}, reference regions give {expected}",
+            )
+    # A stale digest merges distinct states, and a merged state stores no
+    # HTML to rehash: the totals against the spec are what exposes it.
     result.expect(
-        set(inc_prints) == set(full_prints),
-        "hashing modes crawled different URL sets",
+        crawl.report.total_states == spec.total_states,
+        f"{crawl.report.total_states} states crawled, {spec.total_states} in spec",
     )
-    for url in inc_prints:
-        if url not in full_prints:
-            continue
-        result.expect(
-            inc_prints[url][0] == full_prints[url][0],
-            f"{url}: state hashes diverged between hashing modes",
-        )
-        result.expect(
-            inc_prints[url][1] == full_prints[url][1],
-            f"{url}: transitions diverged between hashing modes",
-        )
     result.expect(
-        incremental.report.total_states == full.report.total_states,
-        f"state totals diverged: {incremental.report.total_states} vs "
-        f"{full.report.total_states}",
-    )
-    result.expect(
-        incremental.report.total_events == full.report.total_events,
-        f"event totals diverged: {incremental.report.total_events} vs "
-        f"{full.report.total_events}",
+        crawl.report.total_events == spec.total_transitions,
+        f"{crawl.report.total_events} events fired, "
+        f"{spec.total_transitions} transitions in spec",
     )
     return result
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser import Browser, JS_ACCOUNT, PARSE_ACCOUNT
 from repro.clock import CostModel, SimClock
+from repro.dom import parse_document, reference_state_hash, serialize
 from repro.errors import BrowserError
 from repro.net import NETWORK_ACCOUNT, Request, Response, RoutedServer
 
@@ -171,6 +172,22 @@ class TestSnapshotRestore:
         before = page.clock.spent_on(PARSE_ACCOUNT)
         page.restore(snapshot)
         assert page.clock.spent_on(PARSE_ACCOUNT) > before
+
+    def test_restored_clone_indistinguishable_from_reparse(self, browser):
+        page = browser.load(PAGE_URL)
+        events = {b.handler: b for b in page.events()}
+        page.dispatch(events["nextPage()"])
+        snapshot = page.snapshot()
+        reparsed = parse_document(snapshot.html, url=PAGE_URL)
+        # First restore parses and warms the master, later ones clone it;
+        # mutating a clone must not leak into the next one.
+        for _ in range(3):
+            page.restore(snapshot)
+            assert serialize(page.document) == serialize(reparsed) == snapshot.html
+            assert reference_state_hash(page.document) == reference_state_hash(reparsed)
+            assert page.content_hash() == snapshot.hash
+            page.dispatch(events["prevPage()"])
+            assert page.content_hash() != snapshot.hash
 
 
 class TestXhrIntegration:

@@ -6,7 +6,9 @@ from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.crawler.dedup import BandedLshTable, StateCollapser
 from repro.dom.simhash import simhash64
+from repro.net import Response, RoutedServer
 from repro.obs import Recorder, STATE_COLLAPSED, STATE_DUPLICATE
+from repro.sites import SiteConfig, SyntheticYouTube
 from repro.testgen.noisy import (
     NEAR_DUP_THRESHOLD,
     NoisyGeneratedSite,
@@ -181,8 +183,11 @@ class TestCrawlerWiring:
         assert report_page.dedup_states_hashed == 0
 
     def test_requires_hash_deduplication(self):
-        with pytest.raises(ValueError):
-            noisy_crawl(deduplicate_states=False)
+        # Rejected at construction, before any page is fetched.
+        with pytest.raises(ValueError, match="deduplicate_states"):
+            CrawlerConfig(near_dup_threshold=8, deduplicate_states=False)
+        with pytest.raises(ValueError, match="threshold"):
+            CrawlerConfig(near_dup_threshold=-1)
 
     def test_collapse_counts_in_registry(self):
         spec, page, crawl, _ = noisy_crawl()
@@ -200,3 +205,83 @@ class TestCrawlerWiring:
         assert STATE_DUPLICATE not in kinds or report_page.duplicates_detected > (
             report_page.states_collapsed
         )
+
+
+def make_counter_server():
+    """Tabs whose fragments differ only by a hidden counter attribute:
+    identical visible text, so identical simhash features."""
+    server = RoutedServer()
+    fetches = {"n": 0}
+
+    @server.route(r"/app")
+    def app(request, match):
+        return Response(
+            body="""<html><body>
+            <a id="t1" onclick="openTab(1)">one</a>
+            <a id="t2" onclick="openTab(2)">two</a>
+            <div id="content">start</div>
+            <script>
+            function fetchTab(i) {
+                var req = new XMLHttpRequest();
+                req.open("GET", "/tab?i=" + i, true);
+                req.send(null);
+                return req.responseText;
+            }
+            function openTab(i) {
+                document.getElementById("content").innerHTML = fetchTab(i);
+            }
+            </script>
+            </body></html>"""
+        )
+
+    @server.route(r"/tab")
+    def tab(request, match):
+        fetches["n"] += 1
+        index = request.query.get("i")
+        return Response(body=f'<p data-counter="{fetches["n"]}">tab {index} text</p>')
+
+    return server
+
+
+class TestMarkupOnlyTwins:
+    """``near_dup_threshold=0`` folds states that differ in markup only
+    (§3.2 / near-duplicate related work)."""
+
+    def crawl(self, server, url, **config_overrides):
+        crawler = AjaxCrawler(
+            server,
+            CrawlerConfig(**config_overrides),
+            cost_model=CostModel(network_jitter=0.0),
+        )
+        return crawler.crawl_page(url)
+
+    def crawl_counter(self, threshold):
+        return self.crawl(
+            make_counter_server(),
+            "http://t.test/app",
+            use_hot_node=False,  # force re-fetching: counter increments
+            near_dup_threshold=threshold,
+            max_additional_states=6,
+        )
+
+    def test_exact_identity_sees_markup_twins_as_distinct(self):
+        # The counter makes every fetch a "new" DOM state.
+        assert self.crawl_counter(None).model.num_states > 3
+
+    def test_threshold_zero_collapses_markup_twins(self):
+        result = self.crawl_counter(0)
+        # initial + tab1 + tab2, regardless of the attribute churn.
+        assert result.model.num_states == 3
+        assert result.model.num_transitions == 6
+        assert result.metrics.events_invoked == 6
+        assert result.metrics.states_collapsed == 4
+
+    def test_threshold_zero_on_stable_site_matches_exact(self):
+        site = SyntheticYouTube(SiteConfig(num_videos=6, seed=3))
+        url = site.video_url(
+            next(i for i in range(6) if site.comment_pages_of(i) >= 2)
+        )
+        exact = self.crawl(site, url)
+        collapsed = self.crawl(site, url, near_dup_threshold=0)
+        assert exact.model.num_states == collapsed.model.num_states
+        assert collapsed.metrics.states_collapsed == 0

@@ -1,4 +1,4 @@
-"""Crawler fault tolerance and alternate state-identity modes."""
+"""Crawler fault tolerance."""
 
 import pytest
 
@@ -190,83 +190,3 @@ class TestGranularityHintTypes:
 
     def test_integer_hint_still_honoured(self):
         assert self.crawl_states('{"max_states": 1}') == 1
-
-
-class TestTextIdentity:
-    """state_identity='text' collapses markup-only differences (§3.2 /
-    near-duplicate related work)."""
-
-    def make_counter_server(self):
-        """Tabs whose fragments differ only by a hidden counter attribute."""
-        server = RoutedServer()
-        self_counter = {"n": 0}
-
-        @server.route(r"/app")
-        def app(request, match):
-            return Response(
-                body="""<html><body>
-                <a id="t1" onclick="openTab(1)">one</a>
-                <a id="t2" onclick="openTab(2)">two</a>
-                <div id="content">start</div>
-                <script>
-                function fetchTab(i) {
-                    var req = new XMLHttpRequest();
-                    req.open("GET", "/tab?i=" + i, true);
-                    req.send(null);
-                    return req.responseText;
-                }
-                function openTab(i) {
-                    document.getElementById("content").innerHTML = fetchTab(i);
-                }
-                </script>
-                </body></html>"""
-            )
-
-        @server.route(r"/tab")
-        def tab(request, match):
-            # A changing data-counter attribute but identical text: a
-            # near-duplicate in the shingling sense.
-            self_counter["n"] += 1
-            index = request.query.get("i")
-            return Response(
-                body=f'<p data-counter="{self_counter["n"]}">tab {index} text</p>'
-            )
-
-        return server
-
-    def test_dom_identity_sees_near_duplicates_as_distinct(self):
-        server = self.make_counter_server()
-        config = CrawlerConfig(
-            use_hot_node=False,  # force re-fetching: counter increments
-            state_identity="dom",
-            max_additional_states=6,
-        )
-        crawler = AjaxCrawler(server, config, cost_model=cost())
-        result = crawler.crawl_page("http://t.test/app")
-        # The counter makes every fetch a "new" DOM state.
-        assert result.model.num_states > 3
-
-    def test_text_identity_collapses_near_duplicates(self):
-        server = self.make_counter_server()
-        config = CrawlerConfig(
-            use_hot_node=False,
-            state_identity="text",
-            max_additional_states=6,
-        )
-        crawler = AjaxCrawler(server, config, cost_model=cost())
-        result = crawler.crawl_page("http://t.test/app")
-        # initial + tab1 + tab2, regardless of the attribute churn.
-        assert result.model.num_states == 3
-
-    def test_text_identity_on_simtube_matches_dom(self, site):
-        """On a stable site both identities agree on the state count."""
-        url = site.video_url(
-            next(i for i in range(6) if site.comment_pages_of(i) >= 2)
-        )
-        dom_result = AjaxCrawler(
-            site, CrawlerConfig(state_identity="dom"), cost_model=cost()
-        ).crawl_page(url)
-        text_result = AjaxCrawler(
-            site, CrawlerConfig(state_identity="text"), cost_model=cost()
-        ).crawl_page(url)
-        assert dom_result.model.num_states == text_result.model.num_states

@@ -1,77 +1,87 @@
-"""Merkle hashing at the crawler level: mode equivalence and tracing.
+"""Merkle hashing at the crawler level: reference equivalence and tracing.
 
-``incremental_hashing=True`` (the default) must be observationally
-identical to the seed full-rewalk baseline — same models, same hashes,
-same virtual-clock accounting — while doing far less hashing work.
+Every hash the crawler puts into a model comes from the incremental
+Merkle pass; it must equal what the reference full rewalk
+(``reference_state_hash`` / ``reference_region_hashes``) computes over
+the same state's stored HTML, while doing far less hashing work.
 """
 
 from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
+from repro.dom import (
+    HashStats,
+    changed_regions,
+    clear_digest_memo,
+    parse_document,
+    reference_region_hashes,
+    reference_state_hash,
+)
 from repro.obs import HASH_FULL, HASH_INCREMENTAL, Recorder
 from repro.sites import SiteConfig, SyntheticWebmail, SyntheticYouTube
 
 
-def crawl_webmail(config):
+def crawl(site, urls):
+    crawler = AjaxCrawler(
+        site, CrawlerConfig(store_html=True), clock=SimClock(), cost_model=CostModel()
+    )
+    return crawler.crawl(urls)
+
+
+def crawl_webmail():
     site = SyntheticWebmail()
-    crawler = AjaxCrawler(site, config, clock=SimClock(), cost_model=CostModel())
-    return crawler.crawl_page(site.inbox_url)
+    return crawl(site, [site.inbox_url])
 
 
-def model_fingerprint(model):
+def reference_fingerprint(model, stats=None):
+    """The model's hashes and ``modified`` regions as the reference
+    full rewalk derives them from each state's stored HTML."""
+    hashes, regions = {}, {}
+    for state in model.states():
+        document = parse_document(state.html, url=model.url)
+        hashes[state.state_id] = reference_state_hash(document, stats=stats)
+        regions[state.state_id] = reference_region_hashes(document, stats=stats)
+    modified = [
+        changed_regions(regions[t.from_state], regions[t.to_state])
+        for t in model.transitions()
+    ]
+    return hashes, modified
+
+
+def crawled_fingerprint(model):
     return (
-        sorted(state.content_hash for state in model.states()),
-        sorted(
-            (t.from_state, t.to_state, t.event.source, t.modified)
-            for t in model.transitions()
-        ),
+        {state.state_id: state.content_hash for state in model.states()},
+        [t.modified for t in model.transitions()],
     )
 
 
 class TestModeEquivalence:
-    def test_webmail_models_and_timings_identical(self):
-        merkle = crawl_webmail(CrawlerConfig(incremental_hashing=True))
-        legacy = crawl_webmail(CrawlerConfig(incremental_hashing=False))
-        assert model_fingerprint(merkle.model) == model_fingerprint(legacy.model)
-        assert merkle.metrics.crawl_time_ms == legacy.metrics.crawl_time_ms
-        assert merkle.metrics.states == legacy.metrics.states
-        assert merkle.metrics.duplicates_detected == legacy.metrics.duplicates_detected
+    def test_webmail_matches_reference_rewalk(self):
+        result = crawl_webmail()
+        (model,) = result.models
+        assert model.num_states > 1 and model.num_transitions > 0
+        assert any(t.modified for t in model.transitions())
+        assert crawled_fingerprint(model) == reference_fingerprint(model)
+        assert result.report.pages[0].duplicates_detected > 0
 
     def test_merkle_hashes_fewer_bytes(self):
-        merkle = crawl_webmail(CrawlerConfig(incremental_hashing=True))
-        legacy = crawl_webmail(CrawlerConfig(incremental_hashing=False))
-        assert merkle.metrics.hash_bytes_hashed < legacy.metrics.hash_bytes_hashed
-        assert merkle.metrics.hash_incremental_passes > 0
-        assert legacy.metrics.hash_nodes_skipped == 0  # seed never skips
+        clear_digest_memo()  # start cold: no hashing credit from earlier crawls
+        result = crawl_webmail()
+        metrics = result.report.pages[0]
+        reference = HashStats()
+        reference_fingerprint(result.models[0], stats=reference)
+        # The whole crawl (a pass per fired event and per rollback) costs
+        # the Merkle hasher less than one reference walk of each state.
+        assert 0 < metrics.hash_bytes_hashed < reference.bytes_hashed
+        assert metrics.hash_incremental_passes > 0
+        assert metrics.hash_nodes_skipped > 0
+        assert reference.nodes_skipped == 0  # the full rewalk never skips
 
     def test_youtube_models_identical(self):
         site = SyntheticYouTube(SiteConfig(num_videos=3, seed=7))
-        urls = [site.video_url(i) for i in range(3)]
-
-        def run(incremental):
-            crawler = AjaxCrawler(
-                site,
-                CrawlerConfig(incremental_hashing=incremental),
-                clock=SimClock(),
-                cost_model=CostModel(),
-            )
-            result = crawler.crawl(urls)
-            return [model_fingerprint(m) for m in result.models], (
-                result.report.total_states,
-                result.report.total_time_ms,
-            )
-
-        assert run(True) == run(False)
-
-    def test_text_identity_mode_equivalent(self):
-        config = CrawlerConfig(state_identity="text")
-        merkle = crawl_webmail(
-            CrawlerConfig(state_identity="text", incremental_hashing=True)
-        )
-        legacy = crawl_webmail(
-            CrawlerConfig(state_identity="text", incremental_hashing=False)
-        )
-        assert config.incremental_hashing  # default stays on
-        assert model_fingerprint(merkle.model) == model_fingerprint(legacy.model)
+        result = crawl(site, [site.video_url(i) for i in range(3)])
+        assert result.report.total_states > len(result.models) == 3
+        for model in result.models:
+            assert crawled_fingerprint(model) == reference_fingerprint(model)
 
 
 class TestHashTracing:

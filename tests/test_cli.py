@@ -311,3 +311,12 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_negative_near_dup_threshold_is_an_argparse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "crawl", "--site", "simtube:2:3", "--root", str(tmp_path),
+                "--near-dup-threshold", "-1",
+            ])
+        assert exit_info.value.code == 2
+        assert "--near-dup-threshold" in capsys.readouterr().err

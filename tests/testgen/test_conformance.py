@@ -12,6 +12,7 @@ import pytest
 
 from repro.testgen import (
     CHECK_NAMES,
+    generate_site,
     run_conformance,
     run_corpus,
     spec_for_seed,
@@ -47,6 +48,14 @@ class TestIndividualChecks:
 
     def test_search_consistency(self, spec):
         assert check_search_consistency(spec).failures == []
+
+
+def test_ground_truth_on_pages_with_two_digit_state_indices():
+    """Marker ``…s1`` is a prefix of ``…s10``: states must be identified
+    by whole marker tokens, not substrings."""
+    spec = generate_site(8, min_states=12, max_states=14)
+    assert spec.pages[0].num_states >= 12
+    assert check_ground_truth(spec).failures == []
 
 
 class TestHarness:
