@@ -9,7 +9,7 @@ export PYTHONPATH
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
 	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup \
-	bench-e2e-smoke
+	bench-e2e-smoke bench-testgen
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
 	trace-verify profile-smoke testgen-smoke serve-smoke obs-live-smoke

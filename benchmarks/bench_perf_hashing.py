@@ -104,7 +104,7 @@ def _query_suite(models):
     engine = SearchEngine.build(models)
     index = engine.index
     by_frequency = sorted(
-        index._postings, key=lambda term: len(index._postings[term]), reverse=True
+        index.terms(), key=lambda term: (-index.document_frequency(term), term)
     )
     frequent = by_frequency[:4]
     rare = by_frequency[len(by_frequency) // 2 : len(by_frequency) // 2 + 4]

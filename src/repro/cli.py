@@ -250,6 +250,28 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     return 0
 
 
+def crawled_models(root: str):
+    """Every application model under a crawl root, partition by partition."""
+    for directory in URLPartitioner.list_partitions(root):
+        yield from load_models(directory)
+
+
+def build_index(index, root: str) -> str:
+    """``index.build`` over a crawl root, one partition in memory at a
+    time; returns the summary line's head."""
+    pages = 0
+
+    def counted():
+        nonlocal pages
+        for model in crawled_models(root):
+            pages += 1
+            yield model
+
+    index.build(counted())
+    return (f"indexed {pages} page models / {index.num_states} states "
+            f"({index.vocabulary_size} terms)")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     command = getattr(args, "index_command", None)
     if command == "build":
@@ -262,16 +284,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not args.root or not args.out:
         raise SystemExit("index needs --root and --out (or a build/compact/stats subcommand)")
     index = InvertedFile(max_state_index=args.max_state_index)
-    partitions = URLPartitioner.list_partitions(args.root)
-    models_seen = 0
-    for directory in partitions:
-        for model in load_models(directory):
-            index.add_model(model)
-            models_seen += 1
-    index.finalize()
+    summary = build_index(index, args.root)
     index.save(args.out)
-    print(f"indexed {models_seen} page models / {index.num_states} states "
-          f"({index.vocabulary_size} terms) -> {args.out}")
+    print(f"{summary} -> {args.out}")
     return 0
 
 
@@ -282,15 +297,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         flush_threshold=args.flush_postings,
         block_size=args.block_size,
     )
-    models_seen = 0
-    for directory in URLPartitioner.list_partitions(args.root):
-        for model in load_models(directory):
-            index.add_model(model)
-            models_seen += 1
-    index.finalize()
-    print(f"indexed {models_seen} page models / {index.num_states} states "
-          f"({index.vocabulary_size} terms) -> {index.num_segments} segment(s) "
-          f"under {args.segments}")
+    summary = build_index(index, args.root)
+    print(f"{summary} -> {index.num_segments} segment(s) under {args.segments}")
     index.close()
     return 0
 
@@ -434,11 +442,10 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    for directory in URLPartitioner.list_partitions(args.root):
-        for model in load_models(directory):
-            if model.url == args.url:
-                print(model.to_dot())
-                return 0
+    for model in crawled_models(args.root):
+        if model.url == args.url:
+            print(model.to_dot())
+            return 0
     print(f"no crawled model found for {args.url}", file=sys.stderr)
     return 1
 
@@ -601,11 +608,10 @@ def cmd_testgen_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     total_models = total_states = total_transitions = 0
-    for directory in URLPartitioner.list_partitions(args.root):
-        for model in load_models(directory):
-            total_models += 1
-            total_states += model.num_states
-            total_transitions += model.num_transitions
+    for model in crawled_models(args.root):
+        total_models += 1
+        total_states += model.num_states
+        total_transitions += model.num_transitions
     print(f"pages:       {total_models}")
     print(f"states:      {total_states}")
     print(f"transitions: {total_transitions}")

@@ -19,7 +19,7 @@ from repro.parallel.mpcrawler import MachineModel, MPAjaxCrawler, ParallelRunRes
 from repro.parallel.partitioner import URLPartitioner, URLS_TO_CRAWL, partition_urls
 from repro.parallel.pipeline import PhaseTimings, PipelineResult, SearchPipeline
 from repro.parallel.precrawler import Precrawler, PrecrawlResult
-from repro.parallel.sharding import ShardAnswer, ShardedSearchEngine
+from repro.parallel.sharding import ShardedSearchEngine
 from repro.parallel.simple import (
     MODELS_FILE,
     PartitionRunSummary,
@@ -51,7 +51,6 @@ __all__ = [
     "PartitionTask",
     "ShardedFrontier",
     "ShardedSearchEngine",
-    "ShardAnswer",
     "SearchPipeline",
     "PipelineResult",
     "PhaseTimings",

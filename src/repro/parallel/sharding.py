@@ -1,41 +1,29 @@
 """Distributed indexing and query shipping (§6.4-§6.6).
 
-Each crawl partition yields its own inverted file.  A query is *shipped*
-to every shard; each shard returns its boolean matches with locally
-computable score parts (PageRank, AJAXRank, term proximity — all local
-per §6.5.2) plus its state count and per-term document frequencies.  The
-merger computes the **global idf** from the summed counts (the worked
-example of §6.5.2), adds the weighted tf·idf to every partial rank
-(Figure 6.4, Step 1) and sorts the merged list (Step 2).
+Each crawl partition yields its own index.  A query is *shipped* to
+every shard; each shard returns its boolean matches with the score
+parts it can compute locally (tf, PageRank, AJAXRank, term proximity —
+all local per §6.5.2), and contributes its state count and per-term
+document frequencies.  The merger computes the **global idf** from the
+summed counts (the worked example of §6.5.2), completes every partial
+score with it (Figure 6.4, Step 1) and sorts the merged list (Step 2).
 
-Because tf, PageRank, AJAXRank and proximity are local, and idf is
-recombined exactly, sharded ranking is *identical* to single-index
-ranking — a property the test suite asserts.
+Shards and merger run the single engine's own two scoring halves —
+:meth:`SearchEngine.partial_scores` and :func:`repro.search.engine.rank` —
+on the same integers, so sharded ranking is *bit-identical* to
+single-index ranking, whichever index backend each shard uses — a
+property the test suite asserts with ``==``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 from repro.model import ApplicationModel
-from repro.search.engine import SearchEngine, SearchResult
-from repro.search.query import evaluate
-from repro.search.ranking import RankingWeights, term_proximity
-from repro.search.tokenizer import query_terms
-
-
-@dataclass
-class ShardAnswer:
-    """What one shard returns for one shipped query."""
-
-    #: Partial results: (uri, state_id, partial_score, [tf per term]).
-    partials: list[tuple[str, str, float, list[float], dict]] = field(default_factory=list)
-    #: Total states in the shard's index (global idf numerator part).
-    num_states: int = 0
-    #: Per-term document frequencies (global idf denominator part).
-    document_frequencies: list[int] = field(default_factory=list)
+from repro.search.engine import SearchEngine, SearchResult, rank
+from repro.search.query import parse_query
+from repro.search.ranking import RankingWeights, inverse_document_frequency
 
 
 class ShardedSearchEngine:
@@ -73,71 +61,24 @@ class ShardedSearchEngine:
 
     # -- query shipping -------------------------------------------------------------
 
-    def _ship(self, shard: SearchEngine, query: str, terms: list[str]) -> ShardAnswer:
-        """Evaluate ``query`` on one shard, without the tf·idf part."""
-        weights = self.weights
-        answer = ShardAnswer(
-            num_states=shard.index.num_states,
-            document_frequencies=[shard.index.document_frequency(t) for t in terms],
-        )
-        for match in evaluate(shard.index, query):
-            length = shard.index.state_length(match.uri, match.state_id)
-            tfs = [
-                (posting.count / length if length else 0.0)
-                for posting in match.postings
-            ]
-            proximity = term_proximity([p.positions for p in match.postings])
-            page_rank = shard.pageranks.get(match.uri, 0.0)
-            ajax_rank = shard.ajaxranks.get((match.uri, match.state_id), 0.0)
-            partial = (
-                weights.pagerank * page_rank
-                + weights.ajaxrank * ajax_rank
-                + weights.proximity * proximity
-            )
-            components = {
-                "pagerank": page_rank,
-                "ajaxrank": ajax_rank,
-                "proximity": proximity,
-            }
-            answer.partials.append(
-                (match.uri, match.state_id, partial, tfs, components)
-            )
-        return answer
-
     def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
         """Ship, merge, re-rank with global idf, sort (Figure 6.4)."""
         stopwords = self.shards[0].index.stopwords if self.shards else None
-        terms = query_terms(query, stopwords=stopwords)
-        answers = [self._ship(shard, query, terms) for shard in self.shards]
-        total_states = sum(answer.num_states for answer in answers)
-        global_dfs = [
-            sum(answer.document_frequencies[i] for answer in answers)
-            for i in range(len(terms))
-        ]
+        terms = parse_query(query, stopwords)
+        partials = chain.from_iterable(shard.partial_scores(terms) for shard in self.shards)
+        num_states = self.num_states
         idfs = [
-            math.log(total_states / df) if df and total_states else 0.0
-            for df in global_dfs
+            inverse_document_frequency(
+                num_states,
+                sum(shard.index.document_frequency(term) for shard in self.shards),
+            )
+            for term in terms
         ]
-        results: list[SearchResult] = []
-        for answer in answers:
-            for uri, state_id, partial, tfs, components in answer.partials:
-                tfidf = sum(tf * idf for tf, idf in zip(tfs, idfs))
-                results.append(
-                    SearchResult(
-                        uri=uri,
-                        state_id=state_id,
-                        score=partial + self.weights.tfidf * tfidf,
-                        components={**components, "tfidf": tfidf},
-                    )
-                )
-        results.sort(key=lambda result: (-result.score, result.uri, result.state_id))
-        return results[:limit] if limit is not None else results
+        return rank(self.weights, partials, idfs)[:limit]
 
     def result_count(self, query: str) -> int:
         """Total boolean matches across all shards."""
-        stopwords = self.shards[0].index.stopwords if self.shards else None
-        terms = query_terms(query, stopwords=stopwords)
-        return sum(len(self._ship(shard, query, terms).partials) for shard in self.shards)
+        return sum(shard.result_count(query) for shard in self.shards)
 
     @property
     def num_states(self) -> int:

@@ -9,26 +9,138 @@ The ``max_state_index`` knob builds an index over only the first *k*
 states of every model — this is how the eleven indexes of the
 search-quality experiment (§7.7) and the crawl-threshold experiment
 (§7.6) are produced.
+
+:class:`Index` is the contract every backend implements;
+:class:`InvertedFile` is the in-memory one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import threading
+from abc import ABC, abstractmethod
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import INDEX_FLUSH, NULL_RECORDER
-from repro.search.postings import Posting, sort_postings
-from repro.search.tokenizer import tokenize_with_positions
+from repro.search.memtable import Memtable
+from repro.search.postings import Posting, merge_conjunction
+from repro.search.ranking import inverse_document_frequency
 
 
-class InvertedFile:
-    """Keyword → sorted posting list, plus per-state statistics."""
+class Index(ABC):
+    """What the query path, the engines and the serving tier ask of an index.
+
+    A backend supplies the abstract *primitives*; everything below them
+    is *derived* here, once, so the in-memory :class:`InvertedFile` and
+    the on-disk :class:`~repro.search.segmented.SegmentedIndex` cannot
+    drift apart (``index_parity`` holds them byte-identical).
+    """
+
+    #: Only states with index < max_state_index are indexed
+    #: (None = all states).  ``1`` reproduces a traditional index.
+    max_state_index: Optional[int]
+    #: Stopwords dropped at indexing time (None = index everything).
+    stopwords: Optional[frozenset[str]]
+
+    # -- primitives: writing -----------------------------------------------------
+
+    @abstractmethod
+    def add_model(self, model: ApplicationModel) -> None:
+        """Index (a prefix of) one model; indexing a state twice is an error."""
+
+    @abstractmethod
+    def remove_urls(self, uris: Iterable[str]) -> int:
+        """Drop every state of the given URIs; returns the number removed."""
+
+    @abstractmethod
+    def finalize(self) -> None:
+        """Make everything added so far visible to queries (idempotent)."""
+
+    # -- primitives: reading -----------------------------------------------------
+
+    @abstractmethod
+    def conjunction(self, terms: list[str]) -> list[list[Posting]]:
+        """Per-term posting groups of the states containing every term,
+        in canonical (uri, state index) order (Figure 5.2)."""
+
+    @abstractmethod
+    def postings(self, term: str) -> list[Posting]:
+        """The sorted posting list of ``term`` (empty if absent)."""
+
+    @abstractmethod
+    def document_frequency(self, term: str) -> int:
+        """Number of states containing ``term`` (the idf denominator)."""
+
+    @property
+    @abstractmethod
+    def num_states(self) -> int:
+        """Total number of indexed states (the idf numerator)."""
+
+    @abstractmethod
+    def terms(self) -> set[str]:
+        """The vocabulary."""
+
+    @abstractmethod
+    def states(self) -> list[tuple[str, str]]:
+        """All indexed (uri, state_id) pairs in insertion order."""
+
+    @abstractmethod
+    def state_length(self, uri: str, state_id: str) -> int:
+        """Token count of one state (tf denominator, eq. 5.1); 0 if absent."""
+
+    @abstractmethod
+    def state_depth(self, uri: str, state_id: str) -> int:
+        """BFS depth at which the crawler found the state; 0 if absent."""
+
+    @abstractmethod
+    def term_count(self, term: str, uri: str, state_id: str) -> int:
+        """Occurrences of ``term`` in one state; 0 if either is absent."""
+
+    # -- derived -----------------------------------------------------------------
+
+    def build(self, models: Iterable[ApplicationModel]) -> "Index":
+        """Index many models and finalize; returns self for chaining."""
+        for model in models:
+            self.add_model(model)
+        self.finalize()
+        return self
+
+    def remove_url(self, uri: str) -> int:
+        """Drop every state of ``uri`` (for re-crawls); returns the count."""
+        return self.remove_urls([uri])
+
+    def update_model(self, model: ApplicationModel) -> None:
+        """Replace ``model.url``'s states with the model's current ones
+        (incremental index maintenance after a re-crawl, §7.1.2)."""
+        self.remove_url(model.url)
+        self.add_model(model)
+        self.finalize()
+
+    def tf(self, term: str, uri: str, state_id: str) -> float:
+        """Term frequency of ``term`` in one state (eq. 5.1)."""
+        length = self.state_length(uri, state_id)
+        return self.term_count(term, uri, state_id) / length if length else 0.0
+
+    def idf(self, term: str) -> float:
+        """Inverse document frequency with states as documents (eq. 5.2)."""
+        return inverse_document_frequency(self.num_states, self.document_frequency(term))
+
+    @property
+    def vocabulary_size(self) -> int:
+        return len(self.terms())
+
+
+class InvertedFile(Index):
+    """Keyword → sorted posting list, plus per-state statistics.
+
+    The write half is a :class:`Memtable` that is never flushed:
+    ``finalize`` sorts its posting lists where they are and the lookups
+    read them in place.
+    """
 
     def __init__(
         self,
@@ -37,18 +149,10 @@ class InvertedFile:
         recorder=NULL_RECORDER,
     ) -> None:
         self.recorder = recorder
-        #: Only states with index < max_state_index are indexed
-        #: (None = all states).  ``1`` reproduces a traditional index.
         self.max_state_index = max_state_index
-        #: Stopwords dropped at indexing time (None = index everything).
         self.stopwords = stopwords
-        self._postings: dict[str, list[Posting]] = {}
-        #: (uri, state_id) -> number of tokens in the state (tf denominator).
-        self._state_lengths: dict[tuple[str, str], int] = {}
-        #: (uri, state_id) -> BFS depth of the state (for AJAXRank fallback).
-        self._state_depths: dict[tuple[str, str], int] = {}
-        #: (uri, state_id) -> terms it contains (for incremental removal).
-        self._state_terms: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._memtable = Memtable(max_state_index=max_state_index, stopwords=stopwords)
+        self._take_seq = itertools.count().__next__
         self._sorted = True
         # finalize() may be reached lazily from postings() by concurrent
         # query threads; the lock makes the sort-once transition safe.
@@ -57,73 +161,11 @@ class InvertedFile:
     # -- construction ------------------------------------------------------------
 
     def add_model(self, model: ApplicationModel) -> None:
-        """Index (a prefix of) one application model."""
-        for state in model.states():
-            if self.max_state_index is not None and state.index >= self.max_state_index:
-                continue
-            self._add_state(model.url, state.state_id, state.text, state.depth)
-
-    def _add_state(self, uri: str, state_id: str, text: str, depth: int) -> None:
-        key = (uri, state_id)
-        if key in self._state_lengths:
-            raise SearchError(f"state {key} indexed twice")
-        tokens = tokenize_with_positions(text, stopwords=self.stopwords)
-        self._state_lengths[key] = len(tokens)
-        self._state_depths[key] = depth
-        by_term: dict[str, list[int]] = {}
-        for token, position in tokens:
-            by_term.setdefault(token, []).append(position)
-        for term, positions in by_term.items():
-            self._postings.setdefault(term, []).append(
-                Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-            )
-        self._state_terms[key] = tuple(by_term)
+        self._memtable.add_model(model, self._take_seq)
         self._sorted = False
 
-    # -- incremental maintenance (§7.1.2 cites incremental indexing) --------------
-
-    def remove_url(self, uri: str) -> int:
-        """Drop every state of ``uri`` from the index (for re-crawls).
-
-        Returns the number of states removed.
-        """
-        return self.remove_urls([uri])
-
     def remove_urls(self, uris: Iterable[str]) -> int:
-        """Batched removal: every touched term's list is rebuilt once.
-
-        Removing *k* URIs one at a time rebuilds a shared term's posting
-        list *k* times; batching by the URI set filters each list in one
-        pass.  Returns the exact number of states removed.
-        """
-        uri_set = set(uris)
-        keys = [key for key in self._state_lengths if key[0] in uri_set]
-        terms_touched: set[str] = set()
-        for key in keys:
-            del self._state_lengths[key]
-            self._state_depths.pop(key, None)
-            terms_touched.update(self._state_terms.pop(key, ()))
-        for term in terms_touched:
-            remaining = [p for p in self._postings.get(term, []) if p.uri not in uri_set]
-            if remaining:
-                self._postings[term] = remaining
-            else:
-                self._postings.pop(term, None)
-        return len(keys)
-
-    def update_model(self, model: ApplicationModel) -> None:
-        """Replace ``model.url``'s states with the model's current ones
-        (incremental index maintenance after a re-crawl)."""
-        self.remove_url(model.url)
-        self.add_model(model)
-        self.finalize()
-
-    def build(self, models: Iterable[ApplicationModel]) -> "InvertedFile":
-        """Index many models and finalize; returns self for chaining."""
-        for model in models:
-            self.add_model(model)
-        self.finalize()
-        return self
+        return self._memtable.remove_urls(uris)
 
     def finalize(self) -> None:
         """Sort posting lists into canonical order (idempotent, thread-safe).
@@ -138,8 +180,7 @@ class InvertedFile:
             if self._sorted:
                 return
             with self.recorder.span("index_flush"):
-                for term in self._postings:
-                    self._postings[term] = sort_postings(self._postings[term])
+                self._memtable.sort()
                 self._sorted = True
                 if self.recorder.enabled:
                     self.recorder.emit(
@@ -150,88 +191,67 @@ class InvertedFile:
 
     # -- lookups ------------------------------------------------------------------
 
-    def postings(self, term: str) -> list[Posting]:
-        """The sorted posting list of ``term`` (empty if absent)."""
+    def conjunction(self, terms: list[str]) -> list[list[Posting]]:
+        """Posting-level galloping merge over the index's own lists
+        (:func:`~repro.search.postings.merge_conjunction` only reads them)."""
         self.finalize()
-        return list(self._postings.get(term, []))
+        return merge_conjunction([self._memtable.postings(term) for term in terms])
+
+    def postings(self, term: str) -> list[Posting]:
+        self.finalize()
+        return list(self._memtable.postings(term))
 
     def document_frequency(self, term: str) -> int:
-        """Number of states containing ``term`` (the idf denominator)."""
-        return len(self._postings.get(term, []))
+        return len(self._memtable.postings(term))
 
     @property
     def num_states(self) -> int:
-        """Total number of indexed states (the idf numerator)."""
-        return len(self._state_lengths)
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
+        return self._memtable.num_states
 
     def terms(self) -> set[str]:
-        """The vocabulary (for differential checks against backends)."""
-        return set(self._postings)
-
-    def state_length(self, uri: str, state_id: str) -> int:
-        """Token count of one state (tf denominator, eq. 5.1)."""
-        return self._state_lengths.get((uri, state_id), 0)
-
-    def state_depth(self, uri: str, state_id: str) -> int:
-        return self._state_depths.get((uri, state_id), 0)
+        return set(self._memtable.terms())
 
     def states(self) -> list[tuple[str, str]]:
-        """All indexed (uri, state_id) pairs."""
-        return list(self._state_lengths)
+        return self._memtable.states()
 
-    # -- statistics (eq. 5.1 / 5.2) ---------------------------------------------------
+    def state_length(self, uri: str, state_id: str) -> int:
+        stat = self._memtable.state_stat((uri, state_id))
+        return stat[0] if stat else 0
 
-    def tf(self, term: str, uri: str, state_id: str) -> float:
-        """Term frequency of ``term`` in one state (eq. 5.1).
+    def state_depth(self, uri: str, state_id: str) -> int:
+        stat = self._memtable.state_stat((uri, state_id))
+        return stat[1] if stat else 0
 
-        Binary search over the finalized sort-key order — scoring one
-        state is O(log df), not a scan of the whole posting list.
-        """
-        length = self.state_length(uri, state_id)
-        if length == 0:
-            return 0.0
+    def term_count(self, term: str, uri: str, state_id: str) -> int:
+        """Binary search over the finalized sort-key order — O(log df),
+        not a scan of the whole posting list."""
         # finalize() replaces posting lists with sorted copies, so the
         # list must be fetched *after* it runs.
         self.finalize()
-        plist = self._postings.get(term)
-        if not plist:
-            return 0.0
+        plist = self._memtable.postings(term)
         target = (uri, int(state_id[1:]))
         at = bisect_left(plist, target, key=lambda posting: posting.sort_key)
         if at < len(plist) and plist[at].uri == uri and plist[at].state_id == state_id:
-            return plist[at].count / length
-        return 0.0
-
-    def idf(self, term: str) -> float:
-        """Inverse document frequency with states as documents (eq. 5.2)."""
-        df = self.document_frequency(term)
-        if df == 0 or self.num_states == 0:
-            return 0.0
-        return math.log(self.num_states / df)
+            return plist[at].count
+        return 0
 
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
         self.finalize()
+        rows = self._memtable.state_rows()
         return {
             "max_state_index": self.max_state_index,
             "stopwords": sorted(self.stopwords) if self.stopwords else None,
             "postings": {
-                term: [[p.uri, p.state_id, list(p.positions)] for p in plist]
-                for term, plist in self._postings.items()
+                term: [
+                    [p.uri, p.state_id, list(p.positions)]
+                    for p in self._memtable.postings(term)
+                ]
+                for term in self._memtable.terms()
             },
-            "state_lengths": [
-                [uri, state_id, length]
-                for (uri, state_id), length in self._state_lengths.items()
-            ],
-            "state_depths": [
-                [uri, state_id, depth]
-                for (uri, state_id), depth in self._state_depths.items()
-            ],
+            "state_lengths": [[uri, state_id, length] for uri, state_id, length, _, _ in rows],
+            "state_depths": [[uri, state_id, depth] for uri, state_id, _, depth, _ in rows],
         }
 
     @classmethod
@@ -241,23 +261,22 @@ class InvertedFile:
             max_state_index=data.get("max_state_index"),
             stopwords=frozenset(stopwords) if stopwords else None,
         )
-        for term, plist in data["postings"].items():
-            index._postings[term] = [
-                Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-                for uri, state_id, positions in plist
-            ]
-        for uri, state_id, length in data["state_lengths"]:
-            index._state_lengths[(uri, state_id)] = length
-        for uri, state_id, depth in data.get("state_depths", []):
-            index._state_depths[(uri, state_id)] = depth
-        # Rebuild the per-state term registry (not persisted: derivable).
-        terms_by_state: dict[tuple[str, str], list[str]] = {}
-        for term, plist in index._postings.items():
-            for posting in plist:
-                terms_by_state.setdefault((posting.uri, posting.state_id), []).append(term)
-        for key, terms in terms_by_state.items():
-            index._state_terms[key] = tuple(terms)
-        index._sorted = True
+        depths = {
+            (uri, state_id): depth for uri, state_id, depth in data.get("state_depths", [])
+        }
+        index._memtable.restore(
+            {
+                term: [
+                    Posting(uri=uri, state_id=state_id, positions=tuple(positions))
+                    for uri, state_id, positions in plist
+                ]
+                for term, plist in data["postings"].items()
+            },
+            [
+                (uri, state_id, length, depths.get((uri, state_id), 0))
+                for uri, state_id, length in data["state_lengths"]
+            ],
+        )
         return index
 
     def save(self, path: str | Path) -> None:

@@ -1,16 +1,18 @@
-"""The in-memory write buffer of the segmented index (LSM memtable).
+"""The write half of both index backends.
 
-A :class:`Memtable` accumulates freshly indexed states exactly the way
-the historical in-memory :class:`~repro.search.index.InvertedFile` did —
-tokenize, group occurrences per term, record per-state statistics — but
-it is *bounded*: once :attr:`num_postings` crosses the flush threshold
-the owning :class:`~repro.search.segmented.SegmentedIndex` freezes it
-into an immutable on-disk segment and starts a fresh one.
+A :class:`Memtable` is the one place freshly indexed states accumulate:
+tokenize, group occurrences per term, record per-state statistics,
+forget a URI's states again.  The in-memory
+:class:`~repro.search.index.InvertedFile` owns one for its whole life
+and queries it in place; the :class:`~repro.search.segmented.SegmentedIndex`
+freezes its own into an immutable on-disk segment once
+:attr:`Memtable.num_postings` crosses the flush threshold and starts a
+fresh one.
 
-Every state carries a monotonically increasing *sequence number*
-assigned by the owner, so the global ``states()`` registry preserves
-insertion order across any number of segment files (and across
-remove/re-add cycles, mirroring dict-insertion semantics).
+Every state carries a *sequence number* handed out by the owner, so a
+segmented ``states()`` registry preserves insertion order across any
+number of segment files (and across remove/re-add cycles, like the
+insertion order of the dicts here).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.search.tokenizer import tokenize_with_positions
 
 
 class Memtable:
-    """Mutable accumulation buffer; flushed to a segment when full."""
+    """Mutable accumulation buffer: term → postings, plus per-state stats."""
 
     def __init__(
         self,
@@ -69,8 +71,28 @@ class Memtable:
         self._state_terms[key] = tuple(by_term)
         self.num_postings += len(by_term)
 
+    def restore(self, postings: dict[str, list[Posting]], rows) -> None:
+        """Adopt deserialized contents instead of tokenizing them again.
+
+        ``rows`` are ``(uri, state_id, length, depth)`` in insertion
+        order; the per-state term registry is derived from ``postings``.
+        """
+        self._postings = postings
+        for seq, (uri, state_id, length, depth) in enumerate(rows):
+            self._states[(uri, state_id)] = (length, depth, seq)
+        terms_by_state: dict[tuple[str, str], list[str]] = {}
+        for term, plist in postings.items():
+            for posting in plist:
+                terms_by_state.setdefault((posting.uri, posting.state_id), []).append(term)
+        self._state_terms = {key: tuple(terms) for key, terms in terms_by_state.items()}
+        self.num_postings = sum(len(plist) for plist in postings.values())
+
     def remove_urls(self, uris) -> int:
-        """Drop every buffered state of the given URIs; returns the count."""
+        """Drop every buffered state of the given URIs; returns the count.
+
+        Batched: each touched term's posting list is filtered once for
+        the whole URI set, not once per URI.
+        """
         uri_set = set(uris)
         keys = [key for key in self._states if key[0] in uri_set]
         terms_touched: set[str] = set()
@@ -95,14 +117,17 @@ class Memtable:
     def __bool__(self) -> bool:
         return bool(self._states)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._states
-
     def terms(self):
+        """The vocabulary, in first-seen order."""
         return self._postings.keys()
 
-    def uris(self) -> set[str]:
-        return {uri for uri, _ in self._states}
+    def postings(self, term: str) -> list[Posting]:
+        """The live posting list of ``term`` (empty if absent); not a copy."""
+        return self._postings.get(term, [])
+
+    def states(self) -> list[tuple[str, str]]:
+        """All buffered (uri, state_id) pairs in insertion order."""
+        return list(self._states)
 
     def state_stat(self, key: tuple[str, str]) -> Optional[tuple[int, int, int]]:
         """``(length, depth, seq)`` of one buffered state, if present."""
@@ -114,6 +139,11 @@ class Memtable:
             (uri, state_id, length, depth, seq)
             for (uri, state_id), (length, depth, seq) in self._states.items()
         ]
+
+    def sort(self) -> None:
+        """Replace every posting list with its canonical-order copy."""
+        for term, plist in self._postings.items():
+            self._postings[term] = sort_postings(plist)
 
     def sorted_postings(self) -> list[tuple[str, list[Posting]]]:
         """``(term, canonical-order postings)`` sorted by term — the

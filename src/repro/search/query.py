@@ -8,10 +8,11 @@ and groups the matching postings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container, Optional
 
 from repro.errors import SearchError
-from repro.search.index import InvertedFile
-from repro.search.postings import Posting, merge_conjunction
+from repro.search.index import Index
+from repro.search.postings import Posting
 from repro.search.tokenizer import query_terms
 
 
@@ -25,25 +26,27 @@ class Match:
     postings: tuple[Posting, ...]
 
 
-def evaluate(index: InvertedFile, query: str) -> list[Match]:
-    """All states containing every term of ``query`` (Figure 5.2).
-
-    Indexes that expose a ``conjunction`` method (the segmented on-disk
-    index) intersect their posting lists themselves — block-max skipping
-    needs the un-materialized block structure; the in-memory inverted
-    file goes through the posting-level galloping merge.  Both return
-    identical groups in canonical order.
-    """
-    terms = query_terms(query, stopwords=index.stopwords)
+def parse_query(query: str, stopwords: Optional[Container[str]] = None) -> list[str]:
+    """The distinct terms of ``query``; a query without any is an error."""
+    terms = query_terms(query, stopwords=stopwords)
     if not terms:
         raise SearchError("empty query")
-    conjunction = getattr(index, "conjunction", None)
-    if conjunction is not None:
-        groups = conjunction(terms)
-    else:
-        lists = [index.postings(term) for term in terms]
-        groups = merge_conjunction(lists)
+    return terms
+
+
+def match_terms(index: Index, terms: list[str]) -> list[Match]:
+    """All states containing every one of ``terms`` (Figure 5.2).
+
+    The index intersects its own posting lists — galloping over
+    postings in memory, block-max skipping on disk; every backend
+    returns the same groups in canonical order.
+    """
     return [
         Match(uri=group[0].uri, state_id=group[0].state_id, postings=tuple(group))
-        for group in groups
+        for group in index.conjunction(terms)
     ]
+
+
+def evaluate(index: Index, query: str) -> list[Match]:
+    """All states containing every term of ``query``."""
+    return match_terms(index, parse_query(query, index.stopwords))

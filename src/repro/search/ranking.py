@@ -16,6 +16,7 @@ The overall rank of a result is the weighted sum of eq. 5.3:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.model import ApplicationModel
@@ -85,6 +86,17 @@ def ajaxrank(model: ApplicationModel, damping: float = 0.85, iterations: int = 5
         for state in model.states()
     }
     return pagerank(graph, damping=damping, iterations=iterations)
+
+
+def inverse_document_frequency(num_states: int, df: int) -> float:
+    """idf with states as documents (eq. 5.2): ``log(N / df)``, 0 if either is 0.
+
+    ``num_states`` and ``df`` may be sums over shards — the merge-time
+    global idf of §6.5.2 is this same function of the summed counts.
+    """
+    if df == 0 or num_states == 0:
+        return 0.0
+    return math.log(num_states / df)
 
 
 def term_proximity(position_groups: list[tuple[int, ...]]) -> float:

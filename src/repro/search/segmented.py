@@ -1,4 +1,4 @@
-"""LSM-style segmented index behind the :class:`InvertedFile` query API.
+"""LSM-style segmented index: the on-disk :class:`~repro.search.index.Index`.
 
 A :class:`SegmentedIndex` is a *directory*: a ``MANIFEST.json`` naming
 the live segment files in chronological order, plus one immutable
@@ -9,10 +9,9 @@ once the buffer crosses ``flush_threshold`` postings; a size-tiered
 compactor then merges segments of similar size so the segment count
 stays logarithmic in index size.
 
-The facade keeps the exact :class:`~repro.search.index.InvertedFile`
-query contract — ``postings``/``tf``/``idf``/``state_length``/
-``states``/``update_model`` — so :class:`~repro.search.engine.SearchEngine`,
-``repro.serve`` and the aggregation tier plug in unchanged, and the
+It implements the primitives of the :class:`~repro.search.index.Index`
+contract and inherits the rest, so :class:`~repro.search.engine.SearchEngine`,
+``repro.serve`` and the aggregation tier take either backend, and the
 ``index_parity`` conformance check holds the results byte-identical.
 
 Two invariants make the multi-segment query path exact:
@@ -31,7 +30,6 @@ Two invariants make the multi-segment query path exact:
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 from pathlib import Path
@@ -41,6 +39,7 @@ from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, NULL_RECORDER, SEGMENT_FLUSH
 from repro.obs.reqtrace import current_request_trace
+from repro.search.index import Index
 from repro.search.memtable import Memtable
 from repro.search.postings import Posting, sort_postings
 from repro.search.segments import (
@@ -67,7 +66,7 @@ def _tier(num_postings: int) -> int:
     return max(0, num_postings.bit_length() - 1) // 2
 
 
-class SegmentedIndex:
+class SegmentedIndex(Index):
     """Directory-backed inverted file: memtable + immutable segments."""
 
     def __init__(
@@ -194,8 +193,7 @@ class SegmentedIndex:
     def add_model(self, model: ApplicationModel) -> None:
         """Buffer one application model; flush if the memtable is full."""
         # The memtable rejects duplicates it holds itself; states already
-        # frozen into segments need an explicit registry check to keep
-        # the InvertedFile "indexed twice" contract.
+        # frozen into segments need an explicit registry check.
         if self._readers:
             lookup = self._ensure_lookup()
             for state in model.states():
@@ -208,24 +206,11 @@ class SegmentedIndex:
         if self._memtable.num_postings >= self.flush_threshold:
             self.flush()
 
-    def build(self, models: Iterable[ApplicationModel]) -> "SegmentedIndex":
-        """Index many models and finalize; returns self for chaining."""
-        for model in models:
-            self.add_model(model)
-        self.finalize()
-        return self
-
-    def update_model(self, model: ApplicationModel) -> None:
-        """Replace ``model.url``'s states with the model's current ones."""
-        self.remove_url(model.url)
-        self.add_model(model)
-        self.finalize()
-
     def finalize(self) -> None:
         """Flush any buffered states so the query path sees everything.
 
-        Idempotent and cheap when nothing is buffered — mirrors
-        :meth:`InvertedFile.finalize`, which the engine calls eagerly.
+        Idempotent and cheap when nothing is buffered; the engine
+        calls it eagerly.
         """
         if self._memtable:
             self.flush()
@@ -347,10 +332,6 @@ class SegmentedIndex:
 
     # -- incremental maintenance -------------------------------------------------
 
-    def remove_url(self, uri: str) -> int:
-        """Drop every state of ``uri``; returns the number removed."""
-        return self.remove_urls([uri])
-
     def remove_urls(self, uris: Iterable[str]) -> int:
         """Batched removal: every touched segment is rewritten once.
 
@@ -446,10 +427,6 @@ class SegmentedIndex:
     def num_segments(self) -> int:
         return len(self._readers)
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.terms())
-
     def terms(self) -> set[str]:
         self.finalize()
         terms: set[str] = set()
@@ -457,28 +434,25 @@ class SegmentedIndex:
             terms.update(reader.terms())
         return terms
 
-    def state_length(self, uri: str, state_id: str) -> int:
+    def _locate(self, uri: str, state_id: str) -> Optional[tuple[SegmentReader, int]]:
+        """The segment holding a state and the state's ordinal in it."""
         self.finalize()
-        entry = self._ensure_lookup().get((uri, state_id))
-        if entry is None:
-            return 0
-        reader, ordinal = entry
-        return reader.state_length(ordinal)
+        return self._ensure_lookup().get((uri, state_id))
+
+    def state_length(self, uri: str, state_id: str) -> int:
+        entry = self._locate(uri, state_id)
+        return entry[0].state_length(entry[1]) if entry else 0
 
     def state_depth(self, uri: str, state_id: str) -> int:
-        self.finalize()
-        entry = self._ensure_lookup().get((uri, state_id))
-        if entry is None:
-            return 0
-        reader, ordinal = entry
-        return reader.state_depth(ordinal)
+        entry = self._locate(uri, state_id)
+        return entry[0].state_depth(entry[1]) if entry else 0
 
     def states(self) -> list[tuple[str, str]]:
         """All indexed (uri, state_id) pairs in global insertion order.
 
-        Each state's persisted sequence number reproduces the
-        dict-insertion order of :class:`InvertedFile` exactly, including
-        remove + re-add moving a URI's states to the end.
+        Each state's persisted sequence number keeps that order across
+        segment files, including remove + re-add moving a URI's states
+        to the end.
         """
         self.finalize()
         keyed: list[tuple[int, tuple[str, str]]] = []
@@ -488,33 +462,14 @@ class SegmentedIndex:
         keyed.sort()
         return [key for _, key in keyed]
 
-    # -- statistics (eq. 5.1 / 5.2) ----------------------------------------------
-
-    def tf(self, term: str, uri: str, state_id: str) -> float:
-        """Term frequency in one state — decodes at most one block."""
-        self.finalize()
-        entry = self._ensure_lookup().get((uri, state_id))
+    def term_count(self, term: str, uri: str, state_id: str) -> int:
+        """Decodes at most one block."""
+        entry = self._locate(uri, state_id)
         if entry is None:
-            return 0.0
+            return 0
         reader, ordinal = entry
-        length = reader.state_length(ordinal)
-        if length == 0:
-            return 0.0
         view = reader.view(term)
-        if view is None:
-            return 0.0
-        count = view.count_at(ordinal)
-        if count == 0:
-            return 0.0
-        return count / length
-
-    def idf(self, term: str) -> float:
-        """Inverse document frequency over exact global counts (eq. 5.2)."""
-        df = self.document_frequency(term)
-        num_states = self.num_states
-        if df == 0 or num_states == 0:
-            return 0.0
-        return math.log(num_states / df)
+        return view.count_at(ordinal) if view is not None else 0
 
     # -- query path --------------------------------------------------------------
 

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from repro.errors import SearchError
 from repro.model import ApplicationModel, EventAnnotation
-from repro.search import RankingWeights, SearchEngine
+from repro.search import RankingWeights, SearchEngine, SegmentedIndex
 from repro.parallel import ShardedSearchEngine
+from repro.testgen.corpus import corpus_models, corpus_spec
 
 
 def pagination_model(url, page_texts):
@@ -23,6 +25,11 @@ def pagination_model(url, page_texts):
             states[offset + 1], states[offset], EventAnnotation("#prev", "onclick", "prevPage()")
         )
     return model
+
+
+def ranking(results):
+    """Everything a ranking consists of, for exact (``==``) comparison."""
+    return [(r.uri, r.state_id, r.score, r.components) for r in results]
 
 
 @pytest.fixture
@@ -58,9 +65,7 @@ class TestGlobalIdf:
         assert single.index.idf("keyword") == pytest.approx(math.log(23 / 10))
         sharded_results = sharded.search("keyword")
         single_results = single.search("keyword")
-        assert [
-            (r.uri, r.state_id, pytest.approx(r.score)) for r in single_results
-        ] == [(r.uri, r.state_id, r.score) for r in sharded_results]
+        assert ranking(single_results) == ranking(sharded_results)
 
 
 class TestShardingEquivalence:
@@ -72,12 +77,7 @@ class TestShardingEquivalence:
         partitions = [p for p in partitions if p]
         sharded = ShardedSearchEngine.build(partitions, pageranks=pageranks)
         single = SearchEngine.build(corpus, pageranks=pageranks)
-        sharded_results = sharded.search("keyword")
-        single_results = single.search("keyword")
-        assert len(sharded_results) == len(single_results)
-        for mine, reference in zip(sharded_results, single_results):
-            assert (mine.uri, mine.state_id) == (reference.uri, reference.state_id)
-            assert mine.score == pytest.approx(reference.score)
+        assert ranking(sharded.search("keyword")) == ranking(single.search("keyword"))
 
     def test_conjunction_equivalence(self, corpus, pageranks):
         partitions = [corpus[:2], corpus[2:]]
@@ -108,3 +108,73 @@ class TestShardingEquivalence:
         )
         results = sharded.search("keyword")
         assert results[0].uri == "u1"  # highest PageRank among matches
+
+
+    def test_empty_query_is_an_error_even_without_shards(self, corpus):
+        for engine in (ShardedSearchEngine([]), ShardedSearchEngine.build([corpus])):
+            with pytest.raises(SearchError, match="empty query"):
+                engine.search("?!...")
+
+
+class TestBitIdenticalOnGeneratedCorpus:
+    """Shards and merger run the single engine's own scoring halves, so
+    order, score and every component are equal with ``==`` — for any
+    shard count and any index backend behind each shard."""
+
+    QUERIES = ["area", "state", "area state", "visit", "visit area state"]
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return corpus_spec(2000, seed=3)
+
+    @pytest.fixture(scope="class")
+    def models(self, spec):
+        return corpus_models(spec)
+
+    @pytest.fixture(scope="class")
+    def reference(self, spec, models):
+        """Single-index rankings: broad words plus one-match page markers."""
+        single = SearchEngine.build(models)
+        queries = self.QUERIES + [page.markers[0] for page in spec.pages[::40]]
+        return {query: ranking(single.search(query)) for query in queries}
+
+    @staticmethod
+    def partition(models, num_shards):
+        return [models[i::num_shards] for i in range(num_shards)]
+
+    @staticmethod
+    def segmented(path):
+        return SegmentedIndex(path, flush_threshold=2000, block_size=16)
+
+    def assert_identical(self, sharded, reference):
+        assert sum(len(expected) for expected in reference.values()) > 2000
+        for query, expected in reference.items():
+            assert ranking(sharded.search(query)) == expected, query
+            assert sharded.result_count(query) == len(expected), query
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
+    def test_in_memory_shards(self, models, reference, num_shards):
+        sharded = ShardedSearchEngine.build(self.partition(models, num_shards))
+        assert sharded.num_states >= 2000
+        self.assert_identical(sharded, reference)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_segmented_shards(self, models, reference, num_shards, tmp_path):
+        shards = [
+            SearchEngine.build(part, index=self.segmented(tmp_path / f"shard{number}"))
+            for number, part in enumerate(self.partition(models, num_shards))
+        ]
+        assert all(shard.index.num_segments > 1 for shard in shards)
+        self.assert_identical(ShardedSearchEngine(shards), reference)
+        for shard in shards:
+            shard.index.close()
+
+    def test_mixed_backends(self, models, reference, tmp_path):
+        memory_a, disk, memory_b = self.partition(models, 3)
+        shards = [
+            SearchEngine.build(memory_a),
+            SearchEngine.build(disk, index=self.segmented(tmp_path / "disk")),
+            SearchEngine.build(memory_b),
+        ]
+        self.assert_identical(ShardedSearchEngine(shards), reference)
+        shards[1].index.close()

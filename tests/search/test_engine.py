@@ -134,6 +134,14 @@ class TestSearchEngine:
         assert traditional.result_count("morcheeba") == 2
         assert ajax_engine.result_count("morcheeba") == 3
 
+    def test_build_rejects_prefix_cap_next_to_an_index(self, models):
+        """Regression: ``max_state_index`` used to be dropped silently
+        when ``index=`` was given; the cap is the index's own."""
+        with pytest.raises(ValueError, match="max_state_index"):
+            SearchEngine.build(models, max_state_index=1, index=InvertedFile())
+        capped = SearchEngine.build(models, index=InvertedFile(max_state_index=1))
+        assert capped.index.num_states == 2
+
     def test_deterministic_tie_break(self, models):
         engine = SearchEngine.build(
             models, weights=RankingWeights(pagerank=0, ajaxrank=0, tfidf=0, proximity=0)

@@ -116,6 +116,28 @@ class TestSerialization:
         assert loaded.state_depth("url1", "s1") == 1
         assert loaded.max_state_index == index.max_state_index
 
+    def test_json_format_is_pinned(self, tmp_path):
+        """The file an earlier version wrote: it must load, and saving
+        the same corpus must produce the same bytes (key order, term
+        order and state order included)."""
+        written = (
+            '{"max_state_index": null, "stopwords": null, "postings": '
+            '{"b": [["u", "s0", [0]], ["u", "s1", [1]]], "a": [["u", "s0", [1, 2]]], '
+            '"c": [["u", "s1", [0]]]}, '
+            '"state_lengths": [["u", "s0", 3], ["u", "s1", 2]], '
+            '"state_depths": [["u", "s0", 0], ["u", "s1", 1]]}'
+        )
+        path = tmp_path / "index.json"
+        InvertedFile().build([make_model("u", ["b a a", "c b"])]).save(path)
+        assert path.read_text(encoding="utf-8") == written
+        loaded = InvertedFile.load(path)
+        loaded.save(path)
+        assert path.read_text(encoding="utf-8") == written
+        assert loaded.tf("a", "u", "s0") == pytest.approx(2 / 3)
+        # The per-state term registry is rebuilt on load: removal works.
+        assert loaded.remove_url("u") == 2
+        assert loaded.vocabulary_size == 0
+
     def test_round_trip_preserves_max_state_index(self, tmp_path):
         video = make_model("u", ["one", "two"])
         index = InvertedFile(max_state_index=1).build([video])
@@ -225,3 +247,27 @@ class TestTfBisect:
         index.add_model(make_model("a", ["term there"]))
         assert not index._sorted
         assert index.tf("term", "a", "s0") == pytest.approx(0.5)
+
+
+class TestIndexContract:
+    def test_backends_inherit_the_derived_half(self):
+        """``build``/``update_model``/``remove_url``/``tf``/``idf`` exist once,
+        on the base, so the backends cannot drift apart in them."""
+        from repro.search import SegmentedIndex
+        from repro.search.index import Index
+
+        for backend in (InvertedFile, SegmentedIndex):
+            assert issubclass(backend, Index)
+            for derived in (
+                "build", "update_model", "remove_url", "tf", "idf", "vocabulary_size"
+            ):
+                assert derived not in vars(backend), (backend.__name__, derived)
+
+    def test_a_backend_must_supply_every_primitive(self):
+        from repro.search.index import Index
+
+        class NoConjunction(Index):
+            pass
+
+        with pytest.raises(TypeError, match="conjunction"):
+            NoConjunction()
