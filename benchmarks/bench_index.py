@@ -84,8 +84,7 @@ def index_study():
         matches = 0
         for query in skewed:
             before = disk.merge_stats.to_dict()
-            groups = disk.conjunction(query.split())
-            matches += len(groups)
+            matches += sum(1 for _ in disk.conjunction(query.split()))
             after = disk.merge_stats.to_dict()
             for key in before:
                 setattr(

@@ -2,15 +2,20 @@
 
 Boots a real :class:`~repro.serve.SearchServer` on an ephemeral port
 over a 40-video synthetic YouTube crawl and drives the Table 7.4 paper
-workload through closed-loop HTTP workers, three ways:
+workload through closed-loop HTTP workers, five ways:
 
 1. **throughput** — no limits, 8 workers: p50/p95/p99 latency, RPS and
-   cache hit rate of the hot serving path;
-2. **rate-limited** — a tight token bucket: verifies the 429 path under
+   cache hit rate of the hot serving path (a 99%-hit run: it times the
+   LRU);
+2. **uncached** — the same load against ``ServeConfig(cache_entries=0)``:
+   every request reaches the engine, so this lane times retrieval and
+   ranking (the large-corpus version is ``benchmarks/e2e``'s
+   ``serve_uncached``);
+3. **rate-limited** — a tight token bucket: verifies the 429 path under
    load and records the rejection count;
-3. **soak** — 5 ms deterministic injected latency: verifies injection
+4. **soak** — 5 ms deterministic injected latency: verifies injection
    actually shapes the observed latency floor;
-4. **telemetry overhead** — the same workload with live telemetry on vs
+5. **telemetry overhead** — the same workload with live telemetry on vs
    off (best of two runs each): the windowed counters, sketches, SLO
    trackers and trace rings must cost under 10% of throughput
    (``MIN_TELEMETRY_RATIO`` asserted).
@@ -42,7 +47,8 @@ RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_serving.json"
 
 NUM_VIDEOS = 40
 
-#: Throughput floors (recording machine: >1000 req/s, sub-ms p50).
+#: Throughput floors (recording machine: >1000 req/s, sub-ms p50); the
+#: uncached lane answers to the same ones.
 MIN_RPS = 50.0
 MAX_P50_MS = 100.0
 MAX_P99_MS = 1000.0
@@ -80,6 +86,13 @@ def serving_study() -> dict:
             LoadTestConfig(workers=8, requests_per_worker=150),
         )
         states = server.service.engine.index.num_states
+
+    with SearchServer(_build_service(ServeConfig(cache_entries=0))) as server:
+        uncached = run_loadtest(
+            server.url,
+            queries,
+            LoadTestConfig(workers=8, requests_per_worker=150),
+        )
 
     limited_config = ServeConfig(rate_limit_rps=10.0, rate_limit_burst=5.0)
     with SearchServer(_build_service(limited_config)) as server:
@@ -125,6 +138,7 @@ def serving_study() -> dict:
         "dataset": {"num_videos": NUM_VIDEOS, "indexed_states": states},
         "workload": {"queries": len(queries), "source": "Table 7.4"},
         "throughput": throughput.to_dict(),
+        "uncached": uncached.to_dict(),
         "rate_limited": limited.to_dict(),
         "soak_latency_5ms": soak.to_dict(),
         "telemetry_overhead": {
@@ -157,6 +171,11 @@ def test_serving_benchmark(benchmark):
         f"p95={throughput['p95_ms']:.2f}ms p99={throughput['p99_ms']:.2f}ms, "
         f"cache hit rate {throughput['cache_hit_rate']:.0%}"
     )
+    uncached = report["uncached"]
+    print(
+        f"[serving] uncached pass: {uncached['rps']:.0f} req/s, "
+        f"p50={uncached['p50_ms']:.2f}ms p99={uncached['p99_ms']:.2f}ms"
+    )
     print(
         f"[serving] rate-limited pass: {limited['rate_limited']} of "
         f"{limited['requests']} rejected with 429"
@@ -176,6 +195,11 @@ def test_serving_benchmark(benchmark):
     assert throughput["p50_ms"] <= MAX_P50_MS
     assert throughput["p99_ms"] <= MAX_P99_MS
     assert throughput["cache_hit_rate"] >= MIN_CACHE_HIT_RATE
+    # With the cache off the engine answers every request.
+    assert uncached["errors"] == 0 and uncached["cached_responses"] == 0
+    assert uncached["rps"] >= MIN_RPS
+    assert uncached["p50_ms"] <= MAX_P50_MS
+    assert uncached["p99_ms"] <= MAX_P99_MS
     # The tight bucket must reject most of the closed-loop burst...
     assert limited["rate_limited"] > 0
     assert limited["status_counts"].get("429", 0) == limited["rate_limited"]

@@ -334,8 +334,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.pagerank:
         pageranks = json.loads(Path(args.pagerank).read_text(encoding="utf-8"))
     engine = SearchEngine(index, pageranks=pageranks)
-    results = engine.search(args.query, limit=args.limit)
-    print(f"{len(results)} result(s) for {args.query!r}:")
+    total, results = engine.top(args.query, args.limit)
+    print(f"top {len(results)} of {total} result(s) for {args.query!r}:")
     for result in results:
         print(f"  {result.score:8.4f}  {result.uri}  {result.state_id}")
     return 0
@@ -633,6 +633,14 @@ def _near_dup_bits(text: str) -> int:
     return bits
 
 
+def _result_limit(text: str) -> int:
+    """``search --limit``: how many results to print; not negative."""
+    limit = int(text)
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"limit must be >= 0, not {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ajax",
@@ -741,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--query", required=True)
     search.add_argument("--pagerank", default=None)
-    search.add_argument("--limit", type=int, default=10)
+    search.add_argument("--limit", type=_result_limit, default=10)
     search.set_defaults(fn=cmd_search)
 
     serve = sub.add_parser("serve", help="HTTP search service over an index or site")

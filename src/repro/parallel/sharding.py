@@ -61,8 +61,9 @@ class ShardedSearchEngine:
 
     # -- query shipping -------------------------------------------------------------
 
-    def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
-        """Ship, merge, re-rank with global idf, sort (Figure 6.4)."""
+    def top(self, query: str, k: Optional[int] = None) -> tuple[int, list[SearchResult]]:
+        """Ship, merge, re-rank with global idf, keep the best ``k``
+        (Figure 6.4); also the number of matches over all shards."""
         stopwords = self.shards[0].index.stopwords if self.shards else None
         terms = parse_query(query, stopwords)
         partials = chain.from_iterable(shard.partial_scores(terms) for shard in self.shards)
@@ -74,7 +75,11 @@ class ShardedSearchEngine:
             )
             for term in terms
         ]
-        return rank(self.weights, partials, idfs)[:limit]
+        return rank(self.weights, partials, idfs, k)
+
+    def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
+        """The best ``limit`` results of :meth:`top`."""
+        return self.top(query, limit)[1]
 
     def result_count(self, query: str) -> int:
         """Total boolean matches across all shards."""

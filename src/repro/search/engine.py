@@ -8,6 +8,7 @@ sorted by rank.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -15,7 +16,7 @@ from repro.model import ApplicationModel
 from repro.obs import NULL_RECORDER, QUERY_EVAL
 from repro.obs.reqtrace import current_request_trace
 from repro.search.index import Index, InvertedFile
-from repro.search.query import evaluate, match_terms, parse_query
+from repro.search.query import parse_query
 from repro.search.ranking import RankingWeights, ajaxrank, term_proximity
 
 
@@ -41,34 +42,55 @@ def rank(
     weights: RankingWeights,
     partials: Iterable[PartialScore],
     idfs: list[float],
-) -> list[SearchResult]:
-    """Complete every partial score with ``idfs`` and sort, best first.
+    limit: Optional[int] = None,
+) -> tuple[int, list[SearchResult]]:
+    """Complete every partial score with ``idfs``: how many there were,
+    and the best ``limit`` of them (all, when None), best first.
 
     This is the one place eq. 5.3 is written.  ``idfs`` (parallel to
     the query terms) come from the index the partials were computed on
     or, for partials gathered from several shards, from their summed
-    counts — Steps 1 and 2 of Figure 6.4 either way.
+    counts — Steps 1 and 2 of Figure 6.4 either way.  Each partial is
+    scored into a tuple led by the sort key ``(-score, uri, state_id)``;
+    only the selection holds on to any, and only a survivor becomes a
+    :class:`SearchResult`.
     """
-    results = []
-    for uri, state_id, tfs, page_rank, ajax_rank, proximity in partials:
-        tfidf = 0.0
-        for tf, idf in zip(tfs, idfs):
-            tfidf += tf * idf
-        score = (
-            weights.pagerank * page_rank
-            + weights.ajaxrank * ajax_rank
-            + weights.tfidf * tfidf
-            + weights.proximity * proximity
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, not {limit}")
+    total = 0
+
+    def scored():
+        nonlocal total
+        for total, (uri, state_id, tfs, page_rank, ajax_rank, proximity) in enumerate(partials, 1):
+            tfidf = 0.0
+            for tf, idf in zip(tfs, idfs):
+                tfidf += tf * idf
+            score = (
+                weights.pagerank * page_rank
+                + weights.ajaxrank * ajax_rank
+                + weights.tfidf * tfidf
+                + weights.proximity * proximity
+            )
+            yield (-score, uri, state_id, page_rank, ajax_rank, tfidf, proximity)
+
+    stream = scored()
+    best = sorted(stream) if limit is None else heapq.nsmallest(limit, stream)
+    for _ in stream:
+        pass  # nsmallest(0, ...) reads nothing, and the count needs every partial
+    return total, [
+        SearchResult(
+            uri,
+            state_id,
+            -negated,
+            {
+                "pagerank": page_rank,
+                "ajaxrank": ajax_rank,
+                "tfidf": tfidf,
+                "proximity": proximity,
+            },
         )
-        components = {
-            "pagerank": page_rank,
-            "ajaxrank": ajax_rank,
-            "tfidf": tfidf,
-            "proximity": proximity,
-        }
-        results.append(SearchResult(uri, state_id, score, components))
-    results.sort(key=lambda result: (-result.score, result.uri, result.state_id))
-    return results
+        for negated, uri, state_id, page_rank, ajax_rank, tfidf, proximity in best
+    ]
 
 
 class SearchEngine:
@@ -130,40 +152,44 @@ class SearchEngine:
 
     # -- querying ----------------------------------------------------------------
 
-    def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
-        """Boolean retrieval + eq. 5.3 ranking, best first."""
+    def top(self, query: str, k: Optional[int] = None) -> tuple[int, list[SearchResult]]:
+        """Boolean retrieval + eq. 5.3 ranking: the number of matches
+        and the best ``k`` of them (all, when None), best first."""
         with self.recorder.span("query_eval", query=query):
             terms = parse_query(query, self.index.stopwords)
-            partials = self.partial_scores(terms)
             idfs = [self.index.idf(term) for term in terms]
-            results = rank(self.weights, partials, idfs)
+            total, hits = rank(self.weights, self.partial_scores(terms), idfs, k)
             if self.recorder.enabled:
                 self.recorder.emit(
                     QUERY_EVAL,
                     query=query,
                     terms=len(terms),
-                    matches=len(results),
+                    matches=total,
                 )
             trace = current_request_trace()
             if trace is not None:
-                trace.annotate(terms=len(terms), matches=len(results))
-        return results[:limit]
+                trace.annotate(terms=len(terms), matches=total)
+        return total, hits
+
+    def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
+        """The best ``limit`` results of :meth:`top`."""
+        return self.top(query, limit)[1]
 
     def result_count(self, query: str) -> int:
         """Number of boolean matches (used by the recall experiments)."""
-        return len(evaluate(self.index, query))
+        terms = parse_query(query, self.index.stopwords)
+        return sum(1 for _ in self.index.conjunction(terms))
 
     def partial_scores(self, terms: list[str]) -> Iterator[PartialScore]:
         """Boolean retrieval plus the locally computable coefficients
         of every match; :func:`rank` adds idf and the weights."""
-        index = self.index
-        for match in match_terms(index, terms):
-            length = index.state_length(match.uri, match.state_id)
+        page_rank, ajax_rank = self.pageranks.get, self.ajaxranks.get
+        for uri, state_id, length, occurrences in self.index.conjunction(terms):
             yield (
-                match.uri,
-                match.state_id,
-                [p.count / length if length else 0.0 for p in match.postings],
-                self.pageranks.get(match.uri, 0.0),
-                self.ajaxranks.get((match.uri, match.state_id), 0.0),
-                term_proximity([p.positions for p in match.postings]),
+                uri,
+                state_id,
+                [len(positions) / length if length else 0.0 for positions in occurrences],
+                page_rank(uri, 0.0),
+                ajax_rank((uri, state_id), 0.0),
+                term_proximity(occurrences),
             )

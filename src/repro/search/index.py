@@ -22,13 +22,18 @@ import threading
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.model import ApplicationModel
 from repro.obs import INDEX_FLUSH, NULL_RECORDER
 from repro.search.memtable import Memtable
 from repro.search.postings import Posting, merge_conjunction
 from repro.search.ranking import inverse_document_frequency
+
+#: One boolean match as the read path carries it: ``(uri, state_id,
+#: state length, positions of each query term)`` — plain values, so
+#: nothing is constructed for a match the ranking then drops.
+MatchRow = tuple[str, str, int, Sequence[tuple[int, ...]]]
 
 
 class Index(ABC):
@@ -63,9 +68,10 @@ class Index(ABC):
     # -- primitives: reading -----------------------------------------------------
 
     @abstractmethod
-    def conjunction(self, terms: list[str]) -> list[list[Posting]]:
-        """Per-term posting groups of the states containing every term,
-        in canonical (uri, state index) order (Figure 5.2)."""
+    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
+        """One row per state containing every term, in canonical
+        (uri, state index) order (Figure 5.2).  The intersection has
+        run when this returns; the rows are built as they are consumed."""
 
     @abstractmethod
     def postings(self, term: str) -> list[Posting]:
@@ -191,11 +197,23 @@ class InvertedFile(Index):
 
     # -- lookups ------------------------------------------------------------------
 
-    def conjunction(self, terms: list[str]) -> list[list[Posting]]:
+    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
         """Posting-level galloping merge over the index's own lists
         (:func:`~repro.search.postings.merge_conjunction` only reads them)."""
         self.finalize()
-        return merge_conjunction([self._memtable.postings(term) for term in terms])
+        return map(
+            self._match_row,
+            merge_conjunction([self._memtable.postings(term) for term in terms]),
+        )
+
+    def _match_row(self, group: list[Posting]) -> MatchRow:
+        uri, state_id = group[0].uri, group[0].state_id
+        return (
+            uri,
+            state_id,
+            self.state_length(uri, state_id),
+            [posting.positions for posting in group],
+        )
 
     def postings(self, term: str) -> list[Posting]:
         self.finalize()

@@ -1,8 +1,8 @@
 """Query evaluation: simple keywords and conjunctions (§5.3).
 
 Evaluation is boolean: a result is every ``(URI, state)`` containing all
-query terms.  Scoring is delegated to the engine; this module only finds
-and groups the matching postings.
+query terms.  Scoring is delegated to the engine; this module only parses
+queries and presents the matches as objects.
 """
 
 from __future__ import annotations
@@ -34,19 +34,22 @@ def parse_query(query: str, stopwords: Optional[Container[str]] = None) -> list[
     return terms
 
 
-def match_terms(index: Index, terms: list[str]) -> list[Match]:
-    """All states containing every one of ``terms`` (Figure 5.2).
+def evaluate(index: Index, query: str) -> list[Match]:
+    """All states containing every term of ``query`` (Figure 5.2).
 
     The index intersects its own posting lists — galloping over
-    postings in memory, block-max skipping on disk; every backend
-    returns the same groups in canonical order.
+    postings in memory, block-max skipping on disk — and answers in
+    plain rows; the :class:`Match` and :class:`Posting` objects are
+    built here, for the callers that want them.  The engine ranks the
+    rows directly.
     """
     return [
-        Match(uri=group[0].uri, state_id=group[0].state_id, postings=tuple(group))
-        for group in index.conjunction(terms)
+        Match(
+            uri=uri,
+            state_id=state_id,
+            postings=tuple(Posting(uri, state_id, positions) for positions in occurrences),
+        )
+        for uri, state_id, _, occurrences in index.conjunction(
+            parse_query(query, index.stopwords)
+        )
     ]
-
-
-def evaluate(index: Index, query: str) -> list[Match]:
-    """All states containing every term of ``query``."""
-    return match_terms(index, parse_query(query, index.stopwords))

@@ -110,7 +110,7 @@ def term_proximity(position_groups: list[tuple[int, ...]]) -> float:
 
     Single-term queries score 1.0 by definition.
     """
-    if not position_groups or any(not group for group in position_groups):
+    if not position_groups or not all(position_groups):
         return 0.0
     terms = len(position_groups)
     if terms == 1:

@@ -29,17 +29,18 @@ Two invariants make the multi-segment query path exact:
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import threading
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, NULL_RECORDER, SEGMENT_FLUSH
 from repro.obs.reqtrace import current_request_trace
-from repro.search.index import Index
+from repro.search.index import Index, MatchRow
 from repro.search.memtable import Memtable
 from repro.search.postings import Posting, sort_postings
 from repro.search.segments import (
@@ -48,6 +49,7 @@ from repro.search.segments import (
     MergeStats,
     SegmentReader,
     merge_conjunction_blocks,
+    state_sort_key,
     write_segment,
 )
 
@@ -473,29 +475,24 @@ class SegmentedIndex(Index):
 
     # -- query path --------------------------------------------------------------
 
-    def conjunction(self, terms: list[str]) -> list[list[Posting]]:
+    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
         """Intersect the terms' posting lists with block-max skipping.
 
-        Returns one group of per-term postings per matching state, in
-        global canonical order — exactly what
-        :func:`~repro.search.postings.merge_conjunction` yields on the
-        materialized lists.  State co-location lets each segment run its
-        own ordinal-level merge; results concatenate and sort.
+        State co-location lets each segment run its own ordinal-level
+        merge and fill its rows from its own state table; every
+        segment's rows are in canonical order already, so the answer is
+        their lazy k-way merge.
         """
         self.finalize()
         if not terms:
-            return []
+            return iter(())
         stats = MergeStats()
-        groups: list[list[Posting]] = []
+        streams = []
         for reader in self._readers:
             views = [reader.view(term) for term in terms]
             if any(view is None for view in views):
                 continue
-            for ordinal, occurrences in merge_conjunction_blocks(views, stats):
-                groups.append(
-                    [reader.posting(ordinal, positions) for positions in occurrences]
-                )
-        groups.sort(key=lambda group: group[0].sort_key)
+            streams.append(reader.match_rows(*merge_conjunction_blocks(views, stats)))
         self.merge_stats.merge(stats)
         if self.metrics is not None:
             self.metrics.inc("index.blocks_decoded", stats.blocks_decoded)
@@ -508,7 +505,7 @@ class SegmentedIndex(Index):
             trace.add_index_stats(
                 stats.blocks_decoded, stats.blocks_skipped, stats.postings_decoded
             )
-        return groups
+        return heapq.merge(*streams, key=state_sort_key)
 
     # -- introspection -----------------------------------------------------------
 

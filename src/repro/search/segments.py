@@ -59,7 +59,8 @@ FOOTER_MAGIC = b"AJXSEGFT"
 _FOOTER = struct.Struct("<QQQQ8s")
 
 
-def _state_sort_key(row: tuple[str, str, int, int, int]) -> tuple[str, int]:
+def state_sort_key(row: tuple) -> tuple[str, int]:
+    """Canonical (uri, state index) order of any row led by ``(uri, state_id)``."""
     uri, state_id = row[0], row[1]
     return (uri, int(state_id[1:]))
 
@@ -95,7 +96,7 @@ def write_segment(
     path = Path(path)
     if block_size < 1:
         raise SearchError("segment block size must be >= 1")
-    states = sorted(states, key=_state_sort_key)
+    states = sorted(states, key=state_sort_key)
     uris = sorted({row[0] for row in states})
     uri_ids = {uri: index for index, uri in enumerate(uris)}
     ordinals = {(row[0], row[1]): ordinal for ordinal, row in enumerate(states)}
@@ -234,7 +235,7 @@ class BlockCache:
 class _TermMeta:
     """Decoded term-table entry: df plus the per-block skip table."""
 
-    __slots__ = ("df", "offsets", "lengths", "counts", "maxima", "starts")
+    __slots__ = ("df", "offsets", "lengths", "counts", "maxima")
 
     def __init__(self, df: int, offsets, lengths, counts, maxima) -> None:
         self.df = df
@@ -243,13 +244,6 @@ class _TermMeta:
         self.counts = counts
         #: Per-block maximum state ordinal — the skip entries.
         self.maxima = maxima
-        #: Cumulative posting count before each block (global cursors).
-        starts = []
-        total = 0
-        for count in counts:
-            starts.append(total)
-            total += count
-        self.starts = starts
 
 
 class SegmentReader:
@@ -296,6 +290,7 @@ class SegmentReader:
             raw, offset = read_bytes(data, offset)
             uris.append(raw.decode("utf-8"))
         self.uris: tuple[str, ...] = tuple(uris)
+        self._uri_set = frozenset(uris)
 
         count, offset = read_uvarint(data, state_off)
         self._state_uri: list[str] = []
@@ -380,7 +375,7 @@ class SegmentReader:
         return meta.df if meta is not None else 0
 
     def has_uri(self, uri: str) -> bool:
-        return uri in set(self.uris)
+        return uri in self._uri_set
 
     def ordinal(self, uri: str, state_id: str) -> Optional[int]:
         return self._ordinals.get((uri, state_id))
@@ -440,6 +435,17 @@ class SegmentReader:
 
         return self.cache.get(key, loader)
 
+    def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
+        """Lazily, one ``(uri, state_id, length, positions per term)``
+        row per merged ordinal (the two halves of a block merge's
+        answer) — straight from the state table, built as consumed."""
+        return zip(
+            map(self._state_uri.__getitem__, ordinals),
+            map(self._state_id.__getitem__, ordinals),
+            map(self._state_length.__getitem__, ordinals),
+            zip(*columns),
+        )
+
     def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
         """Materialize one posting from its ordinal + decoded positions."""
         return Posting(
@@ -483,15 +489,6 @@ class SegmentPostingView:
     @property
     def num_blocks(self) -> int:
         return len(self.meta.offsets)
-
-    def block_max(self, block: int) -> int:
-        return self.meta.maxima[block]
-
-    def block_start(self, block: int) -> int:
-        return self.meta.starts[block]
-
-    def block_count(self, block: int) -> int:
-        return self.meta.counts[block]
 
     def load(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
         return self.reader.decode_block_at(self.term, block)
@@ -538,9 +535,11 @@ class MergeStats:
 
 
 class _BlockCursor:
-    """One list's position in the merge: ``(block, offset)`` with lazy decode."""
+    """One list's position in the merge: ``(block, offset)`` with lazy
+    decode.  The merge loop reads ``ordinals[offset]`` itself; the
+    methods are the per-block steps."""
 
-    __slots__ = ("view", "stats", "block", "offset", "ordinals", "positions", "exhausted")
+    __slots__ = ("view", "stats", "block", "offset", "ordinals", "positions")
 
     def __init__(self, view: SegmentPostingView, stats: MergeStats) -> None:
         self.view = view
@@ -549,98 +548,103 @@ class _BlockCursor:
         self.offset = 0
         self.ordinals: Optional[list[int]] = None
         self.positions: Optional[list[tuple[int, ...]]] = None
-        self.exhausted = view.num_blocks == 0
 
-    def _ensure(self) -> None:
-        if self.ordinals is None:
-            self.ordinals, self.positions = self.view.load(self.block)
-            self.stats.blocks_decoded += 1
-            self.stats.postings_decoded += len(self.ordinals)
+    def load(self) -> None:
+        """Decode the current block (the caller saw ``ordinals is None``)."""
+        self.ordinals, self.positions = self.view.load(self.block)
+        self.stats.blocks_decoded += 1
+        self.stats.postings_decoded += len(self.ordinals)
 
-    def key(self) -> int:
-        self._ensure()
-        return self.ordinals[self.offset]
+    def enter(self, block: int) -> bool:
+        """Stand at the start of ``block`` without decoding it; False
+        once past the last one."""
+        self.block = block
+        self.offset = 0
+        self.ordinals = self.positions = None
+        return block < self.view.num_blocks
 
-    def posting(self) -> tuple[int, tuple[int, ...]]:
-        self._ensure()
-        return self.ordinals[self.offset], self.positions[self.offset]
-
-    def step(self) -> None:
-        """Advance by one posting; may cross into the next block."""
-        self.offset += 1
-        if self.offset >= self.view.block_count(self.block):
-            self.block += 1
-            self.offset = 0
-            self.ordinals = self.positions = None
-            if self.block >= self.view.num_blocks:
-                self.exhausted = True
-
-    def seek(self, target: int) -> None:
-        """Move to the first posting with ordinal >= ``target``.
+    def seek(self, target: int) -> bool:
+        """Move to the first posting with ordinal >= ``target``; False if
+        there is none.
 
         Whole blocks whose max ordinal is below the target are hopped
         over *without decoding* — the skip-pointer fast path.  Within
         the final candidate block a binary search lands the cursor.
         """
-        while not self.exhausted and self.view.block_max(self.block) < target:
-            if self.ordinals is None:
-                self.stats.blocks_skipped += 1
-            self.block += 1
-            self.offset = 0
-            self.ordinals = self.positions = None
-            if self.block >= self.view.num_blocks:
-                self.exhausted = True
-        if self.exhausted:
-            return
-        self._ensure()
-        self.offset = bisect_left(self.ordinals, target, self.offset)
+        landing = bisect_left(self.view.meta.maxima, target, self.block)
+        if landing != self.block:
+            # Every hopped block but a decoded current one was skipped.
+            self.stats.blocks_skipped += landing - self.block - (self.ordinals is not None)
+            if not self.enter(landing):
+                return False
+        if self.ordinals is None:
+            self.load()
         # block_max >= target guarantees a hit inside this block.
+        self.offset = bisect_left(self.ordinals, target, self.offset)
+        return True
 
 
 def merge_conjunction_blocks(
     views: list[SegmentPostingView],
     stats: Optional[MergeStats] = None,
-) -> list[tuple[int, list[tuple[int, ...]]]]:
+) -> tuple[list[int], list[list[tuple[int, ...]]]]:
     """Intersect posting lists at block granularity within one segment.
 
-    Returns ``(ordinal, [positions per input view])`` for every state
-    ordinal present in *all* views — exactly the groups
+    Returns the ordinals of the states present in *all* views,
+    ascending, and one column per input view holding, parallel to them,
+    that view's positions in each state — exactly the groups
     :func:`~repro.search.postings.merge_conjunction` yields on the
-    materialized lists, but whole blocks that cannot contain the current
-    merge target are skipped using their max-ordinal entries, without
-    decode.  Lists are scanned rarest-first so the most selective term
-    drives the jumps (PR 3's discipline, lifted to block level).
+    materialized lists, kept in flat lists so a match costs no object of
+    its own.  Whole blocks that cannot contain the current merge target
+    are skipped using their max-ordinal entries, without decode.  Lists
+    are scanned rarest-first so the most selective term drives the jumps
+    (PR 3's discipline, lifted to block level).  A single view has
+    nothing to align with: it is copied out block by block.
     """
     if stats is None:
         stats = MergeStats()
+    ordinals: list[int] = []
+    columns: list[list[tuple[int, ...]]] = [[] for _ in views]
     if not views:
-        return []
+        return ordinals, columns
     stats.postings_total += sum(view.df for view in views)
+    if any(view.num_blocks == 0 for view in views):
+        return ordinals, columns
+    if len(views) == 1:
+        (view,), (column,) = views, columns
+        for block in range(view.num_blocks):
+            block_ordinals, block_positions = view.load(block)
+            stats.blocks_decoded += 1
+            stats.postings_decoded += len(block_ordinals)
+            ordinals.extend(block_ordinals)
+            column.extend(block_positions)
+        return ordinals, columns
     cursors = [_BlockCursor(view, stats) for view in views]
-    if any(cursor.exhausted for cursor in cursors):
-        return []
-    n = len(cursors)
-    order = sorted(range(n), key=lambda i: views[i].df)
-    results: list[tuple[int, list[tuple[int, ...]]]] = []
+    lead, *rest = ordered = sorted(cursors, key=lambda cursor: cursor.view.df)
     while True:
-        target = cursors[order[0]].key()
+        if lead.ordinals is None:
+            lead.load()
+        target = lead.ordinals[lead.offset]
         aligned = True
-        for i in order:
-            key = cursors[i].key()
+        for cursor in rest:
+            if cursor.ordinals is None:
+                cursor.load()
+            key = cursor.ordinals[cursor.offset]
             if key != target:
                 aligned = False
                 if key > target:
                     target = key
         if aligned:
-            group = [cursors[i].posting()[1] for i in range(n)]
-            results.append((target, group))
-            for i in range(n):
-                cursors[i].step()
-                if cursors[i].exhausted:
-                    return results
+            ordinals.append(target)
+            more = True
+            for column, cursor in zip(columns, cursors):
+                column.append(cursor.positions[cursor.offset])
+                cursor.offset += 1
+                if cursor.offset == len(cursor.ordinals):
+                    more = cursor.enter(cursor.block + 1) and more
+            if not more:
+                return ordinals, columns
             continue
-        for i in order:
-            if cursors[i].key() < target:
-                cursors[i].seek(target)
-                if cursors[i].exhausted:
-                    return results
+        for cursor in ordered:
+            if cursor.ordinals[cursor.offset] < target and not cursor.seek(target):
+                return ordinals, columns

@@ -235,14 +235,14 @@ class SearchService:
             trace.annotate(cached=False)
         self.inject_latency()
         try:
-            results = self.engine.search(query)
+            total, results = self.engine.top(query, offset + limit)
         except SearchError as exc:
             # "empty query": every token was punctuation — a client
             # error, not a server fault.
             raise BadRequest(str(exc)) from exc
         page = {
             "query": query,
-            "total": len(results),
+            "total": total,
             "offset": offset,
             "limit": limit,
             "results": [
@@ -252,7 +252,7 @@ class SearchService:
                     "score": result.score,
                     "components": result.components,
                 }
-                for result in results[offset : offset + limit]
+                for result in results[offset:]
             ],
         }
         self.cache.put(key, page)

@@ -86,13 +86,13 @@ class TestParity:
     def test_conjunction_skipping_accounted(self, tmp_path):
         models = corpus_texts(pages=8, states=5)
         disk = SegmentedIndex(tmp_path / "idx", block_size=4).build(models)
-        groups = disk.conjunction(["shared", "marker7x4"])
-        assert len(groups) == 1
-        assert groups[0][0].uri == "http://site.test/p7"
+        (row,) = disk.conjunction(["shared", "marker7x4"])
+        # One plain row: uri, state, token count, positions per term.
+        assert row == ("http://site.test/p7", "s4", 6, ((0,), (3,)))
         stats = disk.merge_stats
         assert stats.blocks_skipped > 0
         assert stats.postings_decoded < stats.postings_total
-        assert disk.conjunction([]) == []
+        assert list(disk.conjunction([])) == []
         disk.close()
 
 

@@ -100,11 +100,11 @@ class TestRoundTrip:
         assert view.num_blocks == 3  # 5 postings at block_size=2
         # Per-block maxima are the skip entries: strictly increasing and
         # the last one is the final posting's ordinal.
-        maxima = [view.block_max(b) for b in range(view.num_blocks)]
+        maxima = view.meta.maxima
+        assert len(maxima) == view.num_blocks
         assert maxima == sorted(maxima)
         assert maxima[-1] == reader.ordinal("u2", "s2")
-        assert [view.block_count(b) for b in range(view.num_blocks)] == [2, 2, 1]
-        assert [view.block_start(b) for b in range(view.num_blocks)] == [0, 2, 4]
+        assert view.meta.counts == [2, 2, 1]
 
     def test_count_at_decodes_one_block(self, segment):
         reader, _, _, _ = segment
@@ -173,9 +173,10 @@ class TestBlockSkippingMerge:
         return [reader.view(term) for term in terms]
 
     def _as_groups(self, reader, merged):
+        ordinals, columns = merged
         return [
             [reader.posting(ordinal, positions) for positions in occurrences]
-            for ordinal, occurrences in merged
+            for ordinal, occurrences in zip(ordinals, zip(*columns))
         ]
 
     def test_parity_with_materialized_merge(self, segment):
@@ -201,7 +202,7 @@ class TestBlockSkippingMerge:
             merged = merge_conjunction_blocks(
                 [reader.view("every"), reader.view("needle")], stats
             )
-            assert [ordinal for ordinal, _ in merged] == [399]
+            assert merged == ([399], [[(0,)], [(1,)]])
             assert stats.postings_total == 401
             # "every" has 25 blocks; the merge decodes its first (the
             # initial probe) and its last (the hit) and hops the 23 in
@@ -214,7 +215,7 @@ class TestBlockSkippingMerge:
 
     def test_empty_inputs(self, segment):
         reader, _, _, _ = segment
-        assert merge_conjunction_blocks([]) == []
+        assert merge_conjunction_blocks([]) == ([], [])
         stats = MergeStats()
         other = MergeStats()
         other.blocks_decoded = 3

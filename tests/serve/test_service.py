@@ -96,6 +96,30 @@ class TestPagination:
         assert page["total"] == 3
         assert page["results"] == []
 
+    def test_pages_are_slices_of_the_full_ranking(self, fake_clock):
+        """The service asks the engine for ``offset + limit`` results
+        only; ``total`` and every page must be what slicing the whole
+        ranking gave."""
+        deep = SearchEngine.build(
+            [
+                pagination_model(f"url{page}", [f"word filler{state}" for state in range(9)])
+                for page in range(5)
+            ]
+        )
+        service = SearchService(deep, ServeConfig(cache_entries=0), clock=fake_clock)
+        full = [
+            {"uri": r.uri, "state": r.state_id, "score": r.score, "components": r.components}
+            for r in deep.search("word")
+        ]
+        assert len(full) == deep.result_count("word") == 45
+        for limit in (1, 7, 50):
+            for offset in (0, 3, 44, 45, 60):
+                page = service.search(
+                    {"q": "word", "limit": str(limit), "offset": str(offset)}
+                )
+                assert page["total"] == 45, (limit, offset)
+                assert page["results"] == full[offset : offset + limit], (limit, offset)
+
     def test_results_carry_score_components(self, service):
         page = service.search({"q": "morcheeba"})
         top = page["results"][0]
@@ -322,7 +346,7 @@ def test_unexpected_engine_failure_counts_as_500(models, fake_clock):
     """A non-ServeError escaping the handler body is booked as 500."""
 
     class ExplodingEngine(SearchEngine):
-        def search(self, query, limit=None):
+        def top(self, query, k=None):
             raise RuntimeError("boom")
 
     engine = ExplodingEngine(InvertedFile().build(models))

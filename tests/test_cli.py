@@ -70,6 +70,28 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "result(s) for 'wow'" in out
 
+    def test_search_prints_the_page_and_the_total(self, pipeline, capsys):
+        index = str(pipeline["index"])
+        assert main(["search", "--index", index, "--query", "wow", "--limit", "99"]) == 0
+        everything = capsys.readouterr().out.splitlines()
+        total = len(everything) - 1
+        assert total > 10
+        assert everything[0] == f"top {total} of {total} result(s) for 'wow':"
+        assert main(["search", "--index", index, "--query", "wow"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"top 10 of {total} result(s) for 'wow':", *everything[1:11]
+        ]
+        assert main(["search", "--index", index, "--query", "wow", "--limit", "1"]) == 0
+        page = capsys.readouterr().out.splitlines()
+        assert page == [f"top 1 of {total} result(s) for 'wow':", everything[1]]
+
+    def test_search_rejects_a_negative_limit(self, pipeline, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "--index", str(pipeline["index"]), "--query", "wow",
+                  "--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "limit must be >= 0" in capsys.readouterr().err
+
     def test_search_with_pagerank(self, pipeline, capsys):
         assert main([
             "search",
