@@ -9,7 +9,7 @@ export PYTHONPATH
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
 	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup \
-	bench-e2e-smoke bench-testgen
+	bench-e2e-smoke bench-testgen bench-ab
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
 	trace-verify profile-smoke testgen-smoke serve-smoke obs-live-smoke
@@ -83,6 +83,17 @@ bench-smoke:
 # scale, with its oracles (the timed runs are `benchmarks/e2e/run.py`).
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# Parent-vs-change protocol for a performance claim: N alternating
+# pairs of one benchmarks/e2e workload, medians, quartiles and wins per
+# metric, every run listed.  A and B are git refs or directories, e.g.
+# `make bench-ab A=HEAD B=. W=tube_crawl`.
+A ?= HEAD~1
+B ?= HEAD
+W ?= tube_crawl
+PAIRS ?= 10
+bench-ab:
+	$(PYTHON) tools/ab_bench.py $(A) $(B) --workload $(W) --pairs $(PAIRS)
 
 # Segmented-index gate: mints a 100k-state corpus (REPRO_BENCH_INDEX_STATES
 # scales it), builds both index backends and enforces the >=5x on-disk

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.dom import Element, Text, inner_html, parse_fragment
+from repro.dom import Element, Text, inner_html
 from repro.errors import JsTypeError
 from repro.js.values import HostObject, NativeFunction, UNDEFINED, to_string
 
@@ -66,8 +66,9 @@ class ElementHost(HostObject):
     def js_set(self, name: str, value: Any) -> None:
         element = self.element
         if name == "innerHTML":
-            element.replace_children(parse_fragment(to_string(value)))
-            self.page.note_dom_mutation(parse_bytes=len(to_string(value)))
+            markup = to_string(value)
+            element.replace_children(self.page.fragment(markup))
+            self.page.note_dom_mutation(parse_bytes=len(markup))
             return
         if name == "textContent":
             element.replace_children([Text(to_string(value))])

@@ -16,7 +16,7 @@ number of interpreter steps; DOM re-parses charge parse time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.browser.bindings import DocumentHost, ElementHost, WindowHost
 from repro.browser.events import (
@@ -31,8 +31,9 @@ from repro.dom import (
     DomHashes,
     Element,
     HashStats,
+    Node,
     hash_tree,
-    parse_document,
+    parse_fragment,
     serialize,
 )
 from repro.errors import BrowserError, JavascriptError
@@ -52,10 +53,10 @@ class PageSnapshot:
     html: str
     globals_snapshot: dict[str, Any]
     hash: str
-    #: Lazily parsed master tree (with warm Merkle hash caches) that
+    #: A copy of the live tree (with warm Merkle hash caches) that
     #: :meth:`Page.restore` clones instead of re-parsing ``html`` on
-    #: every rollback.  Populated on first restore; never mutated.
-    master: Optional[Document] = None
+    #: every rollback.  Never attached to a page, never mutated.
+    master: Document
 
 
 class Page:
@@ -82,7 +83,11 @@ class Page:
         self.hash_stats = HashStats()
         self.document_host = DocumentHost(self)
         self.window_host = WindowHost(self)
-        self._element_hosts: dict[int, ElementHost] = {}
+        self._element_hosts: dict[Element, ElementHost] = {}
+        #: ``innerHTML`` markup -> its parsed nodes.  The memoised nodes
+        #: are never attached or hashed; :meth:`fragment` hands out
+        #: clones.  Lives and dies with the page, so it needs no bound.
+        self._fragments: dict[str, list[Node]] = {}
         self._dirty = False
         #: JavaScript errors swallowed while loading page scripts.
         self.script_errors: list[JavascriptError] = []
@@ -93,11 +98,17 @@ class Page:
 
     def wrap_element(self, element: Element) -> ElementHost:
         """The (cached) host wrapper for a DOM element."""
-        host = self._element_hosts.get(id(element))
-        if host is None or host.element is not element:
-            host = ElementHost(element, self)
-            self._element_hosts[id(element)] = host
+        host = self._element_hosts.get(element)
+        if host is None:
+            host = self._element_hosts[element] = ElementHost(element, self)
         return host
+
+    def fragment(self, markup: str) -> list[Node]:
+        """Fresh detached nodes for ``markup``, parsed once per page."""
+        nodes = self._fragments.get(markup)
+        if nodes is None:
+            nodes = self._fragments[markup] = parse_fragment(markup)
+        return [node.clone() for node in nodes]
 
     def note_dom_mutation(self, parse_bytes: int = 0) -> None:
         """Called by bindings whenever a script mutates the DOM."""
@@ -219,10 +230,13 @@ class Page:
 
     def snapshot(self) -> PageSnapshot:
         """Capture DOM and script globals for a later :meth:`restore`."""
+        # Hash first: the master is cloned with the caches that pass warmed.
+        digest = self.content_hash()
         return PageSnapshot(
             html=serialize(self.document),
             globals_snapshot=dict(self.interpreter.global_env.bindings),
-            hash=self.content_hash(),
+            hash=digest,
+            master=self.document.clone(),
         )
 
     def restore(self, snapshot: PageSnapshot) -> None:
@@ -234,13 +248,7 @@ class Page:
         caches so the post-rollback base hashes are cache reads instead
         of full re-hashes.
         """
-        master = snapshot.master
-        if master is None:
-            master = parse_document(snapshot.html, url=self.url)
-            # Warm the caches once; every later restore clones them.
-            hash_tree(master, stats=self.hash_stats)
-            snapshot.master = master
-        self.document = master.clone()
+        self.document = snapshot.master.clone()
         self.clock.advance(
             self.cost_model.html_parse_ms(len(snapshot.html)), PARSE_ACCOUNT
         )

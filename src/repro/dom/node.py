@@ -23,7 +23,13 @@ RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 
 
 class Node:
-    """Base class of every node in the tree."""
+    """Base class of every node in the tree.
+
+    Nodes are slotted: a crawl holds hundreds of thousands of them, and
+    :meth:`clone` copies them field by field.
+    """
+
+    __slots__ = ("parent",)
 
     def __init__(self) -> None:
         self.parent: Optional[Element] = None
@@ -48,6 +54,12 @@ class Node:
         if self.parent is not None:
             self.parent.remove_child(self)
 
+    def clone(self):
+        """A detached deep copy of the subtree, carrying over clean
+        hash caches (used to restore page snapshots without losing the
+        Merkle digests of unchanged regions)."""
+        return self._copy(None)
+
     @property
     def owner_document(self) -> Optional["Document"]:
         """The :class:`Document` this node ultimately hangs off, if any."""
@@ -61,6 +73,8 @@ class Node:
 
 class Text(Node):
     """A run of character data."""
+
+    __slots__ = ("_data", "_hash_bytes")
 
     def __init__(self, data: str) -> None:
         super().__init__()
@@ -78,9 +92,10 @@ class Text(Node):
         self._hash_bytes = None
         self._invalidate_ancestors()
 
-    def clone(self) -> "Text":
-        """A detached copy, carrying over the clean hash cache."""
-        copy = Text(self._data)
+    def _copy(self, parent: Optional["Element"]) -> "Text":
+        copy = Text.__new__(Text)
+        copy.parent = parent
+        copy._data = self._data
         copy._hash_bytes = self._hash_bytes
         return copy
 
@@ -91,6 +106,11 @@ class Text(Node):
 
 class Element(Node):
     """An element node: tag name, attributes and ordered children."""
+
+    __slots__ = (
+        "tag", "attrs", "children", "_document",
+        "_canon_bytes", "_canon_digest", "_region_items", "_node_count", "_open_bytes",
+    )
 
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None) -> None:
         super().__init__()
@@ -119,22 +139,20 @@ class Element(Node):
         self._node_count = None
         self._invalidate_ancestors()
 
-    def clone(self) -> "Element":
-        """A detached deep copy of the subtree, carrying over clean
-        hash caches (used to restore page snapshots without losing the
-        Merkle digests of unchanged regions)."""
-        copy = Element(self.tag)
-        copy.attrs = dict(self.attrs)
+    def _copy(self, parent: Optional["Element"]) -> "Element":
+        # Allocated and filled field by field: no constructor re-derives
+        # (tag.lower(), dict(attrs)) what the original already holds.
+        copy = Element.__new__(Element)
+        copy.parent = parent
+        copy.tag = self.tag
+        copy.attrs = self.attrs.copy()
+        copy._document = None
         copy._canon_bytes = self._canon_bytes
         copy._canon_digest = self._canon_digest
         copy._region_items = self._region_items
         copy._node_count = self._node_count
         copy._open_bytes = self._open_bytes
-        append = copy.children.append
-        for child in self.children:
-            twin = child.clone()
-            twin.parent = copy
-            append(twin)
+        copy.children = [child._copy(copy) for child in self.children]
         return copy
 
     # -- tree manipulation -------------------------------------------------
@@ -175,10 +193,17 @@ class Element(Node):
 
     def replace_children(self, new_children: list[Node]) -> None:
         """Atomically replace all children (used by ``innerHTML`` set)."""
-        for child in list(self.children):
-            self.remove_child(child)
+        old, self.children = self.children, []
+        for child in old:
+            child.parent = None
         for child in new_children:
-            self.append_child(child)
+            if child is self:
+                raise DomError("an element cannot be its own child")
+            child.detach()
+            child.parent = self
+            self.children.append(child)
+        if old or new_children:
+            self._invalidate()
 
     # -- attributes ---------------------------------------------------------
 

@@ -28,6 +28,12 @@ from repro.dom.node import (
 
 _ENTITY_RE = re.compile(r"&(#x?[0-9a-fA-F]+|[a-zA-Z]+);")
 
+#: Where the body of a raw-text element ends: its close tag, in any case
+#: (ASCII folding only, as ``str.lower`` on the tag name gave).
+_RAW_TEXT_CLOSE = {
+    name: re.compile(f"</{name}", re.IGNORECASE | re.ASCII) for name in RAW_TEXT_ELEMENTS
+}
+
 _NAMED_ENTITIES = {
     "amp": "&",
     "lt": "<",
@@ -156,18 +162,16 @@ class HtmlParser:
         if tag.self_closing or tag.name in VOID_ELEMENTS:
             return tag.end
         if tag.name in RAW_TEXT_ELEMENTS:
-            close = f"</{tag.name}"
-            end = html.lower().find(close, tag.end)
-            if end == -1:
+            close = _RAW_TEXT_CLOSE[tag.name].search(html, tag.end)
+            if close is None:
                 if self.strict:
                     raise HtmlParseError(f"unterminated <{tag.name}> element")
-                end = len(html)
-                raw = html[tag.end:end]
-                close_end = end
+                end = close_end = len(html)
             else:
-                raw = html[tag.end:end]
+                end = close.start()
                 close_end = html.find(">", end)
                 close_end = len(html) if close_end == -1 else close_end + 1
+            raw = html[tag.end:end]
             if raw:
                 element.append_child(Text(raw))
             return close_end

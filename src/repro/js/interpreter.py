@@ -87,6 +87,8 @@ class Interpreter:
         self.steps = 0
         self._debugger: Optional[Debugger] = None
         self._current_line = 0
+        #: Source -> parsed program; lives and dies with the interpreter.
+        self._programs: dict[str, ast.Program] = {}
         self._install_builtins()
 
     # -- public API -------------------------------------------------------------
@@ -100,8 +102,15 @@ class Interpreter:
         return self._debugger
 
     def run(self, source: str) -> Any:
-        """Parse and execute ``source``; returns the last statement's value."""
-        program = parse_program(source)
+        """Parse and execute ``source``; returns the last statement's value.
+
+        A source is parsed once per interpreter (handlers are dispatched
+        over and over); a source that fails to parse is not remembered
+        and raises again on every run.
+        """
+        program = self._programs.get(source)
+        if program is None:
+            program = self._programs[source] = parse_program(source)
         return self.execute_program(program)
 
     def eval_expression(self, source: str) -> Any:

@@ -49,8 +49,10 @@ class Parser:
     # -- token helpers --------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``pos`` never passes the EOF token; only a look-ahead can.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]

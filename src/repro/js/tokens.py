@@ -89,9 +89,14 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
-    """One lexical token with its source position (1-based)."""
+    """One lexical token with its source position (1-based).
+
+    Slotted and not frozen: the lexer builds one per token, and a frozen
+    dataclass pays ``object.__setattr__`` per field (3x the constructor).
+    Nothing mutates a token.
+    """
 
     type: TokenType
     value: str

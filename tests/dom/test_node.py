@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.dom import Document, Element, Text
+from repro.dom import (
+    Document,
+    Element,
+    Text,
+    hash_tree,
+    reference_region_hashes,
+    reference_state_hash,
+)
 from repro.errors import DomError
 
 
@@ -70,6 +77,58 @@ class TestTreeManipulation:
         parent.replace_children(fresh)
         assert parent.children == fresh
         assert all(child.parent is parent for child in fresh)
+
+    def test_replace_children_detaches_every_old_child(self):
+        parent = Element("div")
+        old = [parent.append_child(Element("p")) for _ in range(5)]
+        kept = old[2]
+        parent.replace_children([kept, Text("t")])
+        assert [child.parent for child in old] == [None, None, parent, None, None]
+        assert parent.children[0] is kept
+
+    def test_replace_children_takes_nodes_from_another_parent(self):
+        donor = Element("div")
+        moved = donor.append_child(Element("span"))
+        parent = Element("div")
+        parent.replace_children([moved])
+        assert donor.children == []
+        assert moved.parent is parent
+
+    def test_replace_children_hashes_like_remove_and_append(self):
+        def tree():
+            root = Element("div", {"id": "root"})
+            box = root.append_child(Element("div", {"id": "box"}))
+            for index in range(4):
+                box.append_child(Element("p", {"id": f"p{index}"})).append_child(Text(str(index)))
+            return root, box
+
+        def fresh():
+            return [Element("em", {"id": "e"}), Text("tail")]
+
+        one, one_box = tree()
+        two, two_box = tree()
+        hash_tree(one), hash_tree(two)  # both clean, so the mutation must dirty them
+        one_box.replace_children(fresh())
+        for child in list(two_box.children):
+            two_box.remove_child(child)
+        for child in fresh():
+            two_box.append_child(child)
+        first, second = hash_tree(one), hash_tree(two)
+        assert first.state == second.state == reference_state_hash(one)
+        assert (first.nodes_hashed, first.nodes_skipped) == (
+            second.nodes_hashed,
+            second.nodes_skipped,
+        )
+        assert hash_tree(one).regions == reference_region_hashes(one)
+
+    def test_replace_children_dirties_a_clean_tree_once_emptied(self):
+        root = Element("div")
+        box = root.append_child(Element("div", {"id": "box"}))
+        box.append_child(Text("x"))
+        before = hash_tree(root).state
+        box.replace_children([])
+        assert hash_tree(root).state != before
+        assert hash_tree(root).state == reference_state_hash(root)
 
     def test_detach(self):
         parent = Element("div")
@@ -190,3 +249,37 @@ class TestDocument:
     def test_get_elements_by_tag_includes_root(self):
         doc, _ = make_doc()
         assert doc.get_elements_by_tag("html") == [doc.root]
+
+
+class TestClone:
+    def test_clone_is_a_detached_deep_copy_with_its_own_parents(self):
+        doc, body = make_doc()
+        box = body.append_child(Element("DIV", {"id": "box", "class": "c"}))
+        box.append_child(Text("hello "))
+        box.append_child(Element("b")).append_child(Text("world"))
+        twin = box.clone()
+        assert twin.parent is None and twin.owner_document is None
+        assert (twin.tag, twin.attrs) == ("div", {"id": "box", "class": "c"})
+        assert twin.attrs is not box.attrs
+        originals = {id(node) for node in box.iter_descendants()}
+        for parent in [twin, *twin.iter_elements()]:
+            for child in parent.children:
+                assert child.parent is parent
+                assert id(child) not in originals
+        twin.children[1].children[0].data = "there"
+        twin.set_attribute("class", "d")
+        assert box.text_content == "hello world"
+        assert box.get_attribute("class") == "c"
+
+    def test_document_clone_owns_its_root(self):
+        doc, body = make_doc()
+        twin = doc.clone()
+        assert twin.url == doc.url
+        assert twin.root is not doc.root
+        assert twin.body.owner_document is twin
+        assert body.owner_document is doc
+
+    @pytest.mark.parametrize("node", [Element("div"), Text("t"), Element("p").clone()])
+    def test_nodes_are_slotted(self, node):
+        with pytest.raises(AttributeError):
+            node.note = "ad hoc"

@@ -98,6 +98,35 @@ class TestScriptElements:
         (node,) = parse_fragment("<style>a > b { color: red; }</style>")
         assert node.children[0].data == "a > b { color: red; }"
 
+    @pytest.mark.parametrize(
+        "markup, body, after",
+        [
+            ("<script>a</script><p>x</p>", "a", "x"),
+            ("<SCRIPT>a</SCRIPT><p>x</p>", "a", "x"),
+            ("<script>a</ScRiPt ><p>x</p>", "a", "x"),
+            ("<style>a</STYLE><p>x</p>", "a", "x"),
+            ("<script>a</style></script><p>x</p>", "a</style>", "x"),
+            # Only the tag's own close ends the body; an earlier one does not count.
+            ("</script><script>a</script><p>x</p>", "a", "x"),
+            ("<script>a<p>x</p>", "a<p>x</p>", None),
+            ("<script>a</script", "a", None),
+            # ſ (U+017F) upper-cases to S but is not an ASCII s: no close tag.
+            ("<script>a</ſcript><p>x</p>", "a</ſcript><p>x</p>", None),
+        ],
+    )
+    def test_raw_text_ends_at_its_close_tag_in_any_case(self, markup, body, after):
+        nodes = parse_fragment(markup)
+        assert nodes[0].children[0].data == body
+        assert [node.text_content for node in nodes[1:]] == ([after] if after else [])
+
+    def test_raw_text_body_after_a_character_whose_lowercase_is_longer(self):
+        # "İ".lower() is two characters, which shifted every index found in
+        # the lower-cased copy of the document the close tag used to be
+        # searched in.
+        script, paragraph = parse_fragment("<script>var s = 'İİİ';</script><p>x</p>")
+        assert script.children[0].data == "var s = 'İİİ';"
+        assert paragraph.text_content == "x"
+
 
 class TestLenientRecovery:
     def test_unclosed_element_tolerated(self):

@@ -54,6 +54,25 @@ class TestStrings:
     def test_hex_escape(self):
         assert kinds(r'"\x41"') == [(TokenType.STRING, "A")]
 
+    @pytest.mark.parametrize(
+        "source, message, column",
+        [
+            ('"\\u12"', "bad unicode escape", 4),
+            ('"\\u12" + x', "bad unicode escape", 4),
+            ('"\\uZZZZ"', "bad unicode escape", 4),
+            ('"\\u 12 "', "bad unicode escape", 4),
+            ('"a\\x4"', "bad hex escape", 5),
+            ('"\\xZZ"', "bad hex escape", 4),
+            ('"\\x', "bad hex escape", 4),
+        ],
+    )
+    def test_malformed_hex_escapes_are_syntax_errors(self, source, message, column):
+        # Digits int() would not take used to escape as ValueError, and
+        # blanks or underscores it tolerates were decoded.
+        with pytest.raises(JsSyntaxError) as raised:
+            tokenize(source)
+        assert str(raised.value) == f"{message} (line 1, column {column})"
+
     def test_unterminated(self):
         with pytest.raises(JsSyntaxError):
             tokenize('"never ends')
@@ -116,6 +135,11 @@ class TestPositions:
         tokens = tokenize("a\n  b")
         assert (tokens[0].line, tokens[0].column) == (1, 1)
         assert (tokens[1].line, tokens[1].column) == (2, 3)
+
+    def test_tokens_are_slotted(self):
+        (token, _) = tokenize("a")
+        with pytest.raises(AttributeError):
+            token.note = "ad hoc"
 
     def test_eof_token_present(self):
         tokens = tokenize("")

@@ -1,0 +1,44 @@
+"""Smoke test of ``tools/ab_bench.py``: one ref against itself."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_ab_bench_of_a_ref_against_itself():
+    head = subprocess.run(
+        ["git", "rev-parse", "--verify", "HEAD"], cwd=REPO, capture_output=True, text=True
+    )
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    done = subprocess.run(
+        [
+            sys.executable, "tools/ab_bench.py", "HEAD", "HEAD",
+            "--workload", "deep_crawl", "--pairs", "2", "--seed", "3",
+            "--", "--scale", "smoke", "--seconds", "0.2",
+        ],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    # Sides alternate: A first in the first pair, B first in the second.
+    assert [line.split()[3] for line in done.stderr.splitlines()] == ["A", "B", "B", "A"]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "deep_crawl, seed 3, 2 pair(s): A = HEAD, B = HEAD"
+    metrics = [
+        metric["name"]
+        for metric in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    ]
+    table = {line.split()[0]: line.split() for line in lines[2 : 2 + len(metrics)]}
+    assert list(table) == metrics
+    # The same code on both sides does the same counted work: all ties, no wins.
+    assert table["work_cost"][-2:] == ["0/2", "2"]
+    for name in metrics:
+        for side in "AB":
+            (listed,) = [line for line in lines if line.startswith(f"  {name} {side}: ")]
+            assert len(listed.split(": ")[1].split(", ")) == 2
+    assert [line.split(" of ")[0] for line in lines[-2:]] == ["  A: 0 failed", "  B: 0 failed"]
