@@ -9,7 +9,7 @@ export PYTHONPATH
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
 	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup \
-	bench-e2e-smoke bench-testgen bench-ab
+	bench-e2e-smoke bench-testgen bench-ab loc
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
 	trace-verify profile-smoke testgen-smoke serve-smoke obs-live-smoke
@@ -118,3 +118,7 @@ bench-testgen:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# Lines of Python under src/ — the number ROADMAP item 3 tracks.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -10,8 +10,8 @@ partition list is crawled with 1, 2 and 4 worker threads and the
 speedup is asserted against a loose floor.
 
 Also recorded: backend parity of the merged report across the sweep
-(every worker count must produce the identical crawl), and the
-work-stealing counters.  Results go to
+(every worker count must produce the identical crawl), and each
+worker's busy time.  Results go to
 ``benchmarks/results/BENCH_parallel.json``.
 """
 
@@ -87,8 +87,7 @@ def parallel_study() -> dict:
                 "wall_s": round(wall_s, 4),
                 "pages": run.total_pages,
                 "pages_per_s": round(run.total_pages / wall_s, 2),
-                "partitions_stolen": run.partitions_stolen,
-                "worker_busy_s": [round(ms / 1000.0, 4) for ms in run.worker_wall_ms],
+                "worker_busy_s": [round(ms / 1000.0, 4) for ms in run.line_finish_ms],
             }
         )
 
@@ -119,8 +118,7 @@ def test_parallel_benchmark(benchmark):
     for entry in report["sweep"]:
         print(
             f"\n[parallel] {entry['workers']} worker(s): "
-            f"{entry['wall_s']:.2f}s wall, {entry['pages_per_s']:.1f} pages/s, "
-            f"{entry['partitions_stolen']} stolen"
+            f"{entry['wall_s']:.2f}s wall, {entry['pages_per_s']:.1f} pages/s"
         )
     print(
         f"[parallel] speedup: {report['speedup']['2_workers']:.2f}x at 2, "

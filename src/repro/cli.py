@@ -54,7 +54,6 @@ from repro.parallel import (
     MPAjaxCrawler,
     Precrawler,
     PrecrawlResult,
-    SimpleAjaxCrawler,
     URLPartitioner,
     load_models,
     save_models,
@@ -131,96 +130,67 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     elif want_spans:
         # Profiling without a trace file keeps events in memory.
         recorder = Recorder(spans=True)
-    total_pages = total_states = total_failed = 0
-    total_ms = 0.0
-    failures = []
     profile_events = None
     metrics = MetricsRegistry() if (args.metrics or args.profile) else None
+    directories = URLPartitioner.list_partitions(args.root)
+    partitions = [URLPartitioner.read(d) for d in directories]
+    partition_recorders: dict[int, Recorder] = {}
+
+    def recorder_factory(partition: int) -> Recorder:
+        if args.backend == "simulated":
+            # Partitions run one after the other: all of them stream
+            # through the one recorder.
+            return recorder
+        # Each concurrent partition records into its own memory buffer;
+        # the buffers merge into one canonical stream afterwards, so the
+        # written trace is deterministic however the threads interleaved.
+        rec = Recorder(spans=want_spans)
+        partition_recorders[partition] = rec
+        return rec
+
+    controller = MPAjaxCrawler(
+        server,
+        num_proc_lines=args.workers,
+        config=config,
+        traditional=args.traditional,
+        recorder_factory=recorder_factory if recorder.enabled else None,
+    )
     # The sink must be flushed/closed even when a partition crawl
     # raises mid-run — a truncated-but-flushed trace is still
     # diagnosable, a stranded buffer is not.
     try:
-        if args.backend == "threads":
-            # Real-concurrency path: every partition crawled by a fresh
-            # worker on the thread backend; models persisted per
-            # directory afterwards from the per-partition results.
-            directories = URLPartitioner.list_partitions(args.root)
-            partitions = [URLPartitioner.read(d) for d in directories]
-            partition_recorders: dict[int, Recorder] = {}
-
-            def recorder_factory(partition: int) -> Recorder:
-                # Each partition records into its own memory buffer; the
-                # buffers merge into one canonical stream afterwards, so
-                # the written trace is deterministic however the threads
-                # interleaved.
-                rec = Recorder(spans=want_spans)
-                partition_recorders[partition] = rec
-                return rec
-
-            controller = MPAjaxCrawler(
-                server,
-                num_proc_lines=args.workers,
-                config=config,
-                traditional=args.traditional,
-                recorder_factory=(
-                    recorder_factory if (sink is not None or want_spans) else None
-                ),
+        run = controller.run(partitions, backend=args.backend)
+        if partition_recorders:
+            profile_events = merge_partition_traces(
+                {p: r.events for p, r in partition_recorders.items()}
             )
-            run = controller.run(partitions, backend="threads")
-            for index, directory in enumerate(directories, start=1):
-                save_models(run.partition_results[index].models, directory)
-            if partition_recorders:
-                profile_events = merge_partition_traces(
-                    {p: r.events for p, r in partition_recorders.items()}
-                )
-                if sink is not None:
-                    for event in profile_events:
-                        sink.write(event)
-            for summary in run.summaries:
-                total_pages += summary.num_pages
-                total_states += summary.total_states
-                total_failed += summary.failed_pages
-                total_ms += summary.crawl_time_ms
-                print(
-                    f"partition {summary.partition}: {summary.num_pages} pages, "
-                    f"{summary.total_states} states, {summary.crawl_time_ms / 1000:.1f}s virtual"
-                    + (f", {summary.failed_pages} failed" if summary.failed_pages else "")
-                )
-            failures.extend(run.result.failures)
-            if metrics is not None:
-                metrics.merge(run.stats.registry)
-                metrics.merge(run.result.report.registry)
-            print(
-                f"threads backend: {args.workers} workers, "
-                f"{run.wall_time_ms / 1000:.2f}s wall, "
-                f"{run.partitions_stolen} partition(s) stolen"
-            )
-        else:
-            worker = SimpleAjaxCrawler(
-                server, config, traditional=args.traditional, recorder=recorder
-            )
-            for directory in URLPartitioner.list_partitions(args.root):
-                result, summary = worker.crawl_partition_dir(directory)
-                if metrics is not None:
-                    metrics.merge(summary.network.registry)
-                    metrics.merge(result.report.registry)
-                total_pages += summary.num_pages
-                total_states += summary.total_states
-                total_failed += summary.failed_pages
-                total_ms += summary.crawl_time_ms
-                failures.extend(result.failures)
-                print(
-                    f"partition {summary.partition}: {summary.num_pages} pages, "
-                    f"{summary.total_states} states, {summary.crawl_time_ms / 1000:.1f}s virtual"
-                    + (f", {summary.failed_pages} failed" if summary.failed_pages else "")
-                )
+            if sink is not None:
+                for event in profile_events:
+                    sink.write(event)
     finally:
         if sink is not None:
             sink.close()
+    for directory, summary in zip(directories, run.summaries):
+        save_models(run.partition_results[summary.partition].models, directory)
+        print(
+            f"partition {summary.partition}: {summary.num_pages} pages, "
+            f"{summary.total_states} states, {summary.crawl_time_ms / 1000:.1f}s virtual"
+            + (f", {summary.failed_pages} failed" if summary.failed_pages else "")
+        )
+    if metrics is not None:
+        metrics.merge(run.stats.registry)
+        metrics.merge(run.result.report.registry)
+    if args.backend == "threads":
+        print(
+            f"threads backend: {args.workers} workers, "
+            f"{run.wall_time_ms / 1000:.2f}s wall"
+        )
     mode = "traditional" if args.traditional else "AJAX"
-    print(f"{mode} crawl done: {total_pages} pages, {total_states} states, "
+    report = run.result.report
+    total_ms = sum(summary.crawl_time_ms for summary in run.summaries)
+    print(f"{mode} crawl done: {report.num_pages} pages, {report.total_states} states, "
           f"{total_ms / 1000:.1f}s virtual total")
-    for failure in failures:
+    for failure in run.result.failures:
         # RetriesExhausted messages already carry the attempt count.
         suffix = "" if "attempt(s)" in failure.error else (
             f" after {failure.attempts} attempt(s)"

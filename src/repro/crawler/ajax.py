@@ -36,8 +36,6 @@ from repro.net import NETWORK_ACCOUNT
 from repro.net.server import SimulatedServer
 from repro.obs import (
     EVENT_FIRED,
-    HASH_FULL,
-    HASH_INCREMENTAL,
     NULL_RECORDER,
     STATE_CAPPED,
     STATE_COLLAPSED,
@@ -99,7 +97,7 @@ class AjaxCrawler(Crawler):
         # One combined pass hashes the loaded DOM and warms the subtree
         # caches, so _add_state and snapshot() below are cache reads
         # instead of further full walks.
-        initial_hash, _ = self._identify(page, self._hash_pass(url, page), collapser)
+        initial_hash, _ = self._identify(page, page.hash_state(), collapser)
         initial, _ = self._add_state(model, page, 0, initial_hash)
         if self.recorder.enabled:
             self.recorder.emit(
@@ -125,7 +123,7 @@ class AjaxCrawler(Crawler):
             page.restore(base_snapshot)
             # The restored clone carries the snapshot master's warm
             # caches: this pass is close to a pure cache read.
-            base_regions = self._hash_pass(url, page, state_id).regions
+            base_regions = page.hash_state().regions
             for binding in self._enumerate_events(page):
                 if events_invoked >= self.config.max_event_invocations:
                     frontier.clear()
@@ -180,7 +178,7 @@ class AjaxCrawler(Crawler):
                         # The one combined hash call per event: state hash
                         # and region map from a single pass that re-hashes
                         # only the subtrees the event dirtied.
-                        event_pass = self._hash_pass(url, page, state_id)
+                        event_pass = page.hash_state()
                         content_hash, collapse = self._identify(
                             page, event_pass, collapser
                         )
@@ -276,28 +274,6 @@ class AjaxCrawler(Crawler):
         if self.config.near_dup_threshold is None:
             return None
         return StateCollapser(self.config.near_dup_threshold)
-
-    def _hash_pass(
-        self, url: str, page: Page, state_id: Optional[str] = None
-    ) -> DomHashes:
-        """One combined Merkle pass over the page's current DOM.
-
-        The ``hash_full``/``hash_incremental`` trace event is gated on
-        ``config.trace_hashing`` (off by default) so traces recorded
-        before this event kind existed stay byte-identical.
-        """
-        hashes = page.hash_state()
-        if self.config.trace_hashing and self.recorder.enabled:
-            self.recorder.emit(
-                HASH_INCREMENTAL if hashes.incremental else HASH_FULL,
-                url=url,
-                state_id=state_id,
-                nodes_hashed=hashes.nodes_hashed,
-                nodes_skipped=hashes.nodes_skipped,
-                bytes_hashed=hashes.bytes_hashed,
-                regions=len(hashes.regions),
-            )
-        return hashes
 
     def _identify(
         self, page: Page, hashes: DomHashes, collapser: Optional[StateCollapser]

@@ -53,11 +53,6 @@ class CrawlerConfig:
     #: will publish a robots.txt-style file; ours is /ajax-robots.json
     #: with a ``max_states`` field).  The hint can only *lower* the cap.
     respect_granularity_hints: bool = True
-    #: Emit ``hash_full``/``hash_incremental`` trace events per hash
-    #: pass.  Off by default so the golden traces (recorded before this
-    #: event kind existed) stay byte-identical; enable to observe the
-    #: hashing work distribution of a traced crawl.
-    trace_hashing: bool = False
     #: Near-duplicate collapse (ROADMAP item 3): maximum simhash Hamming
     #: distance at which a newly observed state merges into an existing
     #: canonical state instead of becoming its own node.  ``None`` (the

@@ -198,15 +198,13 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     #: Jitter half-range as a fraction of the backoff (0.1 = ±10%).
     jitter: float = 0.1
-    #: Statuses that justify another attempt.
-    retryable_statuses: frozenset[int] = DEFAULT_RETRYABLE_STATUSES
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
     def is_retryable(self, status: int) -> bool:
-        return status in self.retryable_statuses or status >= 500
+        return status in DEFAULT_RETRYABLE_STATUSES or status >= 500
 
     def should_retry(self, attempt: int, status: int) -> bool:
         """Whether to retry after ``attempt`` attempts ended in ``status``."""

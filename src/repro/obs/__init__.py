@@ -18,8 +18,6 @@ from repro.obs.events import (
     COMPACTION,
     EVENT_KINDS,
     EVENT_FIRED,
-    HASH_FULL,
-    HASH_INCREMENTAL,
     HOTNODE_CACHE_HIT,
     HOTNODE_CACHE_MISS,
     INDEX_FLUSH,
@@ -118,8 +116,6 @@ __all__ = [
     "STATE_DUPLICATE",
     "STATE_COLLAPSED",
     "STATE_CAPPED",
-    "HASH_FULL",
-    "HASH_INCREMENTAL",
     "INDEX_FLUSH",
     "SEGMENT_FLUSH",
     "COMPACTION",

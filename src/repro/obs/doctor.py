@@ -34,8 +34,6 @@ from typing import Any, Iterable, Mapping, Optional
 
 from repro.obs.events import (
     EVENT_FIRED,
-    HASH_FULL,
-    HASH_INCREMENTAL,
     HOTNODE_CACHE_HIT,
     HOTNODE_CACHE_MISS,
     PAGE_FETCH,
@@ -74,18 +72,21 @@ class Finding:
 
 @dataclass(frozen=True)
 class DoctorConfig:
-    """Thresholds of every rule (see the module docstring table)."""
+    """The thresholds callers tune (see the module docstring table)."""
 
     quarantine_min_count: int = 3
     quarantine_min_ratio: float = 0.10
     cache_min_lookups: int = 10
-    cache_min_hit_rate: float = 0.10
-    retry_min_count: int = 3
-    retry_min_ratio: float = 0.50
-    skew_min_partitions: int = 2
-    skew_max_ratio: float = 1.5
-    hash_min_incremental_passes: int = 1
-    hash_min_skip_rate: float = 0.40
+
+
+# Thresholds of the remaining rules (module docstring table).
+CACHE_MIN_HIT_RATE = 0.10
+RETRY_MIN_COUNT = 3
+RETRY_MIN_RATIO = 0.50
+SKEW_MIN_PARTITIONS = 2
+SKEW_MAX_RATIO = 1.5
+HASH_MIN_INCREMENTAL_PASSES = 1
+HASH_MIN_SKIP_RATE = 0.40
 
 
 DEFAULT_DOCTOR_CONFIG = DoctorConfig()
@@ -155,11 +156,6 @@ def signals_from_events(events: Iterable[TraceEvent]) -> Signals:
             signals.cache_hits += 1
         elif kind == HOTNODE_CACHE_MISS:
             signals.cache_lookups += 1
-        elif kind in (HASH_FULL, HASH_INCREMENTAL):
-            if kind == HASH_INCREMENTAL:
-                signals.hash_incremental_passes += 1
-            signals.hash_nodes_hashed += int(event.fields.get("nodes_hashed", 0))
-            signals.hash_nodes_skipped += int(event.fields.get("nodes_skipped", 0))
     # Partition durations via span pairing (start t_ms by span_id).
     starts: dict[Any, TraceEvent] = {}
     for event in events:
@@ -247,7 +243,7 @@ def _rule_cache_collapse(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
     if s.cache_lookups < cfg.cache_min_lookups:
         return None
     hit_rate = s.cache_hits / s.cache_lookups
-    if hit_rate >= cfg.cache_min_hit_rate:
+    if hit_rate >= CACHE_MIN_HIT_RATE:
         return None
     return Finding(
         rule="cache-collapse",
@@ -257,7 +253,7 @@ def _rule_cache_collapse(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
             f"lookups — the cache is not earning its keep"
         ),
         signal=hit_rate,
-        threshold=cfg.cache_min_hit_rate,
+        threshold=CACHE_MIN_HIT_RATE,
         action=(
             "inspect hot-node signatures (trace doctor shows the top "
             "misses): argument-varying calls never repeat; consider "
@@ -279,16 +275,16 @@ def _rule_state_cap(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
         ),
         signal=float(s.states_capped),
         threshold=1.0,
-        action="raise CrawlerConfig.max_states_per_page or tighten the event filter",
+        action="raise CrawlerConfig.max_additional_states or tighten the event filter",
         evidence={"states_capped": s.states_capped},
     )
 
 
 def _rule_retry_amplification(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
-    if s.retries < cfg.retry_min_count or not s.network_requests:
+    if s.retries < RETRY_MIN_COUNT or not s.network_requests:
         return None
     ratio = s.retries / s.network_requests
-    if ratio < cfg.retry_min_ratio:
+    if ratio < RETRY_MIN_RATIO:
         return None
     return Finding(
         rule="retry-amplification",
@@ -298,7 +294,7 @@ def _rule_retry_amplification(s: Signals, cfg: DoctorConfig) -> Optional[Finding
             f"requests ({ratio:.0%}) — backoff time dominates the crawl"
         ),
         signal=ratio,
-        threshold=cfg.retry_min_ratio,
+        threshold=RETRY_MIN_RATIO,
         action=(
             "server is flaky: check fault rate; lower retry_max_attempts "
             "or fix the origin before recrawling"
@@ -308,7 +304,7 @@ def _rule_retry_amplification(s: Signals, cfg: DoctorConfig) -> Optional[Finding
 
 
 def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
-    if len(s.partition_durations) < cfg.skew_min_partitions:
+    if len(s.partition_durations) < SKEW_MIN_PARTITIONS:
         return None
     durations = [d for _, d in s.partition_durations]
     mean = sum(durations) / len(durations)
@@ -316,7 +312,7 @@ def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
         return None
     worst_partition, worst = max(s.partition_durations, key=lambda p: p[1])
     skew = worst / mean
-    if skew < cfg.skew_max_ratio:
+    if skew < SKEW_MAX_RATIO:
         return None
     return Finding(
         rule="partition-skew",
@@ -326,7 +322,7 @@ def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
             f"duration — the straggler caps parallel speedup"
         ),
         signal=skew,
-        threshold=cfg.skew_max_ratio,
+        threshold=SKEW_MAX_RATIO,
         action=(
             "rebalance the URL partitioner (split the straggler partition) "
             "or raise num_proc_lines past the partition count"
@@ -341,13 +337,13 @@ def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
 
 
 def _rule_hash_regression(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
-    if s.hash_incremental_passes < cfg.hash_min_incremental_passes:
+    if s.hash_incremental_passes < HASH_MIN_INCREMENTAL_PASSES:
         return None
     total = s.hash_nodes_hashed + s.hash_nodes_skipped
     if not total:
         return None
     skip_rate = s.hash_nodes_skipped / total
-    if skip_rate >= cfg.hash_min_skip_rate:
+    if skip_rate >= HASH_MIN_SKIP_RATE:
         return None
     return Finding(
         rule="hash-regression",
@@ -358,7 +354,7 @@ def _rule_hash_regression(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
             f"Merkle caches are not being reused"
         ),
         signal=skip_rate,
-        threshold=cfg.hash_min_skip_rate,
+        threshold=HASH_MIN_SKIP_RATE,
         action=(
             "events are dirtying most of the tree (or caches are being "
             "invalidated wholesale): check dirty-propagation in repro.dom"

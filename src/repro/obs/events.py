@@ -46,10 +46,6 @@ STATE_DUPLICATE = "state_duplicate"
 STATE_COLLAPSED = "state_collapsed"
 #: A new state was rejected by the per-page state cap (§4.3).
 STATE_CAPPED = "state_capped"
-#: A DOM hash pass rebuilt the whole tree (no cached subtree reused).
-HASH_FULL = "hash_full"
-#: A DOM hash pass reused cached subtree digests (dirty subtrees only).
-HASH_INCREMENTAL = "hash_incremental"
 #: The inverted file sorted/flushed its posting lists.
 INDEX_FLUSH = "index_flush"
 #: The segmented index froze a memtable into an on-disk segment.
@@ -81,8 +77,6 @@ EVENT_KINDS = (
     STATE_DUPLICATE,
     STATE_COLLAPSED,
     STATE_CAPPED,
-    HASH_FULL,
-    HASH_INCREMENTAL,
     INDEX_FLUSH,
     SEGMENT_FLUSH,
     COMPACTION,

@@ -6,15 +6,7 @@ with merge-time global idf.
 """
 
 from repro.parallel.aggregation import DistributedResultAggregator
-from repro.parallel.backend import (
-    BACKENDS,
-    ExecutionBackend,
-    SimulatedBackend,
-    ThreadedBackend,
-    partition_cost_model,
-    resolve_backend,
-)
-from repro.parallel.frontier import PartitionTask, ShardedFrontier
+from repro.parallel.backend import BACKENDS, partition_cost_model
 from repro.parallel.mpcrawler import MachineModel, MPAjaxCrawler, ParallelRunResult
 from repro.parallel.partitioner import URLPartitioner, URLS_TO_CRAWL, partition_urls
 from repro.parallel.pipeline import PhaseTimings, PipelineResult, SearchPipeline
@@ -43,13 +35,7 @@ __all__ = [
     "MachineModel",
     "ParallelRunResult",
     "BACKENDS",
-    "ExecutionBackend",
-    "SimulatedBackend",
-    "ThreadedBackend",
-    "resolve_backend",
     "partition_cost_model",
-    "PartitionTask",
-    "ShardedFrontier",
     "ShardedSearchEngine",
     "SearchPipeline",
     "PipelineResult",

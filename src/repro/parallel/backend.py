@@ -1,30 +1,27 @@
-"""Pluggable execution backends for the :class:`MPAjaxCrawler`.
+"""The two execution engines of the :class:`MPAjaxCrawler`.
 
-The controller's scheduling loop and its execution engine are separate
-concerns.  A backend receives the controller (for configuration and the
-per-partition worker factory) and the partition list, and returns a
-:class:`~repro.parallel.mpcrawler.ParallelRunResult`:
+An engine is a function ``(controller, partitions) -> ParallelRunResult``
+selected by name through :meth:`MPAjaxCrawler.run`:
 
-* :class:`SimulatedBackend` — the deterministic discrete-event
-  simulation over virtual time.  This is the default engine; every
-  golden trace, figure and table is recorded against it, and its
-  behaviour is byte-identical to the historical ``run_simulated``.
+* :func:`run_simulated` — the deterministic discrete-event simulation
+  over virtual time.  This is the default engine; every golden trace,
+  figure and table is recorded against it.
 
-* :class:`ThreadedBackend` — a real ``ThreadPoolExecutor`` engine for
-  wall-clock scaling: one worker thread per process line, a bounded
-  :class:`~repro.parallel.frontier.ShardedFrontier` with work stealing
-  (partition skew no longer idles workers), and a bounded result queue
-  so slow merging backpressures the crawl instead of buffering it.
+* :func:`run_threads` — real threads for wall-clock scaling.  The
+  scheduler is ``ThreadPoolExecutor``'s own FIFO: ``pool.map`` queues
+  the numbered partitions and a free worker takes the next one — the
+  ``getPartitionID()`` protocol of §6.3.1 (one shared counter, no
+  per-worker queue, so no skew to repair) — and hands the outcomes back
+  in partition order.
 
 **Parity contract.**  Both engines crawl every partition with an
 independent ``SimpleAjaxCrawler`` (own virtual clock, own browser) and
-merge outcomes *in partition order*, so the merged ``CrawlReport``,
-model list, failure records and network counters of a fault-free run
-are identical across backends — the ``backend_parity`` conformance
-check asserts exactly this on the testgen corpus.  Only the
+fold outcomes *in partition order* through :func:`_fold`, so the merged
+``CrawlReport``, model list, failure records and network counters of a
+fault-free run are identical across engines — the ``backend_parity``
+conformance check asserts exactly this on the testgen corpus.  Only the
 *scheduling* fields differ (``makespan_ms``, ``line_finish_ms``,
-``partition_durations_ms``, and the wall-clock fields ``wall_time_ms``
-/ ``worker_wall_ms`` / ``partitions_stolen``): those describe the
+``partition_durations_ms``, ``wall_time_ms``): those describe the
 engine, not the crawl, and are exempt from parity.
 
 **Thread-safety of shared state.**  Worker threads share only the
@@ -46,20 +43,17 @@ thread interleaving.
 from __future__ import annotations
 
 import dataclasses
-import queue
 import random
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Optional
+from typing import Iterable, Optional
 
 from repro.clock import CostModel
 from repro.crawler import CrawlResult
-from repro.net.stats import NetworkStats
-from repro.parallel.frontier import PartitionTask, ShardedFrontier
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.parallel.mpcrawler import MPAjaxCrawler, ParallelRunResult
+from repro.parallel.mpcrawler import MPAjaxCrawler, ParallelRunResult
+from repro.parallel.simple import PartitionRunSummary
 
 #: Seed mixed into each partition's cost-model RNG clone.
 PARTITION_RNG_SEED = 0x5EED
@@ -82,19 +76,43 @@ def partition_cost_model(
     )
 
 
-class ExecutionBackend:
-    """Interface: run the controller's partitions, return the result."""
+def _fold(
+    outcomes: Iterable[tuple[CrawlResult, PartitionRunSummary, float]],
+    lines: int,
+    backend: str,
+) -> ParallelRunResult:
+    """Merge per-partition outcomes, taken in partition order.
 
-    #: Registry key and the ``ParallelRunResult.backend`` tag.
-    name = "abstract"
+    Each outcome is ``(result, summary, scheduled duration)``.  The
+    fixed order is what makes the merged output engine-independent; the
+    engine fills in its own scheduling fields afterwards.
+    """
+    run = ParallelRunResult(
+        result=CrawlResult(), num_proc_lines=lines, backend=backend
+    )
+    for number, (result, summary, duration) in enumerate(outcomes, start=1):
+        run.result.merge(result)
+        run.stats.merge(summary.network)
+        run.summaries.append(summary)
+        run.partition_results[number] = result
+        run.partition_numbers.append(number)
+        run.partition_durations_ms.append(duration)
+    return run
 
-    def run(
-        self, controller: "MPAjaxCrawler", partitions: list[list[str]]
-    ) -> "ParallelRunResult":
-        raise NotImplementedError
+
+def _line_times(durations: Iterable[float], lines: int) -> list[float]:
+    """Finish time of each line when the earliest-free line takes the
+    next partition (``getPartitionID()``)."""
+    line_times = [0.0] * lines
+    for duration in durations:
+        line = min(range(lines), key=line_times.__getitem__)
+        line_times[line] += duration
+    return line_times
 
 
-class SimulatedBackend(ExecutionBackend):
+def run_simulated(
+    controller: MPAjaxCrawler, partitions: list[list[str]]
+) -> ParallelRunResult:
     """Deterministic discrete-event scheduling over virtual time.
 
     Each partition is crawled (deterministically, in order) to obtain
@@ -102,212 +120,70 @@ class SimulatedBackend(ExecutionBackend):
     process line with contention-stretched CPU time — exactly the
     ``getPartitionID()`` protocol of §6.3.1.
     """
+    lines = controller.num_proc_lines
+    machine = controller.machine
+    stretch = machine.cpu_stretch(min(lines, max(len(partitions), 1)))
 
-    name = "simulated"
-
-    def run(
-        self, controller: "MPAjaxCrawler", partitions: list[list[str]]
-    ) -> "ParallelRunResult":
-        from repro.parallel.mpcrawler import ParallelRunResult
-
-        merged = CrawlResult()
-        merged_stats = NetworkStats()
-        summaries = []
-        partition_numbers: list[int] = []
-        partition_durations: list[float] = []
-        partition_results: dict[int, CrawlResult] = {}
-        line_times = [0.0] * controller.num_proc_lines
-        stretch = controller.machine.cpu_stretch(
-            min(controller.num_proc_lines, max(len(partitions), 1))
+    def crawl_one(item: tuple[int, list[str]]):
+        result, summary = controller.crawl_partition(*item)
+        duration = (
+            machine.process_startup_ms
+            + summary.network_time_ms
+            + summary.cpu_time_ms * stretch
         )
-        for number, urls in enumerate(partitions, start=1):
-            result, summary = controller.crawl_partition(number, urls)
-            merged.merge(result)
-            merged_stats.merge(summary.network)
-            summaries.append(summary)
-            partition_results[number] = result
-            duration = (
-                controller.machine.process_startup_ms
-                + summary.network_time_ms
-                + summary.cpu_time_ms * stretch
-            )
-            partition_numbers.append(number)
-            partition_durations.append(duration)
-            # Earliest-free line grabs the next partition (getPartitionID()).
-            line = min(
-                range(controller.num_proc_lines), key=lambda i: line_times[i]
-            )
-            line_times[line] += duration
-        return ParallelRunResult(
-            result=merged,
-            summaries=summaries,
-            makespan_ms=max(line_times) if partitions else 0.0,
-            line_finish_ms=list(line_times),
-            stats=merged_stats,
-            partition_numbers=partition_numbers,
-            partition_durations_ms=partition_durations,
-            num_proc_lines=controller.num_proc_lines,
-            backend=self.name,
-            partition_results=partition_results,
-        )
+        return result, summary, duration
+
+    run = _fold(map(crawl_one, enumerate(partitions, start=1)), lines, "simulated")
+    run.line_finish_ms = _line_times(run.partition_durations_ms, lines)
+    run.makespan_ms = max(run.line_finish_ms)
+    return run
 
 
-class ThreadedBackend(ExecutionBackend):
-    """Real threads over a sharded, work-stealing, bounded frontier.
+def run_threads(
+    controller: MPAjaxCrawler, partitions: list[list[str]]
+) -> ParallelRunResult:
+    """Real threads, one per process line, fed by the executor's queue.
 
-    One worker thread per process line.  Partitions are dealt
-    round-robin onto per-worker shards by a feeder thread (blocking on
-    shard capacity — backpressure against huge partition lists); each
-    worker drains its own shard FIFO and steals from the longest other
-    shard when dry, so a skewed deal no longer leaves workers idle.
-    Outcomes flow through a bounded queue to the collector and are
-    merged **in partition order** after the last worker exits, which is
-    what makes the merged result backend-independent.
+    ``pool.map`` returns outcomes in partition order however the
+    threads interleaved and re-raises a worker's exception when its
+    outcome is reached.
     """
+    lines = controller.num_proc_lines
+    started = time.perf_counter()
+    # Busy milliseconds per worker thread; each thread writes only its
+    # own key.
+    busy_ms: dict[int, float] = defaultdict(float)
 
-    name = "threads"
-
-    def __init__(
-        self,
-        shard_capacity: Optional[int] = 16,
-        result_capacity: int = 32,
-    ) -> None:
-        self.shard_capacity = shard_capacity
-        self.result_capacity = result_capacity
-
-    def run(
-        self, controller: "MPAjaxCrawler", partitions: list[list[str]]
-    ) -> "ParallelRunResult":
-        from repro.parallel.mpcrawler import ParallelRunResult
-
-        num_workers = controller.num_proc_lines
-        started = time.perf_counter()
-        frontier: ShardedFrontier[PartitionTask] = ShardedFrontier(
-            num_workers, capacity=self.shard_capacity
+    def crawl_one(item: tuple[int, list[str]]):
+        number, urls = item
+        t0 = time.perf_counter()
+        result, summary = controller.crawl_partition(
+            number,
+            urls,
+            cost_model=partition_cost_model(controller.cost_model, number),
         )
-        outcomes: queue.Queue = queue.Queue(maxsize=self.result_capacity)
-        worker_wall_ms = [0.0] * num_workers
-        worker_errors: list[BaseException] = []
-        errors_lock = threading.Lock()
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        busy_ms[threading.get_ident()] += wall_ms
+        return result, summary, wall_ms
 
-        def feed() -> None:
-            try:
-                for number, urls in enumerate(partitions, start=1):
-                    # Deal partition k to shard (k-1) % workers; stealing
-                    # rebalances whatever this static deal gets wrong.
-                    frontier.push(
-                        PartitionTask(number, tuple(urls)),
-                        shard=(number - 1) % num_workers,
-                    )
-            finally:
-                frontier.close()
-
-        def work(worker_id: int) -> None:
-            while True:
-                task = frontier.pop(worker_id)
-                if task is None:
-                    return
-                t0 = time.perf_counter()
-                try:
-                    result, summary = controller.crawl_partition(
-                        task.number,
-                        list(task.urls),
-                        cost_model=partition_cost_model(
-                            controller.cost_model, task.number
-                        ),
-                    )
-                except BaseException as error:  # surfaced after join
-                    with errors_lock:
-                        worker_errors.append(error)
-                    return
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                worker_wall_ms[worker_id] += wall_ms
-                outcomes.put((task.number, result, summary, wall_ms))
-
-        collected: dict[int, tuple] = {}
-
-        feeder = threading.Thread(target=feed, name="frontier-feeder")
-        feeder.start()
-        with ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="crawl-worker"
-        ) as pool:
-            futures = [pool.submit(work, i) for i in range(num_workers)]
-            # Drain while workers run: the bounded queue would otherwise
-            # deadlock the workers once it fills.
-            pending = len(partitions)
-            while pending > 0:
-                if worker_errors and all(f.done() for f in futures):
-                    break
-                try:
-                    number, result, summary, wall_ms = outcomes.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                collected[number] = (result, summary, wall_ms)
-                pending -= 1
-            for future in futures:
-                future.result()
-        feeder.join()
-        if worker_errors:
-            raise worker_errors[0]
-
-        # Merge in partition order: backend-independent merged output.
-        merged = CrawlResult()
-        merged_stats = NetworkStats()
-        summaries = []
-        partition_numbers: list[int] = []
-        partition_durations: list[float] = []
-        partition_results: dict[int, CrawlResult] = {}
-        for number in sorted(collected):
-            result, summary, wall_ms = collected[number]
-            merged.merge(result)
-            merged_stats.merge(summary.network)
-            summaries.append(summary)
-            partition_results[number] = result
-            partition_numbers.append(number)
-            partition_durations.append(wall_ms)
-        wall_time_ms = (time.perf_counter() - started) * 1000.0
-        return ParallelRunResult(
-            result=merged,
-            summaries=summaries,
-            # The virtual makespan of a wall-clock run is the largest
-            # per-worker *virtual* crawl-time sum — the analogue of the
-            # simulated scheduler's accounting, kept for the figures.
-            makespan_ms=self._virtual_makespan(summaries, num_workers),
-            line_finish_ms=list(worker_wall_ms),
-            stats=merged_stats,
-            partition_numbers=partition_numbers,
-            partition_durations_ms=partition_durations,
-            num_proc_lines=num_workers,
-            backend=self.name,
-            partition_results=partition_results,
-            wall_time_ms=wall_time_ms,
-            worker_wall_ms=list(worker_wall_ms),
-            partitions_stolen=frontier.steals,
+    with ThreadPoolExecutor(
+        max_workers=lines, thread_name_prefix="crawl-worker"
+    ) as pool:
+        run = _fold(
+            pool.map(crawl_one, enumerate(partitions, start=1)), lines, "threads"
         )
-
-    @staticmethod
-    def _virtual_makespan(summaries, num_workers: int) -> float:
-        line_times = [0.0] * num_workers
-        for summary in summaries:
-            line = min(range(num_workers), key=lambda i: line_times[i])
-            line_times[line] += summary.crawl_time_ms
-        return max(line_times) if summaries else 0.0
-
-
-#: Backend registry: the CLI's ``--backend`` choices.
-BACKENDS = {
-    SimulatedBackend.name: SimulatedBackend,
-    ThreadedBackend.name: ThreadedBackend,
-}
+    # The executor starts a thread only when a task finds none idle.
+    run.line_finish_ms = list(busy_ms.values()) + [0.0] * (lines - len(busy_ms))
+    # The virtual makespan of a wall-clock run is the largest per-line
+    # *virtual* crawl-time sum — the analogue of the simulated
+    # scheduler's accounting, kept for the figures.
+    run.makespan_ms = max(
+        _line_times((s.crawl_time_ms for s in run.summaries), lines)
+    )
+    run.wall_time_ms = (time.perf_counter() - started) * 1000.0
+    return run
 
 
-def resolve_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
-    """An :class:`ExecutionBackend` instance from a name or instance."""
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    try:
-        return BACKENDS[backend]()
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {backend!r} (have {sorted(BACKENDS)})"
-        ) from None
+#: Engine by name: the values ``MPAjaxCrawler.run(backend=)`` and the
+#: CLI's ``--backend`` accept.
+BACKENDS = {"simulated": run_simulated, "threads": run_threads}

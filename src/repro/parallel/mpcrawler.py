@@ -2,8 +2,8 @@
 
 The thesis runs ``nOfProcLines`` threads, each serially launching
 ``SimpleAjaxCrawler`` JVM processes until all partitions are consumed.
-We reproduce that scheduler behind a pluggable execution backend
-(:mod:`repro.parallel.backend`):
+We reproduce that scheduler with two execution engines
+(:mod:`repro.parallel.backend`), selected by name:
 
 * ``backend="simulated"`` (default) — a deterministic discrete-event
   simulation over virtual time.  Each process line keeps its own
@@ -18,9 +18,9 @@ We reproduce that scheduler behind a pluggable execution backend
 
 * ``backend="threads"`` — a real ``ThreadPoolExecutor`` engine for
   wall-clock use (each partition crawl is fully independent, the SPMD
-  observation of §6.1), with a sharded work-stealing frontier and
-  bounded queues.  Its merged crawl output is identical to the
-  simulated engine's; only scheduling/wall-clock fields differ.
+  observation of §6.1); the executor's queue is the shared
+  ``getPartitionID()`` counter.  Its merged crawl output is identical
+  to the simulated engine's; only scheduling/wall-clock fields differ.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class ParallelRunResult:
     #: Real elapsed milliseconds of the whole run (threads backend;
     #: 0.0 on the simulated backend, which runs on virtual time only).
     wall_time_ms: float = 0.0
-    #: Real busy milliseconds per worker thread (threads backend).
-    worker_wall_ms: list[float] = field(default_factory=list)
-    #: Partitions a worker took from another worker's shard.
-    partitions_stolen: int = 0
 
     @property
     def registry(self):
@@ -184,18 +180,21 @@ class MPAjaxCrawler:
     # -- backend dispatch ------------------------------------------------------------
 
     def run(
-        self, partitions: list[list[str]], backend: object = "simulated"
+        self, partitions: list[list[str]], backend: str = "simulated"
     ) -> ParallelRunResult:
-        """Crawl all partitions on the given execution backend.
+        """Crawl all partitions on the named engine.
 
-        ``backend`` is a registry name (``"simulated"``, ``"threads"``)
-        or an :class:`~repro.parallel.backend.ExecutionBackend`
-        instance.  The merged crawl output is backend-independent; the
-        scheduling and wall-clock fields are not.
+        ``backend`` is ``"simulated"`` or ``"threads"``.  The merged
+        crawl output is backend-independent; the scheduling and
+        wall-clock fields are not.
         """
-        from repro.parallel.backend import resolve_backend
+        from repro.parallel.backend import BACKENDS
 
-        return resolve_backend(backend).run(self, partitions)
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown execution backend {backend!r} (have {sorted(BACKENDS)})"
+            )
+        return BACKENDS[backend](self, partitions)
 
     def run_simulated(self, partitions: list[list[str]]) -> ParallelRunResult:
         """Crawl all partitions on virtual time (the default backend)."""

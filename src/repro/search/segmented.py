@@ -80,7 +80,6 @@ class SegmentedIndex(Index):
         metrics=None,
         flush_threshold: int = DEFAULT_FLUSH_POSTINGS,
         block_size: int = BLOCK_SIZE,
-        cache_blocks: int = 1024,
         compact_fanin: int = DEFAULT_COMPACT_FANIN,
     ) -> None:
         self.path = Path(path)
@@ -88,7 +87,7 @@ class SegmentedIndex(Index):
         self.metrics = metrics
         self.flush_threshold = max(1, flush_threshold)
         self.compact_fanin = max(2, compact_fanin)
-        self.cache = BlockCache(capacity=cache_blocks)
+        self.cache = BlockCache()
         #: Cumulative block-skipping accounting across all conjunctions.
         self.merge_stats = MergeStats()
         self._lock = threading.Lock()

@@ -33,6 +33,10 @@ from urllib.parse import urlencode, urlsplit
 from repro.obs.sketch import QuantileSketch, merge_sketches
 
 
+#: Per-request socket timeout, seconds.
+TIMEOUT_S = 10.0
+
+
 @dataclass(frozen=True)
 class LoadTestConfig:
     """One load-test run's shape."""
@@ -43,8 +47,6 @@ class LoadTestConfig:
     requests_per_worker: int = 100
     #: Result-page size requested on every query.
     limit: int = 10
-    #: Per-request socket timeout, seconds.
-    timeout_s: float = 10.0
     #: When set, worker ``i`` sends ``X-Client-Id: <prefix>-<i>`` so the
     #: server's token buckets see distinct clients; None sends no header
     #: (all workers share the peer-address bucket).
@@ -141,7 +143,7 @@ class _Worker(threading.Thread):
         if self.config.client_prefix is not None:
             headers["X-Client-Id"] = f"{self.config.client_prefix}-{self.index}"
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.config.timeout_s
+            self.host, self.port, timeout=TIMEOUT_S
         )
         try:
             for sequence in range(self.config.requests_per_worker):
@@ -158,7 +160,7 @@ class _Worker(threading.Thread):
                     self.errors += 1
                     connection.close()  # reconnect on the next iteration
                     connection = http.client.HTTPConnection(
-                        self.host, self.port, timeout=self.config.timeout_s
+                        self.host, self.port, timeout=TIMEOUT_S
                     )
                     continue
                 elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -84,12 +84,14 @@ class UpstreamFailed(ServeError):
     status = 502
 
 
+#: Results per page when the client does not pass ``limit``.
+DEFAULT_LIMIT = 10
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables of one serving process."""
 
-    #: Results per page when the client does not pass ``limit``.
-    default_limit: int = 10
     #: Upper bound on ``limit`` (larger requests are a 400).
     max_limit: int = 100
     #: LRU capacity of the query cache (0 disables caching).
@@ -216,7 +218,7 @@ class SearchService:
         query = (params.get("q") or "").strip()
         if not query:
             raise BadRequest("missing or blank query parameter 'q'")
-        limit = self._int_param(params, "limit", self.config.default_limit, 1)
+        limit = self._int_param(params, "limit", DEFAULT_LIMIT, 1)
         if limit > self.config.max_limit:
             raise BadRequest(
                 f"limit {limit} exceeds the maximum of {self.config.max_limit}"

@@ -39,23 +39,29 @@ from typing import Callable, Optional
 from repro.obs.doctor import Finding
 from repro.obs.reqtrace import RequestTrace
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
-from repro.obs.slo import SLO, BurnRateRule, DEFAULT_BURN_RULES, SLOTracker
+from repro.obs.slo import SLO, SLOTracker
 from repro.obs.window import RollingCounter, RollingSketch
+
+
+#: serve-cache-collapse: windowed hit rate below the floor.
+CACHE_MIN_HIT_RATE = 0.10
+#: throttle-storm: windowed 429 share of admissions above the cap.
+THROTTLE_MIN_REQUESTS = 20
+THROTTLE_MAX_RATIO = 0.20
+#: segment-read-amplification: windowed decoded-block fraction.
+AMP_MIN_BLOCKS = 256
+AMP_MAX_DECODE_FRACTION = 0.50
+#: Capacity of the slow+error tail ring (kept unconditionally).
+TAIL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
 class LiveDoctorConfig:
     """Thresholds of the sliding-window serving rules."""
 
-    #: serve-cache-collapse: windowed hit rate below the floor.
+    #: serve-cache-collapse: lookups in the window before the rule may
+    #: fire.
     cache_min_lookups: int = 20
-    cache_min_hit_rate: float = 0.10
-    #: throttle-storm: windowed 429 share of admissions above the cap.
-    throttle_min_requests: int = 20
-    throttle_max_ratio: float = 0.20
-    #: segment-read-amplification: windowed decoded-block fraction.
-    amp_min_blocks: int = 256
-    amp_max_decode_fraction: float = 0.50
 
 
 #: Default serving SLOs: three nines of availability and 99% of
@@ -81,15 +87,14 @@ class TelemetryConfig:
     #: A request at least this slow always lands in the tail ring and
     #: the slow-query log.
     slow_ms: float = 100.0
-    #: Ring capacities (sampled traces / slow+error tail / slow log).
+    #: Ring capacities (sampled traces / slow log).
     trace_capacity: int = 256
-    tail_capacity: int = 64
     slowlog_capacity: int = 64
     #: Relative accuracy of every latency sketch.
     relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
-    #: Objectives tracked for /debug/slo and the burn-rate doctor.
+    #: Objectives tracked for /debug/slo and the burn-rate doctor
+    #: (paged by :data:`repro.obs.slo.DEFAULT_BURN_RULES`).
     slos: tuple[SLO, ...] = DEFAULT_SLOS
-    burn_rules: tuple[BurnRateRule, ...] = DEFAULT_BURN_RULES
     doctor: LiveDoctorConfig = field(default_factory=LiveDoctorConfig)
 
 
@@ -144,10 +149,7 @@ class ServingTelemetry:
         self.lifetime_ms = QuantileSketch(
             relative_accuracy=config.relative_accuracy
         )
-        self.trackers = [
-            SLOTracker(slo, clock=clock, rules=config.burn_rules)
-            for slo in config.slos
-        ]
+        self.trackers = [SLOTracker(slo, clock=clock) for slo in config.slos]
         self._ring_lock = threading.Lock()
         #: request id -> trace dict; LRU rings, newest last.
         self._sampled: "OrderedDict[str, dict]" = OrderedDict()
@@ -214,9 +216,7 @@ class ServingTelemetry:
                         self._sampled, rendered, self.config.trace_capacity
                     )
                 if slow or failed:
-                    self._remember(
-                        self._tail, rendered, self.config.tail_capacity
-                    )
+                    self._remember(self._tail, rendered, TAIL_CAPACITY)
                 if slow:
                     self._slowlog.append(
                         {
@@ -356,7 +356,7 @@ class ServingTelemetry:
         lookups = hits + self.cache_misses.total()
         if lookups >= config.cache_min_lookups:
             hit_rate = hits / lookups
-            if hit_rate < config.cache_min_hit_rate:
+            if hit_rate < CACHE_MIN_HIT_RATE:
                 findings.append(
                     Finding(
                         rule="serve-cache-collapse",
@@ -367,7 +367,7 @@ class ServingTelemetry:
                             f"stopped absorbing the workload"
                         ),
                         signal=hit_rate,
-                        threshold=config.cache_min_hit_rate,
+                        threshold=CACHE_MIN_HIT_RATE,
                         action=(
                             "check for a cache-busting query pattern "
                             "(unique offsets/limits), a TTL shorter than "
@@ -379,9 +379,9 @@ class ServingTelemetry:
 
         admissions = self.admissions.total()
         throttled = self.throttled.total()
-        if admissions >= config.throttle_min_requests and throttled:
+        if admissions >= THROTTLE_MIN_REQUESTS and throttled:
             ratio = throttled / admissions
-            if ratio >= config.throttle_max_ratio:
+            if ratio >= THROTTLE_MAX_RATIO:
                 findings.append(
                     Finding(
                         rule="throttle-storm",
@@ -392,7 +392,7 @@ class ServingTelemetry:
                             f"clients are hammering drained buckets"
                         ),
                         signal=ratio,
-                        threshold=config.throttle_max_ratio,
+                        threshold=THROTTLE_MAX_RATIO,
                         action=(
                             "raise rate_limit_rps/burst if the traffic is "
                             "legitimate, or identify the offending client "
@@ -407,9 +407,9 @@ class ServingTelemetry:
 
         decoded = self.blocks_decoded.total()
         visited = decoded + self.blocks_skipped.total()
-        if visited >= config.amp_min_blocks:
+        if visited >= AMP_MIN_BLOCKS:
             fraction = decoded / visited
-            if fraction > config.amp_max_decode_fraction:
+            if fraction > AMP_MAX_DECODE_FRACTION:
                 findings.append(
                     Finding(
                         rule="segment-read-amplification",
@@ -421,7 +421,7 @@ class ServingTelemetry:
                             f"engaging"
                         ),
                         signal=fraction,
-                        threshold=config.amp_max_decode_fraction,
+                        threshold=AMP_MAX_DECODE_FRACTION,
                         action=(
                             "the workload may be unselective conjunctions, "
                             "or compaction has fallen behind (many small "

@@ -33,6 +33,9 @@ COMMENTS_PER_PAGE = 10
 #: Jump links shown around the current page (YouTube showed a few).
 JUMP_WINDOW = 2
 
+#: Related-video links per watch page (the precrawler's link graph).
+RELATED_LINKS = 4
+
 PAGE_SCRIPT_TEMPLATE = """
 var currentPage = 1;
 var maxPage = {max_page};
@@ -136,9 +139,6 @@ class SiteConfig:
     num_videos: int = 100
     seed: int = 7
     base_url: str = "http://simtube.test"
-    related_links: int = 4
-    comments_per_page: int = COMMENTS_PER_PAGE
-    jump_window: int = JUMP_WINDOW
     #: When True, comment fragments carry a decorative ``onmouseover``
     #: that changes styling only (no DOM mutation) — one of the thesis'
     #: "very granular events" that waste crawl effort and that the
@@ -183,7 +183,7 @@ class SyntheticYouTube(SimulatedServer):
         if count <= 1:
             return []
         related = [(index + 1) % count]
-        for step in range(2, self.config.related_links + 1):
+        for step in range(2, RELATED_LINKS + 1):
             candidate = (index * 31 + step * 17 + 7) % count
             if candidate != index and candidate not in related:
                 related.append(candidate)
@@ -228,7 +228,7 @@ class SyntheticYouTube(SimulatedServer):
             script = PAGE_SCRIPT_JSON_TEMPLATE.format(
                 max_page=max_page,
                 video_id=identity.video_id,
-                jump_window=self.config.jump_window,
+                jump_window=JUMP_WINDOW,
             )
         else:
             script = PAGE_SCRIPT_TEMPLATE.format(
@@ -280,13 +280,13 @@ class SyntheticYouTube(SimulatedServer):
             {
                 "page": page,
                 "max_page": self.comment_pages_of(index),
-                "start": (page - 1) * self.config.comments_per_page + 1,
+                "start": (page - 1) * COMMENTS_PER_PAGE + 1,
                 "comments": [
                     {
                         "author": self.corpus.comment_author(index, page, slot),
                         "text": self.corpus.comment(index, page, slot),
                     }
-                    for slot in range(self.config.comments_per_page)
+                    for slot in range(COMMENTS_PER_PAGE)
                 ],
             }
         )
@@ -297,9 +297,9 @@ class SyntheticYouTube(SimulatedServer):
         items = "".join(
             f"<li><b>{self.corpus.comment_author(index, page, slot)}</b>: "
             f"{self.corpus.comment(index, page, slot)}</li>"
-            for slot in range(self.config.comments_per_page)
+            for slot in range(COMMENTS_PER_PAGE)
         )
-        start = (page - 1) * self.config.comments_per_page + 1
+        start = (page - 1) * COMMENTS_PER_PAGE + 1
         return (
             f'<ol class="comment-list" start="{start}">{items}</ol>'
             f'<div id="comment_nav">{self._render_nav(index, page)}</div>'
@@ -317,14 +317,14 @@ class SyntheticYouTube(SimulatedServer):
         comments = "\n".join(
             f'<li><b>{self.corpus.comment_author(index, page, slot)}</b>: '
             f"{self.corpus.comment(index, page, slot)}</li>"
-            for slot in range(self.config.comments_per_page)
+            for slot in range(COMMENTS_PER_PAGE)
         )
         decorative = (
             ' onmouseover="highlightComments()"' if self.config.decorative_events else ""
         )
         return (
             f'<ol class="comment-list"{decorative} '
-            f'start="{(page - 1) * self.config.comments_per_page + 1}">\n'
+            f'start="{(page - 1) * COMMENTS_PER_PAGE + 1}">\n'
             f"{comments}\n</ol>\n"
             f'<div id="comment_nav">{self._render_nav(index, page)}</div>'
         )
@@ -336,7 +336,7 @@ class SyntheticYouTube(SimulatedServer):
         parts: list[str] = []
         if page > 1:
             parts.append('<a id="prev" onclick="prevPage()">previous</a>')
-        window = self.config.jump_window
+        window = JUMP_WINDOW
         for target in range(max(1, page - window), min(max_page, page + window) + 1):
             if target == page:
                 parts.append(f"<span>{target}</span>")

@@ -462,8 +462,8 @@ def check_backend_parity(
     report (virtual time included), per-model states and transitions,
     model order, network counters, search answers — must be identical.
     Wall-clock and scheduling fields (``makespan_ms``, ``wall_time_ms``,
-    ``worker_wall_ms``, ``partitions_stolen``, ``line_finish_ms``,
-    ``partition_durations_ms``) describe the engine and are exempt.
+    ``line_finish_ms``, ``partition_durations_ms``) describe the engine
+    and are exempt.
     """
     result = CheckResult("backend_parity")
     partitions = _partition(spec.all_urls(), num_partitions)

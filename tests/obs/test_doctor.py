@@ -1,5 +1,8 @@
 """The trace doctor: rules, signal extraction, and end-to-end diagnoses."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.clock import CostModel, SimClock
@@ -68,6 +71,10 @@ class TestRules:
     def test_state_cap_fires_on_any_truncation(self):
         (finding,) = self.diagnose_signals(Signals(states_capped=1))
         assert finding.rule == "state-cap-truncation"
+        # The remedy must name a knob that exists.
+        named = re.findall(r"CrawlerConfig\.(\w+)", finding.action)
+        assert named == ["max_additional_states"]
+        assert set(named) <= {f.name for f in dataclasses.fields(CrawlerConfig)}
         assert not self.diagnose_signals(Signals(states_capped=0))
 
     def test_retry_amplification(self):

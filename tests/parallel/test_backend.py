@@ -1,4 +1,4 @@
-"""Execution backends: registry, dispatch, and the parity contract.
+"""Execution backends: dispatch by name and the parity contract.
 
 The central claim of :mod:`repro.parallel.backend` is that the engine is
 an implementation detail: the simulated and the threaded backend must
@@ -14,11 +14,8 @@ from repro.obs import Recorder, merge_partition_traces, to_jsonl
 from repro.parallel import (
     BACKENDS,
     MPAjaxCrawler,
-    SimulatedBackend,
-    ThreadedBackend,
     partition_cost_model,
     partition_urls,
-    resolve_backend,
 )
 from repro.sites import SiteConfig, SyntheticYouTube
 
@@ -47,17 +44,10 @@ class TestRegistry:
     def test_registry_names(self):
         assert set(BACKENDS) == {"simulated", "threads"}
 
-    def test_resolve_by_name(self):
-        assert isinstance(resolve_backend("simulated"), SimulatedBackend)
-        assert isinstance(resolve_backend("threads"), ThreadedBackend)
-
-    def test_resolve_passes_instances_through(self):
-        backend = ThreadedBackend(shard_capacity=2)
-        assert resolve_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, site):
+        controller = MPAjaxCrawler(site, num_proc_lines=2, cost_model=cost())
         with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("processes")
+            controller.run(make_partitions(site), backend="processes")
 
 
 class TestDispatch:
@@ -122,8 +112,10 @@ class TestBackendParity:
     def test_wall_fields_are_engine_specific(self, site):
         simulated, threaded = self.run_both(site)
         assert threaded.wall_time_ms > 0.0
-        assert len(threaded.worker_wall_ms) == 3
-        assert simulated.worker_wall_ms == []
+        assert simulated.wall_time_ms == 0.0
+        # One entry per process line on both engines: virtual finish
+        # times on simulated, real busy ms on threads.
+        assert len(simulated.line_finish_ms) == len(threaded.line_finish_ms) == 3
         # Virtual makespan is populated by both engines (for figures).
         assert simulated.makespan_ms > 0.0
         assert threaded.makespan_ms > 0.0
@@ -154,14 +146,34 @@ class TestBackendParity:
             assert run.total_pages == 0
             assert run.makespan_ms == 0.0
 
-    def test_tiny_bounded_queues_still_complete(self, site):
-        """Capacity-1 shards and results: pure backpressure, no deadlock."""
-        backend = ThreadedBackend(shard_capacity=1, result_capacity=1)
-        run = MPAjaxCrawler(site, num_proc_lines=2, cost_model=cost()).run(
-            make_partitions(site, size=1), backend=backend
+    def test_skewed_partitions_need_no_rebalancing(self, site):
+        """One 8-URL partition, then seven 1-URL ones, on 2 workers: a
+        static deal would queue half the small ones behind the big one;
+        with one shared queue the free worker just takes the next."""
+        urls = [site.video_url(i % NUM_VIDEOS) for i in range(15)]
+        partitions = [urls[:8]] + [[url] for url in urls[8:]]
+
+        def run(backend):
+            return MPAjaxCrawler(site, num_proc_lines=2, cost_model=cost()).run(
+                partitions, backend=backend
+            )
+
+        simulated, threaded = run("simulated"), run("threads")
+        assert report_dict(simulated.result.report) == report_dict(
+            threaded.result.report
         )
-        assert run.total_pages == NUM_VIDEOS
-        assert len(run.partition_results) == NUM_VIDEOS
+        assert [m.url for m in simulated.result.models] == [
+            m.url for m in threaded.result.models
+        ]
+        assert (
+            simulated.stats.registry.snapshot() == threaded.stats.registry.snapshot()
+        )
+        assert threaded.partition_numbers == list(range(1, 9))
+        assert len(threaded.line_finish_ms) == 2
+        # Every measured partition is booked on exactly one worker.
+        assert sum(threaded.line_finish_ms) == pytest.approx(
+            sum(threaded.partition_durations_ms)
+        )
 
 
 class TestPartitionCostModel:

@@ -2,9 +2,9 @@
 
 Generated sites from the testgen corpus are crawled on the real-thread
 backend while a seeded :class:`FaultPlan` injects 5xx responses into the
-fragment endpoints.  The run must terminate (no deadlock in the
-frontier / result queue under retry-lengthened partitions), lose no
-pages, and account for every injected fault exactly:
+fragment endpoints.  The run must terminate (no deadlock under
+retry-lengthened partitions), lose no pages, and account for every
+injected fault exactly:
 ``retries + failed_requests == plan.num_injected == len(plan.log)``.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.clock import CostModel
 from repro.net import FaultInjector, FaultPlan, FaultRule
-from repro.parallel import MPAjaxCrawler, ThreadedBackend
+from repro.parallel import MPAjaxCrawler
 from repro.testgen.conformance import (
     _partition,
     conformance_config,
@@ -37,10 +37,7 @@ def run_threads_under_faults(seed, rate, workers=4, num_partitions=4):
         cost_model=CostModel(network_jitter=0.0),
     )
     urls = spec.all_urls()
-    run = controller.run(
-        _partition(urls, num_partitions),
-        backend=ThreadedBackend(shard_capacity=2, result_capacity=2),
-    )
+    run = controller.run(_partition(urls, num_partitions), backend="threads")
     return spec, plan, urls, run
 
 
@@ -66,7 +63,7 @@ class TestThreadsBackendUnderFaults:
         assert plan.num_injected == len(plan.log)
 
     def test_repeated_runs_terminate(self):
-        """Hammer the bounded queues: many short faulted runs in a row."""
+        """Many short faulted runs in a row."""
         for round_index in range(5):
             spec, plan, urls, run = run_threads_under_faults(
                 seed=20 + round_index, rate=0.3, workers=6, num_partitions=6

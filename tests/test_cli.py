@@ -1,6 +1,7 @@
 """End-to-end tests of the CLI pipeline (the chapter-8 infrastructure)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,26 @@ class TestPipeline:
         payload = json.loads(out_file.read_text())
         assert payload["max_state_index"] == 1
         assert len(payload["state_lengths"]) == 12  # one state per page
+
+
+class TestCrawlTraceIsPinned:
+    #: Written by `crawl --trace` on the default backend at the commit
+    #: before `cmd_crawl` got one body for both backends.
+    EXPECTED = Path(__file__).parent / "golden" / "cli_crawl_trace.jsonl"
+
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_two_partition_root_writes_the_recorded_bytes(self, backend, tmp_path):
+        site = "simtube:4:3"
+        pre, root, trace = tmp_path / "pre", tmp_path / "crawl", tmp_path / "t.jsonl"
+        assert main(["precrawl", "--site", site, "--out", str(pre), "--max-pages", "4"]) == 0
+        assert main(["partition", "--precrawl", str(pre), "--size", "2", "--out", str(root)]) == 0
+        assert main([
+            "crawl", "--site", site, "--root", str(root), "--trace", str(trace),
+            "--backend", backend, "--workers", "2",
+        ]) == 0
+        assert sorted(p.name for p in root.iterdir()) == ["1", "2"]
+        assert trace.read_bytes() == self.EXPECTED.read_bytes()
+        assert all((root / n / "models.json").exists() for n in "12")
 
 
 class TestFaultInjectionFlags:

@@ -1,5 +1,7 @@
-"""Smoke test of ``tools/ab_bench.py``: one ref against itself."""
+"""Repo tooling: the ``tools/ab_bench.py`` smoke and the knob census."""
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -7,7 +9,36 @@ from pathlib import Path
 
 import pytest
 
+from repro.crawler import CrawlerConfig
+from repro.net.faults import RetryPolicy
+from repro.obs.doctor import DoctorConfig
+from repro.search import SegmentedIndex
+from repro.serve.loadtest import LoadTestConfig
+from repro.serve.service import ServeConfig
+from repro.serve.telemetry import LiveDoctorConfig, TelemetryConfig
+from repro.sites import SiteConfig
+
 REPO = Path(__file__).resolve().parent.parent
+
+#: Independently settable values per config object.  A new knob has to
+#: edit a number here, in review; one value in use is a constant.
+KNOB_CENSUS = {
+    CrawlerConfig: 11,
+    ServeConfig: 8,
+    TelemetryConfig: 10,
+    LiveDoctorConfig: 1,
+    DoctorConfig: 3,
+    RetryPolicy: 4,
+    LoadTestConfig: 4,
+    SiteConfig: 5,
+}
+
+
+def test_knob_census():
+    counted = {config: len(dataclasses.fields(config)) for config in KNOB_CENSUS}
+    assert counted == KNOB_CENSUS
+    parameters = inspect.signature(SegmentedIndex.__init__).parameters
+    assert len(parameters) - 1 == 8  # without ``self``
 
 
 def test_ab_bench_of_a_ref_against_itself():
