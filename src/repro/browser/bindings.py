@@ -3,7 +3,8 @@
 ``document`` and element objects are thin :class:`HostObject` wrappers
 over the :mod:`repro.dom` tree.  Mutations performed by scripts (most
 importantly ``innerHTML`` assignment, the action of every transition in
-the thesis' event model, Figure 2.1) flag the owning page as dirty so
+the thesis' event model, Figure 2.1) all go through ``Page.write``,
+which journals them for rollback and flags the owning page as dirty so
 the crawler can detect that an event changed the DOM.
 """
 
@@ -67,20 +68,17 @@ class ElementHost(HostObject):
         element = self.element
         if name == "innerHTML":
             markup = to_string(value)
-            element.replace_children(self.page.fragment(markup))
-            self.page.note_dom_mutation(parse_bytes=len(markup))
+            nodes = self.page.fragment(markup)
+            self.page.write(element, Element.replace_children, nodes, parse_bytes=len(markup))
             return
         if name == "textContent":
-            element.replace_children([Text(to_string(value))])
-            self.page.note_dom_mutation(parse_bytes=0)
+            self.page.write(element, Element.replace_children, [Text(to_string(value))])
             return
         if name == "id":
-            element.set_attribute("id", to_string(value))
-            self.page.note_dom_mutation(parse_bytes=0)
+            self.page.write(element, Element.set_attribute, "id", to_string(value))
             return
         if name == "value":
-            element.set_attribute("value", to_string(value))
-            self.page.note_dom_mutation(parse_bytes=0)
+            self.page.write(element, Element.set_attribute, "value", to_string(value))
             return
         raise JsTypeError(f"cannot set element property {name!r}")
 
@@ -96,16 +94,15 @@ class ElementHost(HostObject):
     def _js_set_attribute(self, interp: Any, this: Any, args: list[Any]) -> Any:
         if len(args) < 2:
             raise JsTypeError("setAttribute(name, value)")
-        self.element.set_attribute(to_string(args[0]), to_string(args[1]))
-        self.page.note_dom_mutation(parse_bytes=0)
+        name, value = to_string(args[0]), to_string(args[1])
+        self.page.write(self.element, Element.set_attribute, name, value)
         return UNDEFINED
 
     def _js_append_child(self, interp: Any, this: Any, args: list[Any]) -> Any:
         child = args[0] if args else None
         if not isinstance(child, ElementHost):
             raise JsTypeError("appendChild expects an element")
-        self.element.append_child(child.element)
-        self.page.note_dom_mutation(parse_bytes=0)
+        self.page.write(self.element, Element.append_child, child.element)
         return child
 
     def _js_by_tag(self, interp: Any, this: Any, args: list[Any]) -> Any:

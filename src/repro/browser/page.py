@@ -7,7 +7,8 @@ The :class:`Page` is what the crawler operates on.  It can
 * report whether the last dispatch changed the DOM,
 * snapshot and restore its complete state (DOM **and** script
   variables), which implements the ``appModel.rollback(t)`` step of
-  Algorithm 3.1.1.
+  Algorithm 3.1.1: a snapshot copies the tree once, a rollback undoes
+  the writes journaled since the last one.
 
 All JavaScript execution charges virtual time proportional to the
 number of interpreter steps; DOM re-parses charge parse time.
@@ -16,7 +17,7 @@ number of interpreter steps; DOM re-parses charge parse time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.browser.bindings import DocumentHost, ElementHost, WindowHost
 from repro.browser.events import (
@@ -32,6 +33,7 @@ from repro.dom import (
     Element,
     HashStats,
     Node,
+    encode_leaves,
     hash_tree,
     parse_fragment,
     serialize,
@@ -53,9 +55,10 @@ class PageSnapshot:
     html: str
     globals_snapshot: dict[str, Any]
     hash: str
-    #: A copy of the live tree (with warm Merkle hash caches) that
-    #: :meth:`Page.restore` clones instead of re-parsing ``html`` on
-    #: every rollback.  Never attached to a page, never mutated.
+    #: A copy of the live tree (with warm Merkle hash caches) taken by
+    #: :meth:`Page.snapshot`.  :meth:`Page.restore` makes it the page's
+    #: live tree itself; it is either live, with every write to it in
+    #: the page's undo journal, or exactly as copied.
     master: Document
 
 
@@ -88,6 +91,13 @@ class Page:
         #: are never attached or hashed; :meth:`fragment` hands out
         #: clones.  Lives and dies with the page, so it needs no bound.
         self._fragments: dict[str, list[Node]] = {}
+        #: The snapshot whose master is the live tree (None until the
+        #: first :meth:`restore`: a freshly parsed tree is never rolled
+        #: back to, so its writes are not journaled).
+        self._live: Optional[PageSnapshot] = None
+        #: ``Element._save()`` records of every write since ``_live``
+        #: became the live tree, oldest first.
+        self._journal: list[tuple] = []
         self._dirty = False
         #: JavaScript errors swallowed while loading page scripts.
         self.script_errors: list[JavascriptError] = []
@@ -108,10 +118,31 @@ class Page:
         nodes = self._fragments.get(markup)
         if nodes is None:
             nodes = self._fragments[markup] = parse_fragment(markup)
+            # Encoded once here, carried by every clone below.
+            encode_leaves(nodes)
         return [node.clone() for node in nodes]
 
-    def note_dom_mutation(self, parse_bytes: int = 0) -> None:
-        """Called by bindings whenever a script mutates the DOM."""
+    def write(
+        self, element: Element, mutator: Callable[..., Any], *args: Any, parse_bytes: int = 0
+    ) -> None:
+        """Apply ``mutator(element, *args)``: the one way the DOM changes
+        once the page is loaded (scripts through the bindings, the forms
+        extension in :meth:`dispatch`).
+
+        Journals what the call can overwrite *before* it runs, so that
+        :meth:`restore` can undo it, flags the page dirty and charges
+        the parse time of ``parse_bytes`` of markup.  ``element`` need
+        not be attached: a handler may empty a parent and then write to
+        a child it still holds.
+        """
+        if self._live is not None:
+            for arg in args:
+                # appendChild of an attached node also rewrites the
+                # parent it leaves; saved first, so reinstated last.
+                if isinstance(arg, Node) and arg.parent is not None:
+                    self._journal.append(arg.parent._save())
+            self._journal.append(element._save())
+        mutator(element, *args)
         self._dirty = True
         if parse_bytes:
             self.clock.advance(self.cost_model.html_parse_ms(parse_bytes), PARSE_ACCOUNT)
@@ -190,7 +221,7 @@ class Page:
             # Forms extension: type the value into the source element
             # before firing the handler (kept as an attribute so state
             # snapshots and hashes capture it).
-            element.set_attribute("value", binding.input_value)
+            self.write(element, Element.set_attribute, "value", binding.input_value)
         self._dirty = False
         # Make `this` available to the handler the way browsers do.
         self.interpreter.define_global("this", self.wrap_element(element))
@@ -217,7 +248,7 @@ class Page:
         """One combined Merkle pass: state hash plus full region map.
 
         Re-hashes only subtrees dirtied since the last pass (or the
-        last :meth:`restore`, whose cloned master arrives fully cached).
+        last :meth:`restore`, which leaves every digest warm).
         """
         with self.recorder.span("hash_pass") as span:
             hashes = hash_tree(self.document, stats=self.hash_stats)
@@ -243,12 +274,18 @@ class Page:
         """Roll the page back to ``snapshot`` (DOM and script variables).
 
         The virtual clock is always charged the full re-parse cost (the
-        simulated browser still parses); the *wall-clock* work is a
-        clone of the snapshot's master tree, which carries warm Merkle
-        caches so the post-rollback base hashes are cache reads instead
-        of full re-hashes.
+        simulated browser still parses); the *wall-clock* work is
+        undoing the journaled writes, newest first, which leaves the
+        live tree exactly as :meth:`snapshot` copied it, Merkle caches
+        included.  Only then, when ``snapshot`` is a different one, does
+        its master become the live tree: the tree left behind is
+        pristine again, so no rollback ever copies a tree.
         """
-        self.document = snapshot.master.clone()
+        while self._journal:
+            Element._reinstate(self._journal.pop())
+        if snapshot is not self._live:
+            self._live = snapshot
+            self.document = snapshot.master
         self.clock.advance(
             self.cost_model.html_parse_ms(len(snapshot.html)), PARSE_ACCOUNT
         )

@@ -121,8 +121,8 @@ class AjaxCrawler(Crawler):
             state = model.get_state(state_id)
             base_snapshot = snapshots[state_id]
             page.restore(base_snapshot)
-            # The restored clone carries the snapshot master's warm
-            # caches: this pass is close to a pure cache read.
+            # A restored tree has the snapshot master's warm caches:
+            # this pass is close to a pure cache read.
             base_regions = page.hash_state().regions
             for binding in self._enumerate_events(page):
                 if events_invoked >= self.config.max_event_invocations:
@@ -338,7 +338,11 @@ class AjaxCrawler(Crawler):
         """Resolve the page's current DOM against the model, respecting
         the per-page state cap: a genuinely new state beyond the cap is
         not admitted and ``(None, False)`` is returned."""
-        if not model.contains_hash(content_hash) and model.num_states >= max_states:
+        known = model.resolve_hash(content_hash)
+        if known is not None:
+            # Most events lead back to a known state: no text walk for it.
+            return known, False
+        if model.num_states >= max_states:
             return None, False
         return self._add_state(model, page, depth, content_hash)
 

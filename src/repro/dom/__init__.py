@@ -20,6 +20,7 @@ from repro.dom.hashing import (
     HashStats,
     changed_regions,
     clear_digest_memo,
+    encode_leaves,
     hash_tree,
     reference_region_hashes,
     reference_state_hash,
@@ -60,6 +61,7 @@ __all__ = [
     "reference_state_hash",
     "reference_region_hashes",
     "clear_digest_memo",
+    "encode_leaves",
     "simhash64",
     "hamming",
     "band_keys",

@@ -139,6 +139,45 @@ class Element(Node):
         self._node_count = None
         self._invalidate_ancestors()
 
+    def _save(self) -> tuple:
+        """What one mutator call on this element can overwrite, for
+        :meth:`_reinstate`: its children, its attributes with the bytes
+        derived from them, and the four digest fields of every node
+        :meth:`_invalidate` would clear (this element, then ancestors up
+        to the first one that is already dirty)."""
+        caches = []
+        node: Optional[Element] = self
+        while node is not None and (node is self or node._canon_bytes is not None):
+            caches.append(
+                (node, node._canon_bytes, node._canon_digest,
+                 node._region_items, node._node_count)
+            )
+            node = node.parent
+        return self, self.children.copy(), self.attrs.copy(), self._open_bytes, caches
+
+    @staticmethod
+    def _reinstate(saved: tuple) -> None:
+        """Undo every write made to an element since :meth:`_save`.
+
+        Exact only when later saves were reinstated first (newest to
+        oldest): children gained since lose their parent, the saved ones
+        get theirs back, so a node moved between two saved elements ends
+        up under whichever held it first.
+        """
+        element, children, attrs, open_bytes, caches = saved
+        for child in element.children:
+            child.parent = None
+        for child in children:
+            child.parent = element
+        element.children = children
+        element.attrs = attrs
+        element._open_bytes = open_bytes
+        for node, canon_bytes, canon_digest, region_items, node_count in caches:
+            node._canon_bytes = canon_bytes
+            node._canon_digest = canon_digest
+            node._region_items = region_items
+            node._node_count = node_count
+
     def _copy(self, parent: Optional["Element"]) -> "Element":
         # Allocated and filled field by field: no constructor re-derives
         # (tag.lower(), dict(attrs)) what the original already holds.
@@ -249,13 +288,6 @@ class Element(Node):
             if isinstance(node, Element):
                 yield node
 
-    def find(self, predicate: Callable[["Element"], bool]) -> Optional["Element"]:
-        """First descendant element matching ``predicate``, or ``None``."""
-        for element in self.iter_elements():
-            if predicate(element):
-                return element
-        return None
-
     def find_all(self, predicate: Callable[["Element"], bool]) -> list["Element"]:
         """All descendant elements matching ``predicate``."""
         return [element for element in self.iter_elements() if predicate(element)]
@@ -266,10 +298,16 @@ class Element(Node):
         return self.find_all(lambda element: element.tag == tag)
 
     def get_element_by_id(self, element_id: str) -> Optional["Element"]:
-        """First descendant with ``id == element_id`` (or this element itself)."""
-        if self.attrs.get("id") == element_id:
-            return self
-        return self.find(lambda element: element.attrs.get("id") == element_id)
+        """First element in document order with ``id == element_id``,
+        this element included."""
+        stack: list[Node] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Element):
+                if node.attrs.get("id") == element_id:
+                    return node
+                stack.extend(reversed(node.children))
+        return None
 
     # -- content ------------------------------------------------------------
 

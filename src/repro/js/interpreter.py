@@ -22,7 +22,7 @@ virtual time for script execution, and aborts scripts that exceed
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import JsReferenceError, JsRuntimeError, JsSyntaxError, JsTypeError
 from repro.js import ast
@@ -79,6 +79,11 @@ class Interpreter:
     #: surface as a catchable JsRuntimeError (the engines' "maximum call
     #: stack size exceeded") rather than a Python RecursionError.
     MAX_CALL_DEPTH = 32
+
+    #: ``{ast node type: _exec_*/_eval_* function}``, filled in once
+    #: below the class.
+    _EXEC: dict[type, Callable[..., Any]] = {}
+    _EVAL: dict[type, Callable[..., Any]] = {}
 
     def __init__(self, max_steps: int = 2_000_000) -> None:
         self.global_env = Environment()
@@ -200,10 +205,10 @@ class Interpreter:
 
     def _exec(self, node: ast.Statement, env: Environment) -> Any:
         self._tick(node)
-        method = getattr(self, f"_exec_{type(node).__name__}", None)
+        method = self._EXEC.get(type(node))
         if method is None:
             raise JsRuntimeError(f"cannot execute {type(node).__name__}")
-        return method(node, env)
+        return method(self, node, env)
 
     def _exec_Program(self, node: ast.Program, env: Environment) -> Any:
         self._hoist(node.body, env)
@@ -373,10 +378,10 @@ class Interpreter:
 
     def _eval(self, node: ast.Expression, env: Environment) -> Any:
         self._tick(node)
-        method = getattr(self, f"_eval_{type(node).__name__}", None)
+        method = self._EVAL.get(type(node))
         if method is None:
             raise JsRuntimeError(f"cannot evaluate {type(node).__name__}")
-        return method(node, env)
+        return method(self, node, env)
 
     def _eval_NumberLiteral(self, node: ast.NumberLiteral, env: Environment) -> Any:
         return node.value
@@ -628,6 +633,20 @@ class Interpreter:
             obj.set_index(int(key), value)
             return
         self._set_member(obj, to_string(key), value)
+
+
+def _dispatch_table(prefix: str) -> dict[type, Callable[..., Any]]:
+    """The :class:`Interpreter` functions named ``prefix`` + an AST node
+    class, keyed by that class."""
+    return {
+        getattr(ast, name[len(prefix):]): function
+        for name, function in vars(Interpreter).items()
+        if name.startswith(prefix) and hasattr(ast, name[len(prefix):])
+    }
+
+
+Interpreter._EXEC = _dispatch_table("_exec_")
+Interpreter._EVAL = _dispatch_table("_eval_")
 
 
 # -- operators -------------------------------------------------------------------

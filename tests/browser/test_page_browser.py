@@ -179,8 +179,8 @@ class TestSnapshotRestore:
         page.dispatch(events["nextPage()"])
         snapshot = page.snapshot()
         reparsed = parse_document(snapshot.html, url=PAGE_URL)
-        # Every restore clones the snapshot's master; mutating a clone
-        # must not leak into the next one.
+        # Every restore undoes what was written since the last one;
+        # nothing a handler did may leak into the next round.
         for _ in range(3):
             page.restore(snapshot)
             assert serialize(page.document) == serialize(reparsed) == snapshot.html

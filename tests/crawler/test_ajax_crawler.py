@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.browser import Page
 from repro.clock import CostModel
 from repro.crawler import AjaxCrawler, CrawlerConfig, TraditionalCrawler
 from repro.sites import SiteConfig, SyntheticYouTube
@@ -72,6 +73,18 @@ class TestDuplicateElimination:
         crawler = AjaxCrawler(site, cost_model=cost())
         result = crawler.crawl_page(site.video_url(index))
         assert result.metrics.duplicates_detected > 0
+
+    def test_only_a_new_state_reads_the_page_text(self, site, monkeypatch):
+        reads = []
+        text = Page.text.fget
+        monkeypatch.setattr(Page, "text", property(lambda page: reads.append(1) or text(page)))
+        index = find_video(site, lambda n: n >= 13)
+        config = CrawlerConfig(max_additional_states=5)
+        result = AjaxCrawler(site, config, cost_model=cost()).crawl_page(site.video_url(index))
+        # Duplicates resolve by hash alone, capped targets are never built.
+        assert result.metrics.duplicates_detected > 0
+        assert result.metrics.states_capped > 0
+        assert len(reads) == result.model.num_states == 6
 
     def test_transition_graph_has_back_edges(self, site):
         index = find_video(site, lambda n: 3 <= n <= 8)

@@ -16,6 +16,7 @@ from repro.dom import (
     Element,
     Text,
     clear_digest_memo,
+    encode_leaves,
     hash_tree,
     parse_document,
     reference_region_hashes,
@@ -236,6 +237,29 @@ def test_clone_preserves_caches_and_isolates_mutations():
     twin.root.set_attribute("class", "mutated")
     assert hash_tree(twin).state != original.state
     assert hash_tree(document).state == original.state
+
+
+def test_encoded_leaves_travel_with_clones_and_count_as_unhashed():
+    clear_digest_memo()
+    cold = hash_tree(parse_document(SAMPLES[1]))
+    document = parse_document(SAMPLES[1])
+    encode_leaves([document.root])
+    for node in all_nodes(document.root):
+        if isinstance(node, Text):
+            assert node._hash_bytes == escape_text(node.data).encode("utf-8")
+        else:
+            assert node._open_bytes is not None and node._canon_bytes is None
+    twin = document.clone()
+    assert [n._open_bytes for n in all_nodes(twin.root) if isinstance(n, Element)] == [
+        n._open_bytes for n in all_nodes(document.root) if isinstance(n, Element)
+    ]
+    # Only the leaf chunks are warm: a pass does and reports the same work.
+    clear_digest_memo()
+    warm = hash_tree(twin)
+    assert (warm.state, warm.regions) == (cold.state, cold.regions)
+    assert (warm.nodes_hashed, warm.nodes_skipped, warm.bytes_hashed, warm.incremental) == (
+        cold.nodes_hashed, cold.nodes_skipped, cold.bytes_hashed, cold.incremental
+    )
 
 
 def test_toggle_back_to_seen_state_costs_no_hash_bytes():

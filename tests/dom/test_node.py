@@ -187,6 +187,19 @@ class TestTraversal:
     def test_get_element_by_id_missing(self):
         assert Element("div").get_element_by_id("nope") is None
 
+    def test_get_element_by_id_takes_the_first_duplicate_in_document_order(self):
+        root = Element("div")
+        first = root.append_child(Element("p"))
+        first.append_child(Text("text nodes are stepped over"))
+        deep = first.append_child(Element("b")).append_child(Element("i", {"id": "dup"}))
+        shallow = root.append_child(Element("span", {"id": "dup"}))
+        # Pre-order: the deep one under the first child comes before its uncle.
+        assert root.get_element_by_id("dup") is deep
+        assert shallow.get_element_by_id("dup") is shallow
+        root.set_attribute("id", "dup")
+        assert root.get_element_by_id("dup") is root
+        assert Document(root).get_element_by_id("dup") is root
+
     def test_get_elements_by_tag(self):
         root = Element("div")
         root.append_child(Element("span"))

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.errors import JsReferenceError, JsTypeError
+from repro.errors import JsReferenceError, JsRuntimeError, JsTypeError
+from repro.js import ast
 from repro.js import (
     Interpreter,
     JSArray,
@@ -356,3 +357,28 @@ class TestHostIntegration:
         before = interp.steps
         run(interp, "var x = 0; for (var i = 0; i < 10; i++) { x += i; }")
         assert interp.steps > before
+
+
+class TestNodeDispatch:
+    def test_every_node_class_is_in_exactly_one_table(self):
+        nodes = {
+            value for value in vars(ast).values()
+            if isinstance(value, type) and issubclass(value, ast.Node) and value is not ast.Node
+        }
+        assert not set(Interpreter._EXEC) & set(Interpreter._EVAL)
+        assert set(Interpreter._EXEC) | set(Interpreter._EVAL) == nodes
+
+    def test_a_node_type_without_a_handler_is_a_runtime_error(self, interp):
+        class Mystery(ast.Node):
+            pass
+
+        with pytest.raises(JsRuntimeError, match="^cannot execute Mystery$"):
+            interp.execute_program(ast.Program(body=[Mystery()]))
+        with pytest.raises(JsRuntimeError, match="^cannot evaluate Mystery$"):
+            interp.execute_program(ast.Program(body=[ast.ExpressionStatement(Mystery())]))
+        # A statement is not an expression, and the other way round.
+        with pytest.raises(JsRuntimeError, match="^cannot evaluate EmptyStatement$"):
+            interp.execute_program(
+                ast.Program(body=[ast.ExpressionStatement(ast.EmptyStatement())])
+            )
+        assert interp.steps == 5

@@ -1,5 +1,7 @@
-"""Repo tooling: the ``tools/ab_bench.py`` smoke and the knob census."""
+"""Repo tooling: the ``tools/ab_bench.py`` smoke, the knob census and
+the journaled-write guard."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -39,6 +41,48 @@ def test_knob_census():
     assert counted == KNOB_CENSUS
     parameters = inspect.signature(SegmentedIndex.__init__).parameters
     assert len(parameters) - 1 == 8  # without ``self``
+
+
+NODE_MUTATORS = {
+    "replace_children", "append_child", "insert_before", "remove_child",
+    "set_attribute", "remove_attribute", "detach",
+}
+
+
+def unjournaled_writes(source: str) -> list[str]:
+    """Every mention of a node mutator that is not handed to ``Page.write``
+    as the mutator to apply, as ``line:name``."""
+    tree = ast.parse(source)
+    handed_over = {
+        id(argument)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "write"
+        for argument in call.args
+    }
+    return sorted(
+        f"{node.lineno}:{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in NODE_MUTATORS
+        and id(node) not in handed_over
+    )
+
+
+def test_the_browser_writes_the_dom_only_through_page_write():
+    # A binding that mutates a node directly does not crash: the write
+    # is missing from the undo journal, a rollback leaves it in place
+    # and two model states silently merge.
+    for module in ("bindings.py", "page.py"):
+        source = (REPO / "src" / "repro" / "browser" / module).read_text()
+        assert unjournaled_writes(source) == [], module
+    sample = (
+        "page.write(element, Element.set_attribute, 'id', value)\n"
+        "element.set_attribute('id', value)\n"
+        "apply = element.append_child\n"
+    )
+    assert unjournaled_writes(sample) == ["2:set_attribute", "3:append_child"]
 
 
 def test_ab_bench_of_a_ref_against_itself():
