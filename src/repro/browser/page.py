@@ -33,7 +33,6 @@ from repro.dom import (
     Element,
     HashStats,
     Node,
-    encode_leaves,
     hash_tree,
     parse_fragment,
     serialize,
@@ -87,10 +86,13 @@ class Page:
         self.document_host = DocumentHost(self)
         self.window_host = WindowHost(self)
         self._element_hosts: dict[Element, ElementHost] = {}
-        #: ``innerHTML`` markup -> its parsed nodes.  The memoised nodes
-        #: are never attached or hashed; :meth:`fragment` hands out
-        #: clones.  Lives and dies with the page, so it needs no bound.
+        #: ``innerHTML`` markup -> its parsed nodes, which :meth:`fragment`
+        #: lends as they are.  A memo tree is either detached and exactly
+        #: as parsed, or lent and journaled.  Lives and dies with the
+        #: page, so it needs no bound.
         self._fragments: dict[str, list[Node]] = {}
+        #: The markups whose memo nodes are out since the last restore.
+        self._lent: set[str] = set()
         #: The snapshot whose master is the live tree (None until the
         #: first :meth:`restore`: a freshly parsed tree is never rolled
         #: back to, so its writes are not journaled).
@@ -114,13 +116,23 @@ class Page:
         return host
 
     def fragment(self, markup: str) -> list[Node]:
-        """Fresh detached nodes for ``markup``, parsed once per page."""
+        """Detached nodes for ``markup``, to be attached through
+        :meth:`write` and nowhere else.
+
+        Once writes are journaled the nodes parsed for ``markup`` are
+        lent themselves, digests and all, at most once between two
+        restores: :meth:`restore` detaches them again and undoes what a
+        script wrote inside.  Any other request is parsed afresh, never
+        cloned from the memo, because a lent tree may have been written
+        to since.
+        """
+        if self._live is None or markup in self._lent:
+            return parse_fragment(markup)
+        self._lent.add(markup)
         nodes = self._fragments.get(markup)
         if nodes is None:
             nodes = self._fragments[markup] = parse_fragment(markup)
-            # Encoded once here, carried by every clone below.
-            encode_leaves(nodes)
-        return [node.clone() for node in nodes]
+        return nodes
 
     def write(
         self, element: Element, mutator: Callable[..., Any], *args: Any, parse_bytes: int = 0
@@ -283,6 +295,8 @@ class Page:
         """
         while self._journal:
             Element._reinstate(self._journal.pop())
+        # Drained: every lent fragment is detached and as parsed again.
+        self._lent.clear()
         if snapshot is not self._live:
             self._live = snapshot
             self.document = snapshot.master

@@ -20,7 +20,6 @@ from repro.dom.hashing import (
     HashStats,
     changed_regions,
     clear_digest_memo,
-    encode_leaves,
     hash_tree,
     reference_region_hashes,
     reference_state_hash,
@@ -61,7 +60,6 @@ __all__ = [
     "reference_state_hash",
     "reference_region_hashes",
     "clear_digest_memo",
-    "encode_leaves",
     "simhash64",
     "hamming",
     "band_keys",

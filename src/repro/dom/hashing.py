@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.dom.node import Document, Element, Node, Text
 from repro.dom.serialize import escape_attribute, escape_text
@@ -135,24 +135,6 @@ def _text_bytes(node: Text) -> bytes:
         cached = escape_text(node.data).encode("utf-8")
         node._hash_bytes = cached
     return cached
-
-
-def encode_leaves(nodes: Iterable[Node]) -> None:
-    """Fill the leaf chunks (open-tag bytes, escaped text bytes) of every
-    node under ``nodes`` without hashing anything.
-
-    For trees that exist to be copied (``Page.fragment``): ``clone()``
-    carries the chunks, so no copy encodes them again.  ``_canon_bytes``
-    stays cold, so a pass over a copy still counts every node as hashed.
-    """
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Text):
-            _text_bytes(node)
-        elif isinstance(node, Element):
-            element_open_bytes(node)
-            stack.extend(node.children)
 
 
 def _digest_of(canon: bytes, stats: HashStats) -> str:

@@ -177,6 +177,9 @@ class Element(Node):
             node._canon_digest = canon_digest
             node._region_items = region_items
             node._node_count = node_count
+        # Whatever is above the last saved node was dirty at the save; a
+        # hash pass since may have filled it with what is being undone.
+        node._invalidate_ancestors()
 
     def _copy(self, parent: Optional["Element"]) -> "Element":
         # Allocated and filled field by field: no constructor re-derives

@@ -5,6 +5,7 @@ import pytest
 from repro.browser import Page
 from repro.clock import CostModel
 from repro.crawler import AjaxCrawler, CrawlerConfig, TraditionalCrawler
+from repro.dom import Node
 from repro.sites import SiteConfig, SyntheticYouTube
 
 
@@ -85,6 +86,22 @@ class TestDuplicateElimination:
         assert result.metrics.duplicates_detected > 0
         assert result.metrics.states_capped > 0
         assert len(reads) == result.model.num_states == 6
+
+    def test_a_markup_is_parsed_once_and_a_tree_copied_only_per_new_state(self, site, monkeypatch):
+        import repro.browser.page as page_module
+
+        parsed, clones = [], []
+        parse, clone = page_module.parse_fragment, Node.clone
+        monkeypatch.setattr(
+            page_module, "parse_fragment", lambda markup: parsed.append(markup) or parse(markup)
+        )
+        monkeypatch.setattr(Node, "clone", lambda node: clones.append(1) or clone(node))
+        index = find_video(site, lambda n: 4 <= n <= 8)
+        result = AjaxCrawler(site, cost_model=cost()).crawl_page(site.video_url(index))
+        # Every event sets a comment page; the page's memo lends what it
+        # parsed the first time, and only a snapshot copies nodes.
+        assert result.metrics.events_invoked > len(parsed) == len(set(parsed)) > 0
+        assert len(clones) == result.model.num_states > 1
 
     def test_transition_graph_has_back_edges(self, site):
         index = find_video(site, lambda n: 3 <= n <= 8)

@@ -16,7 +16,6 @@ from repro.dom import (
     Element,
     Text,
     clear_digest_memo,
-    encode_leaves,
     hash_tree,
     parse_document,
     reference_region_hashes,
@@ -239,11 +238,11 @@ def test_clone_preserves_caches_and_isolates_mutations():
     assert hash_tree(document).state == original.state
 
 
-def test_encoded_leaves_travel_with_clones_and_count_as_unhashed():
+def test_leaf_chunks_travel_with_clones_and_a_cold_clone_counts_unhashed():
     clear_digest_memo()
     cold = hash_tree(parse_document(SAMPLES[1]))
     document = parse_document(SAMPLES[1])
-    encode_leaves([document.root])
+    reference_state_hash(document)  # the full rewalk fills the leaf chunks alone
     for node in all_nodes(document.root):
         if isinstance(node, Text):
             assert node._hash_bytes == escape_text(node.data).encode("utf-8")
