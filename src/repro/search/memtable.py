@@ -22,6 +22,7 @@ from typing import Optional
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.search.postings import Posting, sort_postings
+from repro.search.segments import sorted_columns, state_sort_key
 from repro.search.tokenizer import tokenize_with_positions
 
 
@@ -145,10 +146,20 @@ class Memtable:
         for term, plist in self._postings.items():
             self._postings[term] = sort_postings(plist)
 
-    def sorted_postings(self) -> list[tuple[str, list[Posting]]]:
-        """``(term, canonical-order postings)`` sorted by term — the
-        segment writer's input stream."""
-        return [
-            (term, sort_postings(self._postings[term]))
-            for term in sorted(self._postings)
-        ]
+    def flush_view(self):
+        """``(state_rows, columns_by_term)`` as
+        :func:`~repro.search.segments.write_segment` takes them.  The
+        ranks come from the very list that becomes the state table — an
+        ordinal is nothing but a row's place in it."""
+        rows = sorted(self.state_rows(), key=state_sort_key)
+        rank = {(row[0], row[1]): ordinal for ordinal, row in enumerate(rows)}
+
+        def columns_by_term():
+            for term in sorted(self._postings):
+                postings = self._postings[term]
+                yield (term, *sorted_columns(
+                    [rank[posting.uri, posting.state_id] for posting in postings],
+                    [posting.positions for posting in postings],
+                ))
+
+        return rows, columns_by_term()

@@ -33,8 +33,9 @@ import heapq
 import json
 import os
 import threading
+from itertools import accumulate, compress
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
@@ -49,6 +50,7 @@ from repro.search.segments import (
     MergeStats,
     SegmentReader,
     merge_conjunction_blocks,
+    sorted_columns,
     state_sort_key,
     write_segment,
 )
@@ -92,7 +94,6 @@ class SegmentedIndex(Index):
         self.merge_stats = MergeStats()
         self._lock = threading.Lock()
         self._readers: list[SegmentReader] = []
-        self._lookup: Optional[dict[tuple[str, str], tuple[SegmentReader, int]]] = None
 
         self.path.mkdir(parents=True, exist_ok=True)
         manifest_path = self.path / MANIFEST_NAME
@@ -138,7 +139,6 @@ class SegmentedIndex(Index):
         for reader in self._readers:
             reader.close()
         self._readers = []
-        self._lookup = None
 
     # -- persistence -------------------------------------------------------------
 
@@ -194,15 +194,12 @@ class SegmentedIndex(Index):
     def add_model(self, model: ApplicationModel) -> None:
         """Buffer one application model; flush if the memtable is full."""
         # The memtable rejects duplicates it holds itself; states already
-        # frozen into segments need an explicit registry check.
-        if self._readers:
-            lookup = self._ensure_lookup()
-            for state in model.states():
-                if self.max_state_index is not None and state.index >= self.max_state_index:
-                    continue
-                key = (model.url, state.state_id)
-                if key in lookup:
-                    raise SearchError(f"state {key} indexed twice")
+        # frozen into segments are asked of the segments' own registries.
+        for reader in self._readers:
+            if reader.has_uri(model.url):
+                for state in model.states():
+                    if reader.ordinal(model.url, state.state_id) is not None:
+                        raise SearchError(f"state {(model.url, state.state_id)} indexed twice")
         self._memtable.add_model(model, self._take_seq)
         if self._memtable.num_postings >= self.flush_threshold:
             self.flush()
@@ -224,15 +221,13 @@ class SegmentedIndex(Index):
             with self.recorder.span("segment_flush"):
                 stats = write_segment(
                     self._segment_path(),
-                    self._memtable.state_rows(),
-                    self._memtable.sorted_postings(),
+                    *self._memtable.flush_view(),
                     block_size=self.block_size,
                 )
                 self._readers.append(SegmentReader(stats.path, cache=self.cache))
                 self._memtable = Memtable(
                     max_state_index=self.max_state_index, stopwords=self.stopwords
                 )
-                self._lookup = None
                 self._save_manifest()
                 if self.recorder.enabled:
                     self.recorder.emit(
@@ -283,36 +278,66 @@ class SegmentedIndex(Index):
         self._merge(list(self._readers))
         return 1
 
+    def _rewrite(
+        self, victims: list[SegmentReader], dropped: Container[str] = ()
+    ) -> Optional[SegmentReader]:
+        """Write and open the one segment that replaces ``victims``: their
+        states minus those of the ``dropped`` URIs, exact df re-derived.
+        None, and no file, if no state is left."""
+        # One sort of the victims' concatenated state rows is the new
+        # state table and, read backwards, each victim's old ordinal ->
+        # new ordinal list (-1 for a state that goes).
+        rows = [row for reader in victims for row in reader.state_rows()]
+        order = sorted(
+            (old for old, row in enumerate(rows) if row[0] not in dropped),
+            key=lambda old: state_sort_key(rows[old]),
+        )
+        if not order:
+            return None
+        new_ordinal = [-1] * len(rows)
+        for new, old in enumerate(order):
+            new_ordinal[old] = new
+        bases = accumulate((reader.num_states for reader in victims), initial=0)
+        remaps = [
+            new_ordinal[base : base + reader.num_states].__getitem__
+            for base, reader in zip(bases, victims)
+        ]
+
+        def columns_by_term():
+            for term in sorted(set().union(*(reader.terms() for reader in victims))):
+                ordinals, positions, holders = [], [], 0
+                for reader, remap in zip(victims, remaps):
+                    old, occurrences = reader.columns(term)
+                    holders += bool(old)
+                    ordinals += map(remap, old)
+                    positions += occurrences
+                if -1 in ordinals:
+                    kept = [ordinal >= 0 for ordinal in ordinals]
+                    ordinals = list(compress(ordinals, kept))
+                    positions = list(compress(positions, kept))
+                # A remap keeps canonical order, so one victim's run is
+                # increasing as it stands; several are merged.  What is
+                # left is the term's exact df, which the writer persists.
+                if holders > 1:
+                    ordinals, positions = sorted_columns(ordinals, positions)
+                if ordinals:
+                    yield term, ordinals, positions
+
+        stats = write_segment(
+            self._segment_path(), [rows[old] for old in order], columns_by_term(),
+            block_size=self.block_size,
+        )
+        return SegmentReader(stats.path, cache=self.cache)
+
     def _merge(self, victims: list[SegmentReader]) -> None:
         """Merge ``victims`` into one new segment, re-deriving exact df."""
         with self._lock:
             with self.recorder.span("compaction"):
-                states: list[tuple[str, str, int, int, int]] = []
-                terms: set[str] = set()
-                for reader in victims:
-                    states.extend(reader.state_rows())
-                    terms.update(reader.terms())
-
-                def merged_postings():
-                    for term in sorted(terms):
-                        postings: list[Posting] = []
-                        for reader in victims:
-                            postings.extend(reader.materialize(term))
-                        # len(postings) is the term's exact merged df —
-                        # the segment writer persists it in the term
-                        # table, so global idf stays exact after merge.
-                        yield term, sort_postings(postings)
-
-                stats = write_segment(
-                    self._segment_path(), states, merged_postings(),
-                    block_size=self.block_size,
-                )
-                merged = SegmentReader(stats.path, cache=self.cache)
+                merged = self._rewrite(victims)
                 position = min(self._readers.index(reader) for reader in victims)
                 survivors = [r for r in self._readers if r not in victims]
                 survivors.insert(position, merged)
                 self._readers = survivors
-                self._lookup = None
                 self._save_manifest()
                 for reader in victims:
                     reader.close()
@@ -320,11 +345,11 @@ class SegmentedIndex(Index):
                 if self.recorder.enabled:
                     self.recorder.emit(
                         COMPACTION,
-                        segment=stats.path.name,
+                        segment=merged.name,
                         merged=len(victims),
-                        num_states=stats.num_states,
-                        num_postings=stats.num_postings,
-                        num_bytes=stats.num_bytes,
+                        num_states=merged.num_states,
+                        num_postings=merged.num_postings,
+                        num_bytes=merged.path.stat().st_size,
                     )
                 if self.metrics is not None:
                     self.metrics.inc("index.compactions")
@@ -349,32 +374,13 @@ class SegmentedIndex(Index):
                 if any(reader.has_uri(uri) for uri in uri_set)
             ]
             for reader in touched:
-                rows = [row for row in reader.state_rows() if row[0] not in uri_set]
-                removed += reader.num_states - len(rows)
                 position = self._readers.index(reader)
-                replacement = None
-                if rows:
-
-                    def kept_postings():
-                        for term in reader.terms():
-                            postings = [
-                                posting
-                                for posting in reader.materialize(term)
-                                if posting.uri not in uri_set
-                            ]
-                            if postings:
-                                yield term, postings
-
-                    stats = write_segment(
-                        self._segment_path(), rows, kept_postings(),
-                        block_size=self.block_size,
-                    )
-                    replacement = SegmentReader(stats.path, cache=self.cache)
+                replacement = self._rewrite([reader], uri_set)
+                removed += reader.num_states - (replacement.num_states if replacement else 0)
                 self._readers.pop(position)
                 if replacement is not None:
                     self._readers.insert(position, replacement)
             if touched:
-                self._lookup = None
                 self._save_manifest()
                 # Unlink victims only after the manifest stops naming
                 # them: a crash in between leaves orphans (collected on
@@ -388,16 +394,6 @@ class SegmentedIndex(Index):
         return removed
 
     # -- lookups -----------------------------------------------------------------
-
-    def _ensure_lookup(self) -> dict[tuple[str, str], tuple[SegmentReader, int]]:
-        lookup = self._lookup
-        if lookup is None:
-            lookup = {}
-            for reader in self._readers:
-                for ordinal in range(reader.num_states):
-                    lookup[reader.state_key(ordinal)] = (reader, ordinal)
-            self._lookup = lookup
-        return lookup
 
     def postings(self, term: str) -> list[Posting]:
         """The globally sorted posting list of ``term`` (empty if absent)."""
@@ -438,7 +434,11 @@ class SegmentedIndex(Index):
     def _locate(self, uri: str, state_id: str) -> Optional[tuple[SegmentReader, int]]:
         """The segment holding a state and the state's ordinal in it."""
         self.finalize()
-        return self._ensure_lookup().get((uri, state_id))
+        for reader in self._readers:
+            ordinal = reader.ordinal(uri, state_id)
+            if ordinal is not None:
+                return reader, ordinal
+        return None
 
     def state_length(self, uri: str, state_id: str) -> int:
         entry = self._locate(uri, state_id)

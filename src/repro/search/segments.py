@@ -37,8 +37,10 @@ import struct
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
+from itertools import accumulate
+from operator import add, gt
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import SearchError
 from repro.search.codec import (
@@ -46,8 +48,10 @@ from repro.search.codec import (
     encode_block,
     read_bytes,
     read_uvarint,
+    read_uvarints,
     write_bytes,
     write_uvarint,
+    write_uvarints,
 )
 from repro.search.postings import Posting
 
@@ -63,6 +67,15 @@ def state_sort_key(row: tuple) -> tuple[str, int]:
     """Canonical (uri, state index) order of any row led by ``(uri, state_id)``."""
     uri, state_id = row[0], row[1]
     return (uri, int(state_id[1:]))
+
+
+def sorted_columns(
+    ordinals: Sequence[int], positions: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Both columns of a posting list reordered so that the ordinals
+    increase — an argsort over plain ints, no pair built per posting."""
+    order = sorted(range(len(ordinals)), key=ordinals.__getitem__)
+    return [ordinals[at] for at in order], [positions[at] for at in order]
 
 
 class SegmentStats:
@@ -81,25 +94,32 @@ class SegmentStats:
 
 def write_segment(
     path: str | Path,
-    states: list[tuple[str, str, int, int, int]],
-    postings_by_term: Iterable[tuple[str, list[Posting]]],
+    state_rows: Sequence[tuple[str, str, int, int, int]],
+    columns_by_term: Iterable[tuple[str, Sequence[int], Sequence[tuple[int, ...]]]],
     block_size: int = BLOCK_SIZE,
 ) -> SegmentStats:
     """Write one immutable segment file.
 
-    ``states`` rows are ``(uri, state_id, length, depth, seq)``;
-    ``postings_by_term`` must yield ``(term, postings)`` pairs sorted by
-    term, each posting list in canonical (uri, state index) order.  The
-    iterable may stream (compaction feeds it term by term, so a merge
-    never materializes more than one term's postings).
+    ``state_rows`` are ``(uri, state_id, length, depth, seq)`` *in
+    canonical (uri, state index) order*: a row's place in the list is
+    its state ordinal.  ``columns_by_term`` must yield ``(term, ordinals,
+    positions)`` sorted by term: the term's postings as two parallel
+    columns, the ordinals strictly increasing and taken from this very
+    list.  The iterable may stream (compaction feeds it term by term,
+    so a merge never holds more than one term's postings).  Rows out of
+    order or repeated, an ordinal without a row and a repeated or
+    descending ordinal all raise :class:`SearchError`.
     """
     path = Path(path)
     if block_size < 1:
         raise SearchError("segment block size must be >= 1")
-    states = sorted(states, key=state_sort_key)
-    uris = sorted({row[0] for row in states})
+    keys = [state_sort_key(row) for row in state_rows]
+    if any(map(gt, keys, keys[1:])):
+        raise SearchError("state rows are not in canonical (uri, state index) order")
+    if len({(row[0], row[1]) for row in state_rows}) != len(state_rows):
+        raise SearchError("duplicate (uri, state_id) state row")
+    uris = sorted({row[0] for row in state_rows})
     uri_ids = {uri: index for index, uri in enumerate(uris)}
-    ordinals = {(row[0], row[1]): ordinal for ordinal, row in enumerate(states)}
 
     num_postings = 0
     num_terms = 0
@@ -107,38 +127,27 @@ def write_segment(
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         offset = len(MAGIC)
-        for term, postings in postings_by_term:
-            num_terms += 1
-            entry = bytearray()
-            write_bytes(entry, term.encode("utf-8"))
-            write_uvarint(entry, len(postings))
-            blocks = [
-                postings[start : start + block_size]
-                for start in range(0, len(postings), block_size)
-            ]
-            write_uvarint(entry, len(blocks))
-            for block in blocks:
-                block_ordinals = []
-                block_positions = []
-                for posting in block:
-                    try:
-                        ordinal = ordinals[(posting.uri, posting.state_id)]
-                    except KeyError:
-                        raise SearchError(
-                            f"posting for unknown state "
-                            f"({posting.uri!r}, {posting.state_id!r})"
-                        ) from None
-                    block_ordinals.append(ordinal)
-                    block_positions.append(posting.positions)
-                payload = encode_block(block_ordinals, block_positions)
+        for term, ordinals, positions in columns_by_term:
+            df = len(ordinals)
+            if len(positions) != df:
+                raise SearchError(f"ordinal/position arity mismatch in term {term!r}")
+            if df and (ordinals[0] < 0 or ordinals[-1] >= len(state_rows)):
+                raise SearchError(f"posting of {term!r} for unknown state ordinal")
+            entry = [df, -(-df // block_size)]
+            last = -1
+            for start in range(0, df, block_size):
+                block = ordinals[start : start + block_size]
+                if block[0] <= last:  # the seam encode_block cannot see
+                    raise SearchError(f"ordinals of {term!r} must be strictly increasing")
+                last = block[-1]
+                payload = encode_block(block, positions[start : start + block_size])
                 handle.write(payload)
-                write_uvarint(entry, offset)
-                write_uvarint(entry, len(payload))
-                write_uvarint(entry, len(block))
-                write_uvarint(entry, block_ordinals[-1])
+                entry += (offset, len(payload), len(block), last)
                 offset += len(payload)
-            num_postings += len(postings)
-            term_table.extend(entry)
+            num_terms += 1
+            num_postings += df
+            write_bytes(term_table, term.encode("utf-8"))
+            write_uvarints(term_table, entry)
 
         uri_offset = offset
         section = bytearray()
@@ -150,16 +159,12 @@ def write_segment(
 
         state_offset = offset
         section = bytearray()
-        write_uvarint(section, len(states))
-        for uri, state_id, length, depth, seq in states:
-            index = int(state_id[1:])
+        write_uvarint(section, len(state_rows))
+        for (uri, state_id, length, depth, seq), (_, index) in zip(state_rows, keys):
+            write_uvarints(section, (uri_ids[uri], index))
             prefix = state_id[: len(state_id) - len(str(index))]
-            write_uvarint(section, uri_ids[uri])
-            write_uvarint(section, index)
             write_bytes(section, prefix.encode("utf-8"))
-            write_uvarint(section, length)
-            write_uvarint(section, depth)
-            write_uvarint(section, seq)
+            write_uvarints(section, (length, depth, seq))
         handle.write(section)
         offset += len(section)
 
@@ -186,7 +191,7 @@ def write_segment(
             _FOOTER.pack(uri_offset, state_offset, term_offset, meta_offset, FOOTER_MAGIC)
         )
         num_bytes = offset + _FOOTER.size
-    return SegmentStats(path, len(states), num_postings, num_terms, num_bytes)
+    return SegmentStats(path, len(state_rows), num_postings, num_terms, num_bytes)
 
 
 class BlockCache:
@@ -232,27 +237,15 @@ class BlockCache:
         return len(self._entries)
 
 
-class _TermMeta:
-    """Decoded term-table entry: df plus the per-block skip table."""
-
-    __slots__ = ("df", "offsets", "lengths", "counts", "maxima")
-
-    def __init__(self, df: int, offsets, lengths, counts, maxima) -> None:
-        self.df = df
-        self.offsets = offsets
-        self.lengths = lengths
-        self.counts = counts
-        #: Per-block maximum state ordinal — the skip entries.
-        self.maxima = maxima
-
-
 class SegmentReader:
     """Zero-copy (mmap) reader over one immutable segment file.
 
     The URI, state and term tables are decoded once at open time (they
     are small); posting blocks stay on disk until a query's merge
     actually needs them, then decode through the shared
-    :class:`BlockCache`.
+    :class:`BlockCache`.  The skip table is four flat columns over all
+    blocks of the file, term ``number`` owning the run from
+    ``_first_block[number]`` — nothing per term for the collector to walk.
     """
 
     def __init__(self, path: str | Path, cache: Optional[BlockCache] = None) -> None:
@@ -266,7 +259,7 @@ class SegmentReader:
             raise SearchError(f"cannot map segment {self.path}: {error}") from error
         try:
             self._parse_tables()
-        except SearchError:
+        except BaseException:
             self.close()
             raise
 
@@ -283,66 +276,20 @@ class SegmentReader:
             raise SearchError(f"{self.path}: bad segment footer")
         if not len(MAGIC) <= uri_off <= state_off <= term_off <= meta_off <= len(data):
             raise SearchError(f"{self.path}: corrupt section offsets")
-
-        count, offset = read_uvarint(data, uri_off)
-        uris = []
-        for _ in range(count):
-            raw, offset = read_bytes(data, offset)
-            uris.append(raw.decode("utf-8"))
-        self.uris: tuple[str, ...] = tuple(uris)
-        self._uri_set = frozenset(uris)
-
-        count, offset = read_uvarint(data, state_off)
-        self._state_uri: list[str] = []
-        self._state_id: list[str] = []
-        self._state_index: list[int] = []
-        self._state_length: list[int] = []
-        self._state_depth: list[int] = []
-        self._state_seq: list[int] = []
-        self._ordinals: dict[tuple[str, str], int] = {}
-        for ordinal in range(count):
-            uri_id, offset = read_uvarint(data, offset)
-            index, offset = read_uvarint(data, offset)
-            prefix, offset = read_bytes(data, offset)
-            length, offset = read_uvarint(data, offset)
-            depth, offset = read_uvarint(data, offset)
-            seq, offset = read_uvarint(data, offset)
-            if uri_id >= len(self.uris):
-                raise SearchError(f"{self.path}: state row references unknown URI")
-            uri = self.uris[uri_id]
-            state_id = prefix.decode("utf-8") + str(index)
-            self._state_uri.append(uri)
-            self._state_id.append(state_id)
-            self._state_index.append(index)
-            self._state_length.append(length)
-            self._state_depth.append(depth)
-            self._state_seq.append(seq)
-            self._ordinals[(uri, state_id)] = ordinal
-
-        count, offset = read_uvarint(data, term_off)
-        self._terms: dict[str, _TermMeta] = {}
-        for _ in range(count):
-            raw, offset = read_bytes(data, offset)
-            term = raw.decode("utf-8")
-            df, offset = read_uvarint(data, offset)
-            num_blocks, offset = read_uvarint(data, offset)
-            offsets, lengths, counts, maxima = [], [], [], []
-            for _ in range(num_blocks):
-                block_offset, offset = read_uvarint(data, offset)
-                block_length, offset = read_uvarint(data, offset)
-                block_count, offset = read_uvarint(data, offset)
-                block_max, offset = read_uvarint(data, offset)
-                if block_offset + block_length > uri_off:
-                    raise SearchError(
-                        f"{self.path}: block of {term!r} overruns the posting region"
-                    )
-                offsets.append(block_offset)
-                lengths.append(block_length)
-                counts.append(block_count)
-                maxima.append(block_max)
-            if sum(counts) != df:
-                raise SearchError(f"{self.path}: df of {term!r} disagrees with blocks")
-            self._terms[term] = _TermMeta(df, offsets, lengths, counts, maxima)
+        for name, parse, start, end in (
+            ("URI", self._parse_uris, uri_off, state_off),
+            ("state", self._parse_states, state_off, term_off),
+            ("term", self._parse_terms, term_off, meta_off),
+        ):
+            try:
+                parse(data[start:end])
+            except UnicodeDecodeError as error:
+                raise SearchError(
+                    f"{self.path}: corrupt byte string in the {name} table"
+                ) from error
+        extents = map(add, self._block_offset, self._block_length)
+        if max(extents, default=0) > uri_off:
+            raise SearchError(f"{self.path}: a block overruns the posting region")
 
         raw, _ = read_bytes(data, meta_off)
         try:
@@ -351,6 +298,62 @@ class SegmentReader:
             raise SearchError(f"{self.path}: corrupt segment meta") from error
         self.num_postings = int(meta["num_postings"])
         self.block_size = int(meta["block_size"])
+
+    def _parse_uris(self, data: bytes) -> None:
+        count, offset = read_uvarint(data, 0)
+        uris = []
+        for _ in range(count):
+            raw, offset = read_bytes(data, offset)
+            uris.append(raw.decode("utf-8"))
+        self.uris: tuple[str, ...] = tuple(uris)
+        self._uri_set = frozenset(uris)
+
+    def _parse_states(self, data: bytes) -> None:
+        count, offset = read_uvarint(data, 0)
+        numbers: list[int] = []  # uri id, state index, length, depth, seq per row
+        prefixes: list[str] = []
+        for _ in range(count):
+            state, offset = read_uvarints(data, offset, 2)
+            raw, offset = read_bytes(data, offset)
+            stats, offset = read_uvarints(data, offset, 3)
+            numbers += state
+            numbers += stats
+            prefixes.append(raw.decode("utf-8"))
+        uri_ids = numbers[0::5]
+        if uri_ids and max(uri_ids) >= len(self.uris):
+            raise SearchError(f"{self.path}: state row references unknown URI")
+        self._state_uri: list[str] = list(map(self.uris.__getitem__, uri_ids))
+        self._state_index: list[int] = numbers[1::5]
+        self._state_id: list[str] = list(map(add, prefixes, map(str, self._state_index)))
+        self._state_length: list[int] = numbers[2::5]
+        self._state_depth: list[int] = numbers[3::5]
+        self._state_seq: list[int] = numbers[4::5]
+        self._ordinals: dict[tuple[str, str], int] = dict(
+            zip(zip(self._state_uri, self._state_id), range(count))
+        )
+
+    def _parse_terms(self, data: bytes) -> None:
+        count, offset = read_uvarint(data, 0)
+        self._terms: dict[str, int] = {}  # term -> its number, in sorted order
+        heads: list[int] = []  # df, number of blocks per term
+        blocks: list[int] = []  # offset, length, count, max ordinal per block
+        for number in range(count):
+            raw, offset = read_bytes(data, offset)
+            term = raw.decode("utf-8")
+            head, offset = read_uvarints(data, offset, 2)
+            entries, offset = read_uvarints(data, offset, 4 * head[1])
+            if sum(entries[2::4]) != head[0]:
+                raise SearchError(f"{self.path}: df of {term!r} disagrees with blocks")
+            self._terms[term] = number
+            heads += head
+            blocks += entries
+        self._df: list[int] = heads[0::2]
+        self._first_block: list[int] = [0, *accumulate(heads[1::2])]
+        self._block_offset: list[int] = blocks[0::4]
+        self._block_length: list[int] = blocks[1::4]
+        self._block_count: list[int] = blocks[2::4]
+        #: Per-block maximum state ordinal — the skip entries.
+        self._block_max: list[int] = blocks[3::4]
 
     # -- table lookups -----------------------------------------------------------
 
@@ -371,8 +374,8 @@ class SegmentReader:
         return self._terms.keys()
 
     def df(self, term: str) -> int:
-        meta = self._terms.get(term)
-        return meta.df if meta is not None else 0
+        number = self._terms.get(term)
+        return self._df[number] if number is not None else 0
 
     def has_uri(self, uri: str) -> bool:
         return uri in self._uri_set
@@ -397,43 +400,56 @@ class SegmentReader:
 
     def state_rows(self) -> list[tuple[str, str, int, int, int]]:
         """``(uri, state_id, length, depth, seq)`` in ordinal order."""
-        return [
-            (
-                self._state_uri[ordinal],
-                self._state_id[ordinal],
-                self._state_length[ordinal],
-                self._state_depth[ordinal],
-                self._state_seq[ordinal],
-            )
-            for ordinal in range(self.num_states)
-        ]
+        return list(zip(
+            self._state_uri, self._state_id, self._state_length,
+            self._state_depth, self._state_seq,
+        ))
 
     # -- posting access ----------------------------------------------------------
 
     def view(self, term: str) -> Optional["SegmentPostingView"]:
         """A lazily-decoding view over ``term``'s postings, or None."""
-        meta = self._terms.get(term)
-        if meta is None:
+        number = self._terms.get(term)
+        if number is None:
             return None
-        return SegmentPostingView(self, term, meta)
+        return SegmentPostingView(self, number)
 
-    def decode_block_at(self, term: str, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    def _decode(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Decode block ``block`` of the file straight from the map and
+        hold its length against the skip table."""
+        start = self._block_offset[block]
+        ordinals, positions = decode_block(
+            self._map[start : start + self._block_length[block]]
+        )
+        if len(ordinals) != self._block_count[block]:
+            raise SearchError(
+                f"{self.path}: block {block} decoded {len(ordinals)} postings, "
+                f"skip table says {self._block_count[block]}"
+            )
+        return ordinals, positions
+
+    def decode_block_at(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """Decode one posting block through the shared LRU cache."""
-        meta = self._terms[term]
-        key = (str(self.path), term, block)
+        return self.cache.get((str(self.path), block), lambda: self._decode(block))
 
-        def loader():
-            start = meta.offsets[block]
-            payload = self._map[start : start + meta.lengths[block]]
-            ordinals, positions = decode_block(payload)
-            if len(ordinals) != meta.counts[block]:
-                raise SearchError(
-                    f"{self.path}: block {block} of {term!r} decoded "
-                    f"{len(ordinals)} postings, skip table says {meta.counts[block]}"
-                )
-            return ordinals, positions
-
-        return self.cache.get(key, loader)
+    def columns(self, term: str) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Every posting of ``term`` as two flat columns ``(ordinals,
+        positions)`` — the bulk read of compaction and removal, decoded
+        *around* the :class:`BlockCache`: a rewrite touches every block
+        once and would evict what the queries keep warm for nothing."""
+        number = self._terms.get(term)
+        if number is None:
+            return [], []
+        first, end = self._first_block[number], self._first_block[number + 1]
+        if end - first == 1:
+            return self._decode(first)
+        ordinals: list[int] = []
+        positions: list[tuple[int, ...]] = []
+        for block in range(first, end):
+            block_ordinals, block_positions = self._decode(block)
+            ordinals += block_ordinals
+            positions += block_positions
+        return ordinals, positions
 
     def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
         """Lazily, one ``(uri, state_id, length, positions per term)``
@@ -456,15 +472,12 @@ class SegmentReader:
 
     def materialize(self, term: str) -> list[Posting]:
         """The full posting list of ``term`` (canonical order)."""
-        meta = self._terms.get(term)
-        if meta is None:
+        view = self.view(term)
+        if view is None:
             return []
         postings: list[Posting] = []
-        for block in range(len(meta.offsets)):
-            ordinals, positions = self.decode_block_at(term, block)
-            postings.extend(
-                self.posting(ordinal, pos) for ordinal, pos in zip(ordinals, positions)
-            )
+        for block in range(view.first, view.end):
+            postings.extend(map(self.posting, *self.decode_block_at(block)))
         return postings
 
     def close(self) -> None:
@@ -473,33 +486,29 @@ class SegmentReader:
 
 
 class SegmentPostingView:
-    """Block-granular access to one term's postings in one segment."""
+    """Block-granular access to one term's postings in one segment: the
+    run ``first`` to ``end`` of the file's blocks, with ``block_max``
+    the file-wide column of skip entries that run is bisected in."""
 
-    __slots__ = ("reader", "term", "meta")
+    __slots__ = ("reader", "df", "first", "end", "block_max")
 
-    def __init__(self, reader: SegmentReader, term: str, meta: _TermMeta) -> None:
+    def __init__(self, reader: SegmentReader, number: int) -> None:
         self.reader = reader
-        self.term = term
-        self.meta = meta
-
-    @property
-    def df(self) -> int:
-        return self.meta.df
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.meta.offsets)
+        self.df = reader._df[number]
+        self.first = reader._first_block[number]
+        self.end = reader._first_block[number + 1]
+        self.block_max = reader._block_max
 
     def load(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        return self.reader.decode_block_at(self.term, block)
+        return self.reader.decode_block_at(block)
 
     def count_at(self, ordinal: int) -> int:
         """Occurrences of the term in the state ``ordinal`` (0 if absent).
 
         Uses the skip table to decode at most one block.
         """
-        block = bisect_left(self.meta.maxima, ordinal)
-        if block >= self.num_blocks:
+        block = bisect_left(self.block_max, ordinal, self.first, self.end)
+        if block >= self.end:
             return 0
         ordinals, positions = self.load(block)
         at = bisect_left(ordinals, ordinal)
@@ -544,7 +553,7 @@ class _BlockCursor:
     def __init__(self, view: SegmentPostingView, stats: MergeStats) -> None:
         self.view = view
         self.stats = stats
-        self.block = 0
+        self.block = view.first
         self.offset = 0
         self.ordinals: Optional[list[int]] = None
         self.positions: Optional[list[tuple[int, ...]]] = None
@@ -561,7 +570,7 @@ class _BlockCursor:
         self.block = block
         self.offset = 0
         self.ordinals = self.positions = None
-        return block < self.view.num_blocks
+        return block < self.view.end
 
     def seek(self, target: int) -> bool:
         """Move to the first posting with ordinal >= ``target``; False if
@@ -571,7 +580,7 @@ class _BlockCursor:
         over *without decoding* — the skip-pointer fast path.  Within
         the final candidate block a binary search lands the cursor.
         """
-        landing = bisect_left(self.view.meta.maxima, target, self.block)
+        landing = bisect_left(self.view.block_max, target, self.block, self.view.end)
         if landing != self.block:
             # Every hopped block but a decoded current one was skipped.
             self.stats.blocks_skipped += landing - self.block - (self.ordinals is not None)
@@ -608,11 +617,11 @@ def merge_conjunction_blocks(
     if not views:
         return ordinals, columns
     stats.postings_total += sum(view.df for view in views)
-    if any(view.num_blocks == 0 for view in views):
+    if any(view.first == view.end for view in views):
         return ordinals, columns
     if len(views) == 1:
         (view,), (column,) = views, columns
-        for block in range(view.num_blocks):
+        for block in range(view.first, view.end):
             block_ordinals, block_positions = view.load(block)
             stats.blocks_decoded += 1
             stats.postings_decoded += len(block_ordinals)

@@ -17,9 +17,12 @@ from repro.search.codec import (
     encode_block,
     read_bytes,
     read_uvarint,
+    read_uvarints,
     write_bytes,
     write_uvarint,
+    write_uvarints,
 )
+from tests.search.reference_writer import reference_encode_block
 
 
 # -- varint primitives -------------------------------------------------------------
@@ -157,3 +160,83 @@ def test_arbitrary_bytes_never_raise_raw_errors(data):
     assert ordinals == sorted(set(ordinals))
     assert all(occurrence for occurrence in positions)
     assert decode_block(encode_block(ordinals, positions)) == (ordinals, positions)
+
+
+# -- the bulk codec against the layout's definition --------------------------------
+
+#: Around every varint length boundary the format can meet (1, 2, 5 and
+#: 6 bytes), plus the small values that fill real blocks.
+wide_ints = st.one_of(
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**35 - 1, 2**35, 2**35 + 1]),
+    st.integers(min_value=0, max_value=2**40),
+)
+
+
+def increasing(values):
+    return sorted(set(values))
+
+
+wide_blocks = st.lists(wide_ints, max_size=12).map(increasing).flatmap(
+    lambda ordinals: st.tuples(
+        st.just(ordinals),
+        st.lists(
+            st.lists(wide_ints, min_size=1, max_size=4).map(increasing).map(tuple),
+            min_size=len(ordinals),
+            max_size=len(ordinals),
+        ),
+    )
+)
+
+
+@given(wide_blocks)
+@settings(max_examples=200)
+def test_encode_block_is_the_composition_of_write_uvarint_calls(block):
+    """One pass and one bulk write produce, byte for byte, what the
+    layout says: a ``write_uvarint`` call per integer."""
+    ordinals, positions = block
+    payload = encode_block(ordinals, positions)
+    assert payload == reference_encode_block(ordinals, positions)
+    assert decode_block(payload) == (ordinals, positions)
+
+
+def test_encode_block_at_the_varint_length_boundaries():
+    ordinals = [2**7 - 1, 2**7, 2**14, 2**35, 2**35 + 2**14]
+    positions = [(0,), (2**7,), (1, 2**14), (2**35,), (0, 2**35, 2**36)]
+    payload = encode_block(ordinals, positions)
+    assert payload == reference_encode_block(ordinals, positions)
+    assert decode_block(payload) == (ordinals, positions)
+
+
+@given(st.lists(wide_ints, max_size=30), st.binary(max_size=4))
+def test_bulk_varints_equal_one_call_per_value(values, lead):
+    single = bytearray(lead)
+    for value in values:
+        write_uvarint(single, value)
+    bulk = bytearray(lead)
+    write_uvarints(bulk, values)
+    assert bulk == single
+    assert read_uvarints(bulk, len(lead), len(values)) == (values, len(bulk))
+    assert read_uvarints(bytes(bulk[len(lead) :])) == (values, len(bulk) - len(lead))
+    offset, decoded = len(lead), []
+    for _ in values:
+        value, offset = read_uvarint(bulk, offset)
+        decoded.append(value)
+    assert decoded == values and offset == len(bulk)
+
+
+def test_bulk_varints_reject_what_single_calls_reject():
+    with pytest.raises(SearchError, match="negative"):
+        write_uvarints(bytearray(), [3, -1])
+    data = bytearray()
+    write_uvarints(data, [1, 1 << 40])
+    with pytest.raises(SearchError, match="truncated"):
+        read_uvarints(data[:-1], 0, 2)  # ends inside the second varint
+    with pytest.raises(SearchError, match="truncated"):
+        read_uvarints(data, 0, 3)  # ends before the third
+    with pytest.raises(SearchError, match="truncated"):
+        read_uvarints(data[:-1])  # "all of them" still may not end inside one
+    with pytest.raises(SearchError, match="over-long"):
+        read_uvarints(b"\x01" + b"\xff" * MAX_VARINT_BYTES + b"\x01")
+    # Ten bytes are the longest legal varint.
+    assert read_uvarints(b"\xff" * (MAX_VARINT_BYTES - 1) + b"\x01") == ([2**64 - 1], 10)

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, MetricsRegistry, Recorder, SEGMENT_FLUSH
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex
+from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader
 from repro.search.segmented import MANIFEST_NAME, _tier
+from tests.search.reference_writer import reference_bytes
 
 
 def make_model(url, state_texts):
@@ -161,6 +162,76 @@ class TestFlushAndCompaction:
         assert metrics.counter("index.compactions") >= 1
         disk.conjunction(["shared"])
         assert metrics.counter("index.blocks_decoded") > 0
+        disk.close()
+
+
+class TestWritePathInvariants:
+    def test_merge_rejects_two_victims_claiming_one_state(self, tmp_path):
+        one = SegmentedIndex(tmp_path / "one").build([make_model("u1", ["alpha beta"])])
+        two = SegmentedIndex(tmp_path / "two").build(
+            [make_model("u1", ["alpha gamma"]), make_model("u2", ["delta"])]
+        )
+        # State co-location broken on purpose: a second live segment
+        # that also holds (u1, s0).  The merge hands the writer ordinals,
+        # not names — it is the writer that has to notice.
+        stray = SegmentReader(two._readers[0].path, cache=one.cache)
+        one._readers.append(stray)
+        with pytest.raises(SearchError, match="duplicate"):
+            one.compact_all()
+        one._readers.remove(stray)
+        stray.close()
+        # Nothing was committed and nothing was left behind.
+        assert [path.name for path in (tmp_path / "one").glob("seg-*")] == [one._readers[0].name]
+        assert one.postings("alpha") == InvertedFile().build(
+            [make_model("u1", ["alpha beta"])]
+        ).postings("alpha")
+        one.close()
+        two.close()
+
+    def test_bulk_reads_leave_the_block_cache_alone(self, tmp_path):
+        """compact_all, a policy compaction and remove_urls decode every
+        block of what they rewrite — around the cache: its counters stay
+        put, and what a query warmed in a segment that was *not*
+        rewritten is still a hit afterwards."""
+        # Three pages (90 postings) a segment: removing one page rewrites
+        # its segment, into a lower size tier, and leaves the other four alone.
+        disk = SegmentedIndex(
+            tmp_path / "idx", flush_threshold=90, block_size=2, compact_fanin=100
+        ).build(corpus_texts(pages=15, states=5))
+        assert disk.num_segments == 5
+        cache = disk.cache
+
+        def counters():
+            return (cache.hits, cache.misses, cache.evictions, len(cache))
+
+        def requery(survivors):
+            """Query every segment again; (hits, misses) it should add
+            if exactly the ``survivors`` are still warm."""
+            hits = misses = 0
+            for reader in disk._readers:
+                view = reader.view("shared")
+                if reader.name in survivors:
+                    hits += view.end - view.first
+                else:
+                    misses += view.end - view.first
+            before = counters()
+            assert len(list(disk.conjunction(["shared"]))) == disk.num_states
+            after = counters()
+            assert (after[0] - before[0], after[1] - before[1]) == (hits, misses)
+
+        requery(survivors=set())  # cold: every block is a miss
+        disk.compact_fanin = 4  # the four untouched segments share a tier
+        for rewrite, segments_left in (
+            (lambda: disk.remove_urls(["http://site.test/p4"]), 5),
+            (disk.maybe_compact, 2),
+            (disk.compact_all, 1),
+        ):
+            names = {reader.name for reader in disk._readers}
+            before = counters()
+            assert rewrite()
+            assert counters() == before
+            assert disk.num_segments == segments_left
+            requery(survivors=names)
         disk.close()
 
 
@@ -347,4 +418,92 @@ def test_update_model_equals_fresh_rebuild_property(
     # Order differs from a fresh build only in u1 moving to the end —
     # both backends must agree on the exact resulting order.
     assert disk.states() == memory.states()
+    disk.close()
+
+
+# -- the ordinal-native write path == the Posting-level reference (property) -------
+
+#: Out of string order and interleaving: whatever order models arrive
+#: in, a flush has to rank their states canonically.
+PROPERTY_URIS = [
+    "http://b.test/1", "http://a.test/9", "http://c.test/", "http://a.test/10", "http://b.test/0",
+]
+VOCABULARY = ["alpha", "beta", "gamma", "delta"]
+
+
+def property_model(uri, num_states, salt):
+    """``shared`` is in every state (df beyond two blocks at any block
+    size tried), ``only...`` in exactly one; state ids run up to s130."""
+    model = ApplicationModel(uri)
+    tag = PROPERTY_URIS.index(uri)
+    for k in range(num_states):
+        words = [VOCABULARY[(k + salt + j) % 4] for j in range(1 + (k + salt) % 3)]
+        text = f"shared {' '.join(words)} only{tag}x{salt}x{k} shared"
+        model.add_state(f"{uri}#{salt}#{k}", text, depth=k % 4)
+    return model
+
+
+def assert_live_segments_equal_the_reference(disk, scratch):
+    for reader in disk._readers:
+        written = reader.path.read_bytes()
+        assert written == reference_bytes(reader, scratch / "reference.seg"), reader.name
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_written_segment_equals_the_reference_writer(tmp_path_factory, data):
+    """Random add / update / remove / flush / compaction sequences: after
+    every step each live segment is, byte for byte, what the reference
+    writer makes of the same logical content, and the index answers like
+    an InvertedFile fed the same operations."""
+    scratch = tmp_path_factory.mktemp("writepath")
+    disk = SegmentedIndex(
+        scratch / "idx",
+        flush_threshold=data.draw(st.sampled_from([1, 60, 10**6, 10**6]), label="flush_threshold"),
+        block_size=data.draw(st.sampled_from([1, 2, 4]), label="block_size"),
+        compact_fanin=data.draw(st.sampled_from([2, 4]), label="compact_fanin"),
+    )
+    memory = InvertedFile()
+    present: set[str] = set()
+    operations = st.sampled_from(
+        ["add", "add", "add", "update", "remove", "flush", "maybe_compact", "compact_all"]
+    )
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10), label="steps")):
+        operation = data.draw(operations, label="operation")
+        if operation in ("add", "update"):
+            # Several models a step, so that one flush ranks the
+            # interleaving states of more than one URI.
+            for uri in data.draw(
+                st.lists(st.sampled_from(PROPERTY_URIS), min_size=1, max_size=3, unique=True),
+                label="uris",
+            ):
+                model = property_model(
+                    uri,
+                    data.draw(st.sampled_from([1, 2, 3, 9, 131]), label="states"),
+                    data.draw(st.integers(min_value=0, max_value=3), label="salt"),
+                )
+                if operation == "update" or uri in present:
+                    memory.update_model(model)
+                    disk.update_model(model)
+                else:
+                    memory.add_model(model)
+                    disk.add_model(model)
+                present.add(uri)
+        elif operation == "remove":
+            gone = data.draw(st.lists(st.sampled_from(PROPERTY_URIS), max_size=3), label="gone")
+            assert disk.remove_urls(gone) == memory.remove_urls(gone)
+            present.difference_update(gone)
+        else:
+            getattr(disk, operation)()
+        assert_live_segments_equal_the_reference(disk, scratch)
+        # Comparing answers flushes the memtable; a draw decides, so
+        # buffers that span several steps are explored as well.
+        if data.draw(st.booleans(), label="compare answers"):
+            assert disk.states() == memory.states()
+    assert disk.states() == memory.states()
+    assert disk.terms() == memory.terms()
+    for term in memory.terms():
+        assert disk.postings(term) == memory.postings(term), term
+        assert disk.document_frequency(term) == memory.document_frequency(term), term
+    assert_live_segments_equal_the_reference(disk, scratch)
     disk.close()

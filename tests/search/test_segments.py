@@ -6,25 +6,21 @@ materialized galloping merge, plus proof that whole blocks are hopped
 without decode), and corruption handling on damaged files.
 """
 
+import os
+
 import pytest
 
 from repro.errors import SearchError
-from repro.search.postings import Posting, merge_conjunction, sort_postings
+from repro.search.postings import merge_conjunction
 from repro.search.segments import (
+    _FOOTER,
     BlockCache,
     MergeStats,
     SegmentReader,
     write_segment,
 )
 from repro.search.segments import merge_conjunction_blocks
-
-
-def make_postings(entries):
-    """entries: (uri, state_id, positions) triples, any order."""
-    return sort_postings(
-        [Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-         for uri, state_id, positions in entries]
-    )
+from tests.search.reference_writer import as_columns, make_postings
 
 
 @pytest.fixture
@@ -49,7 +45,7 @@ def segment(tmp_path):
         "pair": make_postings([("u1", "s0", (2,)), ("u2", "s0", (3,))]),
     }
     path = tmp_path / "seg-0.seg"
-    stats = write_segment(path, states, sorted(postings.items()), block_size=2)
+    stats = write_segment(path, *as_columns(states, sorted(postings.items())), block_size=2)
     reader = SegmentReader(path)
     yield reader, states, postings, stats
     reader.close()
@@ -97,14 +93,14 @@ class TestRoundTrip:
         reader, _, postings, _ = segment
         view = reader.view("common")
         assert view.df == 5
-        assert view.num_blocks == 3  # 5 postings at block_size=2
+        assert view.end - view.first == 3  # 5 postings at block_size=2
         # Per-block maxima are the skip entries: strictly increasing and
         # the last one is the final posting's ordinal.
-        maxima = view.meta.maxima
-        assert len(maxima) == view.num_blocks
+        maxima = view.block_max[view.first : view.end]
+        assert len(maxima) == 3
         assert maxima == sorted(maxima)
         assert maxima[-1] == reader.ordinal("u2", "s2")
-        assert view.meta.counts == [2, 2, 1]
+        assert reader._block_count[view.first : view.end] == [2, 2, 1]
 
     def test_count_at_decodes_one_block(self, segment):
         reader, _, _, _ = segment
@@ -116,11 +112,39 @@ class TestRoundTrip:
         assert view.count_at(reader.num_states + 5) == 0
 
     def test_unknown_posting_state_rejected(self, tmp_path):
-        orphan = make_postings([("nowhere", "s0", (0,))])
-        with pytest.raises(SearchError, match="unknown state"):
-            write_segment(
-                tmp_path / "bad.seg", [("u", "s0", 1, 0, 0)], [("t", orphan)]
-            )
+        rows = [("u", "s0", 1, 0, 0)]
+        for orphan in ([1], [-1], [0, 1]):
+            with pytest.raises(SearchError, match="unknown state"):
+                write_segment(
+                    tmp_path / "bad.seg", rows, [("t", orphan, [(0,)] * len(orphan))]
+                )
+
+    def test_inconsistent_columns_rejected(self, tmp_path):
+        rows = [("u", f"s{index}", 1, 0, index) for index in range(6)]
+        one = [(0,)]
+        # A repeat or a step back *across* a block seam (block_size=2:
+        # the blocks are [0, 1] and [1, 2]), which encode_block, seeing
+        # one block at a time, cannot notice.
+        for ordinals in ([0, 1, 1, 2], [0, 3, 2, 4], [2, 2]):
+            with pytest.raises(SearchError, match="strictly increasing"):
+                write_segment(
+                    tmp_path / "bad.seg", rows, [("t", ordinals, one * len(ordinals))],
+                    block_size=2,
+                )
+        with pytest.raises(SearchError, match="arity"):
+            write_segment(tmp_path / "bad.seg", rows, [("t", [0, 1], one * 4)], block_size=2)
+        # The state table is the ordinal space: a repeated row would
+        # hand two ordinals to one state, rows out of order would make
+        # every ordinal mean another state than its producer meant.
+        with pytest.raises(SearchError, match="duplicate"):
+            write_segment(tmp_path / "bad.seg", rows + rows[-1:], [])
+        with pytest.raises(SearchError, match="canonical"):
+            write_segment(tmp_path / "bad.seg", rows[::-1], [])
+        # (uri, state index) order, not string order: s10 sorts after s9.
+        ten = [("u", "s9", 1, 0, 0), ("u", "s10", 1, 0, 1)]
+        write_segment(tmp_path / "good.seg", ten, [("t", [0, 1], one * 2)])
+        with pytest.raises(SearchError, match="canonical"):
+            write_segment(tmp_path / "bad.seg", ten[::-1], [])
 
     def test_zero_block_size_rejected(self, tmp_path):
         with pytest.raises(SearchError, match="block size"):
@@ -194,7 +218,7 @@ class TestBlockSkippingMerge:
         every = make_postings([("u", f"s{i}", (0,)) for i in range(400)])
         needle = make_postings([("u", "s399", (1,))])
         path = tmp_path / "skew.seg"
-        write_segment(path, states, [("every", every), ("needle", needle)],
+        write_segment(path, *as_columns(states, [("every", every), ("needle", needle)]),
                       block_size=16)
         reader = SegmentReader(path)
         try:
@@ -228,7 +252,7 @@ class TestCorruption:
         states = [("u", "s0", 2, 0, 0), ("u", "s1", 2, 1, 1)]
         postings = make_postings([("u", "s0", (0,)), ("u", "s1", (1,))])
         path = tmp_path / "seg.seg"
-        write_segment(path, states, [("term", postings)])
+        write_segment(path, *as_columns(states, [("term", postings)]))
         return path
 
     def test_not_a_segment(self, tmp_path):
@@ -304,3 +328,50 @@ class TestCorruption:
                 reader.materialize("term")
         finally:
             reader.close()
+
+    def test_every_damaged_table_byte_is_a_search_error_or_a_consistent_open(self, tmp_path):
+        """Each byte of the URI, state and term tables overwritten with
+        0xFF, 0x80, 0x00 and 0x7F in turn: the mutant opens with tables
+        that agree with each other, or raises SearchError — never a raw
+        UnicodeDecodeError/IndexError — and no handle stays open."""
+        states = [("u", "s0", 2, 0, 0), ("u", "s1", 2, 1, 1)]
+        postings = [
+            ("alpha", make_postings([("u", "s0", (0,)), ("u", "s1", (1,))])),
+            ("beta", make_postings([("u", "s1", (0,))])),
+        ]
+        path = tmp_path / "seg.seg"
+        write_segment(path, *as_columns(states, postings))
+        pristine = path.read_bytes()
+        uri_off, _, _, meta_off, _ = _FOOTER.unpack(pristine[-_FOOTER.size :])
+        descriptors = "/proc/self/fd"
+        before = len(os.listdir(descriptors)) if os.path.isdir(descriptors) else None
+        outcomes = {"opened": 0, "rejected": 0}
+        for at in range(uri_off, meta_off):
+            for byte in (0xFF, 0x80, 0x00, 0x7F):
+                if pristine[at] == byte:
+                    continue
+                path.write_bytes(pristine[:at] + bytes([byte]) + pristine[at + 1 :])
+                try:
+                    reader = SegmentReader(path)
+                except SearchError:
+                    outcomes["rejected"] += 1
+                    continue
+                outcomes["opened"] += 1
+                try:
+                    rows = reader.state_rows()
+                    assert len(rows) == reader.num_states
+                    assert all(row[0] in reader.uris for row in rows)
+                    # A damaged prefix can make two rows one state; the
+                    # registry then holds the later one, like any dict.
+                    assert {reader.ordinal(*row[:2]) for row in rows} <= set(range(len(rows)))
+                    for term in reader.terms():
+                        view = reader.view(term)
+                        assert sum(reader._block_count[view.first : view.end]) == view.df
+                        for block in range(view.first, view.end):
+                            extent = reader._block_offset[block] + reader._block_length[block]
+                            assert extent <= uri_off
+                finally:
+                    reader.close()
+        assert min(outcomes.values()) > 0, outcomes
+        if before is not None:
+            assert len(os.listdir(descriptors)) == before

@@ -1,5 +1,5 @@
 """Repo tooling: the ``tools/ab_bench.py`` smoke, the knob census and
-the journaled-write and lent-fragment guards."""
+the journaled-write, lent-fragment, columnar-write-path and gc guards."""
 
 import ast
 import dataclasses
@@ -148,6 +148,86 @@ def test_lent_fragments_reach_the_tree_only_through_page_write():
         "element.replace_children(page.fragment(markup))\n"
     )
     assert fragment_leaks(sample) == (4, ["6:kept", "7:fragment"])
+
+
+def object_view_users(source: str) -> set[str]:
+    """The functions of ``source``, as ``Class.name``, that build a
+    ``Posting``, mention ``sort_postings`` or call ``.materialize(...)``."""
+    users = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(child):
+                    called = inner.func if isinstance(inner, ast.Call) else None
+                    if (
+                        (isinstance(called, ast.Name) and called.id == "Posting")
+                        or (isinstance(called, ast.Attribute) and called.attr == "materialize")
+                        or (isinstance(inner, ast.Name) and inner.id == "sort_postings")
+                    ):
+                        users.add(scope + child.name)
+
+    visit(ast.parse(source), "")
+    return users
+
+
+def test_the_segment_write_path_moves_columns_not_postings():
+    # Flush, compaction and removal carry state ordinals from memtable
+    # and mmap to varint blocks.  A Posting built on the way does not
+    # crash and changes no byte: it costs a third of the build again.
+    search = REPO / "src" / "repro" / "search"
+    users = {
+        module: object_view_users((search / module).read_text())
+        for module in ("codec.py", "segments.py", "segmented.py", "memtable.py")
+    }
+    assert users == {
+        "codec.py": set(),
+        "segments.py": {"SegmentReader.posting"},  # under materialize, for Index.postings
+        "segmented.py": {"SegmentedIndex.postings"},
+        "memtable.py": {"Memtable.add_state", "Memtable.sort"},  # InvertedFile's buffer
+    }
+    sample = (
+        "class Index:\n"
+        "    def flush(self):\n"
+        "        return [Posting(uri, state, positions)]\n"
+        "    def _merge(self, victims):\n"
+        "        def merged():\n"
+        "            yield sort_postings(victims[0].materialize(term))\n"
+        "    def columns(self) -> list[Posting]:\n"
+        "        return self.ordinals\n"
+        "def remove(reader):\n"
+        "    reader.materialize(term)\n"
+    )
+    assert object_view_users(sample) == {"Index.flush", "Index._merge", "remove"}
+
+
+def gc_tuning(source: str) -> list[str]:
+    """Every ``gc.disable`` / ``gc.freeze`` / ``gc.set_threshold`` in
+    ``source``, however the name was imported, as ``line:name``."""
+    tuned = {"disable", "freeze", "set_threshold"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in tuned
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        ):
+            found.append(f"{node.lineno}:{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [f"{node.lineno}:{name.name}" for name in node.names if name.name in tuned]
+    return sorted(found)
+
+
+def test_nothing_under_src_tunes_the_garbage_collector():
+    # Half of a segment open used to be the collector walking the heap;
+    # the answer was fewer containers per term, and stays that.
+    for path in sorted((REPO / "src").rglob("*.py")):
+        assert gc_tuning(path.read_text()) == [], path
+    sample = "import gc\ngc.disable()\nfrom gc import freeze, collect\ngc.collect()\n"
+    assert gc_tuning(sample) == ["2:disable", "3:freeze"]
 
 
 def test_ab_bench_of_a_ref_against_itself():
