@@ -20,15 +20,15 @@ import itertools
 import json
 import threading
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.model import ApplicationModel
 from repro.obs import INDEX_FLUSH, NULL_RECORDER
 from repro.search.memtable import Memtable
-from repro.search.postings import Posting, merge_conjunction
+from repro.search.postings import Posting
 from repro.search.ranking import inverse_document_frequency
+from repro.search.segments import MemorySegment, merge_conjunction_blocks
 
 #: One boolean match as the read path carries it: ``(uri, state_id,
 #: state length, positions of each query term)`` — plain values, so
@@ -143,9 +143,11 @@ class Index(ABC):
 class InvertedFile(Index):
     """Keyword → sorted posting list, plus per-state statistics.
 
-    The write half is a :class:`Memtable` that is never flushed:
-    ``finalize`` sorts its posting lists where they are and the lookups
-    read them in place.
+    The write half is a :class:`Memtable` that is never emptied:
+    ``finalize`` flushes it into memory — the same state table and
+    ordinal columns a segment file is written from — and the lookups
+    read that :class:`~repro.search.segments.MemorySegment` the way a
+    :class:`~repro.search.segmented.SegmentedIndex` reads a segment.
     """
 
     def __init__(
@@ -159,68 +161,67 @@ class InvertedFile(Index):
         self.stopwords = stopwords
         self._memtable = Memtable(max_state_index=max_state_index, stopwords=stopwords)
         self._take_seq = itertools.count().__next__
-        self._sorted = True
+        #: The finalized view; None while a write has not been flushed.
+        self._segment: Optional[MemorySegment] = MemorySegment((), ())
         # finalize() may be reached lazily from postings() by concurrent
-        # query threads; the lock makes the sort-once transition safe.
+        # query threads; the lock makes the flush-once transition safe.
         self._finalize_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------------
 
     def add_model(self, model: ApplicationModel) -> None:
         self._memtable.add_model(model, self._take_seq)
-        self._sorted = False
+        self._segment = None
 
     def remove_urls(self, uris: Iterable[str]) -> int:
-        return self._memtable.remove_urls(uris)
+        removed = self._memtable.remove_urls(uris)
+        if removed:
+            self._segment = None  # every later state's ordinal has moved
+        return removed
 
     def finalize(self) -> None:
-        """Sort posting lists into canonical order (idempotent, thread-safe).
+        self._flushed()
+
+    def _flushed(self) -> MemorySegment:
+        """The finalized view, flushing first if a write is pending.
 
         Double-checked locking: the unlocked fast path keeps finalized
         reads free, the locked re-check makes the first ``postings()``
         calls of concurrent query threads safe on a freshly built index.
+        The view is complete before the one assignment that publishes
+        it, and a reader keeps to the segment it was handed.
         """
-        if self._sorted:
-            return
+        if (segment := self._segment) is not None:
+            return segment
         with self._finalize_lock:
-            if self._sorted:
-                return
-            with self.recorder.span("index_flush"):
-                self._memtable.sort()
-                self._sorted = True
-                if self.recorder.enabled:
-                    self.recorder.emit(
-                        INDEX_FLUSH,
-                        num_states=self.num_states,
-                        vocabulary=self.vocabulary_size,
-                    )
+            if (segment := self._segment) is None:
+                with self.recorder.span("index_flush"):
+                    segment = self._segment = MemorySegment(*self._memtable.flush_view())
+                    if self.recorder.enabled:
+                        self.recorder.emit(
+                            INDEX_FLUSH,
+                            num_states=self.num_states,
+                            vocabulary=self.vocabulary_size,
+                        )
+            return segment
 
     # -- lookups ------------------------------------------------------------------
 
     def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
-        """Posting-level galloping merge over the index's own lists
-        (:func:`~repro.search.postings.merge_conjunction` only reads them)."""
-        self.finalize()
-        return map(
-            self._match_row,
-            merge_conjunction([self._memtable.postings(term) for term in terms]),
-        )
-
-    def _match_row(self, group: list[Posting]) -> MatchRow:
-        uri, state_id = group[0].uri, group[0].state_id
-        return (
-            uri,
-            state_id,
-            self.state_length(uri, state_id),
-            [posting.positions for posting in group],
-        )
+        """The ordinal-level block merge a segment file runs, over one
+        undivided block per term."""
+        segment = self._flushed()
+        views = [segment.view(term) for term in terms]
+        if None in views:
+            return iter(())
+        return segment.match_rows(*merge_conjunction_blocks(views))
 
     def postings(self, term: str) -> list[Posting]:
-        self.finalize()
-        return list(self._memtable.postings(term))
+        return self._flushed().materialize(term)
 
     def document_frequency(self, term: str) -> int:
-        return len(self._memtable.postings(term))
+        view = self._flushed().view(term)
+        return view.df if view is not None else 0
 
     @property
     def num_states(self) -> int:
@@ -241,30 +242,24 @@ class InvertedFile(Index):
         return stat[1] if stat else 0
 
     def term_count(self, term: str, uri: str, state_id: str) -> int:
-        """Binary search over the finalized sort-key order — O(log df),
-        not a scan of the whole posting list."""
-        # finalize() replaces posting lists with sorted copies, so the
-        # list must be fetched *after* it runs.
-        self.finalize()
-        plist = self._memtable.postings(term)
-        target = (uri, int(state_id[1:]))
-        at = bisect_left(plist, target, key=lambda posting: posting.sort_key)
-        if at < len(plist) and plist[at].uri == uri and plist[at].state_id == state_id:
-            return plist[at].count
-        return 0
+        """Binary search over the term's ordinals — O(log df), not a
+        scan of the whole posting list."""
+        segment = self._flushed()
+        ordinal, view = segment.ordinal(uri, state_id), segment.view(term)
+        return view.count_at(ordinal) if ordinal is not None and view is not None else 0
 
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        self.finalize()
+        segment = self._flushed()
         rows = self._memtable.state_rows()
         return {
             "max_state_index": self.max_state_index,
             "stopwords": sorted(self.stopwords) if self.stopwords else None,
             "postings": {
                 term: [
-                    [p.uri, p.state_id, list(p.positions)]
-                    for p in self._memtable.postings(term)
+                    [*segment.state_key(ordinal), list(occurrences)]
+                    for ordinal, occurrences in zip(*segment.columns[term])
                 ]
                 for term in self._memtable.terms()
             },
@@ -283,18 +278,15 @@ class InvertedFile(Index):
             (uri, state_id): depth for uri, state_id, depth in data.get("state_depths", [])
         }
         index._memtable.restore(
-            {
-                term: [
-                    Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-                    for uri, state_id, positions in plist
-                ]
-                for term, plist in data["postings"].items()
-            },
             [
                 (uri, state_id, length, depths.get((uri, state_id), 0))
                 for uri, state_id, length in data["state_lengths"]
             ],
+            data["postings"],
         )
+        # The restored rows took 0..n-1; the next add continues after them.
+        index._take_seq = itertools.count(index.num_states).__next__
+        index._segment = None
         return index
 
     def save(self, path: str | Path) -> None:

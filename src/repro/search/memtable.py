@@ -4,30 +4,35 @@ A :class:`Memtable` is the one place freshly indexed states accumulate:
 tokenize, group occurrences per term, record per-state statistics,
 forget a URI's states again.  The in-memory
 :class:`~repro.search.index.InvertedFile` owns one for its whole life
-and queries it in place; the :class:`~repro.search.segmented.SegmentedIndex`
-freezes its own into an immutable on-disk segment once
-:attr:`Memtable.num_postings` crosses the flush threshold and starts a
-fresh one.
+and flushes it into memory at every ``finalize``; the
+:class:`~repro.search.segmented.SegmentedIndex` freezes its own into an
+immutable on-disk segment once :attr:`Memtable.num_postings` crosses the
+flush threshold and starts a fresh one.
 
 Every state carries a *sequence number* handed out by the owner, so a
 segmented ``states()`` registry preserves insertion order across any
 number of segment files (and across remove/re-add cycles, like the
-insertion order of the dicts here).
+insertion order of the dicts here).  The same number names the state in
+the buffer: a term holds two parallel columns, its owners' sequence
+numbers and their position tuples — a posting is an int and a tuple of
+ints, nothing the cyclic collector walks.  Ranks (state ordinals) are
+taken when the buffer is read out, never stored: one added state shifts
+the rank of every state that sorts after it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
-from repro.search.postings import Posting, sort_postings
 from repro.search.segments import sorted_columns, state_sort_key
-from repro.search.tokenizer import tokenize_with_positions
+from repro.search.tokenizer import tokenize
 
 
 class Memtable:
-    """Mutable accumulation buffer: term → postings, plus per-state stats."""
+    """Mutable accumulation buffer: term → two columns, plus per-state stats."""
 
     def __init__(
         self,
@@ -36,7 +41,10 @@ class Memtable:
     ) -> None:
         self.max_state_index = max_state_index
         self.stopwords = stopwords
-        self._postings: dict[str, list[Posting]] = {}
+        #: term -> sequence numbers of the states holding it, in insertion order.
+        self._seqs: dict[str, list[int]] = {}
+        #: term -> its positions in each of those states (parallel to ``_seqs``).
+        self._positions: dict[str, list[tuple[int, ...]]] = {}
         #: (uri, state_id) -> (token count, depth, sequence number).
         self._states: dict[tuple[str, str], tuple[int, int, int]] = {}
         #: (uri, state_id) -> terms it contains (for removal).
@@ -60,53 +68,72 @@ class Memtable:
         key = (uri, state_id)
         if key in self._states:
             raise SearchError(f"state {key} indexed twice")
-        tokens = tokenize_with_positions(text, stopwords=self.stopwords)
-        self._states[key] = (len(tokens), depth, seq)
+        tokens = tokenize(text)
         by_term: dict[str, list[int]] = {}
-        for token, position in tokens:
-            by_term.setdefault(token, []).append(position)
+        for position, token in enumerate(tokens):
+            if token in by_term:
+                by_term[token].append(position)
+            else:
+                by_term[token] = [position]
+        length = len(tokens)
+        if self.stopwords:  # dropped after numbering: the others keep their slots
+            for term in by_term.keys() & self.stopwords:
+                length -= len(by_term.pop(term))
+        self._states[key] = (length, depth, seq)
+        seqs, columns = self._seqs, self._positions
         for term, positions in by_term.items():
-            self._postings.setdefault(term, []).append(
-                Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-            )
+            if term in seqs:
+                seqs[term].append(seq)
+                columns[term].append(tuple(positions))
+            else:
+                seqs[term] = [seq]
+                columns[term] = [tuple(positions)]
         self._state_terms[key] = tuple(by_term)
         self.num_postings += len(by_term)
 
-    def restore(self, postings: dict[str, list[Posting]], rows) -> None:
-        """Adopt deserialized contents instead of tokenizing them again.
-
+    def restore(self, rows, postings_by_term) -> None:
+        """Adopt deserialized contents instead of tokenizing them again:
         ``rows`` are ``(uri, state_id, length, depth)`` in insertion
-        order; the per-state term registry is derived from ``postings``.
-        """
-        self._postings = postings
+        order — a row's place becomes its sequence number — and
+        ``postings_by_term`` maps a term to its ``(uri, state_id,
+        positions)`` entries, in any order."""
         for seq, (uri, state_id, length, depth) in enumerate(rows):
-            self._states[(uri, state_id)] = (length, depth, seq)
-        terms_by_state: dict[tuple[str, str], list[str]] = {}
-        for term, plist in postings.items():
-            for posting in plist:
-                terms_by_state.setdefault((posting.uri, posting.state_id), []).append(term)
+            self._states[uri, state_id] = (length, depth, seq)
+        terms_by_state: dict[tuple[str, str], list[str]] = {key: [] for key in self._states}
+        for term, entries in postings_by_term.items():
+            keys = [(uri, state_id) for uri, state_id, _ in entries]
+            if not terms_by_state.keys() >= set(keys):
+                raise SearchError(f"posting of {term!r} for unknown state")
+            for key in keys:
+                terms_by_state[key].append(term)
+            self._seqs[term], self._positions[term] = sorted_columns(
+                [self._states[key][2] for key in keys],
+                [tuple(positions) for _, _, positions in entries],
+            )
+            self.num_postings += len(keys)
         self._state_terms = {key: tuple(terms) for key, terms in terms_by_state.items()}
-        self.num_postings = sum(len(plist) for plist in postings.values())
 
     def remove_urls(self, uris) -> int:
         """Drop every buffered state of the given URIs; returns the count.
 
-        Batched: each touched term's posting list is filtered once for
-        the whole URI set, not once per URI.
+        Batched: each touched term's columns are filtered once for the
+        whole URI set, not once per URI.
         """
         uri_set = set(uris)
         keys = [key for key in self._states if key[0] in uri_set]
+        gone: set[int] = set()
         terms_touched: set[str] = set()
         for key in keys:
-            del self._states[key]
+            gone.add(self._states.pop(key)[2])
             terms_touched.update(self._state_terms.pop(key, ()))
         for term in terms_touched:
-            remaining = [p for p in self._postings.get(term, []) if p.uri not in uri_set]
-            self.num_postings -= len(self._postings.get(term, ())) - len(remaining)
-            if remaining:
-                self._postings[term] = remaining
+            kept = [seq not in gone for seq in self._seqs[term]]
+            self.num_postings -= len(kept) - sum(kept)
+            if any(kept):
+                self._seqs[term] = list(compress(self._seqs[term], kept))
+                self._positions[term] = list(compress(self._positions[term], kept))
             else:
-                self._postings.pop(term, None)
+                del self._seqs[term], self._positions[term]
         return len(keys)
 
     # -- views -------------------------------------------------------------------
@@ -120,11 +147,7 @@ class Memtable:
 
     def terms(self):
         """The vocabulary, in first-seen order."""
-        return self._postings.keys()
-
-    def postings(self, term: str) -> list[Posting]:
-        """The live posting list of ``term`` (empty if absent); not a copy."""
-        return self._postings.get(term, [])
+        return self._seqs.keys()
 
     def states(self) -> list[tuple[str, str]]:
         """All buffered (uri, state_id) pairs in insertion order."""
@@ -141,25 +164,17 @@ class Memtable:
             for (uri, state_id), (length, depth, seq) in self._states.items()
         ]
 
-    def sort(self) -> None:
-        """Replace every posting list with its canonical-order copy."""
-        for term, plist in self._postings.items():
-            self._postings[term] = sort_postings(plist)
-
     def flush_view(self):
         """``(state_rows, columns_by_term)`` as
         :func:`~repro.search.segments.write_segment` takes them.  The
         ranks come from the very list that becomes the state table — an
         ordinal is nothing but a row's place in it."""
         rows = sorted(self.state_rows(), key=state_sort_key)
-        rank = {(row[0], row[1]): ordinal for ordinal, row in enumerate(rows)}
+        rank = {row[4]: ordinal for ordinal, row in enumerate(rows)}.__getitem__
 
         def columns_by_term():
-            for term in sorted(self._postings):
-                postings = self._postings[term]
-                yield (term, *sorted_columns(
-                    [rank[posting.uri, posting.state_id] for posting in postings],
-                    [posting.positions for posting in postings],
-                ))
+            for term in sorted(self._seqs):
+                ordinals = list(map(rank, self._seqs[term]))
+                yield term, *sorted_columns(ordinals, self._positions[term])
 
         return rows, columns_by_term()

@@ -237,7 +237,72 @@ class BlockCache:
         return len(self._entries)
 
 
-class SegmentReader:
+class Segment:
+    """The read side of one segment, on disk or in memory: its states
+    as columns by ordinal (``_state_uri``, ``_state_id``,
+    ``_state_length``), the way back (``_ordinals``) and ``view(term)``.
+    The subclass fills them — a :class:`SegmentReader` parses its file,
+    a :class:`MemorySegment` is handed rows and columns."""
+
+    def ordinal(self, uri: str, state_id: str) -> Optional[int]:
+        return self._ordinals.get((uri, state_id))
+
+    def state_key(self, ordinal: int) -> tuple[str, str]:
+        return (self._state_uri[ordinal], self._state_id[ordinal])
+
+    def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
+        """Lazily, one ``(uri, state_id, length, positions per term)``
+        row per merged ordinal (the two halves of a block merge's
+        answer) — straight from the state table, built as consumed."""
+        return zip(
+            map(self._state_uri.__getitem__, ordinals),
+            map(self._state_id.__getitem__, ordinals),
+            map(self._state_length.__getitem__, ordinals),
+            zip(*columns),
+        )
+
+    def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
+        """Materialize one posting from its ordinal + decoded positions."""
+        return Posting(
+            uri=self._state_uri[ordinal],
+            state_id=self._state_id[ordinal],
+            positions=positions,
+        )
+
+    def materialize(self, term: str) -> list[Posting]:
+        """The full posting list of ``term`` (canonical order)."""
+        view = self.view(term)
+        if view is None:
+            return []
+        postings: list[Posting] = []
+        for block in range(view.first, view.end):
+            postings.extend(map(self.posting, *view.load(block)))
+        return postings
+
+
+class MemorySegment(Segment):
+    """A flush that stays in memory — the finalized
+    :class:`~repro.search.index.InvertedFile`: what
+    :meth:`~repro.search.memtable.Memtable.flush_view` hands
+    :func:`write_segment`, kept as it is, each term one undivided block."""
+
+    def __init__(self, state_rows, columns_by_term) -> None:
+        self._state_uri = [row[0] for row in state_rows]
+        self._state_id = [row[1] for row in state_rows]
+        self._state_length = [row[2] for row in state_rows]
+        self._ordinals = {(row[0], row[1]): at for at, row in enumerate(state_rows)}
+        #: term -> (ordinals, positions), the ordinals increasing.
+        self.columns = {term: columns for term, *columns in columns_by_term}
+
+    def view(self, term: str) -> Optional["SegmentPostingView"]:
+        columns = self.columns.get(term)
+        if columns is None:
+            return None
+        ordinals = columns[0]
+        return SegmentPostingView(lambda block: columns, len(ordinals), 0, 1, ordinals[-1:])
+
+
+class SegmentReader(Segment):
     """Zero-copy (mmap) reader over one immutable segment file.
 
     The URI, state and term tables are decoded once at open time (they
@@ -380,12 +445,6 @@ class SegmentReader:
     def has_uri(self, uri: str) -> bool:
         return uri in self._uri_set
 
-    def ordinal(self, uri: str, state_id: str) -> Optional[int]:
-        return self._ordinals.get((uri, state_id))
-
-    def state_key(self, ordinal: int) -> tuple[str, str]:
-        return (self._state_uri[ordinal], self._state_id[ordinal])
-
     def sort_key(self, ordinal: int) -> tuple[str, int]:
         return (self._state_uri[ordinal], self._state_index[ordinal])
 
@@ -412,7 +471,9 @@ class SegmentReader:
         number = self._terms.get(term)
         if number is None:
             return None
-        return SegmentPostingView(self, number)
+        first, end = self._first_block[number : number + 2]
+        load, skips = self.decode_block_at, self._block_max
+        return SegmentPostingView(load, self._df[number], first, end, skips)
 
     def _decode(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """Decode block ``block`` of the file straight from the map and
@@ -451,35 +512,6 @@ class SegmentReader:
             positions += block_positions
         return ordinals, positions
 
-    def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
-        """Lazily, one ``(uri, state_id, length, positions per term)``
-        row per merged ordinal (the two halves of a block merge's
-        answer) — straight from the state table, built as consumed."""
-        return zip(
-            map(self._state_uri.__getitem__, ordinals),
-            map(self._state_id.__getitem__, ordinals),
-            map(self._state_length.__getitem__, ordinals),
-            zip(*columns),
-        )
-
-    def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
-        """Materialize one posting from its ordinal + decoded positions."""
-        return Posting(
-            uri=self._state_uri[ordinal],
-            state_id=self._state_id[ordinal],
-            positions=positions,
-        )
-
-    def materialize(self, term: str) -> list[Posting]:
-        """The full posting list of ``term`` (canonical order)."""
-        view = self.view(term)
-        if view is None:
-            return []
-        postings: list[Posting] = []
-        for block in range(view.first, view.end):
-            postings.extend(map(self.posting, *self.decode_block_at(block)))
-        return postings
-
     def close(self) -> None:
         self._map.close()
         self._file.close()
@@ -487,20 +519,20 @@ class SegmentReader:
 
 class SegmentPostingView:
     """Block-granular access to one term's postings in one segment: the
-    run ``first`` to ``end`` of the file's blocks, with ``block_max``
-    the file-wide column of skip entries that run is bisected in."""
+    run ``first`` to ``end`` of a table of blocks, ``load(block)`` the
+    two decoded columns of one of them, ``block_max`` the table-wide
+    column of skip entries that run is bisected in.  A file's view
+    decodes through its reader's cache; a :class:`MemorySegment`'s one
+    block is there already."""
 
-    __slots__ = ("reader", "df", "first", "end", "block_max")
+    __slots__ = ("load", "df", "first", "end", "block_max")
 
-    def __init__(self, reader: SegmentReader, number: int) -> None:
-        self.reader = reader
-        self.df = reader._df[number]
-        self.first = reader._first_block[number]
-        self.end = reader._first_block[number + 1]
-        self.block_max = reader._block_max
-
-    def load(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        return self.reader.decode_block_at(block)
+    def __init__(self, load, df: int, first: int, end: int, block_max) -> None:
+        self.load = load
+        self.df = df
+        self.first = first
+        self.end = end
+        self.block_max = block_max
 
     def count_at(self, ordinal: int) -> int:
         """Occurrences of the term in the state ``ordinal`` (0 if absent).

@@ -156,7 +156,7 @@ class TestFinalizeThreadSafety:
         texts = [f"shared term{i} filler words here" for i in range(40)]
         index = InvertedFile()
         index.add_model(make_model("u", texts))
-        assert not index._sorted
+        assert index._segment is None
         expected = InvertedFile().build([make_model("u", texts)]).postings("shared")
         barrier = threading.Barrier(8)
         results: list[list] = [None] * 8
@@ -175,7 +175,7 @@ class TestFinalizeThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
-        assert index._sorted
+        assert index._segment is not None
         for result in results:
             assert result == expected
 
@@ -184,9 +184,9 @@ class TestFinalizeThreadSafety:
 
         index = InvertedFile()
         index.add_model(make_model("u", ["hello world"]))
-        assert not index._sorted
+        assert index._segment is None
         SearchEngine(index)
-        assert index._sorted
+        assert index._segment is not None
 
 
 class TestTfBisect:
@@ -245,7 +245,7 @@ class TestTfBisect:
         index = InvertedFile()
         index.add_model(make_model("b", ["term here"]))
         index.add_model(make_model("a", ["term there"]))
-        assert not index._sorted
+        assert index._segment is None
         assert index.tf("term", "a", "s0") == pytest.approx(0.5)
 
 
