@@ -10,25 +10,35 @@ states of every model — this is how the eleven indexes of the
 search-quality experiment (§7.7) and the crawl-threshold experiment
 (§7.6) are produced.
 
-:class:`Index` is the contract every backend implements;
-:class:`InvertedFile` is the in-memory one.
+:class:`Index` is the index: a write buffer in front of a generation of
+immutable segments, and every read over them.  A backend decides only
+where a flush goes — :class:`InvertedFile` keeps it in memory.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import json
 import threading
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import INDEX_FLUSH, NULL_RECORDER
+from repro.obs.reqtrace import current_request_trace
 from repro.search.memtable import Memtable
-from repro.search.postings import Posting
+from repro.search.postings import Posting, sort_postings
 from repro.search.ranking import inverse_document_frequency
-from repro.search.segments import MemorySegment, merge_conjunction_blocks
+from repro.search.segments import (
+    MemorySegment,
+    MergeStats,
+    Segment,
+    merge_conjunction_blocks,
+    state_sort_key,
+)
 
 #: One boolean match as the read path carries it: ``(uri, state_id,
 #: state length, positions of each query term)`` — plain values, so
@@ -39,72 +49,202 @@ MatchRow = tuple[str, str, int, Sequence[tuple[int, ...]]]
 class Index(ABC):
     """What the query path, the engines and the serving tier ask of an index.
 
-    A backend supplies the abstract *primitives*; everything below them
-    is *derived* here, once, so the in-memory :class:`InvertedFile` and
-    the on-disk :class:`~repro.search.segmented.SegmentedIndex` cannot
-    drift apart (``index_parity`` holds them byte-identical).
+    Writes buffer in a :class:`Memtable`; reads go over a *generation* —
+    ``_flushed``, an immutable tuple of :class:`Segment` objects that
+    :meth:`_publish` replaces whole, plus a view of whatever is still
+    buffered — taken into a local once and finished on it, so a read
+    never flushes and never sees half a write.  All of that is written
+    here, once; a backend supplies :meth:`finalize`, its commit, and so
+    the in-memory :class:`InvertedFile` and the on-disk
+    :class:`~repro.search.segmented.SegmentedIndex` cannot drift apart
+    (``index_parity`` holds them byte-identical).
     """
 
-    #: Only states with index < max_state_index are indexed
-    #: (None = all states).  ``1`` reproduces a traditional index.
-    max_state_index: Optional[int]
-    #: Stopwords dropped at indexing time (None = index everything).
-    stopwords: Optional[frozenset[str]]
+    #: Where the ``index.*`` counters go, if the backend was handed a registry.
+    metrics = None
 
-    # -- primitives: writing -----------------------------------------------------
+    def __init__(
+        self,
+        max_state_index: Optional[int] = None,
+        stopwords: Optional[frozenset[str]] = None,
+        recorder=NULL_RECORDER,
+    ) -> None:
+        #: Only states with index < max_state_index are indexed
+        #: (None = all states).  ``1`` reproduces a traditional index.
+        self.max_state_index = max_state_index
+        #: Stopwords dropped at indexing time (None = index everything).
+        self.stopwords = stopwords
+        self.recorder = recorder
+        #: Cumulative block-skipping accounting across all conjunctions.
+        self.merge_stats = MergeStats()
+        self._memtable = Memtable(max_state_index, stopwords)
+        self._next_seq = 0
+        # One lock for the writers that replace ``_flushed`` and for the
+        # view, which concurrent query threads may be the first to want.
+        self._lock = threading.Lock()
+        self._publish(())
 
-    @abstractmethod
+    # -- writing -------------------------------------------------------------------
+
+    def _take_seq(self) -> int:
+        seq = self._next_seq
+        self._next_seq += 1
+        return seq
+
     def add_model(self, model: ApplicationModel) -> None:
         """Index (a prefix of) one model; indexing a state twice is an error."""
+        # The memtable rejects duplicates it holds itself; states already
+        # frozen into segments are asked of the segments' own registries.
+        for segment in self._flushed:
+            if segment.has_uri(model.url):
+                for state in model.states():
+                    if segment.ordinal(model.url, state.state_id) is not None:
+                        raise SearchError(f"state {(model.url, state.state_id)} indexed twice")
+        self._memtable.add_model(model, self._take_seq)
+        self._generation = None
 
-    @abstractmethod
     def remove_urls(self, uris: Iterable[str]) -> int:
         """Drop every state of the given URIs; returns the number removed."""
+        removed = self._memtable.remove_urls(uris)
+        if removed:
+            self._generation = None  # every later state's ordinal has moved
+        return removed
 
     @abstractmethod
     def finalize(self) -> None:
-        """Make everything added so far visible to queries (idempotent)."""
+        """Commit everything added so far, in the backend's sense of it
+        (idempotent).  Queries do not need it: they read the buffer."""
 
-    # -- primitives: reading -----------------------------------------------------
+    def _publish(self, flushed: tuple[Segment, ...]) -> None:
+        """Replace the flushed segments — whole, by one assignment, the
+        new tuple complete before it: a reader holds the old tuple or
+        the new one, never a list that changes under it."""
+        self._flushed = flushed
+        #: What a read sees: ``_flushed`` and, last, the view of a
+        #: non-empty buffer.  None while a write has not been viewed.
+        self._generation: Optional[tuple[Segment, ...]] = None
 
-    @abstractmethod
+    def _segments(self) -> tuple[Segment, ...]:
+        """The current generation, viewing the buffer first if a write
+        is pending.
+
+        Double-checked locking: the unlocked fast path keeps reads of a
+        settled index free, the locked re-check makes the first reads of
+        concurrent query threads safe on a freshly written one.  The
+        generation is complete before the one assignment that publishes
+        it, and a reader keeps to the tuple it was handed.
+        """
+        if (generation := self._generation) is not None:
+            return generation
+        with self._lock:
+            if (generation := self._generation) is None:
+                generation = self._flushed
+                if self._memtable:
+                    with self.recorder.span("index_flush"):
+                        view = MemorySegment(*self._memtable.flush_view())
+                        if self.recorder.enabled:
+                            self.recorder.emit(
+                                INDEX_FLUSH,
+                                num_states=view.num_states,
+                                vocabulary=len(view.terms()),
+                            )
+                    generation += (view,)
+                self._generation = generation
+            return generation
+
+    # -- reading -------------------------------------------------------------------
+
     def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
         """One row per state containing every term, in canonical
         (uri, state index) order (Figure 5.2).  The intersection has
-        run when this returns; the rows are built as they are consumed."""
+        run when this returns; the rows are built as they are consumed.
 
-    @abstractmethod
+        State co-location lets each segment run its own ordinal-level
+        block merge and fill its rows from its own state table; every
+        segment's rows are in canonical order already, so the answer is
+        their lazy k-way merge — a lone segment's rows as they are.
+        """
+        stats = MergeStats()
+        streams = []
+        for segment in self._segments():
+            views = [segment.view(term) for term in terms]
+            if None not in views:
+                streams.append(segment.match_rows(*merge_conjunction_blocks(views, stats)))
+        self.merge_stats.merge(stats)
+        if self.metrics is not None:
+            self.metrics.inc("index.blocks_decoded", stats.blocks_decoded)
+            self.metrics.inc("index.blocks_skipped", stats.blocks_skipped)
+            self.metrics.inc("index.postings_decoded", stats.postings_decoded)
+        trace = current_request_trace()
+        if trace is not None:
+            # Per-request read amplification for /debug/trace and the
+            # serving tier's live doctor.
+            trace.add_index_stats(
+                stats.blocks_decoded, stats.blocks_skipped, stats.postings_decoded
+            )
+        if len(streams) == 1:
+            return streams[0]
+        return heapq.merge(*streams, key=state_sort_key)
+
     def postings(self, term: str) -> list[Posting]:
         """The sorted posting list of ``term`` (empty if absent)."""
+        runs = [segment.materialize(term) for segment in self._segments()]
+        if len(runs) == 1:
+            return runs[0]
+        return sort_postings(posting for run in runs for posting in run)
 
-    @abstractmethod
     def document_frequency(self, term: str) -> int:
-        """Number of states containing ``term`` (the idf denominator)."""
+        """Number of states containing ``term`` (the idf denominator):
+        exact, the sum of the segments' own exact dfs."""
+        return sum(segment.df(term) for segment in self._segments())
 
     @property
-    @abstractmethod
     def num_states(self) -> int:
         """Total number of indexed states (the idf numerator)."""
+        return sum(segment.num_states for segment in self._segments())
 
-    @abstractmethod
     def terms(self) -> set[str]:
         """The vocabulary."""
+        return set().union(*(segment.terms() for segment in self._segments()))
 
-    @abstractmethod
     def states(self) -> list[tuple[str, str]]:
-        """All indexed (uri, state_id) pairs in insertion order."""
+        """All indexed (uri, state_id) pairs in insertion order.
 
-    @abstractmethod
+        Each state's sequence number keeps that order across segments,
+        including remove + re-add moving a URI's states to the end.
+        """
+        rows = [row for segment in self._segments() for row in segment.state_rows()]
+        rows.sort(key=itemgetter(4))
+        return [row[:2] for row in rows]
+
+    def _locate(self, uri: str, state_id: str) -> Optional[tuple[Segment, int]]:
+        """The segment holding a state and the state's ordinal in it."""
+        for segment in self._segments():
+            ordinal = segment.ordinal(uri, state_id)
+            if ordinal is not None:
+                return segment, ordinal
+        return None
+
     def state_length(self, uri: str, state_id: str) -> int:
         """Token count of one state (tf denominator, eq. 5.1); 0 if absent."""
+        entry = self._locate(uri, state_id)
+        return entry[0].state_length(entry[1]) if entry else 0
 
-    @abstractmethod
     def state_depth(self, uri: str, state_id: str) -> int:
         """BFS depth at which the crawler found the state; 0 if absent."""
+        entry = self._locate(uri, state_id)
+        return entry[0].state_depth(entry[1]) if entry else 0
 
-    @abstractmethod
     def term_count(self, term: str, uri: str, state_id: str) -> int:
-        """Occurrences of ``term`` in one state; 0 if either is absent."""
+        """Occurrences of ``term`` in one state; 0 if either is absent.
+        Binary search over the term's ordinals, at most one block
+        decoded — O(log df), not a scan of the whole posting list."""
+        entry = self._locate(uri, state_id)
+        if entry is None:
+            return 0
+        segment, ordinal = entry
+        view = segment.view(term)
+        return view.count_at(ordinal) if view is not None else 0
 
     # -- derived -----------------------------------------------------------------
 
@@ -141,117 +281,18 @@ class Index(ABC):
 
 
 class InvertedFile(Index):
-    """Keyword → sorted posting list, plus per-state statistics.
-
-    The write half is a :class:`Memtable` that is never emptied:
-    ``finalize`` flushes it into memory — the same state table and
-    ordinal columns a segment file is written from — and the lookups
-    read that :class:`~repro.search.segments.MemorySegment` the way a
-    :class:`~repro.search.segmented.SegmentedIndex` reads a segment.
-    """
-
-    def __init__(
-        self,
-        max_state_index: Optional[int] = None,
-        stopwords: Optional[frozenset[str]] = None,
-        recorder=NULL_RECORDER,
-    ) -> None:
-        self.recorder = recorder
-        self.max_state_index = max_state_index
-        self.stopwords = stopwords
-        self._memtable = Memtable(max_state_index=max_state_index, stopwords=stopwords)
-        self._take_seq = itertools.count().__next__
-        #: The finalized view; None while a write has not been flushed.
-        self._segment: Optional[MemorySegment] = MemorySegment((), ())
-        # finalize() may be reached lazily from postings() by concurrent
-        # query threads; the lock makes the flush-once transition safe.
-        self._finalize_lock = threading.Lock()
-
-    # -- construction ------------------------------------------------------------
-
-    def add_model(self, model: ApplicationModel) -> None:
-        self._memtable.add_model(model, self._take_seq)
-        self._segment = None
-
-    def remove_urls(self, uris: Iterable[str]) -> int:
-        removed = self._memtable.remove_urls(uris)
-        if removed:
-            self._segment = None  # every later state's ordinal has moved
-        return removed
+    """Keyword → sorted posting list, plus per-state statistics, in
+    memory: the buffer is never emptied and nothing is ever flushed, so
+    its generation is the one view of the buffer and ``finalize`` is
+    building it.  What it adds is the JSON form."""
 
     def finalize(self) -> None:
-        self._flushed()
-
-    def _flushed(self) -> MemorySegment:
-        """The finalized view, flushing first if a write is pending.
-
-        Double-checked locking: the unlocked fast path keeps finalized
-        reads free, the locked re-check makes the first ``postings()``
-        calls of concurrent query threads safe on a freshly built index.
-        The view is complete before the one assignment that publishes
-        it, and a reader keeps to the segment it was handed.
-        """
-        if (segment := self._segment) is not None:
-            return segment
-        with self._finalize_lock:
-            if (segment := self._segment) is None:
-                with self.recorder.span("index_flush"):
-                    segment = self._segment = MemorySegment(*self._memtable.flush_view())
-                    if self.recorder.enabled:
-                        self.recorder.emit(
-                            INDEX_FLUSH,
-                            num_states=self.num_states,
-                            vocabulary=self.vocabulary_size,
-                        )
-            return segment
-
-    # -- lookups ------------------------------------------------------------------
-
-    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
-        """The ordinal-level block merge a segment file runs, over one
-        undivided block per term."""
-        segment = self._flushed()
-        views = [segment.view(term) for term in terms]
-        if None in views:
-            return iter(())
-        return segment.match_rows(*merge_conjunction_blocks(views))
-
-    def postings(self, term: str) -> list[Posting]:
-        return self._flushed().materialize(term)
-
-    def document_frequency(self, term: str) -> int:
-        view = self._flushed().view(term)
-        return view.df if view is not None else 0
-
-    @property
-    def num_states(self) -> int:
-        return self._memtable.num_states
-
-    def terms(self) -> set[str]:
-        return set(self._memtable.terms())
-
-    def states(self) -> list[tuple[str, str]]:
-        return self._memtable.states()
-
-    def state_length(self, uri: str, state_id: str) -> int:
-        stat = self._memtable.state_stat((uri, state_id))
-        return stat[0] if stat else 0
-
-    def state_depth(self, uri: str, state_id: str) -> int:
-        stat = self._memtable.state_stat((uri, state_id))
-        return stat[1] if stat else 0
-
-    def term_count(self, term: str, uri: str, state_id: str) -> int:
-        """Binary search over the term's ordinals — O(log df), not a
-        scan of the whole posting list."""
-        segment = self._flushed()
-        ordinal, view = segment.ordinal(uri, state_id), segment.view(term)
-        return view.count_at(ordinal) if ordinal is not None and view is not None else 0
+        self._segments()
 
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        segment = self._flushed()
+        segments = self._segments()  # the one view, or none of an empty buffer
         rows = self._memtable.state_rows()
         return {
             "max_state_index": self.max_state_index,
@@ -259,7 +300,8 @@ class InvertedFile(Index):
             "postings": {
                 term: [
                     [*segment.state_key(ordinal), list(occurrences)]
-                    for ordinal, occurrences in zip(*segment.columns[term])
+                    for segment in segments
+                    for ordinal, occurrences in zip(*segment.columns(term))
                 ]
                 for term in self._memtable.terms()
             },
@@ -285,8 +327,8 @@ class InvertedFile(Index):
             data["postings"],
         )
         # The restored rows took 0..n-1; the next add continues after them.
-        index._take_seq = itertools.count(index.num_states).__next__
-        index._segment = None
+        index._next_seq = index._memtable.num_states
+        index._generation = None
         return index
 
     def save(self, path: str | Path) -> None:

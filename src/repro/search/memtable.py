@@ -1,13 +1,14 @@
-"""The write half of both index backends.
+"""The write half of the index.
 
 A :class:`Memtable` is the one place freshly indexed states accumulate:
 tokenize, group occurrences per term, record per-state statistics,
-forget a URI's states again.  The in-memory
-:class:`~repro.search.index.InvertedFile` owns one for its whole life
-and flushes it into memory at every ``finalize``; the
-:class:`~repro.search.segmented.SegmentedIndex` freezes its own into an
-immutable on-disk segment once :attr:`Memtable.num_postings` crosses the
-flush threshold and starts a fresh one.
+forget a URI's states again.  An :class:`~repro.search.index.Index`
+owns one and reads it through a view (:meth:`Memtable.flush_view` kept
+in memory); the :class:`~repro.search.index.InvertedFile` keeps it for
+its whole life, the :class:`~repro.search.segmented.SegmentedIndex`
+freezes it into an immutable on-disk segment once
+:attr:`Memtable.num_postings` crosses the flush threshold and starts a
+fresh one.
 
 Every state carries a *sequence number* handed out by the owner, so a
 segmented ``states()`` registry preserves insertion order across any
@@ -148,14 +149,6 @@ class Memtable:
     def terms(self):
         """The vocabulary, in first-seen order."""
         return self._seqs.keys()
-
-    def states(self) -> list[tuple[str, str]]:
-        """All buffered (uri, state_id) pairs in insertion order."""
-        return list(self._states)
-
-    def state_stat(self, key: tuple[str, str]) -> Optional[tuple[int, int, int]]:
-        """``(length, depth, seq)`` of one buffered state, if present."""
-        return self._states.get(key)
 
     def state_rows(self) -> list[tuple[str, str, int, int, int]]:
         """``(uri, state_id, length, depth, seq)`` for every buffered state."""

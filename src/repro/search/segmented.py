@@ -9,10 +9,13 @@ once the buffer crosses ``flush_threshold`` postings; a size-tiered
 compactor then merges segments of similar size so the segment count
 stays logarithmic in index size.
 
-It implements the primitives of the :class:`~repro.search.index.Index`
-contract and inherits the rest, so :class:`~repro.search.engine.SearchEngine`,
-``repro.serve`` and the aggregation tier take either backend, and the
-``index_parity`` conformance check holds the results byte-identical.
+It is an :class:`~repro.search.index.Index` whose flushes go to that
+directory: the buffer, the generation of segments and every read are the
+base's, so :class:`~repro.search.engine.SearchEngine`, ``repro.serve``
+and the aggregation tier take either backend, and the ``index_parity``
+conformance check holds the results byte-identical.  A read sees the
+buffer through memory; only ``finalize``, a full buffer and ``close``
+write a segment.
 
 Two invariants make the multi-segment query path exact:
 
@@ -29,27 +32,21 @@ Two invariants make the multi-segment query path exact:
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
-import threading
 from itertools import accumulate, compress
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Optional
+from typing import Container, Iterable, Optional
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, NULL_RECORDER, SEGMENT_FLUSH
-from repro.obs.reqtrace import current_request_trace
-from repro.search.index import Index, MatchRow
+from repro.search.index import Index
 from repro.search.memtable import Memtable
-from repro.search.postings import Posting, sort_postings
 from repro.search.segments import (
     BLOCK_SIZE,
     BlockCache,
-    MergeStats,
     SegmentReader,
-    merge_conjunction_blocks,
     sorted_columns,
     state_sort_key,
     write_segment,
@@ -85,18 +82,14 @@ class SegmentedIndex(Index):
         compact_fanin: int = DEFAULT_COMPACT_FANIN,
     ) -> None:
         self.path = Path(path)
-        self.recorder = recorder
         self.metrics = metrics
         self.flush_threshold = max(1, flush_threshold)
         self.compact_fanin = max(2, compact_fanin)
         self.cache = BlockCache()
-        #: Cumulative block-skipping accounting across all conjunctions.
-        self.merge_stats = MergeStats()
-        self._lock = threading.Lock()
-        self._readers: list[SegmentReader] = []
 
         self.path.mkdir(parents=True, exist_ok=True)
         manifest_path = self.path / MANIFEST_NAME
+        manifest = None
         if manifest_path.exists():
             try:
                 manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -106,26 +99,33 @@ class SegmentedIndex(Index):
                 raise SearchError(
                     f"unsupported index manifest version {manifest.get('version')!r}"
                 )
-            self.max_state_index = manifest.get("max_state_index")
+            # What is on disk was indexed under the manifest's settings:
+            # None takes them, anything else has to agree with them.
             words = manifest.get("stopwords")
-            self.stopwords = frozenset(words) if words else None
-            self.block_size = int(manifest.get("block_size", block_size))
-            self._next_seq = int(manifest["next_seq"])
-            self._next_segment_id = int(manifest["next_segment_id"])
-            for name in manifest["segments"]:
-                self._readers.append(SegmentReader(self.path / name, cache=self.cache))
-            self.orphans_collected = self._collect_orphans(set(manifest["segments"]))
-        else:
-            self.max_state_index = max_state_index
-            self.stopwords = stopwords
-            self.block_size = block_size
-            self._next_seq = 0
+            recorded = (manifest.get("max_state_index"), frozenset(words) if words else None)
+            for name, asked, was in zip(
+                ("max_state_index", "stopwords"), (max_state_index, stopwords or None), recorded
+            ):
+                if asked is not None and asked != was:
+                    raise SearchError(
+                        f"{self.path} was indexed with {name}={was!r}, not {name}={asked!r}"
+                    )
+            max_state_index, stopwords = recorded
+            block_size = int(manifest.get("block_size", block_size))
+        super().__init__(max_state_index, stopwords, recorder)
+        self.block_size = block_size
+        if manifest is None:
             self._next_segment_id = 0
             self.orphans_collected = 0
             self._save_manifest()
-        self._memtable = Memtable(
-            max_state_index=self.max_state_index, stopwords=self.stopwords
-        )
+        else:
+            self._next_seq = int(manifest["next_seq"])
+            self._next_segment_id = int(manifest["next_segment_id"])
+            self._publish(tuple(
+                SegmentReader(self.path / name, cache=self.cache)
+                for name in manifest["segments"]
+            ))
+            self.orphans_collected = self._collect_orphans(set(manifest["segments"]))
 
     @classmethod
     def open(cls, path: str | Path, **kwargs) -> "SegmentedIndex":
@@ -136,9 +136,13 @@ class SegmentedIndex(Index):
         return cls(path, **kwargs)
 
     def close(self) -> None:
-        for reader in self._readers:
+        """Commit what is buffered, then let go of the segment files —
+        the empty generation is published before a map is closed."""
+        self.flush()
+        retired = self._flushed
+        self._publish(())
+        for reader in retired:
             reader.close()
-        self._readers = []
 
     # -- persistence -------------------------------------------------------------
 
@@ -167,7 +171,7 @@ class SegmentedIndex(Index):
     def _save_manifest(self) -> None:
         manifest = {
             "version": MANIFEST_VERSION,
-            "segments": [reader.name for reader in self._readers],
+            "segments": [reader.name for reader in self._flushed],
             "next_seq": self._next_seq,
             "next_segment_id": self._next_segment_id,
             "max_state_index": self.max_state_index,
@@ -179,6 +183,19 @@ class SegmentedIndex(Index):
         scratch.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
         os.replace(scratch, target)
 
+    def _commit(self, flushed: tuple[SegmentReader, ...], victims=()) -> None:
+        """Publish ``flushed`` and swap the manifest to it — the commit
+        point.  The victims' files go only after the manifest stops
+        naming them: a crash in between leaves orphans (collected on
+        reopen), never a manifest pointing at missing files."""
+        self._publish(flushed)
+        self._save_manifest()
+        for reader in victims:
+            reader.close()
+            reader.path.unlink(missing_ok=True)
+        if self.metrics is not None:
+            self.metrics.set_gauge("index.live_segments", len(flushed))
+
     def _segment_path(self) -> Path:
         path = self.path / f"seg-{self._next_segment_id:08d}.seg"
         self._next_segment_id += 1
@@ -186,32 +203,19 @@ class SegmentedIndex(Index):
 
     # -- construction ------------------------------------------------------------
 
-    def _take_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def add_model(self, model: ApplicationModel) -> None:
         """Buffer one application model; flush if the memtable is full."""
-        # The memtable rejects duplicates it holds itself; states already
-        # frozen into segments are asked of the segments' own registries.
-        for reader in self._readers:
-            if reader.has_uri(model.url):
-                for state in model.states():
-                    if reader.ordinal(model.url, state.state_id) is not None:
-                        raise SearchError(f"state {(model.url, state.state_id)} indexed twice")
-        self._memtable.add_model(model, self._take_seq)
+        super().add_model(model)
         if self._memtable.num_postings >= self.flush_threshold:
             self.flush()
 
     def finalize(self) -> None:
-        """Flush any buffered states so the query path sees everything.
+        """The durable commit: flush any buffered states.
 
         Idempotent and cheap when nothing is buffered; the engine
         calls it eagerly.
         """
-        if self._memtable:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Freeze the memtable into a new immutable segment (+ compact)."""
@@ -224,11 +228,9 @@ class SegmentedIndex(Index):
                     *self._memtable.flush_view(),
                     block_size=self.block_size,
                 )
-                self._readers.append(SegmentReader(stats.path, cache=self.cache))
-                self._memtable = Memtable(
-                    max_state_index=self.max_state_index, stopwords=self.stopwords
-                )
-                self._save_manifest()
+                reader = SegmentReader(stats.path, cache=self.cache)
+                self._memtable = Memtable(self.max_state_index, self.stopwords)
+                self._commit((*self._flushed, reader))
                 if self.recorder.enabled:
                     self.recorder.emit(
                         SEGMENT_FLUSH,
@@ -241,7 +243,6 @@ class SegmentedIndex(Index):
                 if self.metrics is not None:
                     self.metrics.inc("index.segment_flushes")
                     self.metrics.inc("index.flushed_postings", stats.num_postings)
-                    self.metrics.set_gauge("index.live_segments", len(self._readers))
         self.maybe_compact()
 
     # -- compaction --------------------------------------------------------------
@@ -257,7 +258,7 @@ class SegmentedIndex(Index):
         merges = 0
         while True:
             tiers: dict[int, list[SegmentReader]] = {}
-            for reader in self._readers:
+            for reader in self._flushed:
                 tiers.setdefault(_tier(reader.num_postings), []).append(reader)
             crowded = [
                 members for members in tiers.values() if len(members) >= self.compact_fanin
@@ -273,9 +274,9 @@ class SegmentedIndex(Index):
     def compact_all(self) -> int:
         """Merge every segment into one (full compaction); returns merges."""
         self.finalize()
-        if len(self._readers) < 2:
+        if len(self._flushed) < 2:
             return 0
-        self._merge(list(self._readers))
+        self._merge(list(self._flushed))
         return 1
 
     def _rewrite(
@@ -334,14 +335,10 @@ class SegmentedIndex(Index):
         with self._lock:
             with self.recorder.span("compaction"):
                 merged = self._rewrite(victims)
-                position = min(self._readers.index(reader) for reader in victims)
-                survivors = [r for r in self._readers if r not in victims]
+                position = min(self._flushed.index(reader) for reader in victims)
+                survivors = [r for r in self._flushed if r not in victims]
                 survivors.insert(position, merged)
-                self._readers = survivors
-                self._save_manifest()
-                for reader in victims:
-                    reader.close()
-                    reader.path.unlink(missing_ok=True)
+                self._commit(tuple(survivors), victims)
                 if self.recorder.enabled:
                     self.recorder.emit(
                         COMPACTION,
@@ -354,7 +351,6 @@ class SegmentedIndex(Index):
                 if self.metrics is not None:
                     self.metrics.inc("index.compactions")
                     self.metrics.inc("index.segments_merged", len(victims))
-                    self.metrics.set_gauge("index.live_segments", len(self._readers))
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -366,160 +362,42 @@ class SegmentedIndex(Index):
         df and idf stay exact without a merge-time reconciliation pass.
         """
         uri_set = set(uris)
-        removed = self._memtable.remove_urls(uri_set)
+        removed = super().remove_urls(uri_set)
         with self._lock:
-            touched = [
-                reader
-                for reader in self._readers
-                if any(reader.has_uri(uri) for uri in uri_set)
-            ]
-            for reader in touched:
-                position = self._readers.index(reader)
-                replacement = self._rewrite([reader], uri_set)
-                removed += reader.num_states - (replacement.num_states if replacement else 0)
-                self._readers.pop(position)
-                if replacement is not None:
-                    self._readers.insert(position, replacement)
-            if touched:
-                self._save_manifest()
-                # Unlink victims only after the manifest stops naming
-                # them: a crash in between leaves orphans (collected on
-                # reopen), never a manifest pointing at missing files.
-                for reader in touched:
-                    reader.close()
-                    reader.path.unlink(missing_ok=True)
+            rewritten: dict[SegmentReader, Optional[SegmentReader]] = {}
+            for reader in self._flushed:
+                if any(reader.has_uri(uri) for uri in uri_set):
+                    rewritten[reader] = replacement = self._rewrite([reader], uri_set)
+                    removed += reader.num_states - (replacement.num_states if replacement else 0)
+            if rewritten:
+                survivors = (rewritten.get(reader, reader) for reader in self._flushed)
+                self._commit(tuple(filter(None, survivors)), rewritten)
                 if self.metrics is not None:
-                    self.metrics.inc("index.segment_rewrites", len(touched))
-                    self.metrics.set_gauge("index.live_segments", len(self._readers))
+                    self.metrics.inc("index.segment_rewrites", len(rewritten))
         return removed
-
-    # -- lookups -----------------------------------------------------------------
-
-    def postings(self, term: str) -> list[Posting]:
-        """The globally sorted posting list of ``term`` (empty if absent)."""
-        self.finalize()
-        postings: list[Posting] = []
-        for reader in self._readers:
-            postings.extend(reader.materialize(term))
-        return sort_postings(postings)
-
-    def document_frequency(self, term: str) -> int:
-        """Exact global df: the sum of per-segment term-table dfs."""
-        self.finalize()
-        return sum(reader.df(term) for reader in self._readers)
-
-    @property
-    def num_states(self) -> int:
-        return self._memtable.num_states + sum(
-            reader.num_states for reader in self._readers
-        )
-
-    @property
-    def num_postings(self) -> int:
-        return self._memtable.num_postings + sum(
-            reader.num_postings for reader in self._readers
-        )
-
-    @property
-    def num_segments(self) -> int:
-        return len(self._readers)
-
-    def terms(self) -> set[str]:
-        self.finalize()
-        terms: set[str] = set()
-        for reader in self._readers:
-            terms.update(reader.terms())
-        return terms
-
-    def _locate(self, uri: str, state_id: str) -> Optional[tuple[SegmentReader, int]]:
-        """The segment holding a state and the state's ordinal in it."""
-        self.finalize()
-        for reader in self._readers:
-            ordinal = reader.ordinal(uri, state_id)
-            if ordinal is not None:
-                return reader, ordinal
-        return None
-
-    def state_length(self, uri: str, state_id: str) -> int:
-        entry = self._locate(uri, state_id)
-        return entry[0].state_length(entry[1]) if entry else 0
-
-    def state_depth(self, uri: str, state_id: str) -> int:
-        entry = self._locate(uri, state_id)
-        return entry[0].state_depth(entry[1]) if entry else 0
-
-    def states(self) -> list[tuple[str, str]]:
-        """All indexed (uri, state_id) pairs in global insertion order.
-
-        Each state's persisted sequence number keeps that order across
-        segment files, including remove + re-add moving a URI's states
-        to the end.
-        """
-        self.finalize()
-        keyed: list[tuple[int, tuple[str, str]]] = []
-        for reader in self._readers:
-            for ordinal in range(reader.num_states):
-                keyed.append((reader.state_seq(ordinal), reader.state_key(ordinal)))
-        keyed.sort()
-        return [key for _, key in keyed]
-
-    def term_count(self, term: str, uri: str, state_id: str) -> int:
-        """Decodes at most one block."""
-        entry = self._locate(uri, state_id)
-        if entry is None:
-            return 0
-        reader, ordinal = entry
-        view = reader.view(term)
-        return view.count_at(ordinal) if view is not None else 0
-
-    # -- query path --------------------------------------------------------------
-
-    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
-        """Intersect the terms' posting lists with block-max skipping.
-
-        State co-location lets each segment run its own ordinal-level
-        merge and fill its rows from its own state table; every
-        segment's rows are in canonical order already, so the answer is
-        their lazy k-way merge.
-        """
-        self.finalize()
-        if not terms:
-            return iter(())
-        stats = MergeStats()
-        streams = []
-        for reader in self._readers:
-            views = [reader.view(term) for term in terms]
-            if any(view is None for view in views):
-                continue
-            streams.append(reader.match_rows(*merge_conjunction_blocks(views, stats)))
-        self.merge_stats.merge(stats)
-        if self.metrics is not None:
-            self.metrics.inc("index.blocks_decoded", stats.blocks_decoded)
-            self.metrics.inc("index.blocks_skipped", stats.blocks_skipped)
-            self.metrics.inc("index.postings_decoded", stats.postings_decoded)
-        trace = current_request_trace()
-        if trace is not None:
-            # Per-request read amplification for /debug/trace and the
-            # serving tier's live doctor.
-            trace.add_index_stats(
-                stats.blocks_decoded, stats.blocks_skipped, stats.postings_decoded
-            )
-        return heapq.merge(*streams, key=state_sort_key)
 
     # -- introspection -----------------------------------------------------------
 
+    @property
+    def num_postings(self) -> int:
+        return sum(segment.num_postings for segment in self._segments())
+
+    @property
+    def num_segments(self) -> int:
+        return len(self._flushed)
+
     def stats(self) -> dict:
-        """Inventory of the index directory (for ``index stats``)."""
-        self.finalize()
+        """Inventory of the index directory (for ``index stats``); the
+        totals count what is still buffered, the files do not hold it."""
         segments = [
             {
                 "name": reader.name,
                 "num_states": reader.num_states,
                 "num_postings": reader.num_postings,
-                "num_terms": reader.num_terms,
+                "num_terms": len(reader.terms()),
                 "num_bytes": reader.path.stat().st_size,
             }
-            for reader in self._readers
+            for reader in self._flushed
         ]
         return {
             "path": str(self.path),

@@ -240,15 +240,42 @@ class BlockCache:
 class Segment:
     """The read side of one segment, on disk or in memory: its states
     as columns by ordinal (``_state_uri``, ``_state_id``,
-    ``_state_length``), the way back (``_ordinals``) and ``view(term)``.
-    The subclass fills them — a :class:`SegmentReader` parses its file,
-    a :class:`MemorySegment` is handed rows and columns."""
+    ``_state_length``, ``_state_depth``, ``_state_seq``), the way back
+    (``_ordinals``, ``_uri_set``), ``num_postings``, ``terms()``,
+    ``view(term)`` and ``columns(term)``.  The subclass fills them — a
+    :class:`SegmentReader` parses its file, a :class:`MemorySegment` is
+    handed rows and columns — and an index reads both kinds alike."""
+
+    @property
+    def num_states(self) -> int:
+        return len(self._state_uri)
+
+    def has_uri(self, uri: str) -> bool:
+        return uri in self._uri_set
 
     def ordinal(self, uri: str, state_id: str) -> Optional[int]:
         return self._ordinals.get((uri, state_id))
 
     def state_key(self, ordinal: int) -> tuple[str, str]:
         return (self._state_uri[ordinal], self._state_id[ordinal])
+
+    def state_length(self, ordinal: int) -> int:
+        return self._state_length[ordinal]
+
+    def state_depth(self, ordinal: int) -> int:
+        return self._state_depth[ordinal]
+
+    def state_rows(self) -> list[tuple[str, str, int, int, int]]:
+        """``(uri, state_id, length, depth, seq)`` in ordinal order."""
+        return list(zip(
+            self._state_uri, self._state_id, self._state_length,
+            self._state_depth, self._state_seq,
+        ))
+
+    def df(self, term: str) -> int:
+        """States of this segment containing ``term`` — exact."""
+        view = self.view(term)
+        return view.df if view is not None else 0
 
     def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
         """Lazily, one ``(uri, state_id, length, positions per term)``
@@ -281,8 +308,8 @@ class Segment:
 
 
 class MemorySegment(Segment):
-    """A flush that stays in memory — the finalized
-    :class:`~repro.search.index.InvertedFile`: what
+    """A flush that stays in memory — the buffered states of an
+    :class:`~repro.search.index.Index` as its queries read them: what
     :meth:`~repro.search.memtable.Memtable.flush_view` hands
     :func:`write_segment`, kept as it is, each term one undivided block."""
 
@@ -290,12 +317,26 @@ class MemorySegment(Segment):
         self._state_uri = [row[0] for row in state_rows]
         self._state_id = [row[1] for row in state_rows]
         self._state_length = [row[2] for row in state_rows]
+        self._state_depth = [row[3] for row in state_rows]
+        self._state_seq = [row[4] for row in state_rows]
         self._ordinals = {(row[0], row[1]): at for at, row in enumerate(state_rows)}
+        self._uri_set = frozenset(self._state_uri)
         #: term -> (ordinals, positions), the ordinals increasing.
-        self.columns = {term: columns for term, *columns in columns_by_term}
+        self._columns = {term: columns for term, *columns in columns_by_term}
+
+    @property
+    def num_postings(self) -> int:
+        return sum(len(ordinals) for ordinals, _ in self._columns.values())
+
+    def terms(self):
+        """All terms of this segment in sorted order."""
+        return self._columns.keys()
+
+    def columns(self, term: str) -> tuple[list[int], list[tuple[int, ...]]]:
+        return self._columns.get(term, ([], []))
 
     def view(self, term: str) -> Optional["SegmentPostingView"]:
-        columns = self.columns.get(term)
+        columns = self._columns.get(term)
         if columns is None:
             return None
         ordinals = columns[0]
@@ -388,8 +429,7 @@ class SegmentReader(Segment):
         if uri_ids and max(uri_ids) >= len(self.uris):
             raise SearchError(f"{self.path}: state row references unknown URI")
         self._state_uri: list[str] = list(map(self.uris.__getitem__, uri_ids))
-        self._state_index: list[int] = numbers[1::5]
-        self._state_id: list[str] = list(map(add, prefixes, map(str, self._state_index)))
+        self._state_id: list[str] = list(map(add, prefixes, map(str, numbers[1::5])))
         self._state_length: list[int] = numbers[2::5]
         self._state_depth: list[int] = numbers[3::5]
         self._state_seq: list[int] = numbers[4::5]
@@ -426,43 +466,9 @@ class SegmentReader(Segment):
     def name(self) -> str:
         return self.path.name
 
-    @property
-    def num_states(self) -> int:
-        return len(self._state_uri)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def terms(self):
         """All terms of this segment in sorted order."""
         return self._terms.keys()
-
-    def df(self, term: str) -> int:
-        number = self._terms.get(term)
-        return self._df[number] if number is not None else 0
-
-    def has_uri(self, uri: str) -> bool:
-        return uri in self._uri_set
-
-    def sort_key(self, ordinal: int) -> tuple[str, int]:
-        return (self._state_uri[ordinal], self._state_index[ordinal])
-
-    def state_length(self, ordinal: int) -> int:
-        return self._state_length[ordinal]
-
-    def state_depth(self, ordinal: int) -> int:
-        return self._state_depth[ordinal]
-
-    def state_seq(self, ordinal: int) -> int:
-        return self._state_seq[ordinal]
-
-    def state_rows(self) -> list[tuple[str, str, int, int, int]]:
-        """``(uri, state_id, length, depth, seq)`` in ordinal order."""
-        return list(zip(
-            self._state_uri, self._state_id, self._state_length,
-            self._state_depth, self._state_seq,
-        ))
 
     # -- posting access ----------------------------------------------------------
 

@@ -148,45 +148,53 @@ class TestSerialization:
 
 class TestFinalizeThreadSafety:
     """Regression: the first queries of a fresh index used to race on
-    the lazy sort in finalize()."""
+    the lazy sort in finalize() — today, on the lazy view of the buffer,
+    which either backend's first readers build."""
 
-    def test_concurrent_first_postings_calls_are_safe(self):
+    def test_concurrent_first_postings_calls_are_safe(self, tmp_path):
         import threading
 
+        from repro.search import SegmentedIndex
+
         texts = [f"shared term{i} filler words here" for i in range(40)]
-        index = InvertedFile()
-        index.add_model(make_model("u", texts))
-        assert index._segment is None
         expected = InvertedFile().build([make_model("u", texts)]).postings("shared")
-        barrier = threading.Barrier(8)
-        results: list[list] = [None] * 8
-        errors: list[BaseException] = []
+        disk = SegmentedIndex(tmp_path / "idx")
+        for index in (InvertedFile(), disk):
+            index.add_model(make_model("u", texts))
+            assert index._generation is None
+            barrier = threading.Barrier(8)
+            results: list[list] = [None] * 8
+            errors: list[BaseException] = []
 
-        def query(slot: int) -> None:
-            try:
-                barrier.wait()
-                results[slot] = index.postings("shared")
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            def query(slot: int) -> None:
+                try:
+                    barrier.wait()
+                    results[slot] = index.postings("shared")
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=query, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert index._segment is not None
-        for result in results:
-            assert result == expected
+            threads = [threading.Thread(target=query, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+            assert index._generation is not None
+            # One view, built once: every reader got the same segment.
+            (view,) = index._generation
+            assert view.num_states == 40
+            for result in results:
+                assert result == expected
+        disk.close()
 
     def test_engine_construction_finalizes_eagerly(self):
         from repro.search import SearchEngine
 
         index = InvertedFile()
         index.add_model(make_model("u", ["hello world"]))
-        assert index._segment is None
+        assert index._generation is None
         SearchEngine(index)
-        assert index._segment is not None
+        assert index._generation is not None
 
 
 class TestTfBisect:
@@ -241,33 +249,40 @@ class TestTfBisect:
         assert index.tf("solo", "z", "s0") == 0.0
 
     def test_probe_on_unfinalized_index(self):
-        # tf() must finalize (sort) before bisecting a fresh index.
+        # tf() must view (sort) the buffer before bisecting a fresh index.
         index = InvertedFile()
         index.add_model(make_model("b", ["term here"]))
         index.add_model(make_model("a", ["term there"]))
-        assert index._segment is None
+        assert index._generation is None
         assert index.tf("term", "a", "s0") == pytest.approx(0.5)
 
 
 class TestIndexContract:
-    def test_backends_inherit_the_derived_half(self):
-        """``build``/``update_model``/``remove_url``/``tf``/``idf`` exist once,
-        on the base, so the backends cannot drift apart in them."""
+    def test_derived_methods_live_on_the_base(self):
+        """The read half, the shared write half and what is derived from
+        them exist once, on the base, so the backends cannot drift apart
+        in them: a backend says where a flush goes, nothing else."""
         from repro.search import SegmentedIndex
         from repro.search.index import Index
 
         for backend in (InvertedFile, SegmentedIndex):
             assert issubclass(backend, Index)
             for derived in (
-                "build", "update_model", "remove_url", "tf", "idf", "vocabulary_size"
+                "build", "update_model", "remove_url", "tf", "idf", "vocabulary_size",
+                "conjunction", "postings", "document_frequency", "num_states", "terms",
+                "states", "state_length", "state_depth", "term_count",
+                "_locate", "_take_seq", "_segments", "_publish",
             ):
+                assert derived in vars(Index), derived
                 assert derived not in vars(backend), (backend.__name__, derived)
 
     def test_a_backend_must_supply_every_primitive(self):
         from repro.search.index import Index
 
-        class NoConjunction(Index):
+        assert Index.__abstractmethods__ == {"finalize"}
+
+        class NoCommit(Index):
             pass
 
-        with pytest.raises(TypeError, match="conjunction"):
-            NoConjunction()
+        with pytest.raises(TypeError, match="finalize"):
+            NoCommit()

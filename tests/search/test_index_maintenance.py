@@ -166,7 +166,10 @@ class TestSequenceNumbersSurviveLoad:
 class TestMaintenanceParity:
     """One seeded sequence of writes and reads on both backends and on an
     ``InvertedFile`` built afresh from the surviving models: after every
-    ``finalize`` all three answer alike."""
+    step — committed or still buffered — all three answer alike.  At
+    ``flush_threshold=12`` the segmented index reads flushed segments and
+    a view of its buffer together, removes from the buffer, and removes
+    and re-adds a page before anything is committed."""
 
     WORDS = ["ant", "bee", "cat", "dog", "eel", "fox"]
 
@@ -209,26 +212,36 @@ class TestMaintenanceParity:
         memory = InvertedFile()
         disk = SegmentedIndex(tmp_path / "idx", flush_threshold=12)
         live: dict[str, ApplicationModel] = {}  # url -> model, in insertion order
+        mixed = 0  # comparisons made over flushed segments and a buffer view at once
         urls = [f"http://t.test/p{n}" for n in range(8)]
 
         def add(url):
             live[url] = model = self._model(rng, url)
             for index in (memory, disk):
                 index.add_model(model)
+            compare()
 
         def remove(url):
             expected = len(live.pop(url, ApplicationModel(url)).states())
             assert memory.remove_url(url) == disk.remove_url(url) == expected
+            compare()
 
         def update(url):
             live.pop(url, None)
             live[url] = model = self._model(rng, url)
             for index in (memory, disk):
                 index.update_model(model)
+            compare()
 
         def check():
             for index in (memory, disk):
                 index.finalize()
+            assert not disk._memtable
+            compare()
+
+        def compare():
+            nonlocal mixed
+            mixed += bool(disk._memtable and disk._flushed)
             fresh = InvertedFile().build(live.values())
             queries = [[word] for word in self.WORDS] + [
                 rng.sample(self.WORDS, 2) for _ in range(4)
@@ -248,6 +261,8 @@ class TestMaintenanceParity:
         remove(urls[5])  # the last states holding its own word
         check()
         add(urls[5])  # back under a later seq, the same ordinal
+        remove(urls[5])  # out of the buffer again, never committed
+        add(urls[5])
         check()
         for _ in range(30):
             step = rng.choice([add, add, remove, update, check])
@@ -260,4 +275,5 @@ class TestMaintenanceParity:
             else:
                 step(rng.choice(urls))
         check()
+        assert mixed >= 3
         disk.close()

@@ -37,7 +37,7 @@ class TestColumns:
     def test_stopwords_leave_their_slot_and_the_length(self):
         memtable = filled([("u", "s0", "the cat and the hat")], ENGLISH_STOPWORDS)
         assert columns(memtable) == {"cat": ([10], [(1,)]), "hat": ([10], [(4,)])}
-        assert memtable.state_stat(("u", "s0")) == (2, 0, 10)
+        assert memtable.state_rows() == [("u", "s0", 2, 0, 10)]
 
     def test_a_state_is_buffered_once(self):
         memtable = filled([("u", "s0", "x")])
@@ -50,7 +50,7 @@ class TestColumns:
         assert memtable.remove_urls(["a", "nowhere"]) == 2
         assert columns(memtable) == {"x": ([11], [(0,)])}  # y and z left no empty column
         assert memtable.num_postings == 1
-        assert memtable.states() == [("b", "s0")]
+        assert memtable.state_rows() == [("b", "s0", 1, 0, 11)]
         # Re-added, the URI's states sit at the end under new numbers.
         memtable.add_state("a", "s0", "x", depth=0, seq=20)
         assert columns(memtable) == {"x": ([11, 20], [(0,), (0,)])}

@@ -34,7 +34,7 @@ SHAPES = ((200_000, 128), (2_000, 4))
 
 
 def directory_digests(index: SegmentedIndex) -> dict[str, str]:
-    names = [MANIFEST_NAME] + [reader.name for reader in index._readers]
+    names = [MANIFEST_NAME] + [reader.name for reader in index._flushed]
     return {
         name: hashlib.sha256((index.path / name).read_bytes()).hexdigest()
         for name in names

@@ -127,7 +127,7 @@ class TestFlushAndCompaction:
         # Merged segment re-derives exact global df -> idf bit-identical.
         assert_parity(InvertedFile().build(models), disk)
         # Old segment files are gone from disk.
-        live = {reader.name for reader in disk._readers}
+        live = {reader.name for reader in disk._flushed}
         on_disk = {p.name for p in (tmp_path / "idx").glob("*.seg")}
         assert on_disk == live
         disk.close()
@@ -174,14 +174,15 @@ class TestWritePathInvariants:
         # State co-location broken on purpose: a second live segment
         # that also holds (u1, s0).  The merge hands the writer ordinals,
         # not names — it is the writer that has to notice.
-        stray = SegmentReader(two._readers[0].path, cache=one.cache)
-        one._readers.append(stray)
+        (own,) = one._flushed
+        stray = SegmentReader(two._flushed[0].path, cache=one.cache)
+        one._publish((own, stray))
         with pytest.raises(SearchError, match="duplicate"):
             one.compact_all()
-        one._readers.remove(stray)
+        one._publish((own,))
         stray.close()
         # Nothing was committed and nothing was left behind.
-        assert [path.name for path in (tmp_path / "one").glob("seg-*")] == [one._readers[0].name]
+        assert [path.name for path in (tmp_path / "one").glob("seg-*")] == [own.name]
         assert one.postings("alpha") == InvertedFile().build(
             [make_model("u1", ["alpha beta"])]
         ).postings("alpha")
@@ -208,7 +209,7 @@ class TestWritePathInvariants:
             """Query every segment again; (hits, misses) it should add
             if exactly the ``survivors`` are still warm."""
             hits = misses = 0
-            for reader in disk._readers:
+            for reader in disk._flushed:
                 view = reader.view("shared")
                 if reader.name in survivors:
                     hits += view.end - view.first
@@ -226,7 +227,7 @@ class TestWritePathInvariants:
             (disk.maybe_compact, 2),
             (disk.compact_all, 1),
         ):
-            names = {reader.name for reader in disk._readers}
+            names = {reader.name for reader in disk._flushed}
             before = counters()
             assert rewrite()
             assert counters() == before
@@ -335,6 +336,55 @@ class TestPersistence:
         assert reopened.states()[-1] == ("late", "s0")
         reopened.close()
 
+    @pytest.mark.parametrize("reopened_first", [False, True])
+    def test_close_commits_the_buffer(self, tmp_path, reopened_first):
+        """Regression: close() let go of the files and dropped what was
+        buffered — any read in between used to flush it by accident."""
+        models = corpus_texts(pages=3)
+        disk = SegmentedIndex(tmp_path / "idx")
+        if reopened_first:
+            disk.build(models[:1]).close()
+            disk = SegmentedIndex.open(tmp_path / "idx")
+            disk.add_model(models[1])
+        else:
+            disk.add_model(models[0])
+            disk.add_model(models[1])
+        disk.close()
+        assert disk.num_segments == 0  # the empty generation: no closed map left to read
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        assert_parity(InvertedFile().build(models[:2]), reopened)
+        reopened.close()
+
+    def test_reopen_refuses_settings_the_directory_was_not_indexed_with(self, tmp_path):
+        """Regression: a reopen took the manifest's settings and silently
+        dropped the ones it was handed."""
+        models = corpus_texts(pages=2)
+        words = frozenset({"filler", "words"})
+        SegmentedIndex(tmp_path / "all").build(models).close()
+        SegmentedIndex(tmp_path / "capped", max_state_index=2, stopwords=words).build(models).close()
+        for path, asked, named in (
+            ("all", {"max_state_index": 1}, "max_state_index=None, not max_state_index=1"),
+            ("capped", {"max_state_index": 3}, "max_state_index=2, not max_state_index=3"),
+            ("all", {"stopwords": words}, "stopwords=None, not stopwords=frozenset("),
+            ("capped", {"stopwords": frozenset({"filler"})}, "not stopwords=frozenset({'filler'})"),
+        ):
+            with pytest.raises(SearchError) as refused:
+                SegmentedIndex(tmp_path / path, **asked)
+            assert named in str(refused.value), refused.value
+        # Agreeing, or None ("the manifest's"), opens; an empty stopword
+        # set is no stopwords, as everywhere.
+        for path, asked in (
+            ("capped", {"max_state_index": 2, "stopwords": words}),
+            ("capped", {}),
+            ("all", {"stopwords": frozenset()}),
+        ):
+            reopened = SegmentedIndex(tmp_path / path, **asked)
+            capped = path == "capped"
+            assert reopened.max_state_index == (2 if capped else None)
+            assert reopened.stopwords == (words if capped else None)
+            assert reopened.num_states == (4 if capped else 8)
+            reopened.close()
+
     def test_open_requires_manifest(self, tmp_path):
         with pytest.raises(SearchError, match="not a segmented index"):
             SegmentedIndex.open(tmp_path / "missing")
@@ -365,6 +415,114 @@ class TestPersistence:
         assert stats["num_bytes"] == sum(s["num_bytes"] for s in stats["segments"])
         assert stats["cache"]["capacity"] == disk.cache.capacity
         disk.close()
+
+
+def directory_bytes(path):
+    return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
+
+READS = {
+    "conjunction": lambda index: list(index.conjunction(["shared", "late"])),
+    "postings": lambda index: index.postings("late"),
+    "document_frequency": lambda index: index.document_frequency("shared"),
+    "terms": lambda index: index.terms(),
+    "states": lambda index: index.states(),
+    "state_length": lambda index: index.state_length("http://site.test/late", "s1"),
+    "state_depth": lambda index: index.state_depth("http://site.test/late", "s1"),
+    "term_count": lambda index: index.term_count("late", "http://site.test/late", "s0"),
+    "tf": lambda index: index.tf("late", "http://site.test/late", "s0"),
+    "idf": lambda index: index.idf("late"),
+    "vocabulary_size": lambda index: index.vocabulary_size,
+    "num_states": lambda index: index.num_states,
+}
+
+
+class TestReadsNeverWrite:
+    """A query used to open with finalize(): after one add_model any read
+    left a new segment file behind.  Reads go through the buffer."""
+
+    LATE = ("http://site.test/late", ["shared late arrival", "late late again"])
+
+    def buffered(self, tmp_path):
+        models = corpus_texts(pages=3)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=40).build(models)
+        return disk, InvertedFile().build(models + [make_model(*self.LATE)])
+
+    def assert_untouched(self, disk, before):
+        assert (directory_bytes(disk.path), disk.num_segments) == before
+        assert disk._memtable.num_states == 2
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_a_read_leaves_the_directory_as_it_was(self, tmp_path, read):
+        disk, fresh = self.buffered(tmp_path)
+        disk.add_model(make_model(*self.LATE))
+        before = (directory_bytes(disk.path), disk.num_segments)
+        assert READS[read](disk) == READS[read](fresh)
+        self.assert_untouched(disk, before)
+        disk.close()
+
+    def test_stats_counts_the_buffer_and_lists_the_files(self, tmp_path):
+        disk, fresh = self.buffered(tmp_path)
+        disk.add_model(make_model(*self.LATE))
+        before = (directory_bytes(disk.path), disk.num_segments)
+        stats = disk.stats()
+        self.assert_untouched(disk, before)
+        assert stats["num_segments"] == len(stats["segments"]) == disk.num_segments
+        assert stats["num_states"] == fresh.num_states
+        assert stats["vocabulary"] == fresh.vocabulary_size
+        assert stats["num_states"] - sum(s["num_states"] for s in stats["segments"]) == 2
+        disk.close()
+
+    def test_a_search_reads_what_was_added_after_the_engine_was_built(self, tmp_path):
+        disk, fresh = self.buffered(tmp_path)
+        engine = SearchEngine(disk)  # its constructor commits; nothing is buffered yet
+        disk.add_model(make_model(*self.LATE))
+        before = (directory_bytes(disk.path), disk.num_segments)
+        for query in ("late", "shared late", "shared"):
+            assert engine.search(query) == SearchEngine(fresh).search(query), query
+        self.assert_untouched(disk, before)
+        disk.close()
+
+
+class TestGenerationSnapshot:
+    """The read half of snapshot isolation: what a reader took before a
+    write is what it finishes on, whatever the writer publishes since."""
+
+    @pytest.mark.parametrize("backend", ["memory", "segmented"])
+    def test_an_answer_taken_before_a_write_is_the_pre_write_answer(self, tmp_path, backend):
+        models = corpus_texts(pages=4)
+        index = (
+            InvertedFile()
+            if backend == "memory"
+            else SegmentedIndex(tmp_path / "idx", flush_threshold=40, compact_fanin=100)
+        ).build(models)
+        fresh = InvertedFile().build(models)
+        expected_rows = list(fresh.conjunction(["shared", "filler"]))
+        expected_postings = fresh.postings("shared")
+
+        rows = index.conjunction(["shared", "filler"])
+        postings = index.postings("shared")
+        first = next(rows)  # a reader in the middle of its answer
+        index.add_model(make_model("http://site.test/a-first", ["shared filler first"]))
+        index.finalize()
+        if backend == "segmented":
+            assert index.num_segments > 2
+            index.compact_all()
+            assert index.num_segments == 1
+        index.remove_urls([models[0].url, models[3].url])
+
+        assert [first, *rows] == expected_rows
+        assert postings == expected_postings
+        # ... and the next reader sees every write.
+        after = InvertedFile().build(
+            [*models[1:3], make_model("http://site.test/a-first", ["shared filler first"])]
+        )
+        assert list(index.conjunction(["shared", "filler"])) == list(
+            after.conjunction(["shared", "filler"])
+        )
+        assert index.postings("shared") == after.postings("shared")
+        if backend == "segmented":
+            index.close()
 
 
 # -- update_model == fresh rebuild (property) --------------------------------------
@@ -444,7 +602,7 @@ def property_model(uri, num_states, salt):
 
 
 def assert_live_segments_equal_the_reference(disk, scratch):
-    for reader in disk._readers:
+    for reader in disk._flushed:
         written = reader.path.read_bytes()
         assert written == reference_bytes(reader, scratch / "reference.seg"), reader.name
 
@@ -496,10 +654,9 @@ def test_every_written_segment_equals_the_reference_writer(tmp_path_factory, dat
         else:
             getattr(disk, operation)()
         assert_live_segments_equal_the_reference(disk, scratch)
-        # Comparing answers flushes the memtable; a draw decides, so
-        # buffers that span several steps are explored as well.
-        if data.draw(st.booleans(), label="compare answers"):
-            assert disk.states() == memory.states()
+        # Answers come through the buffer, whatever it spans: comparing
+        # them flushes nothing.
+        assert disk.states() == memory.states()
     assert disk.states() == memory.states()
     assert disk.terms() == memory.terms()
     for term in memory.terms():

@@ -99,7 +99,7 @@ class TestCrashMidCompaction:
         models = corpus(pages=4)
         disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
         victims = {
-            reader.path: reader.path.read_bytes() for reader in disk._readers
+            reader.path: reader.path.read_bytes() for reader in disk._flushed
         }
         assert disk.compact_all() == 1
         disk.close()

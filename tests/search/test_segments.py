@@ -17,6 +17,7 @@ from repro.search.segments import (
     BlockCache,
     MergeStats,
     SegmentReader,
+    state_sort_key,
     write_segment,
 )
 from repro.search.segments import merge_conjunction_blocks
@@ -67,10 +68,10 @@ class TestRoundTrip:
         for ordinal, (uri, state_id, length, depth, seq) in enumerate(states):
             assert reader.ordinal(uri, state_id) == ordinal
             assert reader.state_key(ordinal) == (uri, state_id)
-            assert reader.sort_key(ordinal) == (uri, int(state_id[1:]))
+            assert state_sort_key(reader.state_rows()[ordinal]) == (uri, int(state_id[1:]))
             assert reader.state_length(ordinal) == length
             assert reader.state_depth(ordinal) == depth
-            assert reader.state_seq(ordinal) == seq
+            assert reader.state_rows()[ordinal][4] == seq
         assert reader.ordinal("u1", "s9") is None
         assert reader.has_uri("u1") and not reader.has_uri("u3")
 

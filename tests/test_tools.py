@@ -1,5 +1,6 @@
 """Repo tooling: the ``tools/ab_bench.py`` smoke, the knob census and
-the journaled-write, lent-fragment, columnar-write-path and gc guards."""
+the journaled-write, lent-fragment, columnar-write-path, generation and
+gc guards."""
 
 import ast
 import dataclasses
@@ -150,33 +151,42 @@ def test_lent_fragments_reach_the_tree_only_through_page_write():
     assert fragment_leaks(sample) == (4, ["6:kept", "7:fragment"])
 
 
-def object_view_users(source: str) -> set[str]:
-    """The functions of ``source``, as ``Class.name``, that build a
-    ``Posting``, mention ``sort_postings`` or call ``.materialize(...)``."""
-    users = set()
+def functions_where(source: str, matches) -> set[str]:
+    """The functions of ``source``, as ``Class.name``, that hold a node
+    ``matches`` accepts."""
+    found = set()
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(child):
-                    called = inner.func if isinstance(inner, ast.Call) else None
-                    if (
-                        (isinstance(called, ast.Name) and called.id == "Posting")
-                        or (isinstance(called, ast.Attribute) and called.attr == "materialize")
-                        or (isinstance(inner, ast.Name) and inner.id == "sort_postings")
-                    ):
-                        users.add(scope + child.name)
+                if any(matches(inner) for inner in ast.walk(child)):
+                    found.add(scope + child.name)
 
     visit(ast.parse(source), "")
-    return users
+    return found
+
+
+def object_view_users(source: str) -> set[str]:
+    """The functions of ``source`` that build a ``Posting``, mention
+    ``sort_postings`` or call ``.materialize(...)``."""
+
+    def object_view(node: ast.AST) -> bool:
+        called = node.func if isinstance(node, ast.Call) else None
+        return (
+            (isinstance(called, ast.Name) and called.id == "Posting")
+            or (isinstance(called, ast.Attribute) and called.attr == "materialize")
+            or (isinstance(node, ast.Name) and node.id == "sort_postings")
+        )
+
+    return functions_where(source, object_view)
 
 
 def test_the_segment_write_path_moves_columns_not_postings():
-    # Both backends buffer two columns per term, and flush, compaction
+    # The index buffers two columns per term, and flush, compaction
     # and removal carry state ordinals from memtable and mmap to varint
-    # blocks (or, in memory, to the finalized view).  A Posting built on
+    # blocks (or, in memory, to the view of the buffer).  A Posting built on
     # the way does not crash and changes no byte: it costs a third of
     # the build again, and feeds the cyclic collector.
     search = REPO / "src" / "repro" / "search"
@@ -187,9 +197,9 @@ def test_the_segment_write_path_moves_columns_not_postings():
     assert users == {
         "codec.py": set(),
         "segments.py": {"Segment.posting"},  # under materialize, for Index.postings
-        "segmented.py": {"SegmentedIndex.postings"},
+        "segmented.py": set(),
         "memtable.py": set(),
-        "index.py": {"InvertedFile.postings"},  # materializes its one in-memory segment
+        "index.py": {"Index.postings"},  # the one reader of the object view
     }
     assert "Posting" not in (search / "memtable.py").read_text()
     sample = (
@@ -205,6 +215,67 @@ def test_the_segment_write_path_moves_columns_not_postings():
         "    reader.materialize(term)\n"
     )
     assert object_view_users(sample) == {"Index.flush", "Index._merge", "remove"}
+
+
+def calls_method(*names: str):
+    """A node test: a call of ``<anything>.<one of names>(...)``."""
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+    )
+
+
+def stores_flushed(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_flushed" and isinstance(
+        node.ctx, (ast.Store, ast.Del)
+    )
+
+
+def mutates_flushed(node: ast.AST) -> bool:
+    return (
+        calls_method("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")(node)
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "_flushed"
+    )
+
+
+def test_a_read_never_commits_and_a_generation_is_replaced_whole():
+    # A read that called finalize() would not crash and would answer
+    # right: it would write a segment file from a query thread.  A
+    # ``_flushed`` changed in place would not crash either: the reader
+    # that took it into a local would see it move.
+    search = REPO / "src" / "repro" / "search"
+    commits = calls_method("finalize", "flush")
+    assert functions_where((search / "index.py").read_text(), commits) == {
+        "Index.build", "Index.update_model",
+    }
+    assert functions_where((search / "segmented.py").read_text(), commits) == {
+        "SegmentedIndex.finalize", "SegmentedIndex.add_model",
+        "SegmentedIndex.compact_all", "SegmentedIndex.close",
+    }
+    publishers = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        source = path.read_text()
+        assert functions_where(source, mutates_flushed) == set(), path
+        if stored := functions_where(source, stores_flushed):
+            publishers[path.name] = stored
+    assert publishers == {"index.py": {"Index._publish"}}
+    sample = (
+        "class Disk(Index):\n"
+        "    def postings(self, term):\n"
+        "        self.finalize()\n"
+        "    def flush(self):\n"
+        "        self._flushed.append(reader)\n"
+        "        self._flushed += (reader,)\n"
+        "    def _merge(self):\n"
+        "        survivors = list(self._flushed)\n"
+        "        survivors.insert(0, merged)\n"
+        "        self._publish(tuple(survivors))\n"
+    )
+    assert functions_where(sample, commits) == {"Disk.postings"}
+    assert functions_where(sample, mutates_flushed) == {"Disk.flush"}
+    assert functions_where(sample, stores_flushed) == {"Disk.flush"}
 
 
 def gc_tuning(source: str) -> list[str]:
