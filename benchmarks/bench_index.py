@@ -10,7 +10,12 @@ the PR's acceptance floors:
   block-max skip table decodes **fewer postings** than the full
   galloping merge touches, and skips whole blocks without decoding;
 * the 100k-state build and the cold/warm query suite complete within
-  asserted budgets, and the block cache demonstrably serves repeats.
+  asserted budgets, and the block cache demonstrably serves repeats;
+* **maintenance** — read, write and space of a re-crawl together: the
+  p50 of an ``update_model``, the segment bytes it writes, the dead/live
+  state ratio the updates leave before compaction, and the same queries
+  on one segment holding tombstones and on that segment purged (floors
+  10x loose: they catch a removal that rewrites again, not a slow box).
 
 Results are persisted as ``benchmarks/results/BENCH_index.json``.
 ``REPRO_BENCH_INDEX_STATES`` scales the corpus (default 100000) — the
@@ -21,6 +26,7 @@ benchmark the same site.
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -39,6 +45,12 @@ MAX_DECODE_FRACTION = 0.5     # postings decoded / postings a full merge reads
 BUILD_BUDGET_S = 180.0        # 100k-state segmented build
 COLD_QUERY_BUDGET_MS = 500.0  # first query on a freshly opened index
 WARM_QUERY_BUDGET_MS = 250.0  # same query again, block cache hot
+UPDATE_BUDGET_MS = 400.0      # p50 of one update_model (10x the <=40 ms it was built for)
+MAX_WRITE_FRACTION = 0.1      # segment bytes one update writes / segment bytes of the index
+MAX_TOMBSTONE_SLOWDOWN = 10.0 # query ms on a tombstoned segment / on the same, purged
+
+#: Pages re-crawled by the maintenance lane, spread over the corpus.
+MAINTENANCE_UPDATES = 12
 
 
 def _mint_corpus():
@@ -57,6 +69,84 @@ def _skewed_queries(spec):
         for index in range(0, len(spec.pages), max(1, len(spec.pages) // 8))
     ]
     return [f"area {marker}" for marker in markers]
+
+
+def _segment_files(path: Path) -> dict[str, int]:
+    return {entry.name: entry.stat().st_size for entry in path.glob("seg-*.seg")}
+
+
+def _suite_ms(index, queries, repeats) -> float:
+    """Best-of-``repeats`` ms to search (match and rank) the whole query
+    suite, block cache warm."""
+    engine = SearchEngine(index)
+    best = float("inf")
+    for _ in range(repeats + 1):
+        start = time.perf_counter()
+        for query in queries:
+            engine.search(query)
+        best = min(best, (time.perf_counter() - start) * 1000.0)
+    return best
+
+
+def maintenance_study(path: Path, spec, models, skewed) -> dict:
+    """Re-crawl ``MAINTENANCE_UPDATES`` pages of the built index, then
+    put the same live content on one segment twice — tombstoned, purged
+    — and run the same queries on both."""
+    index = SegmentedIndex.open(path)
+    try:
+        pages = len(models)
+        updated = [
+            (k * pages) // MAINTENANCE_UPDATES + pages // (2 * MAINTENANCE_UPDATES)
+            for k in range(MAINTENANCE_UPDATES)
+        ]
+        update_ms, written = [], []
+        for page in updated:
+            before = _segment_files(path)
+            start = time.perf_counter()
+            index.update_model(models[page])
+            update_ms.append((time.perf_counter() - start) * 1000.0)
+            after = _segment_files(path)
+            written.append(sum(size for name, size in after.items() if name not in before))
+        stats = index.stats()
+        dead, live = stats["dead_states"], stats["num_states"]
+
+        # One segment, the re-crawled pages' first selves purged; then
+        # retire as many other pages in it, query, purge those, query.
+        index.compact_all()
+        probed = {query.split()[1] for query in skewed}
+        retired = [
+            models[page + 1].url for page in updated
+            if not probed & set(spec.pages[page + 1].markers)
+        ]
+        removed = index.remove_urls(retired)
+        assert index.num_segments == 1 and index.stats()["dead_states"] == removed > 0
+        broad = ["area"]
+        # A skewed suite is a fifth of a millisecond, a broad query a
+        # quarter of a second: repeats to match.
+        tombstoned = {"skewed": _suite_ms(index, skewed, 50), "broad": _suite_ms(index, broad, 5)}
+        rows_tombstoned = [list(index.conjunction(query.split())) for query in skewed + broad]
+        assert index.compact_all() == 1 and index.stats()["dead_states"] == 0
+        purged = {"skewed": _suite_ms(index, skewed, 50), "broad": _suite_ms(index, broad, 5)}
+        assert [list(index.conjunction(query.split())) for query in skewed + broad] == rows_tombstoned
+        return {
+            "updates": len(updated),
+            "update_p50_ms": statistics.median(update_ms),
+            "update_max_ms": max(update_ms),
+            "segment_bytes_written_per_update": statistics.median(written),
+            "segment_bytes_written_max": max(written),
+            "dead_states_before_compaction": dead,
+            "live_states": live,
+            "dead_per_live": dead / live,
+            "retired_for_the_probe": removed,
+            "skewed_tombstoned_ms": tombstoned["skewed"],
+            "skewed_purged_ms": purged["skewed"],
+            "skewed_tombstoned_per_purged": tombstoned["skewed"] / purged["skewed"],
+            "broad_tombstoned_ms": tombstoned["broad"],
+            "broad_purged_ms": purged["broad"],
+            "broad_tombstoned_per_purged": tombstoned["broad"] / purged["broad"],
+        }
+    finally:
+        index.close()
 
 
 def index_study():
@@ -113,6 +203,9 @@ def index_study():
         cache = cold.stats()["cache"]
         cold.close()
 
+        # -- maintenance: updates, the space they leave, reads over it ---------
+        maintenance = maintenance_study(scratch / "segments", spec, models, skewed)
+
         report = {
             "num_states": NUM_STATES,
             "num_pages": len(spec.pages),
@@ -144,7 +237,11 @@ def index_study():
                 "cache_hits": cache["hits"],
                 "cache_misses": cache["misses"],
             },
+            "maintenance": maintenance,
             "thresholds": {
+                "update_budget_ms": UPDATE_BUDGET_MS,
+                "max_write_fraction": MAX_WRITE_FRACTION,
+                "max_tombstone_slowdown": MAX_TOMBSTONE_SLOWDOWN,
                 "min_size_ratio": MIN_SIZE_RATIO,
                 "max_decode_fraction": MAX_DECODE_FRACTION,
                 "build_budget_s": BUILD_BUDGET_S,
@@ -178,6 +275,19 @@ def test_index_benchmark(benchmark):
         f"[index] cold {latency['cold_ms']:.1f} ms, warm {latency['warm_ms']:.1f} ms "
         f"(cache {latency['cache_hits']} hits / {latency['cache_misses']} misses)"
     )
+    upkeep = report["maintenance"]
+    print(
+        f"[index] update_model p50 {upkeep['update_p50_ms']:.1f} ms (max "
+        f"{upkeep['update_max_ms']:.1f}), {upkeep['segment_bytes_written_per_update']:.0f} "
+        f"segment B written per update; {upkeep['dead_states_before_compaction']} dead / "
+        f"{upkeep['live_states']} live states before compaction"
+    )
+    print(
+        f"[index] tombstoned vs purged segment: skewed {upkeep['skewed_tombstoned_ms']:.2f} / "
+        f"{upkeep['skewed_purged_ms']:.2f} ms ({upkeep['skewed_tombstoned_per_purged']:.2f}x), "
+        f"broad {upkeep['broad_tombstoned_ms']:.1f} / {upkeep['broad_purged_ms']:.1f} ms "
+        f"({upkeep['broad_tombstoned_per_purged']:.2f}x)"
+    )
     # Floor 1: the segment format beats JSON by >= 5x on disk.
     assert size["ratio"] >= MIN_SIZE_RATIO, size
     # Floor 2: block skipping decodes (far) fewer postings than the full
@@ -193,3 +303,9 @@ def test_index_benchmark(benchmark):
     assert latency["warm_ms"] <= WARM_QUERY_BUDGET_MS, latency
     # The warm query was actually served from the block cache.
     assert latency["cache_hits"] > 0, latency
+    # Floor 4: an update costs a page, not a segment — in time and in
+    # bytes — and reading around tombstones costs a mask, not a rewrite.
+    assert upkeep["update_p50_ms"] <= UPDATE_BUDGET_MS, upkeep
+    assert upkeep["segment_bytes_written_per_update"] <= MAX_WRITE_FRACTION * size["segment_bytes"], upkeep
+    assert upkeep["skewed_tombstoned_per_purged"] <= MAX_TOMBSTONE_SLOWDOWN, upkeep
+    assert upkeep["broad_tombstoned_per_purged"] <= MAX_TOMBSTONE_SLOWDOWN, upkeep

@@ -275,10 +275,10 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 def cmd_index_compact(args: argparse.Namespace) -> int:
     index = SegmentedIndex.open(args.segments)
-    before = index.num_segments
+    before, dead = index.num_segments, index.stats()["dead_states"]
     merges = index.compact_all()
     print(f"compacted {before} segment(s) -> {index.num_segments} "
-          f"({merges} merge(s), {index.num_states} states)")
+          f"({merges} merge(s), {index.num_states} states, {dead} dead state(s) purged)")
     index.close()
     return 0
 

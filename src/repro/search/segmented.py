@@ -1,13 +1,15 @@
 """LSM-style segmented index: the on-disk :class:`~repro.search.index.Index`.
 
 A :class:`SegmentedIndex` is a *directory*: a ``MANIFEST.json`` naming
-the live segment files in chronological order, plus one immutable
-``seg-*.seg`` file per flushed memtable (see
+the live segment files in chronological order and, per segment, the
+state-ordinal runs retired in it since it was written, plus one
+immutable ``seg-*.seg`` file per flushed memtable (see
 :mod:`repro.search.segments` for the file format).  Writes buffer in a
 :class:`~repro.search.memtable.Memtable` and freeze into a new segment
 once the buffer crosses ``flush_threshold`` postings; a size-tiered
 compactor then merges segments of similar size so the segment count
-stays logarithmic in index size.
+stays logarithmic in index size.  Removing a page writes the manifest
+and nothing else; compaction is what drops its bytes.
 
 It is an :class:`~repro.search.index.Index` whose flushes go to that
 directory: the buffer, the generation of segments and every read are the
@@ -24,9 +26,10 @@ Two invariants make the multi-segment query path exact:
   conjunction can therefore run per segment (over compact int ordinals,
   with block skipping) and concatenate: no cross-segment merge state.
 * **exact global df** — each segment's term table stores its exact
-  document frequency; the global df is their sum, re-derived (not
-  approximated) whenever compaction rewrites segments, so ``idf`` is
-  bit-identical to the in-memory index (the ch. 6 query-shipping
+  document frequency, a reader subtracts exactly the postings of the
+  states retired in it; the global df is the segments' sum, re-derived
+  (not approximated) whenever compaction rewrites segments, so ``idf``
+  is bit-identical to the in-memory index (the ch. 6 query-shipping
   contract: per-partition indexes, global-idf correction at merge).
 """
 
@@ -34,9 +37,9 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import accumulate, compress
+from itertools import compress
 from pathlib import Path
-from typing import Container, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
@@ -53,13 +56,18 @@ from repro.search.segments import (
 )
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_VERSION = 1
+#: Version 2 added ``"dead"``; a version 1 manifest is one without it.
+MANIFEST_VERSION = 2
 
 #: Default memtable flush threshold, in postings.
 DEFAULT_FLUSH_POSTINGS = 200_000
 
 #: Segments per size tier before that tier is compacted.
 DEFAULT_COMPACT_FANIN = 4
+
+#: Dead states per live state above which a segment is rewritten alone:
+#: more dead than alive, and a purge frees more than it copies.
+MAX_DEAD_PER_LIVE = 1
 
 
 def _tier(num_postings: int) -> int:
@@ -95,7 +103,7 @@ class SegmentedIndex(Index):
                 manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             except ValueError as error:
                 raise SearchError(f"corrupt index manifest {manifest_path}") from error
-            if manifest.get("version") != MANIFEST_VERSION:
+            if manifest.get("version") not in (1, MANIFEST_VERSION):
                 raise SearchError(
                     f"unsupported index manifest version {manifest.get('version')!r}"
                 )
@@ -121,10 +129,7 @@ class SegmentedIndex(Index):
         else:
             self._next_seq = int(manifest["next_seq"])
             self._next_segment_id = int(manifest["next_segment_id"])
-            self._publish(tuple(
-                SegmentReader(self.path / name, cache=self.cache)
-                for name in manifest["segments"]
-            ))
+            self._publish(tuple(self._open_segments(manifest)))
             self.orphans_collected = self._collect_orphans(set(manifest["segments"]))
 
     @classmethod
@@ -168,10 +173,29 @@ class SegmentedIndex(Index):
             self.metrics.inc("index.orphans_collected", orphans)
         return orphans
 
+    def _open_segments(self, manifest: dict) -> Iterable[SegmentReader]:
+        """The manifest's readers, its dead ranges retired again — the
+        per-term counts are never stored, the same pass that served the
+        removal re-derives them."""
+        dead = manifest.get("dead", {})
+        if not dead.keys() <= set(manifest["segments"]):
+            raise SearchError(f"{self.path}: dead ranges for a segment the manifest does not name")
+        for name in manifest["segments"]:
+            reader = SegmentReader(self.path / name, cache=self.cache)
+            if name in dead:
+                try:
+                    reader = reader.retire([(lo, hi) for lo, hi in dead[name]])
+                except (TypeError, ValueError) as error:
+                    raise SearchError(f"{self.path}: corrupt dead ranges of {name}") from error
+                if not reader.num_states:
+                    raise SearchError(f"{self.path}: {name} is listed with no live state")
+            yield reader
+
     def _save_manifest(self) -> None:
         manifest = {
             "version": MANIFEST_VERSION,
             "segments": [reader.name for reader in self._flushed],
+            "dead": {reader.name: reader.dead for reader in self._flushed if reader.dead},
             "next_seq": self._next_seq,
             "next_segment_id": self._next_segment_id,
             "max_state_index": self.max_state_index,
@@ -195,6 +219,7 @@ class SegmentedIndex(Index):
             reader.path.unlink(missing_ok=True)
         if self.metrics is not None:
             self.metrics.set_gauge("index.live_segments", len(flushed))
+            self.metrics.set_gauge("index.dead_states", sum(r.dead_states for r in flushed))
 
     def _segment_path(self) -> Path:
         path = self.path / f"seg-{self._next_segment_id:08d}.seg"
@@ -251,9 +276,12 @@ class SegmentedIndex(Index):
         """Run size-tiered compaction until no tier is over-full.
 
         Returns the number of merges performed.  A tier holds segments
-        whose posting counts fall in the same ~4x size band; once a tier
-        accumulates ``compact_fanin`` members they merge into one
-        (larger-tier) segment, so lookups touch O(log n) segments.
+        whose live posting counts fall in the same ~4x size band; once a
+        tier accumulates ``compact_fanin`` members they merge into one
+        (larger-tier) segment, so lookups touch O(log n) segments.  A
+        segment more dead than alive (:data:`MAX_DEAD_PER_LIVE`) is
+        rewritten alone: removal only masks, this is where the space
+        comes back.
         """
         merges = 0
         while True:
@@ -262,6 +290,10 @@ class SegmentedIndex(Index):
                 tiers.setdefault(_tier(reader.num_postings), []).append(reader)
             crowded = [
                 members for members in tiers.values() if len(members) >= self.compact_fanin
+            ]
+            crowded += [
+                [reader] for reader in self._flushed
+                if reader.dead_states > MAX_DEAD_PER_LIVE * reader.num_states
             ]
             if not crowded:
                 return merges
@@ -272,36 +304,30 @@ class SegmentedIndex(Index):
             merges += 1
 
     def compact_all(self) -> int:
-        """Merge every segment into one (full compaction); returns merges."""
+        """Merge every segment into one (full compaction) and purge
+        every dead state, a lone segment's too; returns merges."""
         self.finalize()
-        if len(self._flushed) < 2:
+        if len(self._flushed) < 2 and not any(reader.dead for reader in self._flushed):
             return 0
         self._merge(list(self._flushed))
         return 1
 
-    def _rewrite(
-        self, victims: list[SegmentReader], dropped: Container[str] = ()
-    ) -> Optional[SegmentReader]:
-        """Write and open the one segment that replaces ``victims``: their
-        states minus those of the ``dropped`` URIs, exact df re-derived.
-        None, and no file, if no state is left."""
-        # One sort of the victims' concatenated state rows is the new
-        # state table and, read backwards, each victim's old ordinal ->
-        # new ordinal list (-1 for a state that goes).
+    def _rewrite(self, victims: list[SegmentReader]) -> SegmentReader:
+        """Write and open the one segment that replaces ``victims``:
+        their live states, exact df re-derived."""
+        # One sort of the victims' concatenated live rows is the new
+        # state table; handed out again in the victims' own order, the
+        # ranks are each victim's old ordinal -> new ordinal list (-1
+        # for a dead state).
         rows = [row for reader in victims for row in reader.state_rows()]
-        order = sorted(
-            (old for old, row in enumerate(rows) if row[0] not in dropped),
-            key=lambda old: state_sort_key(rows[old]),
-        )
-        if not order:
-            return None
-        new_ordinal = [-1] * len(rows)
-        for new, old in enumerate(order):
-            new_ordinal[old] = new
-        bases = accumulate((reader.num_states for reader in victims), initial=0)
+        order = sorted(range(len(rows)), key=lambda at: state_sort_key(rows[at]))
+        ranks = [0] * len(rows)
+        for new, at in enumerate(order):
+            ranks[at] = new
+        rank = iter(ranks)
         remaps = [
-            new_ordinal[base : base + reader.num_states].__getitem__
-            for base, reader in zip(bases, victims)
+            [next(rank) if alive else -1 for alive in reader.live].__getitem__
+            for reader in victims
         ]
 
         def columns_by_term():
@@ -321,11 +347,10 @@ class SegmentedIndex(Index):
                 # left is the term's exact df, which the writer persists.
                 if holders > 1:
                     ordinals, positions = sorted_columns(ordinals, positions)
-                if ordinals:
-                    yield term, ordinals, positions
+                yield term, ordinals, positions
 
         stats = write_segment(
-            self._segment_path(), [rows[old] for old in order], columns_by_term(),
+            self._segment_path(), [rows[at] for at in order], columns_by_term(),
             block_size=self.block_size,
         )
         return SegmentReader(stats.path, cache=self.cache)
@@ -355,26 +380,31 @@ class SegmentedIndex(Index):
     # -- incremental maintenance -------------------------------------------------
 
     def remove_urls(self, uris: Iterable[str]) -> int:
-        """Batched removal: every touched segment is rewritten once.
-
-        Segments are immutable, so removal rewrites each segment that
-        holds any of the URIs (minus their states) — no tombstones, so
-        df and idf stay exact without a merge-time reconciliation pass.
+        """Batched removal, a commit of liveness and not of bytes: each
+        segment holding any of the URIs is succeeded by a reader over
+        the same file with those states' ordinal runs retired
+        (:meth:`SegmentReader.retire` — masked, df exact), the manifest
+        swap that names the runs being the only write.  A segment left
+        with no live state is dropped and unlinked; everything else
+        dead stays on disk until a compaction purges it.
         """
         uri_set = set(uris)
         removed = super().remove_urls(uri_set)
         with self._lock:
-            rewritten: dict[SegmentReader, Optional[SegmentReader]] = {}
+            successors: dict[SegmentReader, SegmentReader] = {}
+            retired = 0
             for reader in self._flushed:
-                if any(reader.has_uri(uri) for uri in uri_set):
-                    rewritten[reader] = replacement = self._rewrite([reader], uri_set)
-                    removed += reader.num_states - (replacement.num_states if replacement else 0)
-            if rewritten:
-                survivors = (rewritten.get(reader, reader) for reader in self._flushed)
-                self._commit(tuple(filter(None, survivors)), rewritten)
+                ranges = sorted(filter(None, map(reader.uri_range, uri_set)))
+                if ranges:
+                    successors[reader] = reader.retire(ranges)
+                    retired += sum(hi - lo for lo, hi in ranges)
+            if successors:
+                flushed = [successors.get(reader, reader) for reader in self._flushed]
+                emptied = [reader for reader in flushed if not reader.num_states]
+                self._commit(tuple(r for r in flushed if r.num_states), emptied)
                 if self.metrics is not None:
-                    self.metrics.inc("index.segment_rewrites", len(rewritten))
-        return removed
+                    self.metrics.inc("index.states_retired", retired)
+        return removed + retired
 
     # -- introspection -----------------------------------------------------------
 
@@ -393,6 +423,7 @@ class SegmentedIndex(Index):
             {
                 "name": reader.name,
                 "num_states": reader.num_states,
+                "dead_states": reader.dead_states,
                 "num_postings": reader.num_postings,
                 "num_terms": len(reader.terms()),
                 "num_bytes": reader.path.stat().st_size,
@@ -403,6 +434,7 @@ class SegmentedIndex(Index):
             "path": str(self.path),
             "num_segments": len(segments),
             "num_states": self.num_states,
+            "dead_states": sum(segment["dead_states"] for segment in segments),
             "num_postings": self.num_postings,
             "vocabulary": self.vocabulary_size,
             "num_bytes": sum(segment["num_bytes"] for segment in segments),

@@ -31,13 +31,14 @@ blocks the merge actually needs, decoded through a bounded
 
 from __future__ import annotations
 
+import copy
 import json
 import mmap
 import struct
 import threading
-from bisect import bisect_left
-from collections import OrderedDict
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from collections import Counter, OrderedDict
+from itertools import accumulate, compress, pairwise
 from operator import add, gt
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -244,17 +245,50 @@ class Segment:
     (``_ordinals``, ``_uri_set``), ``num_postings``, ``terms()``,
     ``view(term)`` and ``columns(term)``.  The subclass fills them — a
     :class:`SegmentReader` parses its file, a :class:`MemorySegment` is
-    handed rows and columns — and an index reads both kinds alike."""
+    handed rows and columns — and an index reads both kinds alike.
+
+    A segment answers for its *live* states only.  A reader whose pages
+    were removed since it was written (:meth:`SegmentReader.retire`)
+    carries their ordinal runs in ``dead`` and a byte per ordinal in
+    ``live``; every accessor below masks them behind one check of
+    ``dead``.  Only ``columns(term)`` stays the file as written — the
+    bulk read of compaction, which purges by that very mask.
+    """
+
+    #: Retired ``[lo, hi)`` ordinal runs, ascending and disjoint.
+    dead: Sequence[tuple[int, int]] = ()
+    #: How many states those runs cover.
+    dead_states = 0
 
     @property
     def num_states(self) -> int:
-        return len(self._state_uri)
+        return len(self._state_uri) - self.dead_states
+
+    @property
+    def live(self) -> Sequence[int]:
+        """Per ordinal of the state table, 1 for a live state and 0 for
+        a retired one."""
+        return self._live if self.dead else bytes([1]) * len(self._state_uri)
+
+    def uri_range(self, uri: str) -> Optional[tuple[int, int]]:
+        """The ordinals ``[lo, hi)`` of ``uri``'s states — one run, the
+        table being sorted by URI — or None if none of them is live."""
+        if uri not in self._uri_set:
+            return None
+        lo = bisect_left(self._state_uri, uri)
+        # A URI is retired whole, so its first state speaks for all.
+        if self.dead and not self._live[lo]:
+            return None
+        return lo, bisect_right(self._state_uri, uri, lo)
 
     def has_uri(self, uri: str) -> bool:
-        return uri in self._uri_set
+        return self.uri_range(uri) is not None
 
     def ordinal(self, uri: str, state_id: str) -> Optional[int]:
-        return self._ordinals.get((uri, state_id))
+        ordinal = self._ordinals.get((uri, state_id))
+        if self.dead and ordinal is not None and not self._live[ordinal]:
+            return None
+        return ordinal
 
     def state_key(self, ordinal: int) -> tuple[str, str]:
         return (self._state_uri[ordinal], self._state_id[ordinal])
@@ -266,27 +300,30 @@ class Segment:
         return self._state_depth[ordinal]
 
     def state_rows(self) -> list[tuple[str, str, int, int, int]]:
-        """``(uri, state_id, length, depth, seq)`` in ordinal order."""
-        return list(zip(
+        """``(uri, state_id, length, depth, seq)`` of the live states,
+        in ordinal order."""
+        rows = zip(
             self._state_uri, self._state_id, self._state_length,
             self._state_depth, self._state_seq,
-        ))
+        )
+        return list(compress(rows, self._live) if self.dead else rows)
 
     def df(self, term: str) -> int:
-        """States of this segment containing ``term`` — exact."""
+        """Live states of this segment containing ``term`` — exact."""
         view = self.view(term)
         return view.df if view is not None else 0
 
     def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
         """Lazily, one ``(uri, state_id, length, positions per term)``
-        row per merged ordinal (the two halves of a block merge's
+        row per merged live ordinal (the two halves of a block merge's
         answer) — straight from the state table, built as consumed."""
-        return zip(
+        rows = zip(
             map(self._state_uri.__getitem__, ordinals),
             map(self._state_id.__getitem__, ordinals),
             map(self._state_length.__getitem__, ordinals),
             zip(*columns),
         )
+        return compress(rows, map(self._live.__getitem__, ordinals)) if self.dead else rows
 
     def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
         """Materialize one posting from its ordinal + decoded positions."""
@@ -297,13 +334,17 @@ class Segment:
         )
 
     def materialize(self, term: str) -> list[Posting]:
-        """The full posting list of ``term`` (canonical order)."""
+        """The full live posting list of ``term`` (canonical order)."""
         view = self.view(term)
         if view is None:
             return []
         postings: list[Posting] = []
         for block in range(view.first, view.end):
-            postings.extend(map(self.posting, *view.load(block)))
+            ordinals, positions = view.load(block)
+            run = map(self.posting, ordinals, positions)
+            if self.dead:
+                run = compress(run, map(self._live.__getitem__, ordinals))
+            postings.extend(run)
         return postings
 
 
@@ -453,6 +494,8 @@ class SegmentReader(Segment):
             heads += head
             blocks += entries
         self._df: list[int] = heads[0::2]
+        #: Term number -> how many of its postings are retired states'.
+        self._dead_df: Counter[int] = Counter()
         self._first_block: list[int] = [0, *accumulate(heads[1::2])]
         self._block_offset: list[int] = blocks[0::4]
         self._block_length: list[int] = blocks[1::4]
@@ -467,19 +510,95 @@ class SegmentReader(Segment):
         return self.path.name
 
     def terms(self):
-        """All terms of this segment in sorted order."""
-        return self._terms.keys()
+        """All terms with a live posting in this segment, in sorted order."""
+        if not self._dead_df:
+            return self._terms.keys()
+        dead, df = self._dead_df.get, self._df
+        return [term for term, number in self._terms.items() if dead(number) != df[number]]
+
+    # -- retirement --------------------------------------------------------------
+
+    def retire(self, ranges: Sequence[tuple[int, int]]) -> "SegmentReader":
+        """The successor of this reader once the states in ``ranges``
+        are removed: the same map, tables and cache entries, those
+        states masked and every term's df less by exactly the postings
+        they held.  Nothing is written, and ``self`` answers as before.
+        ``ranges`` are ``[lo, hi)`` ordinal runs: ascending, disjoint,
+        inside the state table, whole URIs each, none retired already —
+        anything else raises :class:`SearchError`.
+        """
+        uris, size = self._state_uri, len(self._state_uri)
+        live = bytearray(self.live)
+        edge = 0
+        for lo, hi in ranges:
+            if not (
+                edge <= lo < hi <= size
+                and (lo == 0 or uris[lo - 1] != uris[lo])
+                and (hi == size or uris[hi - 1] != uris[hi])
+                and not live.count(0, lo, hi)
+            ):
+                raise SearchError(
+                    f"{self.path}: dead range [{lo}, {hi}) is not whole live URIs, in order"
+                )
+            live[lo:hi] = bytes(hi - lo)
+            edge = hi
+        counts = self._dead_postings(ranges)
+        successor = copy.copy(self)
+        successor.dead = sorted([*self.dead, *ranges])
+        successor._live = live
+        successor.dead_states = live.count(0)
+        successor._dead_df = self._dead_df + counts
+        successor.num_postings = self.num_postings - counts.total()
+        return successor
+
+    def _dead_postings(self, ranges: Sequence[tuple[int, int]]) -> Counter[int]:
+        """Term number -> how many of the term's postings lie in
+        ``ranges`` — exact, and nearly all of it from the skip table.
+        The blocks strictly between the two that meet a range's ends lie
+        inside it.  Those two are known by their first ordinal (two
+        varints into the map; a one-posting block's is its max entry)
+        and their max: inside the range they count whole, beginning
+        beyond it not at all, and only a block that straddles an end is
+        decoded (around the :class:`BlockCache`)."""
+        counts: Counter[int] = Counter()
+        block_max, block_count, block_offset = self._block_max, self._block_count, self._block_offset
+        for number, (first, end) in enumerate(pairwise(self._first_block)):
+            dead = 0
+            for lo, hi in ranges:
+                start = bisect_left(block_max, lo, first, end)
+                if start == end:
+                    break  # the term ends below this range and all later ones
+                stop = bisect_left(block_max, hi, start, end)
+                dead += sum(block_count[start + 1 : stop])
+                for block in (start,) if stop in (start, end) else (start, stop):
+                    last, count = block_max[block], block_count[block]
+                    head = last if count == 1 else read_uvarints(self._map, block_offset[block], 2)[0][1]
+                    if lo <= head and last < hi:
+                        dead += count
+                    elif head < hi:
+                        ordinals, _ = self._decode(block)
+                        dead += bisect_left(ordinals, hi) - bisect_left(ordinals, lo)
+            if dead:
+                counts[number] = dead
+        return counts
 
     # -- posting access ----------------------------------------------------------
 
     def view(self, term: str) -> Optional["SegmentPostingView"]:
-        """A lazily-decoding view over ``term``'s postings, or None."""
+        """A lazily-decoding view over ``term``'s live postings, or
+        None.  ``df`` is the live count; the blocks are the file's, so
+        whoever reads them masks (:meth:`Segment.match_rows`)."""
         number = self._terms.get(term)
         if number is None:
             return None
+        df = self._df[number]
+        if self._dead_df:
+            df -= self._dead_df.get(number, 0)  # not [number]: __missing__ is a Python call
+            if not df:
+                return None
         first, end = self._first_block[number : number + 2]
         load, skips = self.decode_block_at, self._block_max
-        return SegmentPostingView(load, self._df[number], first, end, skips)
+        return SegmentPostingView(load, df, first, end, skips)
 
     def _decode(self, block: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """Decode block ``block`` of the file straight from the map and
@@ -500,10 +619,11 @@ class SegmentReader(Segment):
         return self.cache.get((str(self.path), block), lambda: self._decode(block))
 
     def columns(self, term: str) -> tuple[list[int], list[tuple[int, ...]]]:
-        """Every posting of ``term`` as two flat columns ``(ordinals,
-        positions)`` — the bulk read of compaction and removal, decoded
-        *around* the :class:`BlockCache`: a rewrite touches every block
-        once and would evict what the queries keep warm for nothing."""
+        """Every posting of ``term`` in the file, retired states'
+        included, as two flat columns ``(ordinals, positions)`` — the
+        bulk read of compaction, decoded *around* the
+        :class:`BlockCache`: a rewrite touches every block once and
+        would evict what the queries keep warm for nothing."""
         number = self._terms.get(term)
         if number is None:
             return [], []

@@ -169,7 +169,11 @@ class TestMaintenanceParity:
     step — committed or still buffered — all three answer alike.  At
     ``flush_threshold=12`` the segmented index reads flushed segments and
     a view of its buffer together, removes from the buffer, and removes
-    and re-adds a page before anything is committed."""
+    and re-adds a page before anything is committed.  Removal from a
+    segment only retires states: no ``seg-*.seg`` appears for it, the
+    tombstones (and the df re-derived from them) survive a close/reopen
+    in the middle, and a page removed, re-added and removed again goes
+    through a compaction without ever being two rows."""
 
     WORDS = ["ant", "bee", "cat", "dog", "eel", "fox"]
 
@@ -210,10 +214,27 @@ class TestMaintenanceParity:
 
         rng = random.Random(seed)
         memory = InvertedFile()
-        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=12)
         live: dict[str, ApplicationModel] = {}  # url -> model, in insertion order
         mixed = 0  # comparisons made over flushed segments and a buffer view at once
+        masked = 0  # ... and over segments holding dead states
         urls = [f"http://t.test/p{n}" for n in range(8)]
+
+        def open_disk():
+            """The index, its ``remove_urls`` watched: whatever else an
+            update writes, the removal in it adds no segment file."""
+            disk = SegmentedIndex(tmp_path / "idx", flush_threshold=12)
+            plain = disk.remove_urls
+
+            def watched(uris):
+                before = set((tmp_path / "idx").glob("seg-*.seg"))
+                removed = plain(uris)
+                assert set((tmp_path / "idx").glob("seg-*.seg")) <= before
+                return removed
+
+            disk.remove_urls = watched
+            return disk
+
+        disk = open_disk()
 
         def add(url):
             live[url] = model = self._model(rng, url)
@@ -231,6 +252,9 @@ class TestMaintenanceParity:
             live[url] = model = self._model(rng, url)
             for index in (memory, disk):
                 index.update_model(model)
+            # An update flushes, a flush compacts, and past a compaction
+            # no segment is more dead than alive.
+            assert all(reader.dead_states <= reader.num_states for reader in disk._flushed)
             compare()
 
         def check():
@@ -239,9 +263,19 @@ class TestMaintenanceParity:
             assert not disk._memtable
             compare()
 
+        def reopen():
+            nonlocal disk
+            dead = disk.stats()["dead_states"]
+            disk.close()
+            disk = open_disk()
+            assert disk.stats()["dead_states"] == dead
+            compare()
+            return dead
+
         def compare():
-            nonlocal mixed
+            nonlocal mixed, masked
             mixed += bool(disk._memtable and disk._flushed)
+            masked += any(reader.dead for reader in disk._flushed)
             fresh = InvertedFile().build(live.values())
             queries = [[word] for word in self.WORDS] + [
                 rng.sample(self.WORDS, 2) for _ in range(4)
@@ -264,9 +298,16 @@ class TestMaintenanceParity:
         remove(urls[5])  # out of the buffer again, never committed
         add(urls[5])
         check()
-        for _ in range(30):
+        carried = 0  # dead states that went through a close/reopen
+        for number in range(30):
             step = rng.choice([add, add, remove, update, check])
-            if step is check:
+            if number in (10, 20):
+                # A page out of a segment that holds another: a tombstone.
+                shared = [r for r in disk._flushed if len({row[0] for row in r.state_rows()}) > 1]
+                if shared:
+                    remove(shared[0].state_rows()[0][0])
+                carried += reopen()
+            elif step is check:
                 check()
             elif step is add:
                 absent = [url for url in urls if url not in live]
@@ -275,5 +316,22 @@ class TestMaintenanceParity:
             else:
                 step(rng.choice(urls))
         check()
-        assert mixed >= 3
+        # One page out, back in, out again, then everything through the
+        # writer's duplicate-row check — with its first self still on disk.
+        for url in (urls[2], urls[7]):
+            if url not in live:
+                add(url)
+            check()
+            remove(url)
+            add(url)
+            check()
+            assert disk.compact_all() in (0, 1)
+            compare()
+            remove(url)
+            add(url)
+            remove(url)
+            assert disk.compact_all() in (0, 1)
+            assert disk.stats()["dead_states"] == 0
+            compare()
+        assert mixed >= 3 and masked >= 3 and carried
         disk.close()

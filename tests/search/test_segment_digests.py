@@ -1,12 +1,19 @@
 """Byte identity of the segment write path (golden master).
 
-``tests/golden/segment_digests.json`` was recorded on the commit before
-the write path went columnar (PR 19): the sha256 of ``MANIFEST.json`` and
-of every live ``seg-*.seg`` after each step of a build / update /
-removal / full-compaction sequence over a minted 3 000-state corpus.
-The format is ``AJXSEG01`` and does not change, so any writer — however
-it gets from memtable and mmap to varint blocks — must reproduce those
-files bit for bit.
+``tests/golden/segment_digests.json`` holds the sha256 of
+``MANIFEST.json`` and of every live ``seg-*.seg`` after each step of a
+build / update / removal / full-compaction sequence over a minted
+3 000-state corpus.  The format is ``AJXSEG01`` and does not change, so
+any writer — however it gets from memtable and mmap to varint blocks —
+must reproduce those files bit for bit.
+
+The steps were re-recorded once, by name, when removal stopped rewriting
+segments (PR 22: manifest version 2 everywhere; the update and removal
+steps keep their victims' files and spend fewer segment ids).  What that
+migration was *not* allowed to move is under ``"pinned"``, carried over
+from the recording made before the write path went columnar (PR 19): the
+``build`` step's segment names and bytes, and the bytes of the one
+segment ``compact_all`` leaves.  Re-recording never touches the pins.
 
 Re-record (only for an intended format change) by running this file as a
 script: ``PYTHONPATH=src python tests/search/test_segment_digests.py``.
@@ -70,6 +77,10 @@ def replay(path: Path, seed: int, flush_threshold: int, block_size: int) -> dict
     return steps
 
 
+def segments(digests: dict[str, str]) -> dict[str, str]:
+    return {name: digest for name, digest in digests.items() if name != MANIFEST_NAME}
+
+
 def label(seed: int, flush_threshold: int, block_size: int) -> str:
     return f"seed={seed} flush_threshold={flush_threshold} block_size={block_size}"
 
@@ -85,10 +96,17 @@ def test_segment_files_are_byte_identical_to_the_recording(
     assert list(steps) == list(expected)
     for step, digests in steps.items():
         assert digests == expected[step], step  # names, order and bytes
+    # What no migration of the recording may move: AJXSEG01 bytes.
+    pinned = recorded["pinned"][label(seed, flush_threshold, block_size)]
+    assert segments(steps["build"]) == pinned["build"]
+    assert list(segments(steps["compact_all"]).values()) == [pinned["compact_all"]]
+    # A removal is a manifest swap: the files of the step before, untouched.
+    assert segments(steps["remove_urls"]) == segments(steps["update_model 3"])
+    assert steps["remove_urls"][MANIFEST_NAME] != steps["update_model 3"][MANIFEST_NAME]
 
 
 if __name__ == "__main__":
-    record = {}
+    record = {"pinned": json.loads(GOLDEN.read_text(encoding="utf-8"))["pinned"]}
     for seed in SEEDS:
         for flush_threshold, block_size in SHAPES:
             with tempfile.TemporaryDirectory() as scratch:
@@ -96,4 +114,4 @@ if __name__ == "__main__":
                     Path(scratch) / "idx", seed, flush_threshold, block_size
                 )
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(record)} sequences into {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(record) - 1} sequences into {GOLDEN}", file=sys.stderr)

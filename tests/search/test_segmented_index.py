@@ -17,6 +17,7 @@ from repro.model import ApplicationModel
 from repro.obs import COMPACTION, MetricsRegistry, Recorder, SEGMENT_FLUSH
 from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader
 from repro.search.segmented import MANIFEST_NAME, _tier
+from repro.search.segments import merge_conjunction_blocks
 from tests.search.reference_writer import reference_bytes
 
 
@@ -137,6 +138,25 @@ class TestFlushAndCompaction:
         assert disk.compact_all() == 0
         disk.close()
 
+    def test_compact_all_purges_a_lone_segment(self, tmp_path):
+        """Regression: with one segment compact_all returned 0 and did
+        nothing — its dead states would have stayed on disk for good."""
+        models = corpus_texts(pages=4)
+        disk = SegmentedIndex(tmp_path / "idx").build(models)
+        (before,) = disk._flushed
+        size_before = before.path.stat().st_size
+        assert disk.remove_url(models[1].url) == 4
+        assert disk.stats()["dead_states"] == 4
+        assert disk.compact_all() == 1
+        (after,) = disk._flushed
+        assert after.name != before.name and not before.path.exists()
+        assert after.path.stat().st_size < size_before
+        assert (after.dead, after.dead_states, disk.stats()["dead_states"]) == ((), 0, 0)
+        assert json.loads((tmp_path / "idx" / MANIFEST_NAME).read_text())["dead"] == {}
+        assert_parity(InvertedFile().build(models[:1] + models[2:]), disk)
+        assert disk.compact_all() == 0  # nothing dead is left to purge
+        disk.close()
+
     def test_tier_function(self):
         assert _tier(0) == 0
         assert _tier(3) == 0
@@ -190,12 +210,14 @@ class TestWritePathInvariants:
         two.close()
 
     def test_bulk_reads_leave_the_block_cache_alone(self, tmp_path):
-        """compact_all, a policy compaction and remove_urls decode every
-        block of what they rewrite — around the cache: its counters stay
-        put, and what a query warmed in a segment that was *not*
-        rewritten is still a hit afterwards."""
-        # Three pages (90 postings) a segment: removing one page rewrites
-        # its segment, into a lower size tier, and leaves the other four alone.
+        """A policy compaction and compact_all decode every block of
+        what they rewrite, the dead-count pass of remove_urls the blocks
+        that straddle a retired range — all around the cache: its
+        counters stay put, and what a query warmed in a segment that was
+        *not* rewritten is still a hit afterwards.  A removal rewrites
+        nothing, so it leaves every block warm."""
+        # Three pages (90 postings) a segment: removing one page leaves
+        # its segment a third dead, in a lower size tier than the other four.
         disk = SegmentedIndex(
             tmp_path / "idx", flush_threshold=90, block_size=2, compact_fanin=100
         ).build(corpus_texts(pages=15, states=5))
@@ -222,16 +244,17 @@ class TestWritePathInvariants:
 
         requery(survivors=set())  # cold: every block is a miss
         disk.compact_fanin = 4  # the four untouched segments share a tier
-        for rewrite, segments_left in (
-            (lambda: disk.remove_urls(["http://site.test/p4"]), 5),
-            (disk.maybe_compact, 2),
-            (disk.compact_all, 1),
+        for rewrite, segments_left, files_kept in (
+            (lambda: disk.remove_urls(["http://site.test/p4"]), 5, 5),
+            (disk.maybe_compact, 2, 1),
+            (disk.compact_all, 1, 0),
         ):
             names = {reader.name for reader in disk._flushed}
             before = counters()
             assert rewrite()
             assert counters() == before
             assert disk.num_segments == segments_left
+            assert len(names & {reader.name for reader in disk._flushed}) == files_kept
             requery(survivors=names)
         disk.close()
 
@@ -267,6 +290,71 @@ class TestMaintenance:
         assert disk.num_segments == 0
         assert disk.num_states == 0
         assert disk.postings("shared") == []
+        disk.close()
+
+    def test_removal_retires_states_and_writes_no_segment(self, tmp_path):
+        models = corpus_texts(pages=6, states=3)
+        metrics = MetricsRegistry()
+        disk = SegmentedIndex(tmp_path / "idx", metrics=metrics).build(models)
+        files = directory_bytes(tmp_path / "idx")
+        (whole,) = disk._flushed
+        assert disk.remove_urls([models[4].url, models[1].url, "http://site.test/nope"]) == 6
+        # The manifest swap was the only write; the reader that answered
+        # before is succeeded, not closed.
+        after = directory_bytes(tmp_path / "idx")
+        assert after.keys() == files.keys()
+        assert {name for name in files if after[name] != files[name]} == {MANIFEST_NAME}
+        manifest = json.loads(after[MANIFEST_NAME])
+        assert (manifest["version"], manifest["dead"]) == (2, {whole.name: [[3, 6], [12, 15]]})
+        (retired,) = disk._flushed
+        assert retired is not whole and retired.path == whole.path
+        assert whole.num_states == 18 and whole.df("shared") == 18
+        assert_parity(InvertedFile().build([models[0], *models[2:4], models[5]]), disk)
+        # Gone is gone: a second removal finds nothing, a re-add is no duplicate.
+        assert disk.remove_url(models[1].url) == 0
+        stats = disk.stats()
+        assert (stats["dead_states"], stats["segments"][0]["dead_states"]) == (6, 6)
+        assert (stats["num_states"], stats["segments"][0]["num_states"]) == (12, 12)
+        assert metrics.counter("index.states_retired") == 6
+        assert metrics.snapshot()["gauges"]["index.dead_states"] == 6
+        assert "index.segment_rewrites" not in metrics.snapshot()["counters"]
+        disk.add_model(models[1])
+        disk.finalize()
+        assert_parity(InvertedFile().build([models[0], *models[2:4], models[5], models[1]]), disk)
+        disk.close()
+
+    def test_no_segment_stays_more_dead_than_alive_past_a_compaction(self, tmp_path):
+        models = corpus_texts(pages=5, states=2)
+        disk = SegmentedIndex(tmp_path / "idx", compact_fanin=100).build(models)
+        (whole,) = disk._flushed
+        disk.remove_urls([model.url for model in models[:2]])
+        assert disk.maybe_compact() == 0  # 4 dead, 6 alive: masking is cheaper
+        disk.remove_url(models[2].url)
+        (retired,) = disk._flushed
+        assert (retired.dead_states, retired.num_states) == (6, 4)
+        assert disk.maybe_compact() == 1
+        (purged,) = disk._flushed
+        assert (purged.dead_states, purged.num_states) == (0, 4)
+        assert purged.name != whole.name and not whole.path.exists()
+        assert_parity(InvertedFile().build(models[3:]), disk)
+        disk.close()
+
+    def test_tiers_are_sized_by_live_postings(self, tmp_path):
+        wide, narrow = "a b c d e f g h i j k l", "a b c d"
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=36, compact_fanin=100)
+        for n in range(3):  # 2 x 12 + 3 x 4 = 36 postings a segment: tier 2
+            disk.add_model(make_model(f"wide{n}", [wide] * 2))
+            disk.add_model(make_model(f"narrow{n}", [narrow] * 3))
+        assert [_tier(reader.num_postings) for reader in disk._flushed] == [2, 2, 2]
+        disk.compact_fanin = 3
+        disk.remove_url("wide0")  # 2 dead of 5 states, 12 live postings of 36
+        assert [_tier(reader.num_postings) for reader in disk._flushed] == [1, 2, 2]
+        assert disk.maybe_compact() == 0  # by what the files hold it would be a full tier
+        disk.remove_url("wide1")
+        assert disk.maybe_compact() == 0
+        disk.remove_url("wide2")
+        assert disk.maybe_compact() == 1 and disk.num_segments == 1
+        assert disk.stats()["dead_states"] == 0
         disk.close()
 
     def test_remove_from_memtable_before_flush(self, tmp_path):
@@ -405,6 +493,61 @@ class TestPersistence:
         with pytest.raises(SearchError, match="version"):
             SegmentedIndex(root)
 
+    def test_a_version_1_manifest_still_opens(self, tmp_path):
+        models = corpus_texts(pages=3)
+        SegmentedIndex(tmp_path / "idx", flush_threshold=40).build(models).close()
+        path = tmp_path / "idx" / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest.pop("dead") == {}
+        path.write_text(json.dumps({**manifest, "version": 1}), encoding="utf-8")
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        assert_parity(InvertedFile().build(models), reopened)
+        # ... and is written back as version 2 by the first commit.
+        reopened.remove_url(models[0].url)
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
+        reopened.close()
+
+    def test_tombstones_survive_a_reopen_with_their_df_re_derived(self, tmp_path):
+        models = corpus_texts(pages=5)
+        disk = SegmentedIndex(tmp_path / "idx", block_size=2).build(models)
+        disk.remove_urls([models[0].url, models[3].url])
+        manifest = (tmp_path / "idx" / MANIFEST_NAME).read_bytes()
+        assert b"df" not in manifest and b"count" not in manifest  # ranges only
+        disk.close()
+        files = directory_bytes(tmp_path / "idx")
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        assert reopened.orphans_collected == 0
+        assert reopened.stats()["dead_states"] == 8
+        assert_parity(InvertedFile().build([models[1], models[2], models[4]]), reopened)
+        reopened.close()
+        assert directory_bytes(tmp_path / "idx") == files
+
+    @pytest.mark.parametrize(
+        "dead",
+        [
+            {"seg-00000000.seg": [[8, 12], [0, 4]]},  # unsorted
+            {"seg-00000000.seg": [[0, 8], [4, 12]]},  # overlapping
+            {"seg-00000000.seg": [[16, 24]]},  # hi beyond the state table
+            {"seg-00000000.seg": [[0, 20]]},  # every state: the writer drops such a segment
+            {"seg-00000000.seg": [[1, 4]]},  # not whole URIs
+            {"seg-00000007.seg": [[0, 4]]},  # a segment the manifest does not name
+            {"seg-00000000.seg": [[0, "4"]]},
+            {"seg-00000000.seg": [[0, 4, 8]]},
+            {"seg-00000000.seg": [4]},
+        ],
+    )
+    def test_corrupt_dead_ranges_are_refused_not_applied(self, tmp_path, dead):
+        SegmentedIndex(tmp_path / "idx").build(corpus_texts(pages=5)).close()
+        path = tmp_path / "idx" / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**manifest, "dead": dead}), encoding="utf-8")
+        with pytest.raises(SearchError, match="dead range|no live state"):
+            SegmentedIndex.open(tmp_path / "idx")
+        path.write_text(json.dumps({**manifest, "dead": {"seg-00000000.seg": [[4, 8]]}}))
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        assert reopened.num_states == 16
+        reopened.close()
+
     def test_stats_inventory(self, tmp_path):
         disk = SegmentedIndex(tmp_path / "idx", flush_threshold=20).build(
             corpus_texts()
@@ -525,6 +668,36 @@ class TestGenerationSnapshot:
             index.close()
 
 
+    def test_a_generation_taken_before_a_removal_still_holds_the_removed_states(self, tmp_path):
+        """Removal succeeds a reader, it does not close one: the segments
+        a reader took beforehand go on answering from the same map —
+        cold, so from the file — with the states removed since."""
+        models = corpus_texts(pages=4)
+        index = SegmentedIndex(tmp_path / "idx", block_size=2).build(models)
+        fresh = InvertedFile().build(models)
+        before = index._segments()
+        assert index.remove_urls([models[1].url, models[2].url]) == 8
+        index.cache.clear()
+
+        def read(segments, terms):
+            return [
+                row for segment in segments
+                for row in segment.match_rows(
+                    *merge_conjunction_blocks([segment.view(term) for term in terms])
+                )
+            ]
+
+        for terms in (["shared"], ["shared", "page2"], ["marker1x3"]):
+            assert read(before, terms) == list(fresh.conjunction(terms)), terms
+        assert [p for segment in before for p in segment.materialize("page1")] == fresh.postings("page1")
+        assert sum(segment.num_states for segment in before) == 16
+        assert index.num_states == 8 and index.postings("page1") == []
+        assert read(index._segments(), ["shared"]) == list(
+            InvertedFile().build([models[0], models[3]]).conjunction(["shared"])
+        )
+        index.close()
+
+
 # -- update_model == fresh rebuild (property) --------------------------------------
 
 words = st.sampled_from(
@@ -602,9 +775,13 @@ def property_model(uri, num_states, salt):
 
 
 def assert_live_segments_equal_the_reference(disk, scratch):
+    """A file is what was written, whatever has been retired in it since:
+    the reference takes its content from a reader of its own."""
     for reader in disk._flushed:
         written = reader.path.read_bytes()
-        assert written == reference_bytes(reader, scratch / "reference.seg"), reader.name
+        as_written = SegmentReader(reader.path)
+        assert written == reference_bytes(as_written, scratch / "reference.seg"), reader.name
+        as_written.close()
 
 
 @given(data=st.data())

@@ -11,8 +11,10 @@ are garbage-collected on the next open.
 
 Crashes are simulated by snapshotting directory bytes around the commit
 point and restoring them — equivalent to the kernel losing the writes
-that followed — plus one fault-injection test that makes the manifest
-save itself fail mid-``remove_urls``.
+that followed — plus fault-injection tests that make the manifest save
+itself fail mid-``remove_urls``.  A removal writes nothing *but* the
+manifest (the dead ordinal ranges it names are the removal), so its two
+generations are the tombstones before and the tombstones after.
 """
 
 import pytest
@@ -159,6 +161,50 @@ class TestCrashDuringRemoveUrls:
         assert reopened.orphans_collected == 0
         assert_parity(InvertedFile().build(models[1:]), reopened)
         reopened.close()
+
+
+    def test_manifest_failure_keeps_the_earlier_tombstones(self, tmp_path, monkeypatch):
+        idx = tmp_path / "idx"
+        models = corpus(pages=4)
+        disk = SegmentedIndex(idx).build(models)  # one segment, four pages
+        assert disk.remove_url(models[2].url) == 3
+        disk.close()
+        old_manifest = (idx / MANIFEST_NAME).read_bytes()
+        old_segments = seg_files(idx)
+
+        disk = SegmentedIndex.open(idx)
+
+        def torn_save():
+            raise RuntimeError("simulated crash during manifest swap")
+
+        monkeypatch.setattr(disk, "_save_manifest", torn_save)
+        with pytest.raises(RuntimeError):
+            disk.remove_url(models[0].url)
+        assert (idx / MANIFEST_NAME).read_bytes() == old_manifest
+        assert seg_files(idx) == old_segments
+
+        reopened = SegmentedIndex.open(idx)
+        assert reopened.orphans_collected == 0
+        assert reopened.stats()["dead_states"] == 3
+        assert_parity(InvertedFile().build(models[:2] + models[3:]), reopened)
+        assert SearchEngine(reopened).result_count("marker0x0") == 1
+        assert SearchEngine(reopened).result_count("marker2x0") == 0
+        reopened.close()
+
+    def test_a_swap_that_landed_makes_the_tombstones_durable(self, tmp_path):
+        idx = tmp_path / "idx"
+        models = corpus(pages=4)
+        disk = SegmentedIndex(idx).build(models)
+        segments = {name: (idx / name).read_bytes() for name in seg_files(idx)}
+        assert disk.remove_urls([models[0].url, models[2].url]) == 6
+        # Crash right after the swap: no close(), nothing else written.
+        assert {name: (idx / name).read_bytes() for name in seg_files(idx)} == segments
+        reopened = SegmentedIndex.open(idx)
+        assert reopened.orphans_collected == 0
+        assert reopened.stats()["dead_states"] == 6
+        assert_parity(InvertedFile().build([models[1], models[3]]), reopened)
+        reopened.close()
+        disk.close()
 
 
 class TestStrayFiles:

@@ -144,6 +144,30 @@ class TestPipeline:
         assert payload["max_state_index"] == 1
         assert len(payload["state_lengths"]) == 12  # one state per page
 
+    def test_index_compact_and_stats_report_dead_states(self, pipeline, tmp_path, capsys):
+        from repro.search import SegmentedIndex
+
+        segments = str(tmp_path / "seg")
+        assert main(["index", "build", "--root", str(pipeline["crawl_root"]),
+                     "--segments", segments, "--flush-postings", "100000"]) == 0
+        index = SegmentedIndex.open(segments)
+        states = index.num_states
+        removed = index.remove_url(index.states()[0][0])  # a re-crawl lost one page
+        index.close()
+        capsys.readouterr()
+        assert main(["index", "stats", "--segments", segments]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["dead_states"], stats["num_states"]) == (removed, states - removed)
+        assert stats["segments"][0]["dead_states"] == removed
+        # One segment, and still something to do: the purge is reported.
+        assert main(["index", "compact", "--segments", segments]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"compacted 1 segment(s) -> 1 (1 merge(s), {states - removed} states, "
+            f"{removed} dead state(s) purged)"
+        )
+        assert main(["index", "compact", "--segments", segments]) == 0
+        assert "(0 merge(s)" in capsys.readouterr().out
+
 
 class TestCrawlTraceIsPinned:
     #: Written by `crawl --trace` on the default backend at the commit

@@ -278,6 +278,73 @@ def test_a_read_never_commits_and_a_generation_is_replaced_whole():
     assert functions_where(sample, stores_flushed) == {"Disk.flush"}
 
 
+def reached_from(source: str, start: str) -> set[str]:
+    """Every name the function ``start`` of ``source`` calls, directly
+    or through what it calls on itself: ``self.name(...)``,
+    ``super().name(...)`` and ``name(...)`` are followed into the
+    functions of that name, a call on any other receiver is recorded
+    and not followed.  By name, so it over-approximates: good enough to
+    prove a *never*."""
+    calls: dict[str, set[tuple[bool, str]]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = calls.setdefault(node.name, set())
+            for inner in ast.walk(node):
+                target = inner.func if isinstance(inner, ast.Call) else None
+                if isinstance(target, ast.Name):
+                    called.add((True, target.id))
+                elif isinstance(target, ast.Attribute):
+                    receiver = target.value
+                    own = (isinstance(receiver, ast.Name) and receiver.id == "self") or (
+                        isinstance(receiver, ast.Call) and getattr(receiver.func, "id", "") == "super"
+                    )
+                    called.add((own, target.attr))
+    reached: set[str] = set()
+    followed, frontier = {start}, [start]
+    while frontier:
+        for own, name in calls.get(frontier.pop(), ()):
+            reached.add(name)
+            if own and name not in followed:
+                followed.add(name)
+                frontier.append(name)
+    return reached
+
+
+def test_a_removal_never_writes_a_segment():
+    # Removal retires ordinal ranges in the manifest; only compaction
+    # writes.  A remove_urls that rewrote "just this once" would answer
+    # right and cost a segment per page again.
+    search = REPO / "src" / "repro" / "search"
+    segmented = (search / "segmented.py").read_text()
+    writers = {"write_segment", "_rewrite", "_merge", "flush", "maybe_compact", "compact_all"}
+    removal = reached_from(segmented, "remove_urls")
+    assert {"retire", "_commit", "_save_manifest"} <= removal
+    assert removal & writers == set()
+    # What it calls on its readers, followed in their module.
+    retirement = reached_from((search / "segments.py").read_text(), "retire")
+    assert "_dead_postings" in retirement and "_decode" in retirement
+    assert retirement & writers == set()
+    assert writers - {"compact_all"} <= reached_from(segmented, "finalize")  # the guard sees them
+    (rewrite,) = [
+        node for node in ast.walk(ast.parse(segmented))
+        if isinstance(node, ast.FunctionDef) and node.name == "_rewrite"
+    ]
+    assert [argument.arg for argument in rewrite.args.args] == ["self", "victims"]
+    assert not (rewrite.args.kwonlyargs or rewrite.args.vararg or rewrite.args.kwarg)
+    sample = (
+        "def remove_urls(self, uris):\n"
+        "    self._drop(uris)\n"
+        "    reader.close()\n"
+        "def _drop(self, uris):\n"
+        "    return rewrite_all(self, uris)\n"
+        "def rewrite_all(index, uris):\n"
+        "    write_segment(path, rows, columns)\n"
+        "def close(self):\n"
+        "    self.flush()\n"
+    )
+    assert reached_from(sample, "remove_urls") == {"_drop", "close", "rewrite_all", "write_segment"}
+
+
 def gc_tuning(source: str) -> list[str]:
     """Every ``gc.disable`` / ``gc.freeze`` / ``gc.set_threshold`` in
     ``source``, however the name was imported, as ``line:name``."""
