@@ -1,15 +1,17 @@
 """Distributed indexing and query shipping (§6.4-§6.6).
 
-Each crawl partition yields its own index.  A query is *shipped* to
-every shard; each shard returns its boolean matches with the score
-parts it can compute locally (tf, PageRank, AJAXRank, term proximity —
-all local per §6.5.2), and contributes its state count and per-term
-document frequencies.  The merger computes the **global idf** from the
-summed counts (the worked example of §6.5.2), completes every partial
-score with it (Figure 6.4, Step 1) and sorts the merged list (Step 2).
+Each crawl partition yields its own index.  Every shard contributes
+its state count and per-term document frequencies; the merger computes
+the **global idf** from the summed counts (the worked example of
+§6.5.2) and *ships* the query with it.  Each shard ranks its own
+matches under the merger's idfs and weights — everything else in eq.
+5.3 (tf, PageRank, AJAXRank, term proximity) is local per §6.5.2 — and
+answers with its match count and its best ``k`` entries (Figure 6.4,
+Step 1); the merger merges the sorted lists and keeps the best ``k``
+(Step 2).  The top ``k`` of a union is the top ``k`` of the parts' top
+``k``, so a shard ships O(k) entries however many states match.
 
-Shards and merger run the single engine's own two scoring halves —
-:meth:`SearchEngine.partial_scores` and :func:`repro.search.engine.rank` —
+A shard ranks with the single engine's own :meth:`SearchEngine.select`
 on the same integers, so sharded ranking is *bit-identical* to
 single-index ranking, whichever index backend each shard uses — a
 property the test suite asserts with ``==``.
@@ -17,11 +19,12 @@ property the test suite asserts with ``==``.
 
 from __future__ import annotations
 
-from itertools import chain
+import heapq
+from itertools import islice
 from typing import Iterable, Optional
 
 from repro.model import ApplicationModel
-from repro.search.engine import SearchEngine, SearchResult, rank
+from repro.search.engine import SearchEngine, SearchResult, results
 from repro.search.query import parse_query
 from repro.search.ranking import RankingWeights, inverse_document_frequency
 
@@ -62,11 +65,11 @@ class ShardedSearchEngine:
     # -- query shipping -------------------------------------------------------------
 
     def top(self, query: str, k: Optional[int] = None) -> tuple[int, list[SearchResult]]:
-        """Ship, merge, re-rank with global idf, keep the best ``k``
-        (Figure 6.4); also the number of matches over all shards."""
+        """Ship with the global idf, merge the shards' best ``k``, keep
+        the best ``k`` (Figure 6.4); also the number of matches over all
+        shards."""
         stopwords = self.shards[0].index.stopwords if self.shards else None
         terms = parse_query(query, stopwords)
-        partials = chain.from_iterable(shard.partial_scores(terms) for shard in self.shards)
         num_states = self.num_states
         idfs = [
             inverse_document_frequency(
@@ -75,7 +78,10 @@ class ShardedSearchEngine:
             )
             for term in terms
         ]
-        return rank(self.weights, partials, idfs, k)
+        answers = [shard.select(terms, idfs, self.weights, k) for shard in self.shards]
+        merged = heapq.merge(*(entries for _, _, entries in answers))
+        # Where there is no shard to refuse a negative k, islice does.
+        return sum(total for total, _, _ in answers), results(islice(merged, k))
 
     def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
         """The best ``limit`` results of :meth:`top`."""

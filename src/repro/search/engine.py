@@ -8,9 +8,9 @@ sorted by rank.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 from repro.model import ApplicationModel
 from repro.obs import NULL_RECORDER, QUERY_EVAL
@@ -31,53 +31,16 @@ class SearchResult:
     components: dict = field(default_factory=dict, compare=False, hash=False)
 
 
-#: The idf-free half of eq. 5.3 for one match — ``(uri, state_id, tf of
-#: each query term (eq. 5.1), PageRank, AJAXRank, proximity)``.  All of it
-#: is local to the index holding the state (§6.5.2), so this is what a
-#: shard ships to the merger in Figure 6.4.
-PartialScore = tuple[str, str, list[float], float, float, float]
+#: One completed match as the selection carries it, led by its sort
+#: key: ``(-score, uri, state_id, PageRank, AJAXRank, tf·idf,
+#: proximity)``.  ``(uri, state_id)`` is unique, so the key is total and
+#: entries from any number of segments or shards sort into one ranking.
+Entry = tuple[float, str, str, float, float, float, float]
 
 
-def rank(
-    weights: RankingWeights,
-    partials: Iterable[PartialScore],
-    idfs: list[float],
-    limit: Optional[int] = None,
-) -> tuple[int, list[SearchResult]]:
-    """Complete every partial score with ``idfs``: how many there were,
-    and the best ``limit`` of them (all, when None), best first.
-
-    This is the one place eq. 5.3 is written.  ``idfs`` (parallel to
-    the query terms) come from the index the partials were computed on
-    or, for partials gathered from several shards, from their summed
-    counts — Steps 1 and 2 of Figure 6.4 either way.  Each partial is
-    scored into a tuple led by the sort key ``(-score, uri, state_id)``;
-    only the selection holds on to any, and only a survivor becomes a
-    :class:`SearchResult`.
-    """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, not {limit}")
-    total = 0
-
-    def scored():
-        nonlocal total
-        for total, (uri, state_id, tfs, page_rank, ajax_rank, proximity) in enumerate(partials, 1):
-            tfidf = 0.0
-            for tf, idf in zip(tfs, idfs):
-                tfidf += tf * idf
-            score = (
-                weights.pagerank * page_rank
-                + weights.ajaxrank * ajax_rank
-                + weights.tfidf * tfidf
-                + weights.proximity * proximity
-            )
-            yield (-score, uri, state_id, page_rank, ajax_rank, tfidf, proximity)
-
-    stream = scored()
-    best = sorted(stream) if limit is None else heapq.nsmallest(limit, stream)
-    for _ in stream:
-        pass  # nsmallest(0, ...) reads nothing, and the count needs every partial
-    return total, [
+def results(entries: Iterable[Entry]) -> list[SearchResult]:
+    """The :class:`SearchResult` of each entry, in the order given."""
+    return [
         SearchResult(
             uri,
             state_id,
@@ -89,7 +52,7 @@ def rank(
                 "proximity": proximity,
             },
         )
-        for negated, uri, state_id, page_rank, ajax_rank, tfidf, proximity in best
+        for negated, uri, state_id, page_rank, ajax_rank, tfidf, proximity in entries
     ]
 
 
@@ -158,18 +121,19 @@ class SearchEngine:
         with self.recorder.span("query_eval", query=query):
             terms = parse_query(query, self.index.stopwords)
             idfs = [self.index.idf(term) for term in terms]
-            total, hits = rank(self.weights, self.partial_scores(terms), idfs, k)
+            total, completed, entries = self.select(terms, idfs, self.weights, k)
             if self.recorder.enabled:
                 self.recorder.emit(
                     QUERY_EVAL,
                     query=query,
                     terms=len(terms),
                     matches=total,
+                    completed=completed,
                 )
             trace = current_request_trace()
             if trace is not None:
-                trace.annotate(terms=len(terms), matches=total)
-        return total, hits
+                trace.annotate(terms=len(terms), matches=total, completed=completed)
+        return total, results(entries)
 
     def search(self, query: str, limit: Optional[int] = None) -> list[SearchResult]:
         """The best ``limit`` results of :meth:`top`."""
@@ -178,18 +142,82 @@ class SearchEngine:
     def result_count(self, query: str) -> int:
         """Number of boolean matches (used by the recall experiments)."""
         terms = parse_query(query, self.index.stopwords)
-        return sum(1 for _ in self.index.conjunction(terms))
+        return sum(len(ordinals) for _, ordinals, _ in self.index.matches(terms))
 
-    def partial_scores(self, terms: list[str]) -> Iterator[PartialScore]:
-        """Boolean retrieval plus the locally computable coefficients
-        of every match; :func:`rank` adds idf and the weights."""
+    def select(
+        self,
+        terms: list[str],
+        idfs: list[float],
+        weights: RankingWeights,
+        k: Optional[int] = None,
+    ) -> tuple[int, int, list[Entry]]:
+        """Rank this index's matches of ``terms`` by eq. 5.3 under
+        ``idfs`` (parallel to the terms) and ``weights``: how many
+        matches there are, how many of them were *completed*, and the
+        best ``k`` entries (all, when None), best first.
+
+        This is the one place eq. 5.3 is written.  A single engine calls
+        it with its own idfs and weights; a shard is called with the
+        merger's (Figure 6.4) and ships ``k`` entries, not every match —
+        the top ``k`` of a union is the top ``k`` of the parts' top ``k``.
+
+        All but the proximity T(q, s) is computed a column at a time.
+        T lies in [0, 1] and float rounding is monotone, so ``base +
+        max(w4, 0)`` — the score's own association, T at the end the
+        sign of w4 favours — bounds the score from above bit for bit.
+        A match is completed (proximity computed, entry built) only if
+        its best possible *key* ``(-bound, uri, state_id)`` beats the
+        k-th key kept so far: keys, not scores, so ties stay exact; and
+        the key is total, so segment order does not matter.  The kept
+        entries are cut back to ``k`` whenever ``2k`` have gathered:
+        O(log k) a survivor for any ``k``.
+        """
+        if k is not None and k < 0:
+            raise ValueError(f"limit must be >= 0, not {k}")
         page_rank, ajax_rank = self.pageranks.get, self.ajaxranks.get
-        for uri, state_id, length, occurrences in self.index.conjunction(terms):
-            yield (
-                uri,
-                state_id,
-                [len(positions) / length if length else 0.0 for positions in occurrences],
-                page_rank(uri, 0.0),
-                ajax_rank((uri, state_id), 0.0),
-                term_proximity(occurrences),
-            )
+        w_page, w_ajax, w_tfidf, w_proximity = (
+            weights.pagerank, weights.ajaxrank, weights.tfidf, weights.proximity
+        )
+        ceiling = max(w_proximity, 0.0)
+        total = completed = 0
+        kept: list[Entry] = []
+        edge = None  # the k-th key so far, as (edge, rest), once k are kept
+        mark = k  # how many kept entries trigger the next cut
+        for segment, ordinals, columns in self.index.matches(terms):
+            total += len(ordinals)
+            if k == 0:
+                continue
+            uris, state_ids, lengths = segment.state_columns(ordinals)
+            tfidfs = [0.0] * len(ordinals)
+            for idf, column in zip(idfs, columns):
+                tfidfs = [
+                    tfidf + (count / length if length else 0.0) * idf
+                    for tfidf, count, length in zip(tfidfs, map(len, column), lengths)
+                ]
+            page_ranks = list(map(page_rank, uris, repeat(0.0)))
+            ajax_ranks = list(map(ajax_rank, zip(uris, state_ids), repeat(0.0)))
+            bases = [
+                w_page * page + w_ajax * ajax + w_tfidf * tfidf
+                for page, ajax, tfidf in zip(page_ranks, ajax_ranks, tfidfs)
+            ]
+            for at, base in enumerate(bases):
+                bound = -(base + ceiling)
+                if edge is not None and bound >= edge:
+                    if bound > edge or (uris[at], state_ids[at]) >= rest:
+                        continue
+                completed += 1
+                proximity = term_proximity([column[at] for column in columns])
+                kept.append((
+                    -(base + w_proximity * proximity),
+                    uris[at], state_ids[at], page_ranks[at], ajax_ranks[at], tfidfs[at],
+                    proximity,
+                ))
+                if len(kept) == mark:
+                    kept.sort()
+                    del kept[k:]
+                    edge, rest = kept[-1][0], kept[-1][1:3]
+                    mark = 2 * k
+        if self.index.metrics is not None:
+            self.index.metrics.inc("index.matches_completed", completed)
+        kept.sort()
+        return total, completed, kept[:k]

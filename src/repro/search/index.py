@@ -45,6 +45,11 @@ from repro.search.segments import (
 #: nothing is constructed for a match the ranking then drops.
 MatchRow = tuple[str, str, int, Sequence[tuple[int, ...]]]
 
+#: One segment's share of a conjunction: the segment, the ordinals of
+#: its live states holding every term, ascending, and per term a column
+#: of position tuples parallel to them.
+SegmentMatches = tuple[Segment, list[int], list[list[tuple[int, ...]]]]
+
 
 class Index(ABC):
     """What the query path, the engines and the serving tier ask of an index.
@@ -154,22 +159,24 @@ class Index(ABC):
 
     # -- reading -------------------------------------------------------------------
 
-    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
-        """One row per state containing every term, in canonical
-        (uri, state index) order (Figure 5.2).  The intersection has
-        run when this returns; the rows are built as they are consumed.
+    def matches(self, terms: list[str]) -> list[SegmentMatches]:
+        """The states containing every term, as the block merge leaves
+        them: per segment of the generation that holds all the terms,
+        ``(segment, live ordinals, one position column per term)`` — no
+        row, string or tuple made per match (Figure 5.2's intersection,
+        run to its end when this returns).
 
         State co-location lets each segment run its own ordinal-level
-        block merge and fill its rows from its own state table; every
-        segment's rows are in canonical order already, so the answer is
-        their lazy k-way merge — a lone segment's rows as they are.
+        block merge; the retired states are masked out of its columns
+        here, and the decode accounting is booked here, once per query.
         """
         stats = MergeStats()
-        streams = []
+        found = []
         for segment in self._segments():
             views = [segment.view(term) for term in terms]
             if None not in views:
-                streams.append(segment.match_rows(*merge_conjunction_blocks(views, stats)))
+                merged = merge_conjunction_blocks(views, stats)
+                found.append((segment, *segment.live_columns(*merged)))
         self.merge_stats.merge(stats)
         if self.metrics is not None:
             self.metrics.inc("index.blocks_decoded", stats.blocks_decoded)
@@ -182,6 +189,21 @@ class Index(ABC):
             trace.add_index_stats(
                 stats.blocks_decoded, stats.blocks_skipped, stats.postings_decoded
             )
+        return found
+
+    def conjunction(self, terms: list[str]) -> Iterator[MatchRow]:
+        """One row per state of :meth:`matches`, in canonical (uri,
+        state index) order; the rows are built as they are consumed.
+
+        Every segment's rows are in canonical order already, so the
+        answer is their lazy k-way merge — a lone segment's rows as
+        they are.  Only a caller that wants that order pays for it: the
+        engine ranks the columns, under a total key.
+        """
+        streams = [
+            segment.match_rows(ordinals, columns)
+            for segment, ordinals, columns in self.matches(terms)
+        ]
         if len(streams) == 1:
             return streams[0]
         return heapq.merge(*streams, key=state_sort_key)

@@ -251,8 +251,9 @@ class Segment:
     were removed since it was written (:meth:`SegmentReader.retire`)
     carries their ordinal runs in ``dead`` and a byte per ordinal in
     ``live``; every accessor below masks them behind one check of
-    ``dead``.  Only ``columns(term)`` stays the file as written — the
-    bulk read of compaction, which purges by that very mask.
+    ``dead``; a query's matches are masked once, as columns, in
+    :meth:`live_columns`.  Only ``columns(term)`` stays the file as
+    written — the bulk read of compaction, which purges by that very mask.
     """
 
     #: Retired ``[lo, hi)`` ordinal runs, ascending and disjoint.
@@ -313,17 +314,31 @@ class Segment:
         view = self.view(term)
         return view.df if view is not None else 0
 
+    def live_columns(
+        self, ordinals: list[int], columns: list[list[tuple[int, ...]]]
+    ) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+        """A block merge's answer (the files' ordinals and, parallel to
+        them, one position column per term) less the retired states —
+        the one place a match is masked."""
+        if not self.dead:
+            return ordinals, columns
+        keep = list(map(self._live.__getitem__, ordinals))
+        return list(compress(ordinals, keep)), [list(compress(column, keep)) for column in columns]
+
+    def state_columns(self, ordinals: list[int]) -> tuple[list[str], list[str], list[int]]:
+        """The uri, state id and token length of each of ``ordinals``,
+        as three columns parallel to them."""
+        return (
+            list(map(self._state_uri.__getitem__, ordinals)),
+            list(map(self._state_id.__getitem__, ordinals)),
+            list(map(self._state_length.__getitem__, ordinals)),
+        )
+
     def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
         """Lazily, one ``(uri, state_id, length, positions per term)``
-        row per merged live ordinal (the two halves of a block merge's
-        answer) — straight from the state table, built as consumed."""
-        rows = zip(
-            map(self._state_uri.__getitem__, ordinals),
-            map(self._state_id.__getitem__, ordinals),
-            map(self._state_length.__getitem__, ordinals),
-            zip(*columns),
-        )
-        return compress(rows, map(self._live.__getitem__, ordinals)) if self.dead else rows
+        row per ordinal of :meth:`live_columns`' answer — straight from
+        the state table, built as consumed."""
+        return zip(*self.state_columns(ordinals), zip(*columns))
 
     def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
         """Materialize one posting from its ordinal + decoded positions."""
@@ -587,7 +602,7 @@ class SegmentReader(Segment):
     def view(self, term: str) -> Optional["SegmentPostingView"]:
         """A lazily-decoding view over ``term``'s live postings, or
         None.  ``df`` is the live count; the blocks are the file's, so
-        whoever reads them masks (:meth:`Segment.match_rows`)."""
+        whoever reads them masks (:meth:`Segment.live_columns`)."""
         number = self._terms.get(term)
         if number is None:
             return None

@@ -153,7 +153,9 @@ def observe(segment, rows, terms):
     for query in (["all"], ["all", "even"], ["even", "w0"], ["w1", "w2", "all"], ["page6", "all"]):
         if all(views.get(term) for term in query):
             merged = merge_conjunction_blocks([views[term] for term in query])
-            seen["conjunction"][" ".join(query)] = list(segment.match_rows(*merged))
+            seen["conjunction"][" ".join(query)] = list(
+                segment.match_rows(*segment.live_columns(*merged))
+            )
     for uri, state_id, *_ in rows:
         ordinal = segment.ordinal(uri, state_id)
         if ordinal is None:

@@ -682,9 +682,9 @@ class TestGenerationSnapshot:
         def read(segments, terms):
             return [
                 row for segment in segments
-                for row in segment.match_rows(
+                for row in segment.match_rows(*segment.live_columns(
                     *merge_conjunction_blocks([segment.view(term) for term in terms])
-                )
+                ))
             ]
 
         for terms in (["shared"], ["shared", "page2"], ["marker1x3"]):

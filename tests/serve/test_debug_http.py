@@ -55,6 +55,7 @@ class TestRequestId:
         assert trace["fields"]["query"] == "morcheeba"
         assert trace["fields"]["cached"] is False
         assert trace["fields"]["matches"] == 3
+        assert trace["fields"]["completed"] == 3  # a page of ten holds all three
 
     def test_server_assigns_an_id_when_client_sends_none(self, server):
         status, _, headers = get(f"{server.url}/search?q=morcheeba")

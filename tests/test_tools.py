@@ -1,6 +1,6 @@
 """Repo tooling: the ``tools/ab_bench.py`` smoke, the knob census and
-the journaled-write, lent-fragment, columnar-write-path, generation and
-gc guards."""
+the journaled-write, lent-fragment, columnar-write-path, generation,
+one-scorer and gc guards."""
 
 import ast
 import dataclasses
@@ -15,7 +15,7 @@ import pytest
 from repro.crawler import CrawlerConfig
 from repro.net.faults import RetryPolicy
 from repro.obs.doctor import DoctorConfig
-from repro.search import SegmentedIndex
+from repro.search import RankingWeights, SegmentedIndex
 from repro.serve.loadtest import LoadTestConfig
 from repro.serve.service import ServeConfig
 from repro.serve.telemetry import LiveDoctorConfig, TelemetryConfig
@@ -361,6 +361,58 @@ def gc_tuning(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "gc":
             found += [f"{node.lineno}:{name.name}" for name in node.names if name.name in tuned]
     return sorted(found)
+
+
+def weight_reads(source: str) -> dict[str, set[str]]:
+    """Per function of ``source`` that reads a ``RankingWeights`` field
+    off anything but an argparse namespace (``args.pagerank`` is the
+    CLI's path to a rank table), the fields it reads."""
+    fields = {field.name for field in dataclasses.fields(RankingWeights)}
+    reads: dict[str, set[str]] = {}
+    for name in fields:
+        for function in functions_where(
+            source,
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) != "args",
+        ):
+            reads.setdefault(function, set()).add(name)
+    return reads
+
+
+def test_eq_5_3_is_written_once_and_ranks_columns():
+    # A second scorer would not crash: it would drift from the first in
+    # the last bit of a float, and a shard would rank differently from
+    # the engine.  A second term_proximity call site is a match
+    # completed outside the bound.
+    src = REPO / "src"
+    engine = (src / "repro" / "search" / "engine.py").read_text()
+
+    def completes(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "term_proximity"
+
+    assert sum(map(completes, ast.walk(ast.parse(engine)))) == 1
+    assert functions_where(engine, completes) == {"SearchEngine.select"}
+    readers = {
+        f"{path.name}:{function}": fields
+        for path in sorted(src.rglob("*.py"))
+        for function, fields in weight_reads(path.read_text()).items()
+    }
+    assert readers == {
+        "engine.py:SearchEngine.select": {"pagerank", "ajaxrank", "tfidf", "proximity"}
+    }
+    for module in (engine, (src / "repro" / "parallel" / "sharding.py").read_text()):
+        assert "partial_scores" not in module and "PartialScore" not in module
+    sample = (
+        "def rescore(weights, args):\n"
+        "    return weights.tfidf * 2 + weights.proximity, args.pagerank\n"
+        "class Shard:\n"
+        "    def boost(self):\n"
+        "        self.weights.pagerank = 1\n"
+        "        return self.weights.ajaxrank\n"
+    )
+    assert weight_reads(sample) == {"rescore": {"tfidf", "proximity"}, "Shard.boost": {"ajaxrank"}}
 
 
 def test_nothing_under_src_tunes_the_garbage_collector():
