@@ -3,9 +3,15 @@
 Crawls the webmail and youtube corpora and compares the hashing work
 booked in the ``crawl.hash_*`` registry counters against the seed's
 full-rewalk crawl of the same corpora, whose counters are frozen below
-(the crawler no longer has that mode).  A query suite then times the
-galloping conjunction merge against the historical linear merge.
-Results are persisted as ``benchmarks/results/BENCH_hashing.json``.
+(the crawler no longer has that mode).  A query suite over the crawled
+corpus then times the engine end to end.  Results are persisted as
+``benchmarks/results/BENCH_hashing.json``.
+
+There is no merge lane here any more: the ``Posting``-level galloping
+merge it timed against a linear one is deleted, and the skip discipline
+of the merge that runs, ``merge_conjunction_blocks``, is floored where
+it is measured at scale — the block-skipping decode floor of
+``benchmarks/bench_index.py``.
 
 Hashed bytes are deterministic counted work, so ``make bench-smoke`` /
 ``make check`` gate them exactly: bytes per event may not exceed the
@@ -20,7 +26,6 @@ from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.dom import clear_digest_memo
 from repro.search.engine import SearchEngine
-from repro.search.postings import merge_conjunction
 from repro.sites import SiteConfig, SyntheticWebmail, SyntheticYouTube
 
 RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_hashing.json"
@@ -77,30 +82,8 @@ def _crawl(name):
     return record, result.models
 
 
-def _naive_merge(lists):
-    """The seed linear merge, kept here as the timing baseline."""
-    if not lists:
-        return []
-    if any(not postings for postings in lists):
-        return []
-    cursors = [0] * len(lists)
-    results = []
-    while all(cursors[i] < len(lists[i]) for i in range(len(lists))):
-        keys = [lists[i][cursors[i]].sort_key for i in range(len(lists))]
-        largest = max(keys)
-        if all(key == largest for key in keys):
-            results.append([lists[i][cursors[i]] for i in range(len(lists))])
-            for i in range(len(lists)):
-                cursors[i] += 1
-            continue
-        for i in range(len(lists)):
-            if keys[i] < largest:
-                cursors[i] += 1
-    return results
-
-
 def _query_suite(models):
-    """Multi-term conjunctions over the crawled corpus + a skewed case."""
+    """Multi-term conjunctions over the crawled corpus, through the engine."""
     engine = SearchEngine.build(models)
     index = engine.index
     by_frequency = sorted(
@@ -119,55 +102,10 @@ def _query_suite(models):
     total_results = sum(len(engine.search(query)) for query in queries)
     engine_wall_ms = (time.perf_counter() - start) * 1000.0
 
-    # Merge-only timing on the actual posting lists of the suite.
-    posting_sets = [
-        [index.postings(term) for term in query.split()] for query in queries
-    ]
-    repeats = 50
-    start = time.perf_counter()
-    for _ in range(repeats):
-        galloping = [merge_conjunction(lists) for lists in posting_sets]
-    galloping_ms = (time.perf_counter() - start) * 1000.0
-    start = time.perf_counter()
-    for _ in range(repeats):
-        naive = [_naive_merge(lists) for lists in posting_sets]
-    naive_ms = (time.perf_counter() - start) * 1000.0
-    assert galloping == naive, "galloping merge diverged from the linear merge"
-
     return {
         "queries": queries,
         "total_results": total_results,
         "engine_wall_ms": engine_wall_ms,
-        "merge_repeats": repeats,
-        "galloping_merge_ms": galloping_ms,
-        "naive_merge_ms": naive_ms,
-    }
-
-
-def _skewed_merge_timing():
-    """The galloping win case: one long list, one short selective list."""
-    from repro.search.postings import Posting, sort_postings
-
-    long_list = sort_postings(
-        [
-            Posting(uri=f"http://site/{i // 50}", state_id=f"s{i % 50}", positions=(0,))
-            for i in range(40_000)
-        ]
-    )
-    short_list = [long_list[i] for i in range(0, 40_000, 4000)]
-    start = time.perf_counter()
-    galloping = merge_conjunction([long_list, short_list])
-    galloping_ms = (time.perf_counter() - start) * 1000.0
-    start = time.perf_counter()
-    naive = _naive_merge([long_list, short_list])
-    naive_ms = (time.perf_counter() - start) * 1000.0
-    assert galloping == naive
-    return {
-        "long_list": len(long_list),
-        "short_list": len(short_list),
-        "galloping_ms": galloping_ms,
-        "naive_ms": naive_ms,
-        "speedup": naive_ms / galloping_ms if galloping_ms else float("inf"),
     }
 
 
@@ -194,7 +132,6 @@ def hashing_study():
     report = {
         "corpora": corpora,
         "query_suite": _query_suite(merkle_models),
-        "skewed_merge": _skewed_merge_timing(),
         "threshold": {
             "min_bytes_reduction": MIN_BYTES_REDUCTION,
             "webmail_bytes_reduction": corpora["webmail"]["bytes_reduction_factor"],
@@ -223,5 +160,3 @@ def test_hashing_benchmark(benchmark):
         assert merkle["hash_nodes_skipped"] > 0
     # Acceptance: >=5x fewer hashed bytes per event on webmail.
     assert report["threshold"]["passed"], report["threshold"]
-    # Galloping wins clearly on the skewed case and never changes results.
-    assert report["skewed_merge"]["speedup"] > 3.0, report["skewed_merge"]

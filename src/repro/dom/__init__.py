@@ -23,9 +23,7 @@ from repro.dom.hashing import (
     hash_tree,
     reference_region_hashes,
     reference_state_hash,
-    region_hashes,
     state_hash,
-    text_hash,
 )
 from repro.dom.simhash import (
     bands_for_threshold,
@@ -51,8 +49,6 @@ __all__ = [
     "escape_text",
     "escape_attribute",
     "state_hash",
-    "text_hash",
-    "region_hashes",
     "changed_regions",
     "hash_tree",
     "DomHashes",

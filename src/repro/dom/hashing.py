@@ -251,23 +251,13 @@ def state_hash(
     return hash_tree(node, stats=stats).state
 
 
-def region_hashes(
-    node: Node | Document, stats: Optional[HashStats] = None
-) -> dict[str, str]:
-    """Per-region content digests: ``id`` attribute → subtree hash.
-
-    The application model annotates each transition with the page
-    regions an event modified (``modif*`` in Algorithm 3.1.1).  Regions
-    are the elements carrying an ``id``; comparing two of these maps
-    (:func:`changed_regions`) yields the ids whose subtree actually
-    changed, instead of a hardcoded guess.
-    """
-    return hash_tree(node, stats=stats).regions
-
-
 def changed_regions(before: dict[str, str], after: dict[str, str]) -> tuple[str, ...]:
     """Ids whose subtree hash differs between two region maps.
 
+    The application model annotates each transition with the page
+    regions an event modified (``modif*`` in Algorithm 3.1.1); regions
+    are the elements carrying an ``id``, and this comparison names the
+    ones that actually changed, instead of a hardcoded guess.
     Regions present on only one side (inserted/removed containers)
     count as changed.  Nested ids both report when an inner change also
     alters the outer subtree — callers get the full containment chain.
@@ -343,16 +333,3 @@ def _collect_regions(node: Node, regions: dict[str, str], stats: HashStats) -> N
         regions[identifier] = reference_state_hash(node, stats=stats)
     for child in node.children:
         _collect_regions(child, regions, stats)
-
-
-def text_hash(node: Node | Document) -> str:
-    """A hex SHA-256 of just the visible text (a looser identity)."""
-    root = node.root if isinstance(node, Document) else node
-    if isinstance(root, Element):
-        text = root.text_content
-    elif isinstance(root, Text):
-        text = root.data
-    else:
-        text = ""
-    normalized = " ".join(text.split())
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()

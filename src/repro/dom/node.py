@@ -367,10 +367,6 @@ class Document:
         """Create a detached element owned by this document."""
         return Element(tag, attrs)
 
-    def create_text_node(self, data: str) -> Text:
-        """Create a detached text node."""
-        return Text(data)
-
     def get_element_by_id(self, element_id: str) -> Optional[Element]:
         """Look up an element anywhere in the document by its ``id``."""
         return self.root.get_element_by_id(element_id)

@@ -107,11 +107,3 @@ def precrawl(num_videos: int = FULL_VIDEOS, seed: int = DATASET_SEED) -> Precraw
     site = get_site(num_videos, seed)
     precrawler = Precrawler(site, max_pages=num_videos, cost_model=experiment_cost_model())
     return precrawler.run(site.video_url(0))
-
-
-def clear_caches() -> None:
-    """Drop all memoized datasets (tests that tune sizes use this)."""
-    get_site.cache_clear()
-    crawl_ajax.cache_clear()
-    crawl_traditional.cache_clear()
-    precrawl.cache_clear()

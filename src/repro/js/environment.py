@@ -52,10 +52,3 @@ class Environment:
                 scope.bindings[name] = value  # implicit global
                 return
             scope = scope.parent
-
-    def global_scope(self) -> "Environment":
-        """The outermost scope of this chain."""
-        scope = self
-        while scope.parent is not None:
-            scope = scope.parent
-        return scope

@@ -255,9 +255,10 @@ def _rule_cache_collapse(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
         signal=hit_rate,
         threshold=CACHE_MIN_HIT_RATE,
         action=(
-            "inspect hot-node signatures (trace doctor shows the top "
-            "misses): argument-varying calls never repeat; consider "
-            "widening the signature normalization"
+            "inspect hot-node signatures (trace doctor prints the hit "
+            "rate only; each miss is a hotnode_cache_miss event of the "
+            "trace, with its url and signature): argument-varying calls "
+            "never repeat; consider widening the signature normalization"
         ),
         evidence={"cache_hits": s.cache_hits, "cache_lookups": s.cache_lookups},
     )
@@ -394,7 +395,7 @@ def diagnose(
     """
     signals = Signals()
     if events is not None:
-        signals.merge_max(signals_from_events(list(events)))
+        signals.merge_max(signals_from_events(events))
     if metrics is not None:
         signals.merge_max(signals_from_metrics(metrics))
     if parallel is not None:

@@ -111,8 +111,6 @@ def diff_traces(
             problems.append(f"    = {expected[j]}")
         problems.append(f"  - expected: {expected[index]}")
         problems.append(f"  + actual:   {actual[index]}")
-    if not problems and len(expected) != len(actual):  # pragma: no cover
-        pass
     if len(expected) != len(actual) and mismatches <= max_mismatches:
         longer, label = (
             (expected, "missing from actual")

@@ -2,18 +2,18 @@
 
 State-granular inverted file, boolean retrieval with conjunction merge,
 eq. 5.3 ranking (PageRank + AJAXRank + tf/idf + term proximity) and
-result aggregation by event replay.  Two interchangeable index
-backends: the in-memory :class:`InvertedFile` and the on-disk
-:class:`SegmentedIndex` (delta+varint posting blocks, block-max
-skipping, LSM compaction) — byte-identical query results.
+result aggregation by event replay.  One index over a generation of
+segments, read by one block merge; its two backends differ only in
+where a flush goes — the in-memory :class:`InvertedFile` keeps the
+buffer, the on-disk :class:`SegmentedIndex` writes delta+varint posting
+blocks and compacts them (LSM) — with byte-identical query results.
 """
 
 from repro.search.aggregation import ResultAggregator
 from repro.search.engine import SearchEngine, SearchResult
 from repro.search.index import InvertedFile
 from repro.search.memtable import Memtable
-from repro.search.postings import Posting, merge_conjunction, sort_postings
-from repro.search.query import Match, evaluate
+from repro.search.query import Match, Posting, evaluate
 from repro.search.segmented import SegmentedIndex
 from repro.search.segments import (
     BLOCK_SIZE,
@@ -49,8 +49,6 @@ __all__ = [
     "write_segment",
     "merge_conjunction_blocks",
     "Posting",
-    "merge_conjunction",
-    "sort_postings",
     "Match",
     "evaluate",
     "RankingWeights",

@@ -1,6 +1,6 @@
 """Varint / delta codecs for on-disk posting blocks (§5.2 at scale).
 
-Posting lists are persisted as *blocks* of up to
+A posting list is persisted as *blocks* of up to
 :data:`~repro.search.segments.BLOCK_SIZE` postings, each block encoded
 with the two classic inverted-file tricks:
 

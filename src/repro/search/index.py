@@ -30,7 +30,6 @@ from repro.model import ApplicationModel
 from repro.obs import INDEX_FLUSH, NULL_RECORDER
 from repro.obs.reqtrace import current_request_trace
 from repro.search.memtable import Memtable
-from repro.search.postings import Posting, sort_postings
 from repro.search.ranking import inverse_document_frequency
 from repro.search.segments import (
     MemorySegment,
@@ -207,13 +206,6 @@ class Index(ABC):
         if len(streams) == 1:
             return streams[0]
         return heapq.merge(*streams, key=state_sort_key)
-
-    def postings(self, term: str) -> list[Posting]:
-        """The sorted posting list of ``term`` (empty if absent)."""
-        runs = [segment.materialize(term) for segment in self._segments()]
-        if len(runs) == 1:
-            return runs[0]
-        return sort_postings(posting for run in runs for posting in run)
 
     def document_frequency(self, term: str) -> int:
         """Number of states containing ``term`` (the idf denominator):

@@ -12,8 +12,22 @@ from typing import Container, Optional
 
 from repro.errors import SearchError
 from repro.search.index import Index
-from repro.search.postings import Posting
 from repro.search.tokenizer import query_terms
+
+
+@dataclass(frozen=True)
+class Posting:
+    """One inverted-file entry (Table 5.1): a keyword's occurrences in
+    one ``(URI, state)``."""
+
+    uri: str
+    state_id: str
+    positions: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        """Occurrences of the keyword in the state (the Score of Table 5.1)."""
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -37,11 +51,13 @@ def parse_query(query: str, stopwords: Optional[Container[str]] = None) -> list[
 def evaluate(index: Index, query: str) -> list[Match]:
     """All states containing every term of ``query`` (Figure 5.2).
 
-    The index intersects its own posting lists — galloping over
-    postings in memory, block-max skipping on disk — and answers in
-    plain rows; the :class:`Match` and :class:`Posting` objects are
-    built here, for the callers that want them.  The engine ranks the
-    rows directly.
+    The index intersects its own posting lists — the same block merge
+    over ordinal columns in memory and on disk, block-max skipping
+    where a list has more than one block — and answers in plain rows
+    in canonical (uri, state index) order; the :class:`Match` and
+    :class:`Posting` objects are built here and nowhere else, for the
+    callers that want them.  The engine ranks the index's columns
+    directly.
     """
     return [
         Match(

@@ -54,7 +54,6 @@ from repro.search.codec import (
     write_uvarint,
     write_uvarints,
 )
-from repro.search.postings import Posting
 
 #: Postings per on-disk block — the skip granularity.
 BLOCK_SIZE = 128
@@ -339,28 +338,6 @@ class Segment:
         row per ordinal of :meth:`live_columns`' answer — straight from
         the state table, built as consumed."""
         return zip(*self.state_columns(ordinals), zip(*columns))
-
-    def posting(self, ordinal: int, positions: tuple[int, ...]) -> Posting:
-        """Materialize one posting from its ordinal + decoded positions."""
-        return Posting(
-            uri=self._state_uri[ordinal],
-            state_id=self._state_id[ordinal],
-            positions=positions,
-        )
-
-    def materialize(self, term: str) -> list[Posting]:
-        """The full live posting list of ``term`` (canonical order)."""
-        view = self.view(term)
-        if view is None:
-            return []
-        postings: list[Posting] = []
-        for block in range(view.first, view.end):
-            ordinals, positions = view.load(block)
-            run = map(self.posting, ordinals, positions)
-            if self.dead:
-                run = compress(run, map(self._live.__getitem__, ordinals))
-            postings.extend(run)
-        return postings
 
 
 class MemorySegment(Segment):
@@ -774,10 +751,8 @@ def merge_conjunction_blocks(
 
     Returns the ordinals of the states present in *all* views,
     ascending, and one column per input view holding, parallel to them,
-    that view's positions in each state — exactly the groups
-    :func:`~repro.search.postings.merge_conjunction` yields on the
-    materialized lists, kept in flat lists so a match costs no object of
-    its own.  Whole blocks that cannot contain the current merge target
+    that view's positions in each state — Figure 5.2's groups, kept in
+    flat lists so a match costs no object of its own.  Whole blocks that cannot contain the current merge target
     are skipped using their max-ordinal entries, without decode.  Lists
     are scanned rarest-first so the most selective term drives the jumps
     (PR 3's discipline, lifted to block level).  A single view has

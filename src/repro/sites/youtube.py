@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.net.http import Request, Response, not_found
 from repro.net.server import SimulatedServer
-from repro.sites.corpus import CommentCorpus, VideoIdentity
+from repro.sites.corpus import CommentCorpus
 from repro.sites.distributions import CommentPageDistribution
 
 #: How many comments one comment page carries (YouTube showed 10).
@@ -347,8 +347,3 @@ class SyntheticYouTube(SimulatedServer):
         if page < max_page:
             parts.append('<a id="next" onclick="nextPage()">next</a>')
         return " ".join(parts)
-
-
-def video_identity_of(server: SyntheticYouTube, index: int) -> VideoIdentity:
-    """Convenience accessor for a video's identity."""
-    return server.corpus.video_identity(index)

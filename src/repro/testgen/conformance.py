@@ -609,7 +609,7 @@ def _compare_indexes(
     )
     for term in sorted(memory.terms()):
         result.expect(
-            disk.postings(term) == memory.postings(term),
+            list(disk.conjunction([term])) == list(memory.conjunction([term])),
             f"{label}: postings of {term!r} diverge",
         )
         result.expect(

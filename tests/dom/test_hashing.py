@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.dom import Element, Text, parse_document, parse_fragment, state_hash, text_hash
+from repro.dom import Element, parse_document, parse_fragment, state_hash
 
 
 def doc_with_comment(comment: str):
@@ -48,21 +48,6 @@ class TestStateHash:
         digest = state_hash(doc_with_comment("x"))
         assert len(digest) == 64
         int(digest, 16)  # must be valid hex
-
-
-class TestTextHash:
-    def test_markup_insensitive(self):
-        one = parse_fragment("<div><b>hello</b> world</div>")[0]
-        two = parse_fragment("<div>hello <i>world</i></div>")[0]
-        assert text_hash(one) == text_hash(two)
-
-    def test_whitespace_normalized(self):
-        one = parse_fragment("<p>a  b</p>")[0]
-        two = parse_fragment("<p>a\n\tb</p>")[0]
-        assert text_hash(one) == text_hash(two)
-
-    def test_plain_text_node(self):
-        assert text_hash(Text("abc")) == text_hash(Text(" abc "))
 
 
 # -- property-based --------------------------------------------------------

@@ -127,6 +127,18 @@ class TestSignals:
         assert signals.retries == 1
         assert signals.partition_durations == [(1, pytest.approx(5.0))]
 
+    def test_diagnose_accepts_a_generator(self):
+        # diagnose() hands the stream on as it is: the copy inside
+        # signals_from_events is the only one, and both passes need it —
+        # the counts (first) and the partition spans (second).
+        recorder = Recorder(clock=SimClock(), spans=True)
+        for partition, cost in ((1, 100.0), (2, 10.0), (3, 10.0)):
+            with recorder.span("partition", partition=partition):
+                recorder.clock.advance(cost)
+        recorder.emit("state_capped", url="u")
+        findings = diagnose(events=(event for event in recorder.events))
+        assert rules_of(findings) == {"state-cap-truncation", "partition-skew"}
+
     def test_from_events_counts_cached_xhr_separately(self):
         recorder = Recorder(clock=SimClock())
         recorder.emit("xhr_call", url="u")

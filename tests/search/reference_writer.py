@@ -1,7 +1,7 @@
 """The ``Posting``-level segment writer as it stood before PR 19 — oracle code.
 
 Until the write path went columnar this *was* ``write_segment``: every
-posting an object, canonical order from ``sort_postings``, the state
+posting an object, canonical order from a sort of those objects, the state
 ordinal from a ``(uri, state_id)`` dict probe, one ``write_uvarint``
 call per integer.  It is slow and obviously right, and the format
 (``AJXSEG01``) has not changed, so whatever the ordinal-native writer
@@ -13,8 +13,8 @@ import json
 from pathlib import Path
 
 from repro.errors import SearchError
+from repro.search import Posting
 from repro.search.codec import write_bytes, write_uvarint
-from repro.search.postings import Posting, sort_postings
 from repro.search.segments import _FOOTER, FOOTER_MAGIC, MAGIC, SegmentReader, state_sort_key
 
 
@@ -103,10 +103,8 @@ def reference_write_segment(path, states, postings_by_term, block_size) -> None:
 
 def reference_bytes(reader: SegmentReader, scratch: Path) -> bytes:
     """What the reference writes for the logical content of ``reader``'s
-    segment: its state rows, and per term its materialized postings."""
-    postings_by_term = [
-        (term, sort_postings(reader.materialize(term))) for term in sorted(reader.terms())
-    ]
+    segment: its state rows, and per term its postings as objects."""
+    postings_by_term = [(term, postings_of(reader, term)) for term in sorted(reader.terms())]
     reference_write_segment(scratch, reader.state_rows(), postings_by_term, reader.block_size)
     return scratch.read_bytes()
 
@@ -128,9 +126,18 @@ def as_columns(states, postings_by_term):
     return rows, columns
 
 
-def make_postings(entries):
-    """entries: (uri, state_id, positions) triples, any order."""
-    return sort_postings(
-        [Posting(uri=uri, state_id=state_id, positions=tuple(positions))
-         for uri, state_id, positions in entries]
+def postings_of(reader: SegmentReader, term: str):
+    """Every posting of ``term`` in the file, as objects."""
+    return make_postings(
+        (*reader.state_key(ordinal), positions)
+        for ordinal, positions in zip(*reader.columns(term))
     )
+
+
+def make_postings(entries):
+    """entries: (uri, state_id, positions) triples, any order; out come
+    ``Posting`` objects in canonical (uri, state index) order."""
+    return [
+        Posting(uri=uri, state_id=state_id, positions=tuple(positions))
+        for uri, state_id, positions in sorted(entries, key=state_sort_key)
+    ]

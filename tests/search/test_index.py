@@ -9,6 +9,12 @@ from repro.model import ApplicationModel
 from repro.search import InvertedFile
 
 
+def rows(index, term):
+    """The posting list of ``term``: the one-term conjunction, one
+    ``(uri, state_id, state length, (positions,))`` row a state."""
+    return list(index.conjunction([term]))
+
+
 def make_model(url, state_texts):
     model = ApplicationModel(url)
     for offset, text in enumerate(state_texts):
@@ -33,19 +39,18 @@ class TestBuild:
         assert index.vocabulary_size == 6
 
     def test_postings_sorted_and_counted(self, index):
-        postings = index.postings("morcheeba")
-        assert [(p.uri, p.state_id, p.count) for p in postings] == [
-            ("url1", "s0", 1),
-            ("url1", "s1", 1),
-            ("url2", "s0", 2),
+        assert rows(index, "morcheeba") == [
+            ("url1", "s0", 3, ((0,),)),
+            ("url1", "s1", 3, ((0,),)),
+            ("url2", "s0", 3, ((0, 1),)),
         ]
 
     def test_missing_term_empty(self, index):
-        assert index.postings("absent") == []
+        assert rows(index, "absent") == []
 
     def test_positions_recorded(self, index):
-        (posting,) = [p for p in index.postings("singer")]
-        assert posting.positions == (1,)
+        ((_, _, _, (positions,)),) = rows(index, "singer")
+        assert positions == (1,)
 
     def test_double_index_rejected(self, index):
         model = make_model("url1", ["again"])
@@ -61,15 +66,15 @@ class TestMaxStateIndex:
         video = make_model("u", ["first page", "second page", "third page"])
         traditional = InvertedFile(max_state_index=1).build([video])
         assert traditional.num_states == 1
-        assert traditional.postings("second") == []
-        assert len(traditional.postings("first")) == 1
+        assert rows(traditional, "second") == []
+        assert len(rows(traditional, "first")) == 1
 
     def test_k_state_index(self):
         video = make_model("u", ["one", "two", "three", "four"])
         two_states = InvertedFile(max_state_index=2).build([video])
         assert two_states.num_states == 2
-        assert two_states.postings("two")
-        assert not two_states.postings("three")
+        assert rows(two_states, "two")
+        assert not rows(two_states, "three")
 
 
 class TestStatistics:
@@ -111,7 +116,7 @@ class TestSerialization:
         index.save(path)
         loaded = InvertedFile.load(path)
         assert loaded.num_states == index.num_states
-        assert loaded.postings("morcheeba") == index.postings("morcheeba")
+        assert rows(loaded, "morcheeba") == rows(index, "morcheeba")
         assert loaded.idf("singer") == pytest.approx(index.idf("singer"))
         assert loaded.state_depth("url1", "s1") == 1
         assert loaded.max_state_index == index.max_state_index
@@ -157,7 +162,7 @@ class TestFinalizeThreadSafety:
         from repro.search import SegmentedIndex
 
         texts = [f"shared term{i} filler words here" for i in range(40)]
-        expected = InvertedFile().build([make_model("u", texts)]).postings("shared")
+        expected = rows(InvertedFile().build([make_model("u", texts)]), "shared")
         disk = SegmentedIndex(tmp_path / "idx")
         for index in (InvertedFile(), disk):
             index.add_model(make_model("u", texts))
@@ -169,7 +174,7 @@ class TestFinalizeThreadSafety:
             def query(slot: int) -> None:
                 try:
                     barrier.wait()
-                    results[slot] = index.postings("shared")
+                    results[slot] = rows(index, "shared")
                 except BaseException as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -206,9 +211,9 @@ class TestTfBisect:
         length = index.state_length(uri, state_id)
         if length == 0:
             return 0.0
-        for posting in index.postings(term):
-            if posting.uri == uri and posting.state_id == state_id:
-                return posting.count / length
+        for row_uri, row_state, _, (positions,) in rows(index, term):
+            if (row_uri, row_state) == (uri, state_id):
+                return len(positions) / length
         return 0.0
 
     def test_probe_matches_scan_everywhere(self):
@@ -269,12 +274,14 @@ class TestIndexContract:
             assert issubclass(backend, Index)
             for derived in (
                 "build", "update_model", "remove_url", "tf", "idf", "vocabulary_size",
-                "conjunction", "postings", "document_frequency", "num_states", "terms",
+                "matches", "conjunction", "document_frequency", "num_states", "terms",
                 "states", "state_length", "state_depth", "term_count",
                 "_locate", "_take_seq", "_segments", "_publish",
             ):
                 assert derived in vars(Index), derived
                 assert derived not in vars(backend), (backend.__name__, derived)
+            # Every posting leaves a segment through ``matches``: no second read.
+            assert not hasattr(backend, "postings")
 
     def test_a_backend_must_supply_every_primitive(self):
         from repro.search.index import Index

@@ -6,6 +6,11 @@ from repro.model import ApplicationModel
 from repro.search import InvertedFile
 
 
+def rows(index, term):
+    """The posting list of ``term``: its one-term conjunction."""
+    return list(index.conjunction([term]))
+
+
 def make_model(url, state_texts):
     model = ApplicationModel(url)
     for offset, text in enumerate(state_texts):
@@ -32,8 +37,8 @@ class TestRemoveUrl:
 
     def test_postings_purged(self, index):
         index.remove_url("u1")
-        assert [p.uri for p in index.postings("alpha")] == ["u2"]
-        assert index.postings("gamma") == []
+        assert [uri for uri, *_ in rows(index, "alpha")] == ["u2"]
+        assert rows(index, "gamma") == []
 
     def test_vocabulary_shrinks(self, index):
         before = index.vocabulary_size
@@ -56,8 +61,8 @@ class TestUpdateModel:
     def test_replaces_states(self, index):
         index.update_model(make_model("u1", ["epsilon zeta"]))
         assert index.num_states == 2
-        assert index.postings("epsilon")
-        assert index.postings("beta") == []
+        assert rows(index, "epsilon")
+        assert rows(index, "beta") == []
 
     def test_equivalent_to_fresh_build(self, index):
         updated_model = make_model("u1", ["omega psi", "psi chi"])
@@ -66,7 +71,7 @@ class TestUpdateModel:
             [updated_model, make_model("u2", ["alpha delta"])]
         )
         for term in ("omega", "psi", "chi", "alpha", "delta"):
-            assert index.postings(term) == fresh.postings(term), term
+            assert rows(index, term) == rows(fresh, term), term
         assert index.num_states == fresh.num_states
 
     def test_update_after_load(self, index, tmp_path):
@@ -75,8 +80,8 @@ class TestUpdateModel:
         index.save(path)
         loaded = InvertedFile.load(path)
         loaded.update_model(make_model("u1", ["fresh content"]))
-        assert loaded.postings("fresh")
-        assert loaded.postings("beta") == []
+        assert rows(loaded, "fresh")
+        assert rows(loaded, "beta") == []
 
     def test_search_engine_sees_update(self, index):
         from repro.search import SearchEngine
@@ -103,7 +108,7 @@ class TestRemoveUrlsBatch:
         assert sequential.remove_url("u1") + sequential.remove_url("u3") == 4
         assert batch.states() == sequential.states()
         for term in sorted(batch.terms() | sequential.terms()):
-            assert batch.postings(term) == sequential.postings(term), term
+            assert rows(batch, term) == rows(sequential, term), term
 
     def test_batch_matches_fresh_build(self):
         models = [make_model(f"u{i}", ["shared", f"only{i}"]) for i in range(4)]
@@ -113,7 +118,7 @@ class TestRemoveUrlsBatch:
         assert index.states() == fresh.states()
         assert index.terms() == fresh.terms()
         for term in fresh.terms():
-            assert index.postings(term) == fresh.postings(term), term
+            assert rows(index, term) == rows(fresh, term), term
 
     def test_empty_batch_noop(self, index):
         assert index.remove_urls([]) == 0
@@ -131,14 +136,13 @@ class TestSequenceNumbersSurviveLoad:
         index = reload(index)
         index.add_model(make_model("u0", ["alpha omega", "omega beta beta"]))
         for term in ("alpha", "beta", "omega", "delta"):
-            observed.append((term, index.postings(term)))
-            observed.append([tuple(row[:3]) for row in index.conjunction([term])])
+            observed.append((term, rows(index, term)))
         observed.append([index.term_count("beta", *key) for key in index.states()])
         assert index.remove_url("u1") == 2
         observed.append(index.states())
         index = reload(index)
         observed.append(index.to_dict())
-        observed.append([p.uri for p in index.postings("alpha")])
+        observed.append([uri for uri, *_ in rows(index, "alpha")])
         return observed
 
     def test_load_then_add_equals_a_never_saved_index(self, index, tmp_path):
@@ -196,7 +200,7 @@ class TestMaintenanceParity:
                  for uri, state_id, length, occurrences in index.conjunction(query)]
                 for query in queries
             ],
-            "postings": {term: index.postings(term) for term in sorted(index.terms())},
+            "postings": {term: rows(index, term) for term in sorted(index.terms())},
             "df": [index.document_frequency(term) for term in self.WORDS + ["absent"]],
             "term_count": [
                 index.term_count(term, uri, state_id)

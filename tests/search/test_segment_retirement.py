@@ -142,7 +142,6 @@ def observe(segment, rows, terms):
         "state_rows": segment.state_rows(),
         "df": {term: segment.df(term) for term in terms},
         "view df": {term: view.df if view else None for term, view in views.items()},
-        "materialize": {term: segment.materialize(term) for term in terms},
         "has_uri": sorted({row[0] for row in rows if segment.has_uri(row[0])}),
         "uri_range": {
             row[0]: (span := segment.uri_range(row[0])) and span[1] - span[0] for row in rows
@@ -150,7 +149,10 @@ def observe(segment, rows, terms):
         "conjunction": {},
         "states": [],
     }
-    for query in (["all"], ["all", "even"], ["even", "w0"], ["w1", "w2", "all"], ["page6", "all"]):
+    # Every term alone — its posting list — and some that have to align.
+    for query in [[term] for term in terms] + [
+        ["all", "even"], ["even", "w0"], ["w1", "w2", "all"], ["page6", "all"]
+    ]:
         if all(views.get(term) for term in query):
             merged = merge_conjunction_blocks([views[term] for term in query])
             seen["conjunction"][" ".join(query)] = list(
@@ -165,7 +167,6 @@ def observe(segment, rows, terms):
             segment.state_key(ordinal),
             segment.state_length(ordinal),
             segment.state_depth(ordinal),
-            segment.posting(ordinal, (1,)),
             [view.count_at(ordinal) if view else 0 for view in views.values()],
         ))
     return seen

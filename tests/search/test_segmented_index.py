@@ -15,10 +15,15 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, MetricsRegistry, Recorder, SEGMENT_FLUSH
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader
+from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader, tokenize
 from repro.search.segmented import MANIFEST_NAME, _tier
 from repro.search.segments import merge_conjunction_blocks
 from tests.search.reference_writer import reference_bytes
+
+
+def rows(index, term):
+    """The posting list of ``term``: its one-term conjunction."""
+    return list(index.conjunction([term]))
 
 
 def make_model(url, state_texts):
@@ -47,7 +52,7 @@ def assert_parity(memory, disk):
     assert disk.terms() == memory.terms()
     assert disk.vocabulary_size == memory.vocabulary_size
     for term in sorted(memory.terms()) + ["absent-term"]:
-        assert disk.postings(term) == memory.postings(term), term
+        assert rows(disk, term) == rows(memory, term), term
         assert disk.document_frequency(term) == memory.document_frequency(term)
         assert disk.idf(term) == memory.idf(term), term  # bit-identical
     for uri, state_id in memory.states():
@@ -55,6 +60,62 @@ def assert_parity(memory, disk):
         assert disk.state_depth(uri, state_id) == memory.state_depth(uri, state_id)
         for term in ("shared", "absent-term"):
             assert disk.tf(term, uri, state_id) == memory.tf(term, uri, state_id)
+
+
+def input_rows(models, term):
+    """What the writer was handed for ``term``, straight from the
+    models: per state holding it, in canonical (uri, state index)
+    order, ``(uri, state_id, token count, (positions,))``."""
+    rows = []
+    for model in sorted(models, key=lambda model: model.url):
+        for state in sorted(model.states(), key=lambda state: state.index):
+            tokens = tokenize(state.text)
+            positions = tuple(at for at, token in enumerate(tokens) if token == term)
+            if positions:
+                rows.append((model.url, state.state_id, len(tokens), (positions,)))
+    return rows
+
+
+@pytest.mark.parametrize("backend", ["memory", "segmented"])
+def test_a_posting_list_is_the_one_term_conjunction(tmp_path, backend):
+    """There is no second read: for every term, ``conjunction([term])``
+    is the term's posting list — the writer's input, retired states
+    masked, buffered ones included, in canonical order (``s10`` after
+    ``s9``) — with the state's length on every row."""
+    pages = {model.url: model for model in corpus_texts(pages=8, states=12)}
+    index = (
+        InvertedFile()
+        if backend == "memory"
+        else SegmentedIndex(tmp_path / "idx", flush_threshold=150, block_size=4, compact_fanin=100)
+    ).build(pages.values())
+    gone = set().union(*(tokenize(state.text) for model in pages.values() for state in model.states()))
+    for page in (1, 4, 6):
+        url = f"http://site.test/p{page}"
+        pages[url] = make_model(
+            url, [f"shared page{page} rewritten{state} filler filler" for state in range(5)]
+        )
+        index.update_model(pages[url])
+    for page in (2, 5):
+        assert index.remove_url(f"http://site.test/p{page}") == 12
+        del pages[f"http://site.test/p{page}"]
+    late = make_model("http://site.test/late", ["shared late arrival", "late late again"])
+    pages[late.url] = late
+    index.add_model(late)  # no finalize: these two are read from the buffer
+    if backend == "segmented":
+        assert index.num_segments > 2
+        assert index.stats()["dead_states"] > 0
+        assert index._memtable.num_states == 2
+
+    vocabulary = index.terms()
+    assert vocabulary == set().union(
+        *(tokenize(state.text) for model in pages.values() for state in model.states())
+    )
+    gone -= vocabulary
+    assert gone
+    for term in sorted(vocabulary | gone):
+        assert list(index.conjunction([term])) == input_rows(pages.values(), term), term
+    if backend == "segmented":
+        index.close()
 
 
 class TestParity:
@@ -82,7 +143,7 @@ class TestParity:
         memory = InvertedFile(max_state_index=2).build(models)
         disk = SegmentedIndex(tmp_path / "idx", max_state_index=2).build(models)
         assert_parity(memory, disk)
-        assert disk.postings("state3") == []
+        assert rows(disk, "state3") == []
         disk.close()
 
     def test_conjunction_skipping_accounted(self, tmp_path):
@@ -203,9 +264,9 @@ class TestWritePathInvariants:
         stray.close()
         # Nothing was committed and nothing was left behind.
         assert [path.name for path in (tmp_path / "one").glob("seg-*")] == [own.name]
-        assert one.postings("alpha") == InvertedFile().build(
-            [make_model("u1", ["alpha beta"])]
-        ).postings("alpha")
+        assert rows(one, "alpha") == rows(
+            InvertedFile().build([make_model("u1", ["alpha beta"])]), "alpha"
+        )
         one.close()
         two.close()
 
@@ -289,7 +350,7 @@ class TestMaintenance:
         disk.remove_url("http://site.test/p0")
         assert disk.num_segments == 0
         assert disk.num_states == 0
-        assert disk.postings("shared") == []
+        assert rows(disk, "shared") == []
         disk.close()
 
     def test_removal_retires_states_and_writes_no_segment(self, tmp_path):
@@ -566,7 +627,7 @@ def directory_bytes(path):
 
 READS = {
     "conjunction": lambda index: list(index.conjunction(["shared", "late"])),
-    "postings": lambda index: index.postings("late"),
+    "posting_list": lambda index: list(index.conjunction(["late"])),
     "document_frequency": lambda index: index.document_frequency("shared"),
     "terms": lambda index: index.terms(),
     "states": lambda index: index.states(),
@@ -641,11 +702,11 @@ class TestGenerationSnapshot:
         ).build(models)
         fresh = InvertedFile().build(models)
         expected_rows = list(fresh.conjunction(["shared", "filler"]))
-        expected_postings = fresh.postings("shared")
+        expected_postings = rows(fresh, "shared")
 
-        rows = index.conjunction(["shared", "filler"])
-        postings = index.postings("shared")
-        first = next(rows)  # a reader in the middle of its answer
+        answer = index.conjunction(["shared", "filler"])
+        postings = index.conjunction(["shared"])  # taken, not yet read
+        first = next(answer)  # a reader in the middle of its answer
         index.add_model(make_model("http://site.test/a-first", ["shared filler first"]))
         index.finalize()
         if backend == "segmented":
@@ -654,8 +715,8 @@ class TestGenerationSnapshot:
             assert index.num_segments == 1
         index.remove_urls([models[0].url, models[3].url])
 
-        assert [first, *rows] == expected_rows
-        assert postings == expected_postings
+        assert [first, *answer] == expected_rows
+        assert list(postings) == expected_postings
         # ... and the next reader sees every write.
         after = InvertedFile().build(
             [*models[1:3], make_model("http://site.test/a-first", ["shared filler first"])]
@@ -663,7 +724,7 @@ class TestGenerationSnapshot:
         assert list(index.conjunction(["shared", "filler"])) == list(
             after.conjunction(["shared", "filler"])
         )
-        assert index.postings("shared") == after.postings("shared")
+        assert rows(index, "shared") == rows(after, "shared")
         if backend == "segmented":
             index.close()
 
@@ -689,9 +750,9 @@ class TestGenerationSnapshot:
 
         for terms in (["shared"], ["shared", "page2"], ["marker1x3"]):
             assert read(before, terms) == list(fresh.conjunction(terms)), terms
-        assert [p for segment in before for p in segment.materialize("page1")] == fresh.postings("page1")
+        assert read(before, ["page1"]) == rows(fresh, "page1")
         assert sum(segment.num_states for segment in before) == 16
-        assert index.num_states == 8 and index.postings("page1") == []
+        assert index.num_states == 8 and rows(index, "page1") == []
         assert read(index._segments(), ["shared"]) == list(
             InvertedFile().build([models[0], models[3]]).conjunction(["shared"])
         )
@@ -736,7 +797,7 @@ def test_update_model_equals_fresh_rebuild_property(
         assert index.num_states == fresh.num_states
         assert index.terms() == fresh.terms()
         for term in fresh.terms():
-            assert index.postings(term) == fresh.postings(term), term
+            assert rows(index, term) == rows(fresh, term), term
             assert index.document_frequency(term) == fresh.document_frequency(term)
             assert index.idf(term) == fresh.idf(term), term
         for uri, state_id in fresh.states():
@@ -837,7 +898,7 @@ def test_every_written_segment_equals_the_reference_writer(tmp_path_factory, dat
     assert disk.states() == memory.states()
     assert disk.terms() == memory.terms()
     for term in memory.terms():
-        assert disk.postings(term) == memory.postings(term), term
+        assert rows(disk, term) == rows(memory, term), term
         assert disk.document_frequency(term) == memory.document_frequency(term), term
     assert_live_segments_equal_the_reference(disk, scratch)
     disk.close()

@@ -2,8 +2,9 @@
 
 Covers the write/read round trip over every table, the shared decoded-
 block LRU cache, the block-max skipping merge (result parity with the
-materialized galloping merge, plus proof that whole blocks are hopped
-without decode), and corruption handling on damaged files.
+brute-force references of ``tests/search/block_merge.py``, plus proof
+that whole blocks are hopped without decode), and corruption handling
+on damaged files.
 """
 
 import os
@@ -11,7 +12,6 @@ import os
 import pytest
 
 from repro.errors import SearchError
-from repro.search.postings import merge_conjunction
 from repro.search.segments import (
     _FOOTER,
     BlockCache,
@@ -21,7 +21,13 @@ from repro.search.segments import (
     write_segment,
 )
 from repro.search.segments import merge_conjunction_blocks
-from tests.search.reference_writer import as_columns, make_postings
+from tests.search.block_merge import naive_merge, set_intersection
+from tests.search.reference_writer import as_columns, make_postings, postings_of
+
+
+def read_all(reader, term):
+    """Decode every block of ``term`` the way a query does, through the cache."""
+    return merge_conjunction_blocks([reader.view(term)])
 
 
 @pytest.fixture
@@ -80,9 +86,9 @@ class TestRoundTrip:
         assert sorted(reader.terms()) == sorted(postings)
         for term, expected in postings.items():
             assert reader.df(term) == len(expected)
-            assert reader.materialize(term) == expected
+            assert postings_of(reader, term) == expected
         assert reader.df("absent") == 0
-        assert reader.materialize("absent") == []
+        assert reader.columns("absent") == ([], [])
         assert reader.view("absent") is None
 
     def test_meta(self, segment):
@@ -184,9 +190,9 @@ class TestBlockCache:
         reader, states, postings, _ = segment
         other = SegmentReader(reader.path, cache=reader.cache)
         try:
-            reader.materialize("common")
+            read_all(reader, "common")
             before = reader.cache.misses
-            other.materialize("common")
+            read_all(other, "common")
             # Same path + same cache: the second reader's blocks hit.
             assert reader.cache.misses == before
         finally:
@@ -197,20 +203,18 @@ class TestBlockSkippingMerge:
     def _views(self, reader, terms):
         return [reader.view(term) for term in terms]
 
-    def _as_groups(self, reader, merged):
-        ordinals, columns = merged
-        return [
-            [reader.posting(ordinal, positions) for positions in occurrences]
-            for ordinal, occurrences in zip(ordinals, zip(*columns))
-        ]
-
     def test_parity_with_materialized_merge(self, segment):
-        reader, _, postings, _ = segment
+        # Held to the references over the writer's own input columns.
+        reader, states, postings, _ = segment
+        written = {term: columns for term, *columns in as_columns(states, postings.items())[1]}
         for terms in (["common"], ["common", "rare"], ["common", "pair"],
                       ["pair", "rare"], ["common", "pair", "rare"]):
             merged = merge_conjunction_blocks(self._views(reader, terms))
-            expected = merge_conjunction([postings[t] for t in terms])
-            assert self._as_groups(reader, merged) == expected, terms
+            lists = [written[term] for term in terms]
+            assert merged == set_intersection(lists) == naive_merge(lists), terms
+        assert merge_conjunction_blocks(self._views(reader, ["common", "pair"])) == (
+            [0, 2], [[(0,), (0, 2)], [(2,), (3,)]]
+        )
 
     def test_blocks_skipped_without_decode(self, tmp_path):
         # 400 states; "every" is everywhere, "needle" only in the last
@@ -309,7 +313,7 @@ class TestCorruption:
         reader = SegmentReader(path)
         try:
             with pytest.raises(SearchError):
-                reader.materialize("term")
+                read_all(reader, "term")
         finally:
             reader.close()
 
@@ -326,7 +330,7 @@ class TestCorruption:
         reader = SegmentReader(path)
         try:
             with pytest.raises(SearchError):
-                reader.materialize("term")
+                read_all(reader, "term")
         finally:
             reader.close()
 

@@ -53,8 +53,8 @@ class TestStopwordIndex:
     def test_stopwords_not_indexed(self):
         model = pagination_model("u", ["the enjoy the ride"])
         index = InvertedFile(stopwords=ENGLISH_STOPWORDS).build([model])
-        assert index.postings("the") == []
-        assert index.postings("enjoy")
+        assert list(index.conjunction(["the"])) == []
+        assert list(index.conjunction(["enjoy"])) == [("u", "s0", 2, ((1,),))]
 
     def test_engine_consistent_with_stopword_index(self):
         model = pagination_model("u", ["the enjoy the ride", "a mysterious video"])
@@ -71,7 +71,7 @@ class TestStopwordIndex:
         index.save(path)
         loaded = InvertedFile.load(path)
         assert loaded.stopwords == ENGLISH_STOPWORDS
-        assert loaded.postings("the") == []
+        assert list(loaded.conjunction(["the"])) == []
 
     def test_proximity_honest_across_dropped_stopwords(self):
         """'enjoy the ride': enjoy..ride are 2 apart, not adjacent."""

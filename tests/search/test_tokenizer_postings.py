@@ -1,9 +1,15 @@
-"""Unit and property tests for tokenization and posting-list merging."""
+"""Unit and property tests for tokenization and posting-list merging.
+
+The merge under test is ``merge_conjunction_blocks``, the one
+conjunction there is; ``conjunction_groups`` puts the posting lists of
+these cases behind a segment file and an in-memory segment and hands
+back its answer as groups of ``Posting`` objects."""
 
 from hypothesis import given, strategies as st
 
-from repro.search import merge_conjunction, sort_postings, tokenize, tokenize_with_positions
-from repro.search.postings import Posting
+from repro.model import ApplicationModel
+from repro.search import InvertedFile, Posting, evaluate, tokenize, tokenize_with_positions
+from tests.search.block_merge import conjunction_groups, posting_key
 
 
 class TestTokenizer:
@@ -30,26 +36,31 @@ def posting(uri, state, *positions):
 
 class TestSortPostings:
     def test_sorts_by_uri_then_state_index(self):
-        postings = [
-            posting("b", "s0", 1),
-            posting("a", "s10", 1),
-            posting("a", "s2", 1),
-        ]
-        ordered = sort_postings(postings)
+        """A posting list leaves the index in (uri, state index) order,
+        whatever order its pages arrived in."""
+        pages = []
+        for url, states in (("b", 1), ("a", 11)):
+            pages.append(ApplicationModel(url))
+            for index in range(states):
+                pages[-1].add_state(f"{url}{index}", "word" if index in (0, 2, 10) else "other")
+        index = InvertedFile().build(pages)
+        (ordered,) = zip(*(match.postings for match in evaluate(index, "word")))
         assert [(p.uri, p.state_id) for p in ordered] == [
+            ("a", "s0"),
             ("a", "s2"),
             ("a", "s10"),  # numeric, not lexicographic: s2 < s10
             ("b", "s0"),
         ]
+        assert all(p.positions == (0,) and p.count == 1 for p in ordered)
 
 
 class TestMergeConjunction:
     def test_empty_input(self):
-        assert merge_conjunction([]) == []
+        assert conjunction_groups([]) == []
 
     def test_single_list_passes_through(self):
         lists = [[posting("a", "s0", 1), posting("b", "s1", 2)]]
-        groups = merge_conjunction(lists)
+        groups = conjunction_groups(lists)
         assert [(g[0].uri, g[0].state_id) for g in groups] == [("a", "s0"), ("b", "s1")]
 
     def test_intersection_on_uri_and_state(self):
@@ -60,7 +71,7 @@ class TestMergeConjunction:
             posting("url2", "s1", 5),
         ]
         singer = [posting("url1", "s2", 9), posting("url3", "s0", 1)]
-        groups = merge_conjunction([morcheeba, singer])
+        groups = conjunction_groups([morcheeba, singer])
         assert len(groups) == 1
         assert (groups[0][0].uri, groups[0][0].state_id) == ("url1", "s2")
         # Per-term postings preserved for proximity scoring.
@@ -70,16 +81,16 @@ class TestMergeConjunction:
     def test_same_uri_different_states_not_matched(self):
         one = [posting("u", "s1", 0)]
         two = [posting("u", "s2", 0)]
-        assert merge_conjunction([one, two]) == []
+        assert conjunction_groups([one, two]) == []
 
     def test_any_empty_list_empties_result(self):
-        assert merge_conjunction([[posting("u", "s0", 1)], []]) == []
+        assert conjunction_groups([[posting("u", "s0", 1)], []]) == []
 
     def test_three_way_conjunction(self):
         a = [posting("u", "s0", 0), posting("u", "s1", 0), posting("v", "s0", 0)]
         b = [posting("u", "s1", 1), posting("v", "s0", 1)]
         c = [posting("u", "s1", 2), posting("w", "s0", 2)]
-        groups = merge_conjunction([a, b, c])
+        groups = conjunction_groups([a, b, c])
         assert [(g[0].uri, g[0].state_id) for g in groups] == [("u", "s1")]
 
 
@@ -92,15 +103,15 @@ keys = st.tuples(
 
 
 def build_list(pairs):
-    return sort_postings(
-        [posting(uri, f"s{idx}", 0) for uri, idx in set(pairs)]
+    return sorted(
+        [posting(uri, f"s{idx}", 0) for uri, idx in set(pairs)], key=posting_key
     )
 
 
 @given(st.lists(keys, max_size=15), st.lists(keys, max_size=15))
 def test_merge_matches_set_intersection(pairs_a, pairs_b):
     list_a, list_b = build_list(pairs_a), build_list(pairs_b)
-    groups = merge_conjunction([list_a, list_b])
+    groups = conjunction_groups([list_a, list_b])
     merged = {(g[0].uri, g[0].state_id) for g in groups}
     expected = {(p.uri, p.state_id) for p in list_a} & {
         (p.uri, p.state_id) for p in list_b
@@ -111,7 +122,7 @@ def test_merge_matches_set_intersection(pairs_a, pairs_b):
 @given(st.lists(keys, min_size=1, max_size=12))
 def test_merge_with_self_is_identity(pairs):
     plist = build_list(pairs)
-    groups = merge_conjunction([plist, plist])
+    groups = conjunction_groups([plist, plist])
     assert [(g[0].uri, g[0].state_id) for g in groups] == [
         (p.uri, p.state_id) for p in plist
     ]

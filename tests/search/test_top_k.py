@@ -22,8 +22,7 @@ from repro.parallel import ShardedSearchEngine
 from repro.search import InvertedFile, RankingWeights, SearchEngine, SegmentedIndex, evaluate
 from repro.search import engine as engine_module
 from repro.search.engine import SearchResult
-from repro.search.postings import Posting
-from repro.search.query import parse_query
+from repro.search.query import Posting, parse_query
 from repro.search.ranking import term_proximity
 from repro.serve import SearchServer, SearchService
 from repro.testgen.corpus import corpus_models, corpus_spec

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dom import Element, Text, parse_document, parse_fragment, serialize, state_hash
 from repro.js import Interpreter, to_string
 from repro.model import ApplicationModel
-from repro.search import InvertedFile, pagerank, tokenize
-from repro.search.postings import Posting, merge_conjunction, sort_postings
+from repro.search import InvertedFile, Posting, pagerank, tokenize
+from tests.search.block_merge import conjunction_groups, posting_key
 
 # -- HTML round trip over generated trees ------------------------------------------
 
@@ -229,11 +229,9 @@ def test_index_statistics_consistent(texts):
         expected_idf = math.log(len(texts) / df)
         assert index.idf(term) == pytest.approx(expected_idf)
         # tf sums over states equal normalized occurrence counts.
-        for posting in index.postings(term):
-            tf = index.tf(term, posting.uri, posting.state_id)
-            assert tf == pytest.approx(
-                posting.count / index.state_length(posting.uri, posting.state_id)
-            )
+        for uri, state_id, length, (positions,) in index.conjunction([term]):
+            assert length == index.state_length(uri, state_id)
+            assert index.tf(term, uri, state_id) == pytest.approx(len(positions) / length)
 
 
 # -- n-way conjunction equals set intersection -----------------------------------------------
@@ -242,8 +240,8 @@ posting_keys = st.tuples(st.sampled_from(["u1", "u2"]), st.integers(0, 5))
 
 
 def _as_list(pairs):
-    return sort_postings(
-        [Posting(uri, f"s{idx}", positions=(0,)) for uri, idx in set(pairs)]
+    return sorted(
+        [Posting(uri, f"s{idx}", positions=(0,)) for uri, idx in set(pairs)], key=posting_key
     )
 
 
@@ -251,7 +249,7 @@ def _as_list(pairs):
 def test_nway_merge_matches_set_intersection(groups):
     lists = [_as_list(pairs) for pairs in groups]
     merged = {
-        (g[0].uri, g[0].state_id) for g in merge_conjunction(lists)
+        (g[0].uri, g[0].state_id) for g in conjunction_groups(lists)
     }
     sets = [{(p.uri, p.state_id) for p in plist} for plist in lists]
     expected = set.intersection(*sets) if sets else set()
