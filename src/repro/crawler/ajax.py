@@ -43,6 +43,11 @@ from repro.obs import (
     STATE_DUPLICATE,
 )
 
+#: Handler substrings marking *update events* the crawler must never
+#: fire (§4.3 "No update events": deleting mails from a crawled inbox).
+#: Matching is case-insensitive on the handler source.
+UPDATE_EVENT_PATTERNS = ("delete", "remove", "destroy", "logout", "submitform")
+
 
 class AjaxCrawler(Crawler):
     """Crawls the AJAX states of pages on a simulated server."""
@@ -64,7 +69,6 @@ class AjaxCrawler(Crawler):
             cost_model=cost_model,
             javascript_enabled=True,
             hot_policy=self.hot_cache if config.use_hot_node else None,
-            max_js_steps=config.max_js_steps,
             retry_policy=config.retry_policy(),
             recorder=recorder,
         )
@@ -349,11 +353,12 @@ class AjaxCrawler(Crawler):
     def _enumerate_events(self, page: Page) -> list[EventBinding]:
         """Hook for subclasses: which events to fire in the current state.
 
-        The base crawler uses the configured DOM event attributes; the
+        The base crawler fires the DOM event attributes of §3.2
+        (:data:`~repro.browser.events.DEFAULT_EVENT_TYPES`); the
         form-filling crawler extends the list with value-carrying
         bindings for text inputs.
         """
-        return page.events(self.config.event_types)
+        return page.events()
 
     def _select_next(self, frontier: deque, model: ApplicationModel) -> str:
         """Hook for subclasses: pick the next frontier state to explore.
@@ -382,13 +387,13 @@ class AjaxCrawler(Crawler):
 
     def _is_update_event(self, binding: EventBinding) -> bool:
         handler = binding.handler.lower()
-        return any(pattern in handler for pattern in self.config.update_event_patterns)
+        return any(pattern in handler for pattern in UPDATE_EVENT_PATTERNS)
 
     def _effective_max_states(self, url: str) -> int:
         """The per-page state cap, lowered by the site's granularity hint
-        (``/ajax-robots.json``) when one is published and honoured."""
-        if not self.config.respect_granularity_hints:
-            return self.config.max_states
+        when one is published: §4.3 predicts AJAX sites will publish a
+        robots.txt-style file; ours is ``/ajax-robots.json`` with a
+        ``max_states`` field.  The hint can only *lower* the cap."""
         hint = self._granularity_hint_for(url)
         if hint is None:
             return self.config.max_states

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.browser.events import DEFAULT_EVENT_TYPES
 from repro.dom.simhash import bands_for_threshold
 from repro.net.faults import RetryPolicy
 
@@ -27,32 +26,14 @@ class CrawlerConfig:
     #: Hard cap on event invocations per page: the guard against
     #: infinite event invocation (§3.2).
     max_event_invocations: int = 500
-    #: Event attributes invoked by the crawler (§3.2 "Irrelevant events").
-    event_types: tuple[str, ...] = tuple(DEFAULT_EVENT_TYPES)
     #: Whether the hot-node policy (chapter 4) is active.
     use_hot_node: bool = True
     #: Keep the serialized DOM of every state in the model (needed for
     #: offline state reconstruction; costs memory).
     store_html: bool = False
-    #: Interpreter step budget per page (infinite-loop guard, §3.2).
-    max_js_steps: int = 2_000_000
     #: When False, hash-based duplicate elimination is disabled — every
     #: DOM change becomes a new state (ablation for DESIGN.md §5.1).
     deduplicate_states: bool = True
-    #: Handler substrings marking *update events* the crawler must never
-    #: fire (§4.3 "No update events": deleting mails from a crawled
-    #: inbox).  Matching is case-insensitive on the handler source.
-    update_event_patterns: tuple[str, ...] = (
-        "delete",
-        "remove",
-        "destroy",
-        "logout",
-        "submitform",
-    )
-    #: Honour per-site crawl-granularity hints (§4.3 predicts AJAX sites
-    #: will publish a robots.txt-style file; ours is /ajax-robots.json
-    #: with a ``max_states`` field).  The hint can only *lower* the cap.
-    respect_granularity_hints: bool = True
     #: Near-duplicate collapse (ROADMAP item 3): maximum simhash Hamming
     #: distance at which a newly observed state merges into an existing
     #: canonical state instead of becoming its own node.  ``None`` (the

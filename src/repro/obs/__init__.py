@@ -38,26 +38,17 @@ from repro.obs.events import (
     from_jsonl,
     to_jsonl,
 )
-from repro.obs.doctor import (
-    DEFAULT_DOCTOR_CONFIG,
-    DoctorConfig,
-    Finding,
-    diagnose,
-    format_findings,
-)
+from repro.obs.doctor import Finding, diagnose, format_findings
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     SERVE_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    bucket_bounds,
-    register_buckets,
 )
 from repro.obs.reqtrace import RequestTrace, active_request, current_request_trace
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
-    merge_sketches,
     nearest_rank,
 )
 from repro.obs.slo import (
@@ -135,10 +126,7 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "SERVE_LATENCY_BUCKETS",
-    "register_buckets",
-    "bucket_bounds",
     "QuantileSketch",
-    "merge_sketches",
     "nearest_rank",
     "DEFAULT_RELATIVE_ACCURACY",
     "RollingCounter",
@@ -175,8 +163,6 @@ __all__ = [
     "critical_path_report",
     "critical_path_from_spans",
     "format_critical_path",
-    "DoctorConfig",
-    "DEFAULT_DOCTOR_CONFIG",
     "Finding",
     "diagnose",
     "format_findings",

@@ -70,16 +70,10 @@ class Finding:
     evidence: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DoctorConfig:
-    """The thresholds callers tune (see the module docstring table)."""
-
-    quarantine_min_count: int = 3
-    quarantine_min_ratio: float = 0.10
-    cache_min_lookups: int = 10
-
-
-# Thresholds of the remaining rules (module docstring table).
+# Thresholds of the rules (module docstring table).
+QUARANTINE_MIN_COUNT = 3
+QUARANTINE_MIN_RATIO = 0.10
+CACHE_MIN_LOOKUPS = 10
 CACHE_MIN_HIT_RATE = 0.10
 RETRY_MIN_COUNT = 3
 RETRY_MIN_RATIO = 0.50
@@ -87,9 +81,6 @@ SKEW_MIN_PARTITIONS = 2
 SKEW_MAX_RATIO = 1.5
 HASH_MIN_INCREMENTAL_PASSES = 1
 HASH_MIN_SKIP_RATE = 0.40
-
-
-DEFAULT_DOCTOR_CONFIG = DoctorConfig()
 
 
 # -- signals: one normalized view over heterogeneous evidence ------------------------
@@ -213,11 +204,11 @@ def signals_from_parallel(run: Any) -> Signals:
 # -- the rules -----------------------------------------------------------------------
 
 
-def _rule_quarantine_storm(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
-    if s.events_quarantined < cfg.quarantine_min_count or not s.events_fired:
+def _rule_quarantine_storm(s: Signals) -> Optional[Finding]:
+    if s.events_quarantined < QUARANTINE_MIN_COUNT or not s.events_fired:
         return None
     ratio = s.events_quarantined / s.events_fired
-    if ratio < cfg.quarantine_min_ratio:
+    if ratio < QUARANTINE_MIN_RATIO:
         return None
     return Finding(
         rule="quarantine-storm",
@@ -227,7 +218,7 @@ def _rule_quarantine_storm(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
             f"quarantined ({ratio:.0%}) — the model has large blind spots"
         ),
         signal=ratio,
-        threshold=cfg.quarantine_min_ratio,
+        threshold=QUARANTINE_MIN_RATIO,
         action=(
             "check server health / fault injection; raise retry budget "
             "(retry_max_attempts) or fix the failing endpoints"
@@ -239,8 +230,8 @@ def _rule_quarantine_storm(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
     )
 
 
-def _rule_cache_collapse(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
-    if s.cache_lookups < cfg.cache_min_lookups:
+def _rule_cache_collapse(s: Signals) -> Optional[Finding]:
+    if s.cache_lookups < CACHE_MIN_LOOKUPS:
         return None
     hit_rate = s.cache_hits / s.cache_lookups
     if hit_rate >= CACHE_MIN_HIT_RATE:
@@ -264,7 +255,7 @@ def _rule_cache_collapse(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
     )
 
 
-def _rule_state_cap(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
+def _rule_state_cap(s: Signals) -> Optional[Finding]:
     if s.states_capped < 1:
         return None
     return Finding(
@@ -281,7 +272,7 @@ def _rule_state_cap(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
     )
 
 
-def _rule_retry_amplification(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
+def _rule_retry_amplification(s: Signals) -> Optional[Finding]:
     if s.retries < RETRY_MIN_COUNT or not s.network_requests:
         return None
     ratio = s.retries / s.network_requests
@@ -304,7 +295,7 @@ def _rule_retry_amplification(s: Signals, cfg: DoctorConfig) -> Optional[Finding
     )
 
 
-def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
+def _rule_partition_skew(s: Signals) -> Optional[Finding]:
     if len(s.partition_durations) < SKEW_MIN_PARTITIONS:
         return None
     durations = [d for _, d in s.partition_durations]
@@ -337,7 +328,7 @@ def _rule_partition_skew(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
     )
 
 
-def _rule_hash_regression(s: Signals, cfg: DoctorConfig) -> Optional[Finding]:
+def _rule_hash_regression(s: Signals) -> Optional[Finding]:
     if s.hash_incremental_passes < HASH_MIN_INCREMENTAL_PASSES:
         return None
     total = s.hash_nodes_hashed + s.hash_nodes_skipped
@@ -386,7 +377,6 @@ def diagnose(
     events: Optional[Iterable[TraceEvent]] = None,
     metrics: Optional[Any] = None,
     parallel: Optional[Any] = None,
-    config: DoctorConfig = DEFAULT_DOCTOR_CONFIG,
 ) -> list[Finding]:
     """Run every rule over the available evidence.
 
@@ -402,7 +392,7 @@ def diagnose(
         signals.merge_max(signals_from_parallel(parallel))
     findings = []
     for rule in RULES:
-        finding = rule(signals, config)
+        finding = rule(signals)
         if finding is not None:
             findings.append(finding)
     return findings

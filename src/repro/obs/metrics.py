@@ -45,29 +45,13 @@ SERVE_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
                          50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
                          float("inf"))
 
-#: Per-metric histogram bounds.  Registering a name here changes which
-#: bounds :meth:`MetricsRegistry.observe` uses when it first creates
-#: that histogram; everything else (merge exactness, exposition,
-#: snapshots) is bounds-agnostic.  Registration must happen at import
-#: time so every registry in a process — and every partition registry
-#: that will later merge — agrees on the bounds.
-_METRIC_BUCKETS: dict[str, tuple[float, ...]] = {}
-
-
-def register_buckets(name: str, bounds: Sequence[float]) -> None:
-    """Pin the histogram bucket bounds used for metric ``name``."""
-    bounds = tuple(bounds)
-    if not bounds or list(bounds) != sorted(bounds):
-        raise ValueError(f"bucket bounds must be ascending, got {bounds!r}")
-    _METRIC_BUCKETS[name] = bounds
-
-
-def bucket_bounds(name: str) -> tuple[float, ...]:
-    """The bounds ``observe`` will use for ``name`` (default otherwise)."""
-    return _METRIC_BUCKETS.get(name, DEFAULT_BUCKETS)
-
-
-register_buckets("serve.request_ms", SERVE_LATENCY_BUCKETS)
+#: Per-metric histogram bounds, read by :meth:`MetricsRegistry.observe`
+#: when it first creates that histogram (every other name gets
+#: :data:`DEFAULT_BUCKETS`); everything else (merge exactness,
+#: exposition, snapshots) is bounds-agnostic.  A constant, so every
+#: registry in a process — and every partition registry that will later
+#: merge — agrees on the bounds.
+METRIC_BUCKETS = {"serve.request_ms": SERVE_LATENCY_BUCKETS}
 
 
 def _key(name: str, labels: Mapping[str, object]) -> MetricKey:
@@ -139,7 +123,7 @@ class MetricsRegistry:
             histogram = self._histograms.get(key)
             if histogram is None:
                 histogram = self._histograms[key] = Histogram(
-                    bucket_bounds(name)
+                    METRIC_BUCKETS.get(name, DEFAULT_BUCKETS)
                 )
             histogram.observe(value)
 

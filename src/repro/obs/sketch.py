@@ -17,8 +17,8 @@ buckets total.
 Guarantees the tests pin down:
 
 * **relative-error bound** — ``|quantile(q) - exact(q)| <= a * exact(q)``
-  where ``exact`` is the nearest-rank value under the same rank rule as
-  :func:`repro.serve.loadtest.percentile`;
+  where ``exact`` is the nearest-rank value of the sorted stream under
+  the same rank rule (:func:`nearest_rank`);
 * **exact merge** — merging is bucket-wise addition, so any split of a
   stream into sub-sketches, merged in any order or grouping, yields the
   byte-identical sketch of the whole stream (the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 #: Default relative accuracy: estimates within 1% of the true value.
 DEFAULT_RELATIVE_ACCURACY = 0.01
@@ -45,8 +45,8 @@ MIN_TRACKED_VALUE = 1e-9
 def nearest_rank(count: int, fraction: float) -> int:
     """The 0-based nearest-rank index used by every percentile here.
 
-    Matches :func:`repro.serve.loadtest.percentile` on a sorted list:
-    ``round(fraction * count) - 1``, clamped into ``[0, count - 1]``.
+    On a sorted list of ``count`` values: ``round(fraction * count) - 1``,
+    clamped into ``[0, count - 1]``.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -141,7 +141,7 @@ class QuantileSketch:
     def quantile(self, fraction: float) -> float:
         """The value at nearest-rank ``fraction``, within relative error.
 
-        Returns 0.0 for an empty sketch (mirrors ``percentile([])``).
+        Returns 0.0 for an empty sketch.
         """
         with self._lock:
             if self.count == 0:
@@ -217,21 +217,3 @@ class QuantileSketch:
             "max": self.max,
             **{f"p{100 * q:g}": self.quantile(q) for q in quantiles},
         }
-
-
-def merge_sketches(
-    sketches: Sequence[QuantileSketch],
-    relative_accuracy: Optional[float] = None,
-) -> QuantileSketch:
-    """A fresh sketch holding the union of ``sketches``."""
-    accuracy = relative_accuracy
-    if accuracy is None:
-        accuracy = (
-            sketches[0].relative_accuracy
-            if sketches
-            else DEFAULT_RELATIVE_ACCURACY
-        )
-    merged = QuantileSketch(relative_accuracy=accuracy)
-    for sketch in sketches:
-        merged.merge(sketch)
-    return merged

@@ -20,15 +20,12 @@ from repro.serve.limiter import RateDecision, TokenBucketLimiter
 from repro.serve.loadtest import (
     LoadTestConfig,
     LoadTestReport,
-    percentile,
     run_loadtest,
 )
 from repro.serve.server import SearchServer
 from repro.serve.telemetry import (
     DEFAULT_SLOS,
-    LiveDoctorConfig,
     ServingTelemetry,
-    TelemetryConfig,
     format_top,
     sample_request,
 )
@@ -58,14 +55,11 @@ __all__ = [
     "make_handler",
     "CLIENT_HEADER",
     "REQUEST_ID_HEADER",
-    "TelemetryConfig",
     "ServingTelemetry",
-    "LiveDoctorConfig",
     "DEFAULT_SLOS",
     "sample_request",
     "format_top",
     "LoadTestConfig",
     "LoadTestReport",
     "run_loadtest",
-    "percentile",
 ]

@@ -65,28 +65,28 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
             key: values[-1] for key, values in parse_qs(split.query).items()
         }
         client = self.headers.get(CLIENT_HEADER) or self.client_address[0]
-        request_id = self.headers.get(REQUEST_ID_HEADER) or ""
-        endpoint = split.path.lstrip("/")
-        if not request_id and self.service.telemetry is not None:
-            request_id = self.service.telemetry.next_request_id()
-        id_header = {REQUEST_ID_HEADER: request_id} if request_id else None
+        # Every /search and /result answer, errors included, names the
+        # request, so the client can look its trace up afterwards.
+        id_header = None
+        if split.path in ("/search", "/result"):
+            request_id = (
+                self.headers.get(REQUEST_ID_HEADER)
+                or self.service.telemetry.next_request_id()
+            )
+            id_header = {REQUEST_ID_HEADER: request_id}
         try:
             if split.path == "/search":
                 self.service.admit(client)
                 self._send_json(
                     200,
-                    self.service.search(
-                        params, client=client, request_id=request_id or None
-                    ),
+                    self.service.search(params, client=client, request_id=request_id),
                     extra_headers=id_header,
                 )
             elif split.path == "/result":
                 self.service.admit(client)
                 self._send_json(
                     200,
-                    self.service.result(
-                        params, client=client, request_id=request_id or None
-                    ),
+                    self.service.result(params, client=client, request_id=request_id),
                     extra_headers=id_header,
                 )
             elif split.path == "/metrics":
@@ -106,9 +106,7 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
             else:
                 raise NotFound(f"no such endpoint {split.path!r}")
         except RateLimited as exc:
-            self.service.note_rate_limited(
-                endpoint, client, request_id or None
-            )
+            self.service.note_rate_limited()
             retry_after = max(1, math.ceil(exc.retry_after_s))
             headers = {"Retry-After": str(retry_after)}
             headers.update(id_header or {})
@@ -118,9 +116,17 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
                 extra_headers=headers,
             )
         except ServeError as exc:
-            self._send_json(exc.status, {"error": str(exc), "status": exc.status})
-        except Exception:  # pragma: no cover - defensive: never leak a traceback
-            self._send_json(500, {"error": "internal server error", "status": 500})
+            self._send_json(
+                exc.status,
+                {"error": str(exc), "status": exc.status},
+                extra_headers=id_header,
+            )
+        except Exception:  # never leak a traceback
+            self._send_json(
+                500,
+                {"error": "internal server error", "status": 500},
+                extra_headers=id_header,
+            )
 
     # -- rendering -------------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.obs.slo import BURN_RATE_RULE
 from repro.search import SearchEngine
 from repro.serve.service import SearchService, ServeConfig
-from repro.serve.telemetry import TelemetryConfig
 from repro.sites import SiteConfig, SyntheticYouTube
 
 
@@ -64,10 +63,7 @@ def _service(
 ) -> SearchService:
     return SearchService(
         engine,
-        ServeConfig(
-            latency_ms=latency_ms,
-            telemetry=TelemetryConfig(sample_every=4),
-        ),
+        ServeConfig(latency_ms=latency_ms),
         clock=clock,
         sleep=clock.sleep,
     )
@@ -97,7 +93,6 @@ def run_smoke(verbose: bool = True) -> int:
             service.search({"q": query}, client="clean")
             clock.advance(0.25)
     telemetry = service.telemetry
-    assert telemetry is not None
     findings = telemetry.diagnose()
     check(
         not findings,
@@ -130,7 +125,6 @@ def run_smoke(verbose: bool = True) -> int:
         service.search({"q": f"video clip {index}"}, client="storm", request_id=rid)
         clock.advance(1.0)
     telemetry = service.telemetry
-    assert telemetry is not None
     findings = telemetry.diagnose()
     burn = [f for f in findings if f.rule == BURN_RATE_RULE]
     check(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 from urllib.parse import urlencode, urlsplit
 
-from repro.obs.sketch import QuantileSketch, merge_sketches
+from repro.obs.sketch import QuantileSketch
 
 
 #: Per-request socket timeout, seconds.
@@ -104,16 +104,6 @@ class LoadTestReport:
             f"cache hit rate {self.cache_hit_rate:.0%}, "
             f"{self.rate_limited} rate-limited, {self.errors} error(s)"
         )
-
-
-def percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rank = min(len(sorted_values) - 1, max(0, round(fraction * len(sorted_values)) - 1))
-    return sorted_values[rank]
 
 
 class _Worker(threading.Thread):
@@ -205,7 +195,9 @@ def run_loadtest(
         report.cached_responses += worker.cached
         for status, count in worker.status_counts.items():
             report.status_counts[status] = report.status_counts.get(status, 0) + count
-    merged = merge_sketches([worker.latency_sketch for worker in workers])
+    merged = QuantileSketch()
+    for worker in workers:
+        merged.merge(worker.latency_sketch)
     report.requests = merged.count
     report.rate_limited = report.status_counts.get(429, 0)
     report.p50_ms = merged.quantile(0.50)

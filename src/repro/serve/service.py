@@ -46,7 +46,7 @@ from repro.obs import (
 from repro.search import ResultAggregator, SearchEngine
 from repro.serve.cache import QueryCache
 from repro.serve.limiter import TokenBucketLimiter
-from repro.serve.telemetry import ServingTelemetry, TelemetryConfig
+from repro.serve.telemetry import ServingTelemetry
 
 
 class ServeError(ReproError):
@@ -84,16 +84,16 @@ class UpstreamFailed(ServeError):
     status = 502
 
 
-#: Results per page when the client does not pass ``limit``.
+#: Results per page when the client does not pass ``limit``, and the
+#: largest ``limit`` served (a larger one is a 400).
 DEFAULT_LIMIT = 10
+MAX_LIMIT = 100
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables of one serving process."""
 
-    #: Upper bound on ``limit`` (larger requests are a 400).
-    max_limit: int = 100
     #: LRU capacity of the query cache (0 disables caching).
     cache_entries: int = 256
     #: Cache TTL in seconds (None = entries never expire).
@@ -110,10 +110,6 @@ class ServeConfig:
     latency_distribution: LatencyDistribution = field(
         default_factory=lambda: UniformJitter(spread=0.2, seed=0x5EED)
     )
-    #: Live telemetry (rolling windows, sampled traces, SLO burn rates,
-    #: the /debug/* endpoints).  ``TelemetryConfig(enabled=False)``
-    #: restores the exact pre-telemetry serving path.
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
 
 class SearchService:
@@ -162,13 +158,9 @@ class SearchService:
         # Replays share the site's server-side state; serialize them.
         self._replay_lock = threading.Lock()
         self._latency_lock = threading.Lock()
-        self.telemetry: Optional[ServingTelemetry] = (
-            ServingTelemetry(
-                config.telemetry, clock=clock, registry=self.registry
-            )
-            if config.telemetry.enabled
-            else None
-        )
+        #: Live telemetry: rolling windows, sampled traces, SLO burn
+        #: rates, the /debug/* endpoints.
+        self.telemetry = ServingTelemetry(clock)
 
     # -- admission / latency --------------------------------------------------------
 
@@ -219,22 +211,17 @@ class SearchService:
         if not query:
             raise BadRequest("missing or blank query parameter 'q'")
         limit = self._int_param(params, "limit", DEFAULT_LIMIT, 1)
-        if limit > self.config.max_limit:
-            raise BadRequest(
-                f"limit {limit} exceeds the maximum of {self.config.max_limit}"
-            )
+        if limit > MAX_LIMIT:
+            raise BadRequest(f"limit {limit} exceeds the maximum of {MAX_LIMIT}")
         offset = self._int_param(params, "offset", 0, 0)
         key = (query, limit, offset)
         trace = current_request_trace()
-        if trace is not None:
-            trace.annotate(query=query, limit=limit, offset=offset)
+        trace.annotate(query=query, limit=limit, offset=offset)
         cached = self.cache.get(key)
         if cached is not None:
-            if trace is not None:
-                trace.annotate(cached=True)
+            trace.annotate(cached=True)
             return dict(cached, cached=True)
-        if trace is not None:
-            trace.annotate(cached=False)
+        trace.annotate(cached=False)
         self.inject_latency()
         try:
             total, results = self.engine.top(query, offset + limit)
@@ -306,37 +293,29 @@ class SearchService:
 
     # -- live telemetry views ---------------------------------------------------------
 
-    def _require_telemetry(self) -> ServingTelemetry:
-        if self.telemetry is None:
-            raise NotFound("live telemetry is disabled on this server")
-        return self.telemetry
-
-    def note_rate_limited(
-        self, endpoint: str, client: str, request_id: Optional[str] = None
-    ) -> None:
+    def note_rate_limited(self) -> None:
         """Book one 429 into the telemetry windows (the handler rejects
         rate-limited requests before any endpoint body runs, so they
         never pass through :meth:`_observed`)."""
-        if self.telemetry is not None:
-            self.telemetry.record_rejection(endpoint, client, request_id)
+        self.telemetry.record_rejection()
 
     def debug_vars(self) -> dict:
         """The ``/debug/vars`` payload: windowed rates and quantiles."""
-        return self._require_telemetry().vars()
+        return self.telemetry.vars()
 
     def debug_slo(self) -> dict:
         """The ``/debug/slo`` payload: budgets, burn rates, live findings."""
-        return self._require_telemetry().slo_status()
+        return self.telemetry.slo_status()
 
     def debug_slow(self) -> dict:
         """The ``/debug/slow`` payload: the recent slow-query log."""
-        return {"slow": self._require_telemetry().slow_queries()}
+        return {"slow": self.telemetry.slow_queries()}
 
     def debug_trace(self, request_id: str) -> dict:
         """The ``/debug/trace?id=`` payload: one retained request trace."""
         if not request_id:
             raise BadRequest("parameter 'id' is required")
-        found = self._require_telemetry().trace(request_id)
+        found = self.telemetry.trace(request_id)
         if found is None:
             raise NotFound(
                 f"no retained trace for {request_id!r} (not sampled, "
@@ -365,17 +344,10 @@ class SearchService:
         """Run one endpoint body under a span, booking counters/latency."""
         start = self.clock()
         status = 200
-        trace = (
-            self.telemetry.begin(endpoint, client, request_id)
-            if self.telemetry is not None
-            else None
-        )
+        trace = self.telemetry.begin(endpoint, client, request_id)
         try:
             with self.recorder.span("serve_request", endpoint=endpoint):
-                if trace is not None:
-                    with active_request(trace):
-                        response = fn()
-                else:
+                with active_request(trace):
                     response = fn()
         except ServeError as exc:
             status = exc.status
@@ -387,8 +359,7 @@ class SearchService:
             elapsed_ms = (self.clock() - start) * 1000.0
             self.registry.inc("serve.requests", endpoint=endpoint, status=status)
             self.registry.observe("serve.request_ms", elapsed_ms, endpoint=endpoint)
-            if trace is not None:
-                self.telemetry.finish(trace, status, elapsed_ms)
+            self.telemetry.finish(trace, status, elapsed_ms)
             if self.recorder.enabled:
                 self.recorder.emit(
                     SERVE_REQUEST,

@@ -17,14 +17,16 @@ closes that gap in-process:
 * **slow-query log** — the most recent slow ``/search`` requests with
   their query text and index accounting (``/debug/slow``);
 * **SLO burn rates** — :class:`~repro.obs.slo.SLOTracker` per
-  configured objective (``/debug/slo``);
+  objective of :data:`DEFAULT_SLOS` (``/debug/slo``);
 * **a live doctor** — sliding-window rules (cache collapse, 429 storm,
   segment read amplification) plus the SLO burn-rate findings, emitted
   in the established :class:`~repro.obs.doctor.Finding` format.
 
 The whole layer is wall-clock-frequency work: a few dict/ring updates
 per request, no locks held across I/O, nothing on the engine hot path.
-``bench_serving`` asserts the telemetry-on/off throughput ratio.
+It is the only serving path, so its cost is inside what
+``benchmarks/e2e``'s ``serve_uncached`` times as
+``serve.service_overhead_ms``.
 """
 
 from __future__ import annotations
@@ -33,17 +35,29 @@ import threading
 import time
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.doctor import Finding
 from repro.obs.reqtrace import RequestTrace
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SLO, SLOTracker
-from repro.obs.window import RollingCounter, RollingSketch
+from repro.obs.window import DEFAULT_WINDOW_S, RollingCounter, RollingSketch
 
 
-#: serve-cache-collapse: windowed hit rate below the floor.
+#: Keep every Nth request's full trace (deterministic hash of the
+#: request id, so reruns and distributed tiers sample identically).
+SAMPLE_EVERY = 16
+#: A request at least this slow always lands in the tail ring and the
+#: slow-query log.
+SLOW_MS = 100.0
+#: Ring capacities: hash-sampled traces, the slow-query log, and the
+#: slow+error tail (kept unconditionally).
+TRACE_CAPACITY = 256
+SLOWLOG_CAPACITY = 64
+TAIL_CAPACITY = 64
+#: serve-cache-collapse: lookups in the window before the rule may
+#: fire, and the windowed hit rate below which it does.
+CACHE_MIN_LOOKUPS = 20
 CACHE_MIN_HIT_RATE = 0.10
 #: throttle-storm: windowed 429 share of admissions above the cap.
 THROTTLE_MIN_REQUESTS = 20
@@ -51,51 +65,15 @@ THROTTLE_MAX_RATIO = 0.20
 #: segment-read-amplification: windowed decoded-block fraction.
 AMP_MIN_BLOCKS = 256
 AMP_MAX_DECODE_FRACTION = 0.50
-#: Capacity of the slow+error tail ring (kept unconditionally).
-TAIL_CAPACITY = 64
 
-
-@dataclass(frozen=True)
-class LiveDoctorConfig:
-    """Thresholds of the sliding-window serving rules."""
-
-    #: serve-cache-collapse: lookups in the window before the rule may
-    #: fire.
-    cache_min_lookups: int = 20
-
-
-#: Default serving SLOs: three nines of availability and 99% of
-#: requests under 250 ms, both on a one-hour budget window.
+#: Serving SLOs, tracked for /debug/slo and the burn-rate doctor (paged
+#: by :data:`repro.obs.slo.DEFAULT_BURN_RULES`): three nines of
+#: availability and 99% of requests under 250 ms, both on a one-hour
+#: budget window.
 DEFAULT_SLOS = (
     SLO("availability", objective=0.999, window_s=3600.0),
     SLO("latency-p99", objective=0.99, latency_ms=250.0, window_s=3600.0),
 )
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Shape of one serving process's live telemetry."""
-
-    #: Master switch; off restores the exact pre-telemetry serving path.
-    enabled: bool = True
-    #: Rolling-window length and slot count for the /debug/vars rates.
-    window_s: float = 60.0
-    slots: int = 12
-    #: Keep every Nth request's full trace (deterministic hash of the
-    #: request id, so reruns and distributed tiers sample identically).
-    sample_every: int = 16
-    #: A request at least this slow always lands in the tail ring and
-    #: the slow-query log.
-    slow_ms: float = 100.0
-    #: Ring capacities (sampled traces / slow log).
-    trace_capacity: int = 256
-    slowlog_capacity: int = 64
-    #: Relative accuracy of every latency sketch.
-    relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
-    #: Objectives tracked for /debug/slo and the burn-rate doctor
-    #: (paged by :data:`repro.obs.slo.DEFAULT_BURN_RULES`).
-    slos: tuple[SLO, ...] = DEFAULT_SLOS
-    doctor: LiveDoctorConfig = field(default_factory=LiveDoctorConfig)
 
 
 def sample_request(request_id: str, sample_every: int) -> bool:
@@ -110,51 +88,35 @@ class _EndpointWindows:
 
     __slots__ = ("requests", "errors", "latency_ms")
 
-    def __init__(self, config: TelemetryConfig, clock) -> None:
-        self.requests = RollingCounter(config.window_s, config.slots, clock)
-        self.errors = RollingCounter(config.window_s, config.slots, clock)
-        self.latency_ms = RollingSketch(
-            config.window_s,
-            config.slots,
-            clock,
-            relative_accuracy=config.relative_accuracy,
-        )
+    def __init__(self, clock) -> None:
+        self.requests = RollingCounter(clock=clock)
+        self.errors = RollingCounter(clock=clock)
+        self.latency_ms = RollingSketch(clock=clock)
 
 
 class ServingTelemetry:
     """The live telemetry state of one serving process."""
 
-    def __init__(
-        self,
-        config: TelemetryConfig = TelemetryConfig(),
-        clock: Callable[[], float] = time.monotonic,
-        registry=None,
-    ) -> None:
-        self.config = config
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
-        self.registry = registry
         self.started_s = clock()
-        window = (config.window_s, config.slots, clock)
         #: endpoint -> rolling request/error/latency windows.
         self._endpoints: dict[str, _EndpointWindows] = {}
         self._endpoints_lock = threading.Lock()
-        self.throttled = RollingCounter(*window)
-        self.admissions = RollingCounter(*window)
-        self.cache_hits = RollingCounter(*window)
-        self.cache_misses = RollingCounter(*window)
-        self.blocks_decoded = RollingCounter(*window)
-        self.blocks_skipped = RollingCounter(*window)
-        self.postings_decoded = RollingCounter(*window)
+        self.throttled = RollingCounter(clock=clock)
+        self.cache_hits = RollingCounter(clock=clock)
+        self.cache_misses = RollingCounter(clock=clock)
+        self.blocks_decoded = RollingCounter(clock=clock)
+        self.blocks_skipped = RollingCounter(clock=clock)
+        self.postings_decoded = RollingCounter(clock=clock)
         #: Lifetime latency sketch (all endpoints), for /debug/vars.
-        self.lifetime_ms = QuantileSketch(
-            relative_accuracy=config.relative_accuracy
-        )
-        self.trackers = [SLOTracker(slo, clock=clock) for slo in config.slos]
+        self.lifetime_ms = QuantileSketch()
+        self.trackers = [SLOTracker(slo, clock=clock) for slo in DEFAULT_SLOS]
         self._ring_lock = threading.Lock()
         #: request id -> trace dict; LRU rings, newest last.
         self._sampled: "OrderedDict[str, dict]" = OrderedDict()
         self._tail: "OrderedDict[str, dict]" = OrderedDict()
-        self._slowlog: deque[dict] = deque(maxlen=config.slowlog_capacity)
+        self._slowlog: deque[dict] = deque(maxlen=SLOWLOG_CAPACITY)
         self._id_lock = threading.Lock()
         self._next_id = 0
 
@@ -177,7 +139,7 @@ class ServingTelemetry:
             endpoint=endpoint,
             client=client,
             started_s=self.clock(),
-            sampled=sample_request(request_id, self.config.sample_every),
+            sampled=sample_request(request_id, SAMPLE_EVERY),
         )
 
     def finish(
@@ -193,7 +155,6 @@ class ServingTelemetry:
         ok = status < 500
         if not ok:
             windows.errors.add(1.0)
-        self.admissions.add(1.0)
         cached = trace.fields.get("cached")
         if cached is not None:
             (self.cache_hits if cached else self.cache_misses).add(1.0)
@@ -203,7 +164,7 @@ class ServingTelemetry:
             self.postings_decoded.add(trace.postings_decoded)
         for tracker in self.trackers:
             tracker.record(ok, duration_ms)
-        slow = duration_ms >= self.config.slow_ms
+        slow = duration_ms >= SLOW_MS
         # The tail keeps anything worth a post-hoc look: slow requests
         # and every non-2xx (client errors included — a malformed query
         # is exactly what /debug/trace gets asked about).
@@ -212,9 +173,7 @@ class ServingTelemetry:
             rendered = trace.to_dict()
             with self._ring_lock:
                 if trace.sampled:
-                    self._remember(
-                        self._sampled, rendered, self.config.trace_capacity
-                    )
+                    self._remember(self._sampled, rendered, TRACE_CAPACITY)
                 if slow or failed:
                     self._remember(self._tail, rendered, TAIL_CAPACITY)
                 if slow:
@@ -231,11 +190,8 @@ class ServingTelemetry:
                         }
                     )
 
-    def record_rejection(
-        self, endpoint: str, client: str, request_id: Optional[str] = None
-    ) -> None:
+    def record_rejection(self) -> None:
         """Book one 429 (rejected before the endpoint body ran)."""
-        self.admissions.add(1.0)
         self.throttled.add(1.0)
 
     @staticmethod
@@ -252,15 +208,23 @@ class ServingTelemetry:
             with self._endpoints_lock:
                 windows = self._endpoints.get(endpoint)
                 if windows is None:
-                    windows = _EndpointWindows(self.config, self.clock)
+                    windows = _EndpointWindows(self.clock)
                     self._endpoints[endpoint] = windows
         return windows
+
+    def _admissions(self) -> tuple[float, float]:
+        """(admitted, throttled) in the window.  Every admission either
+        ran an endpoint body or was answered 429, so the total is a sum
+        of what is booked already, not a counter of its own."""
+        with self._endpoints_lock:
+            windows = list(self._endpoints.values())
+        throttled = self.throttled.total()
+        return sum(w.requests.total() for w in windows) + throttled, throttled
 
     # -- views --------------------------------------------------------------------
 
     def vars(self) -> dict:
         """The ``/debug/vars`` payload: windowed rates and quantiles."""
-        config = self.config
         endpoints = {}
         with self._endpoints_lock:
             items = list(self._endpoints.items())
@@ -272,8 +236,7 @@ class ServingTelemetry:
                 "errors": windows.errors.total(),
                 "latency_ms": summary,
             }
-        admissions = self.admissions.total()
-        throttled = self.throttled.total()
+        admissions, throttled = self._admissions()
         hits = self.cache_hits.total()
         misses = self.cache_misses.total()
         decoded = self.blocks_decoded.total()
@@ -281,11 +244,11 @@ class ServingTelemetry:
         visited = decoded + skipped
         return {
             "uptime_s": self.clock() - self.started_s,
-            "window_s": config.window_s,
+            "window_s": DEFAULT_WINDOW_S,
             "endpoints": endpoints,
             "admissions": {
                 "requests": admissions,
-                "rps": self.admissions.rate_per_s(),
+                "rps": admissions / DEFAULT_WINDOW_S,
                 "throttled": throttled,
                 "throttle_ratio": throttled / admissions if admissions else 0.0,
             },
@@ -308,8 +271,8 @@ class ServingTelemetry:
             "traces": {
                 "sampled": len(self._sampled),
                 "tail": len(self._tail),
-                "sample_every": config.sample_every,
-                "slow_ms": config.slow_ms,
+                "sample_every": SAMPLE_EVERY,
+                "slow_ms": SLOW_MS,
             },
         }
 
@@ -349,12 +312,11 @@ class ServingTelemetry:
 
     def diagnose(self) -> list[Finding]:
         """Sliding-window findings; empty when serving looks healthy."""
-        config = self.config.doctor
         findings: list[Finding] = []
 
         hits = self.cache_hits.total()
         lookups = hits + self.cache_misses.total()
-        if lookups >= config.cache_min_lookups:
+        if lookups >= CACHE_MIN_LOOKUPS:
             hit_rate = hits / lookups
             if hit_rate < CACHE_MIN_HIT_RATE:
                 findings.append(
@@ -377,8 +339,7 @@ class ServingTelemetry:
                     )
                 )
 
-        admissions = self.admissions.total()
-        throttled = self.throttled.total()
+        admissions, throttled = self._admissions()
         if admissions >= THROTTLE_MIN_REQUESTS and throttled:
             ratio = throttled / admissions
             if ratio >= THROTTLE_MAX_RATIO:

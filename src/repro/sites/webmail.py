@@ -7,9 +7,9 @@ folder-tabbed inbox whose folders load via AJAX **and whose messages
 carry Delete buttons that really mutate server state**.
 
 A correct crawler must (a) enumerate the folder events and (b) *refuse*
-to fire the destructive ones — the ``update_event_patterns`` guard of
-:class:`~repro.crawler.config.CrawlerConfig`.  The server counts every
-delete so tests can prove no message was harmed.
+to fire the destructive ones — the crawler's
+:data:`~repro.crawler.ajax.UPDATE_EVENT_PATTERNS` guard.  The server
+counts every delete so tests can prove no message was harmed.
 
 SimMail also serves the crawl-granularity hint file the thesis predicts
 ("we predict that in the future, AJAX Web Sites will provide a

@@ -26,7 +26,7 @@ from repro.testgen.spec import PageSpec, SiteSpec, TransitionSpec
 
 #: Shared vocabulary sprinkled over state fragments (search realism:
 #: non-unique terms with document frequency > 1).  Deliberately free of
-#: the default ``update_event_patterns`` substrings (delete/remove/...)
+#: the crawler's ``UPDATE_EVENT_PATTERNS`` substrings (delete/remove/...)
 #: so no generated handler is ever mistaken for a destructive event.
 WORD_CORPUS = (
     "amber", "basalt", "cobalt", "delta", "ember", "fjord", "garnet",

@@ -68,7 +68,7 @@ VOLATILE_MARKER_SUBSTRINGS = ("vol", "zz")
 #: state of a page draws its own exclusive slice, so distinct states
 #: share (almost) no features and sit far apart in simhash space while
 #: twins differ by one noise token.  Like ``WORD_CORPUS``, every word is
-#: free of ``update_event_patterns`` substrings *and* of
+#: free of ``UPDATE_EVENT_PATTERNS`` substrings *and* of
 #: :data:`VOLATILE_MARKER_SUBSTRINGS`.
 NOISY_WORD_CORPUS = (
     "acorn", "alloy", "anchor", "aspen", "atlas", "auburn", "bamboo",

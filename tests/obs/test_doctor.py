@@ -10,8 +10,8 @@ from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule
 from repro.obs import MetricsRegistry
 from repro.obs.doctor import (
-    DEFAULT_DOCTOR_CONFIG,
-    DoctorConfig,
+    QUARANTINE_MIN_COUNT,
+    QUARANTINE_MIN_RATIO,
     Signals,
     diagnose,
     format_findings,
@@ -35,14 +35,14 @@ def rules_of(findings):
 
 
 class TestRules:
-    def diagnose_signals(self, signals, config=DEFAULT_DOCTOR_CONFIG):
+    def diagnose_signals(self, signals):
         base = Signals()
         base.merge_max(signals)
         findings = []
         from repro.obs.doctor import RULES
 
         for rule in RULES:
-            finding = rule(base, config)
+            finding = rule(base)
             if finding is not None:
                 findings.append(finding)
         return findings
@@ -107,10 +107,19 @@ class TestRules:
         no_incremental = Signals(hash_nodes_hashed=90, hash_nodes_skipped=10)
         assert not self.diagnose_signals(no_incremental)
 
-    def test_thresholds_are_configurable(self):
-        config = DoctorConfig(quarantine_min_count=1, quarantine_min_ratio=0.01)
-        signals = Signals(events_fired=100, events_quarantined=1)
-        assert rules_of(self.diagnose_signals(signals, config)) == {"quarantine-storm"}
+    def test_quarantine_storm_fires_at_the_default_thresholds(self):
+        # Exactly the minimum count at exactly the minimum ratio fires;
+        # one event fewer, or one more fired event, does not.
+        count = QUARANTINE_MIN_COUNT
+        fired = round(count / QUARANTINE_MIN_RATIO)
+        at = Signals(events_fired=fired, events_quarantined=count)
+        assert rules_of(self.diagnose_signals(at)) == {"quarantine-storm"}
+        assert not self.diagnose_signals(
+            Signals(events_fired=fired, events_quarantined=count - 1)
+        )
+        assert not self.diagnose_signals(
+            Signals(events_fired=fired + 1, events_quarantined=count)
+        )
 
 
 # -- signal extraction -----------------------------------------------------------------

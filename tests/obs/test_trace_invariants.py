@@ -79,15 +79,12 @@ class TestStateAccounting:
 
     def test_cap_rejections_fire_state_capped(self):
         # Video 8 of this corpus has six comment pages — far more fresh
-        # states than a cap of 2 admits (hints off to hit the raw cap).
+        # states than a cap of 2 admits (SimTube serves no granularity
+        # hint, so the raw cap is the one hit).
         site = SyntheticYouTube(SiteConfig(num_videos=10, seed=7))
         urls = [site.video_url(8)]
         events = traced_crawl(
-            site,
-            urls,
-            config=CrawlerConfig(
-                max_additional_states=2, respect_granularity_hints=False
-            ),
+            site, urls, config=CrawlerConfig(max_additional_states=2)
         )
         assert count(events, STATE_CAPPED) > 0
         changed = count(events, EVENT_FIRED, changed=True, quarantined=False)

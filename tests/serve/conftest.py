@@ -1,9 +1,12 @@
 """Shared fixtures for the serving-layer tests."""
 
+import itertools
+
 import pytest
 
 from repro.model import ApplicationModel, EventAnnotation
 from repro.search import SearchEngine
+from repro.serve.telemetry import SAMPLE_EVERY, sample_request
 
 
 class FakeClock:
@@ -17,6 +20,14 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+def request_ids(count, sampled, prefix="r"):
+    """The first ``count`` ids ``<prefix>-N`` the hash sample does (or
+    does not) keep: trace retention is driven by the id, not a setting."""
+    ids = (f"{prefix}-{n}" for n in itertools.count())
+    chosen = (i for i in ids if sample_request(i, SAMPLE_EVERY) == sampled)
+    return list(itertools.islice(chosen, count))
 
 
 def pagination_model(url, page_texts):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.serve import SearchServer, SearchService, ServeConfig, TelemetryConfig
+from repro.serve import SearchServer, SearchService
 
 
 class TestServeArgs:
@@ -73,8 +73,7 @@ class TestLoadtestCommand:
 
 class TestTopCommand:
     def test_top_renders_live_vars(self, engine, capsys):
-        config = ServeConfig(telemetry=TelemetryConfig())
-        with SearchServer(SearchService(engine, config)) as server:
+        with SearchServer(SearchService(engine)) as server:
             server.service.search({"q": "morcheeba"})
             server.service.search({"q": "morcheeba"})
             code = main(
@@ -91,12 +90,5 @@ class TestTopCommand:
             ["top", "--url", "http://127.0.0.1:1", "--iterations", "1",
              "--timeout", "0.5"]
         )
-        assert code == 1
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_top_fails_cleanly_when_telemetry_disabled(self, engine, capsys):
-        config = ServeConfig(telemetry=TelemetryConfig(enabled=False))
-        with SearchServer(SearchService(engine, config)) as server:
-            code = main(["top", "--url", server.url, "--iterations", "1"])
         assert code == 1
         assert "cannot read" in capsys.readouterr().err

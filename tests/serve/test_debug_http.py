@@ -6,13 +6,16 @@ import urllib.request
 
 import pytest
 
+from repro.net.latency import ConstantLatency
 from repro.serve import (
     REQUEST_ID_HEADER,
     SearchServer,
     SearchService,
     ServeConfig,
-    TelemetryConfig,
 )
+from repro.serve.telemetry import SLOW_MS
+
+from tests.serve.conftest import FakeClock, request_ids
 
 
 def get(url, client="tester", request_id=None):
@@ -34,47 +37,84 @@ def get(url, client="tester", request_id=None):
 
 @pytest.fixture
 def server(engine):
+    with SearchServer(SearchService(engine)) as running:
+        yield running
+
+
+@pytest.fixture
+def slow_server(engine):
+    """Every uncached request takes exactly ``SLOW_MS`` on a fake clock
+    that the injected latency advances: slow without sleeping."""
+    clock = FakeClock(1000.0)
     config = ServeConfig(
-        telemetry=TelemetryConfig(sample_every=1, slow_ms=10_000.0)
+        latency_ms=SLOW_MS, latency_distribution=ConstantLatency(1.0)
     )
-    with SearchServer(SearchService(engine, config)) as running:
+    service = SearchService(engine, config, clock=clock, sleep=clock.advance)
+    with SearchServer(service) as running:
         yield running
 
 
 class TestRequestId:
     def test_client_request_id_is_echoed_and_traceable(self, server):
+        (mine,) = request_ids(1, sampled=True, prefix="my-req")
         status, _, headers = get(
-            f"{server.url}/search?q=morcheeba", request_id="my-req-1"
+            f"{server.url}/search?q=morcheeba", request_id=mine
         )
         assert status == 200
-        assert headers[REQUEST_ID_HEADER] == "my-req-1"
-        status, trace, _ = get(f"{server.url}/debug/trace?id=my-req-1")
+        assert headers[REQUEST_ID_HEADER] == mine
+        status, trace, _ = get(f"{server.url}/debug/trace?id={mine}")
         assert status == 200
-        assert trace["request_id"] == "my-req-1"
+        assert trace["request_id"] == mine
         assert trace["endpoint"] == "search"
         assert trace["fields"]["query"] == "morcheeba"
         assert trace["fields"]["cached"] is False
         assert trace["fields"]["matches"] == 3
         assert trace["fields"]["completed"] == 3  # a page of ten holds all three
 
-    def test_server_assigns_an_id_when_client_sends_none(self, server):
-        status, _, headers = get(f"{server.url}/search?q=morcheeba")
+    def test_server_assigns_an_id_when_client_sends_none(self, slow_server):
+        # Slow, so the tail ring keeps it whatever id the server picks.
+        status, _, headers = get(f"{slow_server.url}/search?q=morcheeba")
         assert status == 200
         assigned = headers[REQUEST_ID_HEADER]
         assert assigned.startswith("req-")
-        status, trace, _ = get(f"{server.url}/debug/trace?id={assigned}")
+        status, trace, _ = get(f"{slow_server.url}/debug/trace?id={assigned}")
         assert status == 200
         assert trace["client"] == "tester"
 
-    def test_error_requests_are_retained_in_the_tail(self, engine):
-        # sample_every huge: only the tail ring can retain the 400.
-        config = ServeConfig(telemetry=TelemetryConfig(sample_every=10**6))
-        with SearchServer(SearchService(engine, config)) as server:
-            status, _, _ = get(f"{server.url}/search?q=", request_id="bad-1")
-            assert status == 400
-            status, trace, _ = get(f"{server.url}/debug/trace?id=bad-1")
+    def test_error_requests_are_retained_in_the_tail(self, server):
+        # An id the hash sample skips: only the tail ring can retain the 400.
+        (bad,) = request_ids(1, sampled=False, prefix="bad")
+        status, _, _ = get(f"{server.url}/search?q=", request_id=bad)
+        assert status == 400
+        status, trace, _ = get(f"{server.url}/debug/trace?id={bad}")
         assert status == 200
         assert trace["status"] == 400
+
+    def test_error_answers_carry_the_server_assigned_id(self, server):
+        # The id of a failed request is the one thing the client needs
+        # to ask /debug/trace what went wrong.
+        status, _, headers = get(f"{server.url}/search?q=")
+        assert status == 400
+        assigned = headers[REQUEST_ID_HEADER]
+        status, trace, _ = get(f"{server.url}/debug/trace?id={assigned}")
+        assert status == 200
+        assert trace["status"] == 400
+        status, _, headers = get(f"{server.url}/result?uri=url1&state=s0")
+        assert status == 404  # no models: result rendering not configured
+        assert headers[REQUEST_ID_HEADER].startswith("req-")
+
+    def test_a_500_carries_the_request_id(self, server, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(server.service.engine, "top", broken)
+        status, body, headers = get(
+            f"{server.url}/search?q=morcheeba", request_id="boom-1"
+        )
+        assert (status, body["status"]) == (500, 500)
+        assert headers[REQUEST_ID_HEADER] == "boom-1"
+        status, trace, _ = get(f"{server.url}/debug/trace?id=boom-1")
+        assert (status, trace["status"]) == (200, 500)
 
 
 class TestDebugEndpoints:
@@ -98,12 +138,9 @@ class TestDebugEndpoints:
         }
         assert data["findings"] == []
 
-    def test_slow_log_over_http(self, engine):
-        # slow_ms=0: every request counts as slow and lands in the log.
-        config = ServeConfig(telemetry=TelemetryConfig(slow_ms=0.0))
-        with SearchServer(SearchService(engine, config)) as server:
-            get(f"{server.url}/search?q=morcheeba")
-            status, data, _ = get(f"{server.url}/debug/slow")
+    def test_slow_log_over_http(self, slow_server):
+        get(f"{slow_server.url}/search?q=morcheeba")
+        status, data, _ = get(f"{slow_server.url}/debug/slow")
         assert status == 200
         assert len(data["slow"]) == 1
         assert data["slow"][0]["query"] == "morcheeba"
@@ -116,29 +153,16 @@ class TestDebugEndpoints:
         assert status == 400
 
     def test_throttled_requests_are_counted(self, engine):
-        config = ServeConfig(
-            rate_limit_rps=0.001,
-            rate_limit_burst=2.0,
-            telemetry=TelemetryConfig(),
-        )
+        config = ServeConfig(rate_limit_rps=0.001, rate_limit_burst=2.0)
         with SearchServer(SearchService(engine, config)) as server:
-            statuses = [
-                get(f"{server.url}/search?q=morcheeba", client="burster")[0]
+            answers = [
+                get(f"{server.url}/search?q=morcheeba", client="burster")
                 for _ in range(5)
             ]
             _, data, _ = get(f"{server.url}/debug/vars")
+        statuses = [status for status, _, _ in answers]
         assert statuses.count(429) == 3
+        assert all(REQUEST_ID_HEADER in headers for _, _, headers in answers)
         assert data["admissions"]["throttled"] == 3.0
         # 2 admitted + 3 rejected (/debug/* itself is not admitted).
         assert data["admissions"]["requests"] == 5.0
-
-    def test_disabled_telemetry_turns_debug_into_404(self, engine):
-        config = ServeConfig(telemetry=TelemetryConfig(enabled=False))
-        with SearchServer(SearchService(engine, config)) as server:
-            status, _, headers = get(f"{server.url}/search?q=morcheeba")
-            assert status == 200
-            assert REQUEST_ID_HEADER not in headers
-            for path in ("/debug/vars", "/debug/slo", "/debug/slow"):
-                status, body, _ = get(f"{server.url}{path}")
-                assert status == 404
-                assert "disabled" in body["error"]

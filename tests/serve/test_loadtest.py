@@ -4,18 +4,22 @@ import random
 
 import pytest
 
-from repro.obs.sketch import QuantileSketch, merge_sketches
+from repro.obs.sketch import QuantileSketch
 from repro.serve import (
     LoadTestConfig,
     SearchServer,
     SearchService,
     ServeConfig,
-    percentile,
     run_loadtest,
 )
 
+from tests.obs.test_sketch import percentile
+
 
 class TestPercentile:
+    """The exact nearest-rank reference the report's sketched
+    percentiles are held to (below and in ``tests/obs``)."""
+
     def test_empty(self):
         assert percentile([], 0.5) == 0.0
 
@@ -46,7 +50,9 @@ class TestSketchEstimator:
         sketches = [QuantileSketch() for _ in range(4)]
         for index, value in enumerate(latencies):
             sketches[index % 4].observe(value)
-        merged = merge_sketches(sketches)
+        merged = QuantileSketch()
+        for sketch in sketches:
+            merged.merge(sketch)
         exact = sorted(latencies)
         for fraction in (0.5, 0.95, 0.99):
             truth = percentile(exact, fraction)

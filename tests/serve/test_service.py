@@ -15,6 +15,7 @@ from repro.serve import (
     ServeConfig,
     UpstreamFailed,
 )
+from repro.serve.service import MAX_LIMIT
 from repro.sites import SiteConfig, SyntheticYouTube
 
 from tests.serve.conftest import FakeClock, pagination_model
@@ -53,12 +54,11 @@ class TestSearchValidation:
         with pytest.raises(BadRequest):
             service.search({"q": "morcheeba", "limit": raw})
 
-    def test_limit_above_max_is_bad_request(self, engine, fake_clock):
-        service = SearchService(
-            engine, ServeConfig(max_limit=50), clock=fake_clock
-        )
+    def test_limit_above_max_is_bad_request(self, service):
+        page = service.search({"q": "morcheeba", "limit": str(MAX_LIMIT)})
+        assert page["limit"] == MAX_LIMIT
         with pytest.raises(BadRequest, match="maximum"):
-            service.search({"q": "morcheeba", "limit": "51"})
+            service.search({"q": "morcheeba", "limit": str(MAX_LIMIT + 1)})
 
     def test_negative_offset_is_bad_request(self, service):
         with pytest.raises(BadRequest):

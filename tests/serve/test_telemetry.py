@@ -2,24 +2,24 @@
 
 import pytest
 
-from repro.obs.reqtrace import RequestTrace
-from repro.obs.slo import BURN_RATE_RULE, SLO
+from repro.obs.slo import BURN_RATE_RULE
+from repro.obs.window import DEFAULT_WINDOW_S
 from repro.serve.telemetry import (
     DEFAULT_SLOS,
-    LiveDoctorConfig,
+    SLOW_MS,
+    SLOWLOG_CAPACITY,
+    TRACE_CAPACITY,
     ServingTelemetry,
-    TelemetryConfig,
     format_top,
     sample_request,
 )
 
-from tests.serve.conftest import FakeClock
+from tests.serve.conftest import FakeClock, request_ids
 
 
-def telemetry(**overrides) -> tuple[ServingTelemetry, FakeClock]:
+def telemetry() -> tuple[ServingTelemetry, FakeClock]:
     clock = FakeClock(1000.0)
-    config = TelemetryConfig(**overrides)
-    return ServingTelemetry(config, clock=clock), clock
+    return ServingTelemetry(clock), clock
 
 
 def finish_one(
@@ -86,49 +86,54 @@ class TestWindowsAndVars:
         assert data["index"]["decode_fraction"] == pytest.approx(0.25)
 
     def test_windows_expire_on_the_clock(self):
-        tel, clock = telemetry(window_s=60.0)
+        tel, clock = telemetry()
         finish_one(tel)
-        clock.advance(61.0)
+        clock.advance(DEFAULT_WINDOW_S + 1.0)
         data = tel.vars()
         assert data["endpoints"]["search"]["requests"] == 0.0
 
 
 class TestTraceRetention:
     def test_sampled_ring_keeps_and_evicts_lru(self):
-        tel, _ = telemetry(sample_every=1, trace_capacity=3)
-        for index in range(5):
-            finish_one(tel, request_id=f"r-{index}")
-        assert tel.trace("r-0") is None
-        assert tel.trace("r-4")["request_id"] == "r-4"
-        assert tel.vars()["traces"]["sampled"] == 3
+        tel, _ = telemetry()
+        ids = request_ids(TRACE_CAPACITY + 1, sampled=True)
+        for request_id in ids:
+            finish_one(tel, request_id=request_id)
+        assert tel.trace(ids[0]) is None
+        assert tel.trace(ids[-1])["request_id"] == ids[-1]
+        assert tel.vars()["traces"]["sampled"] == TRACE_CAPACITY
 
     def test_tail_always_retains_slow_and_error_requests(self):
-        # sample_every huge: nothing is hash-sampled, so retention must
-        # come from the tail ring alone.
-        tel, _ = telemetry(sample_every=10**6, slow_ms=100.0)
-        finish_one(tel, request_id="fast", duration_ms=1.0)
-        finish_one(tel, request_id="slow", duration_ms=150.0)
-        finish_one(tel, request_id="boom", status=502, duration_ms=1.0)
-        assert tel.trace("fast") is None
-        assert tel.trace("slow")["duration_ms"] == 150.0
-        assert tel.trace("boom")["status"] == 502
+        # Ids the hash sample skips: retention must come from the tail
+        # ring alone.
+        tel, _ = telemetry()
+        fast, slow, boom = request_ids(3, sampled=False)
+        finish_one(tel, request_id=fast, duration_ms=1.0)
+        finish_one(tel, request_id=slow, duration_ms=SLOW_MS * 1.5)
+        finish_one(tel, request_id=boom, status=502, duration_ms=1.0)
+        assert tel.trace(fast) is None
+        assert tel.trace(slow)["duration_ms"] == SLOW_MS * 1.5
+        assert tel.trace(boom)["status"] == 502
 
     def test_slowlog_is_newest_first_and_bounded(self):
-        tel, _ = telemetry(slow_ms=10.0, slowlog_capacity=2)
-        for index in range(4):
+        tel, _ = telemetry()
+        for index in range(SLOWLOG_CAPACITY + 1):
             finish_one(
-                tel, request_id=f"s-{index}", duration_ms=20.0, query=f"q{index}"
+                tel, request_id=f"s-{index}", duration_ms=SLOW_MS, query=f"q{index}"
             )
         slow = tel.slow_queries()
-        assert [entry["request_id"] for entry in slow] == ["s-3", "s-2"]
-        assert slow[0]["query"] == "q3"
+        assert [entry["request_id"] for entry in slow] == [
+            f"s-{index}" for index in range(SLOWLOG_CAPACITY, 0, -1)
+        ]
+        assert slow[0]["query"] == f"q{SLOWLOG_CAPACITY}"
 
     def test_trace_includes_index_stats(self):
-        tel, _ = telemetry(sample_every=1)
-        trace = tel.begin("search", "c", "rid")
+        tel, _ = telemetry()
+        (request_id,) = request_ids(1, sampled=True)
+        trace = tel.begin("search", "c", request_id)
         trace.add_index_stats(4, 12, 100)
         tel.finish(trace, 200, 1.0)
-        found = tel.trace("rid")
+        found = tel.trace(request_id)
         assert found["index"]["decode_fraction"] == pytest.approx(0.25)
 
 
@@ -153,7 +158,7 @@ class TestLiveDoctor:
         for _ in range(10):
             finish_one(tel)
         for _ in range(10):
-            tel.record_rejection("search", "noisy")
+            tel.record_rejection()
         findings = {f.rule: f for f in tel.diagnose()}
         assert "throttle-storm" in findings
         assert findings["throttle-storm"].signal == pytest.approx(0.5)
@@ -167,9 +172,7 @@ class TestLiveDoctor:
         assert "segment-read-amplification" in rules
 
     def test_burn_rate_findings_flow_through(self):
-        tel, clock = telemetry(
-            slos=(SLO("availability", objective=0.999),),
-        )
+        tel, clock = telemetry()
         for _ in range(20):
             finish_one(tel, status=500)
             clock.advance(1.0)
@@ -180,12 +183,6 @@ class TestLiveDoctor:
         tel, _ = telemetry()
         names = [entry["name"] for entry in tel.slo_status()["slos"]]
         assert names == [slo.name for slo in DEFAULT_SLOS]
-
-    def test_doctor_thresholds_are_configurable(self):
-        tel, _ = telemetry(doctor=LiveDoctorConfig(cache_min_lookups=5))
-        for _ in range(6):
-            finish_one(tel, cached=False)
-        assert any(f.rule == "serve-cache-collapse" for f in tel.diagnose())
 
 
 class TestFormatTop:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.clock import CostModel
 from repro.crawler import AjaxCrawler, CrawlerConfig
+from repro.crawler.ajax import UPDATE_EVENT_PATTERNS
 from repro.net import Request
 from repro.sites import AJAX_ROBOTS_PATH, SyntheticWebmail
 
@@ -53,6 +54,18 @@ class TestUpdateEventGuard:
         assert mail.delete_count == 0
         assert result.metrics.update_events_skipped > 0
 
+    def test_delete_handlers_are_enumerated_and_never_fired(self, mail):
+        # Not vacuous: the inbox does offer delete events, the guard
+        # matches them, and no transition of the model fired one.
+        page = AjaxCrawler(mail, cost_model=cost()).browser.load(mail.inbox_url)
+        handlers = [binding.handler.lower() for binding in page.events()]
+        guarded = [h for h in handlers if any(p in h for p in UPDATE_EVENT_PATTERNS)]
+        assert guarded and len(guarded) < len(handlers)
+        result = AjaxCrawler(mail, cost_model=cost()).crawl_page(mail.inbox_url)
+        fired = [t.event.handler.lower() for t in result.model.transitions()]
+        assert fired and not any(p in h for h in fired for p in UPDATE_EVENT_PATTERNS)
+        assert mail.delete_count == 0
+
     def test_folder_states_still_crawled(self, mail):
         crawler = AjaxCrawler(mail, cost_model=cost())
         result = crawler.crawl_page(mail.inbox_url)
@@ -60,23 +73,6 @@ class TestUpdateEventGuard:
         assert any("nightly build" in t for t in texts)  # inbox
         assert any("old invoice" in t for t in texts)  # archive
         assert any("urgent business" in t for t in texts)  # spam
-
-    def test_guard_disabled_fires_deletes(self):
-        """Without the guard the crawler destroys the mailbox — the
-        exact behaviour the thesis rules out."""
-        mail = SyntheticWebmail(max_states_hint=50)
-        config = CrawlerConfig(update_event_patterns=())
-        crawler = AjaxCrawler(mail, config, cost_model=cost())
-        crawler.crawl_page(mail.inbox_url)
-        assert mail.delete_count > 0
-
-    def test_custom_patterns(self, mail):
-        config = CrawlerConfig(update_event_patterns=("openfolder",))
-        crawler = AjaxCrawler(mail, config, cost_model=cost())
-        result = crawler.crawl_page(mail.inbox_url)
-        # With folder-opening treated as destructive nothing is crawled
-        # beyond the initial state (but deletes now fire!).
-        assert all("openFolder" not in t.event.handler for t in result.model.transitions())
 
 
 class TestGranularityHints:
@@ -91,13 +87,6 @@ class TestGranularityHints:
         crawler = AjaxCrawler(mail, CrawlerConfig(max_additional_states=1), cost_model=cost())
         result = crawler.crawl_page(mail.inbox_url)
         assert result.model.num_states <= 2  # config cap (1+1) wins
-
-    def test_hint_ignorable(self):
-        mail = SyntheticWebmail(max_states_hint=1)
-        config = CrawlerConfig(respect_granularity_hints=False)
-        crawler = AjaxCrawler(mail, config, cost_model=cost())
-        result = crawler.crawl_page(mail.inbox_url)
-        assert result.model.num_states == 3  # all folders
 
     def test_site_without_hint_uses_config(self):
         from repro.sites import SiteConfig, SyntheticYouTube

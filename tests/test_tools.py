@@ -15,11 +15,9 @@ import pytest
 
 from repro.crawler import CrawlerConfig
 from repro.net.faults import RetryPolicy
-from repro.obs.doctor import DoctorConfig
 from repro.search import RankingWeights, SegmentedIndex
 from repro.serve.loadtest import LoadTestConfig
 from repro.serve.service import ServeConfig
-from repro.serve.telemetry import LiveDoctorConfig, TelemetryConfig
 from repro.sites import SiteConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -27,11 +25,8 @@ REPO = Path(__file__).resolve().parent.parent
 #: Independently settable values per config object.  A new knob has to
 #: edit a number here, in review; one value in use is a constant.
 KNOB_CENSUS = {
-    CrawlerConfig: 11,
-    ServeConfig: 8,
-    TelemetryConfig: 10,
-    LiveDoctorConfig: 1,
-    DoctorConfig: 3,
+    CrawlerConfig: 7,
+    ServeConfig: 6,
     RetryPolicy: 4,
     LoadTestConfig: 4,
     SiteConfig: 5,
@@ -48,7 +43,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 22_232
+SRC_LINE_CEILING = 22_078
 
 
 def test_src_line_ceiling():

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.testgen.fuzz as fuzz_module
-from repro.crawler import CrawlerConfig
+from repro.crawler.ajax import UPDATE_EVENT_PATTERNS
 from repro.errors import JsRuntimeError, JsSyntaxError
 from repro.testgen.noisy import VOLATILE_MARKER_SUBSTRINGS
 from repro.js import Interpreter
@@ -153,10 +153,9 @@ class TestPoolHygiene:
     )
 
     def test_pools_avoid_update_event_patterns(self):
-        patterns = CrawlerConfig().update_event_patterns
         for pool in self.POOLS:
             for entry in pool:
-                assert not any(p in entry.lower() for p in patterns), entry
+                assert not any(p in entry.lower() for p in UPDATE_EVENT_PATTERNS), entry
 
     def test_pools_avoid_volatile_marker_substrings(self):
         for pool in self.POOLS:

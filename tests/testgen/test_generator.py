@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crawler import CrawlerConfig
+from repro.crawler.ajax import UPDATE_EVENT_PATTERNS
 from repro.search import tokenize
 from repro.testgen.noisy import VOLATILE_MARKER_SUBSTRINGS
 from repro.testgen import (
@@ -145,7 +145,7 @@ class TestSerialization:
 class TestCorpusHygiene:
     """Stable vocabularies must never collide with marker machinery.
 
-    A corpus word containing an ``update_event_patterns`` substring
+    A corpus word containing an ``UPDATE_EVENT_PATTERNS`` substring
     would make the crawler refuse a generated handler; one containing a
     volatile-region marker substring (``vol``/``zz``) could satisfy a
     noisy-twin oracle's text assertion from *stable* prose, masking a
@@ -153,9 +153,8 @@ class TestCorpusHygiene:
     """
 
     def test_word_corpus_avoids_update_event_patterns(self):
-        patterns = CrawlerConfig().update_event_patterns
         for word in WORD_CORPUS:
-            assert not any(p in word for p in patterns), word
+            assert not any(p in word for p in UPDATE_EVENT_PATTERNS), word
 
     def test_word_corpus_avoids_volatile_marker_substrings(self):
         for word in WORD_CORPUS:
