@@ -96,8 +96,8 @@ bench-ab:
 	$(PYTHON) tools/ab_bench.py $(A) $(B) --workload $(W) --pairs $(PAIRS)
 
 # Segmented-index gate: mints a 100k-state corpus (REPRO_BENCH_INDEX_STATES
-# scales it), builds both index backends and enforces the >=5x on-disk
-# size floor, block-skipping decode floor and query-latency budgets
+# scales it), builds both index backends and enforces the <=11 B/posting
+# on-disk size floor, block-skipping decode floor and query-latency budgets
 # (writes benchmarks/results/BENCH_index.json).  The index_parity
 # differential check itself runs inside testgen-smoke.
 bench-index:

@@ -9,8 +9,8 @@ shell or a small Swing GUI.  This module is the equivalent CLI::
     repro-ajax crawl     --site simtube:100:7 --root runs/crawl \
                          --trace runs/crawl.trace.jsonl --metrics runs/metrics.json
     repro-ajax trace summarize runs/crawl.trace.jsonl
-    repro-ajax index     --root runs/crawl --out runs/index.json
-    repro-ajax search    --index runs/index.json --query "american idol"
+    repro-ajax index build --root runs/crawl --segments runs/index
+    repro-ajax search    --index runs/index --query "american idol"
     repro-ajax stats     --root runs/crawl
 
 Sites are addressed by spec strings (the servers are simulated):
@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.crawler import CrawlerConfig
 from repro.dom.simhash import bands_for_threshold
+from repro.errors import SearchError
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule
 from repro.net.server import SimulatedServer
 from repro.obs import (
@@ -58,7 +59,7 @@ from repro.parallel import (
     load_models,
     save_models,
 )
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex
+from repro.search import SearchEngine, SegmentedIndex
 from repro.search.segmented import DEFAULT_FLUSH_POSTINGS
 from repro.sites import SiteConfig, SyntheticWebmail, SyntheticYouTube
 
@@ -242,24 +243,6 @@ def build_index(index, root: str) -> str:
             f"({index.vocabulary_size} terms)")
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    command = getattr(args, "index_command", None)
-    if command == "build":
-        return cmd_index_build(args)
-    if command == "compact":
-        return cmd_index_compact(args)
-    if command == "stats":
-        return cmd_index_stats(args)
-    # Legacy flat form: build the in-memory inverted file as JSON.
-    if not args.root or not args.out:
-        raise SystemExit("index needs --root and --out (or a build/compact/stats subcommand)")
-    index = InvertedFile(max_state_index=args.max_state_index)
-    summary = build_index(index, args.root)
-    index.save(args.out)
-    print(f"{summary} -> {args.out}")
-    return 0
-
-
 def cmd_index_build(args: argparse.Namespace) -> int:
     index = SegmentedIndex(
         args.segments,
@@ -290,16 +273,8 @@ def cmd_index_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def load_index(path: str):
-    """A query index from ``path``: a segmented index directory or the
-    legacy JSON inverted file."""
-    if Path(path).is_dir():
-        return SegmentedIndex.open(path)
-    return InvertedFile.load(path)
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = SegmentedIndex.open(args.index)
     pageranks = {}
     if args.pagerank:
         pageranks = json.loads(Path(args.pagerank).read_text(encoding="utf-8"))
@@ -327,7 +302,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     models = None
     site = None
     if args.index:
-        engine = SearchEngine(load_index(args.index))
+        engine = SearchEngine(SegmentedIndex.open(args.index))
         print(f"loaded index {args.index}: {engine.index.num_states} states")
     else:
         site = build_site(args.site)
@@ -682,15 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crawl.set_defaults(fn=cmd_crawl)
 
-    index = sub.add_parser(
-        "index",
-        help="build/inspect indexes (flat --root/--out = legacy JSON inverted file)",
-    )
-    index.add_argument("--root", default=None)
-    index.add_argument("--out", default=None)
-    index.add_argument("--max-state-index", type=int, default=None)
-    index.set_defaults(fn=cmd_index)
-    index_sub = index.add_subparsers(dest="index_command", required=False)
+    index = sub.add_parser("index", help="build, compact and inspect a segmented index")
+    index_sub = index.add_subparsers(dest="index_command", required=True)
     ix_build = index_sub.add_parser(
         "build", help="build an on-disk segmented index from crawled models"
     )
@@ -703,27 +671,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ix_build.add_argument("--block-size", type=int, default=128, metavar="N",
                           help="postings per on-disk block (skip granularity)")
+    ix_build.set_defaults(fn=cmd_index_build)
     ix_compact = index_sub.add_parser(
         "compact", help="merge every segment of an index directory into one"
     )
     ix_compact.add_argument("--segments", required=True, help="index directory")
+    ix_compact.set_defaults(fn=cmd_index_compact)
     ix_stats = index_sub.add_parser(
         "stats", help="print a segmented index's inventory as JSON"
     )
     ix_stats.add_argument("--segments", required=True, help="index directory")
+    ix_stats.set_defaults(fn=cmd_index_stats)
 
-    search = sub.add_parser("search", help="query a saved inverted file")
-    search.add_argument(
-        "--index", required=True,
-        help="JSON inverted file or segmented index directory",
-    )
+    search = sub.add_parser("search", help="query a segmented index directory")
+    search.add_argument("--index", required=True, help="segmented index directory")
     search.add_argument("--query", required=True)
     search.add_argument("--pagerank", default=None)
     search.add_argument("--limit", type=_result_limit, default=10)
     search.set_defaults(fn=cmd_search)
 
     serve = sub.add_parser("serve", help="HTTP search service over an index or site")
-    serve.add_argument("--index", default=None, help="saved inverted file (search only)")
+    serve.add_argument("--index", default=None, help="segmented index directory (search only)")
     serve.add_argument(
         "--site", default=None,
         help="site spec to crawl + serve with /result replay, e.g. simtube:50:7",
@@ -899,7 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SearchError as error:
+        raise SystemExit(f"repro-ajax {args.command}: {error}") from None
 
 
 if __name__ == "__main__":

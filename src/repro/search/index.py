@@ -18,11 +18,9 @@ where a flush goes — :class:`InvertedFile` keeps it in memory.
 from __future__ import annotations
 
 import heapq
-import json
 import threading
 from abc import ABC, abstractmethod
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SearchError
@@ -298,56 +296,7 @@ class InvertedFile(Index):
     """Keyword → sorted posting list, plus per-state statistics, in
     memory: the buffer is never emptied and nothing is ever flushed, so
     its generation is the one view of the buffer and ``finalize`` is
-    building it.  What it adds is the JSON form."""
+    building it.  It never saves; a segment directory is what persists."""
 
     def finalize(self) -> None:
         self._segments()
-
-    # -- serialization ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        segments = self._segments()  # the one view, or none of an empty buffer
-        rows = self._memtable.state_rows()
-        return {
-            "max_state_index": self.max_state_index,
-            "stopwords": sorted(self.stopwords) if self.stopwords else None,
-            "postings": {
-                term: [
-                    [*segment.state_key(ordinal), list(occurrences)]
-                    for segment in segments
-                    for ordinal, occurrences in zip(*segment.columns(term))
-                ]
-                for term in self._memtable.terms()
-            },
-            "state_lengths": [[uri, state_id, length] for uri, state_id, length, _, _ in rows],
-            "state_depths": [[uri, state_id, depth] for uri, state_id, _, depth, _ in rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvertedFile":
-        stopwords = data.get("stopwords")
-        index = cls(
-            max_state_index=data.get("max_state_index"),
-            stopwords=frozenset(stopwords) if stopwords else None,
-        )
-        depths = {
-            (uri, state_id): depth for uri, state_id, depth in data.get("state_depths", [])
-        }
-        index._memtable.restore(
-            [
-                (uri, state_id, length, depths.get((uri, state_id), 0))
-                for uri, state_id, length in data["state_lengths"]
-            ],
-            data["postings"],
-        )
-        # The restored rows took 0..n-1; the next add continues after them.
-        index._next_seq = index._memtable.num_states
-        index._generation = None
-        return index
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "InvertedFile":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

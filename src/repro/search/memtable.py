@@ -92,28 +92,6 @@ class Memtable:
         self._state_terms[key] = tuple(by_term)
         self.num_postings += len(by_term)
 
-    def restore(self, rows, postings_by_term) -> None:
-        """Adopt deserialized contents instead of tokenizing them again:
-        ``rows`` are ``(uri, state_id, length, depth)`` in insertion
-        order — a row's place becomes its sequence number — and
-        ``postings_by_term`` maps a term to its ``(uri, state_id,
-        positions)`` entries, in any order."""
-        for seq, (uri, state_id, length, depth) in enumerate(rows):
-            self._states[uri, state_id] = (length, depth, seq)
-        terms_by_state: dict[tuple[str, str], list[str]] = {key: [] for key in self._states}
-        for term, entries in postings_by_term.items():
-            keys = [(uri, state_id) for uri, state_id, _ in entries]
-            if not terms_by_state.keys() >= set(keys):
-                raise SearchError(f"posting of {term!r} for unknown state")
-            for key in keys:
-                terms_by_state[key].append(term)
-            self._seqs[term], self._positions[term] = sorted_columns(
-                [self._states[key][2] for key in keys],
-                [tuple(positions) for _, _, positions in entries],
-            )
-            self.num_postings += len(keys)
-        self._state_terms = {key: tuple(terms) for key, terms in terms_by_state.items()}
-
     def remove_urls(self, uris) -> int:
         """Drop every buffered state of the given URIs; returns the count.
 

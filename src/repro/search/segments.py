@@ -365,9 +365,6 @@ class MemorySegment(Segment):
         """All terms of this segment in sorted order."""
         return self._columns.keys()
 
-    def columns(self, term: str) -> tuple[list[int], list[tuple[int, ...]]]:
-        return self._columns.get(term, ([], []))
-
     def view(self, term: str) -> Optional["SegmentPostingView"]:
         columns = self._columns.get(term)
         if columns is None:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
-from repro.search import InvertedFile
+from repro.search import InvertedFile, SegmentedIndex
 
 
 def rows(index, term):
@@ -22,12 +22,17 @@ def make_model(url, state_texts):
     return model
 
 
+def morcheeba_videos():
+    """The Table 5.1 scenario: two Morcheeba videos."""
+    return [
+        make_model("url1", ["morcheeba mysterious video", "morcheeba singer here"]),
+        make_model("url2", ["morcheeba morcheeba great"]),
+    ]
+
+
 @pytest.fixture
 def index():
-    """The Table 5.1 scenario: two Morcheeba videos."""
-    video1 = make_model("url1", ["morcheeba mysterious video", "morcheeba singer here"])
-    video2 = make_model("url2", ["morcheeba morcheeba great"])
-    return InvertedFile().build([video1, video2])
+    return InvertedFile().build(morcheeba_videos())
 
 
 class TestBuild:
@@ -110,45 +115,32 @@ class TestStatistics:
         assert index.state_length("nope", "s0") == 0
 
 
+def reopened(models, path, **kwargs):
+    """A segmented index over ``models``, closed and opened again."""
+    SegmentedIndex(path, **kwargs).build(models).close()
+    return SegmentedIndex.open(path)
+
+
 class TestSerialization:
+    """The one persisted form: a segment directory, closed and reopened."""
+
     def test_round_trip(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        index.save(path)
-        loaded = InvertedFile.load(path)
+        loaded = reopened(morcheeba_videos(), tmp_path / "idx")
         assert loaded.num_states == index.num_states
-        assert rows(loaded, "morcheeba") == rows(index, "morcheeba")
-        assert loaded.idf("singer") == pytest.approx(index.idf("singer"))
+        assert loaded.states() == index.states()
+        for term in sorted(index.terms()):
+            assert rows(loaded, term) == rows(index, term), term
+            assert loaded.idf(term) == index.idf(term), term
         assert loaded.state_depth("url1", "s1") == 1
         assert loaded.max_state_index == index.max_state_index
-
-    def test_json_format_is_pinned(self, tmp_path):
-        """The file an earlier version wrote: it must load, and saving
-        the same corpus must produce the same bytes (key order, term
-        order and state order included)."""
-        written = (
-            '{"max_state_index": null, "stopwords": null, "postings": '
-            '{"b": [["u", "s0", [0]], ["u", "s1", [1]]], "a": [["u", "s0", [1, 2]]], '
-            '"c": [["u", "s1", [0]]]}, '
-            '"state_lengths": [["u", "s0", 3], ["u", "s1", 2]], '
-            '"state_depths": [["u", "s0", 0], ["u", "s1", 1]]}'
-        )
-        path = tmp_path / "index.json"
-        InvertedFile().build([make_model("u", ["b a a", "c b"])]).save(path)
-        assert path.read_text(encoding="utf-8") == written
-        loaded = InvertedFile.load(path)
-        loaded.save(path)
-        assert path.read_text(encoding="utf-8") == written
-        assert loaded.tf("a", "u", "s0") == pytest.approx(2 / 3)
-        # The per-state term registry is rebuilt on load: removal works.
-        assert loaded.remove_url("u") == 2
-        assert loaded.vocabulary_size == 0
+        loaded.close()
 
     def test_round_trip_preserves_max_state_index(self, tmp_path):
         video = make_model("u", ["one", "two"])
-        index = InvertedFile(max_state_index=1).build([video])
-        path = tmp_path / "index.json"
-        index.save(path)
-        assert InvertedFile.load(path).max_state_index == 1
+        loaded = reopened([video], tmp_path / "idx", max_state_index=1)
+        assert loaded.max_state_index == 1
+        assert loaded.states() == [("u", "s0")]
+        loaded.close()
 
 
 class TestFinalizeThreadSafety:
@@ -158,8 +150,6 @@ class TestFinalizeThreadSafety:
 
     def test_concurrent_first_postings_calls_are_safe(self, tmp_path):
         import threading
-
-        from repro.search import SegmentedIndex
 
         texts = [f"shared term{i} filler words here" for i in range(40)]
         expected = rows(InvertedFile().build([make_model("u", texts)]), "shared")

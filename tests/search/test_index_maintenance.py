@@ -1,9 +1,12 @@
 """Tests for incremental index maintenance (remove_url / update_model)."""
 
+import json
+
 import pytest
 
 from repro.model import ApplicationModel
-from repro.search import InvertedFile
+from repro.search import InvertedFile, SegmentedIndex
+from repro.search.segmented import MANIFEST_NAME
 
 
 def rows(index, term):
@@ -18,14 +21,29 @@ def make_model(url, state_texts):
     return model
 
 
+def two_pages():
+    return [
+        make_model("u1", ["alpha beta", "beta gamma"]),
+        make_model("u2", ["alpha delta"]),
+    ]
+
+
+def through_disk(index):
+    """Close a segmented index and open its directory again."""
+    index.close()
+    return SegmentedIndex.open(index.path)
+
+
+def state_stats(index):
+    """Every state in insertion order, with its length and depth."""
+    return [
+        (key, index.state_length(*key), index.state_depth(*key)) for key in index.states()
+    ]
+
+
 @pytest.fixture
 def index():
-    return InvertedFile().build(
-        [
-            make_model("u1", ["alpha beta", "beta gamma"]),
-            make_model("u2", ["alpha delta"]),
-        ]
-    )
+    return InvertedFile().build(two_pages())
 
 
 class TestRemoveUrl:
@@ -74,14 +92,13 @@ class TestUpdateModel:
             assert rows(index, term) == rows(fresh, term), term
         assert index.num_states == fresh.num_states
 
-    def test_update_after_load(self, index, tmp_path):
-        """A deserialized index supports incremental maintenance too."""
-        path = tmp_path / "idx.json"
-        index.save(path)
-        loaded = InvertedFile.load(path)
+    def test_update_after_load(self, tmp_path):
+        """A reopened index supports incremental maintenance too."""
+        loaded = through_disk(SegmentedIndex(tmp_path / "idx").build(two_pages()))
         loaded.update_model(make_model("u1", ["fresh content"]))
         assert rows(loaded, "fresh")
         assert rows(loaded, "beta") == []
+        loaded.close()
 
     def test_search_engine_sees_update(self, index):
         from repro.search import SearchEngine
@@ -126,10 +143,10 @@ class TestRemoveUrlsBatch:
 
 
 class TestSequenceNumbersSurviveLoad:
-    """Regression: ``from_dict`` restored rows under sequence numbers
-    ``0..n-1`` and left the counter at 0, so the next ``add_model`` handed
-    out numbers already in use — two states under one key once the
-    buffer's columns are keyed by them."""
+    """Regression: a reload that restarts the sequence counter hands the
+    next ``add_model`` numbers already in use, and ``states()`` — ordered
+    by them — puts the new page before the pages it followed.  A reopened
+    directory continues at its manifest's ``next_seq``."""
 
     def _script(self, index, reload):
         observed = []
@@ -141,30 +158,23 @@ class TestSequenceNumbersSurviveLoad:
         assert index.remove_url("u1") == 2
         observed.append(index.states())
         index = reload(index)
-        observed.append(index.to_dict())
+        observed.append(state_stats(index))
         observed.append([uri for uri, *_ in rows(index, "alpha")])
         return observed
 
     def test_load_then_add_equals_a_never_saved_index(self, index, tmp_path):
-        path = tmp_path / "idx.json"
+        disk = SegmentedIndex(tmp_path / "idx").build(two_pages())
+        assert self._script(disk, through_disk) == self._script(index, lambda i: i)
 
-        def through_disk(index):
-            index.save(path)
-            return InvertedFile.load(path)
-
-        fresh = InvertedFile().build(
-            [
-                make_model("u1", ["alpha beta", "beta gamma"]),
-                make_model("u2", ["alpha delta"]),
-            ]
-        )
-        assert self._script(index, through_disk) == self._script(fresh, lambda i: i)
-
-    def test_the_counter_continues_after_the_restored_rows(self, index):
-        loaded = InvertedFile.from_dict(index.to_dict())
+    def test_the_counter_continues_after_the_restored_rows(self, tmp_path):
+        path = tmp_path / "idx"
+        SegmentedIndex(path).build(two_pages()).close()
+        next_seq = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))["next_seq"]
+        assert next_seq == 3
+        loaded = SegmentedIndex.open(path)
         loaded.add_model(make_model("u0", ["alpha"]))
-        seqs = [row[4] for row in loaded._memtable.state_rows()]
-        assert seqs == [0, 1, 2, 3]
+        assert [row[4] for row in loaded._memtable.state_rows()] == [next_seq]
+        loaded.close()
 
 
 class TestMaintenanceParity:
@@ -207,14 +217,12 @@ class TestMaintenanceParity:
                 for uri, state_id in index.states() + [("nowhere", "s0")]
                 for term in self.WORDS + ["absent"]
             ],
-            "states": index.states(),
+            "states": state_stats(index),
         }
 
     @pytest.mark.parametrize("seed", range(6))
     def test_both_backends_and_a_fresh_build_agree(self, seed, tmp_path):
         import random
-
-        from repro.search import SegmentedIndex
 
         rng = random.Random(seed)
         memory = InvertedFile()
@@ -287,7 +295,6 @@ class TestMaintenanceParity:
             expected = self._observe(fresh, queries)
             assert self._observe(memory, queries) == expected
             assert self._observe(disk, queries) == expected
-            assert memory.to_dict() == fresh.to_dict()
 
         # The three cases a stale rank, a reused sequence number or a
         # left-over empty column would break, then seeded steps.

@@ -66,19 +66,6 @@ class TestColumns:
             ("y", [0, 1], [(0,), (1,)]),
         ]
 
-    def test_restore_numbers_rows_in_order_and_rejects_orphans(self):
-        memtable = Memtable()
-        memtable.restore(
-            [("b", "s0", 2, 0), ("a", "s0", 1, 1)],
-            {"x": [["a", "s0", [0]], ["b", "s0", [0, 1]]]},  # canonical, as saved
-        )
-        assert columns(memtable) == {"x": ([0, 1], [(0, 1), (0,)])}
-        assert memtable.num_postings == 2
-        assert memtable.remove_urls(["a"]) == 1
-        assert columns(memtable) == {"x": ([0], [(0, 1)])}
-        with pytest.raises(SearchError, match="unknown state"):
-            Memtable().restore([], {"x": [["a", "s0", [0]]]})
-
 
 def test_a_filled_memtable_holds_no_object_per_posting():
     # What the write path's speed rests on: the cyclic collector walks

@@ -8,6 +8,7 @@ from repro.search import (
     InvertedFile,
     RankingWeights,
     SearchEngine,
+    SegmentedIndex,
     query_terms,
     tokenize_with_positions,
 )
@@ -66,12 +67,13 @@ class TestStopwordIndex:
 
     def test_stopwords_survive_save_load(self, tmp_path):
         model = pagination_model("u", ["the enjoy the ride"])
-        index = InvertedFile(stopwords=ENGLISH_STOPWORDS).build([model])
-        path = tmp_path / "idx.json"
-        index.save(path)
-        loaded = InvertedFile.load(path)
+        path = tmp_path / "idx"
+        SegmentedIndex(path, stopwords=ENGLISH_STOPWORDS).build([model]).close()
+        loaded = SegmentedIndex.open(path)
         assert loaded.stopwords == ENGLISH_STOPWORDS
         assert list(loaded.conjunction(["the"])) == []
+        assert list(loaded.conjunction(["enjoy"])) == [("u", "s0", 2, ((1,),))]
+        loaded.close()
 
     def test_proximity_honest_across_dropped_stopwords(self):
         """'enjoy the ride': enjoy..ride are 2 apart, not adjacent."""

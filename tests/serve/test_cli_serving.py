@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.search import SegmentedIndex
 from repro.serve import SearchServer, SearchService
 
 
@@ -15,11 +16,11 @@ class TestServeArgs:
         with pytest.raises(SystemExit, match="exactly one"):
             main(["serve", "--index", "x.json", "--site", "webmail"])
 
-    def test_serves_saved_index(self, engine, tmp_path, monkeypatch, capsys):
-        """``serve --index`` boots from a saved inverted file; we stub
-        the blocking accept loop and probe the configured service."""
-        index_file = tmp_path / "index.json"
-        engine.index.save(index_file)
+    def test_serves_saved_index(self, models, tmp_path, monkeypatch, capsys):
+        """``serve --index`` boots from a segmented index directory; we
+        stub the blocking accept loop and probe the configured service."""
+        index_dir = tmp_path / "index"
+        SegmentedIndex(index_dir).build(models).close()
         booted = {}
 
         def fake_serve_forever(self):
@@ -27,7 +28,7 @@ class TestServeArgs:
 
         monkeypatch.setattr(SearchServer, "serve_forever", fake_serve_forever)
         assert main(
-            ["serve", "--index", str(index_file), "--port", "0",
+            ["serve", "--index", str(index_dir), "--port", "0",
              "--rate-limit", "5", "--cache-ttl", "0"]
         ) == 0
         service = booted["service"]

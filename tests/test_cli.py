@@ -1,12 +1,16 @@
 """End-to-end tests of the CLI pipeline (the chapter-8 infrastructure)."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_site, main
+from repro.cli import build_parser, build_site, main
 from repro.sites import SyntheticWebmail, SyntheticYouTube
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestBuildSite:
@@ -34,13 +38,19 @@ def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     pre = root / "pre"
     crawl_root = root / "crawl"
-    index_file = root / "index.json"
+    index_dir = root / "index"
     site = "simtube:12:3"
     assert main(["precrawl", "--site", site, "--out", str(pre), "--max-pages", "12"]) == 0
     assert main(["partition", "--precrawl", str(pre), "--size", "4", "--out", str(crawl_root)]) == 0
     assert main(["crawl", "--site", site, "--root", str(crawl_root)]) == 0
-    assert main(["index", "--root", str(crawl_root), "--out", str(index_file)]) == 0
-    return {"pre": pre, "crawl_root": crawl_root, "index": index_file, "site": site}
+    assert main(["index", "build", "--root", str(crawl_root), "--segments", str(index_dir)]) == 0
+    return {"pre": pre, "crawl_root": crawl_root, "index": index_dir, "site": site}
+
+
+def index_stats(segments, capsys) -> dict:
+    capsys.readouterr()
+    assert main(["index", "stats", "--segments", str(segments)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestPipeline:
@@ -61,10 +71,11 @@ class TestPipeline:
         )
         assert len(models) == 4
 
-    def test_index_built(self, pipeline):
-        payload = json.loads(pipeline["index"].read_text())
-        assert payload["postings"]
-        assert payload["state_lengths"]
+    def test_index_built(self, pipeline, capsys):
+        stats = index_stats(pipeline["index"], capsys)
+        assert stats["num_states"] == 43
+        assert stats["num_postings"] > 0
+        assert stats["max_state_index"] is None
 
     def test_search(self, pipeline, capsys):
         assert main(["search", "--index", str(pipeline["index"]), "--query", "wow"]) == 0
@@ -134,15 +145,15 @@ class TestPipeline:
             "dot", "--root", str(pipeline["crawl_root"]), "--url", "http://nope/",
         ]) == 1
 
-    def test_max_state_index_option(self, pipeline, tmp_path):
-        out_file = tmp_path / "trad_index.json"
+    def test_max_state_index_option(self, pipeline, tmp_path, capsys):
+        segments = tmp_path / "trad"
         assert main([
-            "index", "--root", str(pipeline["crawl_root"]),
-            "--out", str(out_file), "--max-state-index", "1",
+            "index", "build", "--root", str(pipeline["crawl_root"]),
+            "--segments", str(segments), "--max-state-index", "1",
         ]) == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["max_state_index"] == 1
-        assert len(payload["state_lengths"]) == 12  # one state per page
+        stats = index_stats(segments, capsys)
+        assert stats["max_state_index"] == 1
+        assert stats["num_states"] == 12  # one state per page
 
     def test_index_compact_and_stats_report_dead_states(self, pipeline, tmp_path, capsys):
         from repro.search import SegmentedIndex
@@ -368,6 +379,62 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "# TYPE crawl_pages counter" in out or "# TYPE" in out
         assert "crawl_events_invoked" in out
+
+
+class TestIndexErrors:
+    """An index the CLI cannot open or write ends the run with one line
+    naming the cause, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["missing path", "plain file", "rebuild"])
+    def test_exits_with_the_cause(self, case, pipeline, tmp_path):
+        target = tmp_path / "index"
+        query = ["search", "--index", str(target), "--query", "wow"]
+        build = ["index", "build", "--root", str(pipeline["crawl_root"]),
+                 "--segments", str(target)]
+        argv, cause = query, "no MANIFEST.json"
+        if case == "plain file":
+            target.write_text("{}", encoding="utf-8")
+        elif case == "rebuild":
+            assert main(build) == 0
+            argv, cause = build, "indexed twice"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = exit_info.value.code
+        assert message not in (0, None)
+        assert str(message).startswith(f"repro-ajax {argv[0]}: ")
+        assert cause in str(message)
+
+
+#: The documents whose fenced shell blocks show the CLI.
+DOCUMENTED = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+
+
+def documented_invocations():
+    """Every ``repro-ajax …`` / ``python -m repro.cli …`` line of the
+    fenced blocks of :data:`DOCUMENTED`, as the argument list it passes."""
+    for path in DOCUMENTED:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", path.read_text(encoding="utf-8"),
+                            flags=re.M | re.S)
+        for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+            for head in ("repro-ajax", "repro.cli"):
+                words = shlex.split(line, comments=True) if head in line else []
+                if head in words:
+                    argv = words[words.index(head) + 1:]
+                    ends = [at for at, word in enumerate(argv) if word in {"&", "|", ";", "&&"}]
+                    argv = argv[: min(ends, default=len(argv))]
+                    yield pytest.param(argv, id=f"{path.name}: {' '.join(argv)}")
+
+
+@pytest.mark.parametrize("argv", list(documented_invocations()))
+def test_documented_commands_parse(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exit_info:  # ``--help`` exits 0, a bad line 2
+        assert exit_info.code == 0, argv
+
+
+def test_the_documents_show_the_cli():
+    assert len(list(documented_invocations())) >= 10
 
 
 class TestArgumentErrors:
