@@ -17,6 +17,7 @@ The overall rank of a result is the weighted sum of eq. 5.3:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.model import ApplicationModel
@@ -125,21 +126,18 @@ def term_proximity(position_groups: list[tuple[int, ...]]) -> float:
 
 
 def _min_ordered_window(position_groups: list[tuple[int, ...]]) -> int | None:
-    """Smallest span covering the terms in order, or None."""
+    """Smallest span covering the terms in order, or None.  A start that
+    cannot chain a later position of every next term rules out the rest."""
     best: int | None = None
     for start in position_groups[0]:
         current = start
-        feasible = True
         for group in position_groups[1:]:
-            following = [p for p in group if p > current]
-            if not following:
-                feasible = False
-                break
-            current = min(following)
-        if feasible:
-            window = current - start + 1
-            if best is None or window < best:
-                best = window
+            at = bisect_right(group, current)
+            if at == len(group):
+                return best
+            current = group[at]
+        if best is None or current - start + 1 < best:
+            best = current - start + 1
     return best
 
 

@@ -692,8 +692,8 @@ class MergeStats:
 
 class _BlockCursor:
     """One list's position in the merge: ``(block, offset)`` with lazy
-    decode.  The merge loop reads ``ordinals[offset]`` itself; the
-    methods are the per-block steps."""
+    decode.  The merge loop moves ``offset`` within a decoded block
+    itself, a posting or a window at a time; the methods cross blocks."""
 
     __slots__ = ("view", "stats", "block", "offset", "ordinals", "positions")
 
@@ -749,11 +749,19 @@ def merge_conjunction_blocks(
     Returns the ordinals of the states present in *all* views,
     ascending, and one column per input view holding, parallel to them,
     that view's positions in each state — Figure 5.2's groups, kept in
-    flat lists so a match costs no object of its own.  Whole blocks that cannot contain the current merge target
-    are skipped using their max-ordinal entries, without decode.  Lists
-    are scanned rarest-first so the most selective term drives the jumps
-    (PR 3's discipline, lifted to block level).  A single view has
-    nothing to align with: it is copied out block by block.
+    flat lists so a match costs no object of its own.  Whole blocks that
+    cannot contain the current merge target are skipped using their
+    max-ordinal entries, without decode.  Lists are scanned rarest-first
+    so the most selective term drives the jumps (PR 3's discipline,
+    lifted to block level).  A single view has nothing to align with: it
+    is copied out block by block.
+
+    Two lists go posting by posting only at block edges: once both
+    current blocks are decoded, every key below ``edge`` (the smaller of
+    their last ordinals) lies in them, so that window is intersected in
+    one C-level probe and each cursor put on its first key >= ``edge``,
+    whence the next seek decodes and skips what the per-posting steps'
+    would have.  Three lists or more keep those (DESIGN.md decision 27).
     """
     if stats is None:
         stats = MergeStats()
@@ -775,14 +783,28 @@ def merge_conjunction_blocks(
         return ordinals, columns
     cursors = [_BlockCursor(view, stats) for view in views]
     lead, *rest = ordered = sorted(cursors, key=lambda cursor: cursor.view.df)
+    other = rest[0] if len(rest) == 1 and lead.view.df > 1 else None  # a window's partner
     while True:
-        if lead.ordinals is None:
-            lead.load()
+        for cursor in ordered:
+            if cursor.ordinals is None:
+                cursor.load()
+        held, at = lead.ordinals, lead.offset
+        edge = -1 if other is None else min(held[-1], other.ordinals[-1])
+        if held[at] < edge and held[at + 1] < edge:  # two lead keys below edge
+            keys, start = other.ordinals, other.offset
+            probe = set(keys[start : bisect_left(keys, edge, start)]).__contains__
+            ordinals += (window := list(filter(probe, held[at : bisect_left(held, edge, at)])))
+            matched = set(window).__contains__
+            for column, cursor in zip(columns, cursors):
+                keys, positions, start = cursor.ordinals, cursor.positions, cursor.offset
+                cursor.offset = end = bisect_left(keys, edge, start)
+                if 3 * len(window) < end - start:  # few matched: find each
+                    column += [positions[bisect_left(keys, key, start, end)] for key in window]
+                else:
+                    column += compress(positions[start:end], map(matched, keys[start:end]))
         target = lead.ordinals[lead.offset]
         aligned = True
         for cursor in rest:
-            if cursor.ordinals is None:
-                cursor.load()
             key = cursor.ordinals[cursor.offset]
             if key != target:
                 aligned = False

@@ -4,10 +4,12 @@ The block merge is the only function under ``src/`` that intersects
 posting lists, so nothing under ``src/`` can vouch for it.  Here are
 two intersections that share no code with it — the linear merge the
 galloping tests have carried since PR 3, lowered from ``Posting``
-objects to ordinal columns, and a plain key-set intersection — and the
-plumbing that puts the same columns behind a :class:`SegmentReader`
-(through ``write_segment``, any block size) and a
-:class:`MemorySegment` (one undivided block a term).
+objects to ordinal columns, and a plain key-set intersection — one that
+shares its cursor, the per-posting leapfrog the block merge was before
+it intersected a decoded window in one step (the reference for what
+the merge *decodes*), and the plumbing that puts the same columns
+behind a :class:`SegmentReader` (through ``write_segment``, any block
+size) and a :class:`MemorySegment` (one undivided block a term).
 """
 
 import tempfile
@@ -17,7 +19,9 @@ from pathlib import Path
 from repro.search import Posting
 from repro.search.segments import (
     MemorySegment,
+    MergeStats,
     SegmentReader,
+    _BlockCursor,
     merge_conjunction_blocks,
     state_sort_key,
     write_segment,
@@ -59,6 +63,60 @@ def set_intersection(lists):
     ]
 
 
+def leapfrog_merge(views, stats=None):
+    """``merge_conjunction_blocks`` one posting a turn: the rarest list
+    proposes, the largest key is the target, a match advances every
+    cursor and a miss seeks the laggards, hopping whole blocks through
+    the skip table.  Books :class:`MergeStats` through the same cursor,
+    so its decode counts are the exact ones the block merge must keep."""
+    if stats is None:
+        stats = MergeStats()
+    ordinals, columns = [], [[] for _ in views]
+    if not views:
+        return ordinals, columns
+    stats.postings_total += sum(view.df for view in views)
+    if any(view.first == view.end for view in views):
+        return ordinals, columns
+    if len(views) == 1:
+        (view,), (column,) = views, columns
+        for block in range(view.first, view.end):
+            block_ordinals, block_positions = view.load(block)
+            stats.blocks_decoded += 1
+            stats.postings_decoded += len(block_ordinals)
+            ordinals.extend(block_ordinals)
+            column.extend(block_positions)
+        return ordinals, columns
+    cursors = [_BlockCursor(view, stats) for view in views]
+    lead, *rest = ordered = sorted(cursors, key=lambda cursor: cursor.view.df)
+    while True:
+        if lead.ordinals is None:
+            lead.load()
+        target = lead.ordinals[lead.offset]
+        aligned = True
+        for cursor in rest:
+            if cursor.ordinals is None:
+                cursor.load()
+            key = cursor.ordinals[cursor.offset]
+            if key != target:
+                aligned = False
+                if key > target:
+                    target = key
+        if aligned:
+            ordinals.append(target)
+            more = True
+            for column, cursor in zip(columns, cursors):
+                column.append(cursor.positions[cursor.offset])
+                cursor.offset += 1
+                if cursor.offset == len(cursor.ordinals):
+                    more = cursor.enter(cursor.block + 1) and more
+            if not more:
+                return ordinals, columns
+            continue
+        for cursor in ordered:
+            if cursor.ordinals[cursor.offset] < target and not cursor.seek(target):
+                return ordinals, columns
+
+
 def state_rows(count):
     """``count`` state rows in canonical order, seven states a page, so
     a run of ordinals crosses URIs."""
@@ -83,14 +141,15 @@ def segments_over(lists, block_size, rows=None):
             reader.close()
 
 
-def block_merge(segment, count, stats=None):
-    """``merge_conjunction_blocks`` over terms ``t0..t<count-1>`` of one
-    segment.  A term the segment does not hold empties the conjunction
-    before any merge — ``Index.matches`` skips such a segment."""
+def block_merge(segment, count, stats=None, merge=merge_conjunction_blocks):
+    """``merge`` (the block merge unless told otherwise) over terms
+    ``t0..t<count-1>`` of one segment.  A term the segment does not hold
+    empties the conjunction before any merge — ``Index.matches`` skips
+    such a segment."""
     views = [segment.view(f"t{i}") for i in range(count)]
     if None in views:
         return [], [[] for _ in views]
-    return merge_conjunction_blocks(views, stats)
+    return merge(views, stats)
 
 
 def posting_key(posting):

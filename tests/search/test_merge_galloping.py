@@ -5,19 +5,24 @@ written against.  That merge is gone; the one conjunction left,
 ``merge_conjunction_blocks``, is held here to the same linear merge
 (``tests/search/block_merge.py``) and to a plain set intersection,
 directly over ordinal columns: same ordinals, same per-term position
-columns, on a segment file of any block size and in memory.
+columns, on a segment file of any block size and in memory.  And to
+the per-posting leapfrog it was before it intersected decoded windows
+at once: the same answer from the same blocks decoded and skipped.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.model import ApplicationModel
 from repro.search import InvertedFile, MergeStats, Posting, evaluate
+from repro.search.segments import merge_conjunction_blocks
 from tests.search.block_merge import (
     block_merge,
     conjunction_groups,
+    leapfrog_merge,
     naive_merge,
     segments_over,
     set_intersection,
@@ -66,6 +71,22 @@ disjoint = st.lists(ordinal_sets, min_size=2, max_size=4).flatmap(
 skewed = st.lists(st.integers(min_value=0, max_value=449), min_size=1, max_size=3).flatmap(
     lambda rare: drawn_lists([range(400), rare])
 )
+
+
+def overlap(count, size, percent, seed):
+    """``count`` lists of ``size`` keys each, ``percent`` of them held
+    by every list and the rest by that list alone."""
+    keys = random.Random(seed).sample(range(2 * count * size), count * size)
+    shared = keys[: size * percent // 100]
+    own = keys[len(shared) :]
+    return [shared + own[at::count][: size - len(shared)] for at in range(count)]
+
+
+#: 2–3 long lists sharing 5–100% of their keys: decoded windows that
+#: hold many matches and cross many blocks.
+overlapping = st.builds(
+    overlap, st.integers(2, 3), st.integers(300, 600), st.integers(5, 100), st.integers(0, 2**16)
+).flatmap(drawn_lists)
 block_sizes = st.sampled_from((1, 2, 3, 128))
 
 
@@ -82,6 +103,34 @@ def test_galloping_equals_naive_merge(lists, block_size):
     with segments_over(lists, block_size) as (reader, memory):
         assert block_merge(reader, len(lists)) == expected
         assert block_merge(memory, len(lists)) == expected
+
+
+def keys_only(*lists):
+    return tuple((keys, [(0,)] * len(keys)) for keys in lists)
+
+
+@pytest.mark.slow
+@given(st.one_of(free, nested, disjoint, skewed, overlapping), block_sizes)
+# Three lists, where every cursor at its first key >= edge is not where
+# the leapfrog stands: the next seek from there would hop a block the
+# leapfrog decodes (DESIGN.md decision 27).
+@example(
+    lists=keys_only(
+        [1, 13, 35, 36], [1, 5, 13, 15, 18, 20, 22, 23, 26], [5, 7, 18, 28, 29, 30, 31, 32, 34]
+    ),
+    block_size=4,
+)
+@settings(max_examples=150, deadline=None)
+def test_block_merge_decodes_what_the_leapfrog_decodes(lists, block_size):
+    # The same answer from the same blocks: decoded, skipped, and the
+    # postings in them — work_cost and PINNED_MERGE_STATS rest on it.
+    with segments_over(list(lists), block_size) as segments:
+        for segment in segments:
+            spent = []
+            for merge in (merge_conjunction_blocks, leapfrog_merge):
+                stats = MergeStats()
+                spent.append((block_merge(segment, len(lists), stats, merge), stats.to_dict()))
+            assert spent[0] == spent[1], type(segment).__name__
 
 
 @given(st.one_of(free, nested), block_sizes)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.model import ApplicationModel, EventAnnotation
 from repro.search import ajaxrank, pagerank, term_proximity
+from repro.search.ranking import _min_ordered_window
 
 
 class TestPageRank:
@@ -124,3 +125,38 @@ def test_proximity_monotone_in_gap(start, gap):
     closer = term_proximity([(start,), (start + gap,)])
     farther = term_proximity([(start,), (start + gap + 3,)])
     assert farther <= closer
+
+
+def reference_ordered_window(position_groups):
+    """The ordered window by exhaustive scan — ``ranking``'s function
+    before it bisected: per start, the nearest later position of every
+    next term, each found by a list over the whole group."""
+    best = None
+    for start in position_groups[0]:
+        current = start
+        feasible = True
+        for group in position_groups[1:]:
+            following = [p for p in group if p > current]
+            if not following:
+                feasible = False
+                break
+            current = min(following)
+        if feasible:
+            window = current - start + 1
+            if best is None or window < best:
+                best = window
+    return best
+
+
+positions = st.lists(st.integers(0, 30), min_size=1, max_size=6).map(
+    lambda xs: tuple(sorted(set(xs)))
+)
+
+
+@given(st.lists(positions, min_size=1, max_size=4), st.data())
+def test_ordered_window_equals_the_exhaustive_scan(groups, data):
+    # Repeats (a query term twice is one group twice) and reorderings
+    # (the same terms in another query order) included.
+    groups += data.draw(st.lists(st.sampled_from(groups), max_size=2))
+    groups = data.draw(st.permutations(groups))
+    assert _min_ordered_window(groups) == reference_ordered_window(groups)

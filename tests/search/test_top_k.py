@@ -259,17 +259,22 @@ class TestBruteForceOracle:
 # -- counted work ---------------------------------------------------------------------
 
 #: ``(blocks_decoded, blocks_skipped, postings_decoded, postings_total)``
-#: of the three pinned conjunctions below, recorded on the commit before
-#: the read path went to rows (block_size=16; one segment, then four).
+#: of the four pinned conjunctions below (block_size=16; one segment,
+#: then four): ``single``, ``skewed`` and ``all`` recorded on the commit
+#: before the read path went to rows, ``pair`` — two corpus words
+#: sharing 8 of their states, the partial overlap the merge intersects
+#: a decoded window at a time — on the commit before it did.
 PINNED_MERGE_STATS = {
     "one": {
         "single": (75, 0, 1200, 1200),
         "skewed": (3, 47, 33, 1201),
+        "pair": (18, 1, 279, 280),
         "all": (150, 0, 2400, 2400),
     },
     "four": {
         "single": (77, 0, 1200, 1200),
         "skewed": (3, 15, 31, 271),
+        "pair": (21, 0, 280, 280),
         "all": (154, 0, 2400, 2400),
     },
 }
@@ -400,15 +405,16 @@ class TestCountedWork:
         index = SegmentedIndex(tmp_path / "idx", block_size=16, **options).build(models)
         assert index.num_segments == {"one": 1, "four": 4}[layout]
         queries = {
-            "single": ["area"],
-            "skewed": ["area", spec.pages[-1].markers[-1]],
-            "all": ["area", "state"],
+            "single": (["area"], 1200),
+            "skewed": (["area", spec.pages[-1].markers[-1]], 1),
+            "pair": (["cobalt", "delta"], 8),
+            "all": (["area", "state"], 1200),
         }
-        for name, terms in queries.items():
+        for name, (terms, count) in queries.items():
             before = index.merge_stats.to_dict()
             matches = sum(1 for _ in index.conjunction(terms))
             after = index.merge_stats.to_dict()
-            assert matches == (1 if name == "skewed" else 1200)
+            assert matches == count, (layout, name)
             spent = tuple(
                 after[key] - before[key]
                 for key in (
