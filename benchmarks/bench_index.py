@@ -18,7 +18,8 @@ the PR's acceptance floors:
   p50 of an ``update_model``, the segment bytes it writes, the dead/live
   state ratio the updates leave before compaction, and the same queries
   on one segment holding tombstones and on that segment purged (floors
-  10x loose: they catch a removal that rewrites again, not a slow box).
+  10x loose: they catch a removal that rewrites or counts the whole
+  vocabulary again, not a slow box).
 
 * **rank** — top-10 ms, and matches completed of matches found, for a
   single-term broad, a two-term broad and a ``word`` query: what the
@@ -54,7 +55,7 @@ MAX_DECODE_FRACTION = 0.5     # postings decoded / postings a full merge reads
 BUILD_BUDGET_S = 180.0        # 100k-state segmented build
 COLD_QUERY_BUDGET_MS = 500.0  # first query on a freshly opened index
 WARM_QUERY_BUDGET_MS = 250.0  # same query again, block cache hot
-UPDATE_BUDGET_MS = 400.0      # p50 of one update_model (10x the <=40 ms it was built for)
+UPDATE_BUDGET_MS = 20.0       # p50 of one update_model (20x the ~1 ms of a page; a vocabulary pass is 42+)
 MAX_WRITE_FRACTION = 0.1      # segment bytes one update writes / segment bytes of the index
 MAX_TOMBSTONE_SLOWDOWN = 10.0 # query ms on a tombstoned segment / on the same, purged
 MAX_COMPLETED_FRACTION = 0.1  # matches completed / matches, top 10 of a one-term query (10x the <=1% measured)

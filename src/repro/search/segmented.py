@@ -75,6 +75,15 @@ def _tier(num_postings: int) -> int:
     return max(0, num_postings.bit_length() - 1) // 2
 
 
+def _live_tier(reader: SegmentReader) -> int:
+    """``_tier`` of the live postings, counted only at a tier edge: a state
+    holds at most ``length`` postings, so file postings - dead length <= live."""
+    tier = _tier(reader.file_postings)
+    if reader.dead and _tier(max(0, reader.file_postings - reader.dead_length)) != tier:
+        return _tier(reader.num_postings)
+    return tier
+
+
 class SegmentedIndex(Index):
     """Directory-backed inverted file: memtable + immutable segments."""
 
@@ -174,9 +183,8 @@ class SegmentedIndex(Index):
         return orphans
 
     def _open_segments(self, manifest: dict) -> Iterable[SegmentReader]:
-        """The manifest's readers, its dead ranges retired again — the
-        per-term counts are never stored, the same pass that served the
-        removal re-derives them."""
+        """The manifest's readers, its dead ranges retired again —
+        checked and masked, nothing counted until a read asks."""
         dead = manifest.get("dead", {})
         if not dead.keys() <= set(manifest["segments"]):
             raise SearchError(f"{self.path}: dead ranges for a segment the manifest does not name")
@@ -287,7 +295,7 @@ class SegmentedIndex(Index):
         while True:
             tiers: dict[int, list[SegmentReader]] = {}
             for reader in self._flushed:
-                tiers.setdefault(_tier(reader.num_postings), []).append(reader)
+                tiers.setdefault(_live_tier(reader), []).append(reader)
             crowded = [
                 members for members in tiers.values() if len(members) >= self.compact_fanin
             ]
@@ -331,7 +339,7 @@ class SegmentedIndex(Index):
         ]
 
         def columns_by_term():
-            for term in sorted(set().union(*(reader.terms() for reader in victims))):
+            for term in sorted(set().union(*(reader.file_terms() for reader in victims))):
                 ordinals, positions, holders = [], [], 0
                 for reader, remap in zip(victims, remaps):
                     old, occurrences = reader.columns(term)
@@ -342,6 +350,8 @@ class SegmentedIndex(Index):
                     kept = [ordinal >= 0 for ordinal in ordinals]
                     ordinals = list(compress(ordinals, kept))
                     positions = list(compress(positions, kept))
+                    if not ordinals:
+                        continue
                 # A remap keeps canonical order, so one victim's run is
                 # increasing as it stands; several are merged.  What is
                 # left is the term's exact df, which the writer persists.

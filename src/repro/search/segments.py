@@ -7,7 +7,7 @@ of up to :data:`BLOCK_SIZE` postings each.  The term table carries, per
 block, its byte extent, posting count and **maximum state ordinal** —
 the skip entry that lets a conjunction hop over a whole block without
 decoding it when the merge target lies beyond it (WAND-style block
-skipping layered on PR 3's galloping probe).
+skipping, :func:`merge_conjunction_blocks`).
 
 File layout (version 1)::
 
@@ -37,8 +37,8 @@ import mmap
 import struct
 import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter, OrderedDict
-from itertools import accumulate, compress, pairwise
+from collections import OrderedDict
+from itertools import accumulate, compress
 from operator import add, gt
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -200,7 +200,7 @@ class BlockCache:
     Decoding a block costs varint work proportional to its postings; a
     serving tier replays the same hot query blocks constantly, so a
     small cache removes nearly all decode work from the steady state.
-    The cache is keyed by ``(segment path, term, block number)`` and is
+    The cache is keyed by ``(segment path, block number)`` and is
     lock-protected for the threaded serving tier.
     """
 
@@ -259,6 +259,8 @@ class Segment:
     dead: Sequence[tuple[int, int]] = ()
     #: How many states those runs cover.
     dead_states = 0
+    #: Their token lengths summed — a bound on the postings they hold.
+    dead_length = 0
 
     @property
     def num_states(self) -> int:
@@ -432,7 +434,7 @@ class SegmentReader(Segment):
             meta = json.loads(raw.decode("utf-8"))
         except ValueError as error:
             raise SearchError(f"{self.path}: corrupt segment meta") from error
-        self.num_postings = int(meta["num_postings"])
+        self.file_postings = int(meta["num_postings"])
         self.block_size = int(meta["block_size"])
 
     def _parse_uris(self, data: bytes) -> None:
@@ -483,8 +485,8 @@ class SegmentReader(Segment):
             heads += head
             blocks += entries
         self._df: list[int] = heads[0::2]
-        #: Term number -> how many of its postings are retired states'.
-        self._dead_df: Counter[int] = Counter()
+        #: Term number -> its postings in retired states, once a read asked.
+        self._dead_df: dict[int, int] = {}
         self._first_block: list[int] = [0, *accumulate(heads[1::2])]
         self._block_offset: list[int] = blocks[0::4]
         self._block_length: list[int] = blocks[1::4]
@@ -498,24 +500,32 @@ class SegmentReader(Segment):
     def name(self) -> str:
         return self.path.name
 
+    def file_terms(self):
+        """Every term of the file, those only retired states hold included."""
+        return self._terms.keys()
+
     def terms(self):
         """All terms with a live posting in this segment, in sorted order."""
-        if not self._dead_df:
+        if not self.dead:
             return self._terms.keys()
-        dead, df = self._dead_df.get, self._df
+        dead, df = self._dead_postings, self._df
         return [term for term, number in self._terms.items() if dead(number) != df[number]]
+
+    @property
+    def num_postings(self) -> int:
+        """Live postings (a retired reader counts every term for it)."""
+        counted = range(len(self._df)) if self.dead else ()
+        return self.file_postings - sum(map(self._dead_postings, counted))
 
     # -- retirement --------------------------------------------------------------
 
     def retire(self, ranges: Sequence[tuple[int, int]]) -> "SegmentReader":
         """The successor of this reader once the states in ``ranges``
-        are removed: the same map, tables and cache entries, those
-        states masked and every term's df less by exactly the postings
-        they held.  Nothing is written, and ``self`` answers as before.
-        ``ranges`` are ``[lo, hi)`` ordinal runs: ascending, disjoint,
-        inside the state table, whole URIs each, none retired already —
-        anything else raises :class:`SearchError`.
-        """
+        are removed: the same map, tables and cache entries, those states
+        masked, nothing decoded or written (a read counts a term's dead
+        postings, :meth:`_dead_postings`); ``self`` answers as before.
+        ``ranges`` are ``[lo, hi)`` ordinal runs: ascending, disjoint, in
+        the table, whole URIs, none retired already, or :class:`SearchError`."""
         uris, size = self._state_uri, len(self._state_uri)
         live = bytearray(self.live)
         edge = 0
@@ -531,45 +541,41 @@ class SegmentReader(Segment):
                 )
             live[lo:hi] = bytes(hi - lo)
             edge = hi
-        counts = self._dead_postings(ranges)
         successor = copy.copy(self)
         successor.dead = sorted([*self.dead, *ranges])
         successor._live = live
         successor.dead_states = live.count(0)
-        successor._dead_df = self._dead_df + counts
-        successor.num_postings = self.num_postings - counts.total()
+        successor.dead_length = self.dead_length + sum(sum(self._state_length[lo:hi]) for lo, hi in ranges)
+        successor._dead_df = {}  # its own: the predecessor's counts lack these runs
         return successor
 
-    def _dead_postings(self, ranges: Sequence[tuple[int, int]]) -> Counter[int]:
-        """Term number -> how many of the term's postings lie in
-        ``ranges`` — exact, and nearly all of it from the skip table.
-        The blocks strictly between the two that meet a range's ends lie
-        inside it.  Those two are known by their first ordinal (two
-        varints into the map; a one-posting block's is its max entry)
-        and their max: inside the range they count whole, beginning
-        beyond it not at all, and only a block that straddles an end is
-        decoded (around the :class:`BlockCache`)."""
-        counts: Counter[int] = Counter()
-        block_max, block_count, block_offset = self._block_max, self._block_count, self._block_offset
-        for number, (first, end) in enumerate(pairwise(self._first_block)):
-            dead = 0
-            for lo, hi in ranges:
-                start = bisect_left(block_max, lo, first, end)
-                if start == end:
-                    break  # the term ends below this range and all later ones
-                stop = bisect_left(block_max, hi, start, end)
-                dead += sum(block_count[start + 1 : stop])
-                for block in (start,) if stop in (start, end) else (start, stop):
-                    last, count = block_max[block], block_count[block]
-                    head = last if count == 1 else read_uvarints(self._map, block_offset[block], 2)[0][1]
-                    if lo <= head and last < hi:
-                        dead += count
-                    elif head < hi:
-                        ordinals, _ = self._decode(block)
-                        dead += bisect_left(ordinals, hi) - bisect_left(ordinals, lo)
-            if dead:
-                counts[number] = dead
-        return counts
+    def _dead_postings(self, number: int) -> int:
+        """How many postings of term ``number`` lie in ``dead`` — exact,
+        counted on the first ask and kept (racing threads keep one number).
+        Per run, blocks strictly inside count whole; the two it lands in
+        count whole or not at all by their max and first ordinal (two
+        varints), and only one straddling an end is decoded (around the cache)."""
+        if (dead := self._dead_df.get(number)) is not None:
+            return dead
+        dead = 0
+        block_max, block_count = self._block_max, self._block_count
+        first, end = self._first_block[number], self._first_block[number + 1]
+        for lo, hi in self.dead:
+            start = bisect_left(block_max, lo, first, end)
+            if start == end:
+                break  # the term ends below this run and all later ones
+            stop = bisect_left(block_max, hi, start, end)
+            dead += sum(block_count[start + 1 : stop])
+            for block in (start,) if stop in (start, end) else (start, stop):
+                last, count = block_max[block], block_count[block]
+                head = last if count == 1 else read_uvarints(self._map, self._block_offset[block], 2)[0][1]
+                if lo <= head and last < hi:
+                    dead += count
+                elif head < hi:
+                    ordinals, _ = self._decode(block)
+                    dead += bisect_left(ordinals, hi) - bisect_left(ordinals, lo)
+        self._dead_df[number] = dead
+        return dead
 
     # -- posting access ----------------------------------------------------------
 
@@ -580,11 +586,9 @@ class SegmentReader(Segment):
         number = self._terms.get(term)
         if number is None:
             return None
-        df = self._df[number]
-        if self._dead_df:
-            df -= self._dead_df.get(number, 0)  # not [number]: __missing__ is a Python call
-            if not df:
-                return None
+        df = self._df[number] - (self._dead_postings(number) if self.dead else 0)
+        if not df:
+            return None
         first, end = self._first_block[number : number + 2]
         load, skips = self.decode_block_at, self._block_max
         return SegmentPostingView(load, df, first, end, skips)

@@ -8,6 +8,7 @@ any interleaving of flushes, compactions, removals and reopens.
 
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, MetricsRegistry, Recorder, SEGMENT_FLUSH
 from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader, tokenize
-from repro.search.segmented import MANIFEST_NAME, _tier
+from repro.search.segmented import MANIFEST_NAME, _live_tier, _tier
 from repro.search.segments import merge_conjunction_blocks
 from tests.search.reference_writer import reference_bytes
 
@@ -583,6 +584,30 @@ class TestPersistence:
         reopened.close()
         assert directory_bytes(tmp_path / "idx") == files
 
+    def test_a_reopen_decodes_nothing_until_a_query_asks(self, tmp_path, monkeypatch):
+        """The dead runs are checked and masked on open, not counted: no
+        block is decoded, the cache and every reader's per-term counts
+        stay empty, and a query counts the terms it asks about only."""
+        models = corpus_texts(pages=5)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=40, block_size=2).build(models)
+        disk.remove_urls([models[0].url, models[3].url])
+        disk.close()
+        decoded = []
+        decode = SegmentReader._decode
+        monkeypatch.setattr(
+            SegmentReader, "_decode", lambda reader, block: decoded.append(block) or decode(reader, block)
+        )
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        retired = [reader for reader in reopened._flushed if reader.dead]
+        assert len(retired) == 2 and reopened.num_segments == 3
+        cache = reopened.cache
+        assert (decoded, cache.hits, cache.misses, len(cache)) == ([], 0, 0, 0)
+        assert [reader._dead_df for reader in retired] == [{}, {}]
+        assert reopened.document_frequency("shared") == 12
+        assert [list(reader._dead_df) for reader in retired] == [[reader._terms["shared"]] for reader in retired]
+        assert_parity(InvertedFile().build([models[1], models[2], models[4]]), reopened)
+        reopened.close()
+
     @pytest.mark.parametrize(
         "dead",
         [
@@ -901,4 +926,53 @@ def test_every_written_segment_equals_the_reference_writer(tmp_path_factory, dat
         assert rows(disk, term) == rows(memory, term), term
         assert disk.document_frequency(term) == memory.document_frequency(term), term
     assert_live_segments_equal_the_reference(disk, scratch)
+    disk.close()
+
+
+# -- a state holds at most its length in postings; the tier fast path (property) ---
+
+
+def assert_postings_within_lengths_and_tiers_exact(disk):
+    """Every segment file: no state holds more postings than its token
+    length, and the tier compaction takes without counting is the tier
+    of the live postings counted by brute force."""
+    for reader in disk._flushed:
+        held = Counter()
+        for term in reader.file_terms():
+            held.update(reader.columns(term)[0])
+        assert all(held[ordinal] <= reader.state_length(ordinal) for ordinal in held), reader.name
+        live = sum(count for ordinal, count in held.items() if reader.live[ordinal])
+        assert _live_tier(reader) == _tier(live), (reader.name, reader.dead)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_state_holds_at_most_its_length_and_the_fast_tier_is_exact(tmp_path_factory, data):
+    """Random add / update / remove / compaction sequences over texts
+    with and without repeated words and stopwords: every segment written
+    by a flush or a rewrite keeps each state's postings within its
+    length, the bound the tier fast path rests on, and that fast path
+    names the exact tier of the live postings after every step."""
+    disk = SegmentedIndex(
+        tmp_path_factory.mktemp("tiers") / "idx",
+        stopwords=data.draw(st.sampled_from([None, frozenset({"alpha", "beta"})]), label="stopwords"),
+        flush_threshold=data.draw(st.sampled_from([4, 16, 40, 10**6]), label="flush_threshold"),
+        block_size=data.draw(st.sampled_from([1, 2, 128]), label="block_size"),
+        compact_fanin=data.draw(st.sampled_from([2, 3, 100]), label="compact_fanin"),
+    )
+    pages = [f"http://t.test/p{page}" for page in range(6)]
+    page_texts = st.lists(
+        st.lists(words, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=5
+    )
+    operations = st.sampled_from(["add", "add", "remove", "remove", "maybe_compact", "compact_all"])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12), label="steps")):
+        operation = data.draw(operations, label="operation")
+        if operation == "add":
+            for url in data.draw(st.lists(st.sampled_from(pages), min_size=1, max_size=3, unique=True)):
+                disk.update_model(make_model(url, data.draw(page_texts, label="texts")))
+        elif operation == "remove":
+            disk.remove_urls(data.draw(st.lists(st.sampled_from(pages), max_size=3), label="gone"))
+        else:
+            getattr(disk, operation)()
+        assert_postings_within_lengths_and_tiers_exact(disk)
     disk.close()
