@@ -1,18 +1,18 @@
-# Developer entry points.  `make check` is the one-command gate:
-# the tier-1 test suite plus a smoke run of the fault-tolerance
-# benchmark, so robustness regressions surface before review.
+# Developer entry points.  `make check` is the one-command gate: the
+# tier-1 test suite (the serving, live-telemetry and profiling contracts
+# are pytest cases in it) plus the benchmark floors, the golden traces
+# and the conformance corpus, so regressions surface before review.
 
 PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
-	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
-	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup \
-	bench-e2e-smoke bench-testgen bench-ab loc
+	trace-verify trace-regen testgen-smoke bench-serving bench-parallel \
+	bench-index bench-dedup bench-e2e-smoke bench-testgen bench-ab loc
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
-	trace-verify profile-smoke testgen-smoke serve-smoke obs-live-smoke
+	trace-verify testgen-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,26 +37,11 @@ trace-verify:
 trace-regen:
 	$(PYTHON) -m repro.obs.goldens --regen
 
-# Span/profile/doctor smoke: healthy crawl must diagnose clean, a
-# fault-storm crawl and a skewed parallel run must be caught.
-profile-smoke:
-	$(PYTHON) -m repro.obs.smoke
-
 # Conformance gate: crawl 50 generated sites against their ground
 # truth and crash-fuzz the JS/DOM substrate over the pinned corpus.
 testgen-smoke:
 	$(PYTHON) -m repro.cli testgen conformance --seeds 0:50 --quiet
 	$(PYTHON) -m repro.cli testgen fuzz --seeds 0:2000
-
-# Serving-tier gate: boot a real HTTP server over a crawled site and
-# drive the query/result/metrics/429 sequence end to end.
-serve-smoke:
-	$(PYTHON) -m repro.serve.smoke
-
-# Live-telemetry gate: a seeded latency storm on a virtual clock must
-# fire the slo-burn-rate doctor rule; a healthy run must stay silent.
-obs-live-smoke:
-	$(PYTHON) -m repro.serve.live_smoke
 
 # Serving load benchmark: latency percentiles, RPS, cache hit rate and
 # 429 counts (writes benchmarks/results/BENCH_serving.json).

@@ -47,7 +47,7 @@ from repro.obs import (
     from_jsonl,
     merge_partition_traces,
     profile_components,
-    summarize_jsonl,
+    summarize,
     to_speedscope,
 )
 from repro.parallel import (
@@ -83,6 +83,19 @@ def _default_start_url(site: SimulatedServer) -> str:
     if isinstance(site, SyntheticWebmail):
         return site.inbox_url
     raise SystemExit("--start-url is required for this site")
+
+
+def read_input(args: argparse.Namespace, path: str, parse=json.loads):
+    """``parse`` of the text of an input file.  A file that cannot be
+    read or parsed ends the run with one line naming it and the cause,
+    not a traceback."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as error:
+        cause = error.strerror
+    except (ValueError, KeyError) as error:  # JSONDecodeError, a field missing
+        cause = f"malformed: {error}"
+    raise SystemExit(f"repro-ajax {args.command}: {path}: {cause}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -210,7 +223,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         if profile_events is not None:
             events = profile_events
         elif sink is not None:
-            events = from_jsonl(Path(args.trace).read_text(encoding="utf-8"))
+            events = read_input(args, args.trace, from_jsonl)
         else:
             events = recorder.events
         tree = SpanTree.from_events(events, strict=False)
@@ -275,9 +288,7 @@ def cmd_index_stats(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     index = SegmentedIndex.open(args.index)
-    pageranks = {}
-    if args.pagerank:
-        pageranks = json.loads(Path(args.pagerank).read_text(encoding="utf-8"))
+    pageranks = read_input(args, args.pagerank) if args.pagerank else {}
     engine = SearchEngine(index, pageranks=pageranks)
     total, results = engine.top(args.query, args.limit)
     print(f"top {len(results)} of {total} result(s) for {args.query!r}:")
@@ -395,25 +406,17 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return 1
 
 
+def _load_trace(args: argparse.Namespace) -> list:
+    return read_input(args, args.trace_file, from_jsonl)
+
+
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
-    path = Path(args.trace_file)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return 1
-    summary = summarize_jsonl(path.read_text(encoding="utf-8"))
-    print(format_summary(summary))
+    print(format_summary(summarize(_load_trace(args))))
     return 0
 
 
-def _load_trace(trace_file: str) -> list:
-    path = Path(trace_file)
-    if not path.exists():
-        raise SystemExit(f"no such trace file: {path}")
-    return from_jsonl(path.read_text(encoding="utf-8"))
-
-
 def cmd_trace_spans(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args.trace_file), strict=False)
+    tree = SpanTree.from_events(_load_trace(args), strict=False)
     if not tree.roots:
         print("no spans in trace (crawl with --spans or Recorder(spans=True))")
         return 1
@@ -422,7 +425,7 @@ def cmd_trace_spans(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_flame(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args.trace_file), strict=False)
+    tree = SpanTree.from_events(_load_trace(args), strict=False)
     if not tree.roots:
         print("no spans in trace (crawl with --spans or Recorder(spans=True))")
         return 1
@@ -439,7 +442,7 @@ def cmd_trace_flame(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_critical_path(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args.trace_file), strict=False)
+    tree = SpanTree.from_events(_load_trace(args), strict=False)
     report = critical_path_from_spans(tree, args.lines)
     if not report.partitions:
         print("no partition spans in trace (use a parallel crawl with spans on)")
@@ -449,10 +452,8 @@ def cmd_trace_critical_path(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_doctor(args: argparse.Namespace) -> int:
-    events = _load_trace(args.trace_file)
-    metrics = None
-    if args.metrics:
-        metrics = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
+    events = _load_trace(args)
+    metrics = read_input(args, args.metrics) if args.metrics else None
     findings = diagnose(events=events, metrics=metrics)
     print(format_findings(findings))
     if findings and args.fail_on_findings:
@@ -461,11 +462,7 @@ def cmd_trace_doctor(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    path = Path(args.metrics_file)
-    if not path.exists():
-        print(f"no such metrics file: {path}", file=sys.stderr)
-        return 1
-    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    snapshot = read_input(args, args.metrics_file)
     if args.format == "prom":
         print(MetricsRegistry.from_snapshot(snapshot).to_prometheus(), end="")
     else:

@@ -66,12 +66,10 @@ from repro.obs.profile import (
     PartitionCost,
     critical_path,
     critical_path_from_spans,
-    critical_path_report,
     folded_stacks,
     format_component_table,
     format_critical_path,
     format_folded,
-    hotnode_attribution,
     profile_components,
     to_speedscope,
 )
@@ -90,7 +88,6 @@ from repro.obs.trace import (
     merge_partition_traces,
     normalize_lines,
     summarize,
-    summarize_jsonl,
 )
 
 __all__ = [
@@ -144,7 +141,6 @@ __all__ = [
     "merge_partition_traces",
     "diff_traces",
     "summarize",
-    "summarize_jsonl",
     "format_summary",
     "Span",
     "SpanTree",
@@ -156,11 +152,9 @@ __all__ = [
     "folded_stacks",
     "format_folded",
     "to_speedscope",
-    "hotnode_attribution",
     "PartitionCost",
     "CriticalPathReport",
     "critical_path",
-    "critical_path_report",
     "critical_path_from_spans",
     "format_critical_path",
     "Finding",

@@ -5,8 +5,8 @@ stream, a metrics snapshot (a :class:`MetricsRegistry` or its
 ``snapshot()`` dict), a finished parallel run — and emits typed
 :class:`Finding` objects, each naming the rule that fired, the
 measured signal, the threshold it crossed, and a suggested action.
-A healthy crawl produces an empty list; ``make profile-smoke`` gates
-on exactly that.
+A healthy crawl produces an empty list;
+``tests/obs/test_doctor.py`` asserts exactly that on a real crawl.
 
 The rule table (also in docs/API.md):
 

@@ -42,10 +42,6 @@ GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
 YOUTUBE_VIDEOS = 3
 YOUTUBE_SEED = 7
 
-#: Fields a golden comparison is allowed to mask.  Empty by default:
-#: the whole pipeline is deterministic, so everything is asserted.
-ALLOWED_DRIFT_FIELDS: tuple[str, ...] = ()
-
 
 def webmail_trace() -> list[TraceEvent]:
     """The canonical trace of the seeded SimMail crawl."""
@@ -101,9 +97,7 @@ def golden_path(corpus: str) -> Path:
 def current_lines(corpus: str) -> list[str]:
     """The freshly produced, normalized trace of one corpus."""
     events = CORPORA[corpus][1]()
-    return normalize_lines(
-        to_jsonl(events).splitlines(), drop_fields=ALLOWED_DRIFT_FIELDS
-    )
+    return normalize_lines(to_jsonl(events).splitlines())
 
 
 def verify(corpus: str) -> list[str]:
@@ -114,10 +108,7 @@ def verify(corpus: str) -> list[str]:
     path = golden_path(corpus)
     if not path.exists():
         return [f"golden trace missing: {path} (run --regen and commit it)"]
-    expected = normalize_lines(
-        path.read_text(encoding="utf-8").splitlines(),
-        drop_fields=ALLOWED_DRIFT_FIELDS,
-    )
+    expected = normalize_lines(path.read_text(encoding="utf-8").splitlines())
     return diff_traces(expected, current_lines(corpus))
 
 

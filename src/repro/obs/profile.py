@@ -15,26 +15,20 @@ all derived from a :class:`~repro.obs.spans.SpanTree`:
   evented format, one profile per root span, because per-partition
   clock rebinds make timestamps comparable only within a root.
 
-* :func:`critical_path` / :func:`critical_path_report` — replay of the
-  :class:`~repro.parallel.MPAjaxCrawler` earliest-free-line scheduler
-  over per-partition durations: per-line finish times, the makespan,
-  the straggler partition and its makespan share, and the skew ratio
-  (max/mean duration).  This is the quantitative answer to "why was
+* :func:`critical_path` / :func:`critical_path_from_spans` — replay of
+  the :class:`~repro.parallel.MPAjaxCrawler` earliest-free-line
+  scheduler over per-partition durations: per-line finish times, the
+  makespan, the straggler partition and its makespan share, and the
+  skew ratio (max/mean duration).  This is the quantitative answer to "why was
   the four-line speedup only ~27%?" (Figure 7.8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
-from repro.obs.events import (
-    HOTNODE_CACHE_HIT,
-    HOTNODE_CACHE_MISS,
-    PAGE_FETCH,
-    TraceEvent,
-    XHR_CALL,
-)
+from repro.obs.events import PAGE_FETCH, XHR_CALL
 from repro.obs.spans import Span, SpanTree
 
 # -- per-component attribution -------------------------------------------------------
@@ -166,39 +160,6 @@ def to_speedscope(tree: SpanTree, name: str = "repro-trace") -> dict[str, Any]:
     }
 
 
-# -- hot-node attribution ------------------------------------------------------------
-
-
-@dataclass
-class HotNodeRow:
-    """Cache behaviour of one hot-node signature."""
-
-    signature: str
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-def hotnode_attribution(events: Iterable[TraceEvent]) -> list[HotNodeRow]:
-    """Per-signature hit/miss table from the cache trace events."""
-    rows: dict[str, HotNodeRow] = {}
-    for event in events:
-        if event.kind == HOTNODE_CACHE_HIT:
-            signature = str(event.fields.get("signature", "?"))
-            rows.setdefault(signature, HotNodeRow(signature)).hits += 1
-        elif event.kind == HOTNODE_CACHE_MISS:
-            signature = str(event.fields.get("signature", "?"))
-            rows.setdefault(signature, HotNodeRow(signature)).misses += 1
-    return sorted(rows.values(), key=lambda r: (-r.lookups, r.signature))
-
-
 # -- critical path over process lines ------------------------------------------------
 
 
@@ -272,21 +233,6 @@ def critical_path(costs: list[PartitionCost], num_lines: int) -> CriticalPathRep
     )
     report.critical_line_partitions = per_line[report.critical_line] if costs else []
     return report
-
-
-def critical_path_report(run: Any) -> CriticalPathReport:
-    """Critical-path analysis of a finished parallel run.
-
-    ``run`` is duck-typed against
-    :class:`~repro.parallel.ParallelRunResult`: it must expose
-    ``partition_numbers``, ``partition_durations_ms`` and
-    ``num_proc_lines`` (filled by both MPAjaxCrawler runners).
-    """
-    costs = [
-        PartitionCost(partition=number, duration_ms=duration)
-        for number, duration in zip(run.partition_numbers, run.partition_durations_ms)
-    ]
-    return critical_path(costs, run.num_proc_lines)
 
 
 def critical_path_from_spans(tree: SpanTree, num_lines: int) -> CriticalPathReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.obs.events import SPAN_END, SPAN_START, TraceEvent, from_jsonl
+from repro.obs.events import SPAN_END, SPAN_START, TraceEvent
 
 #: Tolerance for float time comparisons (virtual-clock ms).
 _EPS = 1e-6
@@ -217,11 +217,6 @@ class SpanTree:
         tree = cls(roots, by_id, orphans, problems)
         tree._check_time_budget(problem)
         return tree
-
-    @classmethod
-    def from_jsonl(cls, text: str, strict: bool = True) -> "SpanTree":
-        """Parse canonical JSONL then build the tree."""
-        return cls.from_events(from_jsonl(text), strict=strict)
 
     def _check_time_budget(self, problem: Any) -> None:
         """Children's inclusive time must fit inside the parent's."""

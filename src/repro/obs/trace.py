@@ -1,18 +1,18 @@
 """Trace post-processing: normalization, diffing and summaries.
 
 Golden-trace regression testing compares the canonical JSONL of a
-seeded crawl against a checked-in file.  The comparison goes through a
-*normalizer* so that intentionally unstable fields (none by default —
-the whole pipeline is deterministic) can be masked without weakening
-the rest of the trace, and through :func:`diff_traces`, which renders a
-readable event-level diff instead of a wall of bytes.
+seeded crawl against a checked-in file.  The whole pipeline is
+deterministic, so every field is asserted: the comparison goes through
+a *normalizer* that only rounds floats, and through
+:func:`diff_traces`, which renders a readable event-level diff instead
+of a wall of bytes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.obs.events import TraceEvent, from_jsonl
+from repro.obs.events import TraceEvent
 
 
 def merge_partition_traces(
@@ -52,32 +52,22 @@ def merge_partition_traces(
     return merged
 
 
-def normalize_lines(
-    lines: Iterable[str],
-    drop_fields: Sequence[str] = (),
-    round_floats: Optional[int] = 6,
-) -> list[str]:
+def normalize_lines(lines: Iterable[str]) -> list[str]:
     """Canonicalize trace lines for comparison.
 
-    ``drop_fields`` masks allowed-to-change fields (their values are
-    replaced by ``"*"`` so presence is still asserted); ``round_floats``
-    guards against float-repr drift across interpreter versions.
+    Floats are rounded to 6 digits, which guards against float-repr
+    drift across interpreter versions; blank lines are dropped.
     """
     out = []
     for line in lines:
         if not line.strip():
             continue
         event = TraceEvent.from_json(line)
-        fields = {}
-        for name, value in event.fields.items():
-            if name in drop_fields:
-                fields[name] = "*"
-            elif isinstance(value, float) and round_floats is not None:
-                fields[name] = round(value, round_floats)
-            else:
-                fields[name] = value
-        t_ms = round(event.t_ms, round_floats) if round_floats is not None else event.t_ms
-        out.append(TraceEvent(event.seq, t_ms, event.kind, fields).to_json())
+        fields = {
+            name: round(value, 6) if isinstance(value, float) else value
+            for name, value in event.fields.items()
+        }
+        out.append(TraceEvent(event.seq, round(event.t_ms, 6), event.kind, fields).to_json())
     return out
 
 
@@ -144,10 +134,6 @@ def summarize(events: Iterable[TraceEvent]) -> dict:
         "distinct_urls": len(urls),
         "busiest_urls": sorted(urls.items(), key=lambda kv: (-kv[1], kv[0]))[:5],
     }
-
-
-def summarize_jsonl(text: str) -> dict:
-    return summarize(from_jsonl(text))
 
 
 def format_summary(summary: dict) -> str:

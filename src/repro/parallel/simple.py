@@ -41,10 +41,6 @@ class PartitionRunSummary:
     #: The worker's network counters (retries, failures, bytes, ...).
     network: NetworkStats = field(default_factory=NetworkStats)
 
-    @property
-    def wall_time_ms(self) -> float:
-        return self.crawl_time_ms
-
 
 class SimpleAjaxCrawler:
     """Crawls one URL partition with its own clock and browser."""

@@ -5,8 +5,8 @@ the :class:`~repro.search.SearchEngine`, with an LRU+TTL query cache,
 per-client token-bucket rate limiting, deterministic latency injection
 for soak realism, Prometheus metrics at ``/metrics``, and §5.4 result
 reconstruction at ``/result``.  ``repro.serve.loadtest`` is the paired
-closed-loop load generator; ``python -m repro.serve.smoke`` is the
-end-to-end gate.
+closed-loop load generator; ``tests/serve/test_http.py`` drives the
+tier end to end over real sockets.
 """
 
 from repro.serve.cache import QueryCache

@@ -20,7 +20,9 @@ from repro.obs.doctor import (
     signals_from_parallel,
 )
 from repro.obs.goldens import golden_path
+from repro.obs.profile import folded_stacks, profile_components
 from repro.obs.recorder import Recorder
+from repro.obs.spans import SpanTree
 from repro.obs.trace import normalize_lines  # noqa: F401  (exercised elsewhere)
 from repro.obs.events import from_jsonl
 from repro.parallel import MPAjaxCrawler
@@ -210,6 +212,13 @@ class TestDiagnose:
         result = crawler.crawl([site.inbox_url])
         findings = diagnose(events=recorder.events, metrics=result.report.registry)
         assert findings == [], format_findings(findings)
+        # The profile of the same crawl: a valid tree, stacks to fold,
+        # and the crawler's own span kinds.
+        tree = SpanTree.from_events(recorder.events)
+        assert tree.roots and not tree.problems
+        assert folded_stacks(tree)
+        kinds = {row.kind for row in profile_components(tree)}
+        assert {"crawl", "page", "fire_event"} <= kinds, kinds
 
     def test_seeded_fault_storm_is_diagnosed(self):
         site = SyntheticWebmail()

@@ -9,12 +9,10 @@ from repro.obs.profile import (
     PartitionCost,
     critical_path,
     critical_path_from_spans,
-    critical_path_report,
     folded_stacks,
     format_component_table,
     format_critical_path,
     format_folded,
-    hotnode_attribution,
     profile_components,
     to_speedscope,
 )
@@ -120,20 +118,6 @@ class TestFlame:
         assert len(doc["profiles"]) == 2
 
 
-def test_hotnode_attribution_groups_by_signature():
-    recorder = Recorder(clock=SimClock())
-    recorder.emit("hotnode_cache_hit", signature="GET /a")
-    recorder.emit("hotnode_cache_hit", signature="GET /a")
-    recorder.emit("hotnode_cache_miss", signature="GET /a")
-    recorder.emit("hotnode_cache_miss", signature="GET /b")
-    rows = hotnode_attribution(recorder.events)
-    assert [(r.signature, r.hits, r.misses) for r in rows] == [
-        ("GET /a", 2, 1),
-        ("GET /b", 0, 1),
-    ]
-    assert rows[0].hit_rate == pytest.approx(2 / 3)
-
-
 # -- critical path -----------------------------------------------------------------------
 
 
@@ -166,7 +150,11 @@ class TestCriticalPath:
         crawler = MPAjaxCrawler(site, num_proc_lines=3, machine=machine)
         partitions = [[site.video_url(i), site.video_url(i + 1)] for i in (0, 2, 4)]
         run = crawler.run_simulated(partitions)
-        report = critical_path_report(run)
+        costs = [
+            PartitionCost(number, duration)
+            for number, duration in zip(run.partition_numbers, run.partition_durations_ms)
+        ]
+        report = critical_path(costs, run.num_proc_lines)
         # The replay must reproduce the scheduler's own accounting.
         assert report.makespan_ms == pytest.approx(run.makespan_ms)
         assert report.line_finish_ms == pytest.approx(run.line_finish_ms)

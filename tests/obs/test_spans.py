@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.obs import NULL_RECORDER, NULL_SPAN, SPAN_END, SPAN_START
-from repro.obs.events import TraceEvent, to_jsonl
+from repro.obs.events import TraceEvent, from_jsonl, to_jsonl
 from repro.obs.recorder import Recorder
 from repro.obs.spans import SpanNestingError, SpanTree, format_span_tree
 
@@ -96,7 +96,7 @@ class TestSpanTree:
                 recorder.emit("page_fetch", url="u", bytes=100)
                 page.annotate(states=2)
             recorder.clock.advance(2.0)
-        tree = SpanTree.from_jsonl(to_jsonl(recorder.events))
+        tree = SpanTree.from_events(from_jsonl(to_jsonl(recorder.events)))
         assert not tree.problems
         assert len(tree) == 2
         (crawl,) = tree.roots
@@ -244,7 +244,7 @@ def test_emitted_spans_always_form_valid_tree(ops):
             recorder.clock.advance(arg)
         else:
             stack.pop().__exit__(None, None, None)
-    tree = SpanTree.from_jsonl(to_jsonl(recorder.events))  # strict: must not raise
+    tree = SpanTree.from_events(from_jsonl(to_jsonl(recorder.events)))  # strict: must not raise
     assert not tree.problems
     for span in tree.walk():
         child_sum = sum(c.inclusive_ms for c in span.children)

@@ -18,21 +18,10 @@ class TestNormalizeLines:
         lines = normalize_lines(["", "  ", '{"seq":0,"t_ms":0.0,"kind":"retry"}'])
         assert len(lines) == 1
 
-    def test_drop_fields_masks_value_but_asserts_presence(self):
-        event = TraceEvent(0, 0.0, "page_fetch", {"url": "u", "latency_ms": 3.25})
-        (line,) = normalize_lines(lines_of(event), drop_fields=("latency_ms",))
-        assert '"latency_ms":"*"' in line
-        assert '"url":"u"' in line
-
     def test_round_floats_canonicalizes_repr_drift(self):
         a = TraceEvent(0, 0.1234567891, "retry", {"backoff_ms": 10.00000049})
         b = TraceEvent(0, 0.1234567222, "retry", {"backoff_ms": 10.00000001})
         assert normalize_lines(lines_of(a)) == normalize_lines(lines_of(b))
-
-    def test_round_floats_none_keeps_exact_values(self):
-        event = TraceEvent(0, 0.123456789, "retry", {})
-        (line,) = normalize_lines(lines_of(event), round_floats=None)
-        assert "0.123456789" in line
 
     def test_non_float_fields_untouched(self):
         event = TraceEvent(0, 0.0, "event_fired", {"attempt": 3, "ok": True})
@@ -85,10 +74,10 @@ class TestDiffTraces:
         assert diff_traces(lines, swapped)
 
     def test_normalized_traces_diff_clean_after_masking(self):
-        a = TraceEvent(0, 5.0, "page_fetch", {"url": "u", "latency_ms": 1.0})
-        b = TraceEvent(0, 5.0, "page_fetch", {"url": "u", "latency_ms": 2.0})
-        masked_a = normalize_lines(lines_of(a), drop_fields=("latency_ms",))
-        masked_b = normalize_lines(lines_of(b), drop_fields=("latency_ms",))
-        assert diff_traces(masked_a, masked_b) == []
-        # Without masking the same pair differs.
-        assert diff_traces(normalize_lines(lines_of(a)), normalize_lines(lines_of(b)))
+        """Rounding masks digits below the sixth, and only those: every
+        field is asserted, so a real change still differs."""
+        a = TraceEvent(0, 5.0, "page_fetch", {"url": "u", "latency_ms": 1.0000001})
+        b = TraceEvent(0, 5.0, "page_fetch", {"url": "u", "latency_ms": 1.0000004})
+        c = TraceEvent(0, 5.0, "page_fetch", {"url": "u", "latency_ms": 2.0})
+        assert diff_traces(normalize_lines(lines_of(a)), normalize_lines(lines_of(b))) == []
+        assert diff_traces(normalize_lines(lines_of(a)), normalize_lines(lines_of(c)))

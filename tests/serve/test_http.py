@@ -7,7 +7,11 @@ from urllib.parse import urlencode
 
 import pytest
 
+from repro.clock import CostModel
+from repro.crawler import AjaxCrawler
+from repro.search import SearchEngine
 from repro.serve import CLIENT_HEADER, SearchServer, SearchService, ServeConfig
+from repro.sites import SiteConfig, SyntheticYouTube
 
 
 def get(url, client="test"):
@@ -93,6 +97,27 @@ class TestErrorMapping:
     def test_result_not_configured_404(self, server):
         status, _, _ = get(f"{server.url}/result?uri=url1&state=s0")
         assert status == 404
+
+
+def test_result_replays_a_searched_hit():
+    """Crawl, search, then replay a hit that sits behind an event (§5.4)."""
+    site = SyntheticYouTube(SiteConfig(num_videos=6, seed=13))
+    crawler = AjaxCrawler(site, cost_model=CostModel(network_jitter=0.0))
+    models = crawler.crawl([site.video_url(i) for i in range(6)]).models
+    service = SearchService(SearchEngine.build(models), models=models, site=site)
+    with SearchServer(service) as server:
+        status, body, _ = get(f"{server.url}/search?q=wow")
+        assert status == 200
+        uri, state = next(
+            (hit["uri"], hit["state"]) for hit in body["results"] if hit["state"] != "s0"
+        )
+        status, body, _ = get(
+            f"{server.url}/result?{urlencode({'uri': uri, 'state': state})}"
+        )
+    assert status == 200
+    assert (body["uri"], body["state"]) == (uri, state)
+    assert body["depth"] >= 1
+    assert "wow" in body["html"].lower()
 
 
 class TestRateLimiting:

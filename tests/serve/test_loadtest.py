@@ -121,10 +121,3 @@ class TestRunLoadtest:
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError):
             run_loadtest("http://127.0.0.1:1", [])
-
-
-def test_smoke_sequence_passes():
-    """The make serve-smoke gate, at test size."""
-    from repro.serve.smoke import run_smoke
-
-    assert run_smoke(num_videos=6, verbose=False) == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.clock import CostModel
 from repro.crawler import AjaxCrawler
 from repro.net.latency import ConstantLatency
-from repro.obs import MetricsRegistry, Recorder
+from repro.obs import BURN_RATE_RULE, MetricsRegistry, Recorder
 from repro.search import ENGLISH_STOPWORDS, InvertedFile, SearchEngine
 from repro.serve import (
     BadRequest,
@@ -232,6 +232,27 @@ class TestLatencyInjection:
         service.search({"q": "morcheeba"})
         service.search({"q": "morcheeba"})
         assert len(slept) == 1
+
+    def test_latency_storm_burns_the_slo_budget(self, engine):
+        """Sleeping advances the virtual clock, so every request takes
+        exactly the injected 400 ms: past the latency SLO, exactly."""
+        clock = FakeClock(1000.0)
+        service = SearchService(
+            engine,
+            ServeConfig(latency_ms=400.0, latency_distribution=ConstantLatency()),
+            clock=clock,
+            sleep=clock.advance,
+        )
+        for index in range(20):  # distinct offsets: every request misses the cache
+            service.search(
+                {"q": "morcheeba", "offset": str(index)}, request_id=f"storm-{index}"
+            )
+            clock.advance(1.0)
+        telemetry = service.telemetry
+        burn = [f for f in telemetry.diagnose() if f.rule == BURN_RATE_RULE]
+        assert "critical" in {f.severity for f in burn}
+        assert len(telemetry.slow_queries()) == 20
+        assert telemetry.trace("storm-19")["duration_ms"] == pytest.approx(400.0)
 
 
 class TestObservability:

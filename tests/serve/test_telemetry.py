@@ -81,6 +81,7 @@ class TestWindowsAndVars:
         data = tel.vars()
         assert data["cache"]["hits"] == 1.0
         assert data["cache"]["misses"] == 2.0
+        assert data["cache"]["hit_rate"] == pytest.approx(1 / 3)
         assert data["index"]["blocks_decoded"] == 10.0
         assert data["index"]["blocks_skipped"] == 30.0
         assert data["index"]["decode_fraction"] == pytest.approx(0.25)
@@ -145,6 +146,7 @@ class TestLiveDoctor:
             clock.advance(0.5)
         assert tel.diagnose() == []
         assert tel.slo_status()["findings"] == []
+        assert set(tel.vars()["slo"].values()) == {0.0}  # no budget spent
 
     def test_cache_collapse_fires_below_hit_rate_floor(self):
         tel, _ = telemetry()

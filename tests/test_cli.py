@@ -405,6 +405,44 @@ class TestIndexErrors:
         assert cause in str(message)
 
 
+NO_FILE = "No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["trace", "summarize", "{missing}"], NO_FILE),
+        *[
+            (["trace", command, "{garbled}"], "malformed: Expecting")
+            for command in ("summarize", "spans", "flame", "critical-path", "doctor")
+        ],
+        (["trace", "spans", "{fieldless}"], "malformed: 'seq'"),
+        (["trace", "doctor", "{trace}", "--metrics", "{missing}"], NO_FILE),
+        (["trace", "doctor", "{trace}", "--metrics", "{garbled}"], "malformed"),
+        (["metrics", "{missing}"], NO_FILE),
+        (["metrics", "{garbled}"], "malformed"),
+        (["search", "--index", "{index}", "--query", "wow", "--pagerank", "{missing}"], NO_FILE),
+        (["search", "--index", "{index}", "--query", "wow", "--pagerank", "{garbled}"],
+         "malformed"),
+    ],
+)
+def test_an_unreadable_input_file_exits_with_one_line(argv, cause, pipeline, tmp_path):
+    """A missing or malformed trace, metrics snapshot or PageRank file
+    ends the run with one line naming the file and the cause."""
+    files = {
+        name: tmp_path / f"{name}.json" for name in ("missing", "garbled", "fieldless", "trace")
+    }
+    files["garbled"].write_text('{"seq": 0, "t_ms"\n', encoding="utf-8")
+    files["fieldless"].write_text('{"kind": "retry"}\n', encoding="utf-8")
+    files["trace"].write_text('{"kind": "retry", "seq": 0, "t_ms": 0.0}\n', encoding="utf-8")
+    argv = [word.format(index=pipeline["index"], **files) for word in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    message = str(exit_info.value.code)  # the bad file is the last argument
+    assert message.startswith(f"repro-ajax {argv[0]}: {argv[-1]}: "), message
+    assert cause in message and "\n" not in message
+
+
 #: The documents whose fenced shell blocks show the CLI.
 DOCUMENTED = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
 

@@ -43,7 +43,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 22_007
+SRC_LINE_CEILING = 21_468
 
 
 def test_src_line_ceiling():
