@@ -1,18 +1,18 @@
 # Developer entry points.  `make check` is the one-command gate: the
-# tier-1 test suite (the serving, live-telemetry and profiling contracts
-# are pytest cases in it) plus the benchmark floors, the golden traces
-# and the conformance corpus, so regressions surface before review.
+# tier-1 test suite (the serving, live-telemetry and profiling contracts,
+# the golden traces, the 50-seed conformance corpus and the 2 000-case
+# fuzz are pytest cases in it) plus the benchmark floors, so regressions
+# surface before review.
 
 PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
-	trace-verify trace-regen testgen-smoke bench-serving bench-parallel \
+	trace-regen testgen-smoke bench-serving bench-parallel \
 	bench-index bench-dedup bench-e2e-smoke bench-testgen bench-ab loc
 
-check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke \
-	trace-verify testgen-smoke
+check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,17 +28,14 @@ test-fast:
 coverage:
 	$(PYTHON) tools/coverage_gate.py
 
-# Re-run the seeded golden crawls and diff their event streams against
-# tests/golden/*.jsonl (event-level diff on mismatch).
-trace-verify:
-	$(PYTHON) -m repro.obs.goldens --verify
-
-# Rewrite the goldens after an intentional behaviour change.
+# Rewrite the golden traces (tests/golden/*.jsonl, which
+# tests/obs/test_golden_traces.py diffs event by event) after an
+# intentional behaviour change.
 trace-regen:
 	$(PYTHON) -m repro.obs.goldens --regen
 
-# Conformance gate: crawl 50 generated sites against their ground
-# truth and crash-fuzz the JS/DOM substrate over the pinned corpus.
+# The conformance corpus and the fuzz corpus through the CLI (the same
+# sweeps are tests/testgen cases, so `make check` runs them once, there).
 testgen-smoke:
 	$(PYTHON) -m repro.cli testgen conformance --seeds 0:50 --quiet
 	$(PYTHON) -m repro.cli testgen fuzz --seeds 0:2000
@@ -84,7 +81,7 @@ bench-ab:
 # scales it), builds both index backends and enforces the <=11 B/posting
 # on-disk size floor, block-skipping decode floor and query-latency budgets
 # (writes benchmarks/results/BENCH_index.json).  The index_parity
-# differential check itself runs inside testgen-smoke.
+# differential check itself runs in the conformance corpus test.
 bench-index:
 	$(PYTHON) -m pytest benchmarks/bench_index.py -q --benchmark-disable
 
@@ -92,7 +89,7 @@ bench-index:
 # banded-LSH layer off and on, and enforces the >=2x states-crawled/
 # indexed floors with zero false merges (writes
 # benchmarks/results/BENCH_dedup.json).  The near_dup_parity
-# differential check itself runs inside testgen-smoke.
+# differential check itself runs in the conformance corpus test.
 bench-dedup:
 	$(PYTHON) -m pytest benchmarks/bench_dedup.py -q --benchmark-disable
 

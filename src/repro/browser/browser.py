@@ -19,7 +19,7 @@ from repro.net.faults import RetryPolicy
 from repro.net.gateway import NetworkGateway
 from repro.net.server import SimulatedServer
 from repro.net.stats import NetworkStats
-from repro.net.xhr import HotCallObserver, HotCallPolicy, make_xhr_constructor
+from repro.net.xhr import HotCallPolicy, make_xhr_constructor
 from repro.obs import NULL_RECORDER
 
 
@@ -34,8 +34,6 @@ class Browser:
         stats: Optional[NetworkStats] = None,
         javascript_enabled: bool = True,
         hot_policy: Optional[HotCallPolicy] = None,
-        hot_observer: Optional[HotCallObserver] = None,
-        max_js_steps: int = 2_000_000,
         retry_policy: Optional[RetryPolicy] = None,
         recorder=NULL_RECORDER,
     ) -> None:
@@ -54,8 +52,6 @@ class Browser:
         )
         self.javascript_enabled = javascript_enabled
         self.hot_policy = hot_policy
-        self.hot_observer = hot_observer
-        self.max_js_steps = max_js_steps
 
     def load(self, url: str, run_scripts: bool = True, run_onload: bool = True) -> Page:
         """Fetch ``url`` and build a page.
@@ -70,7 +66,7 @@ class Browser:
             self.cost_model.html_parse_ms(response.body_bytes), PARSE_ACCOUNT
         )
         document = parse_document(response.body, url=url)
-        interpreter = Interpreter(max_steps=self.max_js_steps)
+        interpreter = Interpreter()
         page = Page(
             url=url,
             document=document,
@@ -82,12 +78,7 @@ class Browser:
         )
         interpreter.define_global(
             "XMLHttpRequest",
-            make_xhr_constructor(
-                self.gateway,
-                base_url=url,
-                policy=self.hot_policy,
-                observer=self.hot_observer,
-            ),
+            make_xhr_constructor(self.gateway, base_url=url, policy=self.hot_policy),
         )
         if self.javascript_enabled and run_scripts:
             page.run_scripts()

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.crawler import CrawlerConfig
 from repro.dom.simhash import bands_for_threshold
-from repro.errors import SearchError
+from repro.errors import ReproError
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule
 from repro.net.server import SimulatedServer
 from repro.obs import (
@@ -575,6 +575,14 @@ def _near_dup_bits(text: str) -> int:
     return bits
 
 
+def _positive(text: str) -> int:
+    """A count that has to be at least 1 (``--workers``, ``--size``, ...)."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
+    return count
+
+
 def _result_limit(text: str) -> int:
     """``search --limit``: how many results to print; not negative."""
     limit = int(text)
@@ -593,13 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
     precrawl = sub.add_parser("precrawl", help="build hyperlink graph + PageRank")
     precrawl.add_argument("--site", required=True, help="site spec, e.g. simtube:100:7")
     precrawl.add_argument("--start-url", default=None)
-    precrawl.add_argument("--max-pages", type=int, default=100)
+    precrawl.add_argument("--max-pages", type=_positive, default=100)
     precrawl.add_argument("--out", required=True)
     precrawl.set_defaults(fn=cmd_precrawl)
 
     partition = sub.add_parser("partition", help="split the URL list into partitions")
     partition.add_argument("--precrawl", required=True, help="precrawl output dir")
-    partition.add_argument("--size", type=int, default=20)
+    partition.add_argument("--size", type=_positive, default=20)
     partition.add_argument("--out", required=True)
     partition.set_defaults(fn=cmd_partition)
 
@@ -649,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default) or real worker threads",
     )
     crawl.add_argument(
-        "--workers", type=int, default=4, metavar="N",
+        "--workers", type=_positive, default=4, metavar="N",
         help="worker threads for --backend threads (default 4)",
     )
     crawl.set_defaults(fn=cmd_crawl)
@@ -719,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadtest = sub.add_parser("loadtest", help="closed-loop load test of a live server")
     loadtest.add_argument("--url", required=True, help="server base URL")
-    loadtest.add_argument("--workers", type=int, default=4)
+    loadtest.add_argument("--workers", type=_positive, default=4)
     loadtest.add_argument(
         "--requests", type=int, default=100, help="requests per worker"
     )
@@ -866,7 +874,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SearchError as error:
+    except ReproError as error:
         raise SystemExit(f"repro-ajax {args.command}: {error}") from None
 
 

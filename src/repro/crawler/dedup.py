@@ -183,17 +183,9 @@ class StateCollapser:
 
     # -- inspection ---------------------------------------------------------
 
-    @property
-    def num_canonicals(self) -> int:
-        return len(self._canonicals)
-
     def canonical_hashes(self) -> list[str]:
         """Canonical content hashes in first-seen order."""
         return [canonical.content_hash for canonical in self._canonicals]
-
-    def canonical_of(self, content_hash: str) -> Optional[str]:
-        """Canonical hash an observed hash collapsed into, if any."""
-        return self._variant_to_canonical.get(content_hash)
 
     def variants_of(self, canonical_hash: str) -> int:
         """Observation count folded into a canonical (>= 1)."""

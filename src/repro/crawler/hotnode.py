@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.js.debugger import CallStack, Debugger, Intercept, StackFrame
+from repro.js.debugger import Debugger, Intercept, StackFrame
 from repro.net.xhr import HotCallPolicy
 
 
@@ -41,14 +41,6 @@ class StackInfo:
     @property
     def key(self) -> str:
         return f"{self.function_name}({self.arguments})"
-
-    @classmethod
-    def from_call_stack(cls, stack: CallStack) -> Optional["StackInfo"]:
-        """Extract the topmost currently-executing *script* function."""
-        frame = stack.top_script_frame()
-        if frame is None:
-            return None
-        return cls.from_frame(frame)
 
     @classmethod
     def from_frame(cls, frame: StackFrame) -> "StackInfo":
@@ -137,8 +129,7 @@ class HotNodeInterceptor(Debugger):
     Watches ``on_enter``: when the entered function+arguments matches a
     recorded hot call, the call is skipped and the recorded *return
     value* delivered.  Results are recorded on ``on_exit`` of calls that
-    performed a real fetch (marked by the XHR observer via
-    :meth:`mark_pending`).
+    performed a real fetch (marked by the caller via :meth:`mark_pending`).
     """
 
     def __init__(self) -> None:

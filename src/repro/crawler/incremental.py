@@ -62,10 +62,6 @@ class CrawlHistory:
     def size(self) -> int:
         return len(self._outcomes)
 
-    @property
-    def noop_count(self) -> int:
-        return sum(1 for changed in self._outcomes.values() if not changed)
-
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -89,10 +89,6 @@ class PageMetrics:
         """Crawl time minus network time (the lower curve of Fig. 7.4)."""
         return self.crawl_time_ms - self.network_time_ms
 
-    @property
-    def time_per_state_ms(self) -> float:
-        return self.crawl_time_ms / self.states if self.states else 0.0
-
 
 class CrawlReport:
     """Aggregate of a whole crawl (one crawler over a URL list)."""
@@ -202,11 +198,6 @@ class CrawlReport:
         """State throughput (Figure 7.7)."""
         seconds = self.total_time_ms / 1000.0
         return self.total_states / seconds if seconds > 0 else 0.0
-
-    @property
-    def pages_per_second(self) -> float:
-        seconds = self.total_time_ms / 1000.0
-        return self.num_pages / seconds if seconds > 0 else 0.0
 
     def merge(self, other: "CrawlReport") -> None:
         """Fold another report into this one (parallel partitions).

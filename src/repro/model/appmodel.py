@@ -63,10 +63,6 @@ class ApplicationModel:
             self.initial_state_id = state.state_id
         return state, True
 
-    def contains_hash(self, content_hash: str) -> bool:
-        """Whether a state with this content already exists."""
-        return content_hash in self._by_hash
-
     def resolve_hash(self, content_hash: str) -> Optional[State]:
         """The state with this content hash, if any."""
         state_id = self._by_hash.get(content_hash)

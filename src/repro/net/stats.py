@@ -97,16 +97,6 @@ class NetworkStats:
             for url, count in self.registry.labeled_values("net.requests", "url").items()
         }
 
-    @property
-    def total_requests(self) -> int:
-        """All successful requests that hit the network."""
-        return self.page_fetches + self.ajax_calls
-
-    @property
-    def attempted_ajax_calls(self) -> int:
-        """AJAX call attempts, whether served by network or cache."""
-        return self.ajax_calls + self.cached_hits
-
     # -- mutation -----------------------------------------------------------------
 
     def record(self, kind: str, url: str, body_bytes: int, latency_ms: float) -> None:

@@ -13,10 +13,8 @@ the hot-node policy can step in:
   request and stores the result.
 
 The observer wiring of the thesis (AJAXDocument observing
-``HTMLDocumentImpl``) collapses here into the ``observer`` callback that
-fires for every hot call with its stack signature.
-
-``send`` is also a trace-bus anchor: every cache consultation emits a
+``HTMLDocumentImpl``) collapses here into the trace: ``send`` is a
+trace-bus anchor, where every cache consultation emits a
 ``hotnode_cache_hit``/``hotnode_cache_miss`` event, and a cache-served
 call emits its own ``xhr_call`` (``from_cache=true``) so that, together
 with the gateway's network-side ``xhr_call`` events, every AJAX call a
@@ -25,7 +23,7 @@ script makes shows up exactly once in the trace.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 from urllib.parse import urljoin
 
 from repro.errors import JsTypeError, NetworkError, RetriesExhausted
@@ -52,10 +50,6 @@ class HotCallPolicy:
         raise NotImplementedError
 
 
-#: Callback type: ``observer(signature, url, from_cache)``.
-HotCallObserver = Callable[[str, str, bool], None]
-
-
 class XMLHttpRequest(HostObject):
     """A synchronous-completion XMLHttpRequest bound to one page."""
 
@@ -66,12 +60,10 @@ class XMLHttpRequest(HostObject):
         gateway: NetworkGateway,
         base_url: str = "",
         policy: Optional[HotCallPolicy] = None,
-        observer: Optional[HotCallObserver] = None,
     ) -> None:
         self.gateway = gateway
         self.base_url = base_url
         self.policy = policy
-        self.observer = observer
         self.method = "GET"
         self.url = ""
         self.async_flag = True
@@ -141,7 +133,6 @@ class XMLHttpRequest(HostObject):
                         bytes=len(cached),
                         from_cache=True,
                     )
-                self._notify(signature, from_cache=True)
         else:
             if self.policy is not None and recorder.enabled:
                 recorder.emit(
@@ -163,7 +154,6 @@ class XMLHttpRequest(HostObject):
             self.network_failed = False
             if self.policy is not None and response.ok:
                 self.policy.store(signature, response.body)
-            self._notify(signature, from_cache=False)
         self.ready_state = 4.0
         return UNDEFINED
 
@@ -181,20 +171,15 @@ class XMLHttpRequest(HostObject):
             return f"<toplevel>({self.method} {self.url})"
         return frame.signature()
 
-    def _notify(self, signature: str, from_cache: bool) -> None:
-        if self.observer is not None:
-            self.observer(signature, self.url, from_cache)
-
 
 def make_xhr_constructor(
     gateway: NetworkGateway,
     base_url: str = "",
     policy: Optional[HotCallPolicy] = None,
-    observer: Optional[HotCallObserver] = None,
 ) -> HostConstructor:
     """Build the ``XMLHttpRequest`` constructor to install as a global."""
 
     def construct(interp: Interpreter, args: list[Any]) -> XMLHttpRequest:
-        return XMLHttpRequest(gateway, base_url=base_url, policy=policy, observer=observer)
+        return XMLHttpRequest(gateway, base_url=base_url, policy=policy)
 
     return HostConstructor("XMLHttpRequest", construct)

@@ -1,8 +1,8 @@
 """The trace doctor: rule-based diagnosis of sick crawls.
 
 :func:`diagnose` scans whatever evidence is available — a trace-event
-stream, a metrics snapshot (a :class:`MetricsRegistry` or its
-``snapshot()`` dict), a finished parallel run — and emits typed
+stream (partition spans included), a metrics snapshot (a
+:class:`MetricsRegistry` or its ``snapshot()`` dict) — and emits typed
 :class:`Finding` objects, each naming the rule that fired, the
 measured signal, the threshold it crossed, and a suggested action.
 A healthy crawl produces an empty list;
@@ -100,8 +100,8 @@ class Signals:
     hash_incremental_passes: int = 0
     hash_nodes_hashed: int = 0
     hash_nodes_skipped: int = 0
-    #: (partition number, duration ms) pairs, when a parallel run or
-    #: partition spans are available.
+    #: (partition number, duration ms) pairs, when partition spans are
+    #: available.
     partition_durations: list[tuple[int, float]] = field(default_factory=list)
 
     def merge_max(self, other: "Signals") -> None:
@@ -189,15 +189,6 @@ def signals_from_metrics(metrics: Any) -> Signals:
     signals.hash_incremental_passes = int(counter("crawl.hash_incremental_passes"))
     signals.hash_nodes_hashed = int(counter("crawl.hash_nodes_hashed"))
     signals.hash_nodes_skipped = int(counter("crawl.hash_nodes_skipped"))
-    return signals
-
-
-def signals_from_parallel(run: Any) -> Signals:
-    """Partition durations from a finished parallel run (duck-typed)."""
-    signals = Signals()
-    numbers = list(getattr(run, "partition_numbers", []))
-    durations = list(getattr(run, "partition_durations_ms", []))
-    signals.partition_durations = sorted(zip(numbers, durations))
     return signals
 
 
@@ -376,20 +367,17 @@ RULES = (
 def diagnose(
     events: Optional[Iterable[TraceEvent]] = None,
     metrics: Optional[Any] = None,
-    parallel: Optional[Any] = None,
 ) -> list[Finding]:
     """Run every rule over the available evidence.
 
-    Any combination of sources may be given; their signals are
-    reconciled by ``max`` (they describe the same crawl).
+    Either source or both may be given; their signals are reconciled by
+    ``max`` (they describe the same crawl).
     """
     signals = Signals()
     if events is not None:
         signals.merge_max(signals_from_events(events))
     if metrics is not None:
         signals.merge_max(signals_from_metrics(metrics))
-    if parallel is not None:
-        signals.merge_max(signals_from_parallel(parallel))
     findings = []
     for rule in RULES:
         finding = rule(signals)

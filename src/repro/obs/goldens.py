@@ -1,19 +1,20 @@
 """Golden-trace corpora and the regression harness around them.
 
 Because the virtual clock and every RNG are seeded, a crawl of a fixed
-corpus emits a byte-stable canonical trace.  Two small corpora are
+corpus emits a byte-stable canonical trace.  Three small corpora are
 checked in under ``tests/golden/``:
 
 * **webmail** — one AJAX crawl of SimMail's inbox (folder tabs, AJAX
   folder loads, destructive events that must be skipped),
 * **youtube** — an AJAX crawl of the first :data:`YOUTUBE_VIDEOS`
-  SimTube videos (hot-node cache traffic, duplicate states).
+  SimTube videos (hot-node cache traffic, duplicate states),
+* **webmail_spans** — the webmail crawl with the span layer on.
 
-``make trace-verify`` re-runs both crawls and diffs the event streams
-against the goldens; any change to crawl order, cache behaviour, retry
-accounting or state dedup fails loudly with an event-level diff instead
-of silently drifting away from the paper's figures.  When a change is
-*intentional*, regenerate with::
+``tests/obs/test_golden_traces.py`` re-runs every crawl and diffs the
+event streams against the goldens (:func:`verify`); any change to crawl
+order, cache behaviour, retry accounting or state dedup fails loudly
+with an event-level diff instead of silently drifting away from the
+paper's figures.  When a change is *intentional*, regenerate with::
 
     python -m repro.obs.goldens --regen
 
@@ -123,36 +124,17 @@ def regenerate(corpus: str) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.goldens",
-        description="Verify or regenerate the golden crawl traces.",
+        description="Regenerate the golden crawl traces (the test suite verifies them).",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--verify", action="store_true", help="diff against goldens")
-    mode.add_argument("--regen", action="store_true", help="rewrite the goldens")
+    parser.add_argument("--regen", action="store_true", required=True, help="rewrite the goldens")
     parser.add_argument(
         "--corpus", choices=sorted(CORPORA), action="append", default=None,
         help="limit to one corpus (default: all)",
     )
     args = parser.parse_args(argv)
-    corpora = args.corpus or sorted(CORPORA)
-    failed = False
-    for corpus in corpora:
-        if args.regen:
-            path = regenerate(corpus)
-            print(f"{corpus}: regenerated {path}")
-            continue
-        problems = verify(corpus)
-        if problems:
-            failed = True
-            print(f"{corpus}: TRACE MISMATCH against {golden_path(corpus)}")
-            for line in problems:
-                print(f"  {line}")
-            print(
-                "  (if this change is intentional: "
-                "python -m repro.obs.goldens --regen and commit)"
-            )
-        else:
-            print(f"{corpus}: trace matches golden ({golden_path(corpus).name})")
-    return 1 if failed else 0
+    for corpus in args.corpus or sorted(CORPORA):
+        print(f"{corpus}: regenerated {regenerate(corpus)}")
+    return 0
 
 
 if __name__ == "__main__":

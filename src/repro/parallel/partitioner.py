@@ -61,6 +61,8 @@ class URLPartitioner:
     def list_partitions(root_dir: str | Path) -> list[Path]:
         """All partition directories under ``root_dir``, in numeric order."""
         root = Path(root_dir)
+        if not root.is_dir():
+            raise PartitionError(f"{root}: no such directory")
         numbered = [
             child for child in root.iterdir() if child.is_dir() and child.name.isdigit()
         ]

@@ -68,8 +68,7 @@ class ShardedSearchEngine:
         """Ship with the global idf, merge the shards' best ``k``, keep
         the best ``k`` (Figure 6.4); also the number of matches over all
         shards."""
-        stopwords = self.shards[0].index.stopwords if self.shards else None
-        terms = parse_query(query, stopwords)
+        terms = parse_query(query)
         num_states = self.num_states
         idfs = [
             inverse_document_frequency(

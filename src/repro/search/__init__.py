@@ -29,12 +29,7 @@ from repro.search.ranking import (
     pagerank,
     term_proximity,
 )
-from repro.search.tokenizer import (
-    ENGLISH_STOPWORDS,
-    query_terms,
-    tokenize,
-    tokenize_with_positions,
-)
+from repro.search.tokenizer import query_terms, tokenize, tokenize_with_positions
 
 __all__ = [
     "SearchEngine",
@@ -59,5 +54,4 @@ __all__ = [
     "tokenize",
     "tokenize_with_positions",
     "query_terms",
-    "ENGLISH_STOPWORDS",
 ]

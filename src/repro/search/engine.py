@@ -119,7 +119,7 @@ class SearchEngine:
         """Boolean retrieval + eq. 5.3 ranking: the number of matches
         and the best ``k`` of them (all, when None), best first."""
         with self.recorder.span("query_eval", query=query):
-            terms = parse_query(query, self.index.stopwords)
+            terms = parse_query(query)
             idfs = [self.index.idf(term) for term in terms]
             total, completed, entries = self.select(terms, idfs, self.weights, k)
             if self.recorder.enabled:
@@ -141,7 +141,7 @@ class SearchEngine:
 
     def result_count(self, query: str) -> int:
         """Number of boolean matches (used by the recall experiments)."""
-        terms = parse_query(query, self.index.stopwords)
+        terms = parse_query(query)
         return sum(len(ordinals) for _, ordinals, _ in self.index.matches(terms))
 
     def select(

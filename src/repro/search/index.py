@@ -65,21 +65,14 @@ class Index(ABC):
     #: Where the ``index.*`` counters go, if the backend was handed a registry.
     metrics = None
 
-    def __init__(
-        self,
-        max_state_index: Optional[int] = None,
-        stopwords: Optional[frozenset[str]] = None,
-        recorder=NULL_RECORDER,
-    ) -> None:
+    def __init__(self, max_state_index: Optional[int] = None, recorder=NULL_RECORDER) -> None:
         #: Only states with index < max_state_index are indexed
         #: (None = all states).  ``1`` reproduces a traditional index.
         self.max_state_index = max_state_index
-        #: Stopwords dropped at indexing time (None = index everything).
-        self.stopwords = stopwords
         self.recorder = recorder
         #: Cumulative block-skipping accounting across all conjunctions.
         self.merge_stats = MergeStats()
-        self._memtable = Memtable(max_state_index, stopwords)
+        self._memtable = Memtable(max_state_index)
         self._next_seq = 0
         # One lock for the writers that replace ``_flushed`` and for the
         # view, which concurrent query threads may be the first to want.
@@ -219,44 +212,20 @@ class Index(ABC):
         """The vocabulary."""
         return set().union(*(segment.terms() for segment in self._segments()))
 
-    def states(self) -> list[tuple[str, str]]:
-        """All indexed (uri, state_id) pairs in insertion order.
+    def state_rows(self) -> list[tuple[str, str, int, int, int]]:
+        """``(uri, state_id, length, depth, seq)`` of every live state,
+        in insertion order.
 
         Each state's sequence number keeps that order across segments,
         including remove + re-add moving a URI's states to the end.
         """
         rows = [row for segment in self._segments() for row in segment.state_rows()]
         rows.sort(key=itemgetter(4))
-        return [row[:2] for row in rows]
+        return rows
 
-    def _locate(self, uri: str, state_id: str) -> Optional[tuple[Segment, int]]:
-        """The segment holding a state and the state's ordinal in it."""
-        for segment in self._segments():
-            ordinal = segment.ordinal(uri, state_id)
-            if ordinal is not None:
-                return segment, ordinal
-        return None
-
-    def state_length(self, uri: str, state_id: str) -> int:
-        """Token count of one state (tf denominator, eq. 5.1); 0 if absent."""
-        entry = self._locate(uri, state_id)
-        return entry[0].state_length(entry[1]) if entry else 0
-
-    def state_depth(self, uri: str, state_id: str) -> int:
-        """BFS depth at which the crawler found the state; 0 if absent."""
-        entry = self._locate(uri, state_id)
-        return entry[0].state_depth(entry[1]) if entry else 0
-
-    def term_count(self, term: str, uri: str, state_id: str) -> int:
-        """Occurrences of ``term`` in one state; 0 if either is absent.
-        Binary search over the term's ordinals, at most one block
-        decoded — O(log df), not a scan of the whole posting list."""
-        entry = self._locate(uri, state_id)
-        if entry is None:
-            return 0
-        segment, ordinal = entry
-        view = segment.view(term)
-        return view.count_at(ordinal) if view is not None else 0
+    def states(self) -> list[tuple[str, str]]:
+        """All indexed (uri, state_id) pairs in insertion order."""
+        return [row[:2] for row in self.state_rows()]
 
     # -- derived -----------------------------------------------------------------
 
@@ -277,11 +246,6 @@ class Index(ABC):
         self.remove_url(model.url)
         self.add_model(model)
         self.finalize()
-
-    def tf(self, term: str, uri: str, state_id: str) -> float:
-        """Term frequency of ``term`` in one state (eq. 5.1)."""
-        length = self.state_length(uri, state_id)
-        return self.term_count(term, uri, state_id) / length if length else 0.0
 
     def idf(self, term: str) -> float:
         """Inverse document frequency with states as documents (eq. 5.2)."""

@@ -35,13 +35,8 @@ from repro.search.tokenizer import tokenize
 class Memtable:
     """Mutable accumulation buffer: term → two columns, plus per-state stats."""
 
-    def __init__(
-        self,
-        max_state_index: Optional[int] = None,
-        stopwords: Optional[frozenset[str]] = None,
-    ) -> None:
+    def __init__(self, max_state_index: Optional[int] = None) -> None:
         self.max_state_index = max_state_index
-        self.stopwords = stopwords
         #: term -> sequence numbers of the states holding it, in insertion order.
         self._seqs: dict[str, list[int]] = {}
         #: term -> its positions in each of those states (parallel to ``_seqs``).
@@ -76,11 +71,7 @@ class Memtable:
                 by_term[token].append(position)
             else:
                 by_term[token] = [position]
-        length = len(tokens)
-        if self.stopwords:  # dropped after numbering: the others keep their slots
-            for term in by_term.keys() & self.stopwords:
-                length -= len(by_term.pop(term))
-        self._states[key] = (length, depth, seq)
+        self._states[key] = (len(tokens), depth, seq)
         seqs, columns = self._seqs, self._positions
         for term, positions in by_term.items():
             if term in seqs:

@@ -8,7 +8,6 @@ queries and presents the matches as objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Optional
 
 from repro.errors import SearchError
 from repro.search.index import Index
@@ -40,9 +39,9 @@ class Match:
     postings: tuple[Posting, ...]
 
 
-def parse_query(query: str, stopwords: Optional[Container[str]] = None) -> list[str]:
+def parse_query(query: str) -> list[str]:
     """The distinct terms of ``query``; a query without any is an error."""
-    terms = query_terms(query, stopwords=stopwords)
+    terms = query_terms(query)
     if not terms:
         raise SearchError("empty query")
     return terms
@@ -65,7 +64,5 @@ def evaluate(index: Index, query: str) -> list[Match]:
             state_id=state_id,
             postings=tuple(Posting(uri, state_id, positions) for positions in occurrences),
         )
-        for uri, state_id, _, occurrences in index.conjunction(
-            parse_query(query, index.stopwords)
-        )
+        for uri, state_id, _, occurrences in index.conjunction(parse_query(query))
     ]

@@ -58,12 +58,18 @@ from repro.search.segments import (
 MANIFEST_NAME = "MANIFEST.json"
 #: Version 2 added ``"dead"``; a version 1 manifest is one without it.
 MANIFEST_VERSION = 2
+#: What this version writes.  Any other key a manifest sets (not null,
+#: not empty) is an indexing setting this version does not have, which
+#: changed what is on disk; reading past it would be silently wrong.
+MANIFEST_KEYS = frozenset(
+    {"version", "segments", "dead", "next_seq", "next_segment_id", "max_state_index", "block_size"}
+)
 
 #: Default memtable flush threshold, in postings.
 DEFAULT_FLUSH_POSTINGS = 200_000
 
 #: Segments per size tier before that tier is compacted.
-DEFAULT_COMPACT_FANIN = 4
+COMPACT_FANIN = 4
 
 #: Dead states per live state above which a segment is rewritten alone:
 #: more dead than alive, and a purge frees more than it copies.
@@ -91,17 +97,14 @@ class SegmentedIndex(Index):
         self,
         path: str | Path,
         max_state_index: Optional[int] = None,
-        stopwords: Optional[frozenset[str]] = None,
         recorder=NULL_RECORDER,
         metrics=None,
         flush_threshold: int = DEFAULT_FLUSH_POSTINGS,
         block_size: int = BLOCK_SIZE,
-        compact_fanin: int = DEFAULT_COMPACT_FANIN,
     ) -> None:
         self.path = Path(path)
         self.metrics = metrics
         self.flush_threshold = max(1, flush_threshold)
-        self.compact_fanin = max(2, compact_fanin)
         self.cache = BlockCache()
 
         self.path.mkdir(parents=True, exist_ok=True)
@@ -116,20 +119,23 @@ class SegmentedIndex(Index):
                 raise SearchError(
                     f"unsupported index manifest version {manifest.get('version')!r}"
                 )
-            # What is on disk was indexed under the manifest's settings:
-            # None takes them, anything else has to agree with them.
-            words = manifest.get("stopwords")
-            recorded = (manifest.get("max_state_index"), frozenset(words) if words else None)
-            for name, asked, was in zip(
-                ("max_state_index", "stopwords"), (max_state_index, stopwords or None), recorded
-            ):
-                if asked is not None and asked != was:
+            for name in sorted(manifest.keys() - MANIFEST_KEYS):
+                if manifest[name]:
                     raise SearchError(
-                        f"{self.path} was indexed with {name}={was!r}, not {name}={asked!r}"
+                        f"{self.path} was indexed with {name}={manifest[name]!r}, "
+                        "which this version cannot read"
                     )
-            max_state_index, stopwords = recorded
+            # What is on disk was indexed under the manifest's prefix cap:
+            # None takes it, anything else has to agree with it.
+            recorded = manifest.get("max_state_index")
+            if max_state_index is not None and max_state_index != recorded:
+                raise SearchError(
+                    f"{self.path} was indexed with max_state_index={recorded!r}, "
+                    f"not max_state_index={max_state_index!r}"
+                )
+            max_state_index = recorded
             block_size = int(manifest.get("block_size", block_size))
-        super().__init__(max_state_index, stopwords, recorder)
+        super().__init__(max_state_index, recorder)
         self.block_size = block_size
         if manifest is None:
             self._next_segment_id = 0
@@ -207,7 +213,6 @@ class SegmentedIndex(Index):
             "next_seq": self._next_seq,
             "next_segment_id": self._next_segment_id,
             "max_state_index": self.max_state_index,
-            "stopwords": sorted(self.stopwords) if self.stopwords else None,
             "block_size": self.block_size,
         }
         target = self.path / MANIFEST_NAME
@@ -262,7 +267,7 @@ class SegmentedIndex(Index):
                     block_size=self.block_size,
                 )
                 reader = SegmentReader(stats.path, cache=self.cache)
-                self._memtable = Memtable(self.max_state_index, self.stopwords)
+                self._memtable = Memtable(self.max_state_index)
                 self._commit((*self._flushed, reader))
                 if self.recorder.enabled:
                     self.recorder.emit(
@@ -285,7 +290,7 @@ class SegmentedIndex(Index):
 
         Returns the number of merges performed.  A tier holds segments
         whose live posting counts fall in the same ~4x size band; once a
-        tier accumulates ``compact_fanin`` members they merge into one
+        tier accumulates :data:`COMPACT_FANIN` members they merge into one
         (larger-tier) segment, so lookups touch O(log n) segments.  A
         segment more dead than alive (:data:`MAX_DEAD_PER_LIVE`) is
         rewritten alone: removal only masks, this is where the space
@@ -297,7 +302,7 @@ class SegmentedIndex(Index):
             for reader in self._flushed:
                 tiers.setdefault(_live_tier(reader), []).append(reader)
             crowded = [
-                members for members in tiers.values() if len(members) >= self.compact_fanin
+                members for members in tiers.values() if len(members) >= COMPACT_FANIN
             ]
             crowded += [
                 [reader] for reader in self._flushed

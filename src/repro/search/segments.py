@@ -292,15 +292,6 @@ class Segment:
             return None
         return ordinal
 
-    def state_key(self, ordinal: int) -> tuple[str, str]:
-        return (self._state_uri[ordinal], self._state_id[ordinal])
-
-    def state_length(self, ordinal: int) -> int:
-        return self._state_length[ordinal]
-
-    def state_depth(self, ordinal: int) -> int:
-        return self._state_depth[ordinal]
-
     def state_rows(self) -> list[tuple[str, str, int, int, int]]:
         """``(uri, state_id, length, depth, seq)`` of the live states,
         in ordinal order."""
@@ -652,20 +643,6 @@ class SegmentPostingView:
         self.first = first
         self.end = end
         self.block_max = block_max
-
-    def count_at(self, ordinal: int) -> int:
-        """Occurrences of the term in the state ``ordinal`` (0 if absent).
-
-        Uses the skip table to decode at most one block.
-        """
-        block = bisect_left(self.block_max, ordinal, self.first, self.end)
-        if block >= self.end:
-            return 0
-        ordinals, positions = self.load(block)
-        at = bisect_left(ordinals, ordinal)
-        if at < len(ordinals) and ordinals[at] == ordinal:
-            return len(positions[at])
-        return 0
 
 
 class MergeStats:

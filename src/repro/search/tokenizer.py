@@ -2,26 +2,15 @@
 
 Boolean retrieval over comment text (chapter 5) needs nothing fancier
 than lowercased alphanumeric tokens, but positions must be kept for the
-term-proximity ranking coefficient (§5.3.3 item 4).
-
-An optional stopword list may be applied at indexing time; dropped
-stopwords keep their position "slot" so that proximity windows over the
-remaining terms stay honest.
+term-proximity ranking coefficient (§5.3.3 item 4).  Every token is
+indexed, like the thesis' boolean-recall-oriented engine.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Container, Optional
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-#: A small English stopword list (opt-in; the default pipeline indexes
-#: everything, like the thesis' boolean-recall-oriented engine).
-ENGLISH_STOPWORDS = frozenset(
-    """a an and are as at be but by for if in is it of on or the this to
-    was were will with""".split()
-)
 
 
 def tokenize(text: str) -> list[str]:
@@ -29,31 +18,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_with_positions(
-    text: str, stopwords: Optional[Container[str]] = None
-) -> list[tuple[str, int]]:
-    """Tokens paired with their ordinal position (0-based).
-
-    With ``stopwords``, stopword tokens are dropped but positions are
-    *not* renumbered, so term-proximity distances are preserved.
-    """
-    pairs = [(token, position) for position, token in enumerate(tokenize(text))]
-    if stopwords is None:
-        return pairs
-    return [(token, position) for token, position in pairs if token not in stopwords]
+def tokenize_with_positions(text: str) -> list[tuple[str, int]]:
+    """Tokens paired with their ordinal position (0-based)."""
+    return [(token, position) for position, token in enumerate(tokenize(text))]
 
 
-def query_terms(query: str, stopwords: Optional[Container[str]] = None) -> list[str]:
+def query_terms(query: str) -> list[str]:
     """Tokenize a user query (same normalization as the index).
 
     Terms are deduplicated order-preservingly: boolean retrieval is
     set-based, and a repeated term must not count its tf·idf twice
     (``"apple apple"`` has to score exactly like ``"apple"``).
     """
-    terms = tokenize(query)
-    if stopwords is not None:
-        filtered = [term for term in terms if term not in stopwords]
-        # An all-stopword query falls back to the raw terms rather than
-        # becoming unanswerable.
-        terms = filtered or terms
-    return list(dict.fromkeys(terms))
+    return list(dict.fromkeys(tokenize(query)))

@@ -46,7 +46,7 @@ class TestStateCollapser:
         outcome = collapser.observe_fingerprint("h1", 0b1111, regions={})
         assert outcome.canonical_hash == "h1"
         assert not outcome.merged and not outcome.known
-        assert collapser.num_canonicals == 1
+        assert collapser.canonical_hashes() == ["h1"]
         assert collapser.states_hashed == 0  # observe() counts, not this
 
     def test_within_threshold_merges_with_distance(self):
@@ -58,17 +58,17 @@ class TestStateCollapser:
         assert outcome.merged
         assert outcome.canonical_hash == "h1"
         assert outcome.distance == 3
-        assert collapser.num_canonicals == 1
+        assert collapser.canonical_hashes() == ["h1"]
         assert collapser.variants_of("h1") == 2
         assert collapser.volatile_regions_of("h1") == ("r",)
-        assert collapser.canonical_of("h2") == "h1"
+        assert collapser.partition() == frozenset({frozenset({"h1", "h2"})})
 
     def test_beyond_threshold_becomes_new_canonical(self):
         collapser = StateCollapser(2)
         collapser.observe_fingerprint("h1", 0, regions={})
         outcome = collapser.observe_fingerprint("h2", 0b1111111, regions={})
         assert not outcome.merged
-        assert collapser.num_canonicals == 2
+        assert collapser.canonical_hashes() == ["h1", "h2"]
         assert collapser.partition() == frozenset(
             {frozenset({"h1"}), frozenset({"h2"})}
         )

@@ -18,11 +18,12 @@ class TestStackInfo:
         stack.push(StackFrame("showPage", [2.0]))
         stack.push(StackFrame("getUrl", ["/c?p=2", True]))
         stack.push(StackFrame("send", [], native=True))
-        info = StackInfo.from_call_stack(stack)
+        # What the XHR keys the cache by: the topmost script frame.
+        info = StackInfo.from_frame(stack.top_script_frame())
         assert info.function_name == "getUrl"
 
     def test_from_call_stack_empty(self):
-        assert StackInfo.from_call_stack(CallStack()) is None
+        assert CallStack().top_script_frame() is None
 
     def test_from_signature_round_trip(self):
         info = StackInfo("getUrl", "/c?p=2, true")

@@ -42,7 +42,6 @@ class TestGateway:
         stats = gateway.stats
         assert stats.page_fetches == 1
         assert stats.ajax_calls == 2
-        assert stats.total_requests == 3
         assert stats.bytes_transferred == 12
         assert stats.requests_by_url == {"u": 1, "v": 2}
         assert stats.network_time_ms > 0
@@ -63,14 +62,14 @@ class TestGateway:
 
 
 class TestNetworkStats:
-    def test_attempted_includes_cache_hits(self):
+    def test_cache_hits_are_booked_apart_from_network_calls(self):
         stats = NetworkStats()
         stats.record("ajax", "u", 10, 5.0)
         stats.record_cache_hit()
         stats.record_cache_hit()
         assert stats.ajax_calls == 1
         assert stats.cached_hits == 2
-        assert stats.attempted_ajax_calls == 3
+        assert stats.requests_by_url == {"u": 1}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

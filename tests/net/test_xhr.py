@@ -7,15 +7,17 @@ from repro.errors import NetworkError
 from repro.js import Interpreter
 from repro.net import NetworkGateway, StaticServer, make_xhr_constructor
 from repro.net.xhr import HotCallPolicy
+from repro.obs import NULL_RECORDER, Recorder
 
 
-def make_interp(pages, policy=None, observer=None, base_url="http://s/"):
+def make_interp(pages, policy=None, base_url="http://s/", recorder=NULL_RECORDER):
     clock = SimClock()
-    gateway = NetworkGateway(StaticServer(pages), clock, CostModel(network_jitter=0.0))
+    gateway = NetworkGateway(
+        StaticServer(pages), clock, CostModel(network_jitter=0.0), recorder=recorder
+    )
     interp = Interpreter()
     interp.define_global(
-        "XMLHttpRequest",
-        make_xhr_constructor(gateway, base_url=base_url, policy=policy, observer=observer),
+        "XMLHttpRequest", make_xhr_constructor(gateway, base_url=base_url, policy=policy)
     )
     return interp, gateway
 
@@ -136,15 +138,21 @@ class TestHotCallPolicy:
 
 class TestObserver:
     def test_observer_sees_cache_flag(self):
-        seen = []
-        policy = DictPolicy()
-        interp, _ = make_interp(
-            {"http://s/c?p=2": "x"},
-            policy=policy,
-            observer=lambda sig, url, cached: seen.append((sig, url, cached)),
-        )
+        """The trace is what observes hot calls: one lookup event per
+        send, with its signature, and one ``xhr_call`` per call."""
+        recorder = Recorder()
+        interp, _ = make_interp({"http://s/c?p=2": "x"}, policy=DictPolicy(), recorder=recorder)
         interp.run(FETCH_SCRIPT)
         interp.eval_expression("getUrl('http://s/c?p=2', true)")
         interp.eval_expression("getUrl('http://s/c?p=2', true)")
-        assert [cached for _, _, cached in seen] == [False, True]
-        assert all(url == "http://s/c?p=2" for _, url, _ in seen)
+        lookups = [
+            (event.kind, event.fields["signature"], event.fields["url"])
+            for event in recorder.events
+            if event.kind.startswith("hotnode_cache_")
+        ]
+        assert lookups == [
+            ("hotnode_cache_miss", "getUrl(http://s/c?p=2, true)", "http://s/c?p=2"),
+            ("hotnode_cache_hit", "getUrl(http://s/c?p=2, true)", "http://s/c?p=2"),
+        ]
+        calls = [event.fields for event in recorder.events if event.kind == "xhr_call"]
+        assert [bool(call.get("from_cache")) for call in calls] == [False, True]

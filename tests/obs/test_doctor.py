@@ -17,7 +17,6 @@ from repro.obs.doctor import (
     format_findings,
     signals_from_events,
     signals_from_metrics,
-    signals_from_parallel,
 )
 from repro.obs.goldens import golden_path
 from repro.obs.profile import folded_stacks, profile_components
@@ -185,14 +184,6 @@ class TestSignals:
         a.merge_max(Signals(partition_durations=[(2, 9.0)]))
         assert a.partition_durations == [(1, 5.0)]
 
-    def test_from_parallel_duck_typing(self):
-        class FakeRun:
-            partition_numbers = [2, 1]
-            partition_durations_ms = [7.0, 3.0]
-
-        signals = signals_from_parallel(FakeRun())
-        assert signals.partition_durations == [(1, 3.0), (2, 7.0)]
-
 
 # -- end-to-end diagnoses --------------------------------------------------------------
 
@@ -239,12 +230,12 @@ class TestDiagnose:
         assert storm.signal >= storm.threshold
 
     def test_forced_partition_skew_is_diagnosed(self):
+        # The partition spans of the run's trace are the evidence.
         site = SyntheticYouTube(SiteConfig(num_videos=6, seed=7))
-        crawler = MPAjaxCrawler(site, num_proc_lines=2)
-        run = crawler.run_simulated(
-            [[site.video_url(i) for i in range(5)], [site.video_url(5)]]
-        )
-        findings = diagnose(parallel=run)
+        recorder = Recorder(spans=True)
+        crawler = MPAjaxCrawler(site, num_proc_lines=2, recorder_factory=lambda _: recorder)
+        crawler.run_simulated([[site.video_url(i) for i in range(5)], [site.video_url(5)]])
+        findings = diagnose(events=recorder.events)
         assert "partition-skew" in rules_of(findings)
         skew = next(f for f in findings if f.rule == "partition-skew")
         assert skew.evidence["straggler_partition"] == 1

@@ -1,5 +1,7 @@
 """Golden-trace regression tests: determinism, goldens, zero-cost-off."""
 
+import pytest
+
 from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.obs import diff_traces, normalize_lines, to_jsonl
@@ -27,11 +29,9 @@ class TestGoldens:
         for corpus in CORPORA:
             assert golden_path(corpus).exists(), f"missing golden for {corpus}"
 
-    def test_webmail_matches_golden(self):
-        assert verify("webmail") == []
-
-    def test_youtube_matches_golden(self):
-        assert verify("youtube") == []
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_matches_golden(self, corpus):
+        assert verify(corpus) == []
 
     def test_normalizer_makes_goldens_self_consistent(self):
         """The checked-in files are already in canonical normalized form."""

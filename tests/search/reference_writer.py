@@ -128,10 +128,9 @@ def as_columns(states, postings_by_term):
 
 def postings_of(reader: SegmentReader, term: str):
     """Every posting of ``term`` in the file, as objects."""
-    return make_postings(
-        (*reader.state_key(ordinal), positions)
-        for ordinal, positions in zip(*reader.columns(term))
-    )
+    ordinals, positions = reader.columns(term)
+    uris, state_ids, _ = reader.state_columns(ordinals)
+    return make_postings(zip(uris, state_ids, positions))
 
 
 def make_postings(entries):

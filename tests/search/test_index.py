@@ -15,6 +15,23 @@ def rows(index, term):
     return list(index.conjunction([term]))
 
 
+def tf(index, term, uri, state_id):
+    """Term frequency (eq. 5.1) as ranking derives it: the state's row of
+    the one-term conjunction, occurrences over length; 0.0 without one."""
+    for row_uri, row_state, length, (positions,) in rows(index, term):
+        if (row_uri, row_state) == (uri, state_id):
+            return len(positions) / length
+    return 0.0
+
+
+def state_row(index, uri, state_id):
+    """``(length, depth, seq)`` of one live state, or None."""
+    for row in index.state_rows():
+        if row[:2] == (uri, state_id):
+            return row[2:]
+    return None
+
+
 def make_model(url, state_texts):
     model = ApplicationModel(url)
     for offset, text in enumerate(state_texts):
@@ -63,7 +80,8 @@ class TestBuild:
             index.add_model(model)
 
     def test_state_depth_kept(self, index):
-        assert index.state_depth("url1", "s1") == 1
+        assert [row[3] for row in index.state_rows()] == [0, 1, 0]
+        assert state_row(index, "url1", "s1") == (3, 1, 1)
 
 
 class TestMaxStateIndex:
@@ -85,10 +103,10 @@ class TestMaxStateIndex:
 class TestStatistics:
     def test_tf(self, index):
         # "morcheeba morcheeba great": 2 of 3 tokens.
-        assert index.tf("morcheeba", "url2", "s0") == pytest.approx(2 / 3)
-        assert index.tf("great", "url2", "s0") == pytest.approx(1 / 3)
-        assert index.tf("absent", "url2", "s0") == 0.0
-        assert index.tf("morcheeba", "nope", "s0") == 0.0
+        assert tf(index, "morcheeba", "url2", "s0") == pytest.approx(2 / 3)
+        assert tf(index, "great", "url2", "s0") == pytest.approx(1 / 3)
+        assert tf(index, "absent", "url2", "s0") == 0.0
+        assert tf(index, "morcheeba", "nope", "s0") == 0.0
 
     def test_idf(self, index):
         # morcheeba is in all 3 states -> idf = log(3/3) = 0.
@@ -111,8 +129,8 @@ class TestStatistics:
         assert index.idf("keyword") == pytest.approx(math.log(23 / 10))
 
     def test_state_length(self, index):
-        assert index.state_length("url1", "s0") == 3
-        assert index.state_length("nope", "s0") == 0
+        assert state_row(index, "url1", "s0")[0] == 3
+        assert state_row(index, "nope", "s0") is None
 
 
 def reopened(models, path, **kwargs):
@@ -131,7 +149,7 @@ class TestSerialization:
         for term in sorted(index.terms()):
             assert rows(loaded, term) == rows(index, term), term
             assert loaded.idf(term) == index.idf(term), term
-        assert loaded.state_depth("url1", "s1") == 1
+        assert loaded.state_rows() == index.state_rows()
         assert loaded.max_state_index == index.max_state_index
         loaded.close()
 
@@ -193,34 +211,37 @@ class TestFinalizeThreadSafety:
 
 
 class TestTfBisect:
-    """Regression for the O(df) scan in tf(): the binary-search probe
-    must return exactly what a full scan of the posting list returns,
-    for every state and for misses on either side of the list."""
+    """A state's tf as ranking reads it — its row of the one-term
+    conjunction — must equal a count over the state's own text, for
+    every state and for misses on either side of the posting list, in
+    memory and over a segment of many blocks."""
 
-    def _naive_tf(self, index, term, uri, state_id):
-        length = index.state_length(uri, state_id)
-        if length == 0:
-            return 0.0
-        for row_uri, row_state, _, (positions,) in rows(index, term):
-            if (row_uri, row_state) == (uri, state_id):
-                return len(positions) / length
+    def _naive_tf(self, models, term, uri, state_id):
+        for model in models:
+            for state in model.states():
+                if (model.url, state.state_id) == (uri, state_id):
+                    tokens = state.text.split()
+                    return tokens.count(term) / len(tokens)
         return 0.0
 
-    def test_probe_matches_scan_everywhere(self):
+    def test_probe_matches_scan_everywhere(self, tmp_path):
         models = [
             make_model(
                 f"url{page:02d}",
-                [f"common unique{page}x{state} extra" for state in range(5)],
+                [f"common unique{page}x{state} extra common" for state in range(5)],
             )
             for page in range(10)
         ]
-        index = InvertedFile().build(models)
-        assert index.document_frequency("common") == 50
-        for uri, state_id in index.states():
-            for term in ("common", f"unique{uri[3:]}x0", "absent"):
-                assert index.tf(term, uri, state_id) == self._naive_tf(
-                    index, term, uri, state_id
-                ), (term, uri, state_id)
+        memory = InvertedFile().build(models)
+        disk = SegmentedIndex(tmp_path / "idx", block_size=4).build(models)
+        assert memory.document_frequency("common") == disk.document_frequency("common") == 50
+        for index in (memory, disk):
+            for uri, state_id in index.states():
+                for term in ("common", f"unique{uri[3:]}x0", "absent"):
+                    assert tf(index, term, uri, state_id) == self._naive_tf(
+                        models, term, uri, state_id
+                    ), (term, uri, state_id)
+        disk.close()
 
     def test_probe_misses_between_postings(self):
         # "gap" is in url0 and url2 only; a url1 probe must land between
@@ -232,24 +253,24 @@ class TestTfBisect:
                 make_model("url2", ["gap word"]),
             ]
         )
-        assert index.tf("gap", "url1", "s0") == 0.0
-        assert index.tf("gap", "url0", "s0") == pytest.approx(0.5)
-        assert index.tf("gap", "url2", "s0") == pytest.approx(0.5)
+        assert tf(index, "gap", "url1", "s0") == 0.0
+        assert tf(index, "gap", "url0", "s0") == pytest.approx(0.5)
+        assert tf(index, "gap", "url2", "s0") == pytest.approx(0.5)
 
     def test_probe_beyond_last_posting(self):
         index = InvertedFile().build(
             [make_model("a", ["solo term"]), make_model("z", ["filler only"])]
         )
-        # "solo" sorts entirely before ("z", 0): bisect lands past the end.
-        assert index.tf("solo", "z", "s0") == 0.0
+        # "solo" sorts entirely before ("z", 0): past the end of its list.
+        assert tf(index, "solo", "z", "s0") == 0.0
 
     def test_probe_on_unfinalized_index(self):
-        # tf() must view (sort) the buffer before bisecting a fresh index.
+        # A read must view (sort) the buffer of a fresh index first.
         index = InvertedFile()
         index.add_model(make_model("b", ["term here"]))
         index.add_model(make_model("a", ["term there"]))
         assert index._generation is None
-        assert index.tf("term", "a", "s0") == pytest.approx(0.5)
+        assert tf(index, "term", "a", "s0") == pytest.approx(0.5)
 
 
 class TestIndexContract:
@@ -263,15 +284,16 @@ class TestIndexContract:
         for backend in (InvertedFile, SegmentedIndex):
             assert issubclass(backend, Index)
             for derived in (
-                "build", "update_model", "remove_url", "tf", "idf", "vocabulary_size",
+                "build", "update_model", "remove_url", "idf", "vocabulary_size",
                 "matches", "conjunction", "document_frequency", "num_states", "terms",
-                "states", "state_length", "state_depth", "term_count",
-                "_locate", "_take_seq", "_segments", "_publish",
+                "states", "state_rows", "_take_seq", "_segments", "_publish",
             ):
                 assert derived in vars(Index), derived
                 assert derived not in vars(backend), (backend.__name__, derived)
-            # Every posting leaves a segment through ``matches``: no second read.
-            assert not hasattr(backend, "postings")
+            # Every posting leaves a segment through ``matches``, every
+            # state through ``state_rows``: no second read, no point lookup.
+            for gone in ("postings", "tf", "term_count", "state_length", "state_depth"):
+                assert not hasattr(backend, gone), gone
 
     def test_a_backend_must_supply_every_primitive(self):
         from repro.search.index import Index

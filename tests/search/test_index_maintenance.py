@@ -36,9 +36,7 @@ def through_disk(index):
 
 def state_stats(index):
     """Every state in insertion order, with its length and depth."""
-    return [
-        (key, index.state_length(*key), index.state_depth(*key)) for key in index.states()
-    ]
+    return [row[:4] for row in index.state_rows()]
 
 
 @pytest.fixture
@@ -154,11 +152,11 @@ class TestSequenceNumbersSurviveLoad:
         index.add_model(make_model("u0", ["alpha omega", "omega beta beta"]))
         for term in ("alpha", "beta", "omega", "delta"):
             observed.append((term, rows(index, term)))
-        observed.append([index.term_count("beta", *key) for key in index.states()])
+        observed.append(index.state_rows())
         assert index.remove_url("u1") == 2
         observed.append(index.states())
         index = reload(index)
-        observed.append(state_stats(index))
+        observed.append(index.state_rows())
         observed.append([uri for uri, *_ in rows(index, "alpha")])
         return observed
 
@@ -212,11 +210,6 @@ class TestMaintenanceParity:
             ],
             "postings": {term: rows(index, term) for term in sorted(index.terms())},
             "df": [index.document_frequency(term) for term in self.WORDS + ["absent"]],
-            "term_count": [
-                index.term_count(term, uri, state_id)
-                for uri, state_id in index.states() + [("nowhere", "s0")]
-                for term in self.WORDS + ["absent"]
-            ],
             "states": state_stats(index),
         }
 

@@ -7,13 +7,13 @@ import itertools
 import pytest
 
 from repro.errors import SearchError
-from repro.search import ENGLISH_STOPWORDS, Memtable
+from repro.search import Memtable
 from repro.testgen.corpus import corpus_models, corpus_spec
 
 
-def filled(states, stopwords=None):
+def filled(states):
     """``states`` are ``(uri, state_id, text)``; sequence numbers from 10."""
-    memtable = Memtable(stopwords=stopwords)
+    memtable = Memtable()
     for seq, (uri, state_id, text) in enumerate(states, 10):
         memtable.add_state(uri, state_id, text, depth=0, seq=seq)
     return memtable
@@ -35,9 +35,16 @@ class TestColumns:
         assert memtable.state_rows() == [("b", "s0", 3, 0, 10), ("a", "s0", 2, 0, 11)]
 
     def test_stopwords_leave_their_slot_and_the_length(self):
-        memtable = filled([("u", "s0", "the cat and the hat")], ENGLISH_STOPWORDS)
-        assert columns(memtable) == {"cat": ([10], [(1,)]), "hat": ([10], [(4,)])}
-        assert memtable.state_rows() == [("u", "s0", 2, 0, 10)]
+        # Nothing is dropped: common words keep their slots, and the
+        # length counts them.
+        memtable = filled([("u", "s0", "the cat and the hat")])
+        assert columns(memtable) == {
+            "the": ([10], [(0, 3)]),
+            "cat": ([10], [(1,)]),
+            "and": ([10], [(2,)]),
+            "hat": ([10], [(4,)]),
+        }
+        assert memtable.state_rows() == [("u", "s0", 5, 0, 10)]
 
     def test_a_state_is_buffered_once(self):
         memtable = filled([("u", "s0", "x")])

@@ -40,12 +40,20 @@ SEEDS = (7, 8)
 SHAPES = ((200_000, 128), (2_000, 4))
 
 
+def recorded_form(manifest_bytes: bytes) -> bytes:
+    """The manifest as the recording saw it.  It was recorded while the
+    writer still wrote a ``"stopwords"`` key, always null; the key is
+    gone, and put back here, so that every other byte stays pinned."""
+    manifest = json.loads(manifest_bytes)
+    assert "stopwords" not in manifest
+    return json.dumps({**manifest, "stopwords": None}, sort_keys=True).encode("utf-8")
+
+
 def directory_digests(index: SegmentedIndex) -> dict[str, str]:
-    names = [MANIFEST_NAME] + [reader.name for reader in index._flushed]
-    return {
-        name: hashlib.sha256((index.path / name).read_bytes()).hexdigest()
-        for name in names
-    }
+    files = {MANIFEST_NAME: recorded_form((index.path / MANIFEST_NAME).read_bytes())}
+    for reader in index._flushed:
+        files[reader.name] = (index.path / reader.name).read_bytes()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
 
 
 def recrawled(page: ApplicationModel, donor: ApplicationModel) -> ApplicationModel:

@@ -228,12 +228,7 @@ def observe(segment, rows, terms):
         if ordinal is None:
             seen["states"].append((uri, state_id, None))
             continue
-        seen["states"].append((
-            segment.state_key(ordinal),
-            segment.state_length(ordinal),
-            segment.state_depth(ordinal),
-            [view.count_at(ordinal) if view else 0 for view in views.values()],
-        ))
+        seen["states"].append(segment.state_columns([ordinal]))
     return seen
 
 

@@ -3,12 +3,14 @@
 The contract under test is *exact parity*: whatever the in-memory
 :class:`InvertedFile` answers — postings, tf, idf, state order, search
 results — the :class:`SegmentedIndex` must answer identically, through
-any interleaving of flushes, compactions, removals and reopens.
+any interleaving of flushes, compactions, removals and reopens.  A test
+that needs another compaction fan-in patches ``segmented.COMPACT_FANIN``.
 """
 
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import COMPACTION, MetricsRegistry, Recorder, SEGMENT_FLUSH
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader, tokenize
+from repro.search import InvertedFile, SearchEngine, SegmentedIndex, SegmentReader, segmented, tokenize
 from repro.search.segmented import MANIFEST_NAME, _live_tier, _tier
 from repro.search.segments import merge_conjunction_blocks
 from tests.search.reference_writer import reference_bytes
@@ -56,11 +58,8 @@ def assert_parity(memory, disk):
         assert rows(disk, term) == rows(memory, term), term
         assert disk.document_frequency(term) == memory.document_frequency(term)
         assert disk.idf(term) == memory.idf(term), term  # bit-identical
-    for uri, state_id in memory.states():
-        assert disk.state_length(uri, state_id) == memory.state_length(uri, state_id)
-        assert disk.state_depth(uri, state_id) == memory.state_depth(uri, state_id)
-        for term in ("shared", "absent-term"):
-            assert disk.tf(term, uri, state_id) == memory.tf(term, uri, state_id)
+    # Lengths and depths; the sequence numbers differ from a fresh build's.
+    assert [row[:4] for row in disk.state_rows()] == [row[:4] for row in memory.state_rows()]
 
 
 def input_rows(models, term):
@@ -78,16 +77,17 @@ def input_rows(models, term):
 
 
 @pytest.mark.parametrize("backend", ["memory", "segmented"])
-def test_a_posting_list_is_the_one_term_conjunction(tmp_path, backend):
+def test_a_posting_list_is_the_one_term_conjunction(tmp_path, monkeypatch, backend):
     """There is no second read: for every term, ``conjunction([term])``
     is the term's posting list — the writer's input, retired states
     masked, buffered ones included, in canonical order (``s10`` after
     ``s9``) — with the state's length on every row."""
+    monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
     pages = {model.url: model for model in corpus_texts(pages=8, states=12)}
     index = (
         InvertedFile()
         if backend == "memory"
-        else SegmentedIndex(tmp_path / "idx", flush_threshold=150, block_size=4, compact_fanin=100)
+        else SegmentedIndex(tmp_path / "idx", flush_threshold=150, block_size=4)
     ).build(pages.values())
     gone = set().union(*(tokenize(state.text) for model in pages.values() for state in model.states()))
     for page in (1, 4, 6):
@@ -162,7 +162,7 @@ class TestParity:
 
 class TestFlushAndCompaction:
     def test_flush_threshold_bounds_memtable(self, tmp_path):
-        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=1, compact_fanin=100)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=1)
         for model in corpus_texts(pages=3, states=2):
             disk.add_model(model)
         # Every model crosses the one-posting threshold -> one segment each.
@@ -170,20 +170,20 @@ class TestFlushAndCompaction:
         assert disk._memtable.num_postings == 0
         disk.close()
 
-    def test_tiered_compaction_keeps_segment_count_low(self, tmp_path):
-        disk = SegmentedIndex(
-            tmp_path / "idx", flush_threshold=1, compact_fanin=2
-        ).build(corpus_texts(pages=8, states=2))
+    def test_tiered_compaction_keeps_segment_count_low(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 2)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=1).build(
+            corpus_texts(pages=8, states=2)
+        )
         # 8 flushed segments, fanin 2 -> repeatedly merged.
         assert disk.num_segments < 8
         assert_parity(InvertedFile().build(corpus_texts(pages=8, states=2)), disk)
         disk.close()
 
-    def test_compact_all_single_segment(self, tmp_path):
+    def test_compact_all_single_segment(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
         models = corpus_texts()
-        disk = SegmentedIndex(
-            tmp_path / "idx", flush_threshold=20, compact_fanin=100
-        ).build(models)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=20).build(models)
         assert disk.num_segments > 1
         assert disk.compact_all() == 1
         assert disk.num_segments == 1
@@ -225,15 +225,12 @@ class TestFlushAndCompaction:
         assert _tier(4) == 1
         assert _tier(64) == 3
 
-    def test_flush_and_compaction_observability(self, tmp_path):
+    def test_flush_and_compaction_observability(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 2)
         recorder = Recorder()
         metrics = MetricsRegistry()
         disk = SegmentedIndex(
-            tmp_path / "idx",
-            recorder=recorder,
-            metrics=metrics,
-            flush_threshold=1,
-            compact_fanin=2,
+            tmp_path / "idx", recorder=recorder, metrics=metrics, flush_threshold=1
         ).build(corpus_texts(pages=4, states=2))
         kinds = [event.kind for event in recorder.events]
         assert SEGMENT_FLUSH in kinds
@@ -271,7 +268,7 @@ class TestWritePathInvariants:
         one.close()
         two.close()
 
-    def test_bulk_reads_leave_the_block_cache_alone(self, tmp_path):
+    def test_bulk_reads_leave_the_block_cache_alone(self, tmp_path, monkeypatch):
         """A policy compaction and compact_all decode every block of
         what they rewrite, the dead-count pass of remove_urls the blocks
         that straddle a retired range — all around the cache: its
@@ -280,9 +277,10 @@ class TestWritePathInvariants:
         nothing, so it leaves every block warm."""
         # Three pages (90 postings) a segment: removing one page leaves
         # its segment a third dead, in a lower size tier than the other four.
-        disk = SegmentedIndex(
-            tmp_path / "idx", flush_threshold=90, block_size=2, compact_fanin=100
-        ).build(corpus_texts(pages=15, states=5))
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=90, block_size=2).build(
+            corpus_texts(pages=15, states=5)
+        )
         assert disk.num_segments == 5
         cache = disk.cache
 
@@ -305,7 +303,8 @@ class TestWritePathInvariants:
             assert (after[0] - before[0], after[1] - before[1]) == (hits, misses)
 
         requery(survivors=set())  # cold: every block is a miss
-        disk.compact_fanin = 4  # the four untouched segments share a tier
+        # The four untouched segments share a tier.
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 4)
         for rewrite, segments_left, files_kept in (
             (lambda: disk.remove_urls(["http://site.test/p4"]), 5, 5),
             (disk.maybe_compact, 2, 1),
@@ -387,7 +386,7 @@ class TestMaintenance:
 
     def test_no_segment_stays_more_dead_than_alive_past_a_compaction(self, tmp_path):
         models = corpus_texts(pages=5, states=2)
-        disk = SegmentedIndex(tmp_path / "idx", compact_fanin=100).build(models)
+        disk = SegmentedIndex(tmp_path / "idx").build(models)
         (whole,) = disk._flushed
         disk.remove_urls([model.url for model in models[:2]])
         assert disk.maybe_compact() == 0  # 4 dead, 6 alive: masking is cheaper
@@ -401,14 +400,15 @@ class TestMaintenance:
         assert_parity(InvertedFile().build(models[3:]), disk)
         disk.close()
 
-    def test_tiers_are_sized_by_live_postings(self, tmp_path):
+    def test_tiers_are_sized_by_live_postings(self, tmp_path, monkeypatch):
         wide, narrow = "a b c d e f g h i j k l", "a b c d"
-        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=36, compact_fanin=100)
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=36)
         for n in range(3):  # 2 x 12 + 3 x 4 = 36 postings a segment: tier 2
             disk.add_model(make_model(f"wide{n}", [wide] * 2))
             disk.add_model(make_model(f"narrow{n}", [narrow] * 3))
         assert [_tier(reader.num_postings) for reader in disk._flushed] == [2, 2, 2]
-        disk.compact_fanin = 3
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 3)
         disk.remove_url("wide0")  # 2 dead of 5 states, 12 live postings of 36
         assert [_tier(reader.num_postings) for reader in disk._flushed] == [1, 2, 2]
         assert disk.maybe_compact() == 0  # by what the files hold it would be a full tier
@@ -467,17 +467,13 @@ class TestPersistence:
         reopened.close()
 
     def test_reopen_preserves_settings_and_sequences(self, tmp_path):
-        disk = SegmentedIndex(
-            tmp_path / "idx",
-            max_state_index=3,
-            stopwords=frozenset({"the"}),
-            block_size=7,
-        ).build(corpus_texts(pages=2))
+        disk = SegmentedIndex(tmp_path / "idx", max_state_index=3, block_size=7).build(
+            corpus_texts(pages=2)
+        )
         next_seq = disk._next_seq
         disk.close()
         reopened = SegmentedIndex.open(tmp_path / "idx")
         assert reopened.max_state_index == 3
-        assert reopened.stopwords == frozenset({"the"})
         assert reopened.block_size == 7
         assert reopened._next_seq == next_seq
         # New states continue the global sequence, keeping order stable.
@@ -509,30 +505,41 @@ class TestPersistence:
         """Regression: a reopen took the manifest's settings and silently
         dropped the ones it was handed."""
         models = corpus_texts(pages=2)
-        words = frozenset({"filler", "words"})
         SegmentedIndex(tmp_path / "all").build(models).close()
-        SegmentedIndex(tmp_path / "capped", max_state_index=2, stopwords=words).build(models).close()
+        SegmentedIndex(tmp_path / "capped", max_state_index=2).build(models).close()
         for path, asked, named in (
-            ("all", {"max_state_index": 1}, "max_state_index=None, not max_state_index=1"),
-            ("capped", {"max_state_index": 3}, "max_state_index=2, not max_state_index=3"),
-            ("all", {"stopwords": words}, "stopwords=None, not stopwords=frozenset("),
-            ("capped", {"stopwords": frozenset({"filler"})}, "not stopwords=frozenset({'filler'})"),
+            ("all", 1, "max_state_index=None, not max_state_index=1"),
+            ("capped", 3, "max_state_index=2, not max_state_index=3"),
         ):
             with pytest.raises(SearchError) as refused:
-                SegmentedIndex(tmp_path / path, **asked)
+                SegmentedIndex(tmp_path / path, max_state_index=asked)
             assert named in str(refused.value), refused.value
-        # Agreeing, or None ("the manifest's"), opens; an empty stopword
-        # set is no stopwords, as everywhere.
-        for path, asked in (
-            ("capped", {"max_state_index": 2, "stopwords": words}),
-            ("capped", {}),
-            ("all", {"stopwords": frozenset()}),
-        ):
-            reopened = SegmentedIndex(tmp_path / path, **asked)
+        # Agreeing, or None ("the manifest's"), opens.
+        for path, asked in (("capped", 2), ("capped", None), ("all", None)):
+            reopened = SegmentedIndex(tmp_path / path, max_state_index=asked)
             capped = path == "capped"
             assert reopened.max_state_index == (2 if capped else None)
-            assert reopened.stopwords == (words if capped else None)
             assert reopened.num_states == (4 if capped else 8)
+            reopened.close()
+
+    @pytest.mark.parametrize(
+        "setting", [{"stopwords": ["a", "the"]}, {"analyzer": "stem"}], ids=["stopwords", "unknown"]
+    )
+    def test_a_setting_this_version_does_not_have_is_refused(self, tmp_path, setting):
+        """What the directory was indexed under and this version cannot
+        honour — a dropped-word list, say — refuses the open; a null or
+        empty one is no setting at all."""
+        SegmentedIndex(tmp_path / "idx").build(corpus_texts(pages=2)).close()
+        path = tmp_path / "idx" / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        ((name, value),) = setting.items()
+        path.write_text(json.dumps({**manifest, name: value}), encoding="utf-8")
+        with pytest.raises(SearchError, match=f"indexed with {name}=.*cannot read"):
+            SegmentedIndex.open(tmp_path / "idx")
+        for nothing in (None, [], ""):
+            path.write_text(json.dumps({**manifest, name: nothing}), encoding="utf-8")
+            reopened = SegmentedIndex.open(tmp_path / "idx")
+            assert reopened.num_states == 8
             reopened.close()
 
     def test_open_requires_manifest(self, tmp_path):
@@ -656,10 +663,9 @@ READS = {
     "document_frequency": lambda index: index.document_frequency("shared"),
     "terms": lambda index: index.terms(),
     "states": lambda index: index.states(),
-    "state_length": lambda index: index.state_length("http://site.test/late", "s1"),
-    "state_depth": lambda index: index.state_depth("http://site.test/late", "s1"),
-    "term_count": lambda index: index.term_count("late", "http://site.test/late", "s0"),
-    "tf": lambda index: index.tf("late", "http://site.test/late", "s0"),
+    "state_rows": lambda index: [row[:4] for row in index.state_rows()],
+    # tf as ranking reads it: a term's rows, occurrences over length.
+    "tf": lambda index: [len(p) / n for _, _, n, (p,) in index.conjunction(["late"])],
     "idf": lambda index: index.idf("late"),
     "vocabulary_size": lambda index: index.vocabulary_size,
     "num_states": lambda index: index.num_states,
@@ -718,12 +724,15 @@ class TestGenerationSnapshot:
     write is what it finishes on, whatever the writer publishes since."""
 
     @pytest.mark.parametrize("backend", ["memory", "segmented"])
-    def test_an_answer_taken_before_a_write_is_the_pre_write_answer(self, tmp_path, backend):
+    def test_an_answer_taken_before_a_write_is_the_pre_write_answer(
+        self, tmp_path, monkeypatch, backend
+    ):
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
         models = corpus_texts(pages=4)
         index = (
             InvertedFile()
             if backend == "memory"
-            else SegmentedIndex(tmp_path / "idx", flush_threshold=40, compact_fanin=100)
+            else SegmentedIndex(tmp_path / "idx", flush_threshold=40)
         ).build(models)
         fresh = InvertedFile().build(models)
         expected_rows = list(fresh.conjunction(["shared", "filler"]))
@@ -825,13 +834,9 @@ def test_update_model_equals_fresh_rebuild_property(
             assert rows(index, term) == rows(fresh, term), term
             assert index.document_frequency(term) == fresh.document_frequency(term)
             assert index.idf(term) == fresh.idf(term), term
-        for uri, state_id in fresh.states():
-            assert index.state_length(uri, state_id) == fresh.state_length(
-                uri, state_id
-            )
-            assert index.state_depth(uri, state_id) == fresh.state_depth(
-                uri, state_id
-            )
+        assert sorted(row[:4] for row in index.state_rows()) == sorted(
+            row[:4] for row in fresh.state_rows()
+        )
     # Order differs from a fresh build only in u1 moving to the end —
     # both backends must agree on the exact resulting order.
     assert disk.states() == memory.states()
@@ -878,11 +883,16 @@ def test_every_written_segment_equals_the_reference_writer(tmp_path_factory, dat
     writer makes of the same logical content, and the index answers like
     an InvertedFile fed the same operations."""
     scratch = tmp_path_factory.mktemp("writepath")
+    fanin = data.draw(st.sampled_from([2, 4]), label="compact_fanin")
+    with mock.patch.object(segmented, "COMPACT_FANIN", fanin):
+        write_path_steps(scratch, data)
+
+
+def write_path_steps(scratch, data):
     disk = SegmentedIndex(
         scratch / "idx",
         flush_threshold=data.draw(st.sampled_from([1, 60, 10**6, 10**6]), label="flush_threshold"),
         block_size=data.draw(st.sampled_from([1, 2, 4]), label="block_size"),
-        compact_fanin=data.draw(st.sampled_from([2, 4]), label="compact_fanin"),
     )
     memory = InvertedFile()
     present: set[str] = set()
@@ -940,7 +950,9 @@ def assert_postings_within_lengths_and_tiers_exact(disk):
         held = Counter()
         for term in reader.file_terms():
             held.update(reader.columns(term)[0])
-        assert all(held[ordinal] <= reader.state_length(ordinal) for ordinal in held), reader.name
+        ordinals = list(held)
+        lengths = reader.state_columns(ordinals)[2]
+        assert all(held[o] <= length for o, length in zip(ordinals, lengths)), reader.name
         live = sum(count for ordinal, count in held.items() if reader.live[ordinal])
         assert _live_tier(reader) == _tier(live), (reader.name, reader.dead)
 
@@ -949,16 +961,20 @@ def assert_postings_within_lengths_and_tiers_exact(disk):
 @settings(max_examples=60, deadline=None)
 def test_a_state_holds_at_most_its_length_and_the_fast_tier_is_exact(tmp_path_factory, data):
     """Random add / update / remove / compaction sequences over texts
-    with and without repeated words and stopwords: every segment written
-    by a flush or a rewrite keeps each state's postings within its
-    length, the bound the tier fast path rests on, and that fast path
-    names the exact tier of the live postings after every step."""
+    with and without repeated words: every segment written by a flush or
+    a rewrite keeps each state's postings within its length, the bound
+    the tier fast path rests on, and that fast path names the exact tier
+    of the live postings after every step."""
+    fanin = data.draw(st.sampled_from([2, 3, 100]), label="compact_fanin")
+    with mock.patch.object(segmented, "COMPACT_FANIN", fanin):
+        tier_steps(tmp_path_factory.mktemp("tiers") / "idx", data)
+
+
+def tier_steps(path, data):
     disk = SegmentedIndex(
-        tmp_path_factory.mktemp("tiers") / "idx",
-        stopwords=data.draw(st.sampled_from([None, frozenset({"alpha", "beta"})]), label="stopwords"),
+        path,
         flush_threshold=data.draw(st.sampled_from([4, 16, 40, 10**6]), label="flush_threshold"),
         block_size=data.draw(st.sampled_from([1, 2, 128]), label="block_size"),
-        compact_fanin=data.draw(st.sampled_from([2, 3, 100]), label="compact_fanin"),
     )
     pages = [f"http://t.test/p{page}" for page in range(6)]
     page_texts = st.lists(

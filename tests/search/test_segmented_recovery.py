@@ -22,8 +22,14 @@ import pytest
 from repro.errors import SearchError
 from repro.model import ApplicationModel
 from repro.obs import MetricsRegistry
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex
+from repro.search import InvertedFile, SearchEngine, SegmentedIndex, segmented
 from repro.search.segmented import MANIFEST_NAME
+
+
+@pytest.fixture(autouse=True)
+def no_tier_fills_up(monkeypatch):
+    """Every flush stays its own segment until a test compacts."""
+    monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
 
 
 def make_model(url, state_texts):
@@ -62,14 +68,14 @@ class TestCrashBetweenSegmentWriteAndManifestSwap:
     def test_reopen_serves_old_generation_and_collects_orphan(self, tmp_path):
         idx = tmp_path / "idx"
         old_models = corpus(pages=3)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(
+        disk = SegmentedIndex(idx, flush_threshold=1).build(
             old_models
         )
         disk.close()
         old_manifest = (idx / MANIFEST_NAME).read_bytes()
         old_segments = seg_files(idx)
 
-        disk = SegmentedIndex.open(idx, compact_fanin=100)
+        disk = SegmentedIndex.open(idx)
         disk.add_model(make_model("http://site.test/new", ["fresh unseen terms"]))
         disk.finalize()
         disk.close()
@@ -77,7 +83,7 @@ class TestCrashBetweenSegmentWriteAndManifestSwap:
         # Crash: the new segment hit disk, the manifest swap did not.
         (idx / MANIFEST_NAME).write_bytes(old_manifest)
 
-        reopened = SegmentedIndex.open(idx, compact_fanin=100)
+        reopened = SegmentedIndex.open(idx)
         assert reopened.orphans_collected == 1
         assert seg_files(idx) == old_segments
         assert_parity(InvertedFile().build(old_models), reopened)
@@ -87,7 +93,7 @@ class TestCrashBetweenSegmentWriteAndManifestSwap:
     def test_new_generation_visible_when_swap_landed(self, tmp_path):
         idx = tmp_path / "idx"
         models = corpus(pages=3)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
+        disk = SegmentedIndex(idx, flush_threshold=1).build(models)
         disk.close()
         reopened = SegmentedIndex.open(idx)
         assert reopened.orphans_collected == 0
@@ -99,7 +105,7 @@ class TestCrashMidCompaction:
     def test_victims_surviving_past_manifest_swap_are_collected(self, tmp_path):
         idx = tmp_path / "idx"
         models = corpus(pages=4)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
+        disk = SegmentedIndex(idx, flush_threshold=1).build(models)
         victims = {
             reader.path: reader.path.read_bytes() for reader in disk._flushed
         }
@@ -127,12 +133,12 @@ class TestCrashDuringRemoveUrls:
     ):
         idx = tmp_path / "idx"
         models = corpus(pages=3)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
+        disk = SegmentedIndex(idx, flush_threshold=1).build(models)
         disk.close()
         old_manifest = (idx / MANIFEST_NAME).read_bytes()
         old_segments = seg_files(idx)
 
-        disk = SegmentedIndex.open(idx, compact_fanin=100)
+        disk = SegmentedIndex.open(idx)
 
         def torn_save():
             raise RuntimeError("simulated crash during manifest swap")
@@ -146,7 +152,7 @@ class TestCrashDuringRemoveUrls:
         assert (idx / MANIFEST_NAME).read_bytes() == old_manifest
         assert set(old_segments) <= set(seg_files(idx))
 
-        reopened = SegmentedIndex.open(idx, compact_fanin=100)
+        reopened = SegmentedIndex.open(idx)
         assert_parity(InvertedFile().build(models), reopened)
         assert SearchEngine(reopened).result_count("marker0x0") == 1
         reopened.close()
@@ -154,7 +160,7 @@ class TestCrashDuringRemoveUrls:
     def test_committed_removal_survives_reopen(self, tmp_path):
         idx = tmp_path / "idx"
         models = corpus(pages=3)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
+        disk = SegmentedIndex(idx, flush_threshold=1).build(models)
         assert disk.remove_url(models[0].url) == 3
         disk.close()
         reopened = SegmentedIndex.open(idx)
@@ -211,7 +217,7 @@ class TestStrayFiles:
     def test_stale_tmp_and_unknown_segment_collected(self, tmp_path):
         idx = tmp_path / "idx"
         models = corpus(pages=2)
-        disk = SegmentedIndex(idx, flush_threshold=1, compact_fanin=100).build(models)
+        disk = SegmentedIndex(idx, flush_threshold=1).build(models)
         disk.close()
         (idx / "MANIFEST.json.tmp").write_text("{torn", encoding="utf-8")
         (idx / "seg-99999999.seg").write_bytes(b"\x00garbage")

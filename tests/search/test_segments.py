@@ -71,13 +71,10 @@ class TestRoundTrip:
         assert reader.num_states == len(states)
         assert reader.uris == ("u1", "u2")
         assert reader.state_rows() == states
-        for ordinal, (uri, state_id, length, depth, seq) in enumerate(states):
+        for ordinal, (uri, state_id, length, _, _) in enumerate(states):
             assert reader.ordinal(uri, state_id) == ordinal
-            assert reader.state_key(ordinal) == (uri, state_id)
             assert state_sort_key(reader.state_rows()[ordinal]) == (uri, int(state_id[1:]))
-            assert reader.state_length(ordinal) == length
-            assert reader.state_depth(ordinal) == depth
-            assert reader.state_rows()[ordinal][4] == seq
+            assert reader.state_columns([ordinal]) == ([uri], [state_id], [length])
         assert reader.ordinal("u1", "s9") is None
         assert reader.has_uri("u1") and not reader.has_uri("u3")
 
@@ -108,15 +105,6 @@ class TestRoundTrip:
         assert maxima == sorted(maxima)
         assert maxima[-1] == reader.ordinal("u2", "s2")
         assert reader._block_count[view.first : view.end] == [2, 2, 1]
-
-    def test_count_at_decodes_one_block(self, segment):
-        reader, _, _, _ = segment
-        view = reader.view("common")
-        ordinal = reader.ordinal("u2", "s0")
-        before = reader.cache.misses
-        assert view.count_at(ordinal) == 2
-        assert reader.cache.misses == before + 1
-        assert view.count_at(reader.num_states + 5) == 0
 
     def test_unknown_posting_state_rejected(self, tmp_path):
         rows = [("u", "s0", 1, 0, 0)]

@@ -1,10 +1,10 @@
-"""Stopword handling and ranking quality on the motivating example."""
+"""Common words are terms like any other, and ranking quality on the
+motivating example."""
 
 import pytest
 
 from repro.model import ApplicationModel, EventAnnotation
 from repro.search import (
-    ENGLISH_STOPWORDS,
     InvertedFile,
     RankingWeights,
     SearchEngine,
@@ -33,56 +33,37 @@ def pagination_model(url, page_texts):
 
 
 class TestStopwordTokenization:
+    """Nothing is dropped: every token is indexed and queried, as the
+    thesis' recall-oriented boolean engine does."""
+
     def test_positions_preserved(self):
-        pairs = tokenize_with_positions("the quick fox", stopwords=ENGLISH_STOPWORDS)
-        assert pairs == [("quick", 1), ("fox", 2)]
+        pairs = tokenize_with_positions("the quick fox")
+        assert pairs == [("the", 0), ("quick", 1), ("fox", 2)]
 
     def test_no_stopwords_by_default(self):
         assert tokenize_with_positions("the fox") == [("the", 0), ("fox", 1)]
 
-    def test_query_terms_filtered(self):
-        assert query_terms("the mysterious video", stopwords=ENGLISH_STOPWORDS) == [
-            "mysterious",
-            "video",
-        ]
-
     def test_all_stopword_query_falls_back(self):
-        assert query_terms("to be or", stopwords=ENGLISH_STOPWORDS) == ["to", "be", "or"]
+        # A query of nothing but common words is its raw terms.
+        assert query_terms("to be or") == ["to", "be", "or"]
 
 
 class TestStopwordIndex:
-    def test_stopwords_not_indexed(self):
-        model = pagination_model("u", ["the enjoy the ride"])
-        index = InvertedFile(stopwords=ENGLISH_STOPWORDS).build([model])
-        assert list(index.conjunction(["the"])) == []
-        assert list(index.conjunction(["enjoy"])) == [("u", "s0", 2, ((1,),))]
-
     def test_engine_consistent_with_stopword_index(self):
         model = pagination_model("u", ["the enjoy the ride", "a mysterious video"])
-        index = InvertedFile(stopwords=ENGLISH_STOPWORDS).build([model])
-        engine = SearchEngine(index)
-        # "enjoy the ride" evaluates as enjoy AND ride.
+        engine = SearchEngine(InvertedFile().build([model]))
+        # "enjoy the ride" evaluates as enjoy AND the AND ride.
         results = engine.search("enjoy the ride")
         assert [(r.uri, r.state_id) for r in results] == [("u", "s0")]
 
     def test_stopwords_survive_save_load(self, tmp_path):
         model = pagination_model("u", ["the enjoy the ride"])
         path = tmp_path / "idx"
-        SegmentedIndex(path, stopwords=ENGLISH_STOPWORDS).build([model]).close()
+        SegmentedIndex(path).build([model]).close()
         loaded = SegmentedIndex.open(path)
-        assert loaded.stopwords == ENGLISH_STOPWORDS
-        assert list(loaded.conjunction(["the"])) == []
-        assert list(loaded.conjunction(["enjoy"])) == [("u", "s0", 2, ((1,),))]
+        assert list(loaded.conjunction(["the"])) == [("u", "s0", 4, ((0, 2),))]
+        assert list(loaded.conjunction(["enjoy"])) == [("u", "s0", 4, ((1,),))]
         loaded.close()
-
-    def test_proximity_honest_across_dropped_stopwords(self):
-        """'enjoy the ride': enjoy..ride are 2 apart, not adjacent."""
-        from repro.search import term_proximity
-
-        pairs = tokenize_with_positions("enjoy the ride", stopwords=ENGLISH_STOPWORDS)
-        positions = [((p,)) for _, p in pairs]
-        groups = [tuple([p]) for _, p in pairs]
-        assert term_proximity(groups) == pytest.approx(2 / 3)
 
 
 class TestRankingQuality:

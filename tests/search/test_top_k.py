@@ -13,6 +13,7 @@ building ``Posting`` objects.
 """
 
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import QUERY_EVAL, MetricsRegistry, Recorder
 from repro.parallel import ShardedSearchEngine
 from repro.search import InvertedFile, RankingWeights, SearchEngine, SegmentedIndex, evaluate
+from repro.search import segmented
 from repro.search import engine as engine_module
 from repro.search.engine import SearchResult
 from repro.search.query import Posting, parse_query
@@ -47,12 +49,13 @@ def tied_corpus():
 def engines_over(models, scratch):
     """The same corpus behind every backend the engine runs on."""
     # One segment per model: every multi-page answer is a k-way merge.
-    multi = SegmentedIndex(f"{scratch}/multi", flush_threshold=1, compact_fanin=100)
-    engines = {
-        "memory": SearchEngine.build(models),
-        "segmented": SearchEngine.build(models, index=multi),
-        "sharded": ShardedSearchEngine.build([models[0::2], models[1::2]]),
-    }
+    multi = SegmentedIndex(f"{scratch}/multi", flush_threshold=1)
+    with mock.patch.object(segmented, "COMPACT_FANIN", 100):
+        engines = {
+            "memory": SearchEngine.build(models),
+            "segmented": SearchEngine.build(models, index=multi),
+            "sharded": ShardedSearchEngine.build([models[0::2], models[1::2]]),
+        }
     assert multi.num_segments == len(models)
     return engines, multi
 
@@ -165,7 +168,7 @@ def layouts_over(models, victim, scratch, pageranks, ajaxranks, weights):
     shards over mixed backends."""
     tables = {"pageranks": pageranks, "ajaxranks": ajaxranks, "weights": weights}
     split = max(1, len(models) // 3)
-    disk = SegmentedIndex(f"{scratch}/disk", block_size=2, compact_fanin=100)
+    disk = SegmentedIndex(f"{scratch}/disk", block_size=2)  # three segments: no tier fills
     for group in (models[:split] + [victim], models[split : 2 * split]):
         disk.build(group)
     segmented = SearchEngine(disk, **tables)  # commits; what follows stays buffered
@@ -294,7 +297,7 @@ PINNED_COMPLETED = {
     "four": {"area": 10, "state 1": 60, "area state": 1200},
 }
 
-LAYOUTS = [("one", {}), ("four", {"flush_threshold": 3000, "compact_fanin": 100})]
+LAYOUTS = [("one", {}), ("four", {"flush_threshold": 3000})]
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +320,10 @@ def count_constructions(monkeypatch, cls):
 
 
 class TestCountedWork:
+    @pytest.fixture(autouse=True)
+    def four_segments_stay_four(self, monkeypatch):
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 100)
+
     def test_a_page_of_ten_builds_ten_results_and_no_posting(
         self, counted_corpus, tmp_path, monkeypatch
     ):

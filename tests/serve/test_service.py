@@ -6,7 +6,7 @@ from repro.clock import CostModel
 from repro.crawler import AjaxCrawler
 from repro.net.latency import ConstantLatency
 from repro.obs import BURN_RATE_RULE, MetricsRegistry, Recorder
-from repro.search import ENGLISH_STOPWORDS, InvertedFile, SearchEngine
+from repro.search import InvertedFile, SearchEngine
 from repro.serve import (
     BadRequest,
     NotFound,
@@ -41,13 +41,14 @@ class TestSearchValidation:
             service.search({"q": "!!! ???"})
 
     def test_stopword_only_query_succeeds_via_fallback(self, models, fake_clock):
-        """With a stopword index, 'the the' falls back to the raw terms
-        and answers 200 with zero hits — never a 500."""
-        index = InvertedFile(stopwords=ENGLISH_STOPWORDS).build(models)
-        service = SearchService(SearchEngine(index), clock=fake_clock)
+        """Every token is indexed, so 'the the' is the one-term query
+        'the' and answers with its matches — never a 500 or an
+        empty-query 400."""
+        engine = SearchEngine(InvertedFile().build(models))
+        service = SearchService(engine, clock=fake_clock)
         page = service.search({"q": "the the"})
-        assert page["total"] == 0
-        assert page["results"] == []
+        assert page["total"] == engine.result_count("the") > 0
+        assert len(page["results"]) == min(page["total"], page["limit"])
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "-1", "0"])
     def test_bad_limit_is_bad_request(self, service, raw):

@@ -443,6 +443,44 @@ def test_an_unreadable_input_file_exits_with_one_line(argv, cause, pipeline, tmp
     assert cause in message and "\n" not in message
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["partition", "--precrawl", "{pre}", "--size", "0", "--out", "{new}"], "--size"),
+        (["precrawl", "--site", "simtube:2:3", "--out", "{new}", "--max-pages", "0"], "--max-pages"),
+        (["crawl", "--site", "simtube:2:3", "--root", "{root}", "--workers", "0"], "--workers"),
+        (["loadtest", "--url", "http://127.0.0.1:9", "--workers", "0"], "--workers"),
+    ],
+)
+def test_a_count_below_one_is_a_usage_error(argv, cause, pipeline, tmp_path, capsys):
+    """Refused while parsing (exit 2, argparse's usage line), before
+    anything is read, written or crawled."""
+    paths = {"pre": pipeline["pre"], "root": pipeline["crawl_root"], "new": tmp_path / "new"}
+    with pytest.raises(SystemExit) as exit_info:
+        main([word.format(**paths) for word in argv])
+    assert exit_info.value.code == 2
+    assert f"argument {cause}: must be >= 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crawl", "--site", "simtube:2:3", "--root", "{missing}"],
+        ["stats", "--root", "{missing}"],
+        ["dot", "--root", "{missing}", "--url", "http://simtube.test/watch?v=v00000"],
+        ["index", "build", "--root", "{missing}", "--segments", "{index}"],
+    ],
+)
+def test_a_crawl_root_that_does_not_exist_exits_with_one_line(argv, tmp_path):
+    missing = tmp_path / "missing"
+    argv = [word.format(missing=missing, index=tmp_path / "index") for word in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    message = exit_info.value.code
+    assert message == f"repro-ajax {argv[0]}: {missing}: no such directory"
+
+
 #: The documents whose fenced shell blocks show the CLI.
 DOCUMENTED = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
 

@@ -223,15 +223,20 @@ def test_index_statistics_consistent(texts):
         model.add_state(f"h{index}", text)
     index = InvertedFile().build([model])
     assert index.num_states == len(texts)
+    lengths = {row[:2]: row[2] for row in index.state_rows()}
     for term in {token for text in texts for token in tokenize(text)}:
         df = index.document_frequency(term)
         assert 1 <= df <= len(texts)
         expected_idf = math.log(len(texts) / df)
         assert index.idf(term) == pytest.approx(expected_idf)
-        # tf sums over states equal normalized occurrence counts.
-        for uri, state_id, length, (positions,) in index.conjunction([term]):
-            assert length == index.state_length(uri, state_id)
-            assert index.tf(term, uri, state_id) == pytest.approx(len(positions) / length)
+        # A term's rows carry what tf is made of: every occurrence in
+        # the state, and the state's token count.
+        rows = list(index.conjunction([term]))
+        assert len(rows) == df
+        for uri, state_id, length, (positions,) in rows:
+            tokens = tokenize(texts[int(state_id[1:])])
+            assert length == lengths[(uri, state_id)] == len(tokens)
+            assert positions == tuple(at for at, token in enumerate(tokens) if token == term)
 
 
 # -- n-way conjunction equals set intersection -----------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.browser import Browser
 from repro.crawler import CrawlerConfig
 from repro.net.faults import RetryPolicy
 from repro.search import RankingWeights, SegmentedIndex
@@ -33,17 +34,24 @@ KNOB_CENSUS = {
 }
 
 
+#: Parameters (without ``self``) of constructors that take settings
+#: directly; the same rule as the census.
+PARAMETER_CENSUS = {SegmentedIndex: 6, Browser: 8}
+
+
 def test_knob_census():
     counted = {config: len(dataclasses.fields(config)) for config in KNOB_CENSUS}
     assert counted == KNOB_CENSUS
-    parameters = inspect.signature(SegmentedIndex.__init__).parameters
-    assert len(parameters) - 1 == 8  # without ``self``
+    parameters = {
+        cls: len(inspect.signature(cls.__init__).parameters) - 1 for cls in PARAMETER_CENSUS
+    }
+    assert parameters == PARAMETER_CENSUS
 
 
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 21_468
+SRC_LINE_CEILING = 21_256
 
 
 def test_src_line_ceiling():
