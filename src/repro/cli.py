@@ -575,20 +575,25 @@ def _near_dup_bits(text: str) -> int:
     return bits
 
 
-def _positive(text: str) -> int:
-    """A count that has to be at least 1 (``--workers``, ``--size``, ...)."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
-    return count
+def _in_range(low, high=None, convert=int):
+    """An argparse type: ``convert(text)``, refused outside ``low..high``
+    while parsing, so a bad value is a usage error and not a traceback."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, not {value}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _result_limit(text: str) -> int:
-    """``search --limit``: how many results to print; not negative."""
-    limit = int(text)
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"limit must be >= 0, not {limit}")
-    return limit
+#: A count that has to be at least 1 (``--workers``, ``--size``, ...).
+_positive = _in_range(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -692,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--index", required=True, help="segmented index directory")
     search.add_argument("--query", required=True)
     search.add_argument("--pagerank", default=None)
-    search.add_argument("--limit", type=_result_limit, default=10)
+    search.add_argument("--limit", type=_in_range(0), default=10)
     search.set_defaults(fn=cmd_search)
 
     serve = sub.add_parser("serve", help="HTTP search service over an index or site")
@@ -703,8 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--pages", type=int, default=25, help="pages to crawl with --site")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080, help="0 = ephemeral")
-    serve.add_argument("--cache-entries", type=int, default=256)
+    serve.add_argument(
+        "--port", type=_in_range(0, 65535), default=8080, help="0 = ephemeral"
+    )
+    serve.add_argument("--cache-entries", type=_in_range(0), default=256)
     serve.add_argument(
         "--cache-ttl", type=float, default=30.0, metavar="SECONDS",
         help="query-cache TTL (0 = never expire)",
@@ -713,7 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-limit", type=float, default=0.0, metavar="RPS",
         help="per-client sustained requests/second (0 = unlimited)",
     )
-    serve.add_argument("--burst", type=float, default=20.0, help="token-bucket capacity")
+    serve.add_argument(
+        "--burst", type=_in_range(1, convert=float), default=20.0,
+        help="token-bucket capacity",
+    )
     serve.add_argument(
         "--latency-ms", type=float, default=0.0,
         help="injected base latency per request (soak realism)",
@@ -729,13 +739,13 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--url", required=True, help="server base URL")
     loadtest.add_argument("--workers", type=_positive, default=4)
     loadtest.add_argument(
-        "--requests", type=int, default=100, help="requests per worker"
+        "--requests", type=_positive, default=100, help="requests per worker"
     )
     loadtest.add_argument(
-        "--queries", type=int, default=100,
+        "--queries", type=_positive, default=100,
         help="workload size (Table 7.4 queries first)",
     )
-    loadtest.add_argument("--limit", type=int, default=10)
+    loadtest.add_argument("--limit", type=_positive, default=10)
     loadtest.add_argument("--out", default=None, metavar="FILE", help="JSON report")
     loadtest.set_defaults(fn=cmd_loadtest)
 
@@ -744,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--url", required=True, help="server base URL")
     top.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between refreshes"
+        "--interval", type=_in_range(0, convert=float), default=2.0,
+        help="seconds between refreshes",
     )
     top.add_argument(
         "--iterations",

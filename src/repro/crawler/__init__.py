@@ -14,7 +14,7 @@ from repro.crawler.forms import FORM_EVENT_TYPES, FormFillingAjaxCrawler
 from repro.crawler.incremental import CrawlHistory, IncrementalAjaxCrawler
 from repro.crawler.config import CrawlerConfig, DEFAULT_CONFIG
 from repro.crawler.dedup import BandedLshTable, CollapseOutcome, StateCollapser
-from repro.crawler.hotnode import HotNodeCache, HotNodeInterceptor, StackInfo
+from repro.crawler.hotnode import HotNodeCache
 from repro.crawler.metrics import CrawlReport, PageMetrics
 from repro.crawler.traditional import TraditionalCrawler
 
@@ -31,8 +31,6 @@ __all__ = [
     "CollapseOutcome",
     "StateCollapser",
     "HotNodeCache",
-    "HotNodeInterceptor",
-    "StackInfo",
     "CrawlReport",
     "PageMetrics",
     "CrawlHistory",

@@ -62,7 +62,7 @@ class AjaxCrawler(Crawler):
     ) -> None:
         self.config = config
         self.recorder = recorder
-        self.hot_cache = HotNodeCache(enabled=config.use_hot_node)
+        self.hot_cache = HotNodeCache()
         self.browser = Browser(
             server,
             clock=clock,

@@ -1,13 +1,12 @@
-"""JavaScript substrate: lexer, parser, interpreter and debugger API.
+"""JavaScript substrate: lexer, parser, interpreter and call stack.
 
 A from-scratch interpreter for the JavaScript subset that AJAX pages
-exercise.  It replaces the Rhino engine of the thesis and, crucially,
-reproduces the two Rhino facilities hot-node detection depends on
-(section 4.4): an inspectable call stack with actual argument values,
-and an attachable debugger whose ``on_enter`` hook can intercept calls.
+exercise.  It replaces the Rhino engine of the thesis and reproduces the
+Rhino facility hot-node detection depends on (section 4.4): an
+inspectable call stack with actual argument values.
 """
 
-from repro.js.debugger import CallStack, Debugger, Intercept, StackFrame
+from repro.js.callstack import CallStack, StackFrame
 from repro.js.environment import Environment
 from repro.js.interpreter import Interpreter, JsStepLimitError, JsThrownValue
 from repro.js.lexer import Lexer, tokenize
@@ -29,8 +28,6 @@ from repro.js.values import (
 
 __all__ = [
     "CallStack",
-    "Debugger",
-    "Intercept",
     "StackFrame",
     "Environment",
     "Interpreter",

@@ -1,8 +1,7 @@
 """Abstract syntax tree for the JavaScript subset.
 
 Plain dataclasses, one per construct.  Every node carries the source
-line so the interpreter can report positions and drive the debugger's
-``on_line`` notifications.
+line of the token that opened it.
 """
 
 from __future__ import annotations

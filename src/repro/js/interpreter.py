@@ -5,14 +5,10 @@ host constructors, arrays/objects, string and array built-in methods,
 ``for``/``for-in``/``while`` loops, and short-circuit logic — everything
 the synthetic AJAX pages (and the thesis' YouTube scripts) exercise.
 
-Two pieces exist specifically for the crawler:
-
-* a **call stack** of :class:`~repro.js.debugger.StackFrame` objects with
-  function names and *actual argument values*, which the hot-node
-  ``StackInfo`` mechanism inspects when ``XMLHttpRequest.open`` fires;
-* an attachable :class:`~repro.js.debugger.Debugger` whose ``on_enter``
-  may intercept a call and return a cached result without executing the
-  body (the Rhino-debugger trick of section 4.4.2).
+For the crawler it keeps a **call stack** of
+:class:`~repro.js.callstack.StackFrame` objects with function names and
+*actual argument values*, which hot-node detection inspects when
+``XMLHttpRequest.send`` fires (the thesis' ``StackInfo``, section 4.4.1).
 
 The interpreter counts evaluation steps so the browser can charge
 virtual time for script execution, and aborts scripts that exceed
@@ -26,7 +22,7 @@ from typing import Any, Callable, Optional
 
 from repro.errors import JsReferenceError, JsRuntimeError, JsSyntaxError, JsTypeError
 from repro.js import ast
-from repro.js.debugger import CallStack, Debugger, StackFrame
+from repro.js.callstack import CallStack, StackFrame
 from repro.js.environment import Environment
 from repro.js.parser import parse_expression, parse_program
 from repro.js.values import (
@@ -90,21 +86,11 @@ class Interpreter:
         self.call_stack = CallStack()
         self.max_steps = max_steps
         self.steps = 0
-        self._debugger: Optional[Debugger] = None
-        self._current_line = 0
         #: Source -> parsed program; lives and dies with the interpreter.
         self._programs: dict[str, ast.Program] = {}
         self._install_builtins()
 
     # -- public API -------------------------------------------------------------
-
-    def attach_debugger(self, debugger: Optional[Debugger]) -> None:
-        """Attach (or with ``None`` detach) a debugger."""
-        self._debugger = debugger
-
-    @property
-    def debugger(self) -> Optional[Debugger]:
-        return self._debugger
 
     def run(self, source: str) -> Any:
         """Parse and execute ``source``; returns the last statement's value.
@@ -139,7 +125,7 @@ class Interpreter:
 
     def call_function(self, function: Any, args: list[Any], this: Any = UNDEFINED) -> Any:
         """Invoke a JS or native function from Python."""
-        return self._invoke(function, args, this, line=self._current_line)
+        return self._invoke(function, args, this)
 
     def define_global(self, name: str, value: Any) -> None:
         """Bind ``name`` in the global scope (host objects, builtins)."""
@@ -182,16 +168,12 @@ class Interpreter:
 
     # -- statement execution ------------------------------------------------------
 
-    def _tick(self, node: ast.Node) -> None:
+    def _tick(self) -> None:
         self.steps += 1
         if self.steps > self.max_steps:
             raise JsStepLimitError(
                 f"script exceeded {self.max_steps} interpreter steps (infinite loop?)"
             )
-        if node.line and node.line != self._current_line:
-            self._current_line = node.line
-            if self._debugger is not None:
-                self._debugger.on_line(node.line)
 
     @staticmethod
     def _hoist(body: list[ast.Statement], env: Environment) -> None:
@@ -204,7 +186,7 @@ class Interpreter:
                 )
 
     def _exec(self, node: ast.Statement, env: Environment) -> Any:
-        self._tick(node)
+        self._tick()
         method = self._EXEC.get(type(node))
         if method is None:
             raise JsRuntimeError(f"cannot execute {type(node).__name__}")
@@ -246,7 +228,7 @@ class Interpreter:
 
     def _exec_WhileStatement(self, node: ast.WhileStatement, env: Environment) -> Any:
         while is_truthy(self._eval(node.test, env)):
-            self._tick(node)
+            self._tick()
             try:
                 self._exec(node.body, env)
             except _Break:
@@ -257,7 +239,7 @@ class Interpreter:
 
     def _exec_DoWhileStatement(self, node: ast.DoWhileStatement, env: Environment) -> Any:
         while True:
-            self._tick(node)
+            self._tick()
             try:
                 self._exec(node.body, env)
             except _Break:
@@ -325,7 +307,7 @@ class Interpreter:
         if node.init is not None:
             self._exec(node.init, env)
         while node.test is None or is_truthy(self._eval(node.test, env)):
-            self._tick(node)
+            self._tick()
             try:
                 self._exec(node.body, env)
             except _Break:
@@ -351,7 +333,7 @@ class Interpreter:
         if node.declare:
             env.declare(node.variable)
         for key in keys:
-            self._tick(node)
+            self._tick()
             env.assign(node.variable, key)
             try:
                 self._exec(node.body, env)
@@ -377,7 +359,7 @@ class Interpreter:
     # -- expression evaluation ------------------------------------------------------
 
     def _eval(self, node: ast.Expression, env: Environment) -> Any:
-        self._tick(node)
+        self._tick()
         method = self._EVAL.get(type(node))
         if method is None:
             raise JsRuntimeError(f"cannot evaluate {type(node).__name__}")
@@ -525,7 +507,7 @@ class Interpreter:
         else:
             function = self._eval(node.callee, env)
         args = [self._eval(argument, env) for argument in node.arguments]
-        return self._invoke(function, args, this, node.line)
+        return self._invoke(function, args, this)
 
     def _eval_New(self, node: ast.New, env: Environment) -> Any:
         callee = self._eval(node.callee, env)
@@ -534,48 +516,30 @@ class Interpreter:
             return callee.construct(self, args)
         if isinstance(callee, JSFunction):
             instance = JSObject()
-            self._invoke(callee, args, instance, node.line)
+            self._invoke(callee, args, instance)
             return instance
         raise JsTypeError(f"{to_string(callee)} is not a constructor")
 
     # -- invocation -------------------------------------------------------------------
 
-    def _invoke(self, function: Any, args: list[Any], this: Any, line: int) -> Any:
+    def _invoke(self, function: Any, args: list[Any], this: Any) -> Any:
         if not is_callable(function):
             raise JsTypeError(f"{to_string(function)} is not a function")
         if isinstance(function, HostConstructor):
             return function.construct(self, args)
         name = getattr(function, "name", "<anonymous>") or "<anonymous>"
         native = isinstance(function, NativeFunction)
-        frame = StackFrame(
-            function_name=name,
-            arguments=list(args),
-            line=line,
-            native=native,
-        )
-        if self._debugger is not None:
-            intercept = self._debugger.on_enter(frame)
-            if intercept is not None:
-                return intercept.value
         if len(self.call_stack) >= self.MAX_CALL_DEPTH:
             raise JsRuntimeError("maximum call stack size exceeded")
-        self.call_stack.push(frame)
+        self.call_stack.push(StackFrame(name, list(args), native=native))
         try:
             if native:
-                result = function.fn(self, this, args)
-            else:
-                result = self._call_js_function(function, args, this)
-        except JsRuntimeError as error:
-            if self._debugger is not None:
-                self._debugger.on_exception(frame, error)
-            raise
+                return function.fn(self, this, args)
+            return self._call_js_function(function, args, this)
         except (_Break, _Continue):
             raise JsRuntimeError("break/continue outside loop") from None
         finally:
             self.call_stack.pop()
-        if self._debugger is not None:
-            self._debugger.on_exit(frame, result)
-        return result
 
     def _call_js_function(self, function: JSFunction, args: list[Any], this: Any) -> Any:
         env = Environment(function.closure)

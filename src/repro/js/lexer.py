@@ -2,8 +2,7 @@
 
 Supports decimal and hexadecimal numbers, single- and double-quoted
 strings with the common escapes, identifiers, keywords, punctuators and
-both comment styles.  Positions are tracked for error messages and for
-the debugger's line notifications.
+both comment styles.  Positions are tracked for error messages.
 
 One compiled master pattern recognises what page scripts are made of;
 whatever it declines — numbers, strings with escapes, identifiers led by

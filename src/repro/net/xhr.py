@@ -27,7 +27,7 @@ from typing import Any, Optional
 from urllib.parse import urljoin
 
 from repro.errors import JsTypeError, NetworkError, RetriesExhausted
-from repro.js.debugger import StackFrame
+from repro.js.callstack import StackFrame
 from repro.js.interpreter import Interpreter
 from repro.js.values import HostConstructor, HostObject, NativeFunction, UNDEFINED, to_string
 from repro.net.gateway import NetworkGateway

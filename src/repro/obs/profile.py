@@ -16,8 +16,8 @@ all derived from a :class:`~repro.obs.spans.SpanTree`:
   clock rebinds make timestamps comparable only within a root.
 
 * :func:`critical_path` / :func:`critical_path_from_spans` — replay of
-  the :class:`~repro.parallel.MPAjaxCrawler` earliest-free-line
-  scheduler over per-partition durations: per-line finish times, the
+  :func:`earliest_free_lines`, the :class:`~repro.parallel.MPAjaxCrawler`
+  scheduler, over per-partition durations: per-line finish times, the
   makespan, the straggler partition and its makespan share, and the
   skew ratio (max/mean duration).  This is the quantitative answer to "why was
   the four-line speedup only ~27%?" (Figure 7.8).
@@ -198,24 +198,32 @@ class CriticalPathReport:
         return max(range(len(self.line_finish_ms)), key=lambda i: self.line_finish_ms[i])
 
 
-def critical_path(costs: list[PartitionCost], num_lines: int) -> CriticalPathReport:
-    """Schedule ``costs`` onto ``num_lines`` earliest-free lines.
+def earliest_free_lines(
+    durations: Iterable[float], num_lines: int
+) -> tuple[list[float], list[int]]:
+    """The ``getPartitionID()`` scheduler of both parallel engines.
 
-    The replay is semantically identical to
-    :meth:`MPAjaxCrawler.run_simulated`: partitions are taken in order,
-    each landing on the line with the smallest accumulated time
-    (``min`` breaks ties at the lowest index).
+    Durations are taken in order, each landing on the line with the
+    smallest accumulated time (``min`` breaks ties at the lowest index).
+    Returns each line's finish time and the line each duration took.
     """
+    line_times = [0.0] * num_lines
+    assignments: list[int] = []
+    for duration in durations:
+        line = min(range(num_lines), key=line_times.__getitem__)
+        line_times[line] += duration
+        assignments.append(line)
+    return line_times, assignments
+
+
+def critical_path(costs: list[PartitionCost], num_lines: int) -> CriticalPathReport:
+    """Schedule ``costs`` onto ``num_lines`` earliest-free lines, the
+    replay of :func:`earliest_free_lines` the simulated engine ran."""
     if num_lines < 1:
         raise ValueError("need at least one process line")
-    line_times = [0.0] * num_lines
-    per_line: list[list[int]] = [[] for _ in range(num_lines)]
-    assignments: list[int] = []
-    for cost in costs:
-        line = min(range(num_lines), key=lambda i: line_times[i])
-        line_times[line] += cost.duration_ms
-        per_line[line].append(cost.partition)
-        assignments.append(line)
+    line_times, assignments = earliest_free_lines(
+        (cost.duration_ms for cost in costs), num_lines
+    )
     makespan = max(line_times) if costs else 0.0
     straggler = max(costs, key=lambda c: c.duration_ms) if costs else None
     durations = [c.duration_ms for c in costs]
@@ -231,7 +239,11 @@ def critical_path(costs: list[PartitionCost], num_lines: int) -> CriticalPathRep
         straggler_share=(straggler.duration_ms / makespan) if straggler and makespan else 0.0,
         skew=(max(durations) / mean) if durations and mean else 0.0,
     )
-    report.critical_line_partitions = per_line[report.critical_line] if costs else []
+    report.critical_line_partitions = [
+        cost.partition
+        for cost, line in zip(costs, assignments)
+        if line == report.critical_line
+    ]
     return report
 
 

@@ -52,6 +52,7 @@ from typing import Iterable, Optional
 
 from repro.clock import CostModel
 from repro.crawler import CrawlResult
+from repro.obs.profile import earliest_free_lines
 from repro.parallel.mpcrawler import MPAjaxCrawler, ParallelRunResult
 from repro.parallel.simple import PartitionRunSummary
 
@@ -95,19 +96,8 @@ def _fold(
         run.stats.merge(summary.network)
         run.summaries.append(summary)
         run.partition_results[number] = result
-        run.partition_numbers.append(number)
         run.partition_durations_ms.append(duration)
     return run
-
-
-def _line_times(durations: Iterable[float], lines: int) -> list[float]:
-    """Finish time of each line when the earliest-free line takes the
-    next partition (``getPartitionID()``)."""
-    line_times = [0.0] * lines
-    for duration in durations:
-        line = min(range(lines), key=line_times.__getitem__)
-        line_times[line] += duration
-    return line_times
 
 
 def run_simulated(
@@ -134,7 +124,7 @@ def run_simulated(
         return result, summary, duration
 
     run = _fold(map(crawl_one, enumerate(partitions, start=1)), lines, "simulated")
-    run.line_finish_ms = _line_times(run.partition_durations_ms, lines)
+    run.line_finish_ms = earliest_free_lines(run.partition_durations_ms, lines)[0]
     run.makespan_ms = max(run.line_finish_ms)
     return run
 
@@ -178,7 +168,7 @@ def run_threads(
     # *virtual* crawl-time sum — the analogue of the simulated
     # scheduler's accounting, kept for the figures.
     run.makespan_ms = max(
-        _line_times((s.crawl_time_ms for s in run.summaries), lines)
+        earliest_free_lines((s.crawl_time_ms for s in run.summaries), lines)[0]
     )
     run.wall_time_ms = (time.perf_counter() - started) * 1000.0
     return run

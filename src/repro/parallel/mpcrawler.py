@@ -72,12 +72,10 @@ class ParallelRunResult:
     line_finish_ms: list[float] = field(default_factory=list)
     #: Network counters merged over every partition worker.
     stats: NetworkStats = field(default_factory=NetworkStats)
-    #: Partition numbers in scheduling order (parallel to
-    #: ``partition_durations_ms``) — the critical-path analyzer's input.
-    partition_numbers: list[int] = field(default_factory=list)
-    #: Scheduled duration of each partition on its process line
+    #: Scheduled duration of partitions ``1..n`` on their process lines
     #: (startup + network + stretched CPU for the simulated runner,
-    #: measured wall ms for the threaded one).
+    #: measured wall ms for the threaded one) — the critical-path
+    #: analyzer's input.
     partition_durations_ms: list[float] = field(default_factory=list)
     #: Process lines the run was scheduled on.
     num_proc_lines: int = 0
@@ -199,7 +197,3 @@ class MPAjaxCrawler:
     def run_simulated(self, partitions: list[list[str]]) -> ParallelRunResult:
         """Crawl all partitions on virtual time (the default backend)."""
         return self.run(partitions, backend="simulated")
-
-    def run_threaded(self, partitions: list[list[str]]) -> ParallelRunResult:
-        """Crawl partitions on real threads (wall-clock parallelism)."""
-        return self.run(partitions, backend="threads")

@@ -6,6 +6,7 @@ from repro.browser import Page
 from repro.clock import CostModel
 from repro.crawler import AjaxCrawler, CrawlerConfig, TraditionalCrawler
 from repro.dom import Node
+from repro.obs import HOTNODE_CACHE_HIT, HOTNODE_CACHE_MISS, Recorder
 from repro.sites import SiteConfig, SyntheticYouTube
 
 
@@ -133,13 +134,30 @@ class TestHotNodeCaching:
     def test_cache_reduces_network_calls(self, site):
         index = find_video(site, lambda n: 4 <= n <= 8)
         url = site.video_url(index)
-        with_cache = AjaxCrawler(site, CrawlerConfig(use_hot_node=True), cost_model=cost())
-        without = AjaxCrawler(site, CrawlerConfig(use_hot_node=False), cost_model=cost())
+        recorders = {True: Recorder(), False: Recorder()}
+        with_cache, without = (
+            AjaxCrawler(
+                site,
+                CrawlerConfig(use_hot_node=use),
+                cost_model=cost(),
+                recorder=recorders[use],
+            )
+            for use in (True, False)
+        )
         cached = with_cache.crawl_page(url)
         uncached = without.crawl_page(url)
         assert cached.metrics.ajax_calls < uncached.metrics.ajax_calls
         assert cached.metrics.cached_hits > 0
         assert uncached.metrics.cached_hits == 0
+
+        # Off means no cache at all: nothing is looked up, nothing learnt.
+        def lookups(use):
+            kinds = (HOTNODE_CACHE_HIT, HOTNODE_CACHE_MISS)
+            return [event for event in recorders[use].events if event.kind in kinds]
+
+        assert lookups(True)
+        assert lookups(False) == []
+        assert without.hot_cache.hot_nodes == set()
 
     def test_same_states_with_and_without_cache(self, site):
         """Caching is a pure optimisation: the model must be identical."""

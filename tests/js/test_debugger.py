@@ -1,9 +1,9 @@
-"""Tests for the call stack and the Rhino-style debugger interface (§4.4)."""
+"""Tests for the interpreter's call stack, which hot-node detection reads (§4.4)."""
 
 import pytest
 
 from repro.errors import JsTypeError
-from repro.js import Debugger, Intercept, Interpreter, NativeFunction, StackFrame
+from repro.js import Interpreter, NativeFunction, StackFrame
 
 
 @pytest.fixture
@@ -11,33 +11,12 @@ def interp():
     return Interpreter()
 
 
-class RecordingDebugger(Debugger):
-    def __init__(self):
-        self.entered = []
-        self.exited = []
-        self.lines = []
-        self.exceptions = []
-
-    def on_enter(self, frame):
-        self.entered.append((frame.function_name, list(frame.arguments)))
-        return None
-
-    def on_exit(self, frame, result):
-        self.exited.append((frame.function_name, result))
-
-    def on_line(self, line):
-        self.lines.append(line)
-
-    def on_exception(self, frame, error):
-        self.exceptions.append((frame.function_name if frame else None, error))
-
-
 class TestCallStack:
     def test_stack_grows_and_shrinks(self, interp):
         depths = []
 
         def probe(interpreter, this, args):
-            depths.append(interpreter.call_stack.depth)
+            depths.append(len(interpreter.call_stack))
             return None
 
         interp.define_global("probe", NativeFunction("probe", probe))
@@ -50,15 +29,15 @@ class TestCallStack:
         )
         # probe itself is on the stack: outer > inner > probe.
         assert depths == [3]
-        assert interp.call_stack.depth == 0
+        assert len(interp.call_stack) == 0
 
     def test_top_frame_has_name_and_arguments(self, interp):
         captured = {}
 
         def probe(interpreter, this, args):
-            frames = interpreter.call_stack.frames()
-            captured["chain"] = [frame.function_name for frame in frames]
-            captured["args"] = frames[-2].arguments
+            frame = interpreter.call_stack.top_script_frame()
+            captured["name"] = frame.function_name
+            captured["args"] = frame.arguments
             return None
 
         interp.define_global("probe", NativeFunction("probe", probe))
@@ -68,7 +47,7 @@ class TestCallStack:
             getUrl('/comments?p=2', true);
             """
         )
-        assert captured["chain"] == ["getUrl", "probe"]
+        assert captured["name"] == "getUrl"
         assert captured["args"] == ["/comments?p=2", True]
 
     def test_stack_frame_signature_format(self):
@@ -78,95 +57,4 @@ class TestCallStack:
     def test_stack_empty_after_error(self, interp):
         with pytest.raises(JsTypeError):
             interp.run("function f() { var u; u.x; } f();")
-        assert interp.call_stack.depth == 0
-
-
-class TestDebuggerHooks:
-    def test_on_enter_and_exit_for_each_call(self, interp):
-        debugger = RecordingDebugger()
-        interp.attach_debugger(debugger)
-        interp.run("function f(a) { return a + 1; } f(1); f(2);")
-        assert debugger.entered == [("f", [1.0]), ("f", [2.0])]
-        assert debugger.exited == [("f", 2.0), ("f", 3.0)]
-
-    def test_nested_calls_seen_in_order(self, interp):
-        debugger = RecordingDebugger()
-        interp.attach_debugger(debugger)
-        interp.run(
-            """
-            function inner() { return 1; }
-            function outer() { return inner(); }
-            outer();
-            """
-        )
-        assert [name for name, _ in debugger.entered] == ["outer", "inner"]
-        assert [name for name, _ in debugger.exited] == ["inner", "outer"]
-
-    def test_on_line_notifications(self, interp):
-        debugger = RecordingDebugger()
-        interp.attach_debugger(debugger)
-        interp.run("var a = 1;\nvar b = 2;\nvar c = 3;")
-        assert debugger.lines == [1, 2, 3]
-
-    def test_on_exception(self, interp):
-        debugger = RecordingDebugger()
-        interp.attach_debugger(debugger)
-        with pytest.raises(JsTypeError):
-            interp.run("function bad() { var u; return u.x; } bad();")
-        assert debugger.exceptions
-        assert debugger.exceptions[0][0] == "bad"
-
-    def test_detach(self, interp):
-        debugger = RecordingDebugger()
-        interp.attach_debugger(debugger)
-        interp.attach_debugger(None)
-        interp.run("function f() {} f();")
-        assert debugger.entered == []
-
-
-class TestInterception:
-    """The hot-node mechanism: on_enter may skip the body entirely."""
-
-    class CachingDebugger(Debugger):
-        def __init__(self, cache):
-            self.cache = cache
-            self.intercepted = []
-
-        def on_enter(self, frame):
-            key = frame.signature()
-            if key in self.cache:
-                self.intercepted.append(key)
-                return Intercept(self.cache[key])
-            return None
-
-    def test_intercepted_call_skips_body(self, interp):
-        effects = []
-
-        def side_effect(interpreter, this, args):
-            effects.append(args[0])
-            return None
-
-        interp.define_global("sideEffect", NativeFunction("sideEffect", side_effect))
-        interp.run(
-            """
-            function fetchPage(p) {
-                sideEffect(p);
-                return 'content-' + p;
-            }
-            """
-        )
-        debugger = self.CachingDebugger({"fetchPage(2)": "cached-content"})
-        interp.attach_debugger(debugger)
-        fetch = interp.global_env.get("fetchPage")
-        assert interp.call_function(fetch, [2.0]) == "cached-content"
-        assert interp.call_function(fetch, [3.0]) == "content-3"
-        assert effects == [3.0]  # only the non-cached call ran the body
-        assert debugger.intercepted == ["fetchPage(2)"]
-
-    def test_interception_keyed_by_arguments(self, interp):
-        interp.run("function f(x) { return x * 10; }")
-        debugger = self.CachingDebugger({"f(1)": 999.0})
-        interp.attach_debugger(debugger)
-        f = interp.global_env.get("f")
-        assert interp.call_function(f, [1.0]) == 999.0
-        assert interp.call_function(f, [2.0]) == 20.0
+        assert len(interp.call_stack) == 0

@@ -152,7 +152,9 @@ class TestCriticalPath:
         run = crawler.run_simulated(partitions)
         costs = [
             PartitionCost(number, duration)
-            for number, duration in zip(run.partition_numbers, run.partition_durations_ms)
+            for number, duration in zip(
+                sorted(run.partition_results), run.partition_durations_ms
+            )
         ]
         report = critical_path(costs, run.num_proc_lines)
         # The replay must reproduce the scheduler's own accounting.

@@ -61,7 +61,7 @@ class TestDispatch:
         partitions = make_partitions(site)
         controller = MPAjaxCrawler(site, num_proc_lines=2, cost_model=cost())
         assert controller.run_simulated(partitions).backend == "simulated"
-        assert controller.run_threaded(partitions).backend == "threads"
+        assert controller.run(partitions, backend="threads").backend == "threads"
 
 
 class TestBackendParity:
@@ -168,7 +168,7 @@ class TestBackendParity:
         assert (
             simulated.stats.registry.snapshot() == threaded.stats.registry.snapshot()
         )
-        assert threaded.partition_numbers == list(range(1, 9))
+        assert sorted(threaded.partition_results) == list(range(1, 9))
         assert len(threaded.line_finish_ms) == 2
         # Every measured partition is booked on exactly one worker.
         assert sum(threaded.line_finish_ms) == pytest.approx(

@@ -112,7 +112,7 @@ class TestThreadedRunUnderFaults:
         per-worker stats still account for every injected fault."""
         plan = FaultPlan([FaultRule(r"/comments", rate=0.2)], seed=5)
         controller, partitions = make_run(site, plan)
-        run = controller.run_threaded(partitions)
+        run = controller.run(partitions, backend="threads")
         assert run.total_pages + run.total_failed_pages == NUM_VIDEOS
         assert run.stats.retries + run.stats.failed_requests == plan.num_injected
 
@@ -123,7 +123,7 @@ class TestThreadedRunUnderFaults:
         partitions = partition_urls(
             [site.video_url(i) for i in range(NUM_VIDEOS)], 3
         )
-        run = controller.run_threaded(partitions)
+        run = controller.run(partitions, backend="threads")
         assert run.stats.ajax_calls == sum(
             s.network.ajax_calls for s in run.summaries
         )

@@ -109,7 +109,9 @@ class TestMPAjaxCrawler:
 
     def test_threaded_run_equivalent_models(self, site):
         partitions = self.partitions(site, count=6, size=2)
-        threaded = MPAjaxCrawler(site, 3, cost_model=cost()).run_threaded(partitions)
+        threaded = MPAjaxCrawler(site, 3, cost_model=cost()).run(
+            partitions, backend="threads"
+        )
         simulated = MPAjaxCrawler(site, 3, cost_model=cost()).run_simulated(partitions)
         threaded_states = sorted(
             s.content_hash for m in threaded.result.models for s in m.states()

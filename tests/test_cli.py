@@ -102,7 +102,7 @@ class TestPipeline:
             main(["search", "--index", str(pipeline["index"]), "--query", "wow",
                   "--limit", "-1"])
         assert exit_info.value.code == 2
-        assert "limit must be >= 0" in capsys.readouterr().err
+        assert "argument --limit: must be >= 0, not -1" in capsys.readouterr().err
 
     def test_search_with_pagerank(self, pipeline, capsys):
         assert main([
@@ -461,6 +461,30 @@ def test_a_count_below_one_is_a_usage_error(argv, cause, pipeline, tmp_path, cap
     assert exit_info.value.code == 2
     assert f"argument {cause}: must be >= 1, not 0" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["serve", "--site", "webmail", "--cache-entries", "-1"], "--cache-entries: must be >= 0, not -1"),
+        (["serve", "--site", "webmail", "--rate-limit", "5", "--burst", "0"], "--burst: must be >= 1, not 0.0"),
+        (["serve", "--site", "webmail", "--port", "99999"], "--port: must be <= 65535, not 99999"),
+        (["loadtest", "--url", "http://127.0.0.1:9", "--queries", "0"], "--queries: must be >= 1, not 0"),
+        (["loadtest", "--url", "http://127.0.0.1:9", "--requests", "0"], "--requests: must be >= 1, not 0"),
+        (["loadtest", "--url", "http://127.0.0.1:9", "--limit", "0"], "--limit: must be >= 1, not 0"),
+        (["top", "--url", "http://127.0.0.1:9", "--interval", "-1"], "--interval: must be >= 0, not -1.0"),
+    ],
+)
+def test_an_out_of_range_serving_input_is_a_usage_error(argv, refusal, capsys):
+    """Refused while parsing, before a crawl, a bind or a request: one
+    ``repro-ajax`` error line (under argparse's usage), no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("repro-ajax ")]
+    assert errors == [f"repro-ajax {argv[0]}: error: argument {refusal}"]
 
 
 @pytest.mark.parametrize(

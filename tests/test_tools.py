@@ -15,6 +15,7 @@ import pytest
 
 from repro.browser import Browser
 from repro.crawler import CrawlerConfig
+from repro.js import Interpreter
 from repro.net.faults import RetryPolicy
 from repro.search import RankingWeights, SegmentedIndex
 from repro.serve.loadtest import LoadTestConfig
@@ -36,7 +37,7 @@ KNOB_CENSUS = {
 
 #: Parameters (without ``self``) of constructors that take settings
 #: directly; the same rule as the census.
-PARAMETER_CENSUS = {SegmentedIndex: 6, Browser: 8}
+PARAMETER_CENSUS = {SegmentedIndex: 6, Browser: 8, Interpreter: 1}
 
 
 def test_knob_census():
@@ -51,7 +52,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 21_256
+SRC_LINE_CEILING = 21_055
 
 
 def test_src_line_ceiling():
