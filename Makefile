@@ -10,7 +10,7 @@ export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-regen testgen-smoke bench-serving bench-parallel \
-	bench-index bench-dedup bench-e2e-smoke bench-testgen bench-ab loc
+	bench-index bench-dedup bench-e2e-smoke bench-testgen bench-ab bench-record loc
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke
 
@@ -76,6 +76,19 @@ W ?= tube_crawl
 PAIRS ?= 10
 bench-ab:
 	$(PYTHON) tools/ab_bench.py $(A) $(B) --workload $(W) --pairs $(PAIRS)
+
+# The trajectory: the medians of RUNS runs of every benchmarks/e2e
+# workload at SEED on the tree at REF (a git ref or directory, `.` the
+# working tree), one line per workload appended to
+# benchmarks/results/BENCH_e2e.jsonl, then the whole file as one table
+# with every metric's change against the previous commit recorded
+# (`python tools/bench_report.py` prints the table alone).
+REF ?= .
+SEED ?= 7
+RUNS ?= 3
+LABEL ?=
+bench-record:
+	$(PYTHON) tools/bench_report.py --record $(REF) --seed $(SEED) --runs $(RUNS) --label "$(LABEL)"
 
 # Segmented-index gate: mints a 100k-state corpus (REPRO_BENCH_INDEX_STATES
 # scales it), builds both index backends and enforces the <=11 B/posting

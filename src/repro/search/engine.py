@@ -8,8 +8,11 @@ sorted by rank.
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import insort
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, count
 from typing import Iterable, Optional
 
 from repro.model import ApplicationModel
@@ -17,7 +20,7 @@ from repro.obs import NULL_RECORDER, QUERY_EVAL
 from repro.obs.reqtrace import current_request_trace
 from repro.search.index import Index, InvertedFile
 from repro.search.query import parse_query
-from repro.search.ranking import RankingWeights, ajaxrank, term_proximity
+from repro.search.ranking import RankingWeights, ajaxrank, proximity_column, term_proximity
 
 
 @dataclass(frozen=True)
@@ -153,24 +156,21 @@ class SearchEngine:
     ) -> tuple[int, int, list[Entry]]:
         """Rank this index's matches of ``terms`` by eq. 5.3 under
         ``idfs`` (parallel to the terms) and ``weights``: how many
-        matches there are, how many of them were *completed*, and the
-        best ``k`` entries (all, when None), best first.
+        matches there are, how many of them were *completed* (entry
+        built), and the best ``k`` entries (all, when None), best first.
 
         This is the one place eq. 5.3 is written.  A single engine calls
         it with its own idfs and weights; a shard is called with the
         merger's (Figure 6.4) and ships ``k`` entries, not every match —
         the top ``k`` of a union is the top ``k`` of the parts' top ``k``.
 
-        All but the proximity T(q, s) is computed a column at a time.
-        T lies in [0, 1] and float rounding is monotone, so ``base +
-        max(w4, 0)`` — the score's own association, T at the end the
-        sign of w4 favours — bounds the score from above bit for bit.
-        A match is completed (proximity computed, entry built) only if
-        its best possible *key* ``(-bound, uri, state_id)`` beats the
-        k-th key kept so far: keys, not scores, so ties stay exact; and
-        the key is total, so segment order does not matter.  The kept
-        entries are cut back to ``k`` whenever ``2k`` have gathered:
-        O(log k) a survivor for any ``k``.
+        Each segment's matches are scored as columns, T(q, s) in closed
+        form; a row where a term has several positions carries the bound
+        ``base + max(w4, 0)`` instead.  The cut is the lesser of the
+        segment's k-th exact key and the kept k-th key: what beats it
+        enters, and what ties enters in ordinal order through the URI run
+        of the last one needed (``s10`` sorts before ``s9``), not past the
+        kept k-th URI; then bound rows, best bound first, until one loses.
         """
         if k is not None and k < 0:
             raise ValueError(f"limit must be >= 0, not {k}")
@@ -181,43 +181,58 @@ class SearchEngine:
         ceiling = max(w_proximity, 0.0)
         total = completed = 0
         kept: list[Entry] = []
-        edge = None  # the k-th key so far, as (edge, rest), once k are kept
-        mark = k  # how many kept entries trigger the next cut
         for segment, ordinals, columns in self.index.matches(terms):
             total += len(ordinals)
-            if k == 0:
+            if k == 0 or not ordinals:
                 continue
             uris, state_ids, lengths = segment.state_columns(ordinals)
-            tfidfs = [0.0] * len(ordinals)
-            for idf, column in zip(idfs, columns):
+            counts = [list(map(len, column)) for column in columns]
+            tfidfs = zeros = [0.0] * len(ordinals)
+            for idf, column in zip(idfs, counts):
                 tfidfs = [
-                    tfidf + (count / length if length else 0.0) * idf
-                    for tfidf, count, length in zip(tfidfs, map(len, column), lengths)
+                    tfidf + (occurrences / length if length else 0.0) * idf
+                    for tfidf, occurrences, length in zip(tfidfs, column, lengths)
                 ]
-            page_ranks = list(map(page_rank, uris, repeat(0.0)))
-            ajax_ranks = list(map(ajax_rank, zip(uris, state_ids), repeat(0.0)))
-            bases = [
-                w_page * page + w_ajax * ajax + w_tfidf * tfidf
-                for page, ajax, tfidf in zip(page_ranks, ajax_ranks, tfidfs)
-            ]
-            for at, base in enumerate(bases):
-                bound = -(base + ceiling)
-                if edge is not None and bound >= edge:
-                    if bound > edge or (uris[at], state_ids[at]) >= rest:
-                        continue
+            proximities, bound = proximity_column(columns, counts)
+            pages = list(map(page_rank, uris, zeros)) if self.pageranks else zeros
+            ajaxes = list(map(ajax_rank, zip(uris, state_ids), zeros)) if self.ajaxranks else zeros
+            bases = [w_page * page + w_ajax * ajax + w_tfidf * tfidf
+                     for page, ajax, tfidf in zip(pages, ajaxes, tfidfs)]
+            keys = [-(base + w_proximity * t) for base, t in zip(bases, proximities)]
+            for at in bound:
+                keys[at] = math.inf
+            edge = kept[-1] if len(kept) == k else (math.inf,)
+            smallest = heapq.nsmallest(k, keys) if k is not None else [-math.inf]
+            cut = min(edge[0], smallest[-1]) if len(smallest) == k else edge[0]
+            better = map(cut.__gt__, keys) if smallest[0] < cut else ()
+            chosen = list(compress(range(len(keys)), better))
+            if cut < math.inf:
+                limit = edge[1] if cut == edge[0] else uris[-1]  # not past the kept k-th URI
+                for at in compress(count(), map(cut.__eq__, keys)):
+                    if uris[at] > limit:
+                        break
+                    chosen.append(at)
+                    if len(chosen) == k:
+                        limit = uris[at]  # through the URI run of the last one needed
+            completed += len(chosen)
+            fields = keys, uris, state_ids, pages, ajaxes, tfidfs, proximities
+            kept += zip(*(map(field.__getitem__, chosen) for field in fields))
+            if k is not None:
+                kept = heapq.nsmallest(k, kept)
+            # Bound rows, best possible key (T = 1 or 0) first, against the k-th key kept.
+            floors = ((-(bases[at] + ceiling), uris[at], state_ids[at]) for at in bound)
+            for floor, at in sorted(zip(floors, bound)):
+                if len(kept) == k and floor > kept[-1][:3]:
+                    break
                 completed += 1
                 proximity = term_proximity([column[at] for column in columns])
-                kept.append((
-                    -(base + w_proximity * proximity),
-                    uris[at], state_ids[at], page_ranks[at], ajax_ranks[at], tfidfs[at],
-                    proximity,
-                ))
-                if len(kept) == mark:
-                    kept.sort()
+                key = -(bases[at] + w_proximity * proximity)
+                entry = (key, *floor[1:], pages[at], ajaxes[at], tfidfs[at], proximity)
+                if k is None:
+                    kept.append(entry)
+                else:
+                    insort(kept, entry)
                     del kept[k:]
-                    edge, rest = kept[-1][0], kept[-1][1:3]
-                    mark = 2 * k
         if self.index.metrics is not None:
             self.index.metrics.inc("index.matches_completed", completed)
-        kept.sort()
-        return total, completed, kept[:k]
+        return total, completed, sorted(kept)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import and_, itemgetter, lt
 
 from repro.model import ApplicationModel
 
@@ -101,7 +103,7 @@ def inverse_document_frequency(num_states: int, df: int) -> float:
 
 
 def term_proximity(position_groups: list[tuple[int, ...]]) -> float:
-    """Proximity coefficient T(q, s) ∈ (0, 1].
+    """Proximity coefficient T(q, s) ∈ [0, 1]; 0.0 when a term has no position.
 
     ``position_groups[i]`` holds the positions of the i-th query term in
     the state.  The coefficient is ``len(terms) / window`` where
@@ -123,6 +125,29 @@ def term_proximity(position_groups: list[tuple[int, ...]]) -> float:
         window = _min_unordered_window(position_groups)
         return min(1.0, 0.5 * terms / window)
     return min(1.0, terms / best_window)
+
+
+def proximity_column(
+    columns: list[list[tuple[int, ...]]], counts: list[list[int]]
+) -> tuple[list[float], list[int]]:
+    """:func:`term_proximity` of each row of a conjunction's position
+    columns (``counts`` their lengths), and the rows, ascending, where a
+    term has several positions and the value is void.  With one each, T
+    is ``n / (pₙ − p₁ + 1)`` in query order, else ``0.5·n / (max − min
+    + 1)``: its float operations, ``min(1, ·)`` idle as the window ≥ n."""
+    terms = len(columns)
+    if terms == 1:
+        return [1.0] * len(columns[0]), []
+    firsts = [list(map(itemgetter(0), column)) for column in columns]
+    in_order = map(lt, firsts[0], firsts[1])
+    for earlier, later in zip(firsts[1:], firsts[2:]):
+        in_order = map(and_, in_order, map(lt, earlier, later))
+    proximities = [
+        terms / (last - first + 1) if ordered else 0.5 * terms / (max(row) - min(row) + 1)
+        for ordered, first, last, row in zip(in_order, firsts[0], firsts[-1], zip(*firsts))
+    ]
+    several = (compress(count(), map((1).__lt__, sizes)) for sizes in counts if max(sizes) > 1)
+    return proximities, sorted(set().union(*several))
 
 
 def _min_ordered_window(position_groups: list[tuple[int, ...]]) -> int | None:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.model import ApplicationModel, EventAnnotation
 from repro.search import ajaxrank, pagerank, term_proximity
-from repro.search.ranking import _min_ordered_window
+from repro.search.ranking import _min_ordered_window, proximity_column
 
 
 class TestPageRank:
@@ -160,3 +160,28 @@ def test_ordered_window_equals_the_exhaustive_scan(groups, data):
     groups += data.draw(st.lists(st.sampled_from(groups), max_size=2))
     groups = data.draw(st.permutations(groups))
     assert _min_ordered_window(groups) == reference_ordered_window(groups)
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=2, max_size=4, unique=True),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_closed_form_proximity_is_term_proximity_bit_for_bit(spots, shape, data):
+    # One position per term, in any order: adjacent, in query order,
+    # reversed, or drawn; then a row where one term has two positions.
+    firsts = [
+        sorted(spots),
+        list(range(spots[0], spots[0] + len(spots))),
+        list(range(spots[0] + len(spots), spots[0], -1)),
+        spots,
+    ][shape]
+    rows = [[(position,) for position in firsts]]
+    multi = data.draw(st.integers(0, len(firsts) - 1))
+    rows.append([(p, p + 61) if term == multi else (p,) for term, p in enumerate(firsts)])
+    columns = [list(column) for column in zip(*rows)]
+    counts = [list(map(len, column)) for column in columns]
+    proximities, bound = proximity_column(columns, counts)
+    assert proximities[0].hex() == term_proximity(rows[0]).hex()
+    assert bound == [1]
+    assert proximity_column(columns[:1], counts[:1]) == ([1.0, 1.0], [])

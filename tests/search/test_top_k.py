@@ -6,8 +6,8 @@ in particular where scores tie and only ``(uri, state_id)`` orders the
 results; and the full ranking must be what a brute-force reference
 (every row of ``conjunction`` scored by eq. 5.3, then one full sort)
 says it is, whatever the rank tables and weights.  Counted work: a
-small page of a long ranking constructs only that page and completes
-only the matches whose score bound can still enter it, and the block
+small page of a long ranking constructs only that page and builds
+entries only for the matches that can still enter it, and the block
 merge decodes exactly what it decoded before the read path stopped
 building ``Posting`` objects.
 """
@@ -258,6 +258,34 @@ class TestBruteForceOracle:
             for index in indexes:
                 index.close()
 
+    def test_a_tie_at_the_cut_straddles_a_run_of_s9_s10_s11(self):
+        # Two PageRank-favoured states lead; every other state ties, so
+        # the k-th key falls inside a twelve-state run whose ordinal
+        # order (s9, s10, s11) is not its key order (s10, s11, s2, ...).
+        # On the segmented layout "m" is its own segment and "c" and "a"
+        # sit in the buffer, before the kept k-th URI.
+        def page(name, states):
+            return make_model(f"http://tie.test/{name}", ["alpha beta"] * states)
+
+        models = [page("top", 2), page("m", 12), page("c", 12), page("a", 12)]
+        pageranks = {"http://tie.test/top": 0.5}
+        weights = RankingWeights()
+        with tempfile.TemporaryDirectory() as scratch:
+            engines, indexes = layouts_over(
+                models, page("retired", 12), scratch, pageranks, {}, weights
+            )
+            for k in (1, 9, 10, 11, None):
+                expected = reference_top(models, "alpha beta", pageranks, {}, weights, k)
+                for label, engine in engines.items():
+                    count, hits = engine.top("alpha beta", k)
+                    assert (count, ranking(hits)) == expected, (label, k)
+            # Behind the two leaders, "a"'s run in key order: s10 and s11 before s2.
+            assert [hit[:2] for hit in expected[1][2:6]] == [
+                ("http://tie.test/a", state) for state in ("s0", "s1", "s10", "s11")
+            ]
+            for index in indexes:
+                index.close()
+
 
 # -- counted work ---------------------------------------------------------------------
 
@@ -282,22 +310,50 @@ PINNED_MERGE_STATS = {
     },
 }
 
-#: Matches *completed* — proximity computed, entry built — by
-#: ``top(query, 10)`` on the same two layouts, recorded when ranking went
-#: columnar; before, each was the query's match count (1200, 554, 1200).
-#: ``area``: every score ties, so the first ten in (uri, state id) order
-#: stand.  ``state 1``: 240 states hold the phrase (T = 1) and every
-#: other match's bound key loses to the k-th key once ten of those are
-#: kept — what is completed is what beat the k-th key *as of the last
-#: cut* (the selection cuts back to k every k survivors).  ``area
-#: state``: T = 2/3 on every state, so no bound with T <= 1 drops below
-#: a kept score and all 1200 are completed — what the bound cannot do.
+#: Matches *completed* — entry built — by ``top(query, 10)`` on the
+#: same two layouts.  Recorded when ranking went columnar, with T(q, s)
+#: bounded: ``area`` 10 on both, ``state 1`` 40 and 60 (what beat the
+#: k-th key as of the last cut back to k), ``area state`` 1200 — T = 2/3
+#: on every state, so no bound with T <= 1 fell below a kept score.
+#: Re-recorded when T went to closed form and the cut to the k-th exact
+#: key: every state here has one position per term except two ``state
+#: 1`` matches, so each row but those has its exact key.  A segment
+#: builds what beats its cut, and the rows tied at it up to the end of
+#: the URI run of the last one needed: ``area`` and ``area state`` tie
+#: every score, so the first ten in (uri, state id) order stand;
+#: ``state 1`` keeps 240 phrase states (T = 1) ahead, and each of the
+#: four segments builds what beats its own k-th key and the kept one.
 PINNED_COMPLETED = {
-    "one": {"area": 10, "state 1": 40, "area state": 1200},
-    "four": {"area": 10, "state 1": 60, "area state": 1200},
+    "one": {"area": 10, "state 1": 12, "area state": 10},
+    "four": {"area": 10, "state 1": 26, "area state": 10},
 }
 
 LAYOUTS = [("one", {}), ("four", {"flush_threshold": 3000})]
+
+#: Matches completed by ``top(query, 10)`` over :func:`repeat_corpus`,
+#: where every match holds ``alpha`` twice, so no row has an exact key
+#: before ``term_proximity`` runs: in memory, one segment, and one
+#: segment per page.  ``alpha beta`` has T = 1 on every row, so a row's
+#: bound is its score and the bound cut stops at the tenth key;
+#: ``beta alpha`` has T = 1/2, so the bound sits 0.05 above each score.
+#: The single bounded loop that ranked before closed-form T completed
+#: 43 and 193 on every layout.
+PINNED_REPEAT_COMPLETED = {
+    "memory": {"alpha beta": 10, "beta alpha": 58},
+    "one": {"alpha beta": 10, "beta alpha": 58},
+    "four": {"alpha beta": 19, "beta alpha": 165},
+}
+
+
+def repeat_corpus():
+    """Four pages of fifty ``alpha alpha beta`` states padded to forty
+    lengths (so tf·idf spreads the scores), and ten states without
+    either term (so their idf is not 0)."""
+    def texts(page):
+        padded = [("pad " * ((7 * page + 3 * state) % 40)).strip() for state in range(50)]
+        return [f"alpha alpha beta {pad}".strip() for pad in padded] + ["gamma"] * 10
+
+    return [make_model(f"http://repeat.test/p{page}", texts(page)) for page in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -363,23 +419,62 @@ class TestCountedWork:
             lambda groups: proximities.append(groups) or term_proximity(groups),
         )
         full = {query: engine.search(query) for query in PINNED_COMPLETED[layout]}
-        assert len(proximities) == sum(map(len, full.values())) == metrics.counter(
-            "index.matches_completed"
-        )
+        # The full ranking builds one entry per match, and only a state
+        # where some term has more than one position calls term_proximity.
+        assert sum(map(len, full.values())) == metrics.counter("index.matches_completed")
+        assert len(proximities) == 2
+        assert all(max(map(len, groups)) > 1 for groups in proximities)
         for query, pinned in PINNED_COMPLETED[layout].items():
             del proximities[:], results[:], recorder.events[:]
             before = metrics.counter("index.matches_completed")
             total, hits = engine.top(query, 10)
             assert total == len(full[query]) and ranking(hits) == ranking(full[query][:10])
-            assert len(proximities) == pinned, (layout, query)
+            assert all(max(map(len, groups)) > 1 for groups in proximities), (layout, query)
+            assert len(proximities) == {"state 1": 2}.get(query, 0), (layout, query)
             assert len(results) == 10
             assert metrics.counter("index.matches_completed") - before == pinned
             (event,) = [event for event in recorder.events if event.kind == QUERY_EVAL]
             assert (event.fields["matches"], event.fields["completed"]) == (total, pinned)
         # One URI run: the states of the page the tenth result falls in.
         assert PINNED_COMPLETED[layout]["area"] <= 10 + 5
+        assert PINNED_COMPLETED[layout]["area state"] <= 2 * 10
         assert len(postings) == 0
         index.close()
+
+    def test_rows_that_repeat_a_term_complete_only_what_their_bound_cannot_rule_out(
+        self, tmp_path, monkeypatch
+    ):
+        models = repeat_corpus()
+        engines = {
+            "memory": SearchEngine.build(models),
+            "one": SearchEngine.build(models, index=SegmentedIndex(tmp_path / "one", block_size=16)),
+            "four": SearchEngine.build(
+                models, index=SegmentedIndex(tmp_path / "four", block_size=16, flush_threshold=1)
+            ),
+        }
+        assert engines["four"].index.num_segments == 4
+        proximities = []
+        monkeypatch.setattr(
+            engine_module,
+            "term_proximity",
+            lambda groups: proximities.append(groups) or term_proximity(groups),
+        )
+        for layout, engine in engines.items():
+            for query, pinned in PINNED_REPEAT_COMPLETED[layout].items():
+                del proximities[:]
+                terms = parse_query(query)
+                idfs = [engine.index.idf(term) for term in terms]
+                total, completed, _ = engine.select(terms, idfs, engine.weights, 10)
+                assert (total, completed) == (200, pinned), (layout, query)
+                assert len(proximities) == completed  # every row is a bound row
+                tables = engine.pageranks, engine.ajaxranks, engine.weights
+                expected = reference_top(models, query, *tables, 10)
+                assert (total, ranking(engine.top(query, 10)[1])) == expected, (layout, query)
+            assert PINNED_REPEAT_COMPLETED[layout]["alpha beta"] <= 2 * 10
+        assert PINNED_REPEAT_COMPLETED["one"]["beta alpha"] <= 200 // 3
+        for engine in engines.values():
+            if isinstance(engine.index, SegmentedIndex):
+                engine.index.close()
 
     @pytest.mark.parametrize("layout, options", LAYOUTS)
     def test_a_deep_page_is_one_bounded_selection(self, counted_corpus, tmp_path, layout, options):

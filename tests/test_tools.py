@@ -1,6 +1,7 @@
-"""Repo tooling: the ``tools/ab_bench.py`` smoke, the knob census, the
-``src/`` line ceiling and the journaled-write, lent-fragment,
-one-read-path, generation, one-scorer and gc guards."""
+"""Repo tooling: the ``tools/ab_bench.py`` smoke, the trajectory
+report, the knob census, the ``src/`` line ceiling and the
+journaled-write, lent-fragment, one-read-path, generation, one-scorer
+and gc guards."""
 
 import ast
 import dataclasses
@@ -52,7 +53,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 21_055
+SRC_LINE_CEILING = 21_095
 
 
 def test_src_line_ceiling():
@@ -460,3 +461,40 @@ def test_ab_bench_of_a_ref_against_itself():
             (listed,) = [line for line in lines if line.startswith(f"  {name} {side}: ")]
             assert len(listed.split(": ")[1].split(", ")) == 2
     assert [line.split(" of ")[0] for line in lines[-2:]] == ["  A: 0 failed", "  B: 0 failed"]
+
+
+def test_bench_report_prints_each_metric_against_the_previous_commit(tmp_path):
+    def row(commit, workload, seed, **metrics):
+        return json.dumps({"commit": commit, "workload": workload, "seed": seed, "metrics": metrics})
+
+    trajectory = tmp_path / "BENCH_e2e.jsonl"
+    trajectory.write_text("\n".join([
+        row("aaa", "serve_uncached", 7, work_per_s=800.0, op_p50_ms=0.5, work_cost=0.0),
+        row("aaa", "serve_uncached", 8, work_per_s=700.0, op_p50_ms=0.6, work_cost=0.0),
+        row("bbb", "serve_uncached", 7, work_per_s=1000.0, op_p50_ms=0.4, work_cost=0.0),
+        row("ccc", "serve_uncached", 7, work_per_s=900.0, op_p50_ms=0.4, work_cost=2.0),
+    ]) + "\n")
+    report = [sys.executable, "tools/bench_report.py", "--file", str(trajectory)]
+    done = subprocess.run(report, cwd=REPO, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    metrics = [
+        metric["name"]
+        for metric in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    ]
+    assert header.split() == ["commit", "label", "workload", "seed", *metrics]
+    cells = [re.findall(r"(\S+) \(([^)]*)\)", line) for line in lines]
+    # Each row against the previous one of its workload and seed: the
+    # seed-8 row is its own first, and bbb -> ccc is a step, not aaa -> ccc.
+    assert [line.split()[:3] for line in lines] == [
+        ["aaa", "serve_uncached", "7"], ["aaa", "serve_uncached", "8"],
+        ["bbb", "serve_uncached", "7"], ["ccc", "serve_uncached", "7"],
+    ]
+    assert cells[0] == [("800", "new"), ("0.5", "new"), ("0", "new")]
+    assert cells[1] == [("700", "new"), ("0.6", "new"), ("0", "new")]
+    assert cells[2] == [("1000", "+25.0%"), ("0.4", "-20.0%"), ("0", "=")]
+    assert cells[3] == [("900", "-10.0%"), ("0.4", "+0.0%"), ("2", "from 0")]
+    assert all(line.split().count("-") == len(metrics) - 3 for line in lines)  # not recorded
+    trajectory.write_text(row("aaa", "serve_uncached", 7) + "\n" + "{\"commit\": \"x\"}\n")
+    done = subprocess.run(report, cwd=REPO, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stderr.strip().endswith(":2: not a trajectory row")
