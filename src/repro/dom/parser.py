@@ -45,15 +45,20 @@ _NAMED_ENTITIES = {
 
 
 def unescape(text: str) -> str:
-    """Resolve the supported character entities in ``text``."""
+    """Resolve the supported character entities in ``text``; a numeric
+    reference to no character stays as written."""
 
     def _replace(match: re.Match[str]) -> str:
         body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        return _NAMED_ENTITIES.get(body.lower(), match.group(0))
+        if not body.startswith("#"):
+            return _NAMED_ENTITIES.get(body.lower(), match.group(0))
+        try:
+            code = int(body[2:], 16) if body[1] == "x" else int(body[1:])
+            if not 0xD800 <= code <= 0xDFFF:  # a surrogate is no character
+                return chr(code)
+        except (ValueError, OverflowError):  # not decimal, or past U+10FFFF
+            pass
+        return match.group(0)  # left as written, like an unknown name
 
     return _ENTITY_RE.sub(_replace, text)
 

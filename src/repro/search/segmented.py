@@ -266,7 +266,7 @@ class SegmentedIndex(Index):
                     *self._memtable.flush_view(),
                     block_size=self.block_size,
                 )
-                reader = SegmentReader(stats.path, cache=self.cache)
+                reader = SegmentReader(stats.path, cache=self.cache, written=stats)
                 self._memtable = Memtable(self.max_state_index)
                 self._commit((*self._flushed, reader))
                 if self.recorder.enabled:
@@ -368,7 +368,7 @@ class SegmentedIndex(Index):
             self._segment_path(), [rows[at] for at in order], columns_by_term(),
             block_size=self.block_size,
         )
-        return SegmentReader(stats.path, cache=self.cache)
+        return SegmentReader(stats.path, cache=self.cache, written=stats)
 
     def _merge(self, victims: list[SegmentReader]) -> None:
         """Merge ``victims`` into one new segment, re-deriving exact df."""

@@ -78,18 +78,45 @@ def sorted_columns(
     return [ordinals[at] for at in order], [positions[at] for at in order]
 
 
-class SegmentStats:
-    """What one segment write produced (for tracing and manifests)."""
+def _state_table(rows: Sequence[tuple[str, str, int, int, int]]) -> dict:
+    """A segment's state columns and its ways back, from its rows in
+    ordinal order — how a :class:`MemorySegment` and a reader of a file
+    just written hold their rows (a parse decodes its own)."""
+    uri, state_id, length, depth, seq = map(list, zip(*rows)) if rows else ([], [], [], [], [])
+    return {
+        "_state_uri": uri, "_state_id": state_id, "_state_length": length,
+        "_state_depth": depth, "_state_seq": seq,
+        "_ordinals": dict(zip(zip(uri, state_id), range(len(uri)))),
+        "_uri_set": frozenset(uri),
+    }
 
-    __slots__ = ("path", "num_states", "num_postings", "num_terms", "num_bytes")
+
+def _term_table(terms: dict[str, int], heads: list[int], blocks: list[int]) -> dict:
+    """A segment's term table as columns: ``terms`` maps each term, in
+    sorted order, to its number; ``heads`` holds df and block count per
+    term and ``blocks`` offset, length, count and max ordinal per block,
+    flat — what a write encodes and a parse decodes."""
+    return {
+        "_terms": terms, "_df": heads[0::2], "_first_block": [0, *accumulate(heads[1::2])],
+        "_block_offset": blocks[0::4], "_block_length": blocks[1::4],
+        "_block_count": blocks[2::4], "_block_max": blocks[3::4],  # max: the skip entries
+    }
+
+
+class SegmentStats:
+    """What one segment write produced (for tracing and manifests), and
+    ``tables``: every column a reader of the file holds, as the write built them."""
+
+    __slots__ = ("path", "num_states", "num_postings", "num_terms", "num_bytes", "tables")
 
     def __init__(self, path: Path, num_states: int, num_postings: int,
-                 num_terms: int, num_bytes: int) -> None:
+                 num_terms: int, num_bytes: int, tables: dict) -> None:
         self.path = path
         self.num_states = num_states
         self.num_postings = num_postings
         self.num_terms = num_terms
         self.num_bytes = num_bytes
+        self.tables = tables
 
 
 def write_segment(
@@ -107,8 +134,10 @@ def write_segment(
     columns, the ordinals strictly increasing and taken from this very
     list.  The iterable may stream (compaction feeds it term by term,
     so a merge never holds more than one term's postings).  Rows out of
-    order or repeated, an ordinal without a row and a repeated or
-    descending ordinal all raise :class:`SearchError`.
+    order or repeated, a state id other than its prefix and decimal
+    index, a term not after the one before, an ordinal without a row and
+    a repeated or descending ordinal all raise :class:`SearchError`:
+    what is written reads back as the tables returned.
     """
     path = Path(path)
     if block_size < 1:
@@ -116,18 +145,21 @@ def write_segment(
     keys = [state_sort_key(row) for row in state_rows]
     if any(map(gt, keys, keys[1:])):
         raise SearchError("state rows are not in canonical (uri, state index) order")
-    if len({(row[0], row[1]) for row in state_rows}) != len(state_rows):
+    tables = _state_table(state_rows)
+    if len(tables["_ordinals"]) != len(state_rows):
         raise SearchError("duplicate (uri, state_id) state row")
-    uris = sorted({row[0] for row in state_rows})
+    uris = sorted(tables["_uri_set"])
     uri_ids = {uri: index for index, uri in enumerate(uris)}
 
     num_postings = 0
-    num_terms = 0
+    terms, heads, blocks = {}, [], []  # the columns of _term_table
     term_table = bytearray()
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         offset = len(MAGIC)
         for term, ordinals, positions in columns_by_term:
+            if terms and term <= previous:
+                raise SearchError(f"terms must be strictly increasing: {term!r} after {previous!r}")
             df = len(ordinals)
             if len(positions) != df:
                 raise SearchError(f"ordinal/position arity mismatch in term {term!r}")
@@ -144,10 +176,13 @@ def write_segment(
                 handle.write(payload)
                 entry += (offset, len(payload), len(block), last)
                 offset += len(payload)
-            num_terms += 1
             num_postings += df
             write_bytes(term_table, term.encode("utf-8"))
             write_uvarints(term_table, entry)
+            terms[term] = len(terms)
+            heads += entry[:2]
+            blocks += entry[2:]
+            previous = term
 
         uri_offset = offset
         section = bytearray()
@@ -161,16 +196,18 @@ def write_segment(
         section = bytearray()
         write_uvarint(section, len(state_rows))
         for (uri, state_id, length, depth, seq), (_, index) in zip(state_rows, keys):
+            digits = str(index)
+            if not state_id.endswith(digits):  # "s1_0" would read back as "s110"
+                raise SearchError(f"state id {state_id!r} is not a prefix and index {index}")
             write_uvarints(section, (uri_ids[uri], index))
-            prefix = state_id[: len(state_id) - len(str(index))]
-            write_bytes(section, prefix.encode("utf-8"))
+            write_bytes(section, state_id[: -len(digits)].encode("utf-8"))
             write_uvarints(section, (length, depth, seq))
         handle.write(section)
         offset += len(section)
 
         term_offset = offset
         header = bytearray()
-        write_uvarint(header, num_terms)
+        write_uvarint(header, len(terms))
         handle.write(header)
         handle.write(term_table)
         offset += len(header) + len(term_table)
@@ -191,7 +228,9 @@ def write_segment(
             _FOOTER.pack(uri_offset, state_offset, term_offset, meta_offset, FOOTER_MAGIC)
         )
         num_bytes = offset + _FOOTER.size
-    return SegmentStats(path, len(state_rows), num_postings, num_terms, num_bytes)
+    tables.update(_term_table(terms, heads, blocks), uris=tuple(uris))
+    tables.update(file_postings=num_postings, block_size=block_size)
+    return SegmentStats(path, len(state_rows), num_postings, len(terms), num_bytes, tables)
 
 
 class BlockCache:
@@ -340,13 +379,7 @@ class MemorySegment(Segment):
     :func:`write_segment`, kept as it is, each term one undivided block."""
 
     def __init__(self, state_rows, columns_by_term) -> None:
-        self._state_uri = [row[0] for row in state_rows]
-        self._state_id = [row[1] for row in state_rows]
-        self._state_length = [row[2] for row in state_rows]
-        self._state_depth = [row[3] for row in state_rows]
-        self._state_seq = [row[4] for row in state_rows]
-        self._ordinals = {(row[0], row[1]): at for at, row in enumerate(state_rows)}
-        self._uri_set = frozenset(self._state_uri)
+        vars(self).update(_state_table(state_rows))
         #: term -> (ordinals, positions), the ordinals increasing.
         self._columns = {term: columns for term, *columns in columns_by_term}
 
@@ -369,17 +402,23 @@ class MemorySegment(Segment):
 class SegmentReader(Segment):
     """Zero-copy (mmap) reader over one immutable segment file.
 
-    The URI, state and term tables are decoded once at open time (they
-    are small); posting blocks stay on disk until a query's merge
-    actually needs them, then decode through the shared
-    :class:`BlockCache`.  The skip table is four flat columns over all
-    blocks of the file, term ``number`` owning the run from
+    The URI, state and term tables are held in memory (they are small):
+    decoded and validated once at open time, or — ``written``, the
+    :class:`SegmentStats` of the write that just made the file — taken
+    as the writer's own columns, the file's frame (magic, footer, section
+    order, length) checked and nothing parsed.  The posting blocks stay on
+    disk until a query's merge actually needs them, then decode through
+    the shared :class:`BlockCache`.  The skip table is four flat columns
+    over all blocks of the file, term ``number`` owning the run from
     ``_first_block[number]`` — nothing per term for the collector to walk.
     """
 
-    def __init__(self, path: str | Path, cache: Optional[BlockCache] = None) -> None:
+    def __init__(self, path: str | Path, cache: Optional[BlockCache] = None,
+                 written: Optional[SegmentStats] = None) -> None:
         self.path = Path(path)
         self.cache = cache if cache is not None else BlockCache()
+        #: Term number -> its postings in retired states, once a read asked.
+        self._dead_df: dict[int, int] = {}
         self._file = open(self.path, "rb")
         try:
             self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
@@ -387,14 +426,21 @@ class SegmentReader(Segment):
             self._file.close()
             raise SearchError(f"cannot map segment {self.path}: {error}") from error
         try:
-            self._parse_tables()
+            sections = self._sections()
+            if written is None:
+                self._parse_tables(*sections)
+            elif len(self._map) != written.num_bytes:
+                raise SearchError(f"{self.path}: {len(self._map)} bytes, {written.num_bytes} written")
+            else:
+                vars(self).update(written.tables)
         except BaseException:
             self.close()
             raise
 
     # -- parsing -----------------------------------------------------------------
 
-    def _parse_tables(self) -> None:
+    def _sections(self) -> tuple[int, int, int, int]:
+        """The footer's four section offsets, magic and order checked."""
         data = self._map
         if len(data) < len(MAGIC) + _FOOTER.size or data[: len(MAGIC)] != MAGIC:
             raise SearchError(f"{self.path} is not a segment file")
@@ -405,6 +451,10 @@ class SegmentReader(Segment):
             raise SearchError(f"{self.path}: bad segment footer")
         if not len(MAGIC) <= uri_off <= state_off <= term_off <= meta_off <= len(data):
             raise SearchError(f"{self.path}: corrupt section offsets")
+        return uri_off, state_off, term_off, meta_off
+
+    def _parse_tables(self, uri_off: int, state_off: int, term_off: int, meta_off: int) -> None:
+        data = self._map
         for name, parse, start, end in (
             ("URI", self._parse_uris, uri_off, state_off),
             ("state", self._parse_states, state_off, term_off),
@@ -462,9 +512,7 @@ class SegmentReader(Segment):
 
     def _parse_terms(self, data: bytes) -> None:
         count, offset = read_uvarint(data, 0)
-        self._terms: dict[str, int] = {}  # term -> its number, in sorted order
-        heads: list[int] = []  # df, number of blocks per term
-        blocks: list[int] = []  # offset, length, count, max ordinal per block
+        terms, heads, blocks = {}, [], []
         for number in range(count):
             raw, offset = read_bytes(data, offset)
             term = raw.decode("utf-8")
@@ -472,18 +520,10 @@ class SegmentReader(Segment):
             entries, offset = read_uvarints(data, offset, 4 * head[1])
             if sum(entries[2::4]) != head[0]:
                 raise SearchError(f"{self.path}: df of {term!r} disagrees with blocks")
-            self._terms[term] = number
+            terms[term] = number
             heads += head
             blocks += entries
-        self._df: list[int] = heads[0::2]
-        #: Term number -> its postings in retired states, once a read asked.
-        self._dead_df: dict[int, int] = {}
-        self._first_block: list[int] = [0, *accumulate(heads[1::2])]
-        self._block_offset: list[int] = blocks[0::4]
-        self._block_length: list[int] = blocks[1::4]
-        self._block_count: list[int] = blocks[2::4]
-        #: Per-block maximum state ordinal — the skip entries.
-        self._block_max: list[int] = blocks[3::4]
+        vars(self).update(_term_table(terms, heads, blocks))
 
     # -- table lookups -----------------------------------------------------------
 

@@ -98,6 +98,41 @@ class TestFaultTolerance:
         assert all("status 500" in f.error for f in result.failures)
 
 
+    def test_malformed_character_references_do_not_end_the_crawl(self):
+        # Numeric references to no character, in the page as loaded and in
+        # markup an event inserts, stay as written; the page crawls and so
+        # does the next one.
+        odd = "&#1ca; &#x110000; &#99999999999; &#xD800;"
+        server = make_tab_server()
+
+        @server.route(r"/odd")
+        def odd_page(request, match):
+            return Response(body=f"""<html><body>
+            <a id="t1" onclick="openTab()">one</a>
+            <div id="content" title="{odd}">{odd}</div>
+            <script>
+            function openTab() {{
+                var req = new XMLHttpRequest();
+                req.open("GET", "/oddtab", true);
+                req.send(null);
+                document.getElementById("content").innerHTML = req.responseText;
+            }}
+            </script>
+            </body></html>""")
+
+        @server.route(r"/oddtab")
+        def odd_tab(request, match):
+            return Response(body=f"<p>tab {odd}</p>")
+
+        crawler = AjaxCrawler(server, CrawlerConfig(use_hot_node=False), cost_model=cost())
+        result = crawler.crawl(["http://t.test/odd", "http://t.test/app"])
+        assert result.failures == []
+        odd_model, app_model = result.models
+        texts = [state.text for state in odd_model.states()]
+        assert len(texts) == 2 and all(odd in text for text in texts), texts
+        assert app_model.num_states == 3
+
+
 class TestQuarantine:
     """Dead AJAX endpoints degrade the model, never kill the page crawl."""
 

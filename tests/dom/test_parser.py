@@ -77,6 +77,27 @@ class TestBasicParsing:
     def test_unknown_entity_left_alone(self):
         assert unescape("&bogus;") == "&bogus;"
 
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "&#1ca;",  # hex digits without the x
+            "&#x110000;",  # past U+10FFFF
+            "&#99999999999;",  # past what chr() takes at all
+            "&#xD800;",  # a surrogate: no character, and no UTF-8 either
+            "&#xdfff;",
+            pytest.param("&#" + "9" * 5000 + ";", id="5000 digits"),  # past int()'s limit
+        ],
+    )
+    def test_a_numeric_reference_to_no_character_is_left_as_written(self, reference):
+        assert unescape(f"a {reference} b") == f"a {reference} b"
+        (node,) = parse_fragment(f'<p title="{reference}">{reference}</p>')
+        assert node.text_content == node.get_attribute("title") == reference
+        node.text_content.encode("utf-8")
+
+    def test_valid_numeric_references_resolve_as_before(self):
+        text = "&#0;&#65;&#x41;&#xa0;&#xD7FF;&#xE000;&#x10FFFF;&#1114111;&#X41;&#x;"
+        assert unescape(text) == "\x00AA\xa0\ud7ff\ue000\U0010ffff\U0010ffff&#X41;&#x;"
+
     def test_bare_less_than_is_text(self):
         nodes = parse_fragment("1 < 2")
         text = "".join(n.data for n in nodes if isinstance(n, Text))

@@ -268,6 +268,36 @@ class TestWritePathInvariants:
         one.close()
         two.close()
 
+    def test_a_write_opens_its_segment_from_its_own_columns(self, tmp_path, monkeypatch):
+        """Flushes and merges hand the new reader the writer's tables: no
+        file written by build, update_model or compact_all is parsed, and
+        an open from disk parses each segment once."""
+        parses, writes = [], []
+        parse, write = SegmentReader._parse_tables, segmented.write_segment
+        monkeypatch.setattr(
+            SegmentReader, "_parse_tables",
+            lambda reader, *sections: parses.append(reader.name) or parse(reader, *sections),
+        )
+        monkeypatch.setattr(
+            segmented, "write_segment", lambda *args, **kw: writes.append(args[0]) or write(*args, **kw)
+        )
+        monkeypatch.setattr(segmented, "COMPACT_FANIN", 2)
+        models = corpus_texts(pages=8, states=2)
+        disk = SegmentedIndex(tmp_path / "idx", flush_threshold=1).build(models)
+        disk.update_model(models[3])
+        disk.remove_url(models[5].url)
+        assert disk.compact_all() == 1
+        assert parses == [] and len(writes) > 9  # nine flushes and the merges
+        memory = InvertedFile().build(models)
+        memory.update_model(models[3])
+        memory.remove_url(models[5].url)
+        assert_parity(memory, disk)
+        disk.close()
+        reopened = SegmentedIndex.open(tmp_path / "idx")
+        assert parses == [reader.name for reader in reopened._flushed]
+        assert_parity(memory, reopened)
+        reopened.close()
+
     def test_bulk_reads_leave_the_block_cache_alone(self, tmp_path, monkeypatch):
         """A policy compaction and compact_all decode every block of
         what they rewrite, the dead-count pass of remove_urls the blocks

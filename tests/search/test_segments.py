@@ -1,7 +1,8 @@
 """Tests for the immutable segment file format and its readers.
 
-Covers the write/read round trip over every table, the shared decoded-
-block LRU cache, the block-max skipping merge (result parity with the
+Covers the write/read round trip over every table, the reader a write
+opens from its own columns against one that parses the file, the shared
+decoded-block LRU cache, the block-max skipping merge (result parity with the
 brute-force references of ``tests/search/block_merge.py``, plus proof
 that whole blocks are hopped without decode), and corruption handling
 on damaged files.
@@ -10,6 +11,7 @@ on damaged files.
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SearchError
 from repro.search.segments import (
@@ -144,6 +146,101 @@ class TestRoundTrip:
     def test_zero_block_size_rejected(self, tmp_path):
         with pytest.raises(SearchError, match="block size"):
             write_segment(tmp_path / "bad.seg", [], [], block_size=0)
+
+    def test_a_state_id_that_would_read_back_as_another_is_rejected(self, tmp_path):
+        # int() takes "1_0" as 10 and "\u0663" as 3; the file keeps the
+        # prefix and the decimal index, so "s110" and "s3" would come back.
+        for state_id in ("s1_0", "s\u0663", "s\uff15"):
+            with pytest.raises(SearchError, match="prefix and index"):
+                write_segment(tmp_path / "bad.seg", [("u", state_id, 1, 0, 0)], [])
+        # Any prefix that the decimal index ends reads back as written.
+        rows = [("u", "s07", 1, 0, 0), ("u", "s 8", 1, 0, 1)]
+        stats = write_segment(tmp_path / "good.seg", rows, [])
+        reader = SegmentReader(stats.path)
+        assert reader.state_rows() == rows
+        reader.close()
+
+    @pytest.mark.parametrize("terms", [["b", "b"], ["b", "a"], ["a", "c", "b"]])
+    def test_terms_not_strictly_increasing_are_rejected(self, tmp_path, terms):
+        # A repeated term would read back as its last run only, while
+        # num_postings counted both; unsorted terms break terms()' order.
+        rows = [("u", "s0", 1, 0, 0)]
+        with pytest.raises(SearchError, match="strictly increasing"):
+            write_segment(tmp_path / "bad.seg", rows, [(term, [0], [(0,)]) for term in terms])
+
+
+#: A reader's own attributes, besides the tables a write hands it.
+READER_OWN = {"path", "cache", "_dead_df", "_file", "_map"}
+TERMS = ["a", "ab", "b", "z9", "\u00e9t\u00e9", "\u65e5\u672c"]
+
+
+@st.composite
+def segment_inputs(draw):
+    """Canonical state rows over one to four URIs, terms in sorted order
+    with increasing ordinal columns, and a block size of 1 to 4."""
+    rows = []
+    for page in range(draw(st.integers(1, 4))):
+        for index in sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=5))):
+            length, depth = draw(st.integers(1, 9)), draw(st.integers(0, 3))
+            rows.append((f"http://t.test/{page}", f"s{index}", length, depth, 3 * len(rows)))
+    columns = []
+    for term in sorted(draw(st.sets(st.sampled_from(TERMS)))):
+        ordinals = sorted(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+        positions = [
+            tuple(sorted(draw(st.sets(st.integers(0, 20), min_size=1, max_size=3))))
+            for _ in ordinals
+        ]
+        columns.append((term, ordinals, positions))
+    return rows, columns, draw(st.integers(1, 4))
+
+
+def assert_readers_agree(written, parsed):
+    """Every read of a segment, asked of both readers."""
+    assert written.num_states == parsed.num_states
+    assert written.state_rows() == parsed.state_rows()
+    assert list(written.terms()) == list(parsed.terms())
+    assert written.num_postings == parsed.num_postings
+    for term in parsed.file_terms():
+        assert written.df(term) == parsed.df(term), term
+        assert written.columns(term) == parsed.columns(term), term
+        view, expected = written.view(term), parsed.view(term)
+        assert (view is None) == (expected is None), term
+        if view is not None:
+            assert (view.df, view.first, view.end) == (expected.df, expected.first, expected.end)
+            assert view.block_max == expected.block_max
+            assert parsed.live_columns(*read_all(parsed, term)) == written.live_columns(
+                *read_all(written, term)
+            )
+
+
+class TestWrittenTables:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_written_reader_equals_a_parse_of_the_file(self, tmp_path_factory, data):
+        rows, columns, block_size = data.draw(segment_inputs())
+        path = tmp_path_factory.mktemp("written") / "seg.seg"
+        stats = write_segment(path, rows, columns, block_size=block_size)
+        written = SegmentReader(path, written=stats)
+        parsed = SegmentReader(path)
+        try:
+            # One set of tables, filled by the write or by the parse alike.
+            assert set(stats.tables) == set(vars(parsed)) - READER_OWN
+            for name, column in stats.tables.items():
+                assert type(column) is type(getattr(parsed, name)), name
+                assert column == getattr(parsed, name), name
+            assert_readers_agree(written, parsed)
+            uris = data.draw(st.sets(st.sampled_from(sorted({row[0] for row in rows}))))
+            ranges = sorted(parsed.uri_range(uri) for uri in uris)
+            assert_readers_agree(written.retire(ranges), parsed.retire(ranges))
+        finally:
+            written.close()
+            parsed.close()
+
+    def test_a_file_of_another_length_than_written_is_refused(self, tmp_path):
+        stats = write_segment(tmp_path / "seg.seg", [("u", "s0", 1, 0, 0)], [("t", [0], [(0,)])])
+        write_segment(stats.path, [("u", "s0", 1, 0, 0)], [])  # a sound frame, not that write
+        with pytest.raises(SearchError, match="written"):
+            SegmentReader(stats.path, written=stats)
 
 
 class TestBlockCache:
