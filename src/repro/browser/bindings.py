@@ -162,7 +162,7 @@ class DocumentHost(HostObject):
 
     def _js_get_element_by_id(self, interp: Any, this: Any, args: list[Any]) -> Any:
         element_id = to_string(args[0]) if args else ""
-        element = self.page.document.get_element_by_id(element_id)
+        element = self.page.element_by_id(element_id)
         if element is None:
             return None
         return self.page.wrap_element(element)

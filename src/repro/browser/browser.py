@@ -14,7 +14,7 @@ from repro.browser.page import PARSE_ACCOUNT, Page
 from repro.clock import CostModel, SimClock
 from repro.dom import parse_document
 from repro.errors import BrowserError
-from repro.js import Interpreter
+from repro.js import Interpreter, ast
 from repro.net.faults import RetryPolicy
 from repro.net.gateway import NetworkGateway
 from repro.net.server import SimulatedServer
@@ -52,6 +52,9 @@ class Browser:
         )
         self.javascript_enabled = javascript_enabled
         self.hot_policy = hot_policy
+        #: Handler source -> parsed program, shared by every page loaded
+        #: here (parsed once per crawl); inline scripts never enter it.
+        self.programs: dict[str, ast.Program] = {}
 
     def load(self, url: str, run_scripts: bool = True, run_onload: bool = True) -> Page:
         """Fetch ``url`` and build a page.
@@ -67,6 +70,7 @@ class Browser:
         )
         document = parse_document(response.body, url=url)
         interpreter = Interpreter()
+        interpreter.programs = self.programs
         page = Page(
             url=url,
             document=document,

@@ -14,7 +14,7 @@ mouse-down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.dom import Document, Element
 
@@ -37,10 +37,13 @@ class ElementLocator:
     element_id: Optional[str]
     path: tuple[int, ...]
 
-    def resolve(self, document: Document) -> Optional[Element]:
-        """Find the addressed element in ``document`` (or ``None``)."""
+    def resolve(
+        self, document: Document, by_id: Optional[Callable[[str], Optional[Element]]] = None
+    ) -> Optional[Element]:
+        """Find the addressed element in ``document`` (or ``None``); ``by_id``
+        looks an id up in it (``Page.element_by_id``; default: a walk)."""
         if self.element_id is not None:
-            found = document.get_element_by_id(self.element_id)
+            found = (by_id or document.get_element_by_id)(self.element_id)
             if found is not None:
                 return found
         node = document.root
@@ -57,15 +60,16 @@ class ElementLocator:
         return "/" + "/".join(str(index) for index in self.path)
 
 
-def locate(element: Element, document: Document) -> ElementLocator:
-    """Build a locator for ``element`` within ``document``."""
+def locate(element: Element, document: Document, by_id: bool = True) -> ElementLocator:
+    """Build a locator for ``element`` within ``document`` (by its path
+    alone when not ``by_id``)."""
     path: list[int] = []
     node = element
     while node.parent is not None:
         siblings = [child for child in node.parent.children if isinstance(child, Element)]
         path.append(siblings.index(node))
         node = node.parent
-    return ElementLocator(element_id=element.id, path=tuple(reversed(path)))
+    return ElementLocator(element.id if by_id else None, tuple(reversed(path)))
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,6 @@ class EventBinding:
     handler: str
     input_value: Optional[str] = None
 
-    @property
-    def key(self) -> tuple[str, str, str, Optional[str]]:
-        """Identity of the event for deduplication within one state."""
-        return (self.locator.describe(), self.event_type, self.handler, self.input_value)
-
     def describe(self) -> str:
         base = f"{self.event_type}@{self.locator.describe()}"
         if self.input_value is not None:
@@ -105,18 +104,21 @@ def enumerate_events(
     """All invocable events in ``document``, in document order.
 
     The body ``onload`` is excluded: Algorithm 3.1.1 runs it once during
-    initialisation, not as a crawlable transition.
+    initialisation, not as a crawlable transition.  Only the first
+    element carrying an id is located by it; a later duplicate's id
+    would resolve to the first, so it is located by its path.
     """
     wanted = tuple(event_types)
     bindings: list[EventBinding] = []
-    elements = [document.root] + list(document.root.iter_elements())
-    for element in elements:
+    first_with: dict[Optional[str], Element] = {}
+    for element in (document.root, *document.root.iter_elements()):
+        first = first_with.setdefault(element.attrs.get("id"), element) is element
         for event_type in wanted:
             handler = element.get_attribute(event_type)
             if handler:
                 bindings.append(
                     EventBinding(
-                        locator=locate(element, document),
+                        locator=locate(element, document, by_id=first),
                         event_type=event_type,
                         handler=handler,
                     )

@@ -59,6 +59,8 @@ class PageSnapshot:
     #: live tree itself; it is either live, with every write to it in
     #: the page's undo journal, or exactly as copied.
     master: Document
+    #: ``id`` -> the first element of ``master`` carrying it (:meth:`Page.element_by_id`).
+    ids: Optional[dict[str, Element]] = None
 
 
 class Page:
@@ -177,7 +179,7 @@ class Page:
             if not source.strip():
                 continue
             try:
-                self.execute_js(source)
+                self._execute(self.interpreter.run_once, source)
             except JavascriptError as error:
                 self.script_errors.append(error)
 
@@ -199,12 +201,15 @@ class Page:
 
     def execute_js(self, source: str) -> Any:
         """Run ``source`` in the page context, charging virtual time."""
+        return self._execute(self.interpreter.run, source)
+
+    def _execute(self, run: Callable[[str], Any], source: str) -> Any:
         if not self.javascript_enabled:
             raise BrowserError("JavaScript is disabled for this page")
         before = self.interpreter.steps
         with self.recorder.span("js_exec") as span:
             try:
-                return self.interpreter.run(source)
+                return run(source)
             finally:
                 delta = self.interpreter.steps - before
                 self.clock.advance(self.cost_model.js_execution_ms(delta), JS_ACCOUNT)
@@ -222,7 +227,7 @@ class Page:
         Raises :class:`~repro.errors.BrowserError` when the binding's
         source element no longer exists in the current DOM.
         """
-        element = binding.locator.resolve(self.document)
+        element = binding.locator.resolve(self.document, self.element_by_id)
         if element is None:
             raise BrowserError(f"event source {binding.describe()} not found")
         if element.get_attribute(binding.event_type) != binding.handler:
@@ -244,6 +249,25 @@ class Page:
             # still have partially changed.
             return self._dirty
         return self._dirty
+
+    def element_by_id(self, element_id: str) -> Optional[Element]:
+        """``document.get_element_by_id``: from the live snapshot's id table
+        while the journal is empty (the live tree is then exactly its
+        master), else (a write since the last restore, or no restore yet)
+        by walking the tree."""
+        live = self._live
+        if live is None or self._journal:
+            return self.document.get_element_by_id(element_id)
+        if live.ids is None:
+            live.ids = {}
+            stack: list[Node] = [live.master.root]
+            while stack:  # get_element_by_id's walk, once over the whole master
+                node = stack.pop()
+                if isinstance(node, Element):
+                    if (key := node.attrs.get("id")) is not None:
+                        live.ids.setdefault(key, node)
+                    stack.extend(reversed(node.children))
+        return live.ids.get(element_id)
 
     @property
     def dom_changed(self) -> bool:

@@ -51,7 +51,7 @@ class FormFillingAjaxCrawler(AjaxCrawler):
     def _enumerate_events(self, page: Page) -> list[EventBinding]:
         bindings = list(super()._enumerate_events(page))
         for form_binding in page.events(self.form_event_types):
-            element = form_binding.locator.resolve(page.document)
+            element = form_binding.locator.resolve(page.document, page.element_by_id)
             if element is None or not self._is_text_input(element):
                 continue
             for value in self.value_dictionary:

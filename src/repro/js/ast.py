@@ -1,12 +1,11 @@
 """Abstract syntax tree for the JavaScript subset.
 
-Plain dataclasses, one per construct.  Every node carries the source
-line of the token that opened it.
+Plain dataclasses, one per construct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 Expression = Union[
@@ -51,7 +50,7 @@ Statement = Union[
 
 @dataclass
 class Node:
-    line: int = field(default=0, kw_only=True)
+    pass
 
 
 # -- expressions -------------------------------------------------------------

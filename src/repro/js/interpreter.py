@@ -76,6 +76,9 @@ class Interpreter:
     #: stack size exceeded") rather than a Python RecursionError.
     MAX_CALL_DEPTH = 32
 
+    #: Bound on a program memo, cleared wholesale when full (as the digest memo is).
+    PROGRAM_MEMO_LIMIT = 4096
+
     #: ``{ast node type: _exec_*/_eval_* function}``, filled in once
     #: below the class.
     _EXEC: dict[type, Callable[..., Any]] = {}
@@ -86,8 +89,8 @@ class Interpreter:
         self.call_stack = CallStack()
         self.max_steps = max_steps
         self.steps = 0
-        #: Source -> parsed program; lives and dies with the interpreter.
-        self._programs: dict[str, ast.Program] = {}
+        #: Source -> parsed program; a ``Browser`` shares one across its pages.
+        self.programs: dict[str, ast.Program] = {}
         self._install_builtins()
 
     # -- public API -------------------------------------------------------------
@@ -95,14 +98,20 @@ class Interpreter:
     def run(self, source: str) -> Any:
         """Parse and execute ``source``; returns the last statement's value.
 
-        A source is parsed once per interpreter (handlers are dispatched
-        over and over); a source that fails to parse is not remembered
-        and raises again on every run.
+        A source is parsed once per :attr:`programs` memo (handlers are
+        dispatched over and over); a source that fails to parse is not
+        remembered and raises again on every run.
         """
-        program = self._programs.get(source)
+        program = self.programs.get(source)
         if program is None:
-            program = self._programs[source] = parse_program(source)
+            if len(self.programs) >= self.PROGRAM_MEMO_LIMIT:
+                self.programs.clear()
+            program = self.programs[source] = parse_program(source)
         return self.execute_program(program)
+
+    def run_once(self, source: str) -> Any:
+        """:meth:`run` without the memo, for a source run once (an inline script)."""
+        return self.execute_program(parse_program(source))
 
     def eval_expression(self, source: str) -> Any:
         """Parse and evaluate a single expression."""
@@ -110,18 +119,14 @@ class Interpreter:
 
     def execute_program(self, program: ast.Program) -> Any:
         """Execute an already-parsed program in the global scope."""
-        self._hoist(program.body, self.global_env)
-        result: Any = UNDEFINED
         try:
-            for statement in program.body:
-                result = self._exec(statement, self.global_env)
+            return self._exec_Program(program, self.global_env)
         except _Return:
             raise JsSyntaxError("return statement outside function") from None
         except _Break:
             raise JsSyntaxError("break statement outside loop") from None
         except _Continue:
             raise JsSyntaxError("continue statement outside loop") from None
-        return result
 
     def call_function(self, function: Any, args: list[Any], this: Any = UNDEFINED) -> Any:
         """Invoke a JS or native function from Python."""

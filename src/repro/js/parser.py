@@ -98,10 +98,9 @@ class Parser:
     def parse_program(self) -> ast.Program:
         """Parse the whole input as a top-level program."""
         body: list[ast.Statement] = []
-        first = self._peek()
         while not self._check(TokenType.EOF):
             body.append(self._statement())
-        return ast.Program(body, line=first.line)
+        return ast.Program(body)
 
     def parse_expression(self) -> ast.Expression:
         """Parse the whole input as a single expression."""
@@ -137,10 +136,10 @@ class Parser:
         if self._check(TokenType.PUNCTUATOR, "{"):
             return self._block()
         if self._match(TokenType.PUNCTUATOR, ";"):
-            return ast.EmptyStatement(line=token.line)
+            return ast.EmptyStatement()
         expression = self._expression()
         self._expect_semicolon()
-        return ast.ExpressionStatement(expression, line=token.line)
+        return ast.ExpressionStatement(expression)
 
     def _block(self) -> ast.Block:
         open_brace = self._expect(TokenType.PUNCTUATOR, "{")
@@ -150,7 +149,7 @@ class Parser:
                 raise JsSyntaxError("unterminated block", open_brace.line, open_brace.column)
             body.append(self._statement())
         self._expect(TokenType.PUNCTUATOR, "}")
-        return ast.Block(body, line=open_brace.line)
+        return ast.Block(body)
 
     def _var_statement(self) -> ast.VarDeclaration:
         declaration = self._var_declaration()
@@ -158,7 +157,7 @@ class Parser:
         return declaration
 
     def _var_declaration(self) -> ast.VarDeclaration:
-        keyword = self._expect(TokenType.KEYWORD, "var")
+        self._expect(TokenType.KEYWORD, "var")
         declarations: list[tuple[str, Optional[ast.Expression]]] = []
         while True:
             name = self._expect(TokenType.IDENTIFIER).value
@@ -168,14 +167,14 @@ class Parser:
             declarations.append((name, initializer))
             if not self._match(TokenType.PUNCTUATOR, ","):
                 break
-        return ast.VarDeclaration(declarations, line=keyword.line)
+        return ast.VarDeclaration(declarations)
 
     def _function_declaration(self) -> ast.FunctionDeclaration:
-        keyword = self._expect(TokenType.KEYWORD, "function")
+        self._expect(TokenType.KEYWORD, "function")
         name = self._expect(TokenType.IDENTIFIER).value
         params = self._parameter_list()
         body = self._block()
-        return ast.FunctionDeclaration(name, params, body, line=keyword.line)
+        return ast.FunctionDeclaration(name, params, body)
 
     def _parameter_list(self) -> list[str]:
         self._expect(TokenType.PUNCTUATOR, "(")
@@ -189,7 +188,7 @@ class Parser:
         return params
 
     def _if_statement(self) -> ast.IfStatement:
-        keyword = self._expect(TokenType.KEYWORD, "if")
+        self._expect(TokenType.KEYWORD, "if")
         self._expect(TokenType.PUNCTUATOR, "(")
         test = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
@@ -197,28 +196,28 @@ class Parser:
         alternate = None
         if self._match(TokenType.KEYWORD, "else"):
             alternate = self._statement()
-        return ast.IfStatement(test, consequent, alternate, line=keyword.line)
+        return ast.IfStatement(test, consequent, alternate)
 
     def _while_statement(self) -> ast.WhileStatement:
-        keyword = self._expect(TokenType.KEYWORD, "while")
+        self._expect(TokenType.KEYWORD, "while")
         self._expect(TokenType.PUNCTUATOR, "(")
         test = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
         body = self._statement()
-        return ast.WhileStatement(test, body, line=keyword.line)
+        return ast.WhileStatement(test, body)
 
     def _do_while_statement(self) -> ast.DoWhileStatement:
-        keyword = self._expect(TokenType.KEYWORD, "do")
+        self._expect(TokenType.KEYWORD, "do")
         body = self._statement()
         self._expect(TokenType.KEYWORD, "while")
         self._expect(TokenType.PUNCTUATOR, "(")
         test = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
         self._expect_semicolon()
-        return ast.DoWhileStatement(body, test, line=keyword.line)
+        return ast.DoWhileStatement(body, test)
 
     def _switch_statement(self) -> ast.SwitchStatement:
-        keyword = self._expect(TokenType.KEYWORD, "switch")
+        self._expect(TokenType.KEYWORD, "switch")
         self._expect(TokenType.PUNCTUATOR, "(")
         discriminant = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
@@ -251,13 +250,13 @@ class Parser:
                 body.append(self._statement())
             cases.append((test, body))
         self._expect(TokenType.PUNCTUATOR, "}")
-        return ast.SwitchStatement(discriminant, cases, line=keyword.line)
+        return ast.SwitchStatement(discriminant, cases)
 
     def _throw_statement(self) -> ast.ThrowStatement:
-        keyword = self._expect(TokenType.KEYWORD, "throw")
+        self._expect(TokenType.KEYWORD, "throw")
         argument = self._expression()
         self._expect_semicolon()
-        return ast.ThrowStatement(argument, line=keyword.line)
+        return ast.ThrowStatement(argument)
 
     def _try_statement(self) -> ast.TryStatement:
         keyword = self._expect(TokenType.KEYWORD, "try")
@@ -276,14 +275,12 @@ class Parser:
             raise JsSyntaxError(
                 "try requires catch or finally", keyword.line, keyword.column
             )
-        return ast.TryStatement(
-            block, catch_param, catch_block, finally_block, line=keyword.line
-        )
+        return ast.TryStatement(block, catch_param, catch_block, finally_block)
 
     def _for_statement(self) -> ast.Statement:
-        keyword = self._expect(TokenType.KEYWORD, "for")
+        self._expect(TokenType.KEYWORD, "for")
         self._expect(TokenType.PUNCTUATOR, "(")
-        for_in = self._try_for_in(keyword)
+        for_in = self._try_for_in()
         if for_in is not None:
             return for_in
         init: Optional[ast.Statement] = None
@@ -291,7 +288,7 @@ class Parser:
             if self._check(TokenType.KEYWORD, "var"):
                 init = self._var_declaration()
             else:
-                init = ast.ExpressionStatement(self._expression(), line=keyword.line)
+                init = ast.ExpressionStatement(self._expression())
         self._expect(TokenType.PUNCTUATOR, ";")
         test = None
         if not self._check(TokenType.PUNCTUATOR, ";"):
@@ -302,9 +299,9 @@ class Parser:
             update = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
         body = self._statement()
-        return ast.ForStatement(init, test, update, body, line=keyword.line)
+        return ast.ForStatement(init, test, update, body)
 
-    def _try_for_in(self, keyword: Token) -> Optional[ast.ForInStatement]:
+    def _try_for_in(self) -> Optional[ast.ForInStatement]:
         """Parse ``for (var? name in expr)``; returns None if not a for-in."""
         declare = self._check(TokenType.KEYWORD, "var")
         name_offset = 1 if declare else 0
@@ -324,37 +321,33 @@ class Parser:
         obj = self._expression()
         self._expect(TokenType.PUNCTUATOR, ")")
         body = self._statement()
-        return ast.ForInStatement(variable, declare, obj, body, line=keyword.line)
+        return ast.ForInStatement(variable, declare, obj, body)
 
     def _return_statement(self) -> ast.ReturnStatement:
-        keyword = self._expect(TokenType.KEYWORD, "return")
+        self._expect(TokenType.KEYWORD, "return")
         argument = None
         if not self._check(TokenType.PUNCTUATOR, ";") and not self._check(
             TokenType.PUNCTUATOR, "}"
         ) and not self._check(TokenType.EOF):
             argument = self._expression()
         self._expect_semicolon()
-        return ast.ReturnStatement(argument, line=keyword.line)
+        return ast.ReturnStatement(argument)
 
     def _break_statement(self) -> ast.BreakStatement:
-        keyword = self._expect(TokenType.KEYWORD, "break")
+        self._expect(TokenType.KEYWORD, "break")
         self._expect_semicolon()
-        return ast.BreakStatement(line=keyword.line)
+        return ast.BreakStatement()
 
     def _continue_statement(self) -> ast.ContinueStatement:
-        keyword = self._expect(TokenType.KEYWORD, "continue")
+        self._expect(TokenType.KEYWORD, "continue")
         self._expect_semicolon()
-        return ast.ContinueStatement(line=keyword.line)
+        return ast.ContinueStatement()
 
     # -- expressions ---------------------------------------------------------------
 
     def _expression(self) -> ast.Expression:
-        expression = self._assignment_expression()
-        # Comma operator: evaluate left, yield right.  Represent as a
-        # BinaryOp with operator ',' so the interpreter can handle it.
-        while self._check(TokenType.PUNCTUATOR, ",") and False:
-            pass  # the comma operator is not part of the subset
-        return expression
+        # The comma operator is not part of the subset.
+        return self._assignment_expression()
 
     def _assignment_expression(self) -> ast.Expression:
         left = self._conditional_expression()
@@ -364,7 +357,7 @@ class Parser:
                 raise JsSyntaxError("invalid assignment target", token.line, token.column)
             self._advance()
             value = self._assignment_expression()
-            return ast.Assignment(token.value, left, value, line=token.line)
+            return ast.Assignment(token.value, left, value)
         return left
 
     def _conditional_expression(self) -> ast.Expression:
@@ -375,7 +368,7 @@ class Parser:
         consequent = self._assignment_expression()
         self._expect(TokenType.PUNCTUATOR, ":")
         alternate = self._assignment_expression()
-        return ast.Conditional(test, consequent, alternate, line=question.line)
+        return ast.Conditional(test, consequent, alternate)
 
     def _binary_expression(self, min_precedence: int) -> ast.Expression:
         left = self._unary_expression()
@@ -391,23 +384,23 @@ class Parser:
             self._advance()
             right = self._binary_expression(precedence)
             if token.value in ("&&", "||"):
-                left = ast.LogicalOp(token.value, left, right, line=token.line)
+                left = ast.LogicalOp(token.value, left, right)
             else:
-                left = ast.BinaryOp(token.value, left, right, line=token.line)
+                left = ast.BinaryOp(token.value, left, right)
 
     def _unary_expression(self) -> ast.Expression:
         token = self._peek()
         if token.type is TokenType.PUNCTUATOR and token.value in ("-", "+", "!"):
             self._advance()
-            return ast.UnaryOp(token.value, self._unary_expression(), line=token.line)
+            return ast.UnaryOp(token.value, self._unary_expression())
         if token.type is TokenType.KEYWORD and token.value in ("typeof", "delete"):
             self._advance()
-            return ast.UnaryOp(token.value, self._unary_expression(), line=token.line)
+            return ast.UnaryOp(token.value, self._unary_expression())
         if token.type is TokenType.PUNCTUATOR and token.value in ("++", "--"):
             self._advance()
             target = self._unary_expression()
             self._require_update_target(target, token)
-            return ast.UpdateOp(token.value, target, prefix=True, line=token.line)
+            return ast.UpdateOp(token.value, target, prefix=True)
         return self._postfix_expression()
 
     @staticmethod
@@ -421,23 +414,22 @@ class Parser:
         if token.type is TokenType.PUNCTUATOR and token.value in ("++", "--"):
             self._require_update_target(expression, token)
             self._advance()
-            return ast.UpdateOp(token.value, expression, prefix=False, line=token.line)
+            return ast.UpdateOp(token.value, expression, prefix=False)
         return expression
 
     def _call_expression(self) -> ast.Expression:
         if self._check(TokenType.KEYWORD, "new"):
-            keyword = self._advance()
+            self._advance()
             callee = self._member_chain(self._primary_expression(), calls=False)
             arguments: list[ast.Expression] = []
             if self._check(TokenType.PUNCTUATOR, "("):
                 arguments = self._argument_list()
-            expression: ast.Expression = ast.New(callee, arguments, line=keyword.line)
+            expression: ast.Expression = ast.New(callee, arguments)
             return self._member_chain(expression, calls=True)
         return self._member_chain(self._primary_expression(), calls=True)
 
     def _member_chain(self, expression: ast.Expression, calls: bool) -> ast.Expression:
         while True:
-            token = self._peek()
             if self._match(TokenType.PUNCTUATOR, "."):
                 name_token = self._peek()
                 if name_token.type not in (TokenType.IDENTIFIER, TokenType.KEYWORD):
@@ -445,15 +437,15 @@ class Parser:
                         "expected property name", name_token.line, name_token.column
                     )
                 self._advance()
-                expression = ast.Member(expression, name_token.value, line=token.line)
+                expression = ast.Member(expression, name_token.value)
             elif self._check(TokenType.PUNCTUATOR, "["):
                 self._advance()
                 index = self._expression()
                 self._expect(TokenType.PUNCTUATOR, "]")
-                expression = ast.Index(expression, index, line=token.line)
+                expression = ast.Index(expression, index)
             elif calls and self._check(TokenType.PUNCTUATOR, "("):
                 arguments = self._argument_list()
-                expression = ast.Call(expression, arguments, line=token.line)
+                expression = ast.Call(expression, arguments)
             else:
                 return expression
 
@@ -474,13 +466,13 @@ class Parser:
             self._advance()
             raw = token.value
             value = float(int(raw, 16)) if raw.lower().startswith("0x") else float(raw)
-            return ast.NumberLiteral(value, line=token.line)
+            return ast.NumberLiteral(value)
         if token.type is TokenType.STRING:
             self._advance()
-            return ast.StringLiteral(token.value, line=token.line)
+            return ast.StringLiteral(token.value)
         if token.type is TokenType.IDENTIFIER:
             self._advance()
-            return ast.Identifier(token.value, line=token.line)
+            return ast.Identifier(token.value)
         if token.type is TokenType.KEYWORD:
             return self._keyword_expression(token)
         if self._match(TokenType.PUNCTUATOR, "("):
@@ -495,11 +487,11 @@ class Parser:
 
     def _keyword_expression(self, token: Token) -> ast.Expression:
         simple = {
-            "true": lambda: ast.BooleanLiteral(True, line=token.line),
-            "false": lambda: ast.BooleanLiteral(False, line=token.line),
-            "null": lambda: ast.NullLiteral(line=token.line),
-            "undefined": lambda: ast.UndefinedLiteral(line=token.line),
-            "this": lambda: ast.ThisExpression(line=token.line),
+            "true": lambda: ast.BooleanLiteral(True),
+            "false": lambda: ast.BooleanLiteral(False),
+            "null": lambda: ast.NullLiteral(),
+            "undefined": lambda: ast.UndefinedLiteral(),
+            "this": lambda: ast.ThisExpression(),
         }.get(token.value)
         if simple is not None:
             self._advance()
@@ -509,16 +501,16 @@ class Parser:
         raise JsSyntaxError(f"unexpected keyword {token.value!r}", token.line, token.column)
 
     def _function_expression(self) -> ast.FunctionExpression:
-        keyword = self._expect(TokenType.KEYWORD, "function")
+        self._expect(TokenType.KEYWORD, "function")
         name = None
         if self._check(TokenType.IDENTIFIER):
             name = self._advance().value
         params = self._parameter_list()
         body = self._block()
-        return ast.FunctionExpression(name, params, body, line=keyword.line)
+        return ast.FunctionExpression(name, params, body)
 
     def _array_literal(self) -> ast.ArrayLiteral:
-        open_bracket = self._expect(TokenType.PUNCTUATOR, "[")
+        self._expect(TokenType.PUNCTUATOR, "[")
         elements: list[ast.Expression] = []
         if not self._check(TokenType.PUNCTUATOR, "]"):
             while True:
@@ -526,10 +518,10 @@ class Parser:
                 if not self._match(TokenType.PUNCTUATOR, ","):
                     break
         self._expect(TokenType.PUNCTUATOR, "]")
-        return ast.ArrayLiteral(elements, line=open_bracket.line)
+        return ast.ArrayLiteral(elements)
 
     def _object_literal(self) -> ast.ObjectLiteral:
-        open_brace = self._expect(TokenType.PUNCTUATOR, "{")
+        self._expect(TokenType.PUNCTUATOR, "{")
         properties: list[tuple[str, ast.Expression]] = []
         if not self._check(TokenType.PUNCTUATOR, "}"):
             while True:
@@ -550,7 +542,7 @@ class Parser:
                 if not self._match(TokenType.PUNCTUATOR, ","):
                     break
         self._expect(TokenType.PUNCTUATOR, "}")
-        return ast.ObjectLiteral(properties, line=open_brace.line)
+        return ast.ObjectLiteral(properties)
 
 
 def parse_program(source: str) -> ast.Program:

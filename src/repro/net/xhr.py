@@ -23,7 +23,7 @@ script makes shows up exactly once in the trace.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from urllib.parse import urljoin
 
 from repro.errors import JsTypeError, NetworkError, RetriesExhausted
@@ -58,21 +58,18 @@ class XMLHttpRequest(HostObject):
     def __init__(
         self,
         gateway: NetworkGateway,
-        base_url: str = "",
+        resolve: Callable[[str], str],
         policy: Optional[HotCallPolicy] = None,
     ) -> None:
         self.gateway = gateway
-        self.base_url = base_url
+        self.resolve = resolve
         self.policy = policy
         self.method = "GET"
         self.url = ""
-        self.async_flag = True
         self.ready_state = 0.0
         self.status = 0.0
         self.response_text = ""
         self._opened = False
-        #: True when the last send() exhausted its network attempts.
-        self.network_failed = False
 
     # -- host protocol ---------------------------------------------------------
 
@@ -104,8 +101,7 @@ class XMLHttpRequest(HostObject):
         if len(args) < 2:
             raise JsTypeError("XMLHttpRequest.open(method, url[, async])")
         self.method = to_string(args[0])
-        self.url = urljoin(self.base_url, to_string(args[1]))
-        self.async_flag = bool(args[2]) if len(args) > 2 else True
+        self.url = self.resolve(to_string(args[1]))
         self.ready_state = 1.0
         self._opened = True
         return UNDEFINED
@@ -146,12 +142,10 @@ class XMLHttpRequest(HostObject):
                 # pages do — an error status and an empty body.
                 self.response_text = ""
                 self.status = float(failure.status)
-                self.network_failed = True
                 self.ready_state = 4.0
                 return UNDEFINED
             self.response_text = response.body
             self.status = float(response.status)
-            self.network_failed = False
             if self.policy is not None and response.ok:
                 self.policy.store(signature, response.body)
         self.ready_state = 4.0
@@ -177,9 +171,18 @@ def make_xhr_constructor(
     base_url: str = "",
     policy: Optional[HotCallPolicy] = None,
 ) -> HostConstructor:
-    """Build the ``XMLHttpRequest`` constructor to install as a global."""
+    """Build the ``XMLHttpRequest`` constructor to install as a global; its
+    requests share one ``url -> urljoin(base_url, url)`` memo, which dies
+    with the page and so needs no bound."""
+    absolute: dict[str, str] = {}
+
+    def resolve(url: str) -> str:
+        resolved = absolute.get(url)
+        if resolved is None:
+            resolved = absolute[url] = urljoin(base_url, url)
+        return resolved
 
     def construct(interp: Interpreter, args: list[Any]) -> XMLHttpRequest:
-        return XMLHttpRequest(gateway, base_url=base_url, policy=policy)
+        return XMLHttpRequest(gateway, resolve, policy=policy)
 
     return HostConstructor("XMLHttpRequest", construct)

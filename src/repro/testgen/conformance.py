@@ -36,6 +36,9 @@ ground truth, or against another crawler variant that must agree:
   exactly the breadth-first unrolling the oracle predicts, and a
   standard-site crawl emits no dedup events, metrics or annotations —
   the dedup-off path is inert.
+* ``replay_reachability`` — §5.4 as the crawl's oracle: every state of
+  every crawled model, rebuilt by event replay from a fresh load,
+  reproduces its recorded content hash.
 
 Checks never raise on conformance violations: each returns a
 :class:`CheckResult` whose failures pinpoint seed + page + quantity, so
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field
 from math import isclose
 from typing import Callable, Optional
 
+from repro.browser import Browser
 from repro.clock import CostModel, SimClock
 from repro.crawler import AjaxCrawler, CrawlerConfig
 from repro.dom import (
@@ -58,11 +62,13 @@ from repro.dom import (
     reference_region_hashes,
     reference_state_hash,
 )
+from repro.errors import ReproError
 from repro.model import ApplicationModel
+from repro.net import SimulatedServer
 from repro.obs import STATE_COLLAPSED
 from repro.obs.recorder import Recorder
 from repro.parallel import MPAjaxCrawler, SimpleAjaxCrawler
-from repro.search import InvertedFile, SearchEngine, SegmentedIndex, tokenize
+from repro.search import InvertedFile, ResultAggregator, SearchEngine, SegmentedIndex, tokenize
 from repro.testgen.generator import generate_site
 from repro.testgen.noisy import (
     NEAR_DUP_THRESHOLD,
@@ -83,6 +89,7 @@ CHECK_NAMES = (
     "search_consistency",
     "index_parity",
     "near_dup_parity",
+    "replay_reachability",
 )
 
 
@@ -1031,6 +1038,28 @@ def _expect_dedup_inert(
             )
 
 
+def replay_failures(models: list[ApplicationModel], site: SimulatedServer) -> list[str]:
+    """One line per state of ``models`` that ``ResultAggregator.reconstruct``
+    cannot rebuild from a fresh load of ``site`` with its recorded hash."""
+    aggregator = ResultAggregator(Browser(site, cost_model=_cost_model()))
+    failures = []
+    for model in models:
+        for state in model.states():
+            try:
+                aggregator.reconstruct(model, state.state_id)
+            except ReproError as error:
+                failures.append(f"{model.url} {state.state_id}: {error}")
+    return failures
+
+
+def check_replay_reachability(spec: SiteSpec) -> CheckResult:
+    """Every crawled state is a search result the engine can show (§5.4)."""
+    result = CheckResult("replay_reachability")
+    _, crawl = crawl_generated(spec)
+    result.failures.extend(replay_failures(crawl.models, GeneratedSite(spec)))
+    return result
+
+
 # -- harness entry points ----------------------------------------------------------
 
 
@@ -1048,6 +1077,7 @@ def run_conformance(
         "search_consistency": check_search_consistency,
         "index_parity": check_index_parity,
         "near_dup_parity": check_near_dup_parity,
+        "replay_reachability": check_replay_reachability,
     }
     report = ConformanceReport(spec=spec)
     for name in checks:

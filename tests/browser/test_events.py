@@ -101,4 +101,4 @@ class TestElementLocator:
         doc = parse_document(PAGE)
         one = enumerate_events(doc)
         two = enumerate_events(parse_document(PAGE))
-        assert [b.key for b in one] == [b.key for b in two]
+        assert one == two

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.browser import Browser
 from repro.browser.events import EventBinding, locate
+from repro.crawler import AjaxCrawler
 from repro.dom import (
     Element,
     Text,
@@ -21,9 +22,12 @@ from repro.dom import (
     serialize,
 )
 from repro.errors import JavascriptError, JsSyntaxError
+from repro.js import Interpreter
 from repro.net import StaticServer
 
 URL = "http://memo.test/"
+
+SCRIPT = "var counter = 0; function bump() { counter = counter + 1; }"
 
 HTML = """<html><head><title>t</title></head>
 <body>
@@ -31,8 +35,8 @@ HTML = """<html><head><title>t</title></head>
   <div id="b"><ul id="list"><li id="x">x</li><li id="y">y</li></ul></div>
   <span id="c">tail</span>
   <input id="q" type="text" onkeyup="bump()">
-  <script>var counter = 0; function bump() { counter = counter + 1; }</script>
-</body></html>"""
+  <script>%s</script>
+</body></html>""" % SCRIPT
 
 IDS = ["a", "a1", "a2", "b", "list", "x", "y", "c", "fresh", "missing"]
 
@@ -262,6 +266,38 @@ def test_restore_contract(before, between, rounds):
         if len(oracles) == 2:
             # A state discovered while lent nodes hang in the live tree.
             oracles.append(Oracle(page))
+
+
+def assert_ids_agree(page):
+    for element_id in IDS + ["deep", "q", "ab", "A"]:
+        assert page.element_by_id(element_id) is page.document.get_element_by_id(element_id)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.lists(mutations, max_size=4)), min_size=1, max_size=6
+    )
+)
+@settings(max_examples=80, deadline=None)
+# A master whose ids repeat: the table must keep the first in document order.
+@example([(0, [("html", "c", "", MARKUPS[3]), ("attr", "a1", "id", "b")]), (1, [HASH])])
+@example([(0, [("move", "a", "c", ""), ("attr", "y", "id", "x")]), (1, [("move", "c", "b", "")])])
+def test_the_id_table_answers_what_walking_the_tree_does(rounds):
+    # Journaled writes (id sets, moves of id-carrying elements, markup
+    # repeating ids) and restores in any order: an empty journal reads
+    # the live snapshot's table, a non-empty one walks the tree.
+    page = load()
+    snapshots = [page.snapshot()]
+    for index, writes in rounds:
+        live = snapshots[min(index, len(snapshots) - 1)]
+        page.restore(live)
+        assert_ids_agree(page)
+        assert live.ids is not None and page.document is live.master
+        for mutation in writes:
+            mutate(page, mutation)
+            assert_ids_agree(page)
+        if len(snapshots) < 3:
+            snapshots.append(page.snapshot())
 
 
 class TestUndoJournal:
@@ -502,30 +538,58 @@ class TestFragmentMemo:
         assert load()._fragments == {}
 
 
-class TestProgramMemo:
-    def test_a_source_is_parsed_once_per_interpreter(self, monkeypatch):
-        import repro.js.interpreter as interpreter
+def record_parses(monkeypatch):
+    """Every source handed to ``parse_program``, in order."""
+    import repro.js.interpreter as interpreter
 
-        parsed = []
-        parse = interpreter.parse_program
-        monkeypatch.setattr(
-            interpreter, "parse_program", lambda source: parsed.append(source) or parse(source)
-        )
-        page = load()
-        del parsed[:]
-        for _ in range(3):
+    parsed = []
+    parse = interpreter.parse_program
+    monkeypatch.setattr(
+        interpreter, "parse_program", lambda source: parsed.append(source) or parse(source)
+    )
+    return parsed
+
+
+class TestProgramMemo:
+    def test_a_handler_is_parsed_once_per_crawl(self, monkeypatch):
+        handler = "document.getElementById('c').innerHTML = 'clicked'"
+        link = '<a onclick="%s">go</a><input' % handler
+        urls = [URL + "one", URL + "two"]
+        server = StaticServer({url: HTML.replace("<input", link) for url in urls})
+        parsed = record_parses(monkeypatch)
+        crawler = AjaxCrawler(server)
+        # Each page loaded its own script and reached a state by the handler.
+        assert [model.num_states for model in crawler.crawl(urls).models] == [2, 2]
+        assert (parsed.count(SCRIPT), parsed.count(handler)) == (2, 1)
+        # A page script runs once per load and is never retained.
+        assert list(crawler.browser.programs) == [handler]
+        AjaxCrawler(server).crawl(urls)  # another crawl: its own, cold memo
+        assert parsed.count(handler) == 2
+
+    def test_the_pages_of_one_browser_share_the_memo(self, monkeypatch):
+        browser = Browser(StaticServer({URL: HTML}))
+        parsed = record_parses(monkeypatch)
+        pages = [browser.load(URL), browser.load(URL)]
+        for page in pages * 3:
             page.execute_js("bump()")
-        assert parsed == ["bump()"]
-        assert page.interpreter.global_env.get("counter") == 3.0
-        load().execute_js("bump()")  # another page: its own, cold memo
-        assert parsed.count("bump()") == 2
+        assert parsed == [SCRIPT, SCRIPT, "bump()"]
+        assert [page.interpreter.global_env.get("counter") for page in pages] == [3.0, 3.0]
+        assert all(page.interpreter.programs is browser.programs for page in pages)
+
+    def test_a_full_memo_is_cleared_wholesale(self, monkeypatch):
+        monkeypatch.setattr(Interpreter, "PROGRAM_MEMO_LIMIT", 2)
+        page = load()
+        for source in ("bump()", "bump();", "bump()", "bump();;"):
+            page.execute_js(source)
+        assert list(page.interpreter.programs) == ["bump();;"]
+        assert page.interpreter.global_env.get("counter") == 4.0
 
     def test_a_syntax_error_is_raised_again_on_every_dispatch(self):
         page = load()
         for _ in range(2):
             with pytest.raises(JsSyntaxError):
                 page.execute_js("bump(")
-        assert "bump(" not in page.interpreter._programs
+        assert "bump(" not in page.interpreter.programs
 
     def test_restore_rolls_back_what_a_cached_program_declared(self):
         page = load()

@@ -1,5 +1,7 @@
 """Tests for the XMLHttpRequest host object and its hot-call hooks."""
 
+from urllib.parse import urljoin
+
 import pytest
 
 from repro.clock import CostModel, SimClock
@@ -55,6 +57,26 @@ class TestBasicXhr:
         interp, _ = make_interp({"http://s/comments?p=2": "page2"}, base_url="http://s/watch")
         interp.run(FETCH_SCRIPT)
         assert interp.eval_expression("getUrl('/comments?p=2', true)") == "page2"
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://other.test/a?b=1",
+            "/comments?p=2",
+            "../up/./x/../y",
+            "?p=3",
+            "more/data",
+            "",
+        ],
+    )
+    def test_the_url_memo_answers_what_urljoin_does(self, url):
+        base = "http://s/dir/watch?v=1"
+        interp, _ = make_interp({}, base_url=base)
+        opened = interp.run(
+            "var urls = []; for (var i = 0; i < 2; i++) {"
+            " var r = new XMLHttpRequest(); r.open('GET', %r); urls.push(r); } urls" % url
+        )
+        assert [request.url for request in opened.elements] == [urljoin(base, url)] * 2
 
     def test_status_and_ready_state(self):
         interp, _ = make_interp({"http://s/x": "ok"})

@@ -17,12 +17,16 @@ from repro.testgen import (
     run_corpus,
     spec_for_seed,
 )
+from repro.crawler import AjaxCrawler
+from repro.net import StaticServer
 from repro.testgen.conformance import (
     check_ground_truth,
     check_hotnode_parity,
     check_incremental_parity,
     check_parallel_parity,
+    check_replay_reachability,
     check_search_consistency,
+    replay_failures,
 )
 
 FAST_SEEDS = range(6)
@@ -48,6 +52,9 @@ class TestIndividualChecks:
 
     def test_search_consistency(self, spec):
         assert check_search_consistency(spec).failures == []
+
+    def test_replay_reachability(self, spec):
+        assert check_replay_reachability(spec).failures == []
 
 
 def test_ground_truth_on_pages_with_two_digit_state_indices():
@@ -125,3 +132,46 @@ def test_smoke_corpus_50_seeds():
     assert failures == []
     # The corpus actually exercises multi-page (parallel-relevant) shapes.
     assert {len(report.spec.pages) for report in reports} == {1, 2, 3}
+
+
+PROBE_URL = "http://probe.test/"
+
+
+def crawl_probe(*links):
+    """Crawl one page holding ``<div id="d">``, a global ``seen = []`` and
+    one ``<a ATTRS>`` per ``(attrs, handler)``; returns the models and
+    their replay failures."""
+    anchors = "".join(f'<a {attrs} onclick="{handler}">go</a>' for attrs, handler in links)
+    html = (
+        '<html><body><div id="d"></div><script>var seen = [];</script>'
+        f"{anchors}</body></html>"
+    )
+    site = StaticServer({PROBE_URL: html})
+    models = AjaxCrawler(site).crawl([PROBE_URL]).models
+    return models, replay_failures(models, site)
+
+
+def writes(text):
+    return f"document.getElementById('d').innerHTML = {text}"
+
+
+def test_a_later_duplicate_id_is_its_own_event_source():
+    # Located by the id, the second link resolved to the first one: its
+    # event was skipped as stale and shared the first's quarantine key.
+    models, failures = crawl_probe(('id="x"', writes("'first'")), ('id="x"', writes("'second'")))
+    assert [model.num_states for model in models] == [3]
+    assert failures == []
+    sources = {t.event.source for t in models[0].transitions()}
+    assert len(sources) == 2 and "#x" in sources
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1a: a handler's in-place push onto a global array survives"
+    " Page.restore, so the crawl records states (11 here) that event replay from a"
+    " fresh load cannot reach (9 of them)",
+)
+def test_every_state_of_a_page_whose_handlers_share_an_array_replays():
+    shared = "seen.push(1); " + writes("'seen ' + seen.length")
+    models, failures = crawl_probe(("", shared), ("", shared))
+    assert failures == []
