@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from repro.crawler import CrawlerConfig
-from repro.dom.simhash import bands_for_threshold
+from repro.dom.simhash import FINGERPRINT_BITS
 from repro.errors import ReproError
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule
 from repro.net.server import SimulatedServer
@@ -62,6 +63,7 @@ from repro.parallel import (
 from repro.search import SearchEngine, SegmentedIndex
 from repro.search.segmented import DEFAULT_FLUSH_POSTINGS
 from repro.sites import SiteConfig, SyntheticWebmail, SyntheticYouTube
+from repro.testgen import MIN_STATES
 
 
 def build_site(spec: str) -> SimulatedServer:
@@ -124,10 +126,8 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     server: SimulatedServer = site
     plan = None
     if args.fault_rate > 0.0:
-        plan = FaultPlan(
-            [FaultRule(args.fault_pattern, rate=args.fault_rate)],
-            seed=args.fault_seed,
-        )
+        plan = FaultPlan([FaultRule(args.fault_pattern, rate=args.fault_rate)],
+                         seed=args.fault_seed)
         server = FaultInjector(site, plan)
     config = CrawlerConfig(
         max_additional_states=args.max_states,
@@ -195,10 +195,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         metrics.merge(run.stats.registry)
         metrics.merge(run.result.report.registry)
     if args.backend == "threads":
-        print(
-            f"threads backend: {args.workers} workers, "
-            f"{run.wall_time_ms / 1000:.2f}s wall"
-        )
+        print(f"threads backend: {args.workers} workers, {run.wall_time_ms / 1000:.2f}s wall")
     mode = "traditional" if args.traditional else "AJAX"
     report = run.result.report
     total_ms = sum(summary.crawl_time_ms for summary in run.summaries)
@@ -206,9 +203,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
           f"{total_ms / 1000:.1f}s virtual total")
     for failure in run.result.failures:
         # RetriesExhausted messages already carry the attempt count.
-        suffix = "" if "attempt(s)" in failure.error else (
-            f" after {failure.attempts} attempt(s)"
-        )
+        suffix = "" if "attempt(s)" in failure.error else f" after {failure.attempts} attempt(s)"
         print(f"  failed: {failure.url} ({failure.error}){suffix}")
     if plan is not None:
         print(f"fault injection: {plan.num_injected} faults injected "
@@ -240,22 +235,6 @@ def crawled_models(root: str):
         yield from load_models(directory)
 
 
-def build_index(index, root: str) -> str:
-    """``index.build`` over a crawl root, one partition in memory at a
-    time; returns the summary line's head."""
-    pages = 0
-
-    def counted():
-        nonlocal pages
-        for model in crawled_models(root):
-            pages += 1
-            yield model
-
-    index.build(counted())
-    return (f"indexed {pages} page models / {index.num_states} states "
-            f"({index.vocabulary_size} terms)")
-
-
 def cmd_index_build(args: argparse.Namespace) -> int:
     index = SegmentedIndex(
         args.segments,
@@ -263,31 +242,45 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         flush_threshold=args.flush_postings,
         block_size=args.block_size,
     )
-    summary = build_index(index, args.root)
-    print(f"{summary} -> {index.num_segments} segment(s) under {args.segments}")
+    pages = 0  # crawled_models holds one partition in memory at a time
+    for pages, model in enumerate(crawled_models(args.root), 1):
+        index.add_model(model)
+    index.finalize()
+    print(f"indexed {pages} page models / {index.num_states} states "
+          f"({index.vocabulary_size} terms) -> {index.num_segments} segment(s) "
+          f"under {args.segments}")
     index.close()
     return 0
 
 
-def cmd_index_compact(args: argparse.Namespace) -> int:
-    index = SegmentedIndex.open(args.segments)
+def on_index(handler):
+    """A command over an existing index: ``handler(args, index)`` on the
+    directory ``--segments`` (or ``--index``) names, closed after."""
+
+    def run(args: argparse.Namespace) -> int:
+        with closing(SegmentedIndex.open(getattr(args, "segments", None) or args.index)) as index:
+            return handler(args, index)
+
+    return run
+
+
+@on_index
+def cmd_index_compact(args: argparse.Namespace, index: SegmentedIndex) -> int:
     before, dead = index.num_segments, index.stats()["dead_states"]
     merges = index.compact_all()
     print(f"compacted {before} segment(s) -> {index.num_segments} "
           f"({merges} merge(s), {index.num_states} states, {dead} dead state(s) purged)")
-    index.close()
     return 0
 
 
-def cmd_index_stats(args: argparse.Namespace) -> int:
-    index = SegmentedIndex.open(args.segments)
+@on_index
+def cmd_index_stats(args: argparse.Namespace, index: SegmentedIndex) -> int:
     print(json.dumps(index.stats(), sort_keys=True, indent=2))
-    index.close()
     return 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    index = SegmentedIndex.open(args.index)
+@on_index
+def cmd_search(args: argparse.Namespace, index: SegmentedIndex) -> int:
     pageranks = read_input(args, args.pagerank) if args.pagerank else {}
     engine = SearchEngine(index, pageranks=pageranks)
     total, results = engine.top(args.query, args.limit)
@@ -300,12 +293,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.clock import CostModel
     from repro.crawler import AjaxCrawler
-    from repro.net.latency import (
-        ConstantLatency,
-        LognormalLatency,
-        SpikyLatency,
-        UniformJitter,
-    )
+    from repro.net import latency
     from repro.serve import SearchServer, SearchService, ServeConfig
 
     if bool(args.index) == bool(args.site):
@@ -317,11 +305,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"loaded index {args.index}: {engine.index.num_states} states")
     else:
         site = build_site(args.site)
-        urls = (
-            [site.video_url(i) for i in range(args.pages)]
-            if isinstance(site, SyntheticYouTube)
-            else [_default_start_url(site)]
-        )
+        urls = ([site.video_url(i) for i in range(args.pages)]
+                if isinstance(site, SyntheticYouTube) else [_default_start_url(site)])
         crawler = AjaxCrawler(site, cost_model=CostModel(network_jitter=0.0))
         crawled = crawler.crawl(urls)
         models = crawled.models
@@ -331,10 +316,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "indexed (result replay enabled)"
         )
     shapes = {
-        "const": lambda seed: ConstantLatency(),
-        "uniform": lambda seed: UniformJitter(seed=seed),
-        "lognormal": lambda seed: LognormalLatency(seed=seed),
-        "spiky": lambda seed: SpikyLatency(seed=seed),
+        "const": lambda seed: latency.ConstantLatency(),
+        "uniform": latency.UniformJitter,
+        "lognormal": latency.LognormalLatency,
+        "spiky": latency.SpikyLatency,
     }
     config = ServeConfig(
         cache_entries=args.cache_entries,
@@ -342,7 +327,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         rate_limit_rps=args.rate_limit if args.rate_limit > 0 else None,
         rate_limit_burst=args.burst,
         latency_ms=args.latency_ms,
-        latency_distribution=shapes[args.latency_shape](args.latency_seed),
+        latency_distribution=shapes[args.latency_shape](seed=args.latency_seed),
     )
     service = SearchService(engine, config, models=models, site=site)
     server = SearchServer(service, host=args.host, port=args.port)
@@ -357,11 +342,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.sites import full_workload
 
     queries = [query.text for query in full_workload(args.queries)]
-    config = LoadTestConfig(
-        workers=args.workers,
-        requests_per_worker=args.requests,
-        limit=args.limit,
-    )
+    config = LoadTestConfig(workers=args.workers, requests_per_worker=args.requests,
+                            limit=args.limit)
     report = run_loadtest(args.url, queries, config)
     print(report.summary())
     if args.out:
@@ -373,15 +355,15 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
+    import itertools
+    import time
     import urllib.error
     import urllib.request
 
     from repro.serve import format_top
 
     url = args.url.rstrip("/") + "/debug/vars"
-    remaining = args.iterations
-    while True:
+    for shown in itertools.count(1):
         try:
             with urllib.request.urlopen(url, timeout=args.timeout) as response:
                 data = json.loads(response.read().decode("utf-8"))
@@ -389,12 +371,10 @@ def cmd_top(args: argparse.Namespace) -> int:
             print(f"top: cannot read {url}: {exc}", file=sys.stderr)
             return 1
         print(format_top(data))
-        if remaining is not None:
-            remaining -= 1
-            if remaining <= 0:
-                return 0
+        if shown == args.iterations:
+            return 0
         print()
-        _time.sleep(args.interval)
+        time.sleep(args.interval)
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
@@ -410,25 +390,33 @@ def _load_trace(args: argparse.Namespace) -> list:
     return read_input(args, args.trace_file, from_jsonl)
 
 
+def on_spans(handler):
+    """A command over a trace's span tree: ``handler(args, tree)``; a
+    trace that recorded no spans prints why and exits 1."""
+
+    def run(args: argparse.Namespace) -> int:
+        tree = SpanTree.from_events(_load_trace(args), strict=False)
+        if not tree.roots:
+            print("no spans in trace (crawl with --spans or Recorder(spans=True))")
+            return 1
+        return handler(args, tree)
+
+    return run
+
+
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
     print(format_summary(summarize(_load_trace(args))))
     return 0
 
 
-def cmd_trace_spans(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args), strict=False)
-    if not tree.roots:
-        print("no spans in trace (crawl with --spans or Recorder(spans=True))")
-        return 1
+@on_spans
+def cmd_trace_spans(args: argparse.Namespace, tree: SpanTree) -> int:
     print(format_span_tree(tree, max_depth=args.max_depth))
     return 0
 
 
-def cmd_trace_flame(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args), strict=False)
-    if not tree.roots:
-        print("no spans in trace (crawl with --spans or Recorder(spans=True))")
-        return 1
+@on_spans
+def cmd_trace_flame(args: argparse.Namespace, tree: SpanTree) -> int:
     if args.format == "speedscope":
         output = json.dumps(to_speedscope(tree), sort_keys=True)
     else:
@@ -441,8 +429,8 @@ def cmd_trace_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_critical_path(args: argparse.Namespace) -> int:
-    tree = SpanTree.from_events(_load_trace(args), strict=False)
+@on_spans
+def cmd_trace_critical_path(args: argparse.Namespace, tree: SpanTree) -> int:
     report = critical_path_from_spans(tree, args.lines)
     if not report.partitions:
         print("no partition spans in trace (use a parallel crawl with spans on)")
@@ -470,14 +458,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Seed selectors: ``7``, ``3,5,8``, or a half-open range ``0:50``."""
-    if ":" in text:
-        start, _, stop = text.partition(":")
-        return list(range(int(start or 0), int(stop)))
-    return [int(part) for part in text.split(",")]
-
-
 def cmd_testgen_generate(args: argparse.Namespace) -> int:
     from repro.testgen import spec_for_seed
 
@@ -503,7 +483,7 @@ def cmd_testgen_conformance(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown checks: {sorted(unknown)}", file=sys.stderr)
         return 2
-    reports = run_corpus(_parse_seeds(args.seeds), checks=checks, num_pages=args.pages)
+    reports = run_corpus(args.seeds, checks=checks, num_pages=args.pages)
     failed = 0
     for report in reports:
         if not args.quiet or not report.passed:
@@ -534,7 +514,7 @@ def cmd_testgen_corpus(args: argparse.Namespace) -> int:
 def cmd_testgen_fuzz(args: argparse.Namespace) -> int:
     from repro.testgen import fuzz_corpus, shrink_case
 
-    summary = fuzz_corpus(_parse_seeds(args.seeds))
+    summary = fuzz_corpus(args.seeds)
     rejections = ", ".join(
         f"{name}={count}" for name, count in sorted(summary.rejections.items())
     )
@@ -565,16 +545,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _near_dup_bits(text: str) -> int:
-    """``--near-dup-threshold``: a Hamming distance the collapser accepts."""
-    try:
-        bits = int(text)
-        bands_for_threshold(bits)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return bits
-
-
 def _in_range(low, high=None, convert=int):
     """An argparse type: ``convert(text)``, refused outside ``low..high``
     while parsing, so a bad value is a usage error and not a traceback."""
@@ -594,289 +564,225 @@ def _in_range(low, high=None, convert=int):
 
 #: A count that has to be at least 1 (``--workers``, ``--size``, ...).
 _positive = _in_range(1)
+#: A count, and a duration or rate, that may be 0 but not negative.
+_count = _in_range(0)
+_seconds = _in_range(0, convert=float)
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """Seed selectors: ``7``, ``3,5,8``, or a half-open range ``0:50``;
+    one that is malformed or selects no seed is a usage error."""
+    try:
+        if ":" in text:
+            start, _, stop = text.partition(":")
+            seeds = list(range(int(start or 0), int(stop)))
+        else:
+            seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not N, N,M,... or START:STOP"
+        ) from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} selects no seed")
+    return seeds
+
+
+def arg(*names, **options):
+    """One ``add_argument`` call, as data."""
+    return names, options
+
+
+def like(shared, **options):
+    """A shared argument with some of its options replaced."""
+    names, base = shared
+    return names, {**base, **options}
+
+
+SITE = arg("--site", required=True)
+ROOT = arg("--root", required=True)
+SEGMENTS = arg("--segments", required=True, help="index directory")
+TRACE_FILE = arg("trace_file", help="JSONL trace file")
+URL = arg("--url", required=True, help="server base URL")
+OUT = arg("--out", required=True)
+
+
+#: The CLI as data: ``(words, handler, help, arguments)`` per parser, in
+#: ``--help`` order.  A row without a handler opens a group whose
+#: subcommands follow it (``index build`` is the ``build`` of ``index``).
+COMMANDS = [
+    ("precrawl", cmd_precrawl, "build hyperlink graph + PageRank", [
+        like(SITE, help="site spec, e.g. simtube:100:7"),
+        arg("--start-url"),
+        arg("--max-pages", type=_positive, default=100),
+        OUT,
+    ]),
+    ("partition", cmd_partition, "split the URL list into partitions", [
+        arg("--precrawl", required=True, help="precrawl output dir"),
+        arg("--size", type=_positive, default=20),
+        OUT,
+    ]),
+    ("crawl", cmd_crawl, "crawl all partitions under a root dir", [
+        SITE,
+        ROOT,
+        arg("--traditional", action="store_true"),
+        arg("--no-hotnode", action="store_true"),
+        arg("--max-states", type=_count, default=10),
+        arg("--near-dup-threshold", type=_in_range(0, FINGERPRINT_BITS - 1), metavar="BITS",
+            help="collapse states within this simhash Hamming distance into "
+                 "one canonical state (default: off, exact identity only)"),
+        arg("--retries", type=_positive, default=1, metavar="N",
+            help="attempts per network request (1 = no retries)"),
+        arg("--fault-rate", type=_in_range(0, 1, float), default=0.0, metavar="P",
+            help="inject 5xx responses with probability P (testing robustness)"),
+        arg("--fault-pattern", default=r"/comments", metavar="REGEX",
+            help="URL regex the injected faults apply to"),
+        arg("--fault-seed", type=int, default=0),
+        arg("--trace", metavar="FILE", help="stream a JSONL trace of every crawl event to FILE"),
+        arg("--metrics", metavar="FILE", help="dump the merged metrics registry to FILE as JSON"),
+        arg("--spans", action="store_true",
+            help="record span_start/span_end causal events in the trace"),
+        arg("--profile", action="store_true",
+            help="record spans and print the component profile + doctor findings"),
+        arg("--backend", choices=sorted(BACKENDS), default="simulated",
+            help="execution engine: deterministic virtual-time simulation "
+                 "(default) or real worker threads"),
+        arg("--workers", type=_positive, default=4, metavar="N",
+            help="worker threads for --backend threads (default 4)"),
+    ]),
+    ("index", None, "build, compact and inspect a segmented index", []),
+    ("index build", cmd_index_build, "build an on-disk segmented index from crawled models", [
+        like(ROOT, help="crawl partitions root"),
+        like(SEGMENTS, help="index directory to create"),
+        arg("--max-state-index", type=_positive),
+        arg("--flush-postings", type=_positive, default=DEFAULT_FLUSH_POSTINGS, metavar="N",
+            help="memtable flush threshold in postings"),
+        arg("--block-size", type=_positive, default=128, metavar="N",
+            help="postings per on-disk block (skip granularity)"),
+    ]),
+    ("index compact", cmd_index_compact,
+     "merge every segment of an index directory into one", [SEGMENTS]),
+    ("index stats", cmd_index_stats, "print a segmented index's inventory as JSON", [SEGMENTS]),
+    ("search", cmd_search, "query a segmented index directory", [
+        arg("--index", required=True, help="segmented index directory"),
+        arg("--query", required=True),
+        arg("--pagerank"),
+        arg("--limit", type=_count, default=10),
+    ]),
+    ("serve", cmd_serve, "HTTP search service over an index or site", [
+        arg("--index", help="segmented index directory (search only)"),
+        like(SITE, required=False,
+             help="site spec to crawl + serve with /result replay, e.g. simtube:50:7"),
+        arg("--pages", type=_positive, default=25, help="pages to crawl with --site"),
+        arg("--host", default="127.0.0.1"),
+        arg("--port", type=_in_range(0, 65535), default=8080, help="0 = ephemeral"),
+        arg("--cache-entries", type=_count, default=256),
+        arg("--cache-ttl", type=_seconds, default=30.0, metavar="SECONDS",
+            help="query-cache TTL (0 = never expire)"),
+        arg("--rate-limit", type=_seconds, default=0.0, metavar="RPS",
+            help="per-client sustained requests/second (0 = unlimited)"),
+        arg("--burst", type=_in_range(1, convert=float), default=20.0,
+            help="token-bucket capacity"),
+        arg("--latency-ms", type=_seconds, default=0.0,
+            help="injected base latency per request (soak realism)"),
+        arg("--latency-shape", choices=("const", "uniform", "lognormal", "spiky"),
+            default="uniform"),
+        arg("--latency-seed", type=int, default=0x5EED),
+    ]),
+    ("loadtest", cmd_loadtest, "closed-loop load test of a live server", [
+        URL,
+        arg("--workers", type=_positive, default=4),
+        arg("--requests", type=_positive, default=100, help="requests per worker"),
+        arg("--queries", type=_positive, default=100,
+            help="workload size (Table 7.4 queries first)"),
+        arg("--limit", type=_positive, default=10),
+        arg("--out", metavar="FILE", help="JSON report"),
+    ]),
+    ("top", cmd_top, "live telemetry of a running server (polls /debug/vars)", [
+        URL,
+        arg("--interval", type=_seconds, default=2.0, help="seconds between refreshes"),
+        arg("--iterations", type=_positive, metavar="N",
+            help="stop after N snapshots (default: poll forever)"),
+        arg("--timeout", type=_seconds, default=5.0, help="HTTP timeout"),
+    ]),
+    ("stats", cmd_stats, "statistics over crawled models", [ROOT]),
+    ("trace", None, "inspect JSONL crawl traces", []),
+    ("trace summarize", cmd_trace_summarize,
+     "event counts, virtual span and busiest URLs", [TRACE_FILE]),
+    ("trace spans", cmd_trace_spans, "reconstruct and print the span tree of a trace", [
+        TRACE_FILE,
+        arg("--max-depth", type=_count),
+    ]),
+    ("trace flame", cmd_trace_flame, "flamegraph export (folded stacks or speedscope JSON)", [
+        TRACE_FILE,
+        arg("--format", choices=("folded", "speedscope"), default="folded",
+            help="folded = flamegraph.pl input; speedscope = speedscope.app JSON"),
+        arg("--out", metavar="FILE"),
+    ]),
+    ("trace critical-path", cmd_trace_critical_path,
+     "per-partition makespan / straggler analysis", [
+        like(TRACE_FILE, help="JSONL trace file with partition spans"),
+        arg("--lines", type=_positive, default=4, metavar="N",
+            help="process lines to replay the scheduler with"),
+    ]),
+    ("trace doctor", cmd_trace_doctor, "rule-based diagnosis of a crawl trace", [
+        TRACE_FILE,
+        arg("--metrics", metavar="FILE", help="metrics snapshot JSON to include as evidence"),
+        arg("--fail-on-findings", action="store_true",
+            help="exit 1 when the doctor reports any finding (CI gates)"),
+    ]),
+    ("metrics", cmd_metrics, "render a saved metrics snapshot", [
+        arg("metrics_file", help="metrics JSON written by crawl --metrics"),
+        arg("--format", choices=("json", "prom"), default="json",
+            help="prom = Prometheus text exposition"),
+    ]),
+    ("testgen", None, "synthetic sites with ground truth: generate, verify, fuzz", []),
+    ("testgen generate", cmd_testgen_generate, "sample a site spec from a seed", [
+        arg("--seed", type=int, required=True),
+        arg("--pages", type=_positive, help="page count (default: vary by seed)"),
+        arg("--out", help="write the spec JSON here instead of stdout"),
+    ]),
+    ("testgen conformance", cmd_testgen_conformance,
+     "crawl generated sites, compare against ground truth", [
+        arg("--seeds", type=_parse_seeds, default="0:50",
+            help="seed selector: N, N,M,..., or START:STOP"),
+        arg("--checks", help="comma-separated subset of checks to run"),
+        arg("--pages", type=_positive),
+        arg("--quiet", action="store_true", help="only print failures and the final tally"),
+    ]),
+    ("testgen corpus", cmd_testgen_corpus,
+     "mint a large deterministic corpus (the benchmark scale knob)", [
+        arg("--states", type=_positive, required=True, help="corpus size in states"),
+        arg("--seed", type=int, default=0),
+        arg("--states-per-page", type=_in_range(MIN_STATES), default=5),
+        arg("--out", help="write the spec JSON here"),
+    ]),
+    ("testgen fuzz", cmd_testgen_fuzz, "crash-fuzz the JS and DOM pipelines", [
+        arg("--seeds", type=_parse_seeds, default="0:2000"),
+        arg("--shrink", action="store_true", help="shrink each crash to a minimal repro"),
+    ]),
+    ("dot", cmd_dot, "print one page's transition graph as DOT", [
+        ROOT,
+        arg("--url", required=True),
+    ]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per row of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro-ajax",
         description="AJAX Crawl pipeline: precrawl, partition, crawl, index, search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    precrawl = sub.add_parser("precrawl", help="build hyperlink graph + PageRank")
-    precrawl.add_argument("--site", required=True, help="site spec, e.g. simtube:100:7")
-    precrawl.add_argument("--start-url", default=None)
-    precrawl.add_argument("--max-pages", type=_positive, default=100)
-    precrawl.add_argument("--out", required=True)
-    precrawl.set_defaults(fn=cmd_precrawl)
-
-    partition = sub.add_parser("partition", help="split the URL list into partitions")
-    partition.add_argument("--precrawl", required=True, help="precrawl output dir")
-    partition.add_argument("--size", type=_positive, default=20)
-    partition.add_argument("--out", required=True)
-    partition.set_defaults(fn=cmd_partition)
-
-    crawl = sub.add_parser("crawl", help="crawl all partitions under a root dir")
-    crawl.add_argument("--site", required=True)
-    crawl.add_argument("--root", required=True)
-    crawl.add_argument("--traditional", action="store_true")
-    crawl.add_argument("--no-hotnode", action="store_true")
-    crawl.add_argument("--max-states", type=int, default=10)
-    crawl.add_argument(
-        "--near-dup-threshold", type=_near_dup_bits, default=None, metavar="BITS",
-        help="collapse states within this simhash Hamming distance into "
-             "one canonical state (default: off, exact identity only)",
-    )
-    crawl.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per network request (1 = no retries)",
-    )
-    crawl.add_argument(
-        "--fault-rate", type=float, default=0.0, metavar="P",
-        help="inject 5xx responses with probability P (testing robustness)",
-    )
-    crawl.add_argument(
-        "--fault-pattern", default=r"/comments", metavar="REGEX",
-        help="URL regex the injected faults apply to",
-    )
-    crawl.add_argument("--fault-seed", type=int, default=0)
-    crawl.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="stream a JSONL trace of every crawl event to FILE",
-    )
-    crawl.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="dump the merged metrics registry to FILE as JSON",
-    )
-    crawl.add_argument(
-        "--spans", action="store_true",
-        help="record span_start/span_end causal events in the trace",
-    )
-    crawl.add_argument(
-        "--profile", action="store_true",
-        help="record spans and print the component profile + doctor findings",
-    )
-    crawl.add_argument(
-        "--backend", choices=sorted(BACKENDS), default="simulated",
-        help="execution engine: deterministic virtual-time simulation "
-             "(default) or real worker threads",
-    )
-    crawl.add_argument(
-        "--workers", type=_positive, default=4, metavar="N",
-        help="worker threads for --backend threads (default 4)",
-    )
-    crawl.set_defaults(fn=cmd_crawl)
-
-    index = sub.add_parser("index", help="build, compact and inspect a segmented index")
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    ix_build = index_sub.add_parser(
-        "build", help="build an on-disk segmented index from crawled models"
-    )
-    ix_build.add_argument("--root", required=True, help="crawl partitions root")
-    ix_build.add_argument("--segments", required=True, help="index directory to create")
-    ix_build.add_argument("--max-state-index", type=int, default=None)
-    ix_build.add_argument(
-        "--flush-postings", type=int, default=DEFAULT_FLUSH_POSTINGS, metavar="N",
-        help="memtable flush threshold in postings",
-    )
-    ix_build.add_argument("--block-size", type=int, default=128, metavar="N",
-                          help="postings per on-disk block (skip granularity)")
-    ix_build.set_defaults(fn=cmd_index_build)
-    ix_compact = index_sub.add_parser(
-        "compact", help="merge every segment of an index directory into one"
-    )
-    ix_compact.add_argument("--segments", required=True, help="index directory")
-    ix_compact.set_defaults(fn=cmd_index_compact)
-    ix_stats = index_sub.add_parser(
-        "stats", help="print a segmented index's inventory as JSON"
-    )
-    ix_stats.add_argument("--segments", required=True, help="index directory")
-    ix_stats.set_defaults(fn=cmd_index_stats)
-
-    search = sub.add_parser("search", help="query a segmented index directory")
-    search.add_argument("--index", required=True, help="segmented index directory")
-    search.add_argument("--query", required=True)
-    search.add_argument("--pagerank", default=None)
-    search.add_argument("--limit", type=_in_range(0), default=10)
-    search.set_defaults(fn=cmd_search)
-
-    serve = sub.add_parser("serve", help="HTTP search service over an index or site")
-    serve.add_argument("--index", default=None, help="segmented index directory (search only)")
-    serve.add_argument(
-        "--site", default=None,
-        help="site spec to crawl + serve with /result replay, e.g. simtube:50:7",
-    )
-    serve.add_argument("--pages", type=int, default=25, help="pages to crawl with --site")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=_in_range(0, 65535), default=8080, help="0 = ephemeral"
-    )
-    serve.add_argument("--cache-entries", type=_in_range(0), default=256)
-    serve.add_argument(
-        "--cache-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="query-cache TTL (0 = never expire)",
-    )
-    serve.add_argument(
-        "--rate-limit", type=float, default=0.0, metavar="RPS",
-        help="per-client sustained requests/second (0 = unlimited)",
-    )
-    serve.add_argument(
-        "--burst", type=_in_range(1, convert=float), default=20.0,
-        help="token-bucket capacity",
-    )
-    serve.add_argument(
-        "--latency-ms", type=float, default=0.0,
-        help="injected base latency per request (soak realism)",
-    )
-    serve.add_argument(
-        "--latency-shape", choices=("const", "uniform", "lognormal", "spiky"),
-        default="uniform",
-    )
-    serve.add_argument("--latency-seed", type=int, default=0x5EED)
-    serve.set_defaults(fn=cmd_serve)
-
-    loadtest = sub.add_parser("loadtest", help="closed-loop load test of a live server")
-    loadtest.add_argument("--url", required=True, help="server base URL")
-    loadtest.add_argument("--workers", type=_positive, default=4)
-    loadtest.add_argument(
-        "--requests", type=_positive, default=100, help="requests per worker"
-    )
-    loadtest.add_argument(
-        "--queries", type=_positive, default=100,
-        help="workload size (Table 7.4 queries first)",
-    )
-    loadtest.add_argument("--limit", type=_positive, default=10)
-    loadtest.add_argument("--out", default=None, metavar="FILE", help="JSON report")
-    loadtest.set_defaults(fn=cmd_loadtest)
-
-    top = sub.add_parser(
-        "top", help="live telemetry of a running server (polls /debug/vars)"
-    )
-    top.add_argument("--url", required=True, help="server base URL")
-    top.add_argument(
-        "--interval", type=_in_range(0, convert=float), default=2.0,
-        help="seconds between refreshes",
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N snapshots (default: poll forever)",
-    )
-    top.add_argument("--timeout", type=float, default=5.0, help="HTTP timeout")
-    top.set_defaults(fn=cmd_top)
-
-    stats = sub.add_parser("stats", help="statistics over crawled models")
-    stats.add_argument("--root", required=True)
-    stats.set_defaults(fn=cmd_stats)
-
-    trace = sub.add_parser("trace", help="inspect JSONL crawl traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_summarize = trace_sub.add_parser(
-        "summarize", help="event counts, virtual span and busiest URLs"
-    )
-    trace_summarize.add_argument("trace_file", help="JSONL trace file")
-    trace_summarize.set_defaults(fn=cmd_trace_summarize)
-
-    trace_spans = trace_sub.add_parser(
-        "spans", help="reconstruct and print the span tree of a trace"
-    )
-    trace_spans.add_argument("trace_file", help="JSONL trace file")
-    trace_spans.add_argument("--max-depth", type=int, default=None)
-    trace_spans.set_defaults(fn=cmd_trace_spans)
-
-    trace_flame = trace_sub.add_parser(
-        "flame", help="flamegraph export (folded stacks or speedscope JSON)"
-    )
-    trace_flame.add_argument("trace_file", help="JSONL trace file")
-    trace_flame.add_argument(
-        "--format", choices=("folded", "speedscope"), default="folded",
-        help="folded = flamegraph.pl input; speedscope = speedscope.app JSON",
-    )
-    trace_flame.add_argument("--out", default=None, metavar="FILE")
-    trace_flame.set_defaults(fn=cmd_trace_flame)
-
-    trace_cp = trace_sub.add_parser(
-        "critical-path", help="per-partition makespan / straggler analysis"
-    )
-    trace_cp.add_argument("trace_file", help="JSONL trace file with partition spans")
-    trace_cp.add_argument(
-        "--lines", type=int, default=4, metavar="N",
-        help="process lines to replay the scheduler with",
-    )
-    trace_cp.set_defaults(fn=cmd_trace_critical_path)
-
-    trace_doctor = trace_sub.add_parser(
-        "doctor", help="rule-based diagnosis of a crawl trace"
-    )
-    trace_doctor.add_argument("trace_file", help="JSONL trace file")
-    trace_doctor.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="metrics snapshot JSON to include as evidence",
-    )
-    trace_doctor.add_argument(
-        "--fail-on-findings", action="store_true",
-        help="exit 1 when the doctor reports any finding (CI gates)",
-    )
-    trace_doctor.set_defaults(fn=cmd_trace_doctor)
-
-    metrics = sub.add_parser("metrics", help="render a saved metrics snapshot")
-    metrics.add_argument("metrics_file", help="metrics JSON written by crawl --metrics")
-    metrics.add_argument(
-        "--format", choices=("json", "prom"), default="json",
-        help="prom = Prometheus text exposition",
-    )
-    metrics.set_defaults(fn=cmd_metrics)
-
-    testgen = sub.add_parser(
-        "testgen", help="synthetic sites with ground truth: generate, verify, fuzz"
-    )
-    testgen_sub = testgen.add_subparsers(dest="testgen_command", required=True)
-    tg_generate = testgen_sub.add_parser(
-        "generate", help="sample a site spec from a seed"
-    )
-    tg_generate.add_argument("--seed", type=int, required=True)
-    tg_generate.add_argument("--pages", type=int, default=None, help="page count (default: vary by seed)")
-    tg_generate.add_argument("--out", default=None, help="write the spec JSON here instead of stdout")
-    tg_generate.set_defaults(fn=cmd_testgen_generate)
-    tg_conformance = testgen_sub.add_parser(
-        "conformance", help="crawl generated sites, compare against ground truth"
-    )
-    tg_conformance.add_argument(
-        "--seeds", default="0:50", help="seed selector: N, N,M,..., or START:STOP"
-    )
-    tg_conformance.add_argument(
-        "--checks", default=None, help="comma-separated subset of checks to run"
-    )
-    tg_conformance.add_argument("--pages", type=int, default=None)
-    tg_conformance.add_argument(
-        "--quiet", action="store_true", help="only print failures and the final tally"
-    )
-    tg_conformance.set_defaults(fn=cmd_testgen_conformance)
-    tg_corpus = testgen_sub.add_parser(
-        "corpus",
-        help="mint a large deterministic corpus (the benchmark scale knob)",
-    )
-    tg_corpus.add_argument("--states", type=int, required=True, help="corpus size in states")
-    tg_corpus.add_argument("--seed", type=int, default=0)
-    tg_corpus.add_argument("--states-per-page", type=int, default=5)
-    tg_corpus.add_argument("--out", default=None, help="write the spec JSON here")
-    tg_corpus.set_defaults(fn=cmd_testgen_corpus)
-    tg_fuzz = testgen_sub.add_parser(
-        "fuzz", help="crash-fuzz the JS and DOM pipelines"
-    )
-    tg_fuzz.add_argument("--seeds", default="0:2000")
-    tg_fuzz.add_argument(
-        "--shrink", action="store_true", help="shrink each crash to a minimal repro"
-    )
-    tg_fuzz.set_defaults(fn=cmd_testgen_fuzz)
-
-    dot = sub.add_parser("dot", help="print one page's transition graph as DOT")
-    dot.add_argument("--root", required=True)
-    dot.add_argument("--url", required=True)
-    dot.set_defaults(fn=cmd_dot)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, handler, summary, arguments in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        command = groups[group].add_parser(name, help=summary)
+        for names, options in arguments:
+            command.add_argument(*names, **options)
+        if handler is None:
+            groups[words] = command.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            command.set_defaults(fn=handler)
     return parser
 
 

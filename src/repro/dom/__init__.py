@@ -23,7 +23,6 @@ from repro.dom.hashing import (
     hash_tree,
     reference_region_hashes,
     reference_state_hash,
-    state_hash,
 )
 from repro.dom.simhash import (
     bands_for_threshold,
@@ -48,7 +47,6 @@ __all__ = [
     "inner_html",
     "escape_text",
     "escape_attribute",
-    "state_hash",
     "changed_regions",
     "hash_tree",
     "DomHashes",

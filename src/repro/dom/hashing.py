@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.dom.node import Document, Element, Node, Text
 from repro.dom.serialize import escape_attribute, escape_text
@@ -111,7 +111,7 @@ def element_open_bytes(element: Element) -> bytes:
 
     Built once per attribute state and cached on the element (cleared by
     ``set_attribute``/``remove_attribute``); shared by the Merkle leaf
-    hasher and the legacy/exclude walk so neither re-encodes attribute
+    hasher and the reference walk so neither re-encodes attribute
     f-strings per visit.
     """
     cached = element._open_bytes
@@ -231,26 +231,6 @@ def hash_tree(
     )
 
 
-# -- public API (historical signatures, Merkle-backed) -------------------------
-
-
-def state_hash(
-    node: Node | Document,
-    exclude: Optional[Callable[[Element], bool]] = None,
-    stats: Optional[HashStats] = None,
-) -> str:
-    """A hex SHA-256 of the canonical content of ``node``.
-
-    ``exclude`` may mark element subtrees to skip (returns ``True`` to
-    drop that element and everything below it from the digest); an
-    exclusion changes the byte stream, so that path always takes the
-    reference full walk instead of the subtree caches.
-    """
-    if exclude is not None:
-        return reference_state_hash(node, exclude=exclude, stats=stats)
-    return hash_tree(node, stats=stats).state
-
-
 def changed_regions(before: dict[str, str], after: dict[str, str]) -> tuple[str, ...]:
     """Ids whose subtree hash differs between two region maps.
 
@@ -269,11 +249,7 @@ def changed_regions(before: dict[str, str], after: dict[str, str]) -> tuple[str,
 # -- reference full-rewalk implementation --------------------------------------
 
 
-def reference_state_hash(
-    node: Node | Document,
-    exclude: Optional[Callable[[Element], bool]] = None,
-    stats: Optional[HashStats] = None,
-) -> str:
+def reference_state_hash(node: Node | Document, stats: Optional[HashStats] = None) -> str:
     """The historical full-rewalk hash: every byte fed on every call.
 
     This is the oracle the Merkle hasher must match byte-for-byte, and
@@ -284,17 +260,12 @@ def reference_state_hash(
     stats = stats if stats is not None else _NULL_STATS
     digest = hashlib.sha256()
     root = node.root if isinstance(node, Document) else node
-    _feed(root, digest, exclude, stats)
+    _feed(root, digest, stats)
     stats.full_passes += 1
     return digest.hexdigest()
 
 
-def _feed(
-    node: Node,
-    digest: "hashlib._Hash",
-    exclude: Optional[Callable[[Element], bool]],
-    stats: HashStats,
-) -> None:
+def _feed(node: Node, digest: "hashlib._Hash", stats: HashStats) -> None:
     if isinstance(node, Text):
         chunk = _text_bytes(node)
         digest.update(chunk)
@@ -303,12 +274,10 @@ def _feed(
         return
     if not isinstance(node, Element):
         return
-    if exclude is not None and exclude(node):
-        return
     opening = element_open_bytes(node)
     digest.update(opening)
     for child in node.children:
-        _feed(child, digest, exclude, stats)
+        _feed(child, digest, stats)
     closing = f"</{node.tag}>".encode("utf-8")
     digest.update(closing)
     stats.nodes_hashed += 1

@@ -209,20 +209,6 @@ class Element(Node):
         self._invalidate()
         return child
 
-    def insert_before(self, new: Node, reference: Optional[Node]) -> Node:
-        """Insert ``new`` before ``reference`` (or append when ``None``)."""
-        if reference is None:
-            return self.append_child(new)
-        try:
-            index = self.children.index(reference)
-        except ValueError:
-            raise DomError("reference node is not a child of this element") from None
-        new.detach()
-        new.parent = self
-        self.children.insert(index, new)
-        self._invalidate()
-        return new
-
     def remove_child(self, child: Node) -> Node:
         """Remove ``child`` from this element."""
         try:

@@ -6,9 +6,7 @@ use: nested elements, quoted/unquoted attributes, void elements,
 predefined character entities plus numeric references.
 
 The parser is forgiving like a browser: unmatched close tags pop to the
-nearest matching ancestor and stray close tags are dropped.  A ``strict``
-flag turns those recoveries into :class:`~repro.errors.HtmlParseError`
-for tests that want to assert well-formedness.
+nearest matching ancestor and stray close tags are dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.errors import HtmlParseError
 from repro.dom.node import (
     Document,
     Element,
@@ -77,9 +74,6 @@ class _Tag:
 class HtmlParser:
     """Parses HTML text into :class:`~repro.dom.node.Document` trees."""
 
-    def __init__(self, strict: bool = False) -> None:
-        self.strict = strict
-
     # -- public API ----------------------------------------------------------
 
     def parse_document(self, html: str, url: str = "") -> Document:
@@ -108,8 +102,6 @@ class HtmlParser:
             if lt > pos:
                 self._append_text(stack[-1], html[pos:lt])
             pos = self._consume_markup(html, lt, stack)
-        if self.strict and len(stack) > 1:
-            raise HtmlParseError(f"unclosed element <{stack[-1].tag}>")
         return self._take_children(root)
 
     # -- internals -----------------------------------------------------------
@@ -139,18 +131,10 @@ class HtmlParser:
         """Handle the markup starting at index ``lt``; return the next index."""
         if html.startswith("<!--", lt):
             end = html.find("-->", lt + 4)
-            if end == -1:
-                if self.strict:
-                    raise HtmlParseError("unterminated comment")
-                return len(html)
-            return end + 3
+            return len(html) if end == -1 else end + 3
         if html.startswith("<!", lt):  # doctype or other declaration
             end = html.find(">", lt)
-            if end == -1:
-                if self.strict:
-                    raise HtmlParseError("unterminated declaration")
-                return len(html)
-            return end + 1
+            return len(html) if end == -1 else end + 1
         tag = self._read_tag(html, lt)
         if tag is None:
             # A bare '<' that is not a tag: treat as text.
@@ -169,8 +153,6 @@ class HtmlParser:
         if tag.name in RAW_TEXT_ELEMENTS:
             close = _RAW_TEXT_CLOSE[tag.name].search(html, tag.end)
             if close is None:
-                if self.strict:
-                    raise HtmlParseError(f"unterminated <{tag.name}> element")
                 end = close_end = len(html)
             else:
                 end = close.start()
@@ -188,9 +170,7 @@ class HtmlParser:
             if stack[depth].tag == tag.name:
                 del stack[depth:]
                 return
-        if self.strict:
-            raise HtmlParseError(f"stray closing tag </{tag.name}>")
-        # Lenient mode: ignore a close tag that matches nothing.
+        # A close tag that matches nothing is ignored.
 
     def _read_tag(self, html: str, lt: int) -> _Tag | None:
         pos = lt + 1
@@ -225,8 +205,6 @@ class HtmlParser:
                 attrs[attr_name] = attr_value
             else:
                 pos += 1  # skip an unparsable character
-        if self.strict:
-            raise HtmlParseError(f"unterminated tag <{name}>")
         return _Tag(name, attrs, closing, self_closing, length)
 
     @staticmethod

@@ -16,10 +16,6 @@ class DomError(ReproError):
     """Malformed markup or an illegal DOM operation."""
 
 
-class HtmlParseError(DomError):
-    """The HTML tokenizer/parser could not make sense of the input."""
-
-
 class JavascriptError(ReproError):
     """Base class for errors raised by the JavaScript substrate."""
 

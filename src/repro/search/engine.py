@@ -233,6 +233,4 @@ class SearchEngine:
                 else:
                     insort(kept, entry)
                     del kept[k:]
-        if self.index.metrics is not None:
-            self.index.metrics.inc("index.matches_completed", completed)
         return total, completed, sorted(kept)

@@ -62,9 +62,6 @@ class Index(ABC):
     (``index_parity`` holds them byte-identical).
     """
 
-    #: Where the ``index.*`` counters go, if the backend was handed a registry.
-    metrics = None
-
     def __init__(self, max_state_index: Optional[int] = None, recorder=NULL_RECORDER) -> None:
         #: Only states with index < max_state_index are indexed
         #: (None = all states).  ``1`` reproduces a traditional index.
@@ -168,10 +165,6 @@ class Index(ABC):
                 merged = merge_conjunction_blocks(views, stats)
                 found.append((segment, *segment.live_columns(*merged)))
         self.merge_stats.merge(stats)
-        if self.metrics is not None:
-            self.metrics.inc("index.blocks_decoded", stats.blocks_decoded)
-            self.metrics.inc("index.blocks_skipped", stats.blocks_skipped)
-            self.metrics.inc("index.postings_decoded", stats.postings_decoded)
         trace = current_request_trace()
         if trace is not None:
             # Per-request read amplification for /debug/trace and the

@@ -98,12 +98,10 @@ class SegmentedIndex(Index):
         path: str | Path,
         max_state_index: Optional[int] = None,
         recorder=NULL_RECORDER,
-        metrics=None,
         flush_threshold: int = DEFAULT_FLUSH_POSTINGS,
         block_size: int = BLOCK_SIZE,
     ) -> None:
         self.path = Path(path)
-        self.metrics = metrics
         self.flush_threshold = max(1, flush_threshold)
         self.cache = BlockCache()
 
@@ -184,8 +182,6 @@ class SegmentedIndex(Index):
         for path in sorted(self.path.glob("*.tmp")):
             path.unlink()
             orphans += 1
-        if orphans and self.metrics is not None:
-            self.metrics.inc("index.orphans_collected", orphans)
         return orphans
 
     def _open_segments(self, manifest: dict) -> Iterable[SegmentReader]:
@@ -230,9 +226,6 @@ class SegmentedIndex(Index):
         for reader in victims:
             reader.close()
             reader.path.unlink(missing_ok=True)
-        if self.metrics is not None:
-            self.metrics.set_gauge("index.live_segments", len(flushed))
-            self.metrics.set_gauge("index.dead_states", sum(r.dead_states for r in flushed))
 
     def _segment_path(self) -> Path:
         path = self.path / f"seg-{self._next_segment_id:08d}.seg"
@@ -278,9 +271,6 @@ class SegmentedIndex(Index):
                         num_terms=stats.num_terms,
                         num_bytes=stats.num_bytes,
                     )
-                if self.metrics is not None:
-                    self.metrics.inc("index.segment_flushes")
-                    self.metrics.inc("index.flushed_postings", stats.num_postings)
         self.maybe_compact()
 
     # -- compaction --------------------------------------------------------------
@@ -388,9 +378,6 @@ class SegmentedIndex(Index):
                         num_postings=merged.num_postings,
                         num_bytes=merged.path.stat().st_size,
                     )
-                if self.metrics is not None:
-                    self.metrics.inc("index.compactions")
-                    self.metrics.inc("index.segments_merged", len(victims))
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -417,8 +404,6 @@ class SegmentedIndex(Index):
                 flushed = [successors.get(reader, reader) for reader in self._flushed]
                 emptied = [reader for reader in flushed if not reader.num_states]
                 self._commit(tuple(r for r in flushed if r.num_states), emptied)
-                if self.metrics is not None:
-                    self.metrics.inc("index.states_retired", retired)
         return removed + retired
 
     # -- introspection -----------------------------------------------------------

@@ -5,7 +5,7 @@ module attacks the layer *below* them: the JavaScript lexer → parser →
 interpreter pipeline and the DOM parser.  Both are total functions over
 arbitrary text by contract — any input may be *rejected* (a
 :class:`~repro.errors.ReproError` subclass: ``JsSyntaxError``,
-``JsRuntimeError``, ``HtmlParseError``, ...) but must never escape with
+``JsRuntimeError``, ``DomError``, ...) but must never escape with
 a raw Python exception (``IndexError``, ``RecursionError``, ...).  A
 raw exception is a **crash**.
 

@@ -20,7 +20,6 @@ from repro.dom import (
     parse_document,
     reference_region_hashes,
     reference_state_hash,
-    state_hash,
 )
 from repro.dom.hashing import HashStats
 from repro.dom.serialize import escape_attribute, escape_text
@@ -119,10 +118,9 @@ def mutate(root, data):
     elif op == "append":
         target.append_child(build(data.draw(node_spec)))
     elif op == "insert":
-        reference = (
-            data.draw(st.sampled_from(target.children)) if target.children else None
-        )
-        target.insert_before(build(data.draw(node_spec)), reference)
+        at = data.draw(st.integers(0, len(target.children)))
+        children = target.children
+        target.replace_children([*children[:at], build(data.draw(node_spec)), *children[at:]])
     elif op == "remove":
         if target.children:
             target.remove_child(data.draw(st.sampled_from(target.children)))
@@ -166,7 +164,6 @@ def test_merkle_matches_reference_walk(spec, data):
     result = hash_tree(document)
     assert result.state == reference_state_hash(document)
     assert result.regions == reference_region_hashes(document)
-    assert result.state == state_hash(document)
 
 
 # -- unit checks on the cache machinery ---------------------------------------
@@ -275,13 +272,3 @@ def test_toggle_back_to_seen_state_costs_no_hash_bytes():
     assert third.state == oracle_state(document.root)
     assert stats.bytes_hashed == before  # every digest came from the memo
 
-
-def test_exclude_takes_the_reference_path():
-    document = parse_document(SAMPLES[1])
-    hash_tree(document)
-    exclude = lambda e: e.attrs.get("id") == "a"  # noqa: E731
-    stats = HashStats()
-    digest = state_hash(document, exclude=exclude, stats=stats)
-    assert stats.full_passes == 1
-    fresh = parse_document(SAMPLES[1])
-    assert digest == reference_state_hash(fresh, exclude=exclude)

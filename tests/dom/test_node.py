@@ -54,22 +54,6 @@ class TestTreeManipulation:
         with pytest.raises(DomError):
             Element("div").remove_child(Element("span"))
 
-    def test_insert_before(self):
-        parent = Element("div")
-        second = parent.append_child(Element("b"))
-        first = parent.insert_before(Element("a"), second)
-        assert parent.children == [first, second]
-
-    def test_insert_before_none_appends(self):
-        parent = Element("div")
-        first = parent.append_child(Element("a"))
-        last = parent.insert_before(Element("b"), None)
-        assert parent.children == [first, last]
-
-    def test_insert_before_foreign_reference_raises(self):
-        with pytest.raises(DomError):
-            Element("div").insert_before(Element("a"), Element("x"))
-
     def test_replace_children(self):
         parent = Element("div")
         parent.append_child(Text("old"))

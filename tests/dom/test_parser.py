@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dom import Element, HtmlParser, Text, parse_document, parse_fragment, unescape
-from repro.errors import HtmlParseError
 
 
 class TestBasicParsing:
@@ -169,28 +168,6 @@ class TestLenientRecovery:
         assert doc.root.tag == "html"
         assert doc.body is not None
         assert doc.body.text_content == "hello"
-
-
-class TestStrictMode:
-    def test_unclosed_element_raises(self):
-        with pytest.raises(HtmlParseError):
-            HtmlParser(strict=True).parse_fragment("<div>")
-
-    def test_stray_close_raises(self):
-        with pytest.raises(HtmlParseError):
-            HtmlParser(strict=True).parse_fragment("</div>")
-
-    def test_unterminated_comment_raises(self):
-        with pytest.raises(HtmlParseError):
-            HtmlParser(strict=True).parse_fragment("<!-- never ends")
-
-    def test_unterminated_script_raises(self):
-        with pytest.raises(HtmlParseError):
-            HtmlParser(strict=True).parse_fragment("<script>var x;")
-
-    def test_well_formed_passes(self):
-        nodes = HtmlParser(strict=True).parse_fragment("<div><p>ok</p></div>")
-        assert len(nodes) == 1
 
 
 class TestRealisticPage:

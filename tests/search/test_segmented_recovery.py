@@ -21,7 +21,6 @@ import pytest
 
 from repro.errors import SearchError
 from repro.model import ApplicationModel
-from repro.obs import MetricsRegistry
 from repro.search import InvertedFile, SearchEngine, SegmentedIndex, segmented
 from repro.search.segmented import MANIFEST_NAME
 
@@ -116,12 +115,8 @@ class TestCrashMidCompaction:
         for path, data in victims.items():
             path.write_bytes(data)
 
-        metrics = MetricsRegistry()
-        reopened = SegmentedIndex.open(idx, metrics=metrics)
+        reopened = SegmentedIndex.open(idx)
         assert reopened.orphans_collected == len(victims)
-        assert metrics.snapshot()["counters"]["index.orphans_collected"] == len(
-            victims
-        )
         assert reopened.num_segments == 1
         assert_parity(InvertedFile().build(models), reopened)
         reopened.close()

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import QUERY_EVAL, MetricsRegistry, Recorder
+from repro.obs import QUERY_EVAL, Recorder
 from repro.parallel import ShardedSearchEngine
 from repro.search import InvertedFile, RankingWeights, SearchEngine, SegmentedIndex, evaluate
 from repro.search import segmented
@@ -406,8 +406,8 @@ class TestCountedWork:
         self, counted_corpus, tmp_path, monkeypatch, layout, options
     ):
         _, models = counted_corpus
-        recorder, metrics = Recorder(), MetricsRegistry()
-        index = SegmentedIndex(tmp_path / "idx", block_size=16, metrics=metrics, **options)
+        recorder = Recorder()
+        index = SegmentedIndex(tmp_path / "idx", block_size=16, **options)
         engine = SearchEngine(index.build(models), recorder=recorder)
         assert index.num_segments == {"one": 1, "four": 4}[layout]
         results = count_constructions(monkeypatch, SearchResult)
@@ -421,18 +421,18 @@ class TestCountedWork:
         full = {query: engine.search(query) for query in PINNED_COMPLETED[layout]}
         # The full ranking builds one entry per match, and only a state
         # where some term has more than one position calls term_proximity.
-        assert sum(map(len, full.values())) == metrics.counter("index.matches_completed")
+        completed = [event.fields["completed"] for event in recorder.events
+                     if event.kind == QUERY_EVAL]
+        assert sum(map(len, full.values())) == sum(completed)
         assert len(proximities) == 2
         assert all(max(map(len, groups)) > 1 for groups in proximities)
         for query, pinned in PINNED_COMPLETED[layout].items():
             del proximities[:], results[:], recorder.events[:]
-            before = metrics.counter("index.matches_completed")
             total, hits = engine.top(query, 10)
             assert total == len(full[query]) and ranking(hits) == ranking(full[query][:10])
             assert all(max(map(len, groups)) > 1 for groups in proximities), (layout, query)
             assert len(proximities) == {"state 1": 2}.get(query, 0), (layout, query)
             assert len(results) == 10
-            assert metrics.counter("index.matches_completed") - before == pinned
             (event,) = [event for event in recorder.events if event.kind == QUERY_EVAL]
             assert (event.fields["matches"], event.fields["completed"]) == (total, pinned)
         # One URI run: the states of the page the tenth result falls in.

@@ -1,5 +1,6 @@
 """End-to-end tests of the CLI pipeline (the chapter-8 infrastructure)."""
 
+import itertools
 import json
 import re
 import shlex
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, build_site, main
+import repro.cli
+from repro.cli import COMMANDS, build_parser, build_site, main
 from repro.sites import SyntheticWebmail, SyntheticYouTube
 
 REPO = Path(__file__).resolve().parent.parent
@@ -450,6 +452,9 @@ def test_an_unreadable_input_file_exits_with_one_line(argv, cause, pipeline, tmp
         (["precrawl", "--site", "simtube:2:3", "--out", "{new}", "--max-pages", "0"], "--max-pages"),
         (["crawl", "--site", "simtube:2:3", "--root", "{root}", "--workers", "0"], "--workers"),
         (["loadtest", "--url", "http://127.0.0.1:9", "--workers", "0"], "--workers"),
+        (["testgen", "corpus", "--states", "0", "--out", "{new}"], "--states"),
+        (["testgen", "generate", "--seed", "1", "--pages", "0", "--out", "{new}"], "--pages"),
+        (["trace", "critical-path", "{new}", "--lines", "0"], "--lines"),
     ],
 )
 def test_a_count_below_one_is_a_usage_error(argv, cause, pipeline, tmp_path, capsys):
@@ -473,18 +478,30 @@ def test_a_count_below_one_is_a_usage_error(argv, cause, pipeline, tmp_path, cap
         (["loadtest", "--url", "http://127.0.0.1:9", "--requests", "0"], "--requests: must be >= 1, not 0"),
         (["loadtest", "--url", "http://127.0.0.1:9", "--limit", "0"], "--limit: must be >= 1, not 0"),
         (["top", "--url", "http://127.0.0.1:9", "--interval", "-1"], "--interval: must be >= 0, not -1.0"),
+        (["crawl", "--site", "simtube:2:3", "--root", "r", "--fault-rate", "1.5"],
+         "--fault-rate: must be <= 1, not 1.5"),
+        (["crawl", "--site", "simtube:2:3", "--root", "r", "--max-states", "-1"],
+         "--max-states: must be >= 0, not -1"),
+        (["testgen", "corpus", "--states", "9", "--states-per-page", "1"],
+         "--states-per-page: must be >= 3, not 1"),
+        (["testgen", "conformance", "--seeds", "abc"],
+         "--seeds: 'abc' is not N, N,M,... or START:STOP"),
+        (["testgen", "conformance", "--seeds", "5:3"], "--seeds: '5:3' selects no seed"),
+        (["testgen", "fuzz", "--seeds", "1,,2"], "--seeds: '1,,2' is not N, N,M,... or START:STOP"),
     ],
 )
 def test_an_out_of_range_serving_input_is_a_usage_error(argv, refusal, capsys):
     """Refused while parsing, before a crawl, a bind or a request: one
-    ``repro-ajax`` error line (under argparse's usage), no traceback."""
+    ``repro-ajax`` error line (under argparse's usage), no traceback.
+    The same holds for a crawl's rate or cap and a ``testgen`` selector."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("repro-ajax ")]
-    assert errors == [f"repro-ajax {argv[0]}: error: argument {refusal}"]
+    command = " ".join(itertools.takewhile(lambda word: not word.startswith("-"), argv))
+    assert errors == [f"repro-ajax {command}: error: argument {refusal}"]
 
 
 @pytest.mark.parametrize(
@@ -535,6 +552,43 @@ def test_documented_commands_parse(argv):
 
 def test_the_documents_show_the_cli():
     assert len(list(documented_invocations())) >= 10
+
+
+def docstring_invocations():
+    """The example command lines of ``repro.cli``'s module docstring (a
+    backslash continuation is already one line there)."""
+    lines = repro.cli.__doc__.splitlines()
+    return [shlex.split(line)[1:] for line in lines if "repro-ajax " in line]
+
+
+def test_the_module_docstring_examples_parse():
+    examples = docstring_invocations()
+    assert len(examples) >= 7
+    for argv in examples:
+        assert callable(build_parser().parse_args(argv).fn), argv
+
+
+#: The only options that take any integer: seeds.  Every other count,
+#: rate or duration declares its range, so a bad value is a usage error.
+SEED_OPTIONS = {"--seed", "--fault-seed", "--latency-seed"}
+
+
+def test_every_number_the_cli_takes_has_a_range():
+    unranged = {
+        (words, names[0])
+        for words, _, _, arguments in COMMANDS
+        for names, options in arguments
+        if options.get("type") in (int, float) and names[0] not in SEED_OPTIONS
+    }
+    assert unranged == set()
+
+
+def test_the_api_reference_names_every_command():
+    section = (REPO / "docs" / "API.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    listed = re.search(r"`repro-ajax \{([^}]*)\}`", section).group(1)
+    assert {word.strip() for word in listed.split(",")} == {
+        words.split()[0] for words, *_ in COMMANDS
+    }
 
 
 class TestArgumentErrors:

@@ -21,9 +21,6 @@ class TestHierarchy:
     def test_all_derive_from_repro_error(self, subclass):
         assert issubclass(subclass, errors.ReproError)
 
-    def test_html_parse_is_dom_error(self):
-        assert issubclass(errors.HtmlParseError, errors.DomError)
-
     def test_js_errors_nest(self):
         assert issubclass(errors.JsSyntaxError, errors.JavascriptError)
         assert issubclass(errors.JsRuntimeError, errors.JavascriptError)

@@ -38,7 +38,7 @@ KNOB_CENSUS = {
 
 #: Parameters (without ``self``) of constructors that take settings
 #: directly; the same rule as the census.
-PARAMETER_CENSUS = {SegmentedIndex: 6, Browser: 8, Interpreter: 1}
+PARAMETER_CENSUS = {SegmentedIndex: 5, Browser: 8, Interpreter: 1}
 
 
 def test_knob_census():
@@ -53,7 +53,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 21_199
+SRC_LINE_CEILING = 21_008
 
 
 def test_src_line_ceiling():
@@ -64,7 +64,7 @@ def test_src_line_ceiling():
 
 
 NODE_MUTATORS = {
-    "replace_children", "append_child", "insert_before", "remove_child",
+    "replace_children", "append_child", "remove_child",
     "set_attribute", "remove_attribute", "detach",
 }
 
