@@ -7,8 +7,11 @@ The :class:`Page` is what the crawler operates on.  It can
 * report whether the last dispatch changed the DOM,
 * snapshot and restore its complete state (DOM **and** script
   variables), which implements the ``appModel.rollback(t)`` step of
-  Algorithm 3.1.1: a snapshot copies the tree once, a rollback undoes
-  the writes journaled since the last one.
+  Algorithm 3.1.1: a snapshot copies the tree once (the first adopts
+  the loaded tree), a rollback undoes the writes journaled since the
+  last one,
+* release everything it allocated in one :meth:`Page.close`, so that
+  reference counting, not the cycle collector, frees a crawled page.
 
 All JavaScript execution charges virtual time proportional to the
 number of interpreter steps; DOM re-parses charge parse time.
@@ -54,17 +57,20 @@ class PageSnapshot:
     html: str
     globals_snapshot: dict[str, Any]
     hash: str
-    #: A copy of the live tree (with warm Merkle hash caches) taken by
-    #: :meth:`Page.snapshot`.  :meth:`Page.restore` makes it the page's
-    #: live tree itself; it is either live, with every write to it in
-    #: the page's undo journal, or exactly as copied.
+    #: The tree (with warm Merkle hash caches) taken by
+    #: :meth:`Page.snapshot`: the loaded tree itself for a page's first
+    #: snapshot, a copy of the live tree for every later one.
+    #: :meth:`Page.restore` makes it the page's live tree itself; it is
+    #: either live, with every write to it in the page's undo journal,
+    #: or exactly as taken.
     master: Document
     #: ``id`` -> the first element of ``master`` carrying it (:meth:`Page.element_by_id`).
     ids: Optional[dict[str, Element]] = None
 
 
 class Page:
-    """One loaded AJAX page."""
+    """One loaded AJAX page.  It owns its trees, snapshots and script
+    globals, and :meth:`close` (or leaving a ``with`` block) frees them."""
 
     def __init__(
         self,
@@ -96,12 +102,16 @@ class Page:
         #: The markups whose memo nodes are out since the last restore.
         self._lent: set[str] = set()
         #: The snapshot whose master is the live tree (None until the
-        #: first :meth:`restore`: a freshly parsed tree is never rolled
-        #: back to, so its writes are not journaled).
+        #: first :meth:`snapshot`: nothing before it is ever rolled back
+        #: to, so no write before it is journaled).
         self._live: Optional[PageSnapshot] = None
+        #: Every snapshot taken, so that :meth:`close` releases its master.
+        self._snapshots: list[PageSnapshot] = []
         #: ``Element._save()`` records of every write since ``_live``
         #: became the live tree, oldest first.
         self._journal: list[tuple] = []
+        #: Children displaced by unjournaled writes, for :meth:`close`.
+        self._displaced: list[Node] = []
         self._dirty = False
         #: JavaScript errors swallowed while loading page scripts.
         self.script_errors: list[JavascriptError] = []
@@ -156,6 +166,8 @@ class Page:
                 if isinstance(arg, Node) and arg.parent is not None:
                     self._journal.append(arg.parent._save())
             self._journal.append(element._save())
+        else:
+            self._displaced += element.children
         mutator(element, *args)
         self._dirty = True
         if parse_bytes:
@@ -253,8 +265,8 @@ class Page:
     def element_by_id(self, element_id: str) -> Optional[Element]:
         """``document.get_element_by_id``: from the live snapshot's id table
         while the journal is empty (the live tree is then exactly its
-        master), else (a write since the last restore, or no restore yet)
-        by walking the tree."""
+        master), else (a write since the last restore, or no snapshot
+        yet) by walking the tree."""
         live = self._live
         if live is None or self._journal:
             return self.document.get_element_by_id(element_id)
@@ -296,15 +308,21 @@ class Page:
         return hashes
 
     def snapshot(self) -> PageSnapshot:
-        """Capture DOM and script globals for a later :meth:`restore`."""
-        # Hash first: the master is cloned with the caches that pass warmed.
+        """Capture DOM and script globals for a later :meth:`restore`.
+        The first snapshot adopts the loaded tree as its master (and
+        journals writes from then on); every later one copies the tree."""
+        # Hash first: the master is taken with the caches that pass warmed.
         digest = self.content_hash()
-        return PageSnapshot(
+        snapshot = PageSnapshot(
             html=serialize(self.document),
             globals_snapshot=dict(self.interpreter.global_env.bindings),
             hash=digest,
-            master=self.document.clone(),
+            master=self.document if self._live is None else self.document.clone(),
         )
+        if self._live is None:
+            self._live = snapshot
+        self._snapshots.append(snapshot)
+        return snapshot
 
     def restore(self, snapshot: PageSnapshot) -> None:
         """Roll the page back to ``snapshot`` (DOM and script variables).
@@ -335,3 +353,48 @@ class Page:
     def text(self) -> str:
         """Visible text of the current state (what gets indexed)."""
         return self.document.text_content
+
+    # -- lifecycle ----------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release what the page allocated, so that reference counting
+        frees it; idempotent, and the page is unusable afterwards.
+
+        Empties every tree the page holds (the live one, each snapshot's
+        master, the fragment memo, what a write displaced) and drops
+        what refers back to the page (snapshots, host wrappers, script
+        globals): no parent and child, document and root, or page and
+        host then hold each other.
+        """
+        if self.document_host is None:
+            return
+        trees = [self.document] + [snapshot.master for snapshot in self._snapshots]
+        nodes = [tree.root for tree in trees] + self._displaced
+        for tree in trees:
+            tree.root._document = None
+        for memo in self._fragments.values():
+            nodes += memo
+        for saved in self._journal:  # what a write not yet undone displaced
+            nodes += saved[1]
+        _release(nodes)
+        self._snapshots.clear()
+        self._element_hosts.clear()
+        self._live = self.document_host = self.window_host = None
+        self.interpreter.global_env.bindings.clear()
+
+    def __enter__(self) -> "Page":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+def _release(nodes: list[Node]) -> None:
+    """Empty the ``children`` of every element in or under ``nodes`` (a
+    list it consumes): no node then refers down a tree, so no parent and
+    child hold each other."""
+    while nodes:
+        node = nodes.pop()
+        if type(node) is Element:
+            nodes += node.children
+            node.children.clear()

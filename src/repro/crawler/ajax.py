@@ -93,6 +93,18 @@ class AjaxCrawler(Crawler):
         max_states = self._effective_max_states(url)
 
         page = self.browser.load(url, run_scripts=True, run_onload=False)
+        try:
+            return self._crawl_states(page, watch, counters_before, max_states)
+        finally:
+            # The page, its snapshots' masters and its script heap are
+            # freed by reference counting, not by the cycle collector.
+            page.close()
+
+    def _crawl_states(
+        self, page: Page, watch: Stopwatch, counters_before: dict[str, float], max_states: int
+    ) -> PageCrawlResult:
+        """Algorithm 3.1.1 over one loaded page."""
+        url = page.url
         page.run_onload()  # Algorithm 3.1.1 line 3 (AJAX specific)
 
         model = ApplicationModel(url)

@@ -16,6 +16,7 @@ from repro.clock import CostModel, SimClock, Stopwatch
 from repro.crawler.base import Crawler, PageCrawlResult
 from repro.crawler.config import CrawlerConfig, DEFAULT_CONFIG
 from repro.crawler.metrics import PageMetrics
+from repro.dom import serialize
 from repro.model import ApplicationModel
 from repro.net import NETWORK_ACCOUNT
 from repro.net.server import SimulatedServer
@@ -57,14 +58,10 @@ class TraditionalCrawler(Crawler):
         network_before = self.clock.spent_on(NETWORK_ACCOUNT)
         parse_before = self.clock.spent_on(PARSE_ACCOUNT)
 
-        page = self.browser.load(url)
         model = ApplicationModel(url)
-        html = None
-        if self.config.store_html:
-            from repro.dom import serialize
-
-            html = serialize(page.document)
-        model.add_state(page.content_hash(), page.text, html=html, depth=0)
+        with self.browser.load(url) as page:
+            html = serialize(page.document) if self.config.store_html else None
+            model.add_state(page.content_hash(), page.text, html=html, depth=0)
         self.clock.advance(self.browser.cost_model.model_insert_ms, account="model")
 
         metrics = PageMetrics(

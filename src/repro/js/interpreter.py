@@ -35,6 +35,7 @@ from repro.js.values import (
     UNDEFINED,
     is_callable,
     is_truthy,
+    join_elements,
     to_number,
     to_string,
     type_of,
@@ -672,13 +673,20 @@ def _loose_equals(left: Any, right: Any) -> bool:
         return True
     if left in null_like or right in null_like:
         return False
+    # A boolean compares as its number, an object beside a primitive as
+    # its string (ToPrimitive): so ``[] == false``.
+    if isinstance(left, bool):
+        left = to_number(left)
+    if isinstance(right, bool):
+        right = to_number(right)
+    primitive = (str, int, float)
+    if isinstance(left, primitive) and not isinstance(right, primitive):
+        right = to_string(right)
+    elif isinstance(right, primitive) and not isinstance(left, primitive):
+        left = to_string(left)
     if isinstance(left, str) and isinstance(right, str):
         return left == right
-    if isinstance(left, (bool, int, float)) and isinstance(right, (bool, int, float)):
-        return to_number(left) == to_number(right)
-    if isinstance(left, str) and isinstance(right, (int, float)):
-        return to_number(left) == to_number(right)
-    if isinstance(left, (int, float)) and isinstance(right, str):
+    if isinstance(left, primitive) and isinstance(right, primitive):
         return to_number(left) == to_number(right)
     return left is right
 
@@ -745,8 +753,7 @@ def _array_pop(array: JSArray) -> Any:
 
 
 def _array_join(array: JSArray, args: list[Any]) -> str:
-    separator = to_string(args[0]) if args else ","
-    return separator.join(to_string(element) for element in array.elements)
+    return join_elements(array, to_string(args[0]) if args else ",")
 
 
 def _array_index_of(array: JSArray, args: list[Any]) -> float:
@@ -925,14 +932,18 @@ def _number_member(value: Any, name: str) -> Any:
 
 def _parse_int(interp: Interpreter, this: Any, args: list[Any]) -> float:
     text = to_string(args[0]).strip() if args else ""
-    radix = int(to_number(args[1])) if len(args) > 1 and args[1] is not UNDEFINED else 10
+    radix = to_number(args[1]) if len(args) > 1 else 0.0
+    radix = int(radix) if math.isfinite(radix) else 0
     sign = 1
     if text[:1] in "+-":
         if text[0] == "-":
             sign = -1
         text = text[1:]
-    if radix == 16 and text.lower().startswith("0x"):
-        text = text[2:]
+    # No radix (or 0) reads a "0x" prefix as 16, else as 10.
+    if radix in (0, 16) and text[:2].lower() == "0x":
+        text, radix = text[2:], 16
+    elif radix == 0:
+        radix = 10
     digits = ""
     for char in text:
         try:

@@ -223,15 +223,15 @@ def to_string(value: Any) -> str:
             return "Infinity"
         if value == float("-inf"):
             return "-Infinity"
-        if value.is_integer() and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
+        if value.is_integer() and abs(value) < 2**53:
+            return str(int(value))  # exact, and the shortest digits too
+        return _number_to_string(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, JSArray):
-        return ",".join(to_string(element) for element in value.elements)
+        return join_elements(value, ",")
     if isinstance(value, JSObject):
         return "[object Object]"
     if isinstance(value, (JSFunction, NativeFunction)):
@@ -239,6 +239,35 @@ def to_string(value: Any) -> str:
     if isinstance(value, HostObject):
         return f"[object {value.host_class}]"
     return str(value)
+
+
+def _number_to_string(value: float) -> str:
+    """ECMAScript ``Number::toString`` of a finite number: the shortest
+    round-trip digits (Python's ``repr``), written out in full for a
+    decimal exponent from -6 to 20 and in exponent form outside it."""
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    # abs(value) == 0.<digits> * 10**point
+    point = int(exponent or 0) + len(whole) - len(whole + fraction) + len(digits)
+    digits = digits.rstrip("0")
+    sign = "-" if value < 0 else ""
+    if len(digits) <= point <= 21:
+        return sign + digits + "0" * (point - len(digits))
+    if 0 < point <= 21:
+        return sign + digits[:point] + "." + digits[point:]
+    if -6 < point <= 0:
+        return sign + "0." + "0" * -point + digits
+    fraction = "." + digits[1:] if len(digits) > 1 else ""
+    return f"{sign}{digits[0]}{fraction}e{point - 1:+d}"
+
+
+def join_elements(array: JSArray, separator: str) -> str:
+    """``Array.prototype.join``: ``null`` and ``undefined`` join as ``""``."""
+    return separator.join(
+        "" if element is None or element is UNDEFINED else to_string(element)
+        for element in array.elements
+    )
 
 
 def type_of(value: Any) -> str:

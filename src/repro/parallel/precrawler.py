@@ -88,7 +88,8 @@ class Precrawler:
             except BrowserError:
                 continue  # dead link: skip, keep crawling
             discovered.append(url)
-            outbound = self._extract_links(page)
+            with page:
+                outbound = self._extract_links(page)
             link_graph[url] = outbound
             for target in outbound:
                 if target not in seen:

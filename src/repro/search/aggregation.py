@@ -29,28 +29,34 @@ class ResultAggregator:
 
         Raises :class:`~repro.errors.SearchError` when the replay does
         not arrive at the recorded state (the site changed since the
-        crawl — a violation of the snapshot-isolation assumption).
+        crawl — a violation of the snapshot-isolation assumption).  The
+        caller owns the page it gets and closes it when done; a page
+        that failed is closed here.
         """
         path = model.event_path_to(state_id)
         page = self.browser.load(model.url, run_scripts=True, run_onload=False)
-        page.run_onload()
-        for transition in path:
-            try:
-                self._replay(page, transition)
-            except CrawlerError as exc:
-                # A missing event binding is the same snapshot-isolation
-                # violation as a hash mismatch; keep the documented
-                # contract that reconstruction failures are SearchErrors.
+        try:
+            page.run_onload()
+            for transition in path:
+                try:
+                    self._replay(page, transition)
+                except CrawlerError as exc:
+                    # A missing event binding is the same snapshot-isolation
+                    # violation as a hash mismatch; keep the documented
+                    # contract that reconstruction failures are SearchErrors.
+                    raise SearchError(
+                        f"replay of {model.url} failed en route to state "
+                        f"{state_id}: {exc}"
+                    ) from exc
+            expected = model.get_state(state_id)
+            if page.content_hash() != expected.content_hash:
                 raise SearchError(
-                    f"replay of {model.url} failed en route to state "
-                    f"{state_id}: {exc}"
-                ) from exc
-        expected = model.get_state(state_id)
-        if page.content_hash() != expected.content_hash:
-            raise SearchError(
-                f"replay of {model.url} did not reach state {state_id} "
-                "(site changed since crawl?)"
-            )
+                    f"replay of {model.url} did not reach state {state_id} "
+                    "(site changed since crawl?)"
+                )
+        except Exception:
+            page.close()
+            raise
         return page
 
     def _replay(self, page: Page, transition: Transition) -> None:

@@ -284,7 +284,8 @@ class SearchService:
                 page = aggregator.reconstruct(model, state_id)
             except SearchError as exc:
                 raise UpstreamFailed(str(exc)) from exc
-            html = serialize(page.document)
+            with page:
+                html = serialize(page.document)
         return {"uri": uri, "state": state_id, "depth": state.depth, "html": html}
 
     def metrics_text(self) -> str:

@@ -1046,7 +1046,7 @@ def replay_failures(models: list[ApplicationModel], site: SimulatedServer) -> li
     for model in models:
         for state in model.states():
             try:
-                aggregator.reconstruct(model, state.state_id)
+                aggregator.reconstruct(model, state.state_id).close()
             except ReproError as error:
                 failures.append(f"{model.url} {state.state_id}: {error}")
     return failures

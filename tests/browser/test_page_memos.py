@@ -244,13 +244,13 @@ def test_restore_contract(before, between, rounds):
     page = load()
     for mutation in before:
         mutate(page, mutation)
+    assert page._fragments == {}  # nothing is lent before the first snapshot
     oracles = [Oracle(page)]
     for mutation in between:
         mutate(page, mutation)
     oracles.append(Oracle(page))
     for mutation in between:
         mutate(page, mutation)
-    assert page._fragments == {}  # nothing is lent before the first restore
     for index, after_restore in rounds:
         live = oracles[min(index, len(oracles) - 1)]
         page.restore(live.snapshot)
@@ -406,8 +406,8 @@ def test_snapshot_master_is_warm_and_restore_rehashes_nothing():
 
 
 class TestFragmentMemo:
-    """Before the first restore every set parses afresh; after it the
-    nodes parsed for a markup are lent themselves, once per window."""
+    """Before the first snapshot every set parses afresh; from then on
+    the nodes parsed for a markup are lent themselves, once per window."""
 
     MARKUP = "<p id='m'>memo <b>ised</b></p>tail"
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import JsTypeError
 from repro.js import (
+    Interpreter,
     JSArray,
     JSObject,
     NativeFunction,
@@ -80,7 +81,8 @@ class TestToString:
         assert to_string(float("-inf")) == "-Infinity"
 
     def test_array_joins_with_commas(self):
-        assert to_string(JSArray([1.0, "a", None])) == "1,a,null"
+        # node: String([1, "a", null]) === "1,a,"
+        assert to_string(JSArray([1.0, "a", None, UNDEFINED])) == "1,a,,"
 
     def test_object(self):
         assert to_string(JSObject()) == "[object Object]"
@@ -94,6 +96,40 @@ class TestToString:
             host_class = "Widget"
 
         assert to_string(Custom()) == "[object Widget]"
+
+
+#: ``source -> String(value)`` as node v20 prints it, for the values the
+#: interpreter once got wrong (loose equality of an object and a
+#: boolean, a hex ``parseInt``, number formatting, ``join`` of ``null``)
+#: and their neighbours.
+NODE_ANSWERS = [
+    ("[] == false", "true"),
+    ("[0] == false", "true"),
+    ('[1, 2] == "1,2"', "true"),
+    ("null == false", "false"),
+    ('parseInt("0x1f")', "31"),
+    ('parseInt("-0x1f")', "-31"),
+    ('parseInt("0x1f", 10)', "0"),
+    ('parseInt("5", NaN)', "5"),
+    ('parseInt("5", 1 / 0)', "5"),
+    ('123456789012345680000 + ""', "123456789012345680000"),
+    ('[null, undefined, 1].join("-")', "--1"),
+    ('String([1, "a", null])', "1,a,"),
+    ('1e-7 + ""', "1e-7"),
+    ('-1e-7 + ""', "-1e-7"),
+    ('1e21 + ""', "1e+21"),
+    ('0.000001 + ""', "0.000001"),
+    ('1.5e-10 + ""', "1.5e-10"),
+    ('0.1 + 0.2 + ""', "0.30000000000000004"),
+    ('9007199254740993 + ""', "9007199254740992"),
+    ('2 + ""', "2"),
+    ('-0 + ""', "0"),
+]
+
+
+@pytest.mark.parametrize("source, node", NODE_ANSWERS)
+def test_a_value_is_what_node_prints(source, node):
+    assert to_string(Interpreter().eval_expression(source)) == node
 
 
 class TestTypeOf:

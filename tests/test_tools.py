@@ -1,7 +1,7 @@
-"""Repo tooling: the ``tools/ab_bench.py`` smoke, the trajectory
-report, the knob census, the ``src/`` line ceiling and the
-journaled-write, lent-fragment, one-read-path, generation, one-scorer
-and gc guards."""
+"""Repo tooling: the ``tools/ab_bench.py`` and ``tools/gc_share.py``
+smokes, the trajectory report, the knob census, the ``src/`` line
+ceiling and the journaled-write, lent-fragment, one-read-path,
+generation, one-scorer and gc guards."""
 
 import ast
 import dataclasses
@@ -53,7 +53,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 21_008
+SRC_LINE_CEILING = 21_128
 
 
 def test_src_line_ceiling():
@@ -461,6 +461,25 @@ def test_ab_bench_of_a_ref_against_itself():
             (listed,) = [line for line in lines if line.startswith(f"  {name} {side}: ")]
             assert len(listed.split(": ")[1].split(", ")) == 2
     assert [line.split(" of ")[0] for line in lines[-2:]] == ["  A: 0 failed", "  B: 0 failed"]
+
+
+def test_gc_share_prints_one_row_per_repetition():
+    done = subprocess.run(
+        [sys.executable, "tools/gc_share.py", "deep_crawl", "--scale", "smoke", "--reps", "2"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    title, header, *rows = done.stdout.splitlines()
+    assert title.startswith("deep_crawl, seed 7, smoke scale, ")
+    assert header.split() == [
+        "rep", "wall_ms", "gen0_ms", "gen1_ms", "gen2_ms", "collections", "collected", "gc_share",
+    ]
+    assert [row.split()[0] for row in rows] == ["1", "2"]
+    for row in rows:
+        wall, *pauses = map(float, row.split()[1:5])
+        collections, collected = map(int, row.split()[5:7])
+        assert wall > sum(pauses) >= 0 and collections >= 0 and collected >= 0
+        assert row.endswith("%")
 
 
 def test_bench_report_prints_each_metric_against_the_previous_commit(tmp_path):
