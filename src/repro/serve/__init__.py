@@ -1,7 +1,7 @@
 """The HTTP query-serving layer (chapters 5–6, served to searchers).
 
-Stdlib-only: a :class:`~http.server.ThreadingHTTPServer` front end over
-the :class:`~repro.search.SearchEngine`, with an LRU+TTL query cache,
+Stdlib-only: an HTTP/1.1 connection loop on :mod:`socketserver` in front
+of the :class:`~repro.search.SearchEngine`, with an LRU+TTL query cache,
 per-client token-bucket rate limiting, deterministic latency injection
 for soak realism, Prometheus metrics at ``/metrics``, and §5.4 result
 reconstruction at ``/result``.  ``repro.serve.loadtest`` is the paired
@@ -14,7 +14,6 @@ from repro.serve.handlers import (
     CLIENT_HEADER,
     REQUEST_ID_HEADER,
     SearchRequestHandler,
-    make_handler,
 )
 from repro.serve.limiter import RateDecision, TokenBucketLimiter
 from repro.serve.loadtest import (
@@ -52,7 +51,6 @@ __all__ = [
     "UpstreamFailed",
     "SearchServer",
     "SearchRequestHandler",
-    "make_handler",
     "CLIENT_HEADER",
     "REQUEST_ID_HEADER",
     "ServingTelemetry",

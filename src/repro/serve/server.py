@@ -1,15 +1,12 @@
-"""The threaded HTTP server wrapper: lifecycle, ephemeral ports.
+"""The threaded HTTP server: lifecycle, ephemeral ports, drain.
 
-:class:`SearchServer` owns a :class:`http.server.ThreadingHTTPServer`
-(one thread per connection — the stdlib's ``socketserver`` threadpool
-analogue) running the bound handler from :mod:`repro.serve.handlers`.
-``port=0`` binds an ephemeral port, which the smoke test and the
-load-test harness rely on to boot throwaway servers without racing for
-a fixed port.
-
-The server runs on a daemon background thread; :meth:`stop` shuts the
-accept loop down and joins it, so tests can assert a clean shutdown.
-It is also a context manager::
+:class:`SearchServer` owns a :class:`socketserver.ThreadingTCPServer`
+(a thread per connection running :mod:`repro.serve.handlers`' loop) on
+a daemon background thread; ``port=0`` binds an ephemeral port.
+:meth:`~SearchServer.stop` drains: it stops accepting and shuts the read
+side of every connection, so an idle one ends at once (its client reads
+EOF) and a request in flight is answered first, then joins the threads
+within :data:`STOP_TIMEOUT_S`.  It is also a context manager::
 
     with SearchServer(service) as server:
         urllib.request.urlopen(server.url + "/healthz")
@@ -17,23 +14,49 @@ It is also a context manager::
 
 from __future__ import annotations
 
+import socket
+import socketserver
 import threading
-from http.server import ThreadingHTTPServer
+import time
 from typing import Optional
 
-from repro.serve.handlers import make_handler
+from repro.serve.handlers import SearchRequestHandler
 from repro.serve.service import SearchService
+
+#: How long :meth:`SearchServer.stop` waits for its threads, in seconds.
+STOP_TIMEOUT_S = 5.0
+
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """The listening socket, its service and the connections it accepted."""
+
+    allow_reuse_address = True
+    draining = False
+
+    def __init__(self, address: tuple[str, int], service: SearchService) -> None:
+        super().__init__(address, SearchRequestHandler)
+        self.service = service
+        #: Each open connection and its handler thread.
+        self.connections: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        self.connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        self.connections.pop(request, None)
+        super().shutdown_request(request)
 
 
 class SearchServer:
     """A background-threaded HTTP search service."""
 
-    def __init__(
-        self, service: SearchService, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
+    def __init__(self, service: SearchService, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), make_handler(service))
-        self._httpd.daemon_threads = True
+        self._httpd = _TCPServer((host, port), service)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -54,24 +77,31 @@ class SearchServer:
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name=f"repro-serve:{self.port}",
+            target=self._httpd.serve_forever, args=(0.05,), name=f"repro-serve:{self.port}",
             daemon=True,
         )
         self._thread.start()
         return self
 
-    def stop(self, timeout_s: float = 5.0) -> bool:
-        """Shut down the accept loop; True when the thread joined."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+    def stop(self, timeout_s: float = STOP_TIMEOUT_S) -> bool:
+        """Drain and shut down; True when every thread joined in time."""
+        httpd = self._httpd
         if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
-            joined = not self._thread.is_alive()
-            self._thread = None
-            return joined
-        return True
+            httpd.shutdown()
+        httpd.server_close()
+        httpd.draining = True
+        connections = httpd.connections.copy()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # closed meanwhile
+        threads = [thread for thread in (self._thread, *connections.values()) if thread]
+        deadline = time.monotonic() + timeout_s
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        self._thread = None
+        return not any(thread.is_alive() for thread in threads)
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (the CLI path)."""

@@ -4,8 +4,11 @@
     tools/ab_bench.py REF_A REF_B --workload W --pairs N [--seed S] [-- RUN_ARGS...]
 
 Each side is a git ref, exported with ``git archive`` into a temporary
-directory, or an existing directory used as it is (``.`` measures the
-uncommitted working tree).  Every pair runs
+directory, or an existing directory used as it is.  ``.`` (this
+repository's working tree) is copied into a temporary directory too, as
+the files ``git ls-files --cached --others --exclude-standard`` lists —
+uncommitted and new files included, no ``__pycache__`` or other ignored
+leftovers — so both sides start as fresh trees.  Every pair runs
 ``python3 benchmarks/e2e/run.py --workload W --seed S RUN_ARGS`` once per
 side, each from that side's own files, alternating which side goes first
 so drift of a shared machine hits both alike.  The numbers are read from
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,10 +38,20 @@ REPO = Path(__file__).resolve().parent.parent
 
 def checkout(ref: str, parent: Path, name: str) -> Path:
     """The directory to run side ``name`` from."""
-    if Path(ref).is_dir():
+    if Path(ref).is_dir() and Path(ref).resolve() != REPO:
         return Path(ref).resolve()
     target = parent / name
     target.mkdir()
+    if Path(ref).is_dir():  # this working tree: tracked and new files, nothing ignored
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=REPO, capture_output=True, check=True,
+        ).stdout
+        for path in filter(None, listed.decode().split("\0")):
+            if (REPO / path).is_file():  # a deleted file is still --cached
+                (target / path).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(REPO / path, target / path)
+        return target
     archive = subprocess.Popen(["git", "archive", ref], cwd=REPO, stdout=subprocess.PIPE)
     unpacked = subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout)
     if archive.wait() or unpacked.returncode:
