@@ -10,8 +10,9 @@ The :class:`Page` is what the crawler operates on.  It can
   Algorithm 3.1.1: a snapshot copies the tree once (the first adopts
   the loaded tree), a rollback undoes the writes journaled since the
   last one,
-* release everything it allocated in one :meth:`Page.close`, so that
-  reference counting, not the cycle collector, frees a crawled page.
+* release a snapshot's tree (:meth:`Page.discard`) and everything it
+  allocated (:meth:`Page.close`), so that reference counting, not the
+  cycle collector, frees a crawled page.
 
 All JavaScript execution charges virtual time proportional to the
 number of interpreter steps; DOM re-parses charge parse time.
@@ -28,6 +29,7 @@ from repro.browser.events import (
     EventBinding,
     enumerate_events,
     onload_handler,
+    take,
 )
 from repro.clock import CostModel, SimClock
 from repro.dom import (
@@ -38,7 +40,6 @@ from repro.dom import (
     Node,
     hash_tree,
     parse_fragment,
-    serialize,
 )
 from repro.errors import BrowserError, JavascriptError
 from repro.js import Interpreter
@@ -50,11 +51,13 @@ JS_ACCOUNT = "javascript"
 PARSE_ACCOUNT = "parsing"
 
 
-@dataclass
+@dataclass(eq=False)
 class PageSnapshot:
-    """Everything needed to restore a page to an earlier state."""
+    """Everything needed to restore a page to an earlier state; two
+    snapshots are equal only if they are the same one."""
 
-    html: str
+    #: ``len(serialize(master))``: what a restore charges as re-parsed.
+    html_length: int
     globals_snapshot: dict[str, Any]
     hash: str
     #: The tree (with warm Merkle hash caches) taken by
@@ -65,7 +68,9 @@ class PageSnapshot:
     #: or exactly as taken.
     master: Document
     #: ``id`` -> the first element of ``master`` carrying it (:meth:`Page.element_by_id`).
-    ids: Optional[dict[str, Element]] = None
+    ids: dict[str, Element]
+    #: The default-type events of ``master`` (:meth:`Page.events`).
+    bindings: list[EventBinding]
 
 
 class Page:
@@ -105,7 +110,7 @@ class Page:
         #: first :meth:`snapshot`: nothing before it is ever rolled back
         #: to, so no write before it is journaled).
         self._live: Optional[PageSnapshot] = None
-        #: Every snapshot taken, so that :meth:`close` releases its master.
+        #: Every snapshot not discarded, so that :meth:`close` releases its master.
         self._snapshots: list[PageSnapshot] = []
         #: ``Element._save()`` records of every write since ``_live``
         #: became the live tree, oldest first.
@@ -230,8 +235,13 @@ class Page:
     # -- events ------------------------------------------------------------------------
 
     def events(self, event_types=DEFAULT_EVENT_TYPES) -> list[EventBinding]:
-        """Invocable events in the current DOM."""
-        return enumerate_events(self.document, event_types)
+        """Invocable events in the current DOM: the live snapshot's while
+        the journal is empty (the live tree is then exactly its master),
+        else by walking the tree."""
+        live = self._live
+        if live is None or self._journal or event_types != DEFAULT_EVENT_TYPES:
+            return enumerate_events(self.document, event_types)
+        return list(live.bindings)
 
     def dispatch(self, binding: EventBinding) -> bool:
         """Fire one event; returns True when the DOM changed.
@@ -270,15 +280,6 @@ class Page:
         live = self._live
         if live is None or self._journal:
             return self.document.get_element_by_id(element_id)
-        if live.ids is None:
-            live.ids = {}
-            stack: list[Node] = [live.master.root]
-            while stack:  # get_element_by_id's walk, once over the whole master
-                node = stack.pop()
-                if isinstance(node, Element):
-                    if (key := node.attrs.get("id")) is not None:
-                        live.ids.setdefault(key, node)
-                    stack.extend(reversed(node.children))
         return live.ids.get(element_id)
 
     @property
@@ -310,14 +311,20 @@ class Page:
     def snapshot(self) -> PageSnapshot:
         """Capture DOM and script globals for a later :meth:`restore`.
         The first snapshot adopts the loaded tree as its master (and
-        journals writes from then on); every later one copies the tree."""
+        journals writes from then on); every later one copies the tree.
+        Either way one walk (:func:`~repro.browser.events.take`) also
+        yields the master's length, id table and events."""
         # Hash first: the master is taken with the caches that pass warmed.
         digest = self.content_hash()
+        adopt = self._live is None
+        taken = take(self.document.root, copy=not adopt)
         snapshot = PageSnapshot(
-            html=serialize(self.document),
+            html_length=taken.length,
             globals_snapshot=dict(self.interpreter.global_env.bindings),
             hash=digest,
-            master=self.document if self._live is None else self.document.clone(),
+            master=self.document if adopt else Document(taken.root, url=self.document.url),
+            ids=taken.ids,
+            bindings=taken.bindings,
         )
         if self._live is None:
             self._live = snapshot
@@ -333,8 +340,11 @@ class Page:
         live tree exactly as :meth:`snapshot` copied it, Merkle caches
         included.  Only then, when ``snapshot`` is a different one, does
         its master become the live tree: the tree left behind is
-        pristine again, so no rollback ever copies a tree.
+        pristine again, so no rollback ever copies a tree.  A discarded
+        snapshot is refused.
         """
+        if snapshot is not self._live and snapshot not in self._snapshots:
+            raise BrowserError("cannot restore a discarded snapshot")
         while self._journal:
             Element._reinstate(self._journal.pop())
         # Drained: every lent fragment is detached and as parsed again.
@@ -343,7 +353,7 @@ class Page:
             self._live = snapshot
             self.document = snapshot.master
         self.clock.advance(
-            self.cost_model.html_parse_ms(len(snapshot.html)), PARSE_ACCOUNT
+            self.cost_model.html_parse_ms(snapshot.html_length), PARSE_ACCOUNT
         )
         self.interpreter.global_env.bindings = dict(snapshot.globals_snapshot)
         self._element_hosts.clear()
@@ -355,6 +365,26 @@ class Page:
         return self.document.text_content
 
     # -- lifecycle ----------------------------------------------------------------------
+
+    def discard(self, snapshot: PageSnapshot) -> None:
+        """Release the master of ``snapshot``, which is then never
+        restored, and refuse the live one.  Unlike :meth:`close` this
+        drops each node's ``parent``, not its children: an element a
+        script global still holds reads as it did."""
+        if snapshot is self._live:
+            raise BrowserError("cannot discard the live snapshot")
+        try:
+            self._snapshots.remove(snapshot)
+        except ValueError:  # discarded already, or the page is closed
+            return
+        root = snapshot.master.root
+        root._document = None
+        nodes: list[Node] = [root]
+        while nodes:
+            node = nodes.pop()
+            node.parent = None
+            if type(node) is Element:
+                nodes += node.children
 
     def close(self) -> None:
         """Release what the page allocated, so that reference counting

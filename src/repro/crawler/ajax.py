@@ -131,12 +131,17 @@ class AjaxCrawler(Crawler):
         #: again from another state would burn the same attempts.
         quarantined: set[tuple[str, str]] = set()
         events_invoked = 0
+        base_snapshot = None
 
         while frontier:
             state_id = self._select_next(frontier, model)
             state = model.get_state(state_id)
-            base_snapshot = snapshots[state_id]
+            expanded, base_snapshot = base_snapshot, snapshots.pop(state_id)
             page.restore(base_snapshot)
+            if expanded is not None:
+                # Algorithm 3.1.1 rolls back to a state only while firing
+                # its own events: its master is freed once they are done.
+                page.discard(expanded)
             # A restored tree has the snapshot master's warm caches:
             # this pass is close to a pure cache read.
             base_regions = page.hash_state().regions

@@ -182,19 +182,26 @@ class Element(Node):
         node._invalidate_ancestors()
 
     def _copy(self, parent: Optional["Element"]) -> "Element":
+        copy = self._shallow(parent)
+        copy.children = [child._copy(copy) for child in self.children]
+        return copy
+
+    def _shallow(self, parent: Optional["Element"]) -> "Element":
+        """This element without its children, caches and all, under
+        ``parent`` (which does not list it yet)."""
         # Allocated and filled field by field: no constructor re-derives
         # (tag.lower(), dict(attrs)) what the original already holds.
         copy = Element.__new__(Element)
         copy.parent = parent
         copy.tag = self.tag
         copy.attrs = self.attrs.copy()
+        copy.children = []
         copy._document = None
         copy._canon_bytes = self._canon_bytes
         copy._canon_digest = self._canon_digest
         copy._region_items = self._region_items
         copy._node_count = self._node_count
         copy._open_bytes = self._open_bytes
-        copy.children = [child._copy(copy) for child in self.children]
         return copy
 
     # -- tree manipulation -------------------------------------------------

@@ -27,6 +27,17 @@ def escape_attribute(value: str) -> str:
     return escape_text(value).replace('"', "&quot;")
 
 
+def escaped_length(text: str, attribute: bool = False) -> int:
+    """``len(escape_attribute(text))`` when ``attribute``, else
+    ``len(escape_text(text))``, without building the escaped text."""
+    length = len(text)
+    if "&" in text or "<" in text or ">" in text or (attribute and '"' in text):
+        length += 4 * text.count("&") + 3 * (text.count("<") + text.count(">"))
+        if attribute:
+            length += 5 * text.count('"')
+    return length
+
+
 def serialize(node: Node | Document) -> str:
     """Serialize a node (or whole document) to HTML text."""
     parts: list[str] = []

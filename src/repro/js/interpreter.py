@@ -152,14 +152,14 @@ class Interpreter:
         env.declare("encodeURIComponent", NativeFunction("encodeURIComponent", _encode_uri))
         math_object = JSObject(
             {
-                "floor": NativeFunction("floor", _math1(math.floor)),
-                "ceil": NativeFunction("ceil", _math1(math.ceil)),
-                "round": NativeFunction("round", _math1(lambda x: math.floor(x + 0.5))),
+                "floor": NativeFunction("floor", _math1(_integral(math.floor))),
+                "ceil": NativeFunction("ceil", _math1(_integral(math.ceil))),
+                "round": NativeFunction("round", _math1(_integral(_round_half_up))),
                 "abs": NativeFunction("abs", _math1(abs)),
                 "max": NativeFunction("max", _math_var(max)),
                 "min": NativeFunction("min", _math_var(min)),
-                "sqrt": NativeFunction("sqrt", _math1(math.sqrt)),
-                "pow": NativeFunction("pow", _math2(math.pow)),
+                "sqrt": NativeFunction("sqrt", _math1(lambda x: math.nan if x < 0 else math.sqrt(x))),
+                "pow": NativeFunction("pow", _math2(_pow)),
                 "PI": math.pi,
             }
         )
@@ -1044,10 +1044,38 @@ def _math2(fn: Any) -> Any:
     return wrapper
 
 
-def _math_var(fn: Any) -> Any:
+def _math_var(pick: Any) -> Any:
     def wrapper(interp: Interpreter, this: Any, args: list[Any]) -> float:
-        if not args:
-            return float("-inf") if fn is max else float("inf")
-        return float(fn(to_number(argument) for argument in args))
+        numbers = [to_number(argument) for argument in args]
+        if any(number != number for number in numbers):
+            return math.nan
+        empty = -math.inf if pick is max else math.inf
+        # +0 ranks above -0, as ECMAScript orders them.
+        return float(pick(numbers, key=lambda x: (x, math.copysign(1, x)), default=empty))
 
     return wrapper
+
+
+def _integral(rounding: Callable[[float], int]) -> Callable[[float], float]:
+    """``rounding`` as ``Math`` applies it: NaN and ±Infinity pass, a zero keeps its sign."""
+    return lambda x: x if not math.isfinite(x) else math.copysign(rounding(x), x)
+
+
+def _round_half_up(x: float) -> int:
+    """Halves up; not ``floor(x + 0.5)``: 0.49999999999999994 + 0.5 == 1.0."""
+    low = math.floor(x)
+    return low + 1 if x - low >= 0.5 else low
+
+
+def _pow(base: float, exponent: float) -> float:
+    """``Math.pow`` as ECMAScript has it: no domain or range error."""
+    if exponent != exponent or (abs(base) == 1 and math.isinf(exponent)):
+        return math.nan
+    try:
+        return math.pow(base, exponent)
+    except ValueError:  # a negative base to a fraction, or 0 to a negative power
+        if base != 0:
+            return math.nan
+    except OverflowError:
+        pass
+    return math.copysign(math.inf, base) if exponent % 2 == 1 else math.inf

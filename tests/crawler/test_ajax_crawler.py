@@ -91,19 +91,23 @@ class TestDuplicateElimination:
     def test_a_markup_is_parsed_once_and_a_tree_copied_only_per_new_state(self, site, monkeypatch):
         import repro.browser.page as page_module
 
-        parsed, clones = [], []
-        parse, clone = page_module.parse_fragment, Node.clone
+        parsed, copies = [], []
+        parse, take = page_module.parse_fragment, page_module.take
         monkeypatch.setattr(
             page_module, "parse_fragment", lambda markup: parsed.append(markup) or parse(markup)
         )
-        monkeypatch.setattr(Node, "clone", lambda node: clones.append(1) or clone(node))
+        monkeypatch.setattr(
+            page_module, "take", lambda root, copy=False: copies.append(copy) or take(root, copy)
+        )
+        monkeypatch.setattr(Node, "clone", lambda node: pytest.fail("a crawl cloned a tree"))
         index = find_video(site, lambda n: 4 <= n <= 8)
         result = AjaxCrawler(site, cost_model=cost()).crawl_page(site.video_url(index))
         # Every event sets a comment page; the page's memo lends what it
-        # parsed the first time, and only a snapshot copies nodes: every
-        # one but the first, which adopts the loaded tree.
+        # parsed the first time, and only a snapshot's walk copies nodes:
+        # every one but the first, which adopts the loaded tree.
         assert result.metrics.events_invoked > len(parsed) == len(set(parsed)) > 0
-        assert len(clones) == result.model.num_states - 1 > 0
+        assert copies == [False] + [True] * (result.model.num_states - 1)
+        assert result.model.num_states > 1
 
     def test_transition_graph_has_back_edges(self, site):
         index = find_video(site, lambda n: 3 <= n <= 8)

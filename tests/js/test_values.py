@@ -127,9 +127,81 @@ NODE_ANSWERS = [
 ]
 
 
-@pytest.mark.parametrize("source, node", NODE_ANSWERS)
+#: ``Math`` at the boundaries, as node v20 prints it: every call answers
+#: a number, where the interpreter once raised a raw ``ValueError`` or
+#: ``OverflowError`` (ending a whole crawl) or skipped a ``NaN``.
+MATH_ANSWERS = [
+    ("Math.floor(NaN)", "NaN"),
+    ("Math.floor(Infinity)", "Infinity"),
+    ("Math.floor(-Infinity)", "-Infinity"),
+    ("Math.ceil(NaN)", "NaN"),
+    ("Math.ceil(Infinity)", "Infinity"),
+    ("Math.ceil(-Infinity)", "-Infinity"),
+    ("Math.round(NaN)", "NaN"),
+    ("Math.round(Infinity)", "Infinity"),
+    ("Math.round(-Infinity)", "-Infinity"),
+    ("Math.sqrt(-1)", "NaN"),
+    ("Math.sqrt(-Infinity)", "NaN"),
+    ("Math.pow(-0, -1)", "-Infinity"),
+    ("Math.pow(-0, -2)", "Infinity"),
+    ("Math.pow(0, -1)", "Infinity"),
+    ("Math.max(1, NaN)", "NaN"),
+    ("Math.min(1, NaN)", "NaN"),
+    ("Math.round(0.49999999999999994)", "0"),
+    ("Math.round(-2.5)", "-2"),
+    ("Math.round(2.5)", "3"),
+    ("Math.round(-1.5)", "-1"),
+    ("Math.round(0.5)", "1"),
+    ("Math.round(-0.5)", "0"),
+    ("Math.round(1e300)", "1e+300"),
+    ("Math.floor(-1.5)", "-2"),
+    ("Math.ceil(1.2)", "2"),
+    ("Math.floor()", "NaN"),
+    ("Math.pow(1, NaN)", "NaN"),
+    ("Math.pow(1, Infinity)", "NaN"),
+    ("Math.pow(NaN, 0)", "1"),
+    ("Math.pow(0, 0)", "1"),
+    ("Math.pow(-8, 1/3)", "NaN"),
+    ("Math.pow(-2, 0.5)", "NaN"),
+    ("Math.pow(10, 400)", "Infinity"),
+    ("Math.pow(-10, 309)", "-Infinity"),
+    ("Math.pow(-10, 310)", "Infinity"),
+    ("Math.pow(2, 10)", "1024"),
+    ("Math.pow(-8, 3)", "-512"),
+    ("Math.pow()", "NaN"),
+    ("Math.max(2, 7, -1)", "7"),
+    ("Math.min(2, 7, -1)", "-1"),
+    ('Math.max("3", 1)', "3"),
+    ("Math.max()", "-Infinity"),
+    ("Math.min()", "Infinity"),
+    ("Math.abs(-Infinity)", "Infinity"),
+    ("Math.sqrt(16)", "4"),
+]
+
+
+@pytest.mark.parametrize("source, node", NODE_ANSWERS + MATH_ANSWERS)
 def test_a_value_is_what_node_prints(source, node):
     assert to_string(Interpreter().eval_expression(source)) == node
+
+
+#: ``source -> the sign of the zero it answers``: node v20 prints
+#: ``1/(source)`` as ``-Infinity`` for a ``-0`` and ``Infinity`` for a ``0``.
+MATH_ZEROS = [
+    ("Math.round(-0.3)", -1),
+    ("Math.round(-0.5)", -1),
+    ("Math.ceil(-0.5)", -1),
+    ("Math.floor(-0)", -1),
+    ("Math.sqrt(-0)", -1),
+    ("Math.min(0, -0)", -1),
+    ("Math.max(-0, 0)", 1),
+    ("Math.round(0.3)", 1),
+]
+
+
+@pytest.mark.parametrize("source, sign", MATH_ZEROS)
+def test_math_keeps_the_sign_of_a_zero(source, sign):
+    zero = Interpreter().eval_expression(source)
+    assert zero == 0 and math.copysign(1, zero) == sign
 
 
 class TestTypeOf:
