@@ -1,5 +1,7 @@
 """Unit tests for the HTML tokenizer/parser."""
 
+import time
+
 import pytest
 
 from repro.dom import Element, HtmlParser, Text, parse_document, parse_fragment, unescape
@@ -168,6 +170,70 @@ class TestLenientRecovery:
         assert doc.root.tag == "html"
         assert doc.body is not None
         assert doc.body.text_content == "hello"
+
+
+def shape(nodes):
+    """Nodes as ``(tag, attrs, children)`` tuples and text strings."""
+    return [
+        node.data if isinstance(node, Text) else (node.tag, node.attrs, shape(node.children))
+        for node in nodes
+    ]
+
+
+class TestTokenizerQuirks:
+    """The tokenizer's lenient corners, pinned as the character-loop
+    tokenizer answered them (the regex tokenizer keeps each one)."""
+
+    @pytest.mark.parametrize(
+        "markup, expected",
+        [
+            # Attributes need no separating space.
+            ("<a b=\"1\"c='2'd=3>x</a>", [("a", {"b": "1", "c": "2", "d": "3"}, ["x"])]),
+            # An unterminated quote runs to the end of the input.
+            ('<a b="1>x</a>', [("a", {"b": "1>x</a>"}, [])]),
+            ("<a b='x", [("a", {"b": "x"}, [])]),
+            # A nameless attribute is dropped and the character after it
+            # skipped: here the ">", so the tag runs on.
+            ("<a =x>hello</a>", [("a", {"hello<": "", "a": ""}, [])]),
+            ("<a =>", [("a", {}, [])]),
+            # U+000C and U+00A0 separate attributes but stay inside a name.
+            ("<a b\x0cc d\xa0e>t</a>", [("a", {"b\x0cc": "", "d\xa0e": ""}, ["t"])]),
+            ("<a\x0cb>", [("a", {"b": ""}, [])]),
+            ("<a\u2003b=1>", [("a", {"b": "1"}, [])]),
+            # A "/" not before ">" is skipped.
+            ("<a / b>", [("a", {"b": ""}, [])]),
+            ("<p/x>", [("p", {"x": ""}, [])]),
+            ("<a b=c/>t", [("a", {"b": "c"}, []), "t"]),
+            ("<a b = 'v' >", [("a", {"b": "v"}, [])]),
+            ("<a b", [("a", {"b": ""}, [])]),
+            ("<a b=", [("a", {"b": ""}, [])]),
+            ('<a "q">', [("a", {'"q"': ""}, [])]),
+            # A repeated name keeps its first place and its last value.
+            ("<a b=1 c b=2>", [("a", {"b": "2", "c": ""}, [])]),
+            ("<A HREF=X>", [("a", {"href": "X"}, [])]),
+            ("<a b=&amp;c>", [("a", {"b": "&c"}, [])]),
+            # Tag names are Unicode alphanumerics, "-", "_" and ":".
+            ("<aéb>", [("aéb", {}, [])]),
+            ("<1a>", [("1a", {}, [])]),
+            ("< a>", ["<", " a>"]),
+            ("</a b>x", ["x"]),
+            ("<script>x</SCRIPT >y", [("script", {}, ["x"]), "y"]),
+        ],
+    )
+    def test_quirk(self, markup, expected):
+        assert shape(parse_fragment(markup)) == expected
+
+    @pytest.mark.parametrize(
+        "run",
+        ["b" * 20_000, "b " * 10_000, "b\x0c" * 10_000, "b=" * 10_000, "/" * 20_000, "=" * 20_000],
+    )
+    def test_a_tag_without_its_end_parses_in_linear_time(self, run):
+        # 20 000 characters of attribute-name material and no ">": a
+        # tokenizer that re-splits the run would take seconds here.
+        start = time.perf_counter()
+        (node,) = parse_fragment("<a " + run)
+        assert time.perf_counter() - start < 0.5
+        assert node.tag == "a" and not node.children
 
 
 class TestRealisticPage:
