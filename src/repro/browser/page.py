@@ -41,6 +41,7 @@ from repro.dom import (
     hash_tree,
     parse_fragment,
 )
+from repro.dom.hashing import cached_state
 from repro.errors import BrowserError, JavascriptError
 from repro.js import Interpreter
 from repro.obs import NULL_RECORDER
@@ -314,8 +315,10 @@ class Page:
         journals writes from then on); every later one copies the tree.
         Either way one walk (:func:`~repro.browser.events.take`) also
         yields the master's length, id table and events."""
-        # Hash first: the master is taken with the caches that pass warmed.
-        digest = self.content_hash()
+        # The master is taken with the caches a hash pass warmed: the
+        # crawler's own pass, whose digest is still on the clean root,
+        # or, when a write has dirtied the tree since, one run here.
+        digest = cached_state(self.document) or self.content_hash()
         adopt = self._live is None
         taken = take(self.document.root, copy=not adopt)
         snapshot = PageSnapshot(

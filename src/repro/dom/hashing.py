@@ -231,6 +231,16 @@ def hash_tree(
     )
 
 
+def cached_state(node: Node | Document) -> Optional[str]:
+    """The state hash the last pass left on a tree nothing has written
+    to since (what :func:`hash_tree` would answer, read without a pass
+    or its region map), or ``None`` when the tree is dirty."""
+    root = node.root if isinstance(node, Document) else node
+    if isinstance(root, Element) and root._canon_bytes is not None:
+        return root._canon_digest
+    return None
+
+
 def changed_regions(before: dict[str, str], after: dict[str, str]) -> tuple[str, ...]:
     """Ids whose subtree hash differs between two region maps.
 

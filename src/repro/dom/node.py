@@ -77,7 +77,7 @@ class Text(Node):
     __slots__ = ("_data", "_hash_bytes")
 
     def __init__(self, data: str) -> None:
-        super().__init__()
+        self.parent = None
         self._data = data
         #: Cached escaped hash-stream bytes of this run (None = dirty).
         self._hash_bytes: Optional[bytes] = None
@@ -113,7 +113,7 @@ class Element(Node):
     )
 
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None) -> None:
-        super().__init__()
+        self.parent = None
         self.tag = tag.lower()
         self.attrs: dict[str, str] = dict(attrs or {})
         self.children: list[Node] = []

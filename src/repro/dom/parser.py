@@ -12,7 +12,6 @@ nearest matching ancestor and stray close tags are dropped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.dom.node import (
     Document,
@@ -44,6 +43,8 @@ _NAMED_ENTITIES = {
 def unescape(text: str) -> str:
     """Resolve the supported character entities in ``text``; a numeric
     reference to no character stays as written."""
+    if "&" not in text:
+        return text
 
     def _replace(match: re.Match[str]) -> str:
         body = match.group(1)
@@ -60,15 +61,22 @@ def unescape(text: str) -> str:
     return _ENTITY_RE.sub(_replace, text)
 
 
-@dataclass
-class _Tag:
-    """A parsed start or end tag."""
+#: A start or end tag's head: ``<`` or ``</``, a name of Unicode
+#: alphanumerics, ``-``, ``_`` and ``:``, and, when no attribute
+#: follows, the tag's end (group 3).
+_TAG_HEAD = re.compile(r"<(/?)([\w:-]+)(?:\s*(/?>))?")
 
-    name: str
-    attrs: dict[str, str]
-    closing: bool
-    self_closing: bool
-    end: int  # index just past the tag in the source
+#: One step inside a tag, after whitespace: the tag's end (``>`` or
+#: ``/>``, group 1), or one attribute: a name (group 2) running to ``=``,
+#: ``/``, ``>`` or a space, tab, CR or LF (so U+000C and U+00A0 stay in
+#: it), then optionally ``=`` and a double-quoted (3), single-quoted (4)
+#: or bare (5) value.  A quote left open runs to the end of the input.
+#: The name may be empty (at ``=`` or a ``/`` not before ``>``).  Every
+#: part after the whitespace is a plain run with no alternative to fall
+#: back to, so a match takes time linear in what it consumes.
+_TAG_STEP = re.compile(
+    r"""\s*(?:(/?>)|([^=/>\ \t\r\n]*)\s*(?:=\s*(?:"([^"]*)"?|'([^']*)'?|([^/>\ \t\r\n]*)))?)"""
+)
 
 
 class HtmlParser:
@@ -89,30 +97,83 @@ class HtmlParser:
         return Document(root, url=url)
 
     def parse_fragment(self, html: str) -> list[Node]:
-        """Parse markup into a list of sibling nodes (for ``innerHTML``)."""
+        """Parse markup into a list of sibling nodes (for ``innerHTML``).
+
+        The nodes are fresh, so they are linked directly (``parent`` and
+        ``children``), not through :meth:`Element.append_child`, which
+        would detach and invalidate what has nothing to undo.
+        """
         root = Element("#fragment")
         stack: list[Element] = [root]
+        parent = root
         pos = 0
         length = len(html)
         while pos < length:
             lt = html.find("<", pos)
             if lt == -1:
-                self._append_text(stack[-1], html[pos:])
+                _append(parent, Text(unescape(html[pos:])))
                 break
             if lt > pos:
-                self._append_text(stack[-1], html[pos:lt])
-            pos = self._consume_markup(html, lt, stack)
-        return self._take_children(root)
-
-    # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _take_children(root: Element) -> list[Node]:
-        children = list(root.children)
+                _append(parent, Text(unescape(html[pos:lt])))
+            head = _TAG_HEAD.match(html, lt)
+            if head is None:
+                if html.startswith("<!--", lt):
+                    end = html.find("-->", lt + 4)
+                    pos = length if end == -1 else end + 3
+                elif html.startswith("<!", lt):  # doctype or other declaration
+                    end = html.find(">", lt)
+                    pos = length if end == -1 else end + 1
+                else:  # a bare '<' that is not a tag: treat as text
+                    _append(parent, Text("<"))
+                    pos = lt + 1
+                continue
+            closing, name, end = head.groups()
+            name = name.lower()
+            pos = head.end()
+            attrs: dict[str, str] = {}
+            while end is None:
+                step = _TAG_STEP.match(html, pos)
+                pos = step.end()
+                end, attr_name, double, single, bare = step.groups()
+                if attr_name:
+                    value = double if double is not None else single if single is not None else bare
+                    attrs[attr_name.lower()] = "" if value is None else unescape(value)
+                elif end is None:
+                    if pos >= length:
+                        break  # the tag runs to the end of the input
+                    pos += 1  # skip an unparsable character
+            if closing:
+                for depth in range(len(stack) - 1, 0, -1):
+                    if stack[depth].tag == name:
+                        del stack[depth:]
+                        parent = stack[-1]
+                        break
+                # A close tag that matches nothing is ignored.
+                continue
+            element = Element(name, attrs)
+            _append(parent, element)
+            if end == "/>" or name in VOID_ELEMENTS:
+                continue
+            if name in RAW_TEXT_ELEMENTS:
+                close = _RAW_TEXT_CLOSE[name].search(html, pos)
+                if close is None:
+                    body_end = close_end = length
+                else:
+                    body_end = close.start()
+                    close_end = html.find(">", body_end)
+                    close_end = length if close_end == -1 else close_end + 1
+                if body_end > pos:
+                    _append(element, Text(html[pos:body_end]))
+                pos = close_end
+                continue
+            stack.append(element)
+            parent = element
+        children = root.children
         for child in children:
             child.parent = None
-        root.children.clear()
         return children
+
+    # -- internals -----------------------------------------------------------
 
     @staticmethod
     def _find_root(children: list[Node]) -> Element | None:
@@ -121,118 +182,11 @@ class HtmlParser:
                 return child
         return None
 
-    @staticmethod
-    def _append_text(parent: Element, raw: str) -> None:
-        if not raw:
-            return
-        parent.append_child(Text(unescape(raw)))
 
-    def _consume_markup(self, html: str, lt: int, stack: list[Element]) -> int:
-        """Handle the markup starting at index ``lt``; return the next index."""
-        if html.startswith("<!--", lt):
-            end = html.find("-->", lt + 4)
-            return len(html) if end == -1 else end + 3
-        if html.startswith("<!", lt):  # doctype or other declaration
-            end = html.find(">", lt)
-            return len(html) if end == -1 else end + 1
-        tag = self._read_tag(html, lt)
-        if tag is None:
-            # A bare '<' that is not a tag: treat as text.
-            self._append_text(stack[-1], "<")
-            return lt + 1
-        if tag.closing:
-            self._close_tag(tag, stack)
-            return tag.end
-        return self._open_tag(html, tag, stack)
-
-    def _open_tag(self, html: str, tag: _Tag, stack: list[Element]) -> int:
-        element = Element(tag.name, tag.attrs)
-        stack[-1].append_child(element)
-        if tag.self_closing or tag.name in VOID_ELEMENTS:
-            return tag.end
-        if tag.name in RAW_TEXT_ELEMENTS:
-            close = _RAW_TEXT_CLOSE[tag.name].search(html, tag.end)
-            if close is None:
-                end = close_end = len(html)
-            else:
-                end = close.start()
-                close_end = html.find(">", end)
-                close_end = len(html) if close_end == -1 else close_end + 1
-            raw = html[tag.end:end]
-            if raw:
-                element.append_child(Text(raw))
-            return close_end
-        stack.append(element)
-        return tag.end
-
-    def _close_tag(self, tag: _Tag, stack: list[Element]) -> None:
-        for depth in range(len(stack) - 1, 0, -1):
-            if stack[depth].tag == tag.name:
-                del stack[depth:]
-                return
-        # A close tag that matches nothing is ignored.
-
-    def _read_tag(self, html: str, lt: int) -> _Tag | None:
-        pos = lt + 1
-        length = len(html)
-        closing = False
-        if pos < length and html[pos] == "/":
-            closing = True
-            pos += 1
-        name_start = pos
-        while pos < length and (html[pos].isalnum() or html[pos] in "-_:"):
-            pos += 1
-        if pos == name_start:
-            return None
-        name = html[name_start:pos].lower()
-        attrs: dict[str, str] = {}
-        self_closing = False
-        while pos < length:
-            while pos < length and html[pos].isspace():
-                pos += 1
-            if pos >= length:
-                break
-            char = html[pos]
-            if char == ">":
-                pos += 1
-                return _Tag(name, attrs, closing, self_closing, pos)
-            if char == "/" and pos + 1 < length and html[pos + 1] == ">":
-                self_closing = True
-                pos += 2
-                return _Tag(name, attrs, closing, self_closing, pos)
-            attr_name, attr_value, pos = self._read_attribute(html, pos)
-            if attr_name:
-                attrs[attr_name] = attr_value
-            else:
-                pos += 1  # skip an unparsable character
-        return _Tag(name, attrs, closing, self_closing, length)
-
-    @staticmethod
-    def _read_attribute(html: str, pos: int) -> tuple[str, str, int]:
-        length = len(html)
-        name_start = pos
-        while pos < length and html[pos] not in "=/> \t\r\n":
-            pos += 1
-        name = html[name_start:pos].lower()
-        while pos < length and html[pos].isspace():
-            pos += 1
-        if pos >= length or html[pos] != "=":
-            return name, "", pos
-        pos += 1
-        while pos < length and html[pos].isspace():
-            pos += 1
-        if pos < length and html[pos] in "\"'":
-            quote = html[pos]
-            pos += 1
-            value_start = pos
-            end = html.find(quote, pos)
-            if end == -1:
-                return name, unescape(html[value_start:]), length
-            return name, unescape(html[value_start:end]), end + 1
-        value_start = pos
-        while pos < length and html[pos] not in "/> \t\r\n":
-            pos += 1
-        return name, unescape(html[value_start:pos]), pos
+def _append(parent: Element, child: Node) -> None:
+    """Link a freshly built ``child`` as the last child of ``parent``."""
+    child.parent = parent
+    parent.children.append(child)
 
 
 _DEFAULT_PARSER = HtmlParser()

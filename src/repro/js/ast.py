@@ -5,8 +5,8 @@ Plain dataclasses, one per construct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Optional, Union
 
 Expression = Union[
     "NumberLiteral",
@@ -185,6 +185,9 @@ class Program(Node):
 @dataclass
 class Block(Node):
     body: list[Statement]
+    #: The interpreter's compiled form of this block as a function body,
+    #: made on the function's first call (``None`` until then).
+    code: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -1,9 +1,17 @@
-"""Tree-walking evaluator for the JavaScript subset.
+"""Closure compiler and runtime for the JavaScript subset.
 
 Feature set: closures, ``this`` binding on method calls, ``new`` with
 host constructors, arrays/objects, string and array built-in methods,
 ``for``/``for-in``/``while`` loops, and short-circuit logic — everything
 the synthetic AJAX pages (and the thesis' YouTube scripts) exercise.
+
+A parsed program is compiled once into a tree of Python closures, each
+``code(interpreter, env)``; a function body is compiled on its first
+call and kept on its AST block.  Every decision the AST fixes (which
+node, which operator, which property name, which literal) is taken at
+compile time, so running a closure only does what the script does.
+The compiled code holds no interpreter: one program serves every page
+of a crawl (``Browser.programs``).
 
 For the crawler it keeps a **call stack** of
 :class:`~repro.js.callstack.StackFrame` objects with function names and
@@ -13,19 +21,25 @@ For the crawler it keeps a **call stack** of
 The interpreter counts evaluation steps so the browser can charge
 virtual time for script execution, and aborts scripts that exceed
 ``max_steps`` (the thesis' guard against infinite loops, section 3.2).
+A step is one statement or expression node entered, plus one per loop
+iteration.  A closure charges the steps of its node (and of ancestors
+entered just before it with nothing in between) on entry, so ``steps``
+and the point where the budget runs out are those of a walk over the
+tree.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 from repro.errors import JsReferenceError, JsRuntimeError, JsSyntaxError, JsTypeError
 from repro.js import ast
+from repro.js.builtins import ARRAY_METHODS, NUMBER_METHODS, STRING_METHODS, install_globals
 from repro.js.callstack import CallStack, StackFrame
 from repro.js.environment import Environment
 from repro.js.parser import parse_expression, parse_program
 from repro.js.values import (
+    BINARY_OPERATORS,
     HostConstructor,
     HostObject,
     JSArray,
@@ -33,13 +47,16 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
-    is_callable,
     is_truthy,
-    join_elements,
+    strict_equals,
     to_number,
     to_string,
     type_of,
 )
+
+#: ``code(interpreter, env)``: one compiled statement or expression.
+Code = Callable[["Interpreter", Environment], Any]
+
 
 
 class JsStepLimitError(JsRuntimeError):
@@ -68,66 +85,56 @@ class _Continue(Exception):
 
 
 class Interpreter:
-    """Evaluates parsed programs against a global environment."""
+    """Runs compiled programs against a global environment."""
 
-    #: Script call-stack ceiling.  Each JS frame costs ~15 Python frames
-    #: (eval -> invoke -> run_frame -> exec chains), so this must stay
-    #: well under ``sys.getrecursionlimit()`` for runaway recursion to
-    #: surface as a catchable JsRuntimeError (the engines' "maximum call
-    #: stack size exceeded") rather than a Python RecursionError.
+    #: Script call-stack ceiling.  Each JS frame costs a handful of
+    #: Python frames (invoke -> body -> statement -> expression chains),
+    #: so this must stay well under ``sys.getrecursionlimit()`` for
+    #: runaway recursion to surface as a catchable JsRuntimeError (the
+    #: engines' "maximum call stack size exceeded") rather than a Python
+    #: RecursionError.
     MAX_CALL_DEPTH = 32
 
     #: Bound on a program memo, cleared wholesale when full (as the digest memo is).
     PROGRAM_MEMO_LIMIT = 4096
-
-    #: ``{ast node type: _exec_*/_eval_* function}``, filled in once
-    #: below the class.
-    _EXEC: dict[type, Callable[..., Any]] = {}
-    _EVAL: dict[type, Callable[..., Any]] = {}
 
     def __init__(self, max_steps: int = 2_000_000) -> None:
         self.global_env = Environment()
         self.call_stack = CallStack()
         self.max_steps = max_steps
         self.steps = 0
-        #: Source -> parsed program; a ``Browser`` shares one across its pages.
-        self.programs: dict[str, ast.Program] = {}
-        self._install_builtins()
+        #: Source -> compiled program; a ``Browser`` shares one across its pages.
+        self.programs: dict[str, Code] = {}
+        install_globals(self.global_env)
 
     # -- public API -------------------------------------------------------------
 
     def run(self, source: str) -> Any:
-        """Parse and execute ``source``; returns the last statement's value.
+        """Parse, compile and execute ``source``; returns the last
+        statement's value.
 
-        A source is parsed once per :attr:`programs` memo (handlers are
+        A source is compiled once per :attr:`programs` memo (handlers are
         dispatched over and over); a source that fails to parse is not
         remembered and raises again on every run.
         """
-        program = self.programs.get(source)
-        if program is None:
+        code = self.programs.get(source)
+        if code is None:
             if len(self.programs) >= self.PROGRAM_MEMO_LIMIT:
                 self.programs.clear()
-            program = self.programs[source] = parse_program(source)
-        return self.execute_program(program)
+            code = self.programs[source] = compile_program(parse_program(source))
+        return self._run(code)
 
     def run_once(self, source: str) -> Any:
         """:meth:`run` without the memo, for a source run once (an inline script)."""
-        return self.execute_program(parse_program(source))
+        return self._run(compile_program(parse_program(source)))
 
     def eval_expression(self, source: str) -> Any:
         """Parse and evaluate a single expression."""
-        return self._eval(parse_expression(source), self.global_env)
+        return _expression(parse_expression(source))(self, self.global_env)
 
     def execute_program(self, program: ast.Program) -> Any:
-        """Execute an already-parsed program in the global scope."""
-        try:
-            return self._exec_Program(program, self.global_env)
-        except _Return:
-            raise JsSyntaxError("return statement outside function") from None
-        except _Break:
-            raise JsSyntaxError("break statement outside loop") from None
-        except _Continue:
-            raise JsSyntaxError("continue statement outside loop") from None
+        """Compile and execute an already-parsed program in the global scope."""
+        return self._run(compile_program(program))
 
     def call_function(self, function: Any, args: list[Any], this: Any = UNDEFINED) -> Any:
         """Invoke a JS or native function from Python."""
@@ -137,195 +144,301 @@ class Interpreter:
         """Bind ``name`` in the global scope (host objects, builtins)."""
         self.global_env.declare(name, value)
 
-    # -- builtins ---------------------------------------------------------------
+    # -- execution --------------------------------------------------------------
 
-    def _install_builtins(self) -> None:
-        env = self.global_env
-        env.declare("undefined", UNDEFINED)
-        env.declare("NaN", float("nan"))
-        env.declare("Infinity", float("inf"))
-        env.declare("parseInt", NativeFunction("parseInt", _parse_int))
-        env.declare("parseFloat", NativeFunction("parseFloat", _parse_float))
-        env.declare("isNaN", NativeFunction("isNaN", _is_nan))
-        env.declare("String", NativeFunction("String", _to_string_builtin))
-        env.declare("Number", NativeFunction("Number", _to_number_builtin))
-        env.declare("encodeURIComponent", NativeFunction("encodeURIComponent", _encode_uri))
-        math_object = JSObject(
-            {
-                "floor": NativeFunction("floor", _math1(_integral(math.floor))),
-                "ceil": NativeFunction("ceil", _math1(_integral(math.ceil))),
-                "round": NativeFunction("round", _math1(_integral(_round_half_up))),
-                "abs": NativeFunction("abs", _math1(abs)),
-                "max": NativeFunction("max", _math_var(max)),
-                "min": NativeFunction("min", _math_var(min)),
-                "sqrt": NativeFunction("sqrt", _math1(lambda x: math.nan if x < 0 else math.sqrt(x))),
-                "pow": NativeFunction("pow", _math2(_pow)),
-                "PI": math.pi,
-            }
-        )
-        env.declare("Math", math_object)
-        json_object = JSObject(
-            {
-                "parse": NativeFunction("parse", _json_parse),
-                "stringify": NativeFunction("stringify", _json_stringify),
-            }
-        )
-        env.declare("JSON", json_object)
+    def _run(self, code: Code) -> Any:
+        try:
+            return code(self, self.global_env)
+        except _Return:
+            raise JsSyntaxError("return statement outside function") from None
+        except _Break:
+            raise JsSyntaxError("break statement outside loop") from None
+        except _Continue:
+            raise JsSyntaxError("continue statement outside loop") from None
 
-    # -- statement execution ------------------------------------------------------
+    def _invoke(self, function: Any, args: list[Any], this: Any) -> Any:
+        if isinstance(function, JSFunction):
+            native = False
+        elif isinstance(function, NativeFunction):
+            native = True
+            if function.receiver is not None:
+                this = function.receiver
+        elif isinstance(function, HostConstructor):
+            return function.construct(self, args)
+        else:
+            raise JsTypeError(f"{to_string(function)} is not a function")
+        call_stack = self.call_stack
+        if len(call_stack) >= self.MAX_CALL_DEPTH:
+            raise JsRuntimeError("maximum call stack size exceeded")
+        call_stack.push(StackFrame(function.name or "<anonymous>", list(args), native=native))
+        try:
+            if native:
+                return function.fn(self, this, args)
+            body = function.body
+            code = body.code
+            if code is None:
+                code = body.code = _function_body(body)
+            return code(self, function, args, this)
+        except (_Break, _Continue):
+            raise JsRuntimeError("break/continue outside loop") from None
+        finally:
+            call_stack.pop()
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise JsStepLimitError(
-                f"script exceeded {self.max_steps} interpreter steps (infinite loop?)"
+
+def _exceed(rt: Interpreter) -> None:
+    """Stop a script whose next step passes the budget.  Charging stops
+    at the first step past it, as one tick at a time would."""
+    rt.steps = max(rt.steps + 1, rt.max_steps + 1)
+    raise JsStepLimitError(f"script exceeded {rt.max_steps} interpreter steps (infinite loop?)")
+
+
+# -- programs, blocks and function bodies ------------------------------------------
+
+
+def compile_program(program: ast.Program) -> Code:
+    """The closure that runs ``program`` (in the global scope, as given)."""
+    return _sequence(program.body, 0)
+
+
+def _hoisting(statements: list[ast.Statement]) -> list[ast.FunctionDeclaration]:
+    return [s for s in statements if isinstance(s, ast.FunctionDeclaration)]
+
+
+def _hoist(declarations: list[ast.FunctionDeclaration], env: Environment) -> None:
+    """Pre-declare function declarations so forward calls work."""
+    for d in declarations:
+        env.declare(d.name, JSFunction(d.name, d.params, d.body, env))
+
+
+def _sequence(statements: list[ast.Statement], charge: int) -> Code:
+    """A program or block: hoist, run each statement, answer the last
+    value.  ``charge`` is the block's own steps (0 for a program)."""
+    hoisted = _hoisting(statements)
+    if not statements:
+        return _constant(UNDEFINED, charge)
+    if not hoisted:
+        # Nothing runs between the block's steps and its first statement's.
+        codes = [_statement(statements[0], charge + 1)] + [_statement(s) for s in statements[1:]]
+        if len(codes) == 1:
+            return codes[0]
+
+        def run(rt: Interpreter, env: Environment) -> Any:
+            for code in codes:
+                result = code(rt, env)
+            return result
+
+        return run
+    codes = [_statement(s) for s in statements]
+
+    def run_hoisting(rt: Interpreter, env: Environment) -> Any:
+        if charge:
+            if (s := rt.steps + charge) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+        _hoist(hoisted, env)
+        for code in codes:
+            result = code(rt, env)
+        return result
+
+    return run_hoisting
+
+
+def _function_body(block: ast.Block) -> Callable[..., Any]:
+    """``call(interpreter, function, args, this)`` for a function whose
+    body is ``block``: binds the call's scope, runs the statements, and
+    answers what ``return`` gives.  A ``return`` at the body's top level
+    answers directly; one nested deeper unwinds to here."""
+    statements = block.body
+    hoisted = _hoisting(statements)
+    tail: Optional[Code] = None
+    for index, statement in enumerate(statements):
+        if isinstance(statement, ast.ReturnStatement):
+            # What follows a top-level return never runs.
+            statements = statements[:index]
+            tail = (
+                _constant(UNDEFINED, 1)
+                if statement.argument is None
+                else _expression(statement.argument, 2)
             )
+            break
+    codes = [_statement(s) for s in statements]
 
-    @staticmethod
-    def _hoist(body: list[ast.Statement], env: Environment) -> None:
-        """Pre-declare function declarations so forward calls work."""
-        for statement in body:
-            if isinstance(statement, ast.FunctionDeclaration):
-                env.declare(
-                    statement.name,
-                    JSFunction(statement.name, statement.params, statement.body, env),
-                )
+    def call(rt: Interpreter, function: JSFunction, args: list[Any], this: Any) -> Any:
+        env = Environment.for_call(function.closure, this, args, function.params)
+        if hoisted:
+            _hoist(hoisted, env)
+        try:
+            for code in codes:
+                code(rt, env)
+            return UNDEFINED if tail is None else tail(rt, env)
+        except _Return as ret:
+            return ret.value
 
-    def _exec(self, node: ast.Statement, env: Environment) -> Any:
-        self._tick()
-        method = self._EXEC.get(type(node))
-        if method is None:
-            raise JsRuntimeError(f"cannot execute {type(node).__name__}")
-        return method(self, node, env)
+    return call
 
-    def _exec_Program(self, node: ast.Program, env: Environment) -> Any:
-        self._hoist(node.body, env)
-        result: Any = UNDEFINED
-        for statement in node.body:
-            result = self._exec(statement, env)
-        return result
 
-    def _exec_Block(self, node: ast.Block, env: Environment) -> Any:
-        self._hoist(node.body, env)
-        result: Any = UNDEFINED
-        for statement in node.body:
-            result = self._exec(statement, env)
-        return result
+# -- statements -----------------------------------------------------------------
 
-    def _exec_VarDeclaration(self, node: ast.VarDeclaration, env: Environment) -> Any:
-        for name, initializer in node.declarations:
-            value = self._eval(initializer, env) if initializer is not None else UNDEFINED
-            env.declare(name, value)
+
+def _statement(node: ast.Statement, charge: int = 1) -> Code:
+    """Compile a statement that takes ``charge`` steps on entry (its own
+    one plus those of ancestors entered just before it)."""
+    compiler = _STATEMENTS.get(type(node))
+    if compiler is None:
+        return _failing(f"cannot execute {type(node).__name__}", charge)
+    return compiler(node, charge)
+
+
+def _failing(message: str, charge: int) -> Code:
+    """A node no compiler knows: it takes its steps, then raises."""
+
+    def fail(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        raise JsRuntimeError(message)
+
+    return fail
+
+
+def _var_declaration(node: ast.VarDeclaration, charge: int) -> Code:
+    declarations = node.declarations
+    if len(declarations) == 1 and declarations[0][1] is not None:
+        name, initializer = declarations[0]
+        value = _expression(initializer, charge + 1)
+
+        def declare_one(rt: Interpreter, env: Environment) -> Any:
+            env.declare(name, value(rt, env))
+            return UNDEFINED
+
+        return declare_one
+    compiled = [(name, None if init is None else _expression(init)) for name, init in declarations]
+
+    def declare(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        for name, code in compiled:
+            env.declare(name, UNDEFINED if code is None else code(rt, env))
         return UNDEFINED
 
-    def _exec_FunctionDeclaration(self, node: ast.FunctionDeclaration, env: Environment) -> Any:
-        env.declare(node.name, JSFunction(node.name, node.params, node.body, env))
+    return declare
+
+
+def _function_declaration(node: ast.FunctionDeclaration, charge: int) -> Code:
+    name, params, body = node.name, node.params, node.body
+
+    def declare(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        env.declare(name, JSFunction(name, params, body, env))
         return UNDEFINED
 
-    def _exec_ExpressionStatement(self, node: ast.ExpressionStatement, env: Environment) -> Any:
-        return self._eval(node.expression, env)
+    return declare
 
-    def _exec_IfStatement(self, node: ast.IfStatement, env: Environment) -> Any:
-        if is_truthy(self._eval(node.test, env)):
-            return self._exec(node.consequent, env)
-        if node.alternate is not None:
-            return self._exec(node.alternate, env)
-        return UNDEFINED
 
-    def _exec_WhileStatement(self, node: ast.WhileStatement, env: Environment) -> Any:
-        while is_truthy(self._eval(node.test, env)):
-            self._tick()
+def _expression_statement(node: ast.ExpressionStatement, charge: int) -> Code:
+    return _expression(node.expression, charge + 1)
+
+
+def _if_statement(node: ast.IfStatement, charge: int) -> Code:
+    test = _test(node.test, charge + 1)
+    consequent = _statement(node.consequent)
+    if node.alternate is None:
+
+        def if_then(rt: Interpreter, env: Environment) -> Any:
+            if test(rt, env):
+                return consequent(rt, env)
+            return UNDEFINED
+
+        return if_then
+    alternate = _statement(node.alternate)
+
+    def if_else(rt: Interpreter, env: Environment) -> Any:
+        if test(rt, env):
+            return consequent(rt, env)
+        return alternate(rt, env)
+
+    return if_else
+
+
+def _while_statement(node: ast.WhileStatement, charge: int) -> Code:
+    test = _test(node.test)
+    body = _statement(node.body, 2)  # the iteration's step, then the body's
+
+    def loop(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        while test(rt, env):
             try:
-                self._exec(node.body, env)
+                body(rt, env)
             except _Break:
                 break
             except _Continue:
                 continue
         return UNDEFINED
 
-    def _exec_DoWhileStatement(self, node: ast.DoWhileStatement, env: Environment) -> Any:
+    return loop
+
+
+def _do_while_statement(node: ast.DoWhileStatement, charge: int) -> Code:
+    body = _statement(node.body, 2)
+    test = _test(node.test)
+
+    def loop(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
         while True:
-            self._tick()
             try:
-                self._exec(node.body, env)
+                body(rt, env)
             except _Break:
                 break
             except _Continue:
                 pass
-            if not is_truthy(self._eval(node.test, env)):
+            if not test(rt, env):
                 break
         return UNDEFINED
 
-    def _exec_SwitchStatement(self, node: ast.SwitchStatement, env: Environment) -> Any:
-        discriminant = self._eval(node.discriminant, env)
-        matched = False
-        default_index: Optional[int] = None
-        try:
-            for index, (test, body) in enumerate(node.cases):
-                if not matched:
-                    if test is None:
-                        default_index = index
-                        continue
-                    if not _strict_equals(discriminant, self._eval(test, env)):
-                        continue
-                    matched = True
-                for statement in body:
-                    self._exec(statement, env)
-            if not matched and default_index is not None:
-                # Fall through from the default clause onward.
-                for _, body in node.cases[default_index:]:
-                    for statement in body:
-                        self._exec(statement, env)
-        except _Break:
-            pass
-        return UNDEFINED
+    return loop
 
-    def _exec_ThrowStatement(self, node: ast.ThrowStatement, env: Environment) -> Any:
-        raise JsThrownValue(self._eval(node.argument, env))
 
-    def _exec_TryStatement(self, node: ast.TryStatement, env: Environment) -> Any:
-        try:
-            self._exec(node.block, env)
-        except JsThrownValue as thrown:
-            if node.catch_block is not None:
-                catch_env = Environment(env)
-                catch_env.declare(node.catch_param or "exception", thrown.value)
-                self._exec(node.catch_block, catch_env)
-            else:
-                raise
-        except JsRuntimeError as error:
-            # Runtime errors are catchable like browser engines do —
-            # except the step-limit guard, which must kill the script.
-            if isinstance(error, JsStepLimitError):
-                raise
-            if node.catch_block is not None:
-                catch_env = Environment(env)
-                catch_env.declare(node.catch_param or "exception", str(error))
-                self._exec(node.catch_block, catch_env)
-            else:
-                raise
-        finally:
-            if node.finally_block is not None:
-                self._exec(node.finally_block, env)
-        return UNDEFINED
+def _for_statement(node: ast.ForStatement, charge: int) -> Code:
+    init = None if node.init is None else _statement(node.init, charge + 1)
+    test = None if node.test is None else _test(node.test)
+    update = None if node.update is None else _expression(node.update)
+    body = _statement(node.body, 2)
 
-    def _exec_ForStatement(self, node: ast.ForStatement, env: Environment) -> Any:
-        if node.init is not None:
-            self._exec(node.init, env)
-        while node.test is None or is_truthy(self._eval(node.test, env)):
-            self._tick()
+    def loop(rt: Interpreter, env: Environment) -> Any:
+        if init is None:
+            if (s := rt.steps + charge) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+        else:
+            init(rt, env)
+        while test is None or test(rt, env):
             try:
-                self._exec(node.body, env)
+                body(rt, env)
             except _Break:
                 break
             except _Continue:
                 pass
-            if node.update is not None:
-                self._eval(node.update, env)
+            if update is not None:
+                update(rt, env)
         return UNDEFINED
 
-    def _exec_ForInStatement(self, node: ast.ForInStatement, env: Environment) -> Any:
-        obj = self._eval(node.obj, env)
+    return loop
+
+
+def _for_in_statement(node: ast.ForInStatement, charge: int) -> Code:
+    subject = _expression(node.obj, charge + 1)
+    variable, declare = node.variable, node.declare
+    body = _statement(node.body)
+
+    def loop(rt: Interpreter, env: Environment) -> Any:
+        obj = subject(rt, env)
         if isinstance(obj, JSObject):
             keys = obj.keys()
         elif isinstance(obj, JSArray):
@@ -336,746 +449,630 @@ class Interpreter:
             keys = []
         else:
             raise JsTypeError(f"cannot enumerate {type_of(obj)}")
-        if node.declare:
-            env.declare(node.variable)
+        if declare:
+            env.declare(variable)
         for key in keys:
-            self._tick()
-            env.assign(node.variable, key)
+            if (s := rt.steps + 1) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+            env.assign(variable, key)
             try:
-                self._exec(node.body, env)
+                body(rt, env)
             except _Break:
                 break
             except _Continue:
                 continue
         return UNDEFINED
 
-    def _exec_ReturnStatement(self, node: ast.ReturnStatement, env: Environment) -> Any:
-        value = self._eval(node.argument, env) if node.argument is not None else UNDEFINED
-        raise _Return(value)
+    return loop
 
-    def _exec_BreakStatement(self, node: ast.BreakStatement, env: Environment) -> Any:
-        raise _Break()
 
-    def _exec_ContinueStatement(self, node: ast.ContinueStatement, env: Environment) -> Any:
-        raise _Continue()
+def _switch_statement(node: ast.SwitchStatement, charge: int) -> Code:
+    discriminant = _expression(node.discriminant, charge + 1)
+    cases = [
+        (None if test is None else _expression(test), [_statement(s) for s in body])
+        for test, body in node.cases
+    ]
 
-    def _exec_EmptyStatement(self, node: ast.EmptyStatement, env: Environment) -> Any:
+    def switch(rt: Interpreter, env: Environment) -> Any:
+        value = discriminant(rt, env)
+        matched = False
+        default_index: Optional[int] = None
+        try:
+            for index, (test, body) in enumerate(cases):
+                if not matched:
+                    if test is None:
+                        default_index = index
+                        continue
+                    if not strict_equals(value, test(rt, env)):
+                        continue
+                    matched = True
+                for code in body:
+                    code(rt, env)
+            if not matched and default_index is not None:
+                # Fall through from the default clause onward.
+                for _, body in cases[default_index:]:
+                    for code in body:
+                        code(rt, env)
+        except _Break:
+            pass
         return UNDEFINED
 
-    # -- expression evaluation ------------------------------------------------------
+    return switch
 
-    def _eval(self, node: ast.Expression, env: Environment) -> Any:
-        self._tick()
-        method = self._EVAL.get(type(node))
-        if method is None:
-            raise JsRuntimeError(f"cannot evaluate {type(node).__name__}")
-        return method(self, node, env)
 
-    def _eval_NumberLiteral(self, node: ast.NumberLiteral, env: Environment) -> Any:
-        return node.value
+def _throw_statement(node: ast.ThrowStatement, charge: int) -> Code:
+    argument = _expression(node.argument, charge + 1)
 
-    def _eval_StringLiteral(self, node: ast.StringLiteral, env: Environment) -> Any:
-        return node.value
+    def throw(rt: Interpreter, env: Environment) -> Any:
+        raise JsThrownValue(argument(rt, env))
 
-    def _eval_BooleanLiteral(self, node: ast.BooleanLiteral, env: Environment) -> Any:
-        return node.value
+    return throw
 
-    def _eval_NullLiteral(self, node: ast.NullLiteral, env: Environment) -> Any:
-        return None
 
-    def _eval_UndefinedLiteral(self, node: ast.UndefinedLiteral, env: Environment) -> Any:
+def _try_statement(node: ast.TryStatement, charge: int) -> Code:
+    block = _statement(node.block)
+    catch_name = node.catch_param or "exception"
+    handler = None if node.catch_block is None else _statement(node.catch_block)
+    finalizer = None if node.finally_block is None else _statement(node.finally_block)
+
+    def catch(rt: Interpreter, env: Environment, value: Any) -> None:
+        catch_env = Environment(env)
+        catch_env.declare(catch_name, value)
+        handler(rt, catch_env)
+
+    def try_(rt: Interpreter, env: Environment) -> Any:
+        # The try's own steps come before the protected region.
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        try:
+            block(rt, env)
+        except JsThrownValue as thrown:
+            if handler is None:
+                raise
+            catch(rt, env, thrown.value)
+        except JsRuntimeError as error:
+            # Runtime errors are catchable like browser engines do —
+            # except the step-limit guard, which must kill the script.
+            if handler is None or isinstance(error, JsStepLimitError):
+                raise
+            catch(rt, env, str(error))
+        finally:
+            if finalizer is not None:
+                finalizer(rt, env)
         return UNDEFINED
 
-    def _eval_Identifier(self, node: ast.Identifier, env: Environment) -> Any:
-        return env.get(node.name)
+    return try_
 
-    def _eval_ThisExpression(self, node: ast.ThisExpression, env: Environment) -> Any:
-        if env.is_declared("this"):
-            return env.get("this")
-        return UNDEFINED
 
-    def _eval_ArrayLiteral(self, node: ast.ArrayLiteral, env: Environment) -> Any:
-        return JSArray([self._eval(element, env) for element in node.elements])
+def _return_statement(node: ast.ReturnStatement, charge: int) -> Code:
+    argument = (
+        _constant(UNDEFINED, charge)
+        if node.argument is None
+        else _expression(node.argument, charge + 1)
+    )
 
-    def _eval_ObjectLiteral(self, node: ast.ObjectLiteral, env: Environment) -> Any:
-        return JSObject({key: self._eval(value, env) for key, value in node.properties})
+    def return_(rt: Interpreter, env: Environment) -> Any:
+        raise _Return(argument(rt, env))
 
-    def _eval_FunctionExpression(self, node: ast.FunctionExpression, env: Environment) -> Any:
-        return JSFunction(node.name, node.params, node.body, env)
+    return return_
 
-    def _eval_UnaryOp(self, node: ast.UnaryOp, env: Environment) -> Any:
-        if node.operator == "typeof":
-            # typeof tolerates unresolvable identifiers.
-            if isinstance(node.operand, ast.Identifier) and not env.is_declared(
-                node.operand.name
-            ):
-                return "undefined"
-            return type_of(self._eval(node.operand, env))
-        if node.operator == "delete":
-            return self._eval_delete(node.operand, env)
-        value = self._eval(node.operand, env)
-        if node.operator == "!":
-            return not is_truthy(value)
-        if node.operator == "-":
-            return -to_number(value)
-        if node.operator == "+":
-            return to_number(value)
-        raise JsRuntimeError(f"unknown unary operator {node.operator}")
 
-    def _eval_delete(self, target: ast.Expression, env: Environment) -> bool:
-        if isinstance(target, ast.Member):
-            obj = self._eval(target.obj, env)
-            if isinstance(obj, JSObject):
-                return obj.delete(target.property)
-            raise JsTypeError("delete is only supported on plain objects")
-        if isinstance(target, ast.Index):
-            obj = self._eval(target.obj, env)
-            key = self._eval(target.index, env)
-            if isinstance(obj, JSObject):
-                return obj.delete(to_string(key))
-            raise JsTypeError("delete is only supported on plain objects")
-        return True
+def _jump(exception: type) -> Callable[[Any, int], Code]:
+    def compile_jump(node: Any, charge: int) -> Code:
+        def jump(rt: Interpreter, env: Environment) -> Any:
+            if (s := rt.steps + charge) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+            raise exception()
 
-    def _eval_UpdateOp(self, node: ast.UpdateOp, env: Environment) -> Any:
-        old = to_number(self._read_target(node.target, env))
-        new = old + 1 if node.operator == "++" else old - 1
-        self._write_target(node.target, new, env)
-        return new if node.prefix else old
+        return jump
 
-    def _eval_BinaryOp(self, node: ast.BinaryOp, env: Environment) -> Any:
-        left = self._eval(node.left, env)
-        right = self._eval(node.right, env)
-        return _binary(node.operator, left, right)
+    return compile_jump
 
-    def _eval_LogicalOp(self, node: ast.LogicalOp, env: Environment) -> Any:
-        left = self._eval(node.left, env)
-        if node.operator == "&&":
-            return self._eval(node.right, env) if is_truthy(left) else left
-        return left if is_truthy(left) else self._eval(node.right, env)
 
-    def _eval_Conditional(self, node: ast.Conditional, env: Environment) -> Any:
-        if is_truthy(self._eval(node.test, env)):
-            return self._eval(node.consequent, env)
-        return self._eval(node.alternate, env)
+_STATEMENTS: dict[type, Callable[[Any, int], Code]] = {
+    ast.Program: lambda node, charge: _sequence(node.body, charge),
+    ast.Block: lambda node, charge: _sequence(node.body, charge),
+    ast.VarDeclaration: _var_declaration,
+    ast.FunctionDeclaration: _function_declaration,
+    ast.ExpressionStatement: _expression_statement,
+    ast.IfStatement: _if_statement,
+    ast.WhileStatement: _while_statement,
+    ast.DoWhileStatement: _do_while_statement,
+    ast.SwitchStatement: _switch_statement,
+    ast.ThrowStatement: _throw_statement,
+    ast.TryStatement: _try_statement,
+    ast.ForStatement: _for_statement,
+    ast.ForInStatement: _for_in_statement,
+    ast.ReturnStatement: _return_statement,
+    ast.BreakStatement: _jump(_Break),
+    ast.ContinueStatement: _jump(_Continue),
+    ast.EmptyStatement: lambda node, charge: _constant(UNDEFINED, charge),
+}
 
-    def _eval_Assignment(self, node: ast.Assignment, env: Environment) -> Any:
-        if node.operator == "=":
-            value = self._eval(node.value, env)
-        else:
-            current = self._read_target(node.target, env)
-            operand = self._eval(node.value, env)
-            value = _binary(node.operator[0], current, operand)
-        self._write_target(node.target, value, env)
+
+# -- expressions -------------------------------------------------------------------
+
+
+def _expression(node: ast.Expression, charge: int = 1) -> Code:
+    """Compile an expression that takes ``charge`` steps on entry."""
+    compiler = _EXPRESSIONS.get(type(node))
+    if compiler is None:
+        return _failing(f"cannot evaluate {type(node).__name__}", charge)
+    return compiler(node, charge)
+
+
+#: Operators whose answer is always a Python ``bool``.
+_BOOLEAN_OPERATORS = frozenset({"==", "!=", "===", "!==", "<", ">", "<=", ">=", "in"})
+
+
+def _test(node: ast.Expression, charge: int = 1) -> Code:
+    """Compile a condition to a closure answering a Python truth value."""
+    code = _expression(node, charge)
+    if (isinstance(node, ast.BinaryOp) and node.operator in _BOOLEAN_OPERATORS) or (
+        isinstance(node, ast.UnaryOp) and node.operator == "!"
+    ):
+        return code
+    return lambda rt, env: is_truthy(code(rt, env))
+
+
+def _constant(value: Any, charge: int) -> Code:
+    if not charge:
+        return lambda rt, env: value
+
+    def constant(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
         return value
 
-    def _read_target(self, target: ast.Expression, env: Environment) -> Any:
-        if isinstance(target, ast.Identifier):
-            return env.get(target.name)
-        if isinstance(target, ast.Member):
-            return self._get_member(self._eval(target.obj, env), target.property)
-        if isinstance(target, ast.Index):
-            obj = self._eval(target.obj, env)
-            key = self._eval(target.index, env)
-            return self._get_indexed(obj, key)
+    return constant
+
+
+def _literal(node: Any, charge: int) -> Code:
+    return _constant(getattr(node, "value", None), charge)
+
+
+def _identifier(node: ast.Identifier, charge: int) -> Code:
+    name = node.name
+
+    def identifier(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        scope = env
+        while scope is not None:
+            bindings = scope.bindings
+            if name in bindings:
+                return bindings[name]
+            scope = scope.parent
+        raise JsReferenceError(f"{name} is not defined")
+
+    return identifier
+
+
+def _this(node: ast.ThisExpression, charge: int) -> Code:
+    def this(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        return env.get("this") if env.is_declared("this") else UNDEFINED
+
+    return this
+
+
+def _array_literal(node: ast.ArrayLiteral, charge: int) -> Code:
+    elements = [_expression(element) for element in node.elements]
+
+    def array(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        return JSArray([element(rt, env) for element in elements])
+
+    return array
+
+
+def _object_literal(node: ast.ObjectLiteral, charge: int) -> Code:
+    properties = [(key, _expression(value)) for key, value in node.properties]
+
+    def obj(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        return JSObject({key: value(rt, env) for key, value in properties})
+
+    return obj
+
+
+def _function_expression(node: ast.FunctionExpression, charge: int) -> Code:
+    name, params, body = node.name, node.params, node.body
+
+    def function(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        return JSFunction(name, params, body, env)
+
+    return function
+
+
+def _unary_op(node: ast.UnaryOp, charge: int) -> Code:
+    operator, operand = node.operator, node.operand
+    if operator == "typeof" and isinstance(operand, ast.Identifier):
+        # typeof tolerates unresolvable identifiers.
+        name, value = operand.name, _expression(operand)
+
+        def type_of_name(rt: Interpreter, env: Environment) -> Any:
+            if (s := rt.steps + charge) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+            return type_of(value(rt, env)) if env.is_declared(name) else "undefined"
+
+        return type_of_name
+    if operator == "delete":
+        return _delete(operand, charge)
+    value = _expression(operand, charge + 1)
+    if operator == "!":
+        return lambda rt, env: not is_truthy(value(rt, env))
+    if operator == "-":
+        return lambda rt, env: -to_number(value(rt, env))
+    if operator == "+":
+        return lambda rt, env: to_number(value(rt, env))
+    if operator == "typeof":
+        return lambda rt, env: type_of(value(rt, env))
+
+    def unknown(rt: Interpreter, env: Environment) -> Any:
+        value(rt, env)
+        raise JsRuntimeError(f"unknown unary operator {operator}")
+
+    return unknown
+
+
+def _delete(target: ast.Expression, charge: int) -> Code:
+    if not isinstance(target, (ast.Member, ast.Index)):
+        return _constant(True, charge)
+    subject = _expression(target.obj, charge + 1)
+    key = (
+        _constant(target.property, 0)
+        if isinstance(target, ast.Member)
+        else _expression(target.index)
+    )
+
+    def delete(rt: Interpreter, env: Environment) -> Any:
+        obj = subject(rt, env)
+        name = to_string(key(rt, env))
+        if isinstance(obj, JSObject):
+            return obj.delete(name)
+        raise JsTypeError("delete is only supported on plain objects")
+
+    return delete
+
+
+def _reference(
+    target: ast.Expression, charge: int = 1
+) -> tuple[Callable[..., Any], Callable[..., None]]:
+    """``(read(rt, env), write(rt, env, value))`` for an assignment
+    target; each evaluates the target's object (and index) afresh, the
+    first with ``charge`` steps on entry."""
+    if isinstance(target, ast.Identifier):
+        name = target.name
+        return (lambda rt, env: env.get(name)), (lambda rt, env, value: env.assign(name, value))
+    if isinstance(target, ast.Member):
+        get, set_ = _member_getter(target.property), _member_setter(target.property)
+        read_obj, write_obj = _expression(target.obj, charge), _expression(target.obj)
+        return (
+            (lambda rt, env: get(read_obj(rt, env))),
+            (lambda rt, env, value: set_(write_obj(rt, env), value)),
+        )
+    if isinstance(target, ast.Index):
+        read_obj, write_obj = _expression(target.obj, charge), _expression(target.obj)
+        index = _expression(target.index)
+        return (
+            (lambda rt, env: _get_indexed(read_obj(rt, env), index(rt, env))),
+            (lambda rt, env, value: _set_indexed(write_obj(rt, env), index(rt, env), value)),
+        )
+
+    def invalid(*args: Any) -> Any:
         raise JsTypeError("invalid assignment target")
 
-    def _write_target(self, target: ast.Expression, value: Any, env: Environment) -> None:
+    return invalid, invalid
+
+
+def _update_op(node: ast.UpdateOp, charge: int) -> Code:
+    read, write = _reference(node.target)
+    step = 1.0 if node.operator == "++" else -1.0
+    prefix = node.prefix
+
+    def update(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        old = to_number(read(rt, env))
+        new = old + step
+        write(rt, env, new)
+        return new if prefix else old
+
+    return update
+
+
+def _assignment(node: ast.Assignment, charge: int) -> Code:
+    target = node.target
+    if node.operator == "=":
+        value = _expression(node.value, charge + 1)
         if isinstance(target, ast.Identifier):
-            env.assign(target.name, value)
-            return
-        if isinstance(target, ast.Member):
-            self._set_member(self._eval(target.obj, env), target.property, value)
-            return
-        if isinstance(target, ast.Index):
-            obj = self._eval(target.obj, env)
-            key = self._eval(target.index, env)
-            self._set_indexed(obj, key, value)
-            return
-        raise JsTypeError("invalid assignment target")
+            name = target.name
 
-    def _eval_Member(self, node: ast.Member, env: Environment) -> Any:
-        return self._get_member(self._eval(node.obj, env), node.property)
+            def assign_name(rt: Interpreter, env: Environment) -> Any:
+                result = value(rt, env)
+                env.assign(name, result)
+                return result
 
-    def _eval_Index(self, node: ast.Index, env: Environment) -> Any:
-        obj = self._eval(node.obj, env)
-        key = self._eval(node.index, env)
-        return self._get_indexed(obj, key)
+            return assign_name
+        _, write = _reference(target)
 
-    def _eval_Call(self, node: ast.Call, env: Environment) -> Any:
-        this: Any = UNDEFINED
-        if isinstance(node.callee, ast.Member):
-            this = self._eval(node.callee.obj, env)
-            function = self._get_member(this, node.callee.property)
-        elif isinstance(node.callee, ast.Index):
-            this = self._eval(node.callee.obj, env)
-            key = self._eval(node.callee.index, env)
-            function = self._get_indexed(this, key)
-        else:
-            function = self._eval(node.callee, env)
-        args = [self._eval(argument, env) for argument in node.arguments]
-        return self._invoke(function, args, this)
+        def assign(rt: Interpreter, env: Environment) -> Any:
+            result = value(rt, env)
+            write(rt, env, result)
+            return result
 
-    def _eval_New(self, node: ast.New, env: Environment) -> Any:
-        callee = self._eval(node.callee, env)
-        args = [self._eval(argument, env) for argument in node.arguments]
-        if isinstance(callee, HostConstructor):
-            return callee.construct(self, args)
-        if isinstance(callee, JSFunction):
+        return assign
+    read, write = _reference(target)
+    operand = _expression(node.value)
+    operator = _binary_operator(node.operator[0])
+
+    def compound(rt: Interpreter, env: Environment) -> Any:
+        if (s := rt.steps + charge) > rt.max_steps:
+            _exceed(rt)
+        rt.steps = s
+        current = read(rt, env)
+        result = operator(current, operand(rt, env))
+        write(rt, env, result)
+        return result
+
+    return compound
+
+
+def _binary_op(node: ast.BinaryOp, charge: int) -> Code:
+    operator = _binary_operator(node.operator)
+    left = _expression(node.left, charge + 1)
+    right_node = node.right
+    if isinstance(right_node, (ast.NumberLiteral, ast.StringLiteral)):
+        constant = right_node.value
+
+        def binary_constant(rt: Interpreter, env: Environment) -> Any:
+            value = left(rt, env)
+            if (s := rt.steps + 1) > rt.max_steps:
+                _exceed(rt)
+            rt.steps = s
+            return operator(value, constant)
+
+        return binary_constant
+    right = _expression(right_node)
+    return lambda rt, env: operator(left(rt, env), right(rt, env))
+
+
+def _logical_op(node: ast.LogicalOp, charge: int) -> Code:
+    left = _expression(node.left, charge + 1)
+    right = _expression(node.right)
+    if node.operator == "&&":
+
+        def and_(rt: Interpreter, env: Environment) -> Any:
+            value = left(rt, env)
+            return right(rt, env) if is_truthy(value) else value
+
+        return and_
+
+    def or_(rt: Interpreter, env: Environment) -> Any:
+        value = left(rt, env)
+        return value if is_truthy(value) else right(rt, env)
+
+    return or_
+
+
+def _conditional(node: ast.Conditional, charge: int) -> Code:
+    test = _test(node.test, charge + 1)
+    consequent, alternate = _expression(node.consequent), _expression(node.alternate)
+    return lambda rt, env: consequent(rt, env) if test(rt, env) else alternate(rt, env)
+
+
+def _member(node: ast.Member, charge: int) -> Code:
+    get = _member_getter(node.property)
+    obj = _expression(node.obj, charge + 1)
+    return lambda rt, env: get(obj(rt, env))
+
+
+def _index(node: ast.Index, charge: int) -> Code:
+    obj = _expression(node.obj, charge + 1)
+    index = _expression(node.index)
+    return lambda rt, env: _get_indexed(obj(rt, env), index(rt, env))
+
+
+def _arguments(nodes: list[ast.Expression]) -> Code:
+    """The closure that evaluates a call's arguments, in order, to a list."""
+    codes = [_expression(node) for node in nodes]
+    if not codes:
+        return lambda rt, env: []
+    if len(codes) == 1:
+        (first,) = codes
+        return lambda rt, env: [first(rt, env)]
+    if len(codes) == 2:
+        first, second = codes
+        return lambda rt, env: [first(rt, env), second(rt, env)]
+    return lambda rt, env: [code(rt, env) for code in codes]
+
+
+def _call(node: ast.Call, charge: int) -> Code:
+    callee = node.callee
+    arguments = _arguments(node.arguments)
+    if isinstance(callee, ast.Member):
+        get = _member_getter(callee.property)
+        receiver = _expression(callee.obj, charge + 1)
+
+        def call_method(rt: Interpreter, env: Environment) -> Any:
+            this = receiver(rt, env)
+            function = get(this)
+            return rt._invoke(function, arguments(rt, env), this)
+
+        return call_method
+    if isinstance(callee, ast.Index):
+        receiver = _expression(callee.obj, charge + 1)
+        index = _expression(callee.index)
+
+        def call_indexed(rt: Interpreter, env: Environment) -> Any:
+            this = receiver(rt, env)
+            function = _get_indexed(this, index(rt, env))
+            return rt._invoke(function, arguments(rt, env), this)
+
+        return call_indexed
+    function = _expression(callee, charge + 1)
+    return lambda rt, env: rt._invoke(function(rt, env), arguments(rt, env), UNDEFINED)
+
+
+def _new(node: ast.New, charge: int) -> Code:
+    callee = _expression(node.callee, charge + 1)
+    arguments = _arguments(node.arguments)
+
+    def new(rt: Interpreter, env: Environment) -> Any:
+        constructor = callee(rt, env)
+        args = arguments(rt, env)
+        if isinstance(constructor, HostConstructor):
+            return constructor.construct(rt, args)
+        if isinstance(constructor, JSFunction):
             instance = JSObject()
-            self._invoke(callee, args, instance)
+            rt._invoke(constructor, args, instance)
             return instance
-        raise JsTypeError(f"{to_string(callee)} is not a constructor")
+        raise JsTypeError(f"{to_string(constructor)} is not a constructor")
 
-    # -- invocation -------------------------------------------------------------------
+    return new
 
-    def _invoke(self, function: Any, args: list[Any], this: Any) -> Any:
-        if not is_callable(function):
-            raise JsTypeError(f"{to_string(function)} is not a function")
-        if isinstance(function, HostConstructor):
-            return function.construct(self, args)
-        name = getattr(function, "name", "<anonymous>") or "<anonymous>"
-        native = isinstance(function, NativeFunction)
-        if len(self.call_stack) >= self.MAX_CALL_DEPTH:
-            raise JsRuntimeError("maximum call stack size exceeded")
-        self.call_stack.push(StackFrame(name, list(args), native=native))
-        try:
-            if native:
-                return function.fn(self, this, args)
-            return self._call_js_function(function, args, this)
-        except (_Break, _Continue):
-            raise JsRuntimeError("break/continue outside loop") from None
-        finally:
-            self.call_stack.pop()
 
-    def _call_js_function(self, function: JSFunction, args: list[Any], this: Any) -> Any:
-        env = Environment(function.closure)
-        env.declare("this", this)
-        env.declare("arguments", JSArray(list(args)))
-        for index, param in enumerate(function.params):
-            env.declare(param, args[index] if index < len(args) else UNDEFINED)
-        self._hoist(function.body.body, env)
-        try:
-            for statement in function.body.body:
-                self._exec(statement, env)
-        except _Return as ret:
-            return ret.value
-        return UNDEFINED
+_EXPRESSIONS: dict[type, Callable[[Any, int], Code]] = {
+    ast.NumberLiteral: _literal,
+    ast.StringLiteral: _literal,
+    ast.BooleanLiteral: _literal,
+    ast.NullLiteral: _literal,
+    ast.UndefinedLiteral: lambda node, charge: _constant(UNDEFINED, charge),
+    ast.Identifier: _identifier,
+    ast.ThisExpression: _this,
+    ast.ArrayLiteral: _array_literal,
+    ast.ObjectLiteral: _object_literal,
+    ast.FunctionExpression: _function_expression,
+    ast.UnaryOp: _unary_op,
+    ast.UpdateOp: _update_op,
+    ast.BinaryOp: _binary_op,
+    ast.LogicalOp: _logical_op,
+    ast.Conditional: _conditional,
+    ast.Assignment: _assignment,
+    ast.Call: _call,
+    ast.New: _new,
+    ast.Member: _member,
+    ast.Index: _index,
+}
 
-    # -- member protocol -----------------------------------------------------------------
 
-    def _get_member(self, obj: Any, name: str) -> Any:
-        if obj is UNDEFINED or obj is None:
-            raise JsTypeError(f"cannot read property {name!r} of {to_string(obj)}")
+# -- member protocol -----------------------------------------------------------------
+
+
+def _get_member(obj: Any, name: str) -> Any:
+    if obj is UNDEFINED or obj is None:
+        raise JsTypeError(f"cannot read property {name!r} of {to_string(obj)}")
+    if isinstance(obj, HostObject):
+        return obj.js_get(name)
+    if isinstance(obj, JSObject):
+        return obj.get(name)
+    if isinstance(obj, JSArray):
+        return _native(obj, name, ARRAY_METHODS, float(obj.length))
+    if isinstance(obj, str):
+        return _native(obj, name, STRING_METHODS, float(len(obj)))
+    if isinstance(obj, (int, float)):
+        return _native(obj, name, NUMBER_METHODS, UNDEFINED)
+    raise JsTypeError(f"cannot read property {name!r} of {type_of(obj)}")
+
+
+def _native(obj: Any, name: str, methods: dict[str, Any], length: Any) -> Any:
+    """Member ``name`` of a primitive or array: its length, or one of
+    ``methods`` bound to it."""
+    if name == "length":
+        return length
+    method = methods.get(name)
+    return UNDEFINED if method is None else NativeFunction(name, method, obj)
+
+
+def _member_getter(name: str) -> Callable[[Any], Any]:
+    """``get(obj)`` reading property ``name``: :func:`_get_member` with
+    the name's tables looked up once, here."""
+    if name == "length":
+
+        def get_length(obj: Any) -> Any:
+            if isinstance(obj, JSArray):
+                return float(len(obj.elements))
+            if isinstance(obj, str):
+                return float(len(obj))
+            return _get_member(obj, name)
+
+        return get_length
+    array_method = ARRAY_METHODS.get(name)
+    string_method = STRING_METHODS.get(name)
+
+    def get(obj: Any) -> Any:
         if isinstance(obj, HostObject):
             return obj.js_get(name)
         if isinstance(obj, JSObject):
             return obj.get(name)
         if isinstance(obj, JSArray):
-            return _array_member(obj, name)
+            return UNDEFINED if array_method is None else NativeFunction(name, array_method, obj)
         if isinstance(obj, str):
-            return _string_member(obj, name)
-        if isinstance(obj, (int, float)):
-            return _number_member(obj, name)
-        raise JsTypeError(f"cannot read property {name!r} of {type_of(obj)}")
+            return UNDEFINED if string_method is None else NativeFunction(name, string_method, obj)
+        return _get_member(obj, name)
 
-    def _set_member(self, obj: Any, name: str, value: Any) -> None:
-        if isinstance(obj, HostObject):
-            obj.js_set(name, value)
-            return
-        if isinstance(obj, JSObject):
-            obj.set(name, value)
-            return
-        if isinstance(obj, JSArray) and name == "length":
-            _array_set_length(obj, value)
-            return
+    return get
+
+
+def _set_member(obj: Any, name: str, value: Any) -> None:
+    if isinstance(obj, HostObject):
+        obj.js_set(name, value)
+    elif isinstance(obj, JSObject):
+        obj.set(name, value)
+    elif isinstance(obj, JSArray) and name == "length":
+        obj.set_length(value)
+    else:
         raise JsTypeError(f"cannot set property {name!r} on {type_of(obj)}")
 
-    def _get_indexed(self, obj: Any, key: Any) -> Any:
-        if isinstance(obj, JSArray) and isinstance(key, (int, float)) and not isinstance(key, bool):
-            return obj.get_index(int(key))
-        if isinstance(obj, str) and isinstance(key, (int, float)) and not isinstance(key, bool):
-            index = int(key)
-            return obj[index] if 0 <= index < len(obj) else UNDEFINED
-        return self._get_member(obj, to_string(key))
 
-    def _set_indexed(self, obj: Any, key: Any, value: Any) -> None:
-        if isinstance(obj, JSArray) and isinstance(key, (int, float)) and not isinstance(key, bool):
-            obj.set_index(int(key), value)
-            return
-        self._set_member(obj, to_string(key), value)
+def _member_setter(name: str) -> Callable[[Any, Any], None]:
+    return lambda obj, value: _set_member(obj, name, value)
 
 
-def _dispatch_table(prefix: str) -> dict[type, Callable[..., Any]]:
-    """The :class:`Interpreter` functions named ``prefix`` + an AST node
-    class, keyed by that class."""
-    return {
-        getattr(ast, name[len(prefix):]): function
-        for name, function in vars(Interpreter).items()
-        if name.startswith(prefix) and hasattr(ast, name[len(prefix):])
-    }
+def _is_number(key: Any) -> bool:
+    return isinstance(key, (int, float)) and not isinstance(key, bool)
 
 
-Interpreter._EXEC = _dispatch_table("_exec_")
-Interpreter._EVAL = _dispatch_table("_eval_")
+def _get_indexed(obj: Any, key: Any) -> Any:
+    if _is_number(key) and isinstance(obj, (JSArray, str)):
+        # A fraction truncates; NaN and the infinities index nothing.
+        index = int(key) if key - key == 0 else -1
+        if isinstance(obj, JSArray):
+            return obj.get_index(index)
+        return obj[index] if 0 <= index < len(obj) else UNDEFINED
+    return _get_member(obj, to_string(key))
 
 
-# -- operators -------------------------------------------------------------------
-
-
-def _binary(operator: str, left: Any, right: Any) -> Any:
-    if operator == "+":
-        if isinstance(left, str) or isinstance(right, str):
-            return to_string(left) + to_string(right)
-        return to_number(left) + to_number(right)
-    if operator == "-":
-        return to_number(left) - to_number(right)
-    if operator == "*":
-        return to_number(left) * to_number(right)
-    if operator == "/":
-        divisor = to_number(right)
-        dividend = to_number(left)
-        if divisor == 0:
-            if dividend != dividend or dividend == 0:
-                return float("nan")
-            return float("inf") if dividend > 0 else float("-inf")
-        return dividend / divisor
-    if operator == "%":
-        divisor = to_number(right)
-        if divisor == 0:
-            return float("nan")
-        return math.fmod(to_number(left), divisor)
-    if operator in ("==", "!="):
-        equal = _loose_equals(left, right)
-        return equal if operator == "==" else not equal
-    if operator in ("===", "!=="):
-        equal = _strict_equals(left, right)
-        return equal if operator == "===" else not equal
-    if operator in ("<", ">", "<=", ">="):
-        return _compare(operator, left, right)
-    if operator == "in":
-        return _in_operator(left, right)
-    raise JsRuntimeError(f"unknown binary operator {operator}")
-
-
-def _strict_equals(left: Any, right: Any) -> bool:
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool) and left == right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
-    if isinstance(left, str) and isinstance(right, str):
-        return left == right
-    return left is right
-
-
-def _loose_equals(left: Any, right: Any) -> bool:
-    null_like = (None, UNDEFINED)
-    if left in null_like and right in null_like:
-        return True
-    if left in null_like or right in null_like:
-        return False
-    # A boolean compares as its number, an object beside a primitive as
-    # its string (ToPrimitive): so ``[] == false``.
-    if isinstance(left, bool):
-        left = to_number(left)
-    if isinstance(right, bool):
-        right = to_number(right)
-    primitive = (str, int, float)
-    if isinstance(left, primitive) and not isinstance(right, primitive):
-        right = to_string(right)
-    elif isinstance(right, primitive) and not isinstance(left, primitive):
-        left = to_string(left)
-    if isinstance(left, str) and isinstance(right, str):
-        return left == right
-    if isinstance(left, primitive) and isinstance(right, primitive):
-        return to_number(left) == to_number(right)
-    return left is right
-
-
-def _compare(operator: str, left: Any, right: Any) -> bool:
-    if isinstance(left, str) and isinstance(right, str):
-        pairs = {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}
-        return pairs[operator]
-    lnum, rnum = to_number(left), to_number(right)
-    if lnum != lnum or rnum != rnum:
-        return False
-    pairs = {"<": lnum < rnum, ">": lnum > rnum, "<=": lnum <= rnum, ">=": lnum >= rnum}
-    return pairs[operator]
-
-
-def _in_operator(key: Any, obj: Any) -> bool:
-    name = to_string(key)
-    if isinstance(obj, JSObject):
-        return name in obj.properties
-    if isinstance(obj, JSArray):
-        try:
-            index = int(name)
-        except ValueError:
-            return False
-        return 0 <= index < obj.length
-    if isinstance(obj, HostObject):
-        return name in obj.js_keys()
-    raise JsTypeError("'in' requires an object")
-
-
-# -- built-in members ---------------------------------------------------------------
-
-
-def _array_member(array: JSArray, name: str) -> Any:
-    if name == "length":
-        return float(array.length)
-    methods = {
-        "push": lambda interp, this, args: _array_push(array, args),
-        "pop": lambda interp, this, args: _array_pop(array),
-        "shift": lambda interp, this, args: _array_shift(array),
-        "unshift": lambda interp, this, args: _array_unshift(array, args),
-        "join": lambda interp, this, args: _array_join(array, args),
-        "indexOf": lambda interp, this, args: _array_index_of(array, args),
-        "slice": lambda interp, this, args: _array_slice(array, args),
-        "concat": lambda interp, this, args: _array_concat(array, args),
-        "reverse": lambda interp, this, args: _array_reverse(array),
-        "sort": lambda interp, this, args: _array_sort(interp, array, args),
-        "map": lambda interp, this, args: _array_map(interp, array, args),
-        "filter": lambda interp, this, args: _array_filter(interp, array, args),
-        "forEach": lambda interp, this, args: _array_for_each(interp, array, args),
-    }
-    if name in methods:
-        return NativeFunction(name, methods[name])
-    return UNDEFINED
-
-
-def _array_push(array: JSArray, args: list[Any]) -> float:
-    array.elements.extend(args)
-    return float(array.length)
-
-
-def _array_pop(array: JSArray) -> Any:
-    return array.elements.pop() if array.elements else UNDEFINED
-
-
-def _array_join(array: JSArray, args: list[Any]) -> str:
-    return join_elements(array, to_string(args[0]) if args else ",")
-
-
-def _array_index_of(array: JSArray, args: list[Any]) -> float:
-    needle = args[0] if args else UNDEFINED
-    for index, element in enumerate(array.elements):
-        if _strict_equals(element, needle):
-            return float(index)
-    return -1.0
-
-
-def _array_slice(array: JSArray, args: list[Any]) -> JSArray:
-    start = int(to_number(args[0])) if args else 0
-    end = int(to_number(args[1])) if len(args) > 1 else array.length
-    return JSArray(array.elements[start:end])
-
-
-def _array_concat(array: JSArray, args: list[Any]) -> JSArray:
-    merged = list(array.elements)
-    for arg in args:
-        if isinstance(arg, JSArray):
-            merged.extend(arg.elements)
-        else:
-            merged.append(arg)
-    return JSArray(merged)
-
-
-def _array_shift(array: JSArray) -> Any:
-    return array.elements.pop(0) if array.elements else UNDEFINED
-
-
-def _array_unshift(array: JSArray, args: list[Any]) -> float:
-    array.elements[0:0] = args
-    return float(array.length)
-
-
-def _array_reverse(array: JSArray) -> JSArray:
-    array.elements.reverse()
-    return array
-
-
-def _array_sort(interp: "Interpreter", array: JSArray, args: list[Any]) -> JSArray:
-    if args and is_callable(args[0]):
-        comparator = args[0]
-        import functools
-
-        def compare(a: Any, b: Any) -> int:
-            result = to_number(interp.call_function(comparator, [a, b]))
-            if result < 0:
-                return -1
-            if result > 0:
-                return 1
-            return 0
-
-        array.elements.sort(key=functools.cmp_to_key(compare))
+def _set_indexed(obj: Any, key: Any, value: Any) -> None:
+    if isinstance(obj, JSArray) and _is_number(key):
+        obj.set_index(key, value)
     else:
-        array.elements.sort(key=to_string)
-    return array
+        _set_member(obj, to_string(key), value)
 
 
-def _array_map(interp: "Interpreter", array: JSArray, args: list[Any]) -> JSArray:
-    if not args or not is_callable(args[0]):
-        raise JsTypeError("Array.map expects a function")
-    fn = args[0]
-    return JSArray(
-        [
-            interp.call_function(fn, [element, float(index)])
-            for index, element in enumerate(array.elements)
-        ]
-    )
+def _binary_operator(operator: str) -> Callable[[Any, Any], Any]:
+    function = BINARY_OPERATORS.get(operator)
+    if function is not None:
+        return function
 
+    def unknown(left: Any, right: Any) -> Any:
+        raise JsRuntimeError(f"unknown binary operator {operator}")
 
-def _array_filter(interp: "Interpreter", array: JSArray, args: list[Any]) -> JSArray:
-    if not args or not is_callable(args[0]):
-        raise JsTypeError("Array.filter expects a function")
-    fn = args[0]
-    return JSArray(
-        [
-            element
-            for index, element in enumerate(array.elements)
-            if is_truthy(interp.call_function(fn, [element, float(index)]))
-        ]
-    )
-
-
-def _array_for_each(interp: "Interpreter", array: JSArray, args: list[Any]) -> Any:
-    if not args or not is_callable(args[0]):
-        raise JsTypeError("Array.forEach expects a function")
-    fn = args[0]
-    for index, element in enumerate(array.elements):
-        interp.call_function(fn, [element, float(index)])
-    return UNDEFINED
-
-
-def _array_set_length(array: JSArray, value: Any) -> None:
-    new_length = int(to_number(value))
-    if new_length < 0:
-        raise JsTypeError("invalid array length")
-    if new_length < array.length:
-        del array.elements[new_length:]
-    else:
-        array.elements.extend([UNDEFINED] * (new_length - array.length))
-
-
-def _string_member(text: str, name: str) -> Any:
-    if name == "length":
-        return float(len(text))
-    methods = {
-        "charAt": lambda interp, this, args: (
-            text[int(to_number(args[0]))] if args and 0 <= int(to_number(args[0])) < len(text) else ""
-        ),
-        "indexOf": lambda interp, this, args: float(text.find(to_string(args[0]) if args else "undefined")),
-        "lastIndexOf": lambda interp, this, args: float(text.rfind(to_string(args[0]) if args else "undefined")),
-        "substring": lambda interp, this, args: _substring(text, args),
-        "slice": lambda interp, this, args: _string_slice(text, args),
-        "split": lambda interp, this, args: _string_split(text, args),
-        "toLowerCase": lambda interp, this, args: text.lower(),
-        "toUpperCase": lambda interp, this, args: text.upper(),
-        "replace": lambda interp, this, args: text.replace(to_string(args[0]), to_string(args[1]), 1),
-        "trim": lambda interp, this, args: text.strip(),
-        "concat": lambda interp, this, args: text + "".join(to_string(a) for a in args),
-        "charCodeAt": lambda interp, this, args: _char_code_at(text, args),
-        "startsWith": lambda interp, this, args: text.startswith(to_string(args[0]) if args else "undefined"),
-        "endsWith": lambda interp, this, args: text.endswith(to_string(args[0]) if args else "undefined"),
-        "includes": lambda interp, this, args: (to_string(args[0]) if args else "undefined") in text,
-        "repeat": lambda interp, this, args: text * max(0, int(to_number(args[0])) if args else 0),
-    }
-    if name in methods:
-        return NativeFunction(name, methods[name])
-    return UNDEFINED
-
-
-def _substring(text: str, args: list[Any]) -> str:
-    start = max(0, int(to_number(args[0]))) if args else 0
-    end = max(0, int(to_number(args[1]))) if len(args) > 1 else len(text)
-    if start > end:
-        start, end = end, start
-    return text[start:end]
-
-
-def _string_slice(text: str, args: list[Any]) -> str:
-    start = int(to_number(args[0])) if args else 0
-    end = int(to_number(args[1])) if len(args) > 1 else len(text)
-    return text[slice(start, end)]
-
-
-def _string_split(text: str, args: list[Any]) -> JSArray:
-    if not args or args[0] is UNDEFINED:
-        return JSArray([text])
-    separator = to_string(args[0])
-    if separator == "":
-        return JSArray(list(text))
-    return JSArray(text.split(separator))
-
-
-def _char_code_at(text: str, args: list[Any]) -> float:
-    index = int(to_number(args[0])) if args else 0
-    if 0 <= index < len(text):
-        return float(ord(text[index]))
-    return float("nan")
-
-
-def _number_member(value: Any, name: str) -> Any:
-    methods = {
-        "toFixed": lambda interp, this, args: (
-            f"{float(value):.{int(to_number(args[0])) if args else 0}f}"
-        ),
-        "toString": lambda interp, this, args: to_string(float(value)),
-    }
-    if name in methods:
-        return NativeFunction(name, methods[name])
-    return UNDEFINED
-
-
-# -- global builtins --------------------------------------------------------------
-
-
-def _parse_int(interp: Interpreter, this: Any, args: list[Any]) -> float:
-    text = to_string(args[0]).strip() if args else ""
-    radix = to_number(args[1]) if len(args) > 1 else 0.0
-    radix = int(radix) if math.isfinite(radix) else 0
-    sign = 1
-    if text[:1] in "+-":
-        if text[0] == "-":
-            sign = -1
-        text = text[1:]
-    # No radix (or 0) reads a "0x" prefix as 16, else as 10.
-    if radix in (0, 16) and text[:2].lower() == "0x":
-        text, radix = text[2:], 16
-    elif radix == 0:
-        radix = 10
-    digits = ""
-    for char in text:
-        try:
-            if int(char, radix) >= 0:
-                digits += char
-        except ValueError:
-            break
-    if not digits:
-        return float("nan")
-    return float(sign * int(digits, radix))
-
-
-def _parse_float(interp: Interpreter, this: Any, args: list[Any]) -> float:
-    text = to_string(args[0]).strip() if args else ""
-    import re
-
-    match = re.match(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text)
-    return float(match.group(0)) if match else float("nan")
-
-
-def _is_nan(interp: Interpreter, this: Any, args: list[Any]) -> bool:
-    number = to_number(args[0]) if args else float("nan")
-    return number != number
-
-
-def _to_string_builtin(interp: Interpreter, this: Any, args: list[Any]) -> str:
-    return to_string(args[0]) if args else ""
-
-
-def _to_number_builtin(interp: Interpreter, this: Any, args: list[Any]) -> float:
-    return to_number(args[0]) if args else 0.0
-
-
-def _json_parse(interp: Interpreter, this: Any, args: list[Any]) -> Any:
-    import json
-
-    text = to_string(args[0]) if args else "undefined"
-    try:
-        return _python_to_js(json.loads(text))
-    except ValueError as error:
-        raise JsRuntimeError(f"JSON.parse: {error}") from None
-
-
-def _json_stringify(interp: Interpreter, this: Any, args: list[Any]) -> Any:
-    import json
-
-    if not args:
-        return UNDEFINED
-    try:
-        return json.dumps(_js_to_python(args[0]))
-    except (TypeError, ValueError):
-        return UNDEFINED
-
-
-def _python_to_js(value: Any) -> Any:
-    if isinstance(value, dict):
-        return JSObject({key: _python_to_js(item) for key, item in value.items()})
-    if isinstance(value, list):
-        return JSArray([_python_to_js(item) for item in value])
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
-
-
-def _js_to_python(value: Any) -> Any:
-    if value is UNDEFINED:
-        return None
-    if isinstance(value, JSObject):
-        return {key: _js_to_python(item) for key, item in value.properties.items()}
-    if isinstance(value, JSArray):
-        return [_js_to_python(item) for item in value.elements]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-def _encode_uri(interp: Interpreter, this: Any, args: list[Any]) -> str:
-    from urllib.parse import quote
-
-    return quote(to_string(args[0]) if args else "undefined", safe="")
-
-
-def _math1(fn: Any) -> Any:
-    def wrapper(interp: Interpreter, this: Any, args: list[Any]) -> float:
-        return float(fn(to_number(args[0]) if args else float("nan")))
-
-    return wrapper
-
-
-def _math2(fn: Any) -> Any:
-    def wrapper(interp: Interpreter, this: Any, args: list[Any]) -> float:
-        a = to_number(args[0]) if args else float("nan")
-        b = to_number(args[1]) if len(args) > 1 else float("nan")
-        return float(fn(a, b))
-
-    return wrapper
-
-
-def _math_var(pick: Any) -> Any:
-    def wrapper(interp: Interpreter, this: Any, args: list[Any]) -> float:
-        numbers = [to_number(argument) for argument in args]
-        if any(number != number for number in numbers):
-            return math.nan
-        empty = -math.inf if pick is max else math.inf
-        # +0 ranks above -0, as ECMAScript orders them.
-        return float(pick(numbers, key=lambda x: (x, math.copysign(1, x)), default=empty))
-
-    return wrapper
-
-
-def _integral(rounding: Callable[[float], int]) -> Callable[[float], float]:
-    """``rounding`` as ``Math`` applies it: NaN and ±Infinity pass, a zero keeps its sign."""
-    return lambda x: x if not math.isfinite(x) else math.copysign(rounding(x), x)
-
-
-def _round_half_up(x: float) -> int:
-    """Halves up; not ``floor(x + 0.5)``: 0.49999999999999994 + 0.5 == 1.0."""
-    low = math.floor(x)
-    return low + 1 if x - low >= 0.5 else low
-
-
-def _pow(base: float, exponent: float) -> float:
-    """``Math.pow`` as ECMAScript has it: no domain or range error."""
-    if exponent != exponent or (abs(base) == 1 and math.isinf(exponent)):
-        return math.nan
-    try:
-        return math.pow(base, exponent)
-    except ValueError:  # a negative base to a fraction, or 0 to a negative power
-        if base != 0:
-            return math.nan
-    except OverflowError:
-        pass
-    return math.copysign(math.inf, base) if exponent % 2 == 1 else math.inf
+    return unknown

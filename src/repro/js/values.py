@@ -10,9 +10,19 @@ arrays and functions get small dedicated classes, and host objects
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import JsTypeError
+from repro.errors import JsRuntimeError, JsTypeError
+
+#: V8's longest string (``String::kMaxLength`` on a 64-bit host): a
+#: ``repeat`` past it is a RangeError, as in node.
+MAX_STRING_LENGTH = 2**29 - 24
+
+#: The longest array an index or ``length`` write may grow: the list is
+#: dense, so a write past this (node would make the array sparse) is a
+#: RangeError rather than gigabytes of ``undefined``.
+MAX_ARRAY_LENGTH = 2**24
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.js import ast
@@ -64,7 +74,14 @@ class JSObject:
 
 
 class JSArray:
-    """A JavaScript array backed by a Python list."""
+    """A JavaScript array backed by a Python list.
+
+    Every write to an array is one of its methods, as every write to an
+    object is :meth:`JSObject.set`/:meth:`JSObject.delete` and every
+    write to a scope an :class:`~repro.js.environment.Environment`
+    method (``tests/js/test_heap_writes.py`` holds the rest of the
+    package to that).
+    """
 
     def __init__(self, elements: Optional[list[Any]] = None) -> None:
         self.elements: list[Any] = list(elements or [])
@@ -74,12 +91,50 @@ class JSArray:
             return self.elements[index]
         return UNDEFINED
 
-    def set_index(self, index: int, value: Any) -> None:
-        if index < 0:
-            raise JsTypeError(f"invalid array index {index}")
-        while len(self.elements) <= index:
-            self.elements.append(UNDEFINED)
-        self.elements[index] = value
+    def set_index(self, key: float, value: Any) -> None:
+        """``array[key] = value`` for a numeric ``key``; a fraction
+        truncates, a NaN, infinite, negative or too large one raises."""
+        index = to_integer_or_infinity(key)
+        if key != key or not 0 <= index < MAX_ARRAY_LENGTH:
+            raise JsTypeError(f"invalid array index {to_string(key)}")
+        elements = self.elements
+        if index >= len(elements):
+            elements += [UNDEFINED] * (index + 1 - len(elements))
+        elements[index] = value
+
+    def set_length(self, value: Any) -> None:
+        """``array.length = value``: truncates or pads with ``undefined``."""
+        number = to_number(value)
+        length = to_integer_or_infinity(number)
+        if length != number or not 0 <= length <= MAX_ARRAY_LENGTH:
+            raise JsRuntimeError("RangeError: Invalid array length")
+        elements = self.elements
+        if length < len(elements):
+            del elements[length:]
+        else:
+            elements += [UNDEFINED] * (length - len(elements))
+
+    def push(self, values: list[Any]) -> int:
+        self.elements += values
+        return len(self.elements)
+
+    def pop(self) -> Any:
+        return self.elements.pop() if self.elements else UNDEFINED
+
+    def shift(self) -> Any:
+        return self.elements.pop(0) if self.elements else UNDEFINED
+
+    def unshift(self, values: list[Any]) -> int:
+        self.elements[0:0] = values
+        return len(self.elements)
+
+    def reverse(self) -> "JSArray":
+        self.elements.reverse()
+        return self
+
+    def sort(self, key: Callable[[Any], Any]) -> "JSArray":
+        self.elements.sort(key=key)
+        return self
 
     @property
     def length(self) -> int:
@@ -112,16 +167,23 @@ class NativeFunction:
     """A Python callable exposed to scripts.
 
     The callable receives ``(interpreter, this, args)`` and returns a JS
-    value.  ``name`` shows up in stack traces and hot-node keys.
+    value.  ``name`` shows up in stack traces and hot-node keys.  A
+    native read off a value (``"abc".charAt``, ``list.push``) is bound
+    to it: ``receiver`` is then passed as ``this``, however the native
+    is called.
     """
+
+    __slots__ = ("name", "fn", "receiver")
 
     def __init__(
         self,
         name: str,
         fn: Callable[["Interpreter", Any, list[Any]], Any],
+        receiver: Any = None,
     ) -> None:
         self.name = name
         self.fn = fn
+        self.receiver = receiver
 
     def __repr__(self) -> str:
         return f"NativeFunction({self.name})"
@@ -166,6 +228,9 @@ class HostConstructor:
 
 # -- conversions ---------------------------------------------------------------
 
+_INFINITY = float("inf")
+_NAN = float("nan")
+
 
 def is_callable(value: Any) -> bool:
     """Whether ``value`` can be invoked."""
@@ -206,6 +271,40 @@ def to_number(value: Any) -> float:
         except ValueError:
             return float("nan")
     return float("nan")
+
+
+def to_integer_or_infinity(value: Any) -> Any:
+    """ECMAScript ``ToIntegerOrInfinity``: NaN is 0, an infinity stays a
+    float infinity, any other number truncates toward zero to an int."""
+    number = to_number(value)
+    if number != number:
+        return 0
+    if number == _INFINITY or number == -_INFINITY:
+        return number
+    return int(number)
+
+
+def relative_index(value: Any, length: int, default: int) -> int:
+    """The relative-index clamp of ``slice``: ``undefined`` is
+    ``default``, a negative position counts back from ``length``, and
+    the answer lies in ``0..length``."""
+    if value is UNDEFINED:
+        return default
+    position = to_integer_or_infinity(value)
+    if position < 0:
+        return max(length + position, 0)
+    return min(position, length)
+
+
+def strict_equals(left: Any, right: Any) -> bool:
+    """The ``===`` operator."""
+    if isinstance(left, bool) or isinstance(right, bool):
+        return isinstance(left, bool) and isinstance(right, bool) and left == right
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return float(left) == float(right)
+    if isinstance(left, str) and isinstance(right, str):
+        return left == right
+    return left is right
 
 
 def to_string(value: Any) -> str:
@@ -285,3 +384,113 @@ def type_of(value: Any) -> str:
     if is_callable(value):
         return "function"
     return "object"
+
+
+# -- operators -----------------------------------------------------------------
+
+
+def _add(left: Any, right: Any) -> Any:
+    if type(left) is float and type(right) is float:
+        return left + right
+    if isinstance(left, str) or isinstance(right, str):
+        return to_string(left) + to_string(right)
+    return to_number(left) + to_number(right)
+
+
+def _subtract(left: Any, right: Any) -> Any:
+    if type(left) is float and type(right) is float:
+        return left - right
+    return to_number(left) - to_number(right)
+
+
+def _divide(left: Any, right: Any) -> float:
+    divisor = to_number(right)
+    dividend = to_number(left)
+    if divisor == 0:
+        if dividend != dividend or dividend == 0:
+            return _NAN
+        # The quotient's sign is the product of both signs, a zero's included.
+        return math.copysign(_INFINITY, dividend) * math.copysign(1.0, divisor)
+    return dividend / divisor
+
+
+def _remainder(left: Any, right: Any) -> float:
+    divisor = to_number(right)
+    dividend = to_number(left)
+    if divisor == 0 or dividend == _INFINITY or dividend == -_INFINITY:
+        return _NAN
+    return math.fmod(dividend, divisor)
+
+
+def _loose_equals(left: Any, right: Any) -> bool:
+    if type(left) is type(right) and type(left) in (float, str):
+        return left == right
+    null_like = (None, UNDEFINED)
+    if left in null_like and right in null_like:
+        return True
+    if left in null_like or right in null_like:
+        return False
+    # A boolean compares as its number, an object beside a primitive as
+    # its string (ToPrimitive): so ``[] == false``.
+    if isinstance(left, bool):
+        left = to_number(left)
+    if isinstance(right, bool):
+        right = to_number(right)
+    primitive = (str, int, float)
+    if isinstance(left, primitive) and not isinstance(right, primitive):
+        right = to_string(right)
+    elif isinstance(right, primitive) and not isinstance(left, primitive):
+        left = to_string(left)
+    if isinstance(left, str) and isinstance(right, str):
+        return left == right
+    if isinstance(left, primitive) and isinstance(right, primitive):
+        return to_number(left) == to_number(right)
+    return left is right
+
+
+def _comparison(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    """A relational operator: strings compare as strings, anything else
+    as numbers (a NaN answers False, as Python's float order does)."""
+
+    def relation(left: Any, right: Any) -> bool:
+        if type(left) is float and type(right) is float:
+            return compare(left, right)
+        if isinstance(left, str) and isinstance(right, str):
+            return compare(left, right)
+        return compare(to_number(left), to_number(right))
+
+    return relation
+
+
+def _in_operator(key: Any, obj: Any) -> bool:
+    name = to_string(key)
+    if isinstance(obj, JSObject):
+        return name in obj.properties
+    if isinstance(obj, JSArray):
+        try:
+            index = int(name)
+        except ValueError:
+            return False
+        return 0 <= index < obj.length
+    if isinstance(obj, HostObject):
+        return name in obj.js_keys()
+    raise JsTypeError("'in' requires an object")
+
+
+#: ``operator -> f(left, right)`` for every binary operator of the subset.
+BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": _add,
+    "-": _subtract,
+    "*": lambda left, right: to_number(left) * to_number(right),
+    "/": _divide,
+    "%": _remainder,
+    "==": _loose_equals,
+    "!=": lambda left, right: not _loose_equals(left, right),
+    "===": strict_equals,
+    "!==": lambda left, right: not strict_equals(left, right),
+    "<": _comparison(lambda left, right: left < right),
+    ">": _comparison(lambda left, right: left > right),
+    "<=": _comparison(lambda left, right: left <= right),
+    ">=": _comparison(lambda left, right: left >= right),
+    "in": _in_operator,
+}

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import JsReferenceError, JsRuntimeError, JsTypeError
-from repro.js import ast
+from repro.js import ast, interpreter
 from repro.js import (
     Interpreter,
     JSArray,
@@ -360,13 +360,14 @@ class TestHostIntegration:
 
 
 class TestNodeDispatch:
-    def test_every_node_class_is_in_exactly_one_table(self):
+    def test_every_node_class_compiles(self):
         nodes = {
             value for value in vars(ast).values()
             if isinstance(value, type) and issubclass(value, ast.Node) and value is not ast.Node
         }
-        assert not set(Interpreter._EXEC) & set(Interpreter._EVAL)
-        assert set(Interpreter._EXEC) | set(Interpreter._EVAL) == nodes
+        # Each class has one compiler, as a statement or as an expression.
+        assert not set(interpreter._STATEMENTS) & set(interpreter._EXPRESSIONS)
+        assert set(interpreter._STATEMENTS) | set(interpreter._EXPRESSIONS) == nodes
 
     def test_a_node_type_without_a_handler_is_a_runtime_error(self, interp):
         class Mystery(ast.Node):

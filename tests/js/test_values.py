@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import JsTypeError
+from repro.errors import JavascriptError, JsTypeError
 from repro.js import (
     Interpreter,
     JSArray,
@@ -179,9 +179,99 @@ MATH_ANSWERS = [
 ]
 
 
-@pytest.mark.parametrize("source, node", NODE_ANSWERS + MATH_ANSWERS)
+#: Division and remainder by a signed zero or an infinity, as node v20
+#: prints them: the quotient's sign is the product of both signs, a
+#: zero's included (``1/(-0)`` once answered ``Infinity``), and an
+#: infinite dividend has no remainder (``Infinity % 5`` once raised).
+DIVISION_ANSWERS = [
+    ("1/0", "Infinity"),
+    ("1/-0", "-Infinity"),
+    ("-1/0", "-Infinity"),
+    ("-1/-0", "Infinity"),
+    ("0/-0", "NaN"),
+    ("5 % -0", "NaN"),
+    ("-0 % 5", "0"),
+    ("1/(-0 % 5)", "-Infinity"),
+    ("1/Math.ceil(-0.5)", "-Infinity"),
+    ("Infinity % 5", "NaN"),
+    ("5 % Infinity", "5"),
+]
+
+#: Positions, counts and digit counts through ToIntegerOrInfinity and
+#: the relative-index clamp, as node v20 prints them; each NaN case
+#: once raised a raw ``ValueError``.
+POSITION_ANSWERS = [
+    ('"abc".charAt(NaN)', "a"),
+    ('"abc".charCodeAt(NaN)', "97"),
+    ('"abc".slice(NaN)', "abc"),
+    ('"abc".substring(NaN)', "abc"),
+    ("[1, 2, 3].slice(NaN)", "1,2,3"),
+    ('"abc".charAt()', "a"),
+    ('"abc".substring(2, NaN)', "ab"),
+    ("[1, 2, 3].slice(1, NaN)", ""),
+    ('"abc".slice(-2)', "bc"),
+    ('"abc".substring(1.7, -3)', "a"),
+    ("[1, 2, 3].slice(-1e21)", "1,2,3"),
+    ("(NaN).toFixed(2)", "NaN"),
+    ("(-0).toFixed(2)", "0.00"),
+    ("(1e21).toFixed(2)", "1e+21"),
+    ("(Infinity).toFixed(1)", "Infinity"),
+    ('"ab".repeat(1.5)', "ab"),
+    ('"".repeat(1e21)', ""),
+    ("[1, 2, 3][NaN]", "undefined"),
+    ('"abc"[1/0]', "undefined"),
+    ('parseInt("")', "NaN"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, node", NODE_ANSWERS + MATH_ANSWERS + DIVISION_ANSWERS + POSITION_ANSWERS
+)
 def test_a_value_is_what_node_prints(source, node):
     assert to_string(Interpreter().eval_expression(source)) == node
+
+
+#: Calls and writes node v20 answers with a RangeError (or, for ``a[1/0]``
+#: and ``a[NaN]``, a property this engine's dense arrays cannot hold):
+#: each raises a JavascriptError here, where several once raised a raw
+#: ``ValueError`` or ``OverflowError``.
+RANGE_ERRORS = [
+    "(1).toFixed(Infinity)",
+    "(1).toFixed(101)",
+    "(1).toFixed(-1)",
+    '"x".repeat(-1)',
+    '"x".repeat(Infinity)',
+    '"x".repeat(1e21)',
+    "var a = [1]; a.length = NaN;",
+    "var a = [1]; a.length = -1;",
+    "var a = [1]; a.length = 1.5;",
+    "var a = [1]; a.length = 1e21;",
+    "var a = []; a[1/0] = 3;",
+    "var a = []; a[NaN] = 3;",
+    "var a = []; a[-1] = 3;",
+    "var a = []; a[1e21] = 3;",
+]
+
+
+@pytest.mark.parametrize("source", RANGE_ERRORS)
+def test_an_out_of_range_argument_is_a_javascript_error(source):
+    with pytest.raises(JavascriptError):
+        Interpreter().run(source)
+
+
+def test_a_lone_surrogate_is_a_uri_error():
+    interp = Interpreter()
+    encode = interp.global_env.get("encodeURIComponent")
+    with pytest.raises(JavascriptError, match="^URIError: URI malformed$"):
+        interp.call_function(encode, ["a\ud800"])
+    assert interp.call_function(encode, ["a b/é"]) == "a%20b%2F%C3%A9"
+
+
+def test_array_length_and_index_writes_in_range():
+    interp = Interpreter()
+    assert interp.run("var a = [1, 2, 3]; a.length = 1; a[2] = 9; a.length") == 3.0
+    assert interp.run("a.join()") == "1,,9"
+    assert interp.run("a.length = 0; a.length") == 0.0
 
 
 #: ``source -> the sign of the zero it answers``: node v20 prints
