@@ -14,7 +14,8 @@ from repro.browser.page import PARSE_ACCOUNT, Page
 from repro.clock import CostModel, SimClock
 from repro.dom import parse_document
 from repro.errors import BrowserError
-from repro.js import Interpreter, ast
+from repro.js import Interpreter
+from repro.js.interpreter import Code
 from repro.net.faults import RetryPolicy
 from repro.net.gateway import NetworkGateway
 from repro.net.server import SimulatedServer
@@ -52,9 +53,10 @@ class Browser:
         )
         self.javascript_enabled = javascript_enabled
         self.hot_policy = hot_policy
-        #: Handler source -> parsed program, shared by every page loaded
-        #: here (parsed once per crawl); inline scripts never enter it.
-        self.programs: dict[str, ast.Program] = {}
+        #: Handler source -> compiled program, shared by every page loaded
+        #: here (parsed and compiled once per crawl); inline scripts never
+        #: enter it.
+        self.programs: dict[str, Code] = {}
 
     def load(self, url: str, run_scripts: bool = True, run_onload: bool = True) -> Page:
         """Fetch ``url`` and build a page.

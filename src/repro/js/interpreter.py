@@ -761,11 +761,11 @@ def _reference(
         name = target.name
         return (lambda rt, env: env.get(name)), (lambda rt, env, value: env.assign(name, value))
     if isinstance(target, ast.Member):
-        get, set_ = _member_getter(target.property), _member_setter(target.property)
+        name, get = target.property, _member_getter(target.property)
         read_obj, write_obj = _expression(target.obj, charge), _expression(target.obj)
         return (
             (lambda rt, env: get(read_obj(rt, env))),
-            (lambda rt, env, value: set_(write_obj(rt, env), value)),
+            (lambda rt, env, value: _set_member(write_obj(rt, env), name, value)),
         )
     if isinstance(target, ast.Index):
         read_obj, write_obj = _expression(target.obj, charge), _expression(target.obj)
@@ -1040,10 +1040,6 @@ def _set_member(obj: Any, name: str, value: Any) -> None:
         obj.set_length(value)
     else:
         raise JsTypeError(f"cannot set property {name!r} on {type_of(obj)}")
-
-
-def _member_setter(name: str) -> Callable[[Any, Any], None]:
-    return lambda obj, value: _set_member(obj, name, value)
 
 
 def _is_number(key: Any) -> bool:
