@@ -29,10 +29,10 @@ class Node:
     :meth:`clone` copies them field by field.
     """
 
+    #: The holding element (``None`` when detached), set by each subclass.
     __slots__ = ("parent",)
 
-    def __init__(self) -> None:
-        self.parent: Optional[Element] = None
+    parent: Optional[Element]
 
     def _invalidate_ancestors(self) -> None:
         """Clear cached subtree digests on every ancestor (dirty bit).

@@ -345,22 +345,8 @@ def _expression_statement(node: ast.ExpressionStatement, charge: int) -> Code:
 def _if_statement(node: ast.IfStatement, charge: int) -> Code:
     test = _test(node.test, charge + 1)
     consequent = _statement(node.consequent)
-    if node.alternate is None:
-
-        def if_then(rt: Interpreter, env: Environment) -> Any:
-            if test(rt, env):
-                return consequent(rt, env)
-            return UNDEFINED
-
-        return if_then
-    alternate = _statement(node.alternate)
-
-    def if_else(rt: Interpreter, env: Environment) -> Any:
-        if test(rt, env):
-            return consequent(rt, env)
-        return alternate(rt, env)
-
-    return if_else
+    alternate = _constant(UNDEFINED, 0) if node.alternate is None else _statement(node.alternate)
+    return lambda rt, env: consequent(rt, env) if test(rt, env) else alternate(rt, env)
 
 
 def _while_statement(node: ast.WhileStatement, charge: int) -> Code:

@@ -228,9 +228,6 @@ class HostConstructor:
 
 # -- conversions ---------------------------------------------------------------
 
-_INFINITY = float("inf")
-_NAN = float("nan")
-
 
 def is_callable(value: Any) -> bool:
     """Whether ``value`` can be invoked."""
@@ -279,7 +276,7 @@ def to_integer_or_infinity(value: Any) -> Any:
     number = to_number(value)
     if number != number:
         return 0
-    if number == _INFINITY or number == -_INFINITY:
+    if number == math.inf or number == -math.inf:
         return number
     return int(number)
 
@@ -408,17 +405,17 @@ def _divide(left: Any, right: Any) -> float:
     dividend = to_number(left)
     if divisor == 0:
         if dividend != dividend or dividend == 0:
-            return _NAN
+            return math.nan
         # The quotient's sign is the product of both signs, a zero's included.
-        return math.copysign(_INFINITY, dividend) * math.copysign(1.0, divisor)
+        return math.copysign(math.inf, dividend) * math.copysign(1.0, divisor)
     return dividend / divisor
 
 
 def _remainder(left: Any, right: Any) -> float:
     divisor = to_number(right)
     dividend = to_number(left)
-    if divisor == 0 or dividend == _INFINITY or dividend == -_INFINITY:
-        return _NAN
+    if divisor == 0 or dividend == math.inf or dividend == -math.inf:
+        return math.nan
     return math.fmod(dividend, divisor)
 
 
