@@ -15,6 +15,7 @@ from repro.clock import CostModel, SimClock
 from repro.dom import parse_document
 from repro.errors import BrowserError
 from repro.js import Interpreter
+from repro.js.ast import FunctionDeclaration
 from repro.js.interpreter import Code
 from repro.net.faults import RetryPolicy
 from repro.net.gateway import NetworkGateway
@@ -57,6 +58,10 @@ class Browser:
         #: here (parsed and compiled once per crawl); inline scripts never
         #: enter it.
         self.programs: dict[str, Code] = {}
+        #: Top-level function declaration text -> AST, shared the same
+        #: way: what inline scripts repeat page after page
+        #: (``Interpreter.run_once``).
+        self.declarations: dict[str, FunctionDeclaration] = {}
 
     def load(self, url: str, run_scripts: bool = True, run_onload: bool = True) -> Page:
         """Fetch ``url`` and build a page.
@@ -73,6 +78,7 @@ class Browser:
         document = parse_document(response.body, url=url)
         interpreter = Interpreter()
         interpreter.programs = self.programs
+        interpreter.declarations = self.declarations
         page = Page(
             url=url,
             document=document,

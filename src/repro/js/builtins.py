@@ -84,6 +84,21 @@ def _substring(interp: "Interpreter", text: str, args: list[Any]) -> str:
     return text[min(start, end):max(start, end)]
 
 
+def _string_index_of(interp: "Interpreter", text: str, args: list[Any]) -> float:
+    start = min(max(to_integer_or_infinity(_arg(args, 1)), 0), len(text))
+    return float(text.find(_text_arg(args, 0), start))
+
+
+def _last_index_of(interp: "Interpreter", text: str, args: list[Any]) -> float:
+    """The last match starting at or before the position (a NaN one,
+    or none, is the end)."""
+    needle = _text_arg(args, 0)
+    position = to_number(_arg(args, 1))
+    end = len(text) if position != position else to_integer_or_infinity(position)
+    end = min(max(end, 0), len(text))
+    return float(text.rfind(needle, 0, end + len(needle)))
+
+
 def _string_slice(interp: "Interpreter", text: str, args: list[Any]) -> str:
     length = len(text)
     return text[relative_index(_arg(args, 0), length, 0):relative_index(_arg(args, 1), length, length)]
@@ -107,8 +122,8 @@ def _repeat(interp: "Interpreter", text: str, args: list[Any]) -> str:
 
 STRING_METHODS: dict[str, Native] = {
     "charAt": _char_at,
-    "indexOf": lambda interp, text, args: float(text.find(_text_arg(args, 0))),
-    "lastIndexOf": lambda interp, text, args: float(text.rfind(_text_arg(args, 0))),
+    "indexOf": _string_index_of,
+    "lastIndexOf": _last_index_of,
     "substring": _substring,
     "slice": _string_slice,
     "split": _split,
@@ -130,8 +145,9 @@ STRING_METHODS: dict[str, Native] = {
 
 def _index_of(interp: "Interpreter", array: JSArray, args: list[Any]) -> float:
     needle = _arg(args, 0)
-    for index, element in enumerate(array.elements):
-        if strict_equals(element, needle):
+    elements = array.elements
+    for index in range(relative_index(_arg(args, 1), len(elements), 0), len(elements)):
+        if strict_equals(elements[index], needle):
             return float(index)
     return -1.0
 
@@ -194,7 +210,9 @@ ARRAY_METHODS: dict[str, Native] = {
     "pop": lambda interp, array, args: array.pop(),
     "shift": lambda interp, array, args: array.shift(),
     "unshift": lambda interp, array, args: float(array.unshift(args)),
-    "join": lambda interp, array, args: join_elements(array, to_string(args[0]) if args else ","),
+    "join": lambda interp, array, args: join_elements(
+        array, "," if _arg(args, 0) is UNDEFINED else to_string(args[0])
+    ),
     "indexOf": _index_of,
     "slice": _array_slice,
     "concat": _concat,

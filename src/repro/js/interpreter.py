@@ -105,6 +105,9 @@ class Interpreter:
         self.steps = 0
         #: Source -> compiled program; a ``Browser`` shares one across its pages.
         self.programs: dict[str, Code] = {}
+        #: Source text of a top-level function declaration -> its AST, for
+        #: :meth:`run_once`; a ``Browser`` shares one across its pages.
+        self.declarations: dict[str, ast.FunctionDeclaration] = {}
         install_globals(self.global_env)
 
     # -- public API -------------------------------------------------------------
@@ -125,8 +128,15 @@ class Interpreter:
         return self._run(code)
 
     def run_once(self, source: str) -> Any:
-        """:meth:`run` without the memo, for a source run once (an inline script)."""
-        return self._run(compile_program(parse_program(source)))
+        """:meth:`run` for a source run once (an inline script): the
+        program is not remembered, but each top-level function
+        declaration is, by its exact text in :attr:`declarations`, so a
+        declaration every page repeats is lexed, parsed and (its body,
+        on first call) compiled once.  The memo is cleared wholesale
+        when full, checked before each script."""
+        if len(self.declarations) >= self.PROGRAM_MEMO_LIMIT:
+            self.declarations.clear()
+        return self._run(compile_program(parse_program(source, self.declarations)))
 
     def eval_expression(self, source: str) -> Any:
         """Parse and evaluate a single expression."""
@@ -1034,8 +1044,8 @@ def _is_number(key: Any) -> bool:
 
 def _get_indexed(obj: Any, key: Any) -> Any:
     if _is_number(key) and isinstance(obj, (JSArray, str)):
-        # A fraction truncates; NaN and the infinities index nothing.
-        index = int(key) if key - key == 0 else -1
+        # A fraction, NaN and the infinities index nothing.
+        index = int(key) if key % 1 == 0 else -1
         if isinstance(obj, JSArray):
             return obj.get_index(index)
         return obj[index] if 0 <= index < len(obj) else UNDEFINED
@@ -1043,7 +1053,8 @@ def _get_indexed(obj: Any, key: Any) -> Any:
 
 
 def _set_indexed(obj: Any, key: Any, value: Any) -> None:
-    if isinstance(obj, JSArray) and _is_number(key):
+    # A fraction names a property, and an array holds none.
+    if isinstance(obj, JSArray) and _is_number(key) and not 0 < key % 1 < 1:
         obj.set_index(key, value)
     else:
         _set_member(obj, to_string(key), value)

@@ -12,9 +12,10 @@ a non-ASCII letter, malformed input — goes to the hand-written readers.
 from __future__ import annotations
 
 import re
+from typing import Any, Optional
 
 from repro.errors import JsSyntaxError
-from repro.js.tokens import KEYWORDS, PUNCTUATORS, Token, TokenType
+from repro.js.tokens import KEYWORDS, PUNCTUATORS, DeclarationToken, Token, TokenType
 
 _ESCAPES = {
     "n": "\n",
@@ -55,22 +56,113 @@ _NAME_TAIL = re.compile(r"[\w$]*").match
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*").match
 
 
-class Lexer:
-    """Converts JavaScript source text into a list of tokens."""
+#: How a bracket punctuator moves the nesting depth.
+_NESTING = {"{": 1, "(": 1, "[": 1, "}": -1, ")": -1, "]": -1}
 
-    def __init__(self, source: str) -> None:
+#: ``(type, value)`` of the tokens a top-level statement may follow.
+_STATEMENT_ENDS = {
+    (TokenType.PUNCTUATOR, ";"),
+    (TokenType.PUNCTUATOR, "}"),
+    (TokenType.DECLARATION, "function"),
+}
+
+
+def _proposals(source: str) -> list[tuple[int, int]]:
+    """``(start, end)`` of each brace-balanced span from the last
+    ``function`` before a ``{`` to the ``}`` that closes it, outside
+    earlier spans.
+
+    Strings and comments are not skipped, so a span may be wrong; the
+    lexer takes one only where its own tokens agree and the memo holds
+    its exact text.
+    """
+    spans = []
+    find = source.find
+    start = find("function")
+    while start >= 0:
+        body = find("{", start)
+        if body < 0:
+            break
+        start = source.rfind("function", start, body)
+        depth, end = 1, body + 1
+        while depth:
+            close = find("}", end)
+            if close < 0:
+                return spans
+            depth += source.count("{", end, close) - 1
+            end = close + 1
+        spans.append((start, end))
+        start = find("function", end)
+    return spans
+
+
+class Lexer:
+    """Converts JavaScript source text into a list of tokens.
+
+    Given ``declarations``, a memo from the exact text of a top-level
+    function declaration to its ``ast.FunctionDeclaration``, the lexer
+    emits a :class:`DeclarationToken` in place of a span it holds, where
+    a top-level statement may start: at nesting depth 0 (braces,
+    parentheses and brackets), at the start of input or right after a
+    ``;``, a ``}`` or another collapsed declaration.  Lines and columns
+    after it are those of a full lex.  A span that starts there and
+    misses lands in :attr:`candidates`, for the parser to remember.
+    """
+
+    def __init__(self, source: str, declarations: Optional[dict[str, Any]] = None) -> None:
         self.source = source
+        self.declarations = declarations
+        #: Token index of a missed span's ``function`` -> (its text, the
+        #: index just past its closing ``}`` token).
+        self.candidates: dict[int, tuple[str, int]] = {}
 
     def tokenize(self) -> list[Token]:
         """Tokenize the whole input, ending with a single EOF token."""
         source = self.source
         tokens: list[Token] = []
+        pos, line, line_start = 0, 1, 0  # line_start: index of the line's first character
+        memo = self.declarations
+        if memo is not None:
+            depth = counted = 0
+            for start, end in _proposals(source):
+                pos, line, line_start = self._lex(tokens, pos, start, line, line_start)
+                if pos != start:
+                    continue  # inside a token, or already lexed
+                for token in tokens[counted:]:
+                    if token.type is TokenType.PUNCTUATOR:
+                        depth += _NESTING.get(token.value, 0)
+                counted = len(tokens)
+                if depth or tokens and (tokens[-1].type, tokens[-1].value) not in _STATEMENT_ENDS:
+                    continue
+                text = source[start:end]
+                declaration = memo.get(text)
+                if declaration is None:
+                    index = len(tokens)
+                    pos, line, line_start = self._lex(tokens, pos, end - 1, line, line_start)
+                    if pos == end - 1:  # the closing brace is the next token
+                        self.candidates[index] = (text, len(tokens) + 1)
+                    continue
+                tokens.append(DeclarationToken(
+                    TokenType.DECLARATION, "function", line, pos - line_start + 1, declaration
+                ))
+                counted += 1
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + text.rfind("\n") + 1
+                pos = end
+        pos, line, line_start = self._lex(tokens, pos, len(source), line, line_start)
+        tokens.append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+        return tokens
+
+    def _lex(
+        self, tokens: list[Token], pos: int, stop: int, line: int, line_start: int
+    ) -> tuple[int, int, int]:
+        """Append the tokens that start before ``stop``; answers where
+        the next one starts, its line and that line's start."""
+        source = self.source
         append = tokens.append
-        length = len(source)
-        pos = 0
-        line = 1
-        line_start = 0  # index of the first character of ``line``
-        while pos < length:
+        while pos < stop:
             match = _MASTER(source, pos)
             kind = match.lastindex
             if kind == _PUNCT:
@@ -95,8 +187,7 @@ class Lexer:
                 pos = end
                 continue
             pos = match.end()
-        append(Token(TokenType.EOF, "", line, length - line_start + 1))
-        return tokens
+        return pos, line, line_start
 
     # -- what the master pattern declines ---------------------------------------
 

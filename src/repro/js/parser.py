@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.errors import JsSyntaxError
 from repro.js import ast
-from repro.js.lexer import tokenize
+from repro.js.lexer import Lexer
 from repro.js.tokens import Token, TokenType
 
 #: Binary operator precedence (higher binds tighter).
@@ -40,11 +40,21 @@ _ASSIGNMENT_OPS = {"=", "+=", "-=", "*=", "/=", "%="}
 
 
 class Parser:
-    """Parses one source string into a :class:`repro.js.ast.Program`."""
+    """Parses one source string into a :class:`repro.js.ast.Program`.
 
-    def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
+    ``declarations`` is the memo of :class:`~repro.js.lexer.Lexer`: a
+    top-level declaration it holds arrives as one token and is taken as
+    is, and one parsed here enters it under its exact source text.
+    """
+
+    def __init__(
+        self, source: str, declarations: Optional[dict[str, ast.FunctionDeclaration]] = None
+    ) -> None:
+        lexer = Lexer(source, declarations)
+        self.tokens = lexer.tokenize()
         self.pos = 0
+        self.declarations = declarations
+        self.candidates = lexer.candidates
 
     # -- token helpers --------------------------------------------------------
 
@@ -98,8 +108,15 @@ class Parser:
     def parse_program(self) -> ast.Program:
         """Parse the whole input as a top-level program."""
         body: list[ast.Statement] = []
+        candidates = self.candidates
         while not self._check(TokenType.EOF):
-            body.append(self._statement())
+            start = self.pos
+            statement = self._statement()
+            body.append(statement)
+            # A declaration that took exactly a missed span's tokens.
+            text, end = candidates.get(start, ("", -1))
+            if end == self.pos and type(statement) is ast.FunctionDeclaration:
+                self.declarations[text] = statement
         return ast.Program(body)
 
     def parse_expression(self) -> ast.Expression:
@@ -116,6 +133,9 @@ class Parser:
 
     def _statement(self) -> ast.Statement:
         token = self._peek()
+        if token.type is TokenType.DECLARATION:
+            self.pos += 1
+            return token.declaration
         if token.type is TokenType.KEYWORD:
             handler = {
                 "var": self._var_statement,
@@ -545,9 +565,12 @@ class Parser:
         return ast.ObjectLiteral(properties)
 
 
-def parse_program(source: str) -> ast.Program:
-    """Parse ``source`` as a program."""
-    return Parser(source).parse_program()
+def parse_program(
+    source: str, declarations: Optional[dict[str, ast.FunctionDeclaration]] = None
+) -> ast.Program:
+    """Parse ``source`` as a program, through the ``declarations`` memo
+    when one is given."""
+    return Parser(source, declarations).parse_program()
 
 
 def parse_expression(source: str) -> ast.Expression:

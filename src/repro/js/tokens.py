@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any
 
 
 class TokenType(enum.Enum):
@@ -15,6 +16,9 @@ class TokenType(enum.Enum):
     KEYWORD = enum.auto()
     PUNCTUATOR = enum.auto()
     EOF = enum.auto()
+    #: A whole top-level function declaration the parse memo already
+    #: holds (:class:`DeclarationToken`).
+    DECLARATION = enum.auto()
 
 
 #: Reserved words recognized by the lexer.
@@ -105,3 +109,16 @@ class Token:
 
     def __repr__(self) -> str:
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
+
+
+@dataclass(slots=True, repr=False)
+class DeclarationToken(Token):
+    """A memoised ``function name(...) {...}`` span lexed as one token.
+
+    Its type is ``DECLARATION``, its value ``"function"`` and its
+    position the keyword's, so a parser that stops at it reports what it
+    would report at the keyword; ``declaration`` is the memo's
+    ``ast.FunctionDeclaration``.
+    """
+
+    declaration: Any

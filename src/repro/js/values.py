@@ -11,6 +11,7 @@ arrays and functions get small dedicated classes, and host objects
 from __future__ import annotations
 
 import math
+import re
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import JsRuntimeError, JsTypeError
@@ -92,8 +93,9 @@ class JSArray:
         return UNDEFINED
 
     def set_index(self, key: float, value: Any) -> None:
-        """``array[key] = value`` for a numeric ``key``; a fraction
-        truncates, a NaN, infinite, negative or too large one raises."""
+        """``array[key] = value`` for a numeric ``key`` with no fraction
+        (the interpreter sends a fraction elsewhere); a NaN, infinite,
+        negative or too large one raises."""
         index = to_integer_or_infinity(key)
         if key != key or not 0 <= index < MAX_ARRAY_LENGTH:
             raise JsTypeError(f"invalid array index {to_string(key)}")
@@ -258,16 +260,33 @@ def to_number(value: Any) -> float:
     if value is UNDEFINED:
         return float("nan")
     if isinstance(value, str):
-        stripped = value.strip()
-        if not stripped:
-            return 0.0
+        text = value.strip(_JS_SPACE)
+        literal = _STRING_NUMBER(text)
+        if literal is None:
+            return 0.0 if not text else math.nan
+        if literal.lastindex is None:
+            return float(text)
         try:
-            if stripped.lower().startswith("0x"):
-                return float(int(stripped, 16))
-            return float(stripped)
-        except ValueError:
-            return float("nan")
+            return float(int(literal[literal.lastindex], _RADIX[text[1]]))
+        except OverflowError:
+            return math.inf
     return float("nan")
+
+
+#: ECMAScript's WhiteSpace and LineTerminator: what ``Number(s)`` trims.
+_JS_SPACE = (
+    "\t\n\v\f\r \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000\ufeff"
+)
+
+#: StringNumericLiteral: a signed decimal (ASCII digits, no separators)
+#: or ``Infinity``, else an unsigned hex, octal or binary integer (its
+#: digits are group 1, 2 or 3).
+_STRING_NUMBER = re.compile(
+    r"[+-]?(?:Infinity|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|0[xX]([0-9a-fA-F]+)|0[oO]([0-7]+)|0[bB]([01]+)"
+).fullmatch
+_RADIX = {"x": 16, "X": 16, "o": 8, "O": 8, "b": 2, "B": 2}
 
 
 def to_integer_or_infinity(value: Any) -> Any:

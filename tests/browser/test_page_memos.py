@@ -543,13 +543,16 @@ class TestFragmentMemo:
 
 
 def record_parses(monkeypatch):
-    """Every source handed to ``parse_program``, in order."""
+    """Every source handed to ``parse_program``, in order (a page
+    script's with the declaration memo, a handler's without)."""
     import repro.js.interpreter as interpreter
 
     parsed = []
     parse = interpreter.parse_program
     monkeypatch.setattr(
-        interpreter, "parse_program", lambda source: parsed.append(source) or parse(source)
+        interpreter,
+        "parse_program",
+        lambda source, *memo: parsed.append(source) or parse(source, *memo),
     )
     return parsed
 
@@ -565,8 +568,10 @@ class TestProgramMemo:
         # Each page loaded its own script and reached a state by the handler.
         assert [model.num_states for model in crawler.crawl(urls).models] == [2, 2]
         assert (parsed.count(SCRIPT), parsed.count(handler)) == (2, 1)
-        # A page script runs once per load and is never retained.
+        # A page script runs once per load and is never retained as a
+        # program; what the crawl keeps of it is its declaration, by text.
         assert list(crawler.browser.programs) == [handler]
+        assert list(crawler.browser.declarations) == [SCRIPT[SCRIPT.index("function"):]]
         AjaxCrawler(server).crawl(urls)  # another crawl: its own, cold memo
         assert parsed.count(handler) == 2
 
@@ -579,6 +584,7 @@ class TestProgramMemo:
         assert parsed == [SCRIPT, SCRIPT, "bump()"]
         assert [page.interpreter.global_env.get("counter") for page in pages] == [3.0, 3.0]
         assert all(page.interpreter.programs is browser.programs for page in pages)
+        assert all(page.interpreter.declarations is browser.declarations for page in pages)
 
     def test_a_full_memo_is_cleared_wholesale(self, monkeypatch):
         monkeypatch.setattr(Interpreter, "PROGRAM_MEMO_LIMIT", 2)

@@ -29,9 +29,9 @@ def _sources_lexed(monkeypatch, crawl):
     seen = set()
     parse = interpreter.parse_program
 
-    def recording(source):
+    def recording(source, *memo):
         seen.add(source)
-        return parse(source)
+        return parse(source, *memo)
 
     monkeypatch.setattr(interpreter, "parse_program", recording)
     crawl()

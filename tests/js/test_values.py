@@ -221,11 +221,62 @@ POSITION_ANSWERS = [
     ("[1, 2, 3][NaN]", "undefined"),
     ('"abc"[1/0]', "undefined"),
     ('parseInt("")', "NaN"),
+    # Search positions once went unread, ``join(undefined)`` joined with
+    # "undefined" and a fraction read the element below it.
+    ('"abcb".indexOf("b", 2)', "3"),
+    ('"abc".indexOf("", 10)', "3"),
+    ('"abcb".lastIndexOf("b", 2)', "1"),
+    ('[1,2,1].indexOf(1, 1)', "2"),
+    ('[1,2,1].indexOf(1, -1)', "2"),
+    ('[1, 2].join(undefined)', "1,2"),
+    ('"abc".lastIndexOf("", 1)', "1"),
+    ('"abc".lastIndexOf("a", -5)', "0"),
+    ('"abcab".lastIndexOf("ab", NaN)', "3"),
+    ('"abc".indexOf("a", NaN)', "0"),
+    ('[1, 2].indexOf(1, Infinity)', "-1"),
+    ('[1, 2].indexOf(2, -Infinity)', "1"),
+    ('"abc".indexOf("b", 1.9)', "1"),
+    ('[1, 2, 3].join(null)', "1null2null3"),
+    ('[1, 2, 3][1.5]', "undefined"),
+    ('"abc"[1.5]', "undefined"),
+    ('[1, 2, 3][-0]', "1"),
+]
+
+#: Strings to numbers (StringToNumber), as node v20 prints them: ASCII
+#: digits with no separators, ``Infinity`` only as spelled, and a hex,
+#: octal or binary integer only unsigned.  ``float``/``int`` once took
+#: ``1_000``, ``inf``, ``nan`` and Unicode digits.
+TO_NUMBER_ANSWERS = [
+    ('Number("1_000")', "NaN"),
+    ('"1_0" * 2', "NaN"),
+    ('Number("0x1_0")', "NaN"),
+    ('Number("inf")', "NaN"),
+    ('Number("nan")', "NaN"),
+    ('Number("INFINITY")', "NaN"),
+    ('Number("Infinity")', "Infinity"),
+    ('Number("+Infinity")', "Infinity"),
+    ('-Number("-Infinity")', "Infinity"),
+    ('Number("  12  ")', "12"),
+    ('Number("\\ufeff5")', "5"),
+    ('Number("\\x1c5")', "NaN"),
+    ('Number("0X1f")', "31"),
+    ('Number("0o17")', "15"),
+    ('Number("0b11")', "3"),
+    ('Number("-0x10")', "NaN"),
+    ('Number(".5")', "0.5"),
+    ('Number("5.")', "5"),
+    ('Number(".")', "NaN"),
+    ('Number("+")', "NaN"),
+    ('Number(" \\n ")', "0"),
+    ('Number("1e")', "NaN"),
+    ('Number("\\u0663")', "NaN"),
+    ('Number("1e400")', "Infinity"),
 ]
 
 
 @pytest.mark.parametrize(
-    "source, node", NODE_ANSWERS + MATH_ANSWERS + DIVISION_ANSWERS + POSITION_ANSWERS
+    "source, node",
+    NODE_ANSWERS + MATH_ANSWERS + DIVISION_ANSWERS + POSITION_ANSWERS + TO_NUMBER_ANSWERS,
 )
 def test_a_value_is_what_node_prints(source, node):
     assert to_string(Interpreter().eval_expression(source)) == node
@@ -265,6 +316,14 @@ def test_a_lone_surrogate_is_a_uri_error():
     with pytest.raises(JavascriptError, match="^URIError: URI malformed$"):
         interp.call_function(encode, ["a\ud800"])
     assert interp.call_function(encode, ["a b/é"]) == "a%20b%2F%C3%A9"
+
+
+def test_a_fractional_index_write_is_refused_as_a_named_one():
+    # node makes a property "1.5"; this engine's arrays hold no named
+    # property, so the write raises what ``a.foo = 1`` raises.
+    for source in ("a[1.5] = 2;", "a.foo = 2;", "a[-1.5] += 2;"):
+        with pytest.raises(JsTypeError, match="^cannot set property '.*' on object$"):
+            Interpreter().run("var a = [1, 2]; " + source)
 
 
 def test_array_length_and_index_writes_in_range():
