@@ -9,6 +9,7 @@ hand-written test programs).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.errors import JsSyntaxError
@@ -485,7 +486,15 @@ class Parser:
         if token.type is TokenType.NUMBER:
             self._advance()
             raw = token.value
-            value = float(int(raw, 16)) if raw.lower().startswith("0x") else float(raw)
+            try:
+                value = float(int(raw, 16)) if raw.lower().startswith("0x") else float(raw)
+            except OverflowError:  # a hex integer that rounds past the largest double
+                value = math.inf
+            except ValueError:  # "0x" without digits, or a digit float() refuses ("1²")
+                value = None
+            if value is None or not raw.isascii():  # float() reads "١٢" too; node does not
+                message = f"malformed number {raw!r}"
+                raise JsSyntaxError(message, token.line, token.column)
             return ast.NumberLiteral(value)
         if token.type is TokenType.STRING:
             self._advance()

@@ -478,16 +478,21 @@ def _comparison(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], boo
     return relation
 
 
+#: What names an array element: a canonical index, no sign, blank,
+#: separator or leading zero (``"01"``, ``" 1"``, ``"+1"``, ``"-0"``),
+#: of at most 8 digits, those of ``MAX_ARRAY_LENGTH - 1`` (so ``int``
+#: never meets a string past its digit limit).
+_ARRAY_INDEX = re.compile(r"0|[1-9][0-9]{0,7}").fullmatch
+
+
 def _in_operator(key: Any, obj: Any) -> bool:
     name = to_string(key)
     if isinstance(obj, JSObject):
         return name in obj.properties
     if isinstance(obj, JSArray):
-        try:
-            index = int(name)
-        except ValueError:
-            return False
-        return 0 <= index < obj.length
+        if _ARRAY_INDEX(name):
+            return int(name) < obj.length
+        return name == "length"
     if isinstance(obj, HostObject):
         return name in obj.js_keys()
     raise JsTypeError("'in' requires an object")

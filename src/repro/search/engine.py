@@ -12,7 +12,7 @@ import heapq
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import Iterable, Optional
 
 from repro.model import ApplicationModel
@@ -164,13 +164,17 @@ class SearchEngine:
         merger's (Figure 6.4) and ships ``k`` entries, not every match —
         the top ``k`` of a union is the top ``k`` of the parts' top ``k``.
 
-        Each segment's matches are scored as columns, T(q, s) in closed
-        form; a row where a term has several positions carries the bound
-        ``base + max(w4, 0)`` instead.  The cut is the lesser of the
-        segment's k-th exact key and the kept k-th key: what beats it
-        enters, and what ties enters in ordinal order through the URI run
-        of the last one needed (``s10`` sorts before ``s9``), not past the
-        kept k-th URI; then bound rows, best bound first, until one loses.
+        Each segment's matches get their key in one pass after tf·idf
+        and T(q, s) (closed form); ``w1·p + w2·a`` is looked up per match
+        only while a rank table is held.  A row where a term has several
+        positions gets its bound as key, the best its T ∈ [0, 1] allows.
+        The cut is the lesser of the segment's k-th exact key and the kept
+        k-th key: what beats it enters, and what ties enters in ordinal
+        order through the URI run of the last one needed (``s10`` sorts
+        before ``s9``), not past the kept k-th URI; then bound rows, best
+        bound first, until one loses.  With no rank table a match's URI
+        and state id are read only when it enters, is a bound row or ends
+        the tie run; the rank tables are read for the entries returned.
         """
         if k is not None and k < 0:
             raise ValueError(f"limit must be >= 0, not {k}")
@@ -178,59 +182,83 @@ class SearchEngine:
         w_page, w_ajax, w_tfidf, w_proximity = (
             weights.pagerank, weights.ajaxrank, weights.tfidf, weights.proximity
         )
-        ceiling = max(w_proximity, 0.0)
+        best = 1.0 if w_proximity > 0 else 0.0  # the T of a bound: what maximises w4·T
         total = completed = 0
-        kept: list[Entry] = []
+        kept: list[tuple] = []  # (key, uri, state_id, tf·idf, proximity), best first
         for segment, ordinals, columns in self.index.matches(terms):
             total += len(ordinals)
             if k == 0 or not ordinals:
                 continue
-            uris, state_ids, lengths = segment.state_columns(ordinals)
+            if self.pageranks or self.ajaxranks:
+                uris, state_ids = segment.state_keys(ordinals)
+                pages = map(page_rank, uris, repeat(0.0)) if self.pageranks else repeat(0.0)
+                ajaxes = (map(ajax_rank, zip(uris, state_ids), repeat(0.0))
+                          if self.ajaxranks else repeat(0.0))
+                statics = [w_page * page + w_ajax * ajax for page, ajax in zip(pages, ajaxes)]
+            else:  # what every lookup in two empty tables gives
+                statics = [w_page * 0.0 + w_ajax * 0.0] * len(ordinals)
+                uris = state_ids = None  # read for the rows that enter, below
+            lengths = segment.lengths(ordinals)
             counts = [list(map(len, column)) for column in columns]
-            tfidfs = zeros = [0.0] * len(ordinals)
+            tfidfs = [0.0] * len(ordinals)
             for idf, column in zip(idfs, counts):
                 tfidfs = [
                     tfidf + (occurrences / length if length else 0.0) * idf
                     for tfidf, occurrences, length in zip(tfidfs, column, lengths)
                 ]
             proximities, bound = proximity_column(columns, counts)
-            pages = list(map(page_rank, uris, zeros)) if self.pageranks else zeros
-            ajaxes = list(map(ajax_rank, zip(uris, state_ids), zeros)) if self.ajaxranks else zeros
-            bases = [w_page * page + w_ajax * ajax + w_tfidf * tfidf
-                     for page, ajax, tfidf in zip(pages, ajaxes, tfidfs)]
-            keys = [-(base + w_proximity * t) for base, t in zip(bases, proximities)]
+            for at in bound:
+                proximities[at] = best
+            keys = [-((static + w_tfidf * tfidf) + w_proximity * t)
+                    for static, tfidf, t in zip(statics, tfidfs, proximities)]
+            # With a table, index the columns its lookups read: where bound rows
+            # dominate that beats a second read (DESIGN.md decision 45).
+            if uris is not None:
+                floors = [(keys[at], uris[at], state_ids[at]) for at in bound]
+            else:
+                floors = list(zip(map(keys.__getitem__, bound),
+                                  *segment.state_keys([ordinals[at] for at in bound])))
             for at in bound:
                 keys[at] = math.inf
             edge = kept[-1] if len(kept) == k else (math.inf,)
             smallest = heapq.nsmallest(k, keys) if k is not None else [-math.inf]
             cut = min(edge[0], smallest[-1]) if len(smallest) == k else edge[0]
-            better = map(cut.__gt__, keys) if smallest[0] < cut else ()
-            chosen = list(compress(range(len(keys)), better))
+            better = list(compress(count(), map(cut.__gt__, keys))) if smallest[0] < cut else []
+            if uris is not None:
+                entries = [(keys[at], uris[at], state_ids[at], tfidfs[at], proximities[at])
+                           for at in better]
+            else:
+                entries = list(zip(map(keys.__getitem__, better),
+                                   *segment.state_keys([ordinals[at] for at in better]),
+                                   map(tfidfs.__getitem__, better),
+                                   map(proximities.__getitem__, better)))
             if cut < math.inf:
-                limit = edge[1] if cut == edge[0] else uris[-1]  # not past the kept k-th URI
+                limit = edge[1] if cut == edge[0] else None  # not past the kept k-th URI
                 for at in compress(count(), map(cut.__eq__, keys)):
-                    if uris[at] > limit:
+                    uri, state_id = segment.state_key(ordinals[at])
+                    if limit is not None and uri > limit:
                         break
-                    chosen.append(at)
-                    if len(chosen) == k:
-                        limit = uris[at]  # through the URI run of the last one needed
-            completed += len(chosen)
-            fields = keys, uris, state_ids, pages, ajaxes, tfidfs, proximities
-            kept += zip(*(map(field.__getitem__, chosen) for field in fields))
+                    entries.append((keys[at], uri, state_id, tfidfs[at], proximities[at]))
+                    if len(entries) == k:
+                        limit = uri  # through the URI run of the last one needed
+            completed += len(entries)
+            kept += entries
             if k is not None:
                 kept = heapq.nsmallest(k, kept)
-            # Bound rows, best possible key (T = 1 or 0) first, against the k-th key kept.
-            floors = ((-(bases[at] + ceiling), uris[at], state_ids[at]) for at in bound)
+            # Bound rows, best possible key first, against the k-th key kept.
             for floor, at in sorted(zip(floors, bound)):
-                if len(kept) == k and floor > kept[-1][:3]:
+                if len(kept) == k and floor > kept[-1]:  # the first three fields decide
                     break
                 completed += 1
                 proximity = term_proximity([column[at] for column in columns])
-                key = -(bases[at] + w_proximity * proximity)
-                entry = (key, *floor[1:], pages[at], ajaxes[at], tfidfs[at], proximity)
+                base = statics[at] + w_tfidf * tfidfs[at]
+                entry = (-(base + w_proximity * proximity), *floor[1:], tfidfs[at], proximity)
                 if k is None:
                     kept.append(entry)
-                else:
+                elif len(kept) < k or entry < kept[-1]:  # else it would be cut again
                     insort(kept, entry)
                     del kept[k:]
-        return total, completed, sorted(kept)
+        return total, completed, [
+            (key, uri, state_id, page_rank(uri, 0.0), ajax_rank((uri, state_id), 0.0), tfidf, t)
+            for key, uri, state_id, tfidf, t in sorted(kept)
+        ]

@@ -356,20 +356,27 @@ class Segment:
         keep = list(map(self._live.__getitem__, ordinals))
         return list(compress(ordinals, keep)), [list(compress(column, keep)) for column in columns]
 
-    def state_columns(self, ordinals: list[int]) -> tuple[list[str], list[str], list[int]]:
-        """The uri, state id and token length of each of ``ordinals``,
-        as three columns parallel to them."""
+    def state_key(self, ordinal: int) -> tuple[str, str]:
+        """The ``(uri, state_id)`` of state ``ordinal``: what a result is."""
+        return self._state_uri[ordinal], self._state_id[ordinal]
+
+    def state_keys(self, ordinals: Sequence[int]) -> tuple[list[str], list[str]]:
+        """The uri and state id of each of ``ordinals``, as two columns
+        parallel to them — :meth:`state_key` of many rows at once."""
         return (
             list(map(self._state_uri.__getitem__, ordinals)),
             list(map(self._state_id.__getitem__, ordinals)),
-            list(map(self._state_length.__getitem__, ordinals)),
         )
+
+    def lengths(self, ordinals: Sequence[int]) -> list[int]:
+        """The token length of each of ``ordinals``, as a column parallel to them."""
+        return list(map(self._state_length.__getitem__, ordinals))
 
     def match_rows(self, ordinals: list[int], columns: list[list[tuple[int, ...]]]):
         """Lazily, one ``(uri, state_id, length, positions per term)``
         row per ordinal of :meth:`live_columns`' answer — straight from
         the state table, built as consumed."""
-        return zip(*self.state_columns(ordinals), zip(*columns))
+        return zip(*self.state_keys(ordinals), self.lengths(ordinals), zip(*columns))
 
 
 class MemorySegment(Segment):

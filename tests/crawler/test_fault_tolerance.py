@@ -132,6 +132,39 @@ class TestFaultTolerance:
         assert len(texts) == 2 and all(odd in text for text in texts), texts
         assert app_model.num_states == 3
 
+    def test_a_hex_literal_past_the_largest_double_does_not_end_the_crawl(self):
+        # ``0x`` and 300 ``f``s is Infinity (node v20); the parser once let
+        # a raw OverflowError out of the page, past the crawl's
+        # containment, and the crawl ended with no model at all.  A bare
+        # ``0x`` is a syntax error: the script is lost, the page is not.
+        server = make_tab_server()
+        page = """<html><body>
+            <a id="t1" onclick="show()">one</a>
+            <div id="content">start</div>
+            <script>
+            var big = %s;
+            function show() {
+                document.getElementById("content").innerHTML = "<p>" + big + "</p>";
+            }
+            </script>
+            </body></html>"""
+
+        @server.route(r"/hex")
+        def hex_page(request, match):
+            return Response(body=page % ("0x" + "f" * 300))
+
+        @server.route(r"/bare")
+        def bare_page(request, match):
+            return Response(body=page % "0x")
+
+        crawler = AjaxCrawler(server, CrawlerConfig(use_hot_node=False), cost_model=cost())
+        result = crawler.crawl(["http://t.test/hex", "http://t.test/bare", "http://t.test/app"])
+        assert result.failures == []
+        hex_model, bare_model, app_model = result.models
+        assert ["Infinity" in state.text for state in hex_model.states()] == [False, True]
+        assert bare_model.num_states == 1
+        assert app_model.num_states == 3
+
 
 class TestQuarantine:
     """Dead AJAX endpoints degrade the model, never kill the page crawl."""

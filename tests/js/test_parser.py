@@ -53,6 +53,21 @@ class TestExpressions:
         with pytest.raises(JsSyntaxError):
             parse_expression("1 = 2")
 
+    @pytest.mark.parametrize("source, raw", [
+        ("var a = 0x;", "0x"),
+        ("var a = 1²;", "1²"),
+        ("var a = \u0661\u0662;", "\u0661\u0662"),  # Arabic-Indic digits
+        ("var a = \uff11\uff12;", "\uff11\uff12"),  # fullwidth digits
+        ("var a = 1\u0662;", "1\u0662"),
+    ])
+    def test_a_number_token_no_number_reads_is_a_syntax_error(self, source, raw):
+        # node: "Invalid or unexpected token"; int() and float() once
+        # raised a raw ValueError, which a crawl does not contain, and
+        # float() still reads Unicode decimal digits as the number 12.
+        with pytest.raises(JsSyntaxError) as raised:
+            parse_program(source)
+        assert str(raised.value) == f"malformed number {raw!r} (line 1, column 9)"
+
     def test_member_chain(self):
         node = parse_expression("a.b.c")
         assert isinstance(node, js_ast.Member)

@@ -274,9 +274,44 @@ TO_NUMBER_ANSWERS = [
 ]
 
 
+#: ``in`` on an array, as node v20 prints it: only a canonical index
+#: names an element (no sign, blank, separator or leading zero), and
+#: ``length`` is a property.  ``int()`` once took ``"01"``, ``" 1"``,
+#: ``"+1"``, ``"1_0"`` and ``"-0"``, and ``length`` answered false.
+IN_ANSWERS = [
+    ('"1_0" in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]', "false"),
+    ('" 1" in [1, 2]', "false"),
+    ('"+1" in [1, 2]', "false"),
+    ('"01" in [1, 2]', "false"),
+    ('"-0" in [1, 2]', "false"),
+    ('"1.0" in [1, 2]', "false"),
+    ('"" in [1]', "false"),
+    ('"2" in [1, 2]', "false"),
+    ('"length" in [1, 2]', "true"),
+    ('"1" in [1, 2]', "true"),
+    ("1 in [1, 2]", "true"),
+    ("-0 in [1, 2]", "true"),
+    ("1.5 in [1, 2]", "false"),
+    ('"1".repeat(5000) in [1]', "false"),
+    ('"16777216" in [1]', "false"),
+]
+
+#: Hex literals past the largest double, as node v20 prints them: they
+#: round to Infinity (the last one exactly half way), where the parser
+#: once raised a raw ``OverflowError``.
+HEX_ANSWERS = [
+    pytest.param("0x" + "f" * 300, "Infinity", id="0x{f*300}"),
+    pytest.param("-0x" + "f" * 300, "-Infinity", id="-0x{f*300}"),
+    pytest.param("0x" + "f" * 256, "Infinity", id="0x{f*256}"),
+    pytest.param("0xfffffffffffff8" + "0" * 242, "1.7976931348623157e+308", id="max-double"),
+    pytest.param("0xfffffffffffffc" + "0" * 242, "Infinity", id="half-way-past-max"),
+]
+
+
 @pytest.mark.parametrize(
     "source, node",
-    NODE_ANSWERS + MATH_ANSWERS + DIVISION_ANSWERS + POSITION_ANSWERS + TO_NUMBER_ANSWERS,
+    NODE_ANSWERS + MATH_ANSWERS + DIVISION_ANSWERS + POSITION_ANSWERS + TO_NUMBER_ANSWERS
+    + IN_ANSWERS + HEX_ANSWERS,
 )
 def test_a_value_is_what_node_prints(source, node):
     assert to_string(Interpreter().eval_expression(source)) == node

@@ -129,7 +129,7 @@ def as_columns(states, postings_by_term):
 def postings_of(reader: SegmentReader, term: str):
     """Every posting of ``term`` in the file, as objects."""
     ordinals, positions = reader.columns(term)
-    uris, state_ids, _ = reader.state_columns(ordinals)
+    uris, state_ids = reader.state_keys(ordinals)
     return make_postings(zip(uris, state_ids, positions))
 
 

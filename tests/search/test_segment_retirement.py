@@ -228,7 +228,7 @@ def observe(segment, rows, terms):
         if ordinal is None:
             seen["states"].append((uri, state_id, None))
             continue
-        seen["states"].append(segment.state_columns([ordinal]))
+        seen["states"].append((segment.state_key(ordinal), segment.lengths([ordinal])))
     return seen
 
 

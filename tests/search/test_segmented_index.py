@@ -975,7 +975,7 @@ def assert_postings_within_lengths_and_tiers_exact(disk):
         for term in reader.file_terms():
             held.update(reader.columns(term)[0])
         ordinals = list(held)
-        lengths = reader.state_columns(ordinals)[2]
+        lengths = reader.lengths(ordinals)
         assert all(held[o] <= length for o, length in zip(ordinals, lengths)), reader.name
         live = sum(count for ordinal, count in held.items() if reader.live[ordinal])
         assert _live_tier(reader) == _tier(live), (reader.name, reader.dead)

@@ -76,7 +76,9 @@ class TestRoundTrip:
         for ordinal, (uri, state_id, length, _, _) in enumerate(states):
             assert reader.ordinal(uri, state_id) == ordinal
             assert state_sort_key(reader.state_rows()[ordinal]) == (uri, int(state_id[1:]))
-            assert reader.state_columns([ordinal]) == ([uri], [state_id], [length])
+            assert reader.state_key(ordinal) == (uri, state_id)
+            assert reader.state_keys([ordinal]) == ([uri], [state_id])
+            assert reader.lengths([ordinal]) == [length]
         assert reader.ordinal("u1", "s9") is None
         assert reader.has_uri("u1") and not reader.has_uri("u3")
 

@@ -26,6 +26,7 @@ from repro.search import engine as engine_module
 from repro.search.engine import SearchResult
 from repro.search.query import Posting, parse_query
 from repro.search.ranking import term_proximity
+from repro.search.segments import Segment
 from repro.serve import SearchServer, SearchService
 from repro.testgen.corpus import corpus_models, corpus_spec
 
@@ -161,6 +162,17 @@ def reference_top(models, query, pageranks, ajaxranks, weights, k):
     ][:k]
 
 
+def bits(rows):
+    """``(uri, state_id, score, components)`` rows with every float as
+    its ``.hex()``, which tells apart what ``==`` on floats does not: the
+    two zeros, as a sum taken in another order or a rank table's constant
+    computed otherwise can leave them."""
+    return [
+        (uri, state_id, score.hex(), {name: value.hex() for name, value in components.items()})
+        for uri, state_id, score, components in rows
+    ]
+
+
 def layouts_over(models, victim, scratch, pageranks, ajaxranks, weights):
     """``models`` behind every layout the engine ranks on: in memory;
     three segments, one of them holding a retired page (``victim``,
@@ -190,7 +202,8 @@ def layouts_over(models, victim, scratch, pageranks, ajaxranks, weights):
     return {"memory": memory, "segmented": segmented, "sharded": sharded}, (disk, shard_disk)
 
 
-WEIGHT = st.sampled_from([0.0, 0.1, 0.5, 1.0, -0.25])
+#: -0.0 among the weights: with w4 = -0.0 a sign of zero reaches the score.
+WEIGHT = st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, -0.25])
 RANK = st.sampled_from([-0.5, 0.0, 0.125, 0.125, 0.7])
 
 
@@ -221,9 +234,12 @@ class TestBruteForceOracle:
         victim = make_model("http://prop.test/retired", ["alpha beta gamma twin"] * 3)
         uris = [model.url for model in models]
         states = [(model.url, state.state_id) for model in models for state in model.states()]
-        # Tables with holes: a missing key ranks 0.0.
-        pageranks = data.draw(st.dictionaries(st.sampled_from(uris), RANK))
-        ajaxranks = data.draw(st.dictionaries(st.sampled_from(states), RANK, max_size=40))
+        # Tables with holes (a missing key ranks 0.0), or none at all: an
+        # empty table is the constant its lookups would give.
+        pageranks = data.draw(st.just({}) | st.dictionaries(st.sampled_from(uris), RANK))
+        ajaxranks = data.draw(
+            st.just({}) | st.dictionaries(st.sampled_from(states), RANK, max_size=40)
+        )
         query = " ".join(terms)
         with tempfile.TemporaryDirectory() as scratch:
             engines, indexes = layouts_over(models, victim, scratch, pageranks, ajaxranks, weights)
@@ -232,7 +248,29 @@ class TestBruteForceOracle:
                 assert engine.result_count(query) == total, label
                 for k in (0, 1, 3, total, total + 1, None):
                     count, hits = engine.top(query, k)
-                    assert (count, ranking(hits)) == (total, full[:k]), (label, k)
+                    assert (count, bits(ranking(hits))) == (total, bits(full[:k])), (label, k)
+            for index in indexes:
+                index.close()
+
+    @pytest.mark.parametrize(
+        "weights, zero",
+        [(RankingWeights(-0.25, -0.25, -0.25, -0.0), "-0x0.0p+0"),
+         (RankingWeights(0.0, -0.25, 0.5, -0.0), "0x0.0p+0")],
+    )
+    def test_a_score_of_zero_keeps_its_sign_without_rank_tables(self, weights, zero):
+        # ``alpha`` is in every state (idf 0), so every score is a zero
+        # whose sign is that of ``w1·0 + w2·0``, the constant an empty
+        # table gives, carried through the reference's sums.
+        models = tied_corpus()
+        victim = make_model("http://tie.test/retired", ["alpha beta"] * 2)
+        with tempfile.TemporaryDirectory() as scratch:
+            engines, indexes = layouts_over(models, victim, scratch, {}, {}, weights)
+            total, expected = reference_top(models, "alpha", {}, {}, weights, None)
+            assert {score.hex() for _, _, score, _ in expected} == {zero}
+            for label, engine in engines.items():
+                for k in (1, 10, None):
+                    count, hits = engine.top("alpha", k)
+                    assert (count, bits(ranking(hits))) == (total, bits(expected[:k])), (label, k)
             for index in indexes:
                 index.close()
 
@@ -439,6 +477,32 @@ class TestCountedWork:
         assert PINNED_COMPLETED[layout]["area"] <= 10 + 5
         assert PINNED_COMPLETED[layout]["area state"] <= 2 * 10
         assert len(postings) == 0
+        index.close()
+
+    @pytest.mark.parametrize("layout, options", LAYOUTS)
+    def test_a_tied_page_of_ten_reads_only_its_entries_uris_and_state_ids(
+        self, counted_corpus, tmp_path, monkeypatch, layout, options
+    ):
+        # With no rank table, nothing asks a match's URI or state id until
+        # it enters: the ten, the rest of the tenth's URI run, and per
+        # segment at most the tied row whose URI ends that run.
+        _, models = counted_corpus
+        index = SegmentedIndex(tmp_path / "idx", block_size=16, **options).build(models)
+        engine = SearchEngine(index)
+        reads = []
+        for name, rows in (("state_key", lambda ordinal: 1), ("state_keys", len)):
+            def reading(self, ordinals, original=getattr(Segment, name), rows=rows):
+                reads.append(rows(ordinals))
+                return original(self, ordinals)
+
+            monkeypatch.setattr(Segment, name, reading)
+        for query in ("area", "area state"):  # every match ties
+            del reads[:]
+            terms = parse_query(query)
+            idfs = [index.idf(term) for term in terms]
+            total, completed, entries = engine.select(terms, idfs, engine.weights, 10)
+            assert (total, completed, len(entries)) == (1200, PINNED_COMPLETED[layout][query], 10)
+            assert completed <= sum(reads) <= completed + index.num_segments, (layout, query)
         index.close()
 
     def test_rows_that_repeat_a_term_complete_only_what_their_bound_cannot_rule_out(

@@ -53,7 +53,7 @@ def test_knob_census():
 #: What ``make loc`` prints — lines of Python under ``src/``.  A PR
 #: that grows ``src/`` edits this number, in review, as a new knob edits
 #: the census; one that shrinks it lowers the pin to what it reached.
-SRC_LINE_CEILING = 22_062
+SRC_LINE_CEILING = 22_111
 
 
 def test_src_line_ceiling():
