@@ -9,7 +9,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
-	trace-regen testgen-smoke bench-serving bench-parallel \
+	trace-regen testgen-smoke bench-serving \
 	bench-index bench-dedup bench-e2e-smoke bench-testgen bench-ab bench-record loc
 
 check: test bench-faults bench-smoke bench-index bench-dedup bench-e2e-smoke
@@ -44,12 +44,6 @@ testgen-smoke:
 # 429 counts (writes benchmarks/results/BENCH_serving.json).
 bench-serving:
 	$(PYTHON) -m pytest benchmarks/bench_serving.py -q --benchmark-disable
-
-# Threads-backend scaling gate: wall-clock speedup over 1/2/4 workers
-# on a real-latency site, with a loose >=1.5x floor at 4 workers
-# (writes benchmarks/results/BENCH_parallel.json).
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel.py -q --benchmark-disable
 
 bench-faults:
 	$(PYTHON) -m pytest benchmarks/bench_ext_faults.py -q --benchmark-disable

@@ -43,7 +43,7 @@ def main() -> None:
         # The MPAjaxCrawler scheduler: same work, process-line timing.
         controller = MPAjaxCrawler(site, num_proc_lines=4)
         partitions = [URLPartitioner.read(d) for d in directories]
-        run = controller.run_simulated(partitions)
+        run = controller.run(partitions)
         print(f"4 process lines: makespan {run.makespan_ms / 1000:.1f}s "
               f"(per-line {[round(t / 1000, 1) for t in run.line_finish_ms]})")
 

@@ -46,13 +46,11 @@ from repro.obs import (
     format_span_tree,
     format_summary,
     from_jsonl,
-    merge_partition_traces,
     profile_components,
     summarize,
     to_speedscope,
 )
 from repro.parallel import (
-    BACKENDS,
     MPAjaxCrawler,
     Precrawler,
     PrecrawlResult,
@@ -144,43 +142,21 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     elif want_spans:
         # Profiling without a trace file keeps events in memory.
         recorder = Recorder(spans=True)
-    profile_events = None
     metrics = MetricsRegistry() if (args.metrics or args.profile) else None
     directories = URLPartitioner.list_partitions(args.root)
     partitions = [URLPartitioner.read(d) for d in directories]
-    partition_recorders: dict[int, Recorder] = {}
-
-    def recorder_factory(partition: int) -> Recorder:
-        if args.backend == "simulated":
-            # Partitions run one after the other: all of them stream
-            # through the one recorder.
-            return recorder
-        # Each concurrent partition records into its own memory buffer;
-        # the buffers merge into one canonical stream afterwards, so the
-        # written trace is deterministic however the threads interleaved.
-        rec = Recorder(spans=want_spans)
-        partition_recorders[partition] = rec
-        return rec
-
     controller = MPAjaxCrawler(
         server,
         num_proc_lines=args.workers,
         config=config,
         traditional=args.traditional,
-        recorder_factory=recorder_factory if recorder.enabled else None,
+        recorder=recorder,
     )
     # The sink must be flushed/closed even when a partition crawl
     # raises mid-run — a truncated-but-flushed trace is still
     # diagnosable, a stranded buffer is not.
     try:
-        run = controller.run(partitions, backend=args.backend)
-        if partition_recorders:
-            profile_events = merge_partition_traces(
-                {p: r.events for p, r in partition_recorders.items()}
-            )
-            if sink is not None:
-                for event in profile_events:
-                    sink.write(event)
+        run = controller.run(partitions)
     finally:
         if sink is not None:
             sink.close()
@@ -194,8 +170,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     if metrics is not None:
         metrics.merge(run.stats.registry)
         metrics.merge(run.result.report.registry)
-    if args.backend == "threads":
-        print(f"threads backend: {args.workers} workers, {run.wall_time_ms / 1000:.2f}s wall")
     mode = "traditional" if args.traditional else "AJAX"
     report = run.result.report
     total_ms = sum(summary.crawl_time_ms for summary in run.summaries)
@@ -215,9 +189,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         Path(args.metrics).write_text(metrics.to_json(), encoding="utf-8")
         print(f"metrics written to {args.metrics}")
     if args.profile:
-        if profile_events is not None:
-            events = profile_events
-        elif sink is not None:
+        if sink is not None:
             events = read_input(args, args.trace, from_jsonl)
         else:
             events = recorder.events
@@ -643,11 +615,8 @@ COMMANDS = [
             help="record span_start/span_end causal events in the trace"),
         arg("--profile", action="store_true",
             help="record spans and print the component profile + doctor findings"),
-        arg("--backend", choices=sorted(BACKENDS), default="simulated",
-            help="execution engine: deterministic virtual-time simulation "
-                 "(default) or real worker threads"),
         arg("--workers", type=_positive, default=4, metavar="N",
-            help="worker threads for --backend threads (default 4)"),
+            help="process lines the partitions are scheduled on (default 4)"),
     ]),
     ("index", None, "build, compact and inspect a segmented index", []),
     ("index build", cmd_index_build, "build an on-disk segmented index from crawled models", [

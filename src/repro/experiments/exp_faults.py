@@ -71,7 +71,7 @@ def fault_study(
             cost_model=CostModel(network_jitter=0.0),
         )
         urls = [site.video_url(i) for i in range(num_videos)]
-        run = controller.run_simulated(partition_urls(urls, partition_size))
+        run = controller.run(partition_urls(urls, partition_size))
         points.append(
             FaultPoint(
                 fault_rate=rate,

@@ -31,7 +31,7 @@ def _run(num_videos: int, lines: int, traditional: bool):
         machine=MACHINE,
         cost_model=datasets.experiment_cost_model(),
     )
-    return controller.run_simulated([tuple(p) for p in partitions])
+    return controller.run([tuple(p) for p in partitions])
 
 
 @dataclass(frozen=True)

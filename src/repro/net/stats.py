@@ -21,7 +21,7 @@ the bookkeeping invariant the fault-injection tests assert::
     failed_attempts == retries + failed_requests == faults the plan injected
 
 The registry takes a lock per operation, so a stats object may be shared
-across threads (the ``backend="threads"`` engine, shared-browser setups).
+across threads (the serving tier's request threads, shared-browser setups).
 """
 
 from __future__ import annotations

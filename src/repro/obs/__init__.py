@@ -85,7 +85,6 @@ from repro.obs.spans import Span, SpanNestingError, SpanTree, format_span_tree
 from repro.obs.trace import (
     diff_traces,
     format_summary,
-    merge_partition_traces,
     normalize_lines,
     summarize,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "current_request_trace",
     "active_request",
     "normalize_lines",
-    "merge_partition_traces",
     "diff_traces",
     "summarize",
     "format_summary",

@@ -8,7 +8,7 @@ books each page into one), cache behaviour, retry accounting.
 
 Metrics are addressed by ``(name, sorted label items)``.  All mutators
 take an internal lock so a registry may be shared across threads (the
-``backend="threads"`` engine).  Registries **merge**: folding the
+serving tier's request threads).  Registries **merge**: folding the
 per-partition registries of an :class:`~repro.parallel.MPAjaxCrawler`
 run — in any order or grouping — yields exactly the registry a
 single-process crawl of the same work would have produced.  The

@@ -64,10 +64,9 @@ class JsonlTraceSink:
     flushes and closes the file — otherwise buffered events are lost
     with the interpreter's stdio teardown.
 
-    One sink may be shared by several recorders on several threads (the
-    threaded crawl backend hands every partition recorder the same
-    file): a write lock serializes whole lines, so concurrent writers
-    interleave *events*, never bytes — every line stays valid JSON.
+    One sink may be shared by several recorders on several threads: a
+    write lock serializes whole lines, so concurrent writers interleave
+    *events*, never bytes — every line stays valid JSON.
     """
 
     def __init__(self, path: str | Path) -> None:

@@ -10,46 +10,9 @@ of a wall of bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.obs.events import TraceEvent
-
-
-def merge_partition_traces(
-    traces: Mapping[int, Sequence[TraceEvent]],
-) -> list[TraceEvent]:
-    """One canonical stream from per-partition recorder outputs.
-
-    A parallel crawl gives every partition its own recorder (one shared
-    sequence across concurrent workers would make ``seq`` depend on
-    thread interleaving).  This merge makes the combined stream
-    deterministic again: partitions concatenate in ascending partition
-    number, each partition's events keep their internal emission order,
-    and ``seq`` is renumbered globally — so the merged trace of a
-    seeded crawl is identical whichever backend (and however many
-    threads) produced it.  Nondeterministic ``wall_ms`` annotations are
-    dropped for the same reason.
-    """
-    merged: list[TraceEvent] = []
-    seq = 0
-    span_offset = 0
-    for partition in sorted(traces):
-        max_span_id = -1
-        for event in traces[partition]:
-            fields = {k: v for k, v in event.fields.items() if k != "wall_ms"}
-            # Per-partition recorders each start span ids at 0; offset
-            # them into disjoint ranges so the merged stream looks like
-            # one recorder produced it (span trees stay well-formed).
-            for key in ("span_id", "parent_id"):
-                if key in fields:
-                    max_span_id = max(max_span_id, fields[key])
-                    fields[key] = fields[key] + span_offset
-            merged.append(
-                TraceEvent(seq=seq, t_ms=event.t_ms, kind=event.kind, fields=fields)
-            )
-            seq += 1
-        span_offset += max_span_id + 1
-    return merged
 
 
 def normalize_lines(lines: Iterable[str]) -> list[str]:

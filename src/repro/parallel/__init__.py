@@ -6,7 +6,6 @@ with merge-time global idf.
 """
 
 from repro.parallel.aggregation import DistributedResultAggregator
-from repro.parallel.backend import BACKENDS, partition_cost_model
 from repro.parallel.mpcrawler import MachineModel, MPAjaxCrawler, ParallelRunResult
 from repro.parallel.partitioner import URLPartitioner, URLS_TO_CRAWL, partition_urls
 from repro.parallel.pipeline import PhaseTimings, PipelineResult, SearchPipeline
@@ -34,8 +33,6 @@ __all__ = [
     "MPAjaxCrawler",
     "MachineModel",
     "ParallelRunResult",
-    "BACKENDS",
-    "partition_cost_model",
     "ShardedSearchEngine",
     "SearchPipeline",
     "PipelineResult",

@@ -2,37 +2,28 @@
 
 The thesis runs ``nOfProcLines`` threads, each serially launching
 ``SimpleAjaxCrawler`` JVM processes until all partitions are consumed.
-We reproduce that scheduler with two execution engines
-(:mod:`repro.parallel.backend`), selected by name:
-
-* ``backend="simulated"`` (default) — a deterministic discrete-event
-  simulation over virtual time.  Each process line keeps its own
-  timeline; a free line grabs the next partition (exactly the
-  ``getPartitionID()`` protocol).  Network waits overlap perfectly
-  across lines; CPU work (JavaScript, parsing, model maintenance)
-  contends for the machine's cores, and each launched process pays a
-  startup overhead — which is why the thesis' measured gain from four
-  process lines on a dual-core Xeon was only ~26-28% (Figure 7.8), not
-  4x.  Every golden trace, figure and table is recorded against this
-  engine.
-
-* ``backend="threads"`` — a real ``ThreadPoolExecutor`` engine for
-  wall-clock use (each partition crawl is fully independent, the SPMD
-  observation of §6.1); the executor's queue is the shared
-  ``getPartitionID()`` counter.  Its merged crawl output is identical
-  to the simulated engine's; only scheduling/wall-clock fields differ.
+We reproduce that scheduler as a deterministic discrete-event
+simulation over virtual time.  Each process line keeps its own
+timeline; a free line grabs the next partition (exactly the
+``getPartitionID()`` protocol).  Network waits overlap perfectly across
+lines; CPU work (JavaScript, parsing, model maintenance) contends for
+the machine's cores, and each launched process pays a startup overhead
+— which is why the thesis' measured gain from four process lines on a
+dual-core Xeon was only ~26-28% (Figure 7.8), not 4x.  Every golden
+trace, figure and table is recorded against this scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.clock import CostModel
 from repro.crawler import CrawlerConfig, CrawlResult, DEFAULT_CONFIG
 from repro.net.server import SimulatedServer
 from repro.net.stats import NetworkStats
 from repro.obs import NULL_RECORDER
+from repro.obs.profile import earliest_free_lines
 from repro.parallel.simple import PartitionRunSummary, SimpleAjaxCrawler
 
 
@@ -67,27 +58,20 @@ class ParallelRunResult:
     summaries: list[PartitionRunSummary] = field(default_factory=list)
     #: Virtual wall-clock of the whole run (max over process lines).
     makespan_ms: float = 0.0
-    #: Per-line finish times: virtual ms on the simulated backend, real
-    #: per-worker busy ms on the threads backend.
+    #: Per-line virtual finish times.
     line_finish_ms: list[float] = field(default_factory=list)
     #: Network counters merged over every partition worker.
     stats: NetworkStats = field(default_factory=NetworkStats)
     #: Scheduled duration of partitions ``1..n`` on their process lines
-    #: (startup + network + stretched CPU for the simulated runner,
-    #: measured wall ms for the threaded one) — the critical-path
+    #: (startup + network + stretched CPU) — the critical-path
     #: analyzer's input.
     partition_durations_ms: list[float] = field(default_factory=list)
     #: Process lines the run was scheduled on.
     num_proc_lines: int = 0
-    #: The execution backend that produced this result.
-    backend: str = "simulated"
     #: Per-partition crawl results, keyed by partition number (model
     #: persistence and per-partition indexing read these; the merged
     #: ``result`` references the same objects).
     partition_results: dict[int, CrawlResult] = field(default_factory=dict)
-    #: Real elapsed milliseconds of the whole run (threads backend;
-    #: 0.0 on the simulated backend, which runs on virtual time only).
-    wall_time_ms: float = 0.0
 
     @property
     def registry(self):
@@ -124,7 +108,7 @@ class MPAjaxCrawler:
         traditional: bool = False,
         machine: MachineModel = MachineModel(),
         cost_model: Optional[CostModel] = None,
-        recorder_factory: Optional[Callable[[int], object]] = None,
+        recorder=NULL_RECORDER,
     ) -> None:
         if num_proc_lines < 1:
             raise ValueError("need at least one process line")
@@ -134,66 +118,45 @@ class MPAjaxCrawler:
         self.traditional = traditional
         self.machine = machine
         self.cost_model = cost_model
-        #: Optional per-partition trace recorders: called with the
-        #: partition number, returns the recorder that partition's
-        #: worker uses.  Traces cannot share one sequence across
-        #: concurrent partitions without losing determinism, so each
-        #: partition gets its own recorder; the per-partition streams
-        #: recombine with :func:`repro.obs.merge_partition_traces`.  A
-        #: factory handing every recorder the same
-        #: :class:`~repro.obs.JsonlTraceSink` is safe on the threads
-        #: backend — the sink serializes writers internally.
-        self.recorder_factory = recorder_factory
-
-    def _recorder_for(self, partition: int):
-        """The trace recorder one partition's worker should use."""
-        if self.recorder_factory is None:
-            return NULL_RECORDER
-        return self.recorder_factory(partition)
+        #: Every partition's worker records through this one recorder:
+        #: partitions run in turn, so the stream is one deterministic
+        #: sequence.
+        self.recorder = recorder
 
     def crawl_partition(
-        self,
-        number: int,
-        urls: list[str],
-        cost_model: Optional[CostModel] = None,
+        self, number: int, urls: list[str]
     ) -> tuple[CrawlResult, PartitionRunSummary]:
-        """Crawl one numbered partition with a fresh worker.
-
-        The worker owns every piece of mutable crawl state (clock,
-        browser, model store, hash caches, stats), which is what makes
-        partition crawls backend-agnostic: the simulated engine calls
-        this serially, the threaded engine concurrently.
-        ``cost_model`` overrides the controller's (the threaded engine
-        passes per-partition RNG clones); ``None`` uses the shared one.
-        """
+        """Crawl one numbered partition with a fresh worker, which owns
+        every piece of mutable crawl state (clock, browser, model store,
+        hash caches, stats)."""
         worker = SimpleAjaxCrawler(
             self.server,
             self.config,
             traditional=self.traditional,
-            cost_model=cost_model if cost_model is not None else self.cost_model,
-            recorder=self._recorder_for(number),
+            cost_model=self.cost_model,
+            recorder=self.recorder,
         )
         return worker.crawl_urls(urls, partition=number)
 
-    # -- backend dispatch ------------------------------------------------------------
-
-    def run(
-        self, partitions: list[list[str]], backend: str = "simulated"
-    ) -> ParallelRunResult:
-        """Crawl all partitions on the named engine.
-
-        ``backend`` is ``"simulated"`` or ``"threads"``.  The merged
-        crawl output is backend-independent; the scheduling and
-        wall-clock fields are not.
-        """
-        from repro.parallel.backend import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown execution backend {backend!r} (have {sorted(BACKENDS)})"
+    def run(self, partitions: list[list[str]]) -> ParallelRunResult:
+        """Crawl every partition, in order, and schedule each onto the
+        earliest-free process line with contention-stretched CPU time —
+        the ``getPartitionID()`` protocol of §6.3.1."""
+        lines = self.num_proc_lines
+        machine = self.machine
+        stretch = machine.cpu_stretch(min(lines, max(len(partitions), 1)))
+        run = ParallelRunResult(result=CrawlResult(), num_proc_lines=lines)
+        for number, urls in enumerate(partitions, start=1):
+            result, summary = self.crawl_partition(number, urls)
+            run.result.merge(result)
+            run.stats.merge(summary.network)
+            run.summaries.append(summary)
+            run.partition_results[number] = result
+            run.partition_durations_ms.append(
+                machine.process_startup_ms
+                + summary.network_time_ms
+                + summary.cpu_time_ms * stretch
             )
-        return BACKENDS[backend](self, partitions)
-
-    def run_simulated(self, partitions: list[list[str]]) -> ParallelRunResult:
-        """Crawl all partitions on virtual time (the default backend)."""
-        return self.run(partitions, backend="simulated")
+        run.line_finish_ms = earliest_free_lines(run.partition_durations_ms, lines)[0]
+        run.makespan_ms = max(run.line_finish_ms)
+        return run

@@ -99,7 +99,7 @@ class SearchPipeline:
             machine=self.machine,
             cost_model=self.cost_model,
         )
-        crawl = controller.run_simulated(partitions)
+        crawl = controller.run(partitions)
         timings.crawl_makespan_ms = crawl.makespan_ms
 
         # Phase 4: per-partition indexes.  Each machine indexes its own

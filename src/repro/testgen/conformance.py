@@ -15,10 +15,6 @@ ground truth, or against another crawler variant that must agree:
 * ``parallel_parity`` — a single ``SimpleAjaxCrawler`` run vs an
   ``MPAjaxCrawler`` partitioned run: the merged report and models must
   equal the single-run ones.
-* ``backend_parity`` — the same ``MPAjaxCrawler`` partitions on the
-  simulated engine vs the real-thread engine: merged report, model
-  list (order included), network counters and search results must be
-  identical; only scheduling/wall-clock fields may differ.
 * ``search_consistency`` — an index built over the crawled models
   answers every per-state marker query with exactly that state, and
   corpus-word result counts match the spec's term placement.
@@ -31,8 +27,8 @@ ground truth, or against another crawler variant that must agree:
   noisy-twin generator's closed-form oracles: with
   ``near_dup_threshold`` set, a noisy crawl recovers exactly the
   logical state count, twin→canonical mapping, variant counts and
-  volatile-region masks (identically across execution backends, with
-  zero false merges); with it unset, the same noisy site explodes to
+  volatile-region masks (identically under a partitioned
+  ``MPAjaxCrawler`` run, with zero false merges); with it unset, the same noisy site explodes to
   exactly the breadth-first unrolling the oracle predicts, and a
   standard-site crawl emits no dedup events, metrics or annotations —
   the dedup-off path is inert.
@@ -85,7 +81,6 @@ CHECK_NAMES = (
     "hotnode_parity",
     "incremental_parity",
     "parallel_parity",
-    "backend_parity",
     "search_consistency",
     "index_parity",
     "near_dup_parity",
@@ -420,7 +415,7 @@ def check_parallel_parity(
         num_proc_lines=num_proc_lines,
         config=config,
         cost_model=_cost_model(),
-    ).run_simulated(_partition(urls, num_partitions))
+    ).run(_partition(urls, num_partitions))
     merged = parallel.result.report
     single = single_result.report
     for quantity in (
@@ -456,100 +451,6 @@ def check_parallel_parity(
         f"merged network stats diverged: {parallel.stats.ajax_calls} AJAX "
         f"calls vs {single_summary.network.ajax_calls}",
     )
-    return result
-
-
-def check_backend_parity(
-    spec: SiteSpec, num_partitions: int = 2, num_workers: int = 2
-) -> CheckResult:
-    """Simulated vs real-thread execution backends must agree exactly.
-
-    Both engines crawl the same partitions through the same
-    ``MPAjaxCrawler``; everything that describes the *crawl* — merged
-    report (virtual time included), per-model states and transitions,
-    model order, network counters, search answers — must be identical.
-    Wall-clock and scheduling fields (``makespan_ms``, ``wall_time_ms``,
-    ``line_finish_ms``, ``partition_durations_ms``) describe the engine
-    and are exempt.
-    """
-    result = CheckResult("backend_parity")
-    partitions = _partition(spec.all_urls(), num_partitions)
-
-    def controller() -> MPAjaxCrawler:
-        return MPAjaxCrawler(
-            GeneratedSite(spec),
-            num_proc_lines=num_workers,
-            config=conformance_config(spec),
-            cost_model=_cost_model(),
-        )
-
-    simulated = controller().run(partitions, backend="simulated")
-    threaded = controller().run(partitions, backend="threads")
-    result.expect(simulated.backend == "simulated", "simulated run mistagged")
-    result.expect(threaded.backend == "threads", "threaded run mistagged")
-    sim_report = simulated.result.report
-    thr_report = threaded.result.report
-    for quantity in (
-        "num_pages",
-        "total_states",
-        "total_events",
-        "total_ajax_calls",
-        "total_cached_hits",
-        "total_states_capped",
-        "total_events_quarantined",
-    ):
-        result.expect(
-            getattr(sim_report, quantity) == getattr(thr_report, quantity),
-            f"{quantity}: simulated {getattr(sim_report, quantity)} != "
-            f"threads {getattr(thr_report, quantity)}",
-        )
-    result.expect(
-        sim_report.total_time_ms == thr_report.total_time_ms,
-        f"virtual crawl time diverged: simulated {sim_report.total_time_ms} "
-        f"vs threads {thr_report.total_time_ms}",
-    )
-    result.expect(
-        simulated.total_failed_pages == 0 and threaded.total_failed_pages == 0,
-        "a fault-free generated crawl reported page failures",
-    )
-    sim_urls = [model.url for model in simulated.result.models]
-    thr_urls = [model.url for model in threaded.result.models]
-    result.expect(
-        sim_urls == thr_urls,
-        f"merged model order diverged: {sim_urls} vs {thr_urls}",
-    )
-    sim_prints = _model_fingerprints(simulated.result.models)
-    thr_prints = _model_fingerprints(threaded.result.models)
-    for url in sim_prints:
-        result.expect(
-            sim_prints[url] == thr_prints.get(url),
-            f"{url}: models diverged between backends",
-        )
-    result.expect(
-        simulated.stats.registry.snapshot() == threaded.stats.registry.snapshot(),
-        "merged network metrics diverged between backends",
-    )
-    result.expect(
-        sorted(simulated.partition_results) == sorted(threaded.partition_results),
-        "backends produced different partition numbers",
-    )
-    # The crawled corpus answers queries identically whichever engine
-    # produced it: every per-state marker resolves to the same state.
-    sim_engine = SearchEngine.build(simulated.result.models)
-    thr_engine = SearchEngine.build(threaded.result.models)
-    for page in spec.pages:
-        for marker in page.markers:
-            sim_hits = [
-                (hit.uri, hit.state_id, hit.score) for hit in sim_engine.search(marker)
-            ]
-            thr_hits = [
-                (hit.uri, hit.state_id, hit.score) for hit in thr_engine.search(marker)
-            ]
-            result.expect(
-                sim_hits == thr_hits,
-                f"marker {marker!r}: search results diverged "
-                f"({sim_hits} vs {thr_hits})",
-            )
     return result
 
 
@@ -758,8 +659,8 @@ def check_near_dup_parity(spec: SiteSpec) -> CheckResult:
       events and search non-fragmentation must all equal the spec
       oracles; zero false merges (every canonical maps to a distinct
       spec state).
-    * collapse ON under ``MPAjaxCrawler`` — simulated and threaded
-      backends must produce the same models as the single-crawler run.
+    * collapse ON under ``MPAjaxCrawler`` — a partitioned run must
+      produce the same models as the single-crawler run.
     * collapse OFF — the same noisy site must explode to *exactly* the
       breadth-first unrolling ``expected_exploded_states`` predicts.
     * standard site, dedup unset — no ``state_collapsed`` events, no
@@ -910,32 +811,22 @@ def check_near_dup_parity(spec: SiteSpec) -> CheckResult:
                     f"leaked into the index",
                 )
 
-    # -- collapse ON across execution backends ----------------------------
-    partitions = _partition(noisy.all_urls(), 2)
-
-    def controller() -> MPAjaxCrawler:
-        return MPAjaxCrawler(
-            NoisyGeneratedSite(noisy),
-            num_proc_lines=2,
-            config=_noisy_config(noisy, collapse=True),
-            cost_model=_cost_model(),
-        )
-
-    single_prints = _model_fingerprints(on_crawl.models)
-    for backend in ("simulated", "threads"):
-        run = controller().run(partitions, backend=backend)
-        backend_prints = _model_fingerprints(run.result.models)
-        result.expect(
-            backend_prints == single_prints,
-            f"{backend} backend models diverge from the single-crawler "
-            f"collapse run",
-        )
-        result.expect(
-            run.result.report.total_states_collapsed == total_collapses,
-            f"{backend} backend booked "
-            f"{run.result.report.total_states_collapsed} collapses, "
-            f"expected {total_collapses}",
-        )
+    # -- collapse ON, partitioned -----------------------------------------
+    run = MPAjaxCrawler(
+        NoisyGeneratedSite(noisy),
+        num_proc_lines=2,
+        config=_noisy_config(noisy, collapse=True),
+        cost_model=_cost_model(),
+    ).run(_partition(noisy.all_urls(), 2))
+    result.expect(
+        _model_fingerprints(run.result.models) == _model_fingerprints(on_crawl.models),
+        "partitioned models diverge from the single-crawler collapse run",
+    )
+    result.expect(
+        run.result.report.total_states_collapsed == total_collapses,
+        f"partitioned run booked {run.result.report.total_states_collapsed} "
+        f"collapses, expected {total_collapses}",
+    )
 
     # -- collapse OFF: exact explosion ------------------------------------
     _, off_crawl, off_recorder = _crawl_noisy(noisy, collapse=False)
@@ -1073,7 +964,6 @@ def run_conformance(
         "hotnode_parity": check_hotnode_parity,
         "incremental_parity": check_incremental_parity,
         "parallel_parity": check_parallel_parity,
-        "backend_parity": check_backend_parity,
         "search_consistency": check_search_consistency,
         "index_parity": check_index_parity,
         "near_dup_parity": check_near_dup_parity,

@@ -233,8 +233,8 @@ class TestDiagnose:
         # The partition spans of the run's trace are the evidence.
         site = SyntheticYouTube(SiteConfig(num_videos=6, seed=7))
         recorder = Recorder(spans=True)
-        crawler = MPAjaxCrawler(site, num_proc_lines=2, recorder_factory=lambda _: recorder)
-        crawler.run_simulated([[site.video_url(i) for i in range(5)], [site.video_url(5)]])
+        crawler = MPAjaxCrawler(site, num_proc_lines=2, recorder=recorder)
+        crawler.run([[site.video_url(i) for i in range(5)], [site.video_url(5)]])
         findings = diagnose(events=recorder.events)
         assert "partition-skew" in rules_of(findings)
         skew = next(f for f in findings if f.rule == "partition-skew")

@@ -149,7 +149,7 @@ class TestCriticalPath:
         machine = MachineModel()
         crawler = MPAjaxCrawler(site, num_proc_lines=3, machine=machine)
         partitions = [[site.video_url(i), site.video_url(i + 1)] for i in (0, 2, 4)]
-        run = crawler.run_simulated(partitions)
+        run = crawler.run(partitions)
         costs = [
             PartitionCost(number, duration)
             for number, duration in zip(

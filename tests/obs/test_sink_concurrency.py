@@ -1,8 +1,7 @@
 """One JsonlTraceSink shared across worker threads: no torn lines.
 
-The threads crawl backend lets a recorder factory hand every partition
-recorder the same sink.  The sink's write lock must serialize whole
-lines: every line of the resulting file parses as one JSON event, the
+Several recorders on several threads may write through one sink.  The
+sink's write lock must serialize whole lines: every line of the resulting file parses as one JSON event, the
 count is exact, and no two writers' bytes interleave.
 """
 

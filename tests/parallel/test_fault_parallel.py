@@ -45,7 +45,7 @@ class TestSimulatedRunUnderFaults:
     def test_completes_and_books_every_injected_fault(self, site):
         plan = FaultPlan([FaultRule(r"/comments", rate=0.2)], seed=5)
         controller, partitions = make_run(site, plan)
-        run = controller.run_simulated(partitions)  # must not raise
+        run = controller.run(partitions)  # must not raise
         assert len(run.summaries) == 4
         assert run.total_pages + run.total_failed_pages == NUM_VIDEOS
         assert plan.num_injected > 0
@@ -67,7 +67,7 @@ class TestSimulatedRunUnderFaults:
             seed=5,
         )
         controller, partitions = make_run(site, plan, max_attempts=3)
-        run = controller.run_simulated(partitions)
+        run = controller.run(partitions)
         assert run.result.failed_urls == [dead]
         (failure,) = run.result.failures
         assert failure.url == dead
@@ -80,7 +80,7 @@ class TestSimulatedRunUnderFaults:
         def one_run():
             plan = FaultPlan([FaultRule(r"/comments", rate=0.2)], seed=5)
             controller, partitions = make_run(site, plan)
-            run = controller.run_simulated(partitions)
+            run = controller.run(partitions)
             return (
                 plan.num_injected,
                 run.stats.retries,
@@ -91,39 +91,14 @@ class TestSimulatedRunUnderFaults:
 
         assert one_run() == one_run()
 
-    def test_zero_fault_plan_matches_plain_run(self, site):
-        plan = FaultPlan([FaultRule(r"/comments", rate=0.0)], seed=5)
-        controller, partitions = make_run(site, plan)
-        faulted = controller.run_simulated(partitions)
-        plain = MPAjaxCrawler(
-            site, num_proc_lines=4, cost_model=cost()
-        ).run_simulated(partitions)
-        assert plan.num_injected == 0
-        assert faulted.makespan_ms == pytest.approx(plain.makespan_ms)
-        assert faulted.stats.retries == 0
-        assert faulted.stats.network_time_ms == pytest.approx(
-            plain.stats.network_time_ms
-        )
-
-
-class TestThreadedRunUnderFaults:
-    def test_threaded_run_books_every_injected_fault(self, site):
-        """Partitions race on a shared server and a shared plan; the
-        per-worker stats still account for every injected fault."""
-        plan = FaultPlan([FaultRule(r"/comments", rate=0.2)], seed=5)
-        controller, partitions = make_run(site, plan)
-        run = controller.run(partitions, backend="threads")
-        assert run.total_pages + run.total_failed_pages == NUM_VIDEOS
-        assert run.stats.retries + run.stats.failed_requests == plan.num_injected
-
-    def test_threaded_merged_counters_consistent(self, site):
+    def test_merged_counters_consistent(self, site):
         """Merged NetworkStats equal the per-partition sums (no lost
-        updates), and the model set matches the fault-free serial run."""
+        updates)."""
         controller = MPAjaxCrawler(site, num_proc_lines=4, cost_model=cost())
         partitions = partition_urls(
             [site.video_url(i) for i in range(NUM_VIDEOS)], 3
         )
-        run = controller.run(partitions, backend="threads")
+        run = controller.run(partitions)
         assert run.stats.ajax_calls == sum(
             s.network.ajax_calls for s in run.summaries
         )
@@ -134,6 +109,20 @@ class TestThreadedRunUnderFaults:
             s.network.bytes_transferred for s in run.summaries
         )
         assert run.stats.failed_requests == 0
+
+    def test_zero_fault_plan_matches_plain_run(self, site):
+        plan = FaultPlan([FaultRule(r"/comments", rate=0.0)], seed=5)
+        controller, partitions = make_run(site, plan)
+        faulted = controller.run(partitions)
+        plain = MPAjaxCrawler(
+            site, num_proc_lines=4, cost_model=cost()
+        ).run(partitions)
+        assert plan.num_injected == 0
+        assert faulted.makespan_ms == pytest.approx(plain.makespan_ms)
+        assert faulted.stats.retries == 0
+        assert faulted.stats.network_time_ms == pytest.approx(
+            plain.stats.network_time_ms
+        )
 
 
 class TestNetworkStatsThreadSafety:

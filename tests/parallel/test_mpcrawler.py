@@ -67,28 +67,28 @@ class TestMPAjaxCrawler:
 
     def test_all_pages_crawled(self, site):
         controller = MPAjaxCrawler(site, num_proc_lines=4, cost_model=cost())
-        run = controller.run_simulated(self.partitions(site))
+        run = controller.run(self.partitions(site))
         assert run.total_pages == 12
         assert len(run.summaries) == 4  # 12 urls / 3 per partition
 
     def test_parallel_faster_than_serial(self, site):
         partitions = self.partitions(site)
-        serial = MPAjaxCrawler(site, num_proc_lines=1, cost_model=cost()).run_simulated(partitions)
-        parallel = MPAjaxCrawler(site, num_proc_lines=4, cost_model=cost()).run_simulated(partitions)
+        serial = MPAjaxCrawler(site, num_proc_lines=1, cost_model=cost()).run(partitions)
+        parallel = MPAjaxCrawler(site, num_proc_lines=4, cost_model=cost()).run(partitions)
         assert parallel.makespan_ms < serial.makespan_ms
 
     def test_speedup_bounded_by_contention(self, site):
         """Four lines on two cores cannot approach a 4x speedup (Fig. 7.8)."""
         partitions = self.partitions(site)
         machine = MachineModel(cores=2)
-        serial = MPAjaxCrawler(site, 1, machine=machine, cost_model=cost()).run_simulated(partitions)
-        parallel = MPAjaxCrawler(site, 4, machine=machine, cost_model=cost()).run_simulated(partitions)
+        serial = MPAjaxCrawler(site, 1, machine=machine, cost_model=cost()).run(partitions)
+        parallel = MPAjaxCrawler(site, 4, machine=machine, cost_model=cost()).run(partitions)
         speedup = serial.makespan_ms / parallel.makespan_ms
         assert 1.0 < speedup < 3.0
 
     def test_line_loads_balanced(self, site):
         controller = MPAjaxCrawler(site, num_proc_lines=4, cost_model=cost())
-        run = controller.run_simulated(self.partitions(site))
+        run = controller.run(self.partitions(site))
         assert len(run.line_finish_ms) == 4
         assert max(run.line_finish_ms) == run.makespan_ms
         assert all(t > 0 for t in run.line_finish_ms)
@@ -96,7 +96,7 @@ class TestMPAjaxCrawler:
     def test_same_models_as_serial_crawl(self, site):
         """Parallelization must not change what is crawled."""
         partitions = self.partitions(site, count=6, size=2)
-        parallel = MPAjaxCrawler(site, 3, cost_model=cost()).run_simulated(partitions)
+        parallel = MPAjaxCrawler(site, 3, cost_model=cost()).run(partitions)
         serial_worker = SimpleAjaxCrawler(site, cost_model=cost())
         serial, _ = serial_worker.crawl_urls([site.video_url(i) for i in range(6)])
         parallel_states = sorted(
@@ -107,32 +107,18 @@ class TestMPAjaxCrawler:
         )
         assert parallel_states == serial_states
 
-    def test_threaded_run_equivalent_models(self, site):
-        partitions = self.partitions(site, count=6, size=2)
-        threaded = MPAjaxCrawler(site, 3, cost_model=cost()).run(
-            partitions, backend="threads"
-        )
-        simulated = MPAjaxCrawler(site, 3, cost_model=cost()).run_simulated(partitions)
-        threaded_states = sorted(
-            s.content_hash for m in threaded.result.models for s in m.states()
-        )
-        simulated_states = sorted(
-            s.content_hash for m in simulated.result.models for s in m.states()
-        )
-        assert threaded_states == simulated_states
-
     def test_zero_lines_rejected(self, site):
         with pytest.raises(ValueError):
             MPAjaxCrawler(site, num_proc_lines=0)
 
     def test_empty_partitions(self, site):
-        run = MPAjaxCrawler(site, 2, cost_model=cost()).run_simulated([])
+        run = MPAjaxCrawler(site, 2, cost_model=cost()).run([])
         assert run.makespan_ms == 0.0
         assert run.total_pages == 0
 
     def test_traditional_parallel(self, site):
         controller = MPAjaxCrawler(site, 4, traditional=True, cost_model=cost())
-        run = controller.run_simulated(self.partitions(site, count=8, size=2))
+        run = controller.run(self.partitions(site, count=8, size=2))
         assert run.result.report.total_states == 8
 
 

@@ -183,19 +183,18 @@ class TestPipeline:
 
 
 class TestCrawlTraceIsPinned:
-    #: Written by `crawl --trace` on the default backend at the commit
-    #: before `cmd_crawl` got one body for both backends.
+    #: Written by `crawl --trace` on the virtual-time scheduler, which
+    #: streams every partition through one recorder.
     EXPECTED = Path(__file__).parent / "golden" / "cli_crawl_trace.jsonl"
 
-    @pytest.mark.parametrize("backend", ["simulated", "threads"])
-    def test_two_partition_root_writes_the_recorded_bytes(self, backend, tmp_path):
+    def test_two_partition_root_writes_the_recorded_bytes(self, tmp_path):
         site = "simtube:4:3"
         pre, root, trace = tmp_path / "pre", tmp_path / "crawl", tmp_path / "t.jsonl"
         assert main(["precrawl", "--site", site, "--out", str(pre), "--max-pages", "4"]) == 0
         assert main(["partition", "--precrawl", str(pre), "--size", "2", "--out", str(root)]) == 0
         assert main([
             "crawl", "--site", site, "--root", str(root), "--trace", str(trace),
-            "--backend", backend, "--workers", "2",
+            "--workers", "2",
         ]) == 0
         assert sorted(p.name for p in root.iterdir()) == ["1", "2"]
         assert trace.read_bytes() == self.EXPECTED.read_bytes()
@@ -608,3 +607,12 @@ class TestArgumentErrors:
             ])
         assert exit_info.value.code == 2
         assert "--near-dup-threshold" in capsys.readouterr().err
+
+    def test_crawl_has_one_engine(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "crawl", "--site", "simtube:2:3", "--root", str(tmp_path),
+                "--backend", "threads",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend threads" in capsys.readouterr().err
