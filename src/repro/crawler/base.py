@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from repro.crawler.metrics import CrawlReport, PageMetrics
 from repro.errors import ReproError
 from repro.model import ApplicationModel
-from repro.obs import NULL_RECORDER
+from repro.obs import NULL_RECORDER, PAGE_INTERNAL_ERROR
+
+#: The package directory; frames under it name where an internal error arose.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @dataclass
@@ -29,7 +33,9 @@ class PageFailure:
     """
 
     url: str
-    #: Human-readable error (the exception message).
+    #: Human-readable error: a library error's message, or for any
+    #: other exception its type and innermost frame in this package
+    #: (``RecursionError in dom/hashing.py:_build``).
     error: str
     #: Network attempts made for the failing request (1 = no retries).
     attempts: int = 1
@@ -72,8 +78,12 @@ class Crawler:
         By default a page that fails (404, server error, broken script
         environment) is recorded as a :class:`PageFailure` (and in
         ``failed_urls``) and the crawl moves on — a production crawler
-        must survive dead links.  With ``fail_fast=True`` the first
-        failure propagates.
+        must survive dead links.  So does a page whose input trips a
+        substrate bug or a Python limit: an ``Exception`` that is not a
+        :class:`~repro.errors.ReproError` costs that page too, named by
+        :func:`internal_error` and counted by a ``page_internal_error``
+        event.  With ``fail_fast=True`` the first failure propagates; a
+        ``BaseException`` that is not an ``Exception`` always does.
         """
         result = CrawlResult()
         clock = getattr(self, "clock", None)
@@ -84,17 +94,22 @@ class Crawler:
                 with recorder.span("page", url=url) as page_span:
                     try:
                         page_result = self.crawl_page(url)
-                    except ReproError as error:
+                    except Exception as error:
                         if fail_fast:
                             raise
                         elapsed = (
                             clock.now_ms - started_ms if clock is not None else 0.0
                         )
+                        if isinstance(error, ReproError):
+                            message = str(error)
+                        else:
+                            message = internal_error(error)
+                            recorder.emit(PAGE_INTERNAL_ERROR, url=url, error=message)
                         result.failed_urls.append(url)
                         result.failures.append(
                             PageFailure(
                                 url=url,
-                                error=str(error),
+                                error=message,
                                 attempts=getattr(error, "attempts", 1),
                                 elapsed_ms=elapsed,
                             )
@@ -107,3 +122,18 @@ class Crawler:
                 pages_ok=result.report.num_pages, pages_failed=len(result.failed_urls)
             )
         return result
+
+
+def internal_error(error: BaseException) -> str:
+    """``"<type> in <file>:<function>"``: the exception's type and the
+    innermost frame of this package its traceback passed through (the
+    type alone when none did)."""
+    where = ""
+    tb = error.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename.startswith(_PACKAGE + os.sep):
+            path = os.path.relpath(code.co_filename, _PACKAGE).replace(os.sep, "/")
+            where = f" in {path}:{code.co_name}"
+        tb = tb.tb_next
+    return type(error).__name__ + where

@@ -27,11 +27,12 @@ from urllib.parse import quote
 from repro.errors import JsRuntimeError, JsTypeError
 from repro.js.environment import Environment
 from repro.js.values import (
-    MAX_STRING_LENGTH,
+    TOO_DEEP,
     UNDEFINED,
     JSArray,
     JSObject,
     NativeFunction,
+    check_string_length,
     is_callable,
     is_truthy,
     join_elements,
@@ -115,9 +116,14 @@ def _repeat(interp: "Interpreter", text: str, args: list[Any]) -> str:
     count = to_integer_or_infinity(_arg(args, 0))
     if count < 0 or count == math.inf:
         raise JsRuntimeError(f"RangeError: Invalid count value: {to_string(_arg(args, 0))}")
-    if len(text) * count > MAX_STRING_LENGTH:
-        raise JsRuntimeError("RangeError: Invalid string length")
+    check_string_length(len(text) * count)
     return text * count if text else ""
+
+
+def _string_concat(interp: "Interpreter", text: str, args: list[Any]) -> str:
+    pieces = [text, *map(to_string, args)]
+    check_string_length(sum(map(len, pieces)))
+    return "".join(pieces)
 
 
 STRING_METHODS: dict[str, Native] = {
@@ -131,7 +137,7 @@ STRING_METHODS: dict[str, Native] = {
     "toUpperCase": lambda interp, text, args: text.upper(),
     "replace": lambda interp, text, args: text.replace(_text_arg(args, 0), _text_arg(args, 1), 1),
     "trim": lambda interp, text, args: text.strip(),
-    "concat": lambda interp, text, args: text + "".join(to_string(a) for a in args),
+    "concat": _string_concat,
     "charCodeAt": _char_code_at,
     "startsWith": lambda interp, text, args: text.startswith(_text_arg(args, 0)),
     "endsWith": lambda interp, text, args: text.endswith(_text_arg(args, 0)),
@@ -291,15 +297,19 @@ def _json_parse(interp: "Interpreter", this: Any, args: list[Any]) -> Any:
         return _python_to_js(json.loads(text))
     except ValueError as error:
         raise JsRuntimeError(f"JSON.parse: {error}") from None
+    except RecursionError:
+        raise JsRuntimeError(TOO_DEEP) from None
 
 
 def _json_stringify(interp: "Interpreter", this: Any, args: list[Any]) -> Any:
     if not args:
         return UNDEFINED
     try:
-        return json.dumps(_js_to_python(args[0]))
+        return json.dumps(_js_to_python(args[0], set()))
     except (TypeError, ValueError):
         return UNDEFINED
+    except RecursionError:
+        raise JsRuntimeError(TOO_DEEP) from None
 
 
 def _python_to_js(value: Any) -> Any:
@@ -314,16 +324,23 @@ def _python_to_js(value: Any) -> Any:
     return value
 
 
-def _js_to_python(value: Any) -> Any:
+def _js_to_python(value: Any, open_: set[int]) -> Any:
+    """``value`` as JSON data; ``open_`` holds the ids of the objects and
+    arrays being converted further out, and meeting one again is node's
+    TypeError."""
     if value is UNDEFINED:
         return None
+    if not isinstance(value, (JSObject, JSArray)):
+        return int(value) if isinstance(value, float) and value.is_integer() else value
+    if id(value) in open_:
+        raise JsTypeError("Converting circular structure to JSON")
+    open_.add(id(value))
     if isinstance(value, JSObject):
-        return {key: _js_to_python(item) for key, item in value.properties.items()}
-    if isinstance(value, JSArray):
-        return [_js_to_python(item) for item in value.elements]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+        data: Any = {key: _js_to_python(item, open_) for key, item in value.properties.items()}
+    else:
+        data = [_js_to_python(item, open_) for item in value.elements]
+    open_.discard(id(value))
+    return data
 
 
 def _encode_uri(interp: "Interpreter", this: Any, args: list[Any]) -> str:

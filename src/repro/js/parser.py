@@ -5,6 +5,14 @@ ECMAScript; semicolons are required after expression statements except
 before ``}`` and EOF (a pragmatic subset of automatic semicolon
 insertion sufficient for the page scripts this library generates and for
 hand-written test programs).
+
+Every recursion of the parser passes through a statement, an assignment
+expression or a prefix operator, and each of those counts one level of
+nesting; past :data:`MAX_NESTING` open levels the source is a
+``JsSyntaxError("nesting too deep")``.  A level costs at most a dozen
+Python frames here and fewer in the compiled closures, so a program at
+the bound parses, compiles and runs inside Python's stack however deep
+in the script call stack it is first called.
 """
 
 from __future__ import annotations
@@ -16,6 +24,16 @@ from repro.errors import JsSyntaxError
 from repro.js import ast
 from repro.js.lexer import Lexer
 from repro.js.tokens import Token, TokenType
+
+#: Open statements, assignment expressions and prefix operators a source
+#: may nest.
+MAX_NESTING = 64
+
+#: The prefix operators, by token.
+_PREFIX_OPERATORS = {
+    *((TokenType.PUNCTUATOR, op) for op in ("-", "+", "!", "++", "--")),
+    *((TokenType.KEYWORD, op) for op in ("typeof", "delete")),
+}
 
 #: Binary operator precedence (higher binds tighter).
 _BINARY_PRECEDENCE = {
@@ -54,6 +72,9 @@ class Parser:
         lexer = Lexer(source, declarations)
         self.tokens = lexer.tokenize()
         self.pos = 0
+        #: Open levels of nesting (a failed parse is abandoned, so only
+        #: a level that parsed is closed).
+        self.depth = 0
         self.declarations = declarations
         self.candidates = lexer.candidates
 
@@ -104,6 +125,12 @@ class Parser:
             f"expected ';' but found {token.value!r}", token.line, token.column
         )
 
+    def _descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            token = self._peek()
+            raise JsSyntaxError("nesting too deep", token.line, token.column)
+
     # -- entry points -----------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
@@ -133,6 +160,12 @@ class Parser:
     # -- statements ---------------------------------------------------------------
 
     def _statement(self) -> ast.Statement:
+        self._descend()
+        statement = self._open_statement()
+        self.depth -= 1
+        return statement
+
+    def _open_statement(self) -> ast.Statement:
         token = self._peek()
         if token.type is TokenType.DECLARATION:
             self.pos += 1
@@ -371,14 +404,15 @@ class Parser:
         return self._assignment_expression()
 
     def _assignment_expression(self) -> ast.Expression:
+        self._descend()
         left = self._conditional_expression()
         token = self._peek()
         if token.type is TokenType.PUNCTUATOR and token.value in _ASSIGNMENT_OPS:
             if not isinstance(left, (ast.Identifier, ast.Member, ast.Index)):
                 raise JsSyntaxError("invalid assignment target", token.line, token.column)
             self._advance()
-            value = self._assignment_expression()
-            return ast.Assignment(token.value, left, value)
+            left = ast.Assignment(token.value, left, self._assignment_expression())
+        self.depth -= 1
         return left
 
     def _conditional_expression(self) -> ast.Expression:
@@ -411,18 +445,16 @@ class Parser:
 
     def _unary_expression(self) -> ast.Expression:
         token = self._peek()
-        if token.type is TokenType.PUNCTUATOR and token.value in ("-", "+", "!"):
-            self._advance()
-            return ast.UnaryOp(token.value, self._unary_expression())
-        if token.type is TokenType.KEYWORD and token.value in ("typeof", "delete"):
-            self._advance()
-            return ast.UnaryOp(token.value, self._unary_expression())
-        if token.type is TokenType.PUNCTUATOR and token.value in ("++", "--"):
-            self._advance()
-            target = self._unary_expression()
-            self._require_update_target(target, token)
-            return ast.UpdateOp(token.value, target, prefix=True)
-        return self._postfix_expression()
+        if (token.type, token.value) not in _PREFIX_OPERATORS:
+            return self._postfix_expression()
+        self._advance()
+        self._descend()
+        operand = self._unary_expression()
+        self.depth -= 1
+        if token.value in ("++", "--"):
+            self._require_update_target(operand, token)
+            return ast.UpdateOp(token.value, operand, prefix=True)
+        return ast.UnaryOp(token.value, operand)
 
     @staticmethod
     def _require_update_target(target: ast.Expression, token: Token) -> None:

@@ -16,9 +16,13 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import JsRuntimeError, JsTypeError
 
-#: V8's longest string (``String::kMaxLength`` on a 64-bit host): a
-#: ``repeat`` past it is a RangeError, as in node.
+#: V8's longest string (``String::kMaxLength`` on a 64-bit host): building
+#: a longer one is a RangeError, as in node (:func:`check_string_length`).
 MAX_STRING_LENGTH = 2**29 - 24
+
+#: What node throws for a structure nested deeper than its stack (here:
+#: than the depth Python allows).
+TOO_DEEP = "RangeError: Maximum call stack size exceeded"
 
 #: The longest array an index or ``length`` write may grow: the list is
 #: dense, so a write past this (node would make the array sparse) is a
@@ -377,12 +381,34 @@ def _number_to_string(value: float) -> str:
     return f"{sign}{digits[0]}{fraction}e{point - 1:+d}"
 
 
-def join_elements(array: JSArray, separator: str) -> str:
-    """``Array.prototype.join``: ``null`` and ``undefined`` join as ``""``."""
-    return separator.join(
-        "" if element is None or element is UNDEFINED else to_string(element)
-        for element in array.elements
-    )
+def check_string_length(length: int) -> None:
+    """Refuse a string of ``length`` past :data:`MAX_STRING_LENGTH`
+    before it is built, as node does."""
+    if length > MAX_STRING_LENGTH:
+        raise JsRuntimeError("RangeError: Invalid string length")
+
+
+def join_elements(array: JSArray, separator: str, outer: tuple = ()) -> str:
+    """``Array.prototype.join``: ``null`` and ``undefined`` join as ``""``,
+    and so does an array this join is already inside (``outer``): a
+    cycle joins as node v20 joins it.  Nesting past the depth Python
+    allows is node's RangeError."""
+    path = (*outer, array)
+    try:
+        pieces = [
+            "" if element is None or element is UNDEFINED
+            else _join_nested(element, path) if isinstance(element, JSArray)
+            else to_string(element)
+            for element in array.elements
+        ]
+    except RecursionError:
+        raise JsRuntimeError(TOO_DEEP) from None
+    check_string_length(sum(map(len, pieces)) + len(separator) * (len(pieces) - 1))
+    return separator.join(pieces)
+
+
+def _join_nested(element: JSArray, path: tuple) -> str:
+    return "" if any(element is open_ for open_ in path) else join_elements(element, ",", path)
 
 
 def type_of(value: Any) -> str:
@@ -409,7 +435,9 @@ def _add(left: Any, right: Any) -> Any:
     if type(left) is float and type(right) is float:
         return left + right
     if isinstance(left, str) or isinstance(right, str):
-        return to_string(left) + to_string(right)
+        left, right = to_string(left), to_string(right)
+        check_string_length(len(left) + len(right))
+        return left + right
     return to_number(left) + to_number(right)
 
 

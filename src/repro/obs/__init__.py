@@ -22,6 +22,7 @@ from repro.obs.events import (
     HOTNODE_CACHE_MISS,
     INDEX_FLUSH,
     PAGE_FETCH,
+    PAGE_INTERNAL_ERROR,
     SEGMENT_FLUSH,
     QUERY_EVAL,
     REQUEST_FAILED,
@@ -102,6 +103,7 @@ __all__ = [
     "STATE_DISCOVERED",
     "STATE_DUPLICATE",
     "STATE_COLLAPSED",
+    "PAGE_INTERNAL_ERROR",
     "STATE_CAPPED",
     "INDEX_FLUSH",
     "SEGMENT_FLUSH",

@@ -46,6 +46,9 @@ STATE_DUPLICATE = "state_duplicate"
 STATE_COLLAPSED = "state_collapsed"
 #: A new state was rejected by the per-page state cap (§4.3).
 STATE_CAPPED = "state_capped"
+#: A page's crawl raised an exception that is not a library error (a
+#: substrate bug or a Python limit); the page became a failure.
+PAGE_INTERNAL_ERROR = "page_internal_error"
 #: The inverted file sorted/flushed its posting lists.
 INDEX_FLUSH = "index_flush"
 #: The segmented index froze a memtable into an on-disk segment.
@@ -77,6 +80,7 @@ EVENT_KINDS = (
     STATE_DUPLICATE,
     STATE_COLLAPSED,
     STATE_CAPPED,
+    PAGE_INTERNAL_ERROR,
     INDEX_FLUSH,
     SEGMENT_FLUSH,
     COMPACTION,

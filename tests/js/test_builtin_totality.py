@@ -7,7 +7,7 @@ protocol, by the names the member tables hold, so a new native is swept
 the day it is added) with no argument, each boundary value, and every
 ordered pair of them.  A raw Python exception here (``ValueError``,
 ``OverflowError``, ``IndexError``, ``UnicodeEncodeError``,
-``MemoryError``) would end a whole crawl, not one script.
+``MemoryError``, ``RecursionError``) would cost the page, not one script.
 """
 
 from __future__ import annotations
@@ -30,8 +30,32 @@ from repro.js import (
 from repro.js.builtins import ARRAY_METHODS, NUMBER_METHODS, STRING_METHODS
 from repro.js.interpreter import _get_member
 
-#: ROADMAP item 2b's boundary values; arrays and objects are made fresh
-#: for every call, since a native may write to them.
+def cyclic_array() -> JSArray:
+    array = JSArray([1.0])
+    array.push([array])
+    return array
+
+
+def cyclic_object() -> JSObject:
+    obj = JSObject({"a": 1.0})
+    obj.set("self", obj)
+    return obj
+
+
+def nested_array(depth: int) -> JSArray:
+    array = JSArray()
+    for _ in range(depth):
+        array = JSArray([array])
+    return array
+
+
+#: Deeper than Python's stack allows any recursive walk of it.  Built
+#: once: no native writes into an argument's nested arrays.
+DEEP_ARRAY = nested_array(10_000)
+
+#: ROADMAP item 2b's boundary values, and item 3a's cycles and depth;
+#: the other arrays and objects are made fresh for every call, since a
+#: native may write to them.
 BOUNDARY = [
     lambda: math.nan,
     lambda: math.inf,
@@ -50,6 +74,9 @@ BOUNDARY = [
     lambda: "\ud800",
     lambda: 1e21,
     lambda: -1e-7,
+    cyclic_array,
+    cyclic_object,
+    lambda: DEEP_ARRAY,
 ]
 
 ARGUMENT_LISTS = (

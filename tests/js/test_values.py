@@ -17,6 +17,7 @@ from repro.js import (
     to_string,
     type_of,
 )
+from repro.js import values
 from repro.js.values import HostConstructor, HostObject, JSFunction
 
 
@@ -366,6 +367,72 @@ def test_array_length_and_index_writes_in_range():
     assert interp.run("var a = [1, 2, 3]; a.length = 1; a[2] = 9; a.length") == 3.0
     assert interp.run("a.join()") == "1,,9"
     assert interp.run("a.length = 0; a.length") == 0.0
+
+
+#: Arrays that contain themselves, as node v20 joins them: the array
+#: already being joined joins as ``""`` where the cycle closes, and an
+#: array met twice without a cycle joins both times.
+CYCLE_ANSWERS = [
+    ("var a = [1]; a.push(a); String(a)", "1,"),
+    ('var a = [1]; a.push(a); a.join("-")', "1-"),
+    ("var a = [1, [2]]; a[1].push(a); String(a)", "1,2,"),
+    ("var a = []; a.push(a, a); String(a)", ","),
+    ("var a = [1]; String([a, a])", "1,1"),
+    ("var a = [1]; String(JSON.parse(JSON.stringify([a, a])))", "1,1"),
+]
+
+
+@pytest.mark.parametrize("source, node", CYCLE_ANSWERS)
+def test_a_cycle_joins_as_node_joins_it(source, node):
+    assert to_string(Interpreter().run(source)) == node
+
+
+DEEP = "var a = []; for (var i = 0; i < 10000; i++) { a = [a]; } "
+
+#: ``source -> the error`` node v20 throws, where each once raised a raw
+#: ``RecursionError``.  Nesting past the depth Python allows is node's
+#: RangeError for its own stack; node itself parses 5 000 nested arrays
+#: and joins 3 000 as ``""``, this engine stops at its shallower stack.
+STRUCTURE_ERRORS = [
+    ("var o = {}; o.self = o; JSON.stringify(o)", "^Converting circular structure to JSON$"),
+    ("var a = [1]; a.push({b: a}); JSON.stringify(a)", "^Converting circular structure to JSON$"),
+    (DEEP + "JSON.stringify(a)", "^RangeError: Maximum call stack size exceeded$"),
+    (DEEP + "String(a)", "^RangeError: Maximum call stack size exceeded$"),
+    ('JSON.parse("[".repeat(5000) + "]".repeat(5000))', "^RangeError: Maximum call stack size exceeded$"),
+]
+
+
+@pytest.mark.parametrize("source, error", STRUCTURE_ERRORS)
+def test_a_cycle_or_a_depth_past_the_stack_is_a_javascript_error(source, error):
+    with pytest.raises(JavascriptError, match=error):
+        Interpreter().run(source)
+
+
+#: Each builds an 8-character string (16 for the doubling loop's last
+#: step).
+LONG_STRINGS = [
+    '"abcd" + "efgh"',
+    'var s = "abcd"; s += "efgh"; s',
+    '"abcd" + 1234',
+    '"abcd".concat("ef", "gh")',
+    '["abcd", "efgh"].join("")',
+    '["ab", "cd", "ef"].join("-")',
+    '"ab".repeat(4)',
+    'var s = "ab"; for (var i = 0; i < 40; i++) { s = s + s; } s',
+]
+
+
+@pytest.mark.parametrize("source", LONG_STRINGS)
+def test_a_string_past_the_longest_is_refused_before_it_is_built(monkeypatch, source):
+    monkeypatch.setattr(values, "MAX_STRING_LENGTH", 7)
+    with pytest.raises(JavascriptError, match="^RangeError: Invalid string length$"):
+        Interpreter().run(source)
+
+
+@pytest.mark.parametrize("source", LONG_STRINGS[:-1])
+def test_a_string_at_the_longest_is_built(monkeypatch, source):
+    monkeypatch.setattr(values, "MAX_STRING_LENGTH", 8)
+    assert len(Interpreter().run(source)) == 8
 
 
 #: ``source -> the sign of the zero it answers``: node v20 prints
