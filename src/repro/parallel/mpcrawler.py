@@ -123,23 +123,10 @@ class MPAjaxCrawler:
         #: sequence.
         self.recorder = recorder
 
-    def crawl_partition(
-        self, number: int, urls: list[str]
-    ) -> tuple[CrawlResult, PartitionRunSummary]:
-        """Crawl one numbered partition with a fresh worker, which owns
-        every piece of mutable crawl state (clock, browser, model store,
-        hash caches, stats)."""
-        worker = SimpleAjaxCrawler(
-            self.server,
-            self.config,
-            traditional=self.traditional,
-            cost_model=self.cost_model,
-            recorder=self.recorder,
-        )
-        return worker.crawl_urls(urls, partition=number)
-
     def run(self, partitions: list[list[str]]) -> ParallelRunResult:
-        """Crawl every partition, in order, and schedule each onto the
+        """Crawl every partition, in order, each with a fresh worker that
+        owns every piece of mutable crawl state (clock, browser, model
+        store, hash caches, stats), and schedule it onto the
         earliest-free process line with contention-stretched CPU time —
         the ``getPartitionID()`` protocol of §6.3.1."""
         lines = self.num_proc_lines
@@ -147,7 +134,14 @@ class MPAjaxCrawler:
         stretch = machine.cpu_stretch(min(lines, max(len(partitions), 1)))
         run = ParallelRunResult(result=CrawlResult(), num_proc_lines=lines)
         for number, urls in enumerate(partitions, start=1):
-            result, summary = self.crawl_partition(number, urls)
+            worker = SimpleAjaxCrawler(
+                self.server,
+                self.config,
+                traditional=self.traditional,
+                cost_model=self.cost_model,
+                recorder=self.recorder,
+            )
+            result, summary = worker.crawl_urls(urls, partition=number)
             run.result.merge(result)
             run.stats.merge(summary.network)
             run.summaries.append(summary)
