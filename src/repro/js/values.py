@@ -435,7 +435,11 @@ def _add(left: Any, right: Any) -> Any:
     if type(left) is float and type(right) is float:
         return left + right
     if isinstance(left, str) or isinstance(right, str):
-        left, right = to_string(left), to_string(right)
+        # to_string of a string is itself, and most operands are strings.
+        if type(left) is not str:
+            left = to_string(left)
+        if type(right) is not str:
+            right = to_string(right)
         check_string_length(len(left) + len(right))
         return left + right
     return to_number(left) + to_number(right)
