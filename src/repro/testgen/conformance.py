@@ -28,10 +28,10 @@ ground truth, or against another crawler variant that must agree:
   ``near_dup_threshold`` set, a noisy crawl recovers exactly the
   logical state count, twin→canonical mapping, variant counts and
   volatile-region masks (identically under a partitioned
-  ``MPAjaxCrawler`` run, with zero false merges); with it unset, the same noisy site explodes to
-  exactly the breadth-first unrolling the oracle predicts, and a
-  standard-site crawl emits no dedup events, metrics or annotations —
-  the dedup-off path is inert.
+  ``MPAjaxCrawler`` run, with zero false merges); with it unset, the
+  same noisy site explodes to exactly the breadth-first unrolling the
+  oracle predicts, and a standard-site crawl emits no dedup events,
+  metrics or annotations — the dedup-off path is inert.
 * ``replay_reachability`` — §5.4 as the crawl's oracle: every state of
   every crawled model, rebuilt by event replay from a fresh load,
   reproduces its recorded content hash.
